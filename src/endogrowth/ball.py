@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -143,6 +144,16 @@ def word_length(machine, elem, radius: int, cap: int = DEFAULT_CAP) -> Optional[
     return None
 
 
+def _kth_root(length: int, k: int) -> float:
+    """length^(1/k) as a float, also for lengths beyond float range."""
+    if length <= 0:
+        return 0.0
+    try:
+        return length ** (1.0 / k)
+    except OverflowError:
+        return math.exp(math.log(length) / k)
+
+
 @dataclass(frozen=True)
 class GrowthEstimate:
     """Table k -> max generator-image length, with per-entry provenance.
@@ -160,7 +171,7 @@ class GrowthEstimate:
     method: str
 
     def roots(self) -> list[float]:
-        return [l ** (1.0 / k) if l > 0 else 0.0 for k, l in zip(self.ks, self.lengths)]
+        return [_kth_root(l, k) for k, l in zip(self.ks, self.lengths)]
 
     def running_inf(self) -> list[float]:
         out = []
@@ -210,7 +221,7 @@ def gr_estimate(table: GrowthEstimate) -> GrowthSummary:
     per_gen = {}
     for name in table.gen_names:
         seq = table.per_gen[name]
-        root = seq[-1] ** (1.0 / table.ks[-1]) if seq[-1] > 0 else 0.0
+        root = _kth_root(seq[-1], table.ks[-1])
         gtrend = None
         if len(seq) >= 3 and seq[-3] > 0:
             gtrend = (seq[-1] / seq[-3]) ** 0.5

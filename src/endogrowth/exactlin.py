@@ -5,13 +5,32 @@ overflow, characteristic polynomials are computed exactly over the integers,
 and spectral radii come with a rigorous absolute error bound derived from the
 exact polynomial (no silent reliance on floating-point eigensolvers).
 
+A spectral radius is certified from approximate roots z_1..z_n of the monic
+radical p of the characteristic polynomial by two inclusion theorems, both
+evaluated in exact dyadic integer arithmetic:
+
+* upper bound: with the Weierstrass corrections
+  W_i = p(z_i) / prod_{j != i} (z_i - z_j), every root of p lies in the union
+  of the discs |x - z_i| <= n |W_i| (Gerschgorin applied to the Weierstrass
+  matrix; Braess & Hadeler 1973), so the radius is at most
+  max_i (|z_i| + n |W_i|);
+* lower bound: some root lies within n |p(z) / p'(z)| of any z, so the radius
+  is at least |z_m| - n |p(z_m) / p'(z_m)| for the approximation z_m of
+  largest modulus.
+
+Both bounds are linear in the residual, so a root finder's working precision
+carries straight through to the certificate.  The reported error is measured
+from the float value actually returned.
+
 All values are immutable after construction and all operations are pure, so
 concurrent use from any number of threads is safe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
@@ -190,7 +209,9 @@ class SpectralResult:
 
     ``value - abs_error <= true max root modulus <= value + abs_error``, and
     every entry of ``roots`` substituted into ``char_poly`` leaves a residual
-    of modulus at most ``max_residual``.
+    of modulus at most ``max_residual``.  ``dps`` is the precision rung, in
+    decimal digits, at which the certificate met the tolerance (0 when no
+    root finding was needed).
     """
 
     value: float
@@ -198,6 +219,7 @@ class SpectralResult:
     char_poly: IntPolynomial
     roots: tuple[complex, ...]
     max_residual: float
+    dps: int
 
 
 def _require_square(m: IntMatrix):
@@ -317,7 +339,6 @@ def _square_free_part(coeffs):
     The radical p/gcd(p, p') of a monic integer polynomial is again monic with
     integer coefficients and has the same root set, all simple.
     """
-    from fractions import Fraction
 
     def normalize(p):
         while p and p[-1] == 0:
@@ -356,68 +377,95 @@ def _square_free_part(coeffs):
     return out
 
 
-def _certified_bounds(coeffs, zs, n):
-    """Two-sided bound for the max root modulus from approximate roots.
+def _dyadic(x):
+    """(m, e) with the mpf ``x`` equal to m * 2**e exactly; None for inf or nan."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return (0, 0) if not exp else None
+    return (-int(man) if sign else int(man), exp)
 
-    ``coeffs`` are the exact integer coefficients (ascending, monic degree n),
-    ``zs`` the approximate roots at the current mpmath precision.  Returns
-    (lower, upper, max_residual) as mpf, or None when the certificate fails
-    at this precision.
 
-    Lower bound: p monic means prod |z - root_i| = |p(z)|, so some true root
-    lies within |p(z)|^(1/n) of z.  Upper bound: with q = prod (x - z_j) and
-    r = p - q (degree < n), any root L of p has prod |L - z_j| = |r(L)|, so
-    |L| > R0 + d forces d^n <= ||r||_1 * max(1,|L|)^(n-1); the smallest
-    barrier d with g(d) < d caps all root moduli at R0 + d.
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _abs2(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _horner(cs, z):
+    """Integer polynomial (ascending ``cs``) at the Gaussian integer ``z``."""
+    re, im = 0, 0
+    zr, zi = z
+    for c in reversed(cs):
+        re, im = re * zr - im * zi + c, re * zi + im * zr
+    return re, im
+
+
+def _sqrt_fixed(num, den, t, up):
+    """Integer r with r / 2**t >= sqrt(num / den) if ``up``, else <= it."""
+    q, rem = divmod(num << (2 * t), den)
+    r = math.isqrt(q)
+    if up and (rem or r * r != q):
+        r += 1
+    return r
+
+
+def _inclusion_bounds(coeffs, zs, t):
+    """Rigorous (lower, upper) for the max root modulus of a monic radical.
+
+    ``coeffs`` are the exact integer coefficients (ascending, monic, simple
+    roots), ``zs`` approximations of all its roots.  Each z_i is read exactly
+    as Z_i / 2**s with Z_i a Gaussian integer, so p(z_i), p'(z_m) and the
+    products of differences are exact integers; only the final square roots
+    round, outward, to ``t`` fractional bits.  Returns Fractions, or None
+    when two approximations coincide or p'(z_m) vanishes.
+
+    Upper bound: p is the characteristic polynomial of diag(z) - W 1^T with
+    W_i = p(z_i) / prod_{j != i} (z_i - z_j), so by Gerschgorin every root
+    lies in some disc |x - z_i| <= n |W_i| (Braess & Hadeler 1973).
+    Lower bound: p'/p = sum 1/(x - root), so some root lies within
+    n |p(z)/p'(z)| of any z; take the approximation z_m of largest modulus.
     """
-    mp = mpmath.mp
-    moduli = [abs(z) for z in zs]
-    r0 = max(moduli)
-
-    # residuals of the exact polynomial at the approximations
-    residuals = [abs(mpmath.polyval([mpmath.mpf(c) for c in reversed(coeffs)], z)) for z in zs]
-    max_res = max(residuals)
-    lower = mpmath.mpf(0)
-    for mod, res in zip(moduli, residuals):
-        cand = mod - res ** (mpmath.mpf(1) / n)
-        if cand > lower:
-            lower = cand
-
-    # q = prod (x - z_j) with an explicit pad for accumulated rounding
-    qc = [mpmath.mpc(1)]
-    for z in zs:
-        nxt = [mpmath.mpc(0)] * (len(qc) + 1)
-        for i, c in enumerate(qc):
-            nxt[i + 1] += c
-            nxt[i] -= c * z
-        qc = nxt
-    mag = mpmath.mpf(1)
-    for z in zs:
-        mag *= 1 + abs(z)
-    pad = (n * n + 4) * mag * mpmath.mpf(2) ** (4 - mp.prec)
-    r1 = pad
-    for k in range(n):
-        r1 += abs(qc[k] - coeffs[k])
-    # qc[n] is exactly 1 up to construction; include its defect anyway
-    r1 += abs(qc[n] - 1) * (r0 + 1) ** n
-
-    cauchy = 1 + max(abs(mpmath.mpf(c)) for c in coeffs)
-    delta = max(mpmath.mpf(1), cauchy - r0)
-
-    def barrier(d):
-        return (r1 * max(mpmath.mpf(1), r0 + d) ** (n - 1)) ** (mpmath.mpf(1) / n)
-
-    if barrier(delta) >= delta:
+    parts = [(_dyadic(z.real), _dyadic(z.imag)) for z in zs]
+    if any(d is None for pair in parts for d in pair):
         return None
-    for _ in range(200):
-        nxt = barrier(delta)
-        if nxt >= delta:
-            break
-        delta = nxt
-    upper = r0 + delta * (1 + mpmath.mpf(2) ** (8 - mp.prec))
-    if lower < 0:
-        lower = mpmath.mpf(0)
-    return lower, upper, max_res
+    s = max(0, -min(e for pair in parts for _, e in pair))
+    big = [tuple(m << (e + s) for m, e in pair) for pair in parts]
+    n = len(coeffs) - 1
+    # P(Z) = sum c_k Z^k 2^(s(n-k)) = 2^(sn) p(Z / 2^s), and P'(Z) = 2^(s(n-1)) p'(Z / 2^s)
+    scaled = [c << (s * (n - k)) for k, c in enumerate(coeffs)]
+    d2 = 1 << (2 * s)
+
+    upper = 0
+    for i, zi in enumerate(big):
+        q = (1, 0)
+        for j, zj in enumerate(big):
+            if j != i:
+                q = _gauss_mul(q, (zi[0] - zj[0], zi[1] - zj[1]))
+        if not _abs2(q):
+            return None
+        # |z_i| = |Z_i| / 2^s and |W_i| = |P(Z_i)| / (2^s |Q_i|)
+        bound = _sqrt_fixed(_abs2(zi), d2, t, True) + n * _sqrt_fixed(
+            _abs2(_horner(scaled, zi)), d2 * _abs2(q), t, True
+        )
+        upper = max(upper, bound)
+
+    zm = max(big, key=_abs2)
+    dp_abs2 = _abs2(_horner([k * c for k, c in enumerate(scaled)][1:], zm))
+    if not dp_abs2:
+        return None
+    # |p(z_m) / p'(z_m)| = |P(Z_m)| / (2^s |P'(Z_m)|)
+    lower = _sqrt_fixed(_abs2(zm), d2, t, False) - n * _sqrt_fixed(
+        _abs2(_horner(scaled, zm)), d2 * dp_abs2, t, True
+    )
+    return Fraction(max(lower, 0), 1 << t), Fraction(upper, 1 << t)
+
+
+def _float_up(x: Fraction) -> float:
+    """Smallest float >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 
 def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
@@ -443,7 +491,7 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
     n = len(coeffs) - 1
     if n == 0:
         roots = (complex(0),) * max(zero_mult, 1)
-        return SpectralResult(0.0, 0.0, p, roots, 0.0)
+        return SpectralResult(0.0, 0.0, p, roots, 0.0, 0)
 
     for dps in _PRECISION_LADDER:
         with mpmath.workdps(dps):
@@ -453,12 +501,13 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
                 )
             except mpmath.libmp.NoConvergence:
                 continue
-            bounds = _certified_bounds(coeffs, zs, n)
+            bounds = _inclusion_bounds(coeffs, zs, mpmath.mp.prec)
             if bounds is None:
                 continue
-            lower, upper, _ = bounds
-            r0 = max(abs(z) for z in zs)
-            abs_err = max(upper - r0, r0 - lower)
+            lower, upper = bounds
+            value = float(max(abs(z) for z in zs))
+            # the error is measured from the float actually reported
+            abs_err = _float_up(max(upper - Fraction(value), Fraction(value) - lower))
             if abs_err <= tol:
                 roots = tuple(complex(z) for z in zs)
                 if zero_mult:
@@ -466,7 +515,7 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
                 # residual bound documented for the rounded roots as returned
                 rev = [mpmath.mpf(c) for c in reversed(p.coeffs)]
                 max_res = max(abs(mpmath.polyval(rev, mpmath.mpc(z))) for z in roots)
-                return SpectralResult(float(r0), float(abs_err), p, roots, float(max_res))
+                return SpectralResult(value, abs_err, p, roots, float(max_res), dps)
     raise CertificationError(
         f"spectral radius of {m.rows}x{m.cols} matrix not certified to {tol}"
     )

@@ -538,10 +538,16 @@ class SolMachine(Machine):
     def holonomy_power(self, t: int) -> IntMatrix:
         cache = self._pow_cache
         if t not in cache:
-            if t > 0:
-                cache[t] = self.holonomy_power(t - 1) @ self.matrix
-            else:
-                cache[t] = self.holonomy_power(t + 1) @ self._inv_matrix
+            # the cached exponents form a range around 0: extend it up to t
+            step, factor = (1, self.matrix) if t > 0 else (-1, self._inv_matrix)
+            k = t
+            while k not in cache:
+                k -= step
+            power = cache[k]
+            while k != t:
+                k += step
+                power = power @ factor
+                cache[k] = power
         return cache[t]
 
     def mul(self, a, b):

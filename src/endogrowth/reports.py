@@ -247,13 +247,14 @@ def _verdict(closed: Optional[ClosedForm], summary: GrowthSummary) -> str:
 
 def _empirical_section(table: GrowthEstimate, summary: GrowthSummary) -> dict:
     rows = []
+    roots = table.roots()
     for i, k in enumerate(table.ks):
         rows.append(
             {
                 "k": k,
                 "length": table.lengths[i],
                 "exact": table.exact[i],
-                "root": table.roots()[i],
+                "root": roots[i],
                 "running_inf": summary.running_inf[i],
                 "per_gen": {n: table.per_gen[n][i] for n in table.gen_names},
             }

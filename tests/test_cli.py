@@ -226,6 +226,32 @@ class TestDeterminism:
         assert report_json(report) == report_json(again)
 
 
+class TestBigIntegers:
+    def test_compare_klein_beyond_float_range(self, tmp_path):
+        # L_1000 = 5^1000 has no float value; its 1000th root still does
+        out = tmp_path / "klein.json"
+        code = run(
+            [
+                "compare",
+                "--group", fixture_path("klein.group"),
+                "--endo", fixture_path("klein.endo"),
+                "--kmax", "1000",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        last = report["empirical"]["rows"][-1]
+        assert last["k"] == 1000 and last["length"] > 2**1024
+        assert abs(last["root"] - 5.0) <= 1e-9
+        assert report["verdict"] == "consistent"
+
+    def test_wordlen_sol_deep_tau_power(self, capsys):
+        code = run(["wordlen", "--group", fixture_path("sol_ex1.group"), "--word", "tau^3000"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["word"] == "tau^3000"
+
+
 class TestExitCodes:
     def test_validation_error(self, tmp_path):
         bad = tmp_path / "bad.group"

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from endogrowth.exactlin import (
     kronecker,
     mat_pow,
     spectral_radius,
+    _square_free_part,
 )
 
 GOLDEN = (3 + math.sqrt(5)) / 2
@@ -71,15 +73,13 @@ class TestSpectralRadius:
 
     def test_zero_matrix(self):
         r = spectral_radius(IntMatrix.zeros(3, 3))
-        assert r.value == 0.0 and r.abs_error == 0.0
+        assert r.value == 0.0 and r.abs_error == 0.0 and r.dps == 0
 
     def test_root_five(self):
         r = spectral_radius(mat([[1, 2], [2, -1]]))
         assert abs(r.value - math.sqrt(5)) <= 1e-9
 
     def test_residuals_below_documented_bound(self):
-        import mpmath
-
         r = spectral_radius(mat([[1, 2], [2, -1]]))
         with mpmath.workdps(60):
             rev = [mpmath.mpf(c) for c in reversed(r.char_poly.coeffs)]
@@ -125,6 +125,85 @@ class TestSpectralRadius:
             a = spectral_radius(m).value
             b = spectral_radius(p @ m @ p_inv).value
             assert abs(a - b) <= 1e-9 * max(1.0, a)
+
+
+def reference_radius(m):
+    """Max root modulus from polyroots of the square-free part at 300 digits."""
+    coeffs = list(char_poly(m).coeffs)
+    while coeffs[0] == 0 and len(coeffs) > 1:
+        coeffs.pop(0)
+    if len(coeffs) == 1:
+        return mpmath.mpf(0)
+    radical = _square_free_part(coeffs)
+    with mpmath.workdps(300):
+        zs = mpmath.polyroots(
+            [mpmath.mpf(c) for c in reversed(radical)], maxsteps=800, extraprec=300
+        )
+        return max(abs(z) for z in zs)
+
+
+def assert_contains_reference(m):
+    r = spectral_radius(m)
+    ref = reference_radius(m)
+    with mpmath.workdps(300):
+        # the reference is good to far better than 1e-250
+        gap = abs(ref - mpmath.mpf(r.value)) - mpmath.mpf(r.abs_error)
+        assert gap <= mpmath.mpf(10) ** -250, (m.entries, r.value, r.abs_error, ref)
+
+
+def block_diag(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def seeded_matrix(kind, n, rng):
+    """dense: entries in [-3, 3]; block: one 2x2 block repeated; jordan:
+    4x4 blocks [[B, I], [0, B]]; both structured kinds permuted."""
+    if kind == "dense":
+        return mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+    if kind == "block":
+        rows = block_diag([b] * (n // 2))
+    else:
+        chain = block_diag([b, b])
+        chain[0][2] = chain[1][3] = 1
+        rows = block_diag([chain] * (n // 4))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return mat([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("kind", ["dense", "block", "jordan"])
+    def test_reported_interval_contains_true_radius(self, kind):
+        rng = random.Random(2024)
+        for n in (4, 8, 12, 16):
+            for _ in range(2):
+                assert_contains_reference(seeded_matrix(kind, n, rng))
+
+    def test_dense_16_certifies_at_first_rung(self):
+        m = seeded_matrix("dense", 16, random.Random(16))
+        r = spectral_radius(m)
+        assert r.dps == 60
+        assert r.abs_error <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_certificate_contains_true_radius(rows):
+    assert_contains_reference(IntMatrix.from_rows(rows))
 
 
 class TestExteriorSquare:

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endogrowth.errors import FamilyError, ValidationError
-from endogrowth.exactlin import spectral_radius
+from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
 from endogrowth.families import (
     BSMachine,
     HeisenbergMachine,
     Nil2Machine,
+    SolMachine,
     klein_restricted_matrix,
     machine_from_params,
     mul_elements,
@@ -168,6 +169,14 @@ class TestLengthFunctionals:
             assert evaluate(any_machine, w) == x
             assert len(w) <= any_machine.length_upper(x)
             assert evaluate(any_machine, any_machine.decompose(x)) == x
+
+
+class TestSolHolonomy:
+    def test_deep_powers_without_recursion(self):
+        a = IntMatrix.from_rows([[2, 1], [1, 1]])
+        sol = SolMachine(a)
+        assert sol.holonomy_power(3000) == mat_pow(a, 3000)
+        assert sol.holonomy_power(-3000) @ sol.holonomy_power(3000) == IntMatrix.identity(2)
 
 
 class TestParams:
