@@ -9,20 +9,15 @@ and safe to share.
 
 from __future__ import annotations
 
-import io
 import csv
+import functools
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ResourceCapExceeded, ValidationError
-from .words import (
-    Endomorphism,
-    apply_on_element,
-    check_homomorphism,
-    image_elements,
-    word_str,
-)
+from .words import ValidEndo, apply_on_element, word_str
 
 __all__ = [
     "DEFAULT_CAP",
@@ -158,8 +153,9 @@ def _kth_root(length: int, k: int) -> float:
 class GrowthEstimate:
     """Table k -> max generator-image length, with per-entry provenance.
 
-    ``exact`` entries came from BFS geodesics (certified); the rest are
-    honest word-construction upper bounds from the family length functional.
+    ``exact`` entries are BFS geodesics or values of an exact family length
+    functional (certified); the rest are honest word-construction upper
+    bounds from the family length functional.
     """
 
     gen_names: tuple[str, ...]
@@ -234,8 +230,7 @@ def gr_estimate(table: GrowthEstimate) -> GrowthSummary:
 
 
 def L_k_table(
-    machine,
-    endo: Endomorphism,
+    valid: ValidEndo,
     kmax: int = 16,
     radius: int = 10,
     cap: int = DEFAULT_CAP,
@@ -243,19 +238,15 @@ def L_k_table(
     """Iterate-length table L_k = max_i length(phi^k(s_i)) for k = 1..kmax.
 
     Lengths are exact BFS geodesics whenever the image lies in the radius-R
-    ball, otherwise the family length functional's upper bound, flagged per
-    entry.  An L_k entry is exact when its maximal value is a geodesic that
-    dominates every upper-bound entry of the same row.
+    ball, otherwise the family length functional's value, flagged per entry
+    as exact when the machine declares ``length_exact``.  An L_k entry is
+    exact when its maximal value is exact and dominates every upper-bound
+    entry of the same row.
     """
-    verdict = check_homomorphism(machine, endo)
-    if not verdict.valid:
-        raise ValidationError(
-            f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
-        )
     if kmax < 1:
         raise ValidationError("kmax must be >= 1")
+    machine, images = valid.machine, valid.images
     ball = enumerate_ball(machine, radius, cap)
-    images = image_elements(machine, endo)
     names = machine.gens.names
     per_gen = {n: [] for n in names}
     per_gen_exact = {n: [] for n in names}
@@ -269,12 +260,12 @@ def L_k_table(
             if found is not None:
                 val, is_exact = found, True
             else:
-                val, is_exact = machine.length_upper(x), False
+                val, is_exact = machine.length_upper(x), machine.length_exact
             per_gen[name].append(val)
             per_gen_exact[name].append(is_exact)
             row.append((val, is_exact))
         l_k = max(v for v, _ in row)
-        # exact iff a geodesic entry attains the max: upper-bound entries
+        # exact iff an exact entry attains the max: upper-bound entries
         # below it cannot raise the true maximum
         row_exact = any(e and v == l_k for v, e in row)
         lengths.append(l_k)
@@ -343,12 +334,5 @@ def distortion(
 
 def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CAP) -> DistortionTable:
     """Distortion of the cyclic subgroup generated by one generator."""
-    idx = machine.gens.index(gen_name)
-
-    def membership(elem):
-        return machine.cyclic_inner_length(idx, elem) is not None
-
-    def inner(elem):
-        return machine.cyclic_inner_length(idx, elem)
-
-    return distortion(machine, membership, inner, radius, cap)
+    inner = functools.partial(machine.cyclic_inner_length, machine.gens.index(gen_name))
+    return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)

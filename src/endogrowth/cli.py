@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .ball import cyclic_distortion, enumerate_ball, word_length
+from .ball import DEFAULT_CAP, cyclic_distortion, enumerate_ball, word_length
 from .errors import (
     CertificationError,
     ContractError,
@@ -24,14 +24,17 @@ from .errors import (
     ValidationError,
 )
 from .exactlin import IntMatrix
+from .families import check_params
 from .nilgr import gr_from_blocks
-from .reports import build_report, report_json
-from .words import evaluate, parse_word
+from .reports import build_report, parse_endo, parse_group, report_json
+from .words import ValidEndo, check_homomorphism, evaluate, eventually_trivial, parse_word, word_str
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_CERTIFICATION = 4
+
+_BLOCK_SCHEMA = (("weight", "int"), ("matrix", "int matrix"))
 
 
 def _read_json(path):
@@ -42,13 +45,13 @@ def _read_json(path):
             raise ValidationError(f"{path}: {exc}") from None
 
 
-def _common_flags(sub, endo=True):
-    sub.add_argument("--group", required=True, help="group descriptor file (JSON)")
+def _common_flags(sub, endo=True, required=True):
+    sub.add_argument("--group", required=required, help="group descriptor file (JSON)")
     if endo:
-        sub.add_argument("--endo", required=True, help="endomorphism descriptor file (JSON)")
+        sub.add_argument("--endo", required=required, help="endomorphism descriptor file (JSON)")
     sub.add_argument("--kmax", type=int, default=16)
     sub.add_argument("--radius", type=int, default=10)
-    sub.add_argument("--cap", type=int, default=5_000_000)
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None)
@@ -94,7 +97,10 @@ def _cmd_report(args, command: str, want_closed: bool, want_empirical: bool):
 
 def _cmd_closed_blocks(args):
     doc = _read_json(args.blocks)
-    blocks = [(item["weight"], IntMatrix.from_rows(item["matrix"])) for item in doc]
+    if not isinstance(doc, list):
+        raise ValidationError("block list must be a list of {weight, matrix} objects")
+    items = [check_params(_BLOCK_SCHEMA, item, "block") for item in doc]
+    blocks = [(item["weight"], IntMatrix.from_rows(item["matrix"])) for item in items]
     rep = gr_from_blocks(blocks, args.tol)
     out = {
         "command": "closed",
@@ -102,48 +108,37 @@ def _cmd_closed_blocks(args):
         "value": rep.value,
         "certificate": rep.certificate(),
     }
-    _emit(args, json.dumps(out, sort_keys=True, indent=2) + "\n", f"closed(blocks)={rep.value:.12g}")
+    _emit(args, report_json(out), f"closed(blocks)={rep.value:.12g}")
     return EXIT_OK
 
 
 def _cmd_check(args):
-    from .reports import parse_endo, parse_group
-    from .words import check_homomorphism, eventually_trivial, word_str
-
     _, machine = parse_group(_read_json(args.group))
     _, endo = parse_endo(_read_json(args.endo), machine)
     verdict = check_homomorphism(machine, endo)
     out = {"command": "check", "valid": verdict.valid}
     if verdict.valid:
-        triv = eventually_trivial(machine, endo)
+        triv = eventually_trivial(ValidEndo(machine, endo, verdict.images))
         out["eventually_trivial"] = {"status": triv.status, "power": triv.power}
     else:
         out["violated_relator"] = word_str(verdict.violated_relator, machine.gens)
         out["witness"] = repr(verdict.witness)
-    _emit(args, json.dumps(out, sort_keys=True, indent=2) + "\n", f"check: valid={verdict.valid}")
+    _emit(args, report_json(out), f"check: valid={verdict.valid}")
     return EXIT_OK
 
 
 def _cmd_ball(args):
-    from .reports import parse_group
-
     _, machine = parse_group(_read_json(args.group))
     ball = enumerate_ball(machine, args.radius, args.cap)
     if args.format == "csv":
         _emit(args, ball.to_csv(), f"ball: radius={ball.radius} size={ball.counts[-1]}")
     else:
         out = {"command": "ball", "radius": ball.radius, "counts": list(ball.counts)}
-        _emit(
-            args,
-            json.dumps(out, sort_keys=True, indent=2) + "\n",
-            f"ball: radius={ball.radius} size={ball.counts[-1]}",
-        )
+        _emit(args, report_json(out), f"ball: radius={ball.radius} size={ball.counts[-1]}")
     return EXIT_OK
 
 
 def _cmd_wordlen(args):
-    from .reports import parse_group
-
     _, machine = parse_group(_read_json(args.group))
     w = parse_word(args.word, machine.gens)
     elem = evaluate(machine, w)
@@ -156,13 +151,11 @@ def _cmd_wordlen(args):
         "radius": args.radius,
     }
     human = f"wordlen: {length}" if length is not None else f"wordlen: unknown beyond radius {args.radius}"
-    _emit(args, json.dumps(out, sort_keys=True, indent=2) + "\n", human)
+    _emit(args, report_json(out), human)
     return EXIT_OK
 
 
 def _cmd_distortion(args):
-    from .reports import parse_group
-
     _, machine = parse_group(_read_json(args.group))
     table = cyclic_distortion(machine, args.subgroup, args.radius, args.cap)
     if args.format == "csv":
@@ -175,11 +168,7 @@ def _cmd_distortion(args):
             "delta": list(table.delta),
             "witnesses": list(table.witnesses),
         }
-        _emit(
-            args,
-            json.dumps(out, sort_keys=True, indent=2) + "\n",
-            f"distortion: delta({args.radius})={table.delta[-1]}",
-        )
+        _emit(args, report_json(out), f"distortion: delta({args.radius})={table.delta[-1]}")
     return EXIT_OK
 
 
@@ -194,15 +183,8 @@ def make_parser() -> argparse.ArgumentParser:
     _common_flags(sub)
 
     sub = subs.add_parser("closed", help="closed-form growth rate")
-    sub.add_argument("--group", help="group descriptor file (JSON)")
-    sub.add_argument("--endo", help="endomorphism descriptor file (JSON)")
+    _common_flags(sub, required=False)
     sub.add_argument("--blocks", help="diagonal block list file (JSON) instead of group/endo")
-    sub.add_argument("--kmax", type=int, default=16)
-    sub.add_argument("--radius", type=int, default=10)
-    sub.add_argument("--cap", type=int, default=5_000_000)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None)
 
     sub = subs.add_parser("empirical", help="iterate-length table and growth estimate")
     _common_flags(sub)
@@ -233,8 +215,7 @@ def run(argv=None) -> int:
                 return _cmd_closed_blocks(args)
             if not (args.group and args.endo):
                 raise ValidationError("closed needs --group and --endo, or --blocks")
-            report = _cmd_report(args, "closed", want_closed=True, want_empirical=False)
-            return report
+            return _cmd_report(args, "closed", want_closed=True, want_empirical=False)
         if args.cmd == "empirical":
             return _cmd_report(args, "empirical", want_closed=False, want_empirical=True)
         if args.cmd == "compare":

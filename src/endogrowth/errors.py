@@ -21,10 +21,6 @@ class UnknownGeneratorError(ValidationError):
     """A word refers to a generator the machine does not have."""
 
 
-class FamilyError(EndoGrowthError, ValueError):
-    """Elements of incompatible machines were combined."""
-
-
 class ClassificationError(ValidationError):
     """Endomorphism images match none of the known shapes for the family."""
 

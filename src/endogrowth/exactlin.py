@@ -46,7 +46,6 @@ __all__ = [
     "exterior_square",
     "kronecker",
     "mat_pow",
-    "col_abs_sum",
     "mat_vec",
     "inverse_unimodular_2x2",
 ]
@@ -93,12 +92,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
@@ -268,13 +261,6 @@ def mat_pow(m: IntMatrix, n: int) -> IntMatrix:
         base = base @ base
         n >>= 1
     return result
-
-
-def col_abs_sum(m: IntMatrix, i: int) -> int:
-    """Sum of absolute values of column i."""
-    if not 0 <= i < m.cols:
-        raise DimensionError(f"column {i} out of range for {m.rows}x{m.cols}")
-    return sum(abs(row[i]) for row in m.entries)
 
 
 def mat_vec(m: IntMatrix, v) -> tuple[int, ...]:

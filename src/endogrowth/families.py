@@ -4,7 +4,12 @@ Each machine owns: a generator set, exact multiplication/inversion on normal
 forms (plain hashable tuples), its defining relator list, a canonical word
 decomposition of any element, and a length functional that returns the length
 of an explicit word representing the element (an upper bound on the true word
-length; exact for the free abelian, torsion product, and Klein families).
+length; exact where the class sets ``length_exact``).
+
+Each machine class also declares its descriptor ``family`` tag, the
+parameter ``schema`` of that descriptor, and the ``build`` classmethod that
+turns checked parameters into a machine; ``machine_from_params`` looks the
+class up in ``MACHINES`` by tag and checks the parameters once.
 
 Machines are immutable after construction and all element operations are
 pure, so sharing across threads is safe.
@@ -13,10 +18,12 @@ pure, so sharing across threads is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
-from .errors import DimensionError, FamilyError, ValidationError
-from .exactlin import IntMatrix, inverse_unimodular_2x2, mat_vec
+from .errors import ValidationError
+from .exactlin import IntMatrix, mat_vec
+from .solgr import SolLengthMinimizer
 from .words import GenSet, Word, commutator_word
 
 __all__ = [
@@ -28,19 +35,77 @@ __all__ = [
     "SolMachine",
     "KleinMachine",
     "BSMachine",
-    "mul_elements",
+    "MACHINES",
+    "PARAM_TYPES",
+    "check_params",
     "klein_restricted_matrix",
     "machine_from_params",
 ]
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(ok(x) for x in v)
+
+
+_int_matrix = _list_of(_list_of(_int))
+
+# Descriptor parameter types, by the names the schemas use.
+PARAM_TYPES = {
+    "int": _int,
+    "bool": lambda v: isinstance(v, bool),
+    "list of str": _list_of(lambda x: isinstance(x, str)),
+    "list of int": _list_of(_int),
+    "int matrix": _int_matrix,
+    "2x2 int matrix": lambda v: _int_matrix(v) and len(v) == 2 and all(len(r) == 2 for r in v),
+    "{name: [int, int]}": lambda v: (
+        isinstance(v, dict) and all(_list_of(_int)(p) and len(p) == 2 for p in v.values())
+    ),
+    '{"i,j": list of int}': lambda v: isinstance(v, dict) and all(
+        re.fullmatch(r"\s*-?\d+\s*,\s*-?\d+\s*", k) and _list_of(_int)(x) for k, x in v.items()
+    ),
+}
+
+
+def check_params(schema, params, what: str) -> dict:
+    """Keyword arguments from a parameter object: no unknown names, every
+    type right, defaults filled in.  ``schema`` holds ``(name, type)`` for
+    required and ``(name, type, default)`` for optional parameters."""
+    if not isinstance(params, dict):
+        raise ValidationError(f"{what} must be an object")
+    unknown = set(params) - {name for name, *_ in schema}
+    if unknown:
+        raise ValidationError(f"{what}: unknown {sorted(map(str, unknown))}")
+    args = {}
+    for name, kind, *default in schema:
+        if name in params:
+            if not PARAM_TYPES[kind](params[name]):
+                raise ValidationError(f"{what}: {name!r} must be {kind}")
+            args[name] = params[name]
+        elif default:
+            args[name] = default[0]
+        else:
+            raise ValidationError(f"{what}: {name!r} is required")
+    return args
 
 
 class Machine:
     """Shared helpers; concrete families fill in the arithmetic."""
 
     family: str
+    schema: tuple = ()
+    length_exact = False  # length_upper is the true word length
     gens: GenSet
     identity: object
     free_ab_indices: tuple[int, ...]
+
+    @classmethod
+    def build(cls, **params):
+        """The machine for schema-checked parameters; lists become tuples."""
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -59,25 +124,34 @@ class Machine:
         raise NotImplementedError
 
     def length_upper(self, elem) -> int:
-        return len(self.length_upper_word(elem))
+        return self.length_upper_word(elem).length()
 
     def length_upper_word(self, elem) -> Word:
         """Explicit word whose length the functional reports."""
-        raise NotImplementedError
+        return self.decompose(elem)
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def cyclic_inner_length(self, gen_index: int, elem):
-        """|k| if elem == gen^k, else None.  Used for distortion profiles."""
-        raise NotImplementedError
+        """|k| if elem == gen^k, else None.  Used for distortion profiles.
+
+        This default reads a normal form of one exponent per generator.
+        """
+        x = elem[gen_index]
+        return abs(x) if elem.count(0) + (x != 0) == len(elem) else None
 
 
-def mul_elements(machine_a: Machine, a, machine_b: Machine, b):
-    """Multiply elements that may come from different machine instances."""
-    if machine_a != machine_b:
-        raise FamilyError(f"elements of {machine_a} and {machine_b} cannot be combined")
-    return machine_a.mul(a, b)
+def _square_split(q: int) -> list[tuple[int, int]]:
+    """Pairs (s, t) whose products s*t sum to q >= 0, with s = ceil(sqrt(q)):
+    commutator blocks [u^s, v^t] spell a central power q in about 4 sqrt(q) letters."""
+    if q == 0:
+        return []
+    s = math.isqrt(q)
+    if s * s < q:
+        s += 1
+    t, r = divmod(q, s)
+    return [(s, t), (1, r)] if r else [(s, t)]
 
 
 def _letters(*pairs) -> Word:
@@ -94,7 +168,9 @@ class FreeAbelianMachine(Machine):
 
     rank: int
     names: tuple[str, ...] = ()
-    family: str = field(default="free_abelian", init=False)
+    family = "free_abelian"
+    schema = (("rank", "int"), ("names", "list of str", ()))
+    length_exact = True
 
     def __post_init__(self):
         if self.rank < 1:
@@ -126,16 +202,8 @@ class FreeAbelianMachine(Machine):
     def decompose(self, elem):
         return _letters(*((i, x) for i, x in enumerate(elem)))
 
-    def length_upper_word(self, elem):
-        return self.decompose(elem)
-
     def length_upper(self, elem):
         return sum(abs(x) for x in elem)
-
-    def cyclic_inner_length(self, gen_index, elem):
-        if all(x == 0 for i, x in enumerate(elem) if i != gen_index):
-            return abs(elem[gen_index])
-        return None
 
 
 @dataclass(frozen=True)
@@ -145,7 +213,9 @@ class TorsionProductMachine(Machine):
     rank: int
     torsion: tuple[int, ...]
     names: tuple[str, ...] = ()
-    family: str = field(default="abelian_with_torsion", init=False)
+    family = "abelian_with_torsion"
+    schema = (("rank", "int"), ("torsion", "list of int"), ("names", "list of str", ()))
+    length_exact = True
 
     def __post_init__(self):
         if self.rank < 0 or (self.rank == 0 and not self.torsion):
@@ -200,9 +270,6 @@ class TorsionProductMachine(Machine):
         ]
         return _letters(*letters)
 
-    def length_upper_word(self, elem):
-        return self.decompose(elem)
-
     def length_upper(self, elem):
         free, tors = elem
         return sum(abs(x) for x in free) + sum(
@@ -234,7 +301,8 @@ class HeisenbergMachine(Machine):
 
     k: int = 1
     include_center_gen: bool = True
-    family: str = field(default="heisenberg", init=False)
+    family = "heisenberg"
+    schema = (("k", "int"), ("include_center_gen", "bool", True))
 
     def __post_init__(self):
         if self.k < 1:
@@ -271,35 +339,18 @@ class HeisenbergMachine(Machine):
             commutator_word(_gen_word(1), c12_word),
         ]
 
-    def _central_pieces(self, l):
-        """Word pieces spelling a3^l from commutators (+ leftover a3 letters).
+    def _central_word(self, l):
+        """Word spelling a3^l from commutators (+ leftover a3 letters).
 
-        [a1^-s, a2^t] = a3^(k s t), so l = sign*(k*q + r0) splits into two
-        commutator blocks covering q = s*t + r and r0 leftover letters.
-        Each piece (s, t) stands for the word [a1^s, a2^t] = a3^(-k s t).
+        [a1^-s, a2^t] = a3^(k s t), so l = sign*(k*q + r0) takes commutator
+        blocks covering q and r0 leftover letters.
         """
-        if l == 0:
-            return [], 0
         sign = 1 if l > 0 else -1
         q, r0 = divmod(abs(l), self.k)
-        pieces = []
-        if q > 0:
-            s = math.isqrt(q)
-            if s * s < q:
-                s += 1
-            t, r = divmod(q, s)
-            pieces.append((-sign * s, t))
-            if r > 0:
-                pieces.append((-sign, r))
-        return pieces, sign * r0
-
-    def _central_word(self, l):
-        pieces, r0 = self._central_pieces(l)
         letters = []
-        for s, t in pieces:
-            letters += [(0, -s), (1, -t), (0, s), (1, t)]
-        if r0 != 0:
-            letters.append((2, r0))
+        for s, t in _square_split(q):
+            letters += [(0, sign * s), (1, -t), (0, -sign * s), (1, t)]
+        letters.append((2, sign * r0))
         return _letters(*letters)
 
     def decompose(self, elem):
@@ -312,20 +363,9 @@ class HeisenbergMachine(Machine):
         m, n, l = elem
         prefix = _letters((0, m), (1, n))
         central = self._central_word(l)
-        if self.include_center_gen and abs(l) <= len(central):
+        if self.include_center_gen and abs(l) <= central.length():
             central = _letters((2, l))
         return prefix * central
-
-    def cyclic_inner_length(self, gen_index, elem):
-        m, n, l = elem
-        if gen_index == 2 and self.include_center_gen:
-            return abs(l) if m == 0 and n == 0 else None
-        target = self.gen_elem(gen_index)
-        coords = (m, n, l)
-        if all(c == 0 for c, t in zip(coords, target) if t == 0):
-            i = target.index(1)
-            return abs(coords[i])
-        return None
 
 
 @dataclass(frozen=True)
@@ -343,7 +383,24 @@ class Nil2Machine(Machine):
     designated: tuple[tuple[str, tuple[int, int]], ...]  # name -> (i, j), 1-based
     gamma: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]  # (i, j) i>j -> vector
     tau_names: tuple[str, ...] = ()
-    family: str = field(default="nilpotent2", init=False)
+    family = "nilpotent2"
+    schema = (
+        ("n_gens", "int"),
+        ("central", "list of str"),
+        ("designated", "{name: [int, int]}"),
+        ("gamma", '{"i,j": list of int}', {}),
+        ("tau_names", "list of str", ()),
+    )
+
+    @classmethod
+    def build(cls, n_gens, central, designated, gamma, tau_names):
+        return cls(
+            n_gens,
+            tuple(central),
+            tuple(sorted((name, tuple(pair)) for name, pair in designated.items())),
+            tuple(sorted((tuple(int(x) for x in key.split(",")), tuple(vec)) for key, vec in gamma.items())),
+            tuple(tau_names),
+        )
 
     def __post_init__(self):
         n, m = self.n_gens, len(self.central)
@@ -392,21 +449,20 @@ class Nil2Machine(Machine):
         )
         object.__setattr__(self, "_gamma_table", full)
 
-    def _gamma(self, i, j):
-        for key, vec in self._gamma_table:
-            if key == (i, j):
-                return vec
-        raise FamilyError(f"no gamma entry for {(i, j)}")
+    def _cocycle(self, u, v):
+        """Central part of tau^u tau^v: sum over i > j of u_i v_j gamma(i, j)."""
+        m = len(self.central)
+        out = [0] * m
+        for (i, j), vec in self._gamma_table:
+            c = u[i - 1] * v[j - 1]
+            if c:
+                for s in range(m):
+                    out[s] += c * vec[s]
+        return out
 
     def mul(self, a, b):
         (xa, za), (xb, zb) = a, b
-        m = len(self.central)
-        corr = [0] * m
-        for (i, j), vec in self._gamma_table:
-            c = xa[i - 1] * xb[j - 1]
-            if c:
-                for u in range(m):
-                    corr[u] += c * vec[u]
+        corr = self._cocycle(xa, xb)
         return (
             tuple(p + q for p, q in zip(xa, xb)),
             tuple(p + q + r for p, q, r in zip(za, zb, corr)),
@@ -414,14 +470,7 @@ class Nil2Machine(Machine):
 
     def inv(self, a):
         x, z = a
-        m = len(self.central)
-        corr = [0] * m
-        for (i, j), vec in self._gamma_table:
-            c = x[i - 1] * x[j - 1]
-            if c:
-                for u in range(m):
-                    corr[u] += c * vec[u]
-        return (tuple(-p for p in x), tuple(-p + q for p, q in zip(z, corr)))
+        return (tuple(-p for p in x), tuple(-p + q for p, q in zip(z, self._cocycle(x, x))))
 
     def gen_elem(self, i):
         n, m = self.n_gens, len(self.central)
@@ -435,11 +484,12 @@ class Nil2Machine(Machine):
 
     def relators(self):
         n = self.n_gens
+        gamma = dict(self._gamma_table)
         rels = []
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 # [tau_i, tau_j] = sigma^(-gamma(j, i))
-                rhs = self.central_word(tuple(-v for v in self._gamma(j, i)))
+                rhs = self.central_word(tuple(-v for v in gamma[(j, i)]))
                 rels.append(commutator_word(_gen_word(i - 1), _gen_word(j - 1)) * rhs.inverse())
         total = n + len(self.central)
         for i in range(n):
@@ -473,17 +523,8 @@ class Nil2Machine(Machine):
                 continue
             i, j = pair[0] - 1, pair[1] - 1
             sign = 1 if c > 0 else -1
-            q = abs(c)
-            u = math.isqrt(q)
-            if u * u < q:
-                u += 1
-            t, r = divmod(q, u)
-            blocks = [(sign * u, t)]
-            if r:
-                blocks.append((sign, r))
-            direct_cost = q
-            block_cost = sum(2 * abs(a) + 2 * b for a, b in blocks)
-            if direct_cost <= block_cost:
+            blocks = [(sign * u, t) for u, t in _square_split(abs(c))]
+            if abs(c) <= sum(2 * abs(a) + 2 * b for a, b in blocks):
                 letters.append((n + s, c))
                 continue
             for a, b in blocks:
@@ -492,21 +533,10 @@ class Nil2Machine(Machine):
 
     def commutator_vector(self, u, v):
         """Central exponent vector of [a, b] for elements a, b with x-parts u, v."""
-        m = len(self.central)
-        out = [0] * m
-        for (i, j), vec in self._gamma_table:
-            c = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if c:
-                for s in range(m):
-                    out[s] += c * vec[s]
-        return tuple(out)
+        return tuple(p - q for p, q in zip(self._cocycle(u, v), self._cocycle(v, u)))
 
     def cyclic_inner_length(self, gen_index, elem):
-        x, z = elem
-        coords = x + z
-        if all(c == 0 for i, c in enumerate(coords) if i != gen_index):
-            return abs(coords[gen_index])
-        return None
+        return super().cyclic_inner_length(gen_index, elem[0] + elem[1])
 
 
 @dataclass(frozen=True)
@@ -518,21 +548,20 @@ class SolMachine(Machine):
     """
 
     matrix: IntMatrix
-    family: str = field(default="sol_lattice", init=False)
+    family = "sol_lattice"
+    schema = (("A", "2x2 int matrix"),)
+
+    @classmethod
+    def build(cls, A):
+        return cls(IntMatrix.from_rows(A))
 
     def __post_init__(self):
-        a = self.matrix
-        if (a.rows, a.cols) != (2, 2):
-            raise DimensionError("holonomy matrix must be 2x2")
-        (p, q), (r, s) = a.entries
-        if p * s - q * r != 1:
-            raise ValidationError("holonomy matrix must have determinant 1")
-        if p + s <= 2:
-            raise ValidationError("holonomy matrix must have trace > 2")
+        minimizer = SolLengthMinimizer(self.matrix)  # validates the holonomy
         object.__setattr__(self, "gens", GenSet(("a1", "a2", "tau")))
         object.__setattr__(self, "identity", ((0, 0), 0))
         object.__setattr__(self, "free_ab_indices", (2,))
-        object.__setattr__(self, "_inv_matrix", inverse_unimodular_2x2(a))
+        object.__setattr__(self, "_len_min", minimizer)
+        object.__setattr__(self, "_inv_matrix", minimizer.inverse)
         object.__setattr__(self, "_pow_cache", {0: IntMatrix.identity(2)})
 
     def holonomy_power(self, t: int) -> IntMatrix:
@@ -576,16 +605,9 @@ class SolMachine(Machine):
         (v1, v2), t = elem
         return _letters((0, v1), (1, v2), (2, t))
 
-    def _minimizer(self):
-        from .solgr import SolLengthMinimizer  # deferred: solgr builds on exactlin only
-
-        if not hasattr(self, "_len_min"):
-            object.__setattr__(self, "_len_min", SolLengthMinimizer(self.matrix))
-        return self._len_min
-
     def length_upper_word(self, elem):
         (v1, v2), t = elem
-        best = self._minimizer().minimize((v1, v2))
+        best = self._len_min.minimize((v1, v2))
         shifted = mat_vec(self.holonomy_power(-best.shift), (v1, v2))
         return _letters(
             (2, best.shift), (0, shifted[0]), (1, shifted[1]), (2, -best.shift + t)
@@ -593,22 +615,19 @@ class SolMachine(Machine):
 
     def length_upper(self, elem):
         (v1, v2), t = elem
-        best = self._minimizer().minimize((v1, v2))
+        best = self._len_min.minimize((v1, v2))
         return best.value + abs(t)
 
     def cyclic_inner_length(self, gen_index, elem):
-        (v1, v2), t = elem
-        coords = (v1, v2, t)
-        if all(c == 0 for i, c in enumerate(coords) if i != gen_index):
-            return abs(coords[gen_index])
-        return None
+        return super().cyclic_inner_length(gen_index, elem[0] + (elem[1],))
 
 
 @dataclass(frozen=True)
 class KleinMachine(Machine):
     """Klein bottle group <x, y | y x y^-1 = x^-1>, normal form x^a y^b."""
 
-    family: str = field(default="klein_bottle", init=False)
+    family = "klein_bottle"
+    length_exact = True
 
     def __post_init__(self):
         object.__setattr__(self, "gens", GenSet(("x", "y")))
@@ -632,15 +651,8 @@ class KleinMachine(Machine):
     def decompose(self, elem):
         return _letters((0, elem[0]), (1, elem[1]))
 
-    def length_upper_word(self, elem):
-        return self.decompose(elem)
-
     def length_upper(self, elem):
         return abs(elem[0]) + abs(elem[1])
-
-    def cyclic_inner_length(self, gen_index, elem):
-        other = elem[1 - gen_index]
-        return abs(elem[gen_index]) if other == 0 else None
 
 
 @dataclass(frozen=True)
@@ -652,7 +664,8 @@ class BSMachine(Machine):
     """
 
     n: int
-    family: str = field(default="baumslag_solitar", init=False)
+    family = "baumslag_solitar"
+    schema = (("n", "int"),)
 
     def __post_init__(self):
         if self.n < 2:
@@ -672,16 +685,20 @@ class BSMachine(Machine):
     def mul(self, a, b):
         na, ea, ta = a
         nb, eb, tb = b
+        if nb == 0:  # b is a power of a: no n^t_a, which is huge for huge t_a
+            return (na, ea, ta + tb)
         # q_a + n^(-t_a) q_b over the common denominator n^E
         e_common = max(ea, eb + ta, 0)
-        num = na * self.n ** (e_common - ea) + nb * self.n ** (e_common - eb - ta)
+        num = nb * self.n ** (e_common - eb - ta)
+        if na:
+            num += na * self.n ** (e_common - ea)
         num, e = self._canonical(num, e_common)
         return (num, e, ta + tb)
 
     def inv(self, a):
         num, e, t = a
         # -(n^t q, -t); n^t q = num / n^(e - t)
-        num2, e2 = self._canonical(-num, e - t) if e - t >= 0 else (-num * self.n ** (t - e), 0)
+        num2, e2 = self._canonical(-num, e - t) if e >= t or num == 0 else (-num * self.n ** (t - e), 0)
         return (num2, e2, -t)
 
     def gen_elem(self, i):
@@ -724,9 +741,6 @@ class BSMachine(Machine):
         letters.append((0, t - e))
         return reduce_word(_letters(*letters))
 
-    def length_upper(self, elem):
-        return len(self.length_upper_word(elem))
-
     def cyclic_inner_length(self, gen_index, elem):
         num, e, t = elem
         if gen_index == 0:
@@ -734,15 +748,12 @@ class BSMachine(Machine):
         return abs(num) if (t == 0 and e == 0) else None
 
 
-def klein_restricted_matrix(machine: KleinMachine, endo) -> IntMatrix:
-    """Matrix of the endomorphism on the invariant index-2 subgroup <x, y^2> = Z^2.
+def klein_restricted_matrix(valid) -> IntMatrix:
+    """Matrix of a valid endomorphism on the invariant index-2 subgroup <x, y^2> = Z^2.
 
     For images x -> x^q, y -> y^r x^l this is [[q, ((-1)^r + 1) l], [0, r]].
     """
-    from .words import evaluate
-
-    ex = evaluate(machine, endo.images[0])
-    ey = evaluate(machine, endo.images[1])
+    machine, (ex, ey) = valid.machine, valid.images
     if ex[1] != 0:
         raise ValidationError("image of x must be a power of x")
     q = ex[0]
@@ -752,35 +763,12 @@ def klein_restricted_matrix(machine: KleinMachine, endo) -> IntMatrix:
     return IntMatrix.from_rows([[q, y2_image[0]], [0, r]])
 
 
+MACHINES = {cls.family: cls for cls in Machine.__subclasses__()}
+
+
 def machine_from_params(family: str, params: dict) -> Machine:
     """Build a machine from a descriptor's family tag and parameter object."""
-    if family == "free_abelian":
-        return FreeAbelianMachine(params["rank"], tuple(params.get("names", ())))
-    if family == "abelian_with_torsion":
-        return TorsionProductMachine(
-            params["rank"], tuple(params["torsion"]), tuple(params.get("names", ()))
-        )
-    if family == "heisenberg":
-        return HeisenbergMachine(params["k"], params.get("include_center_gen", True))
-    if family == "nilpotent2":
-        designated = tuple(sorted((name, tuple(pair)) for name, pair in params["designated"].items()))
-        gamma = tuple(
-            sorted(
-                (tuple(int(x) for x in key.split(",")), tuple(vec))
-                for key, vec in params.get("gamma", {}).items()
-            )
-        )
-        return Nil2Machine(
-            params["n_gens"],
-            tuple(params["central"]),
-            designated,
-            gamma,
-            tuple(params.get("tau_names", ())),
-        )
-    if family == "sol_lattice":
-        return SolMachine(IntMatrix.from_rows(params["A"]))
-    if family == "klein_bottle":
-        return KleinMachine()
-    if family == "baumslag_solitar":
-        return BSMachine(params["n"])
-    raise ValidationError(f"unknown family {family!r}")
+    cls = MACHINES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown family {family!r}")
+    return cls.build(**check_params(cls.schema, params, f"{family} params"))

@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import CertificationError, InconsistencyError, ValidationError
 from .exactlin import IntMatrix, SpectralResult, spectral_radius
 from .families import HeisenbergMachine, Nil2Machine
-from .words import Endomorphism, check_homomorphism, evaluate, word_str
+from .words import ValidEndo
 
 __all__ = [
     "NilReport",
@@ -29,31 +29,25 @@ __all__ = [
 ]
 
 
-def abelianization_matrix(machine, endo: Endomorphism, validate: bool = True) -> Optional[IntMatrix]:
+def abelianization_matrix(valid: ValidEndo) -> Optional[IntMatrix]:
     """Exponent-sum matrix on the free abelianization; column i is the image of
     generator i.  Returns None when the machine declares no free part."""
-    idxs = getattr(machine, "free_ab_indices", None)
+    idxs = valid.machine.free_ab_indices
     if not idxs:
         return None
-    if validate:
-        verdict = check_homomorphism(machine, endo)
-        if not verdict.valid:
-            raise ValidationError(
-                f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
-            )
     pos = {g: r for r, g in enumerate(idxs)}
     n = len(idxs)
     cols = []
     for i in idxs:
         vec = [0] * n
-        for g, e in endo.images[i].letters:
+        for g, e in valid.endo.images[i].letters:
             if g in pos:
                 vec[pos[g]] += e
         cols.append(vec)
     return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-def induced_center_matrix(machine, endo: Endomorphism, validate: bool = True) -> IntMatrix:
+def induced_center_matrix(valid: ValidEndo) -> IntMatrix:
     """Matrix of the induced map on the designated central generators.
 
     Computed from exact group arithmetic (central parts of commutators of the
@@ -61,25 +55,19 @@ def induced_center_matrix(machine, endo: Endomorphism, validate: bool = True) ->
     automatically.  For the Heisenberg lattice this is the 1x1 determinant
     block carried by the central generator.
     """
-    if validate:
-        verdict = check_homomorphism(machine, endo)
-        if not verdict.valid:
-            raise InconsistencyError(
-                f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
-            )
+    machine, images = valid.machine, valid.images
     if isinstance(machine, HeisenbergMachine):
         if machine.include_center_gen:
-            m, n, l = evaluate(machine, endo.images[2])
+            m, n, l = images[2]
             if (m, n) != (0, 0):
                 raise InconsistencyError("central generator image must stay central")
             return IntMatrix.from_rows([[l]])
-        img1 = evaluate(machine, endo.images[0])
-        img2 = evaluate(machine, endo.images[1])
         # center is generated by [a2, a1] when k = 1
-        comm = machine.commutator(img2, img1)
+        comm = machine.commutator(images[1], images[0])
         return IntMatrix.from_rows([[comm[2]]])
     if isinstance(machine, Nil2Machine):
-        images = [evaluate(machine, w) for w in endo.images]
+        if len(machine.designated) != len(machine.central):
+            raise ValidationError("the central block needs every central generator designated")
         cols = []
         for _, (i, j) in machine.designated:
             c = machine.commutator(images[i - 1], images[j - 1])
@@ -117,29 +105,25 @@ class NilReport:
 _NIL_FAMILIES = ("free_abelian", "heisenberg", "nilpotent2")
 
 
-def gr_nilpotent_closed(machine, endo: Endomorphism, tol: float = 1e-9) -> NilReport:
+def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> NilReport:
     """Growth rate of a valid endomorphism of a torsion-free nilpotent family.
 
     The value is sp of the abelianization block.  Where a central block is
     available its square root is certified not to exceed the value (within
     tol), and the max-of-blocks cross-check is reported.
     """
+    machine = valid.machine
     if machine.family not in _NIL_FAMILIES:
         raise ValidationError(
             f"closed nilpotent form needs a torsion-free nilpotent family, not {machine.family!r}"
         )
-    verdict = check_homomorphism(machine, endo)
-    if not verdict.valid:
-        raise ValidationError(
-            f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
-        )
-    ab = abelianization_matrix(machine, endo, validate=False)
+    ab = abelianization_matrix(valid)
     sp_ab = spectral_radius(ab, tol)
     center = None
     sp_center = None
     cross = sp_ab.value
     if machine.family in ("heisenberg", "nilpotent2"):
-        center = induced_center_matrix(machine, endo, validate=False)
+        center = induced_center_matrix(valid)
         sp_center = spectral_radius(center, tol)
         root = sp_center.value ** 0.5
         if root > sp_ab.value + tol:

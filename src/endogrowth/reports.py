@@ -1,12 +1,17 @@
-"""Descriptors, closed-form dispatch, and machine-readable run reports.
+"""Descriptors, the family route table, and machine-readable run reports.
 
 Group and endomorphism descriptors are JSON documents.  A group descriptor is
-``{"family": tag, "params": {...}}`` with the parameter schemas of
-:mod:`endogrowth.families`.  An endomorphism descriptor is either explicit
-generator images ``{"images": {gen: word}}``, a Sol shortcut
-``{"sol": {"M": [[..],[..]], "p": int, "q": int, "tau_exp": int}}``, or an
+``{"family": tag, "params": {...}}`` with the parameter ``schema`` of the
+family's machine class in :mod:`endogrowth.families`.  An endomorphism
+descriptor is either explicit generator images ``{"images": {gen: word}}``,
+or the shortcut its family accepts in ``FAMILIES``: a Sol shortcut
+``{"sol": {"M": [[..],[..]], "p": int, "q": int, "tau_exp": int}}`` or an
 abelian matrix shortcut ``{"matrix": [[..]]}`` (column i = image of
 generator i).
+
+``FAMILIES`` maps each family tag to its endomorphism shortcut, its
+closed-form route (None where there is none) and its empirical route.  Every
+route takes the ``ValidEndo`` that a report validates once.
 
 Reports are deterministic: identical inputs and package version produce
 byte-identical output.  The ``work`` section carries deterministic effort
@@ -18,24 +23,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
-from .ball import GrowthEstimate, GrowthSummary, L_k_table, gr_estimate
+from .ball import DEFAULT_CAP, GrowthEstimate, GrowthSummary, L_k_table, gr_estimate
 from .errors import ValidationError
-from .exactlin import IntMatrix, char_poly, spectral_radius
-from .families import Machine, klein_restricted_matrix, machine_from_params
-from .nilgr import gr_nilpotent_closed
+from .exactlin import IntMatrix, spectral_radius
+from .families import PARAM_TYPES, Machine, check_params, klein_restricted_matrix, machine_from_params
+from .nilgr import abelianization_matrix, gr_nilpotent_closed
 from .solgr import classify_endo, gr_sol_closed, gr_sol_empirical
-from .words import Endomorphism, check_homomorphism, eventually_trivial, word_str
+from .words import Endomorphism, ValidEndo, eventually_trivial, validate_endo
 
 __all__ = [
     "GroupDescriptor",
     "EndoDescriptor",
     "ClosedForm",
-    "load_group",
+    "Family",
+    "FAMILIES",
     "parse_group",
-    "load_endo",
     "parse_endo",
     "closed_growth_rate",
     "empirical_estimate",
@@ -69,49 +74,35 @@ def parse_group(doc: dict) -> tuple[GroupDescriptor, Machine]:
     return GroupDescriptor(family, params, doc), machine
 
 
-def load_group(path) -> tuple[GroupDescriptor, Machine]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    return parse_group(doc)
+_SOL_SHORTCUT = (("M", "2x2 int matrix"), ("p", "int", 0), ("q", "int", 0), ("tau_exp", "int", 1))
 
 
-def _sol_shortcut_images(machine, shortcut: dict) -> dict:
-    m = shortcut["M"]
-    p, q = int(shortcut.get("p", 0)), int(shortcut.get("q", 0))
-    tau_exp = int(shortcut.get("tau_exp", 1))
+def _power_word(letters) -> str:
+    """Word text of (generator name, exponent) letters, zero exponents dropped."""
+    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in letters if e)
 
-    def power(name, e):
-        return f"{name}^{e}" if e not in (0, 1) else (name if e == 1 else "")
 
-    def h_word(c1, c2):
-        return " ".join(x for x in (power("a1", c1), power("a2", c2)) if x)
-
+def _sol_shortcut_images(machine, shortcut) -> dict:
+    args = check_params(_SOL_SHORTCUT, shortcut, "'sol' shortcut")
+    m = args["M"]
     return {
-        "a1": h_word(m[0][0], m[1][0]),
-        "a2": h_word(m[0][1], m[1][1]),
-        "tau": " ".join(x for x in (h_word(p, q), power("tau", tau_exp)) if x),
+        "a1": _power_word((("a1", m[0][0]), ("a2", m[1][0]))),
+        "a2": _power_word((("a1", m[0][1]), ("a2", m[1][1]))),
+        "tau": _power_word((("a1", args["p"]), ("a2", args["q"]), ("tau", args["tau_exp"]))),
     }
 
 
 def _matrix_shortcut_images(machine, rows) -> dict:
+    if not PARAM_TYPES["int matrix"](rows):
+        raise ValidationError("'matrix' shortcut must be an int matrix")
     mat = IntMatrix.from_rows(rows)
     names = machine.gens.names
     if mat.rows != len(names) or mat.cols != len(names):
         raise ValidationError("matrix shortcut must be square of the generator count")
-    images = {}
-    for i, name in enumerate(names):
-        parts = []
-        for j, target in enumerate(names):
-            e = mat.entries[j][i]
-            if e == 1:
-                parts.append(target)
-            elif e != 0:
-                parts.append(f"{target}^{e}")
-        images[name] = " ".join(parts)
-    return images
+    return {name: _power_word(zip(names, col)) for name, col in zip(names, mat.transpose().entries)}
+
+
+_SHORTCUTS = {"sol": _sol_shortcut_images, "matrix": _matrix_shortcut_images}
 
 
 def parse_endo(doc: dict, machine: Machine) -> tuple[EndoDescriptor, Endomorphism]:
@@ -119,27 +110,18 @@ def parse_endo(doc: dict, machine: Machine) -> tuple[EndoDescriptor, Endomorphis
         raise ValidationError("endomorphism descriptor must be an object")
     if "images" in doc:
         images = doc["images"]
-    elif "sol" in doc:
-        if machine.family != "sol_lattice":
-            raise ValidationError("'sol' shortcut needs a sol_lattice group")
-        images = _sol_shortcut_images(machine, doc["sol"])
-    elif "matrix" in doc:
-        if machine.family not in ("free_abelian",):
-            raise ValidationError("'matrix' shortcut needs a free_abelian group")
-        images = _matrix_shortcut_images(machine, doc["matrix"])
+        if not isinstance(images, dict):
+            raise ValidationError("'images' must be an object of generator: word")
     else:
-        raise ValidationError("endomorphism descriptor needs 'images', 'sol', or 'matrix'")
+        kind = next((k for k in _SHORTCUTS if k in doc), None)
+        if kind is None:
+            raise ValidationError("endomorphism descriptor needs 'images', 'sol', or 'matrix'")
+        if FAMILIES[machine.family].shortcut != kind:
+            owner = next(tag for tag, f in FAMILIES.items() if f.shortcut == kind)
+            raise ValidationError(f"{kind!r} shortcut needs a {owner} group")
+        images = _SHORTCUTS[kind](machine, doc[kind])
     endo = Endomorphism.from_strings(machine.gens, {k: str(v) for k, v in images.items()})
     return EndoDescriptor(images, doc), endo
-
-
-def load_endo(path, machine: Machine) -> tuple[EndoDescriptor, Endomorphism]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    return parse_endo(doc, machine)
 
 
 def algebraic_entropy(growth_rate: float) -> Optional[float]:
@@ -154,83 +136,99 @@ class ClosedForm:
     certificate: dict
 
 
-def _require_valid(machine, endo):
-    verdict = check_homomorphism(machine, endo)
-    if not verdict.valid:
-        raise ValidationError(
-            f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
+# Routes look their workers up as module globals at call time, so a wrapper
+# installed on a module attribute (a tracer, say) sees every call.
+
+
+def _nilpotent_closed(valid: ValidEndo, tol: float) -> ClosedForm:
+    rep = gr_nilpotent_closed(valid, tol)
+    return ClosedForm(rep.value, "nilpotent_abelianization", rep.certificate())
+
+
+def _torsion_closed(valid: ValidEndo, tol: float) -> ClosedForm:
+    free = abelianization_matrix(valid)
+    triv = eventually_trivial(valid, bound=256)
+    if triv.status == "unknown":
+        raise ValidationError("could not decide eventual triviality for the torsion family")
+    cert = {"eventually_trivial": triv.status, "power": triv.power}
+    if free is not None:
+        sp = spectral_radius(free, tol)
+        cert.update(
+            free_matrix=[list(r) for r in free.entries],
+            char_poly_free=str(sp.char_poly),
+            sp_free=sp.value,
         )
+        free_sp = sp.value
+    else:
+        free_sp = 0.0
+    value = 0.0 if triv.status == "yes" else max(free_sp, 1.0)
+    return ClosedForm(value, "finite_normal_torsion_split", cert)
 
 
-def closed_growth_rate(machine: Machine, endo: Endomorphism, tol: float = 1e-9) -> Optional[ClosedForm]:
-    """Closed-form growth rate for families that have one; None otherwise.
+def _sol_closed(valid: ValidEndo, tol: float) -> ClosedForm:
+    closed = gr_sol_closed(classify_endo(valid))
+    return ClosedForm(closed.value, "sol_type_formula", closed.certificate())
 
-    free_abelian: spectral radius of the endomorphism matrix.
-    abelian_with_torsion: 0 when eventually trivial, else max(sp(free part), 1).
-    heisenberg / nilpotent2: spectral radius of the abelianization block.
-    sol_lattice: the classified-type branch formula.
-    klein_bottle: spectral radius on the invariant index-2 free abelian subgroup.
-    baumslag_solitar: no closed form here; estimate empirically.
-    """
-    fam = machine.family
-    if fam == "baumslag_solitar":
-        return None
-    if fam in ("free_abelian", "heisenberg", "nilpotent2"):
-        rep = gr_nilpotent_closed(machine, endo, tol)
-        return ClosedForm(rep.value, "nilpotent_abelianization", rep.certificate())
-    if fam == "abelian_with_torsion":
-        _require_valid(machine, endo)
-        from .nilgr import abelianization_matrix
 
-        free = abelianization_matrix(machine, endo, validate=False)
-        triv = eventually_trivial(machine, endo, bound=256)
-        if triv.status == "unknown":
-            raise ValidationError("could not decide eventual triviality for the torsion family")
-        cert = {"eventually_trivial": triv.status, "power": triv.power}
-        if free is not None:
-            sp = spectral_radius(free, tol)
-            cert.update(
-                free_matrix=[list(r) for r in free.entries],
-                char_poly_free=str(sp.char_poly),
-                sp_free=sp.value,
-            )
-            free_sp = sp.value
-        else:
-            free_sp = 0.0
-        value = 0.0 if triv.status == "yes" else max(free_sp, 1.0)
-        return ClosedForm(value, "finite_normal_torsion_split", cert)
-    if fam == "sol_lattice":
-        sol = classify_endo(machine, endo)
-        closed = gr_sol_closed(sol)
-        return ClosedForm(closed.value, "sol_type_formula", closed.certificate())
-    if fam == "klein_bottle":
-        _require_valid(machine, endo)
-        mat = klein_restricted_matrix(machine, endo)
-        sp = spectral_radius(mat, tol)
-        return ClosedForm(
-            sp.value,
-            "klein_index2_reduction",
-            {
-                "restricted_matrix": [list(r) for r in mat.entries],
-                "char_poly": str(sp.char_poly),
-            },
-        )
-    raise ValidationError(f"no closed form registered for family {fam!r}")
+def _klein_closed(valid: ValidEndo, tol: float) -> ClosedForm:
+    mat = klein_restricted_matrix(valid)
+    sp = spectral_radius(mat, tol)
+    return ClosedForm(
+        sp.value,
+        "klein_index2_reduction",
+        {"restricted_matrix": [list(r) for r in mat.entries], "char_poly": str(sp.char_poly)},
+    )
+
+
+def _bfs_table(valid: ValidEndo, kmax: int, radius: int, cap: int) -> GrowthEstimate:
+    return L_k_table(valid, kmax, radius, cap)
+
+
+def _sol_table(valid: ValidEndo, kmax: int, radius: int, cap: int) -> GrowthEstimate:
+    return gr_sol_empirical(classify_endo(valid), kmax)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Routes of one family: the endomorphism shortcut it accepts ("matrix",
+    "sol" or None), its closed form (None: empirical only) and its length table."""
+
+    shortcut: Optional[str]
+    closed: Optional[Callable[[ValidEndo, float], ClosedForm]]
+    empirical: Callable[[ValidEndo, int, int, int], GrowthEstimate]
+
+
+FAMILIES = {
+    # free abelian, Heisenberg, nilpotent2: spectral radius of the abelianization block
+    "free_abelian": Family("matrix", _nilpotent_closed, _bfs_table),
+    # 0 when eventually trivial, else max(sp(free part), 1)
+    "abelian_with_torsion": Family(None, _torsion_closed, _bfs_table),
+    "heisenberg": Family(None, _nilpotent_closed, _bfs_table),
+    "nilpotent2": Family(None, _nilpotent_closed, _bfs_table),
+    # the classified-type branch formula; lengths from the shift minimizer
+    "sol_lattice": Family("sol", _sol_closed, _sol_table),
+    # spectral radius on the invariant index-2 free abelian subgroup
+    "klein_bottle": Family(None, _klein_closed, _bfs_table),
+    "baumslag_solitar": Family(None, None, _bfs_table),
+}
+
+
+def closed_growth_rate(valid: ValidEndo, tol: float = 1e-9) -> Optional[ClosedForm]:
+    """Closed-form growth rate by the family's ``FAMILIES`` route; None for
+    families without one."""
+    route = FAMILIES[valid.machine.family].closed
+    return None if route is None else route(valid, tol)
 
 
 def empirical_estimate(
-    machine: Machine,
-    endo: Endomorphism,
+    valid: ValidEndo,
     kmax: int = 16,
     radius: int = 10,
-    cap: int = 5_000_000,
+    cap: int = DEFAULT_CAP,
 ) -> GrowthEstimate:
-    """Length table: the shift-minimizer formulas for Sol, BFS + family length
-    functional everywhere else."""
-    if machine.family == "sol_lattice":
-        sol = classify_endo(machine, endo)
-        return gr_sol_empirical(sol, kmax)
-    return L_k_table(machine, endo, kmax, radius, cap)
+    """Length table by the family's ``FAMILIES`` route: the shift-minimizer
+    formulas for Sol, BFS + family length functional everywhere else."""
+    return FAMILIES[valid.machine.family].empirical(valid, kmax, radius, cap)
 
 
 def _verdict(closed: Optional[ClosedForm], summary: GrowthSummary) -> str:
@@ -278,7 +276,7 @@ def build_report(
     endo_doc: Optional[dict],
     kmax: int = 16,
     radius: int = 10,
-    cap: int = 5_000_000,
+    cap: int = DEFAULT_CAP,
     tol: float = 1e-9,
     want_closed: bool = True,
     want_empirical: bool = True,
@@ -300,12 +298,15 @@ def build_report(
         "verdict": None,
         "work": {},
     }
-    endo = None
+    valid = None
     if endo_doc is not None:
         _, endo = parse_endo(endo_doc, machine)
+        # validate once, and only when some route will run
+        if want_empirical or (want_closed and FAMILIES[machine.family].closed is not None):
+            valid = validate_endo(machine, endo)
     closed = None
-    if want_closed and endo is not None:
-        closed = closed_growth_rate(machine, endo, tol)
+    if want_closed and valid is not None:
+        closed = closed_growth_rate(valid, tol)
         if closed is not None:
             report["closed"] = {
                 "value": closed.value,
@@ -314,8 +315,8 @@ def build_report(
                 "certificate": closed.certificate,
             }
     summary = None
-    if want_empirical and endo is not None:
-        table = empirical_estimate(machine, endo, kmax, radius, cap)
+    if want_empirical and valid is not None:
+        table = empirical_estimate(valid, kmax, radius, cap)
         summary = gr_estimate(table)
         report["empirical"] = _empirical_section(table, summary)
         report["work"]["table_entries"] = len(table.ks)

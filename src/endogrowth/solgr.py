@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .exactlin import IntMatrix, char_poly, det, inverse_unimodular_2x2, mat_vec
-from .words import Endomorphism, check_homomorphism, evaluate, word_str
+from .words import ValidEndo
 
 __all__ = [
     "Quad",
@@ -35,7 +35,6 @@ __all__ = [
     "classify_endo",
     "eigen_data",
     "gr_sol_closed",
-    "sol_length_upper",
     "gr_sol_empirical",
 ]
 
@@ -196,11 +195,6 @@ class SolLengthMinimizer:
         return LengthMin(best, best_shift)
 
 
-def sol_length_upper(holonomy: IntMatrix, y) -> LengthMin:
-    """Length of the explicit word tau^n a^(A^-n y) tau^-n, minimized over n >= 0."""
-    return SolLengthMinimizer(holonomy).minimize(y)
-
-
 @dataclass(frozen=True)
 class EigenData:
     """Eigenvalues of the holonomy A and a commuting torus map M.
@@ -277,17 +271,10 @@ class SolEndo:
     tau_exp: int
 
 
-def classify_endo(machine, endo: Endomorphism) -> SolEndo:
-    """Validate against the relators and sort into type I / II / III."""
-    verdict = check_homomorphism(machine, endo)
-    if not verdict.valid:
-        raise ClassificationError(
-            f"images violate relator {word_str(verdict.violated_relator, machine.gens)!r}"
-        )
-    a = machine.matrix
-    e1 = evaluate(machine, endo.images[0])
-    e2 = evaluate(machine, endo.images[1])
-    etau = evaluate(machine, endo.images[2])
+def classify_endo(valid: ValidEndo) -> SolEndo:
+    """Sort a valid endomorphism into type I / II / III."""
+    a = valid.machine.matrix
+    e1, e2, etau = valid.images
     if e1[1] != 0 or e2[1] != 0:
         raise ClassificationError("images of the torus generators must stay in the torus")
     m = IntMatrix.from_rows([[e1[0][0], e2[0][0]], [e1[0][1], e2[0][1]]])

@@ -27,10 +27,12 @@ __all__ = [
     "elem_pow",
     "endo_power_image",
     "check_homomorphism",
+    "validate_endo",
     "eventually_trivial",
     "image_elements",
     "apply_on_element",
     "HomVerdict",
+    "ValidEndo",
     "TrivialityResult",
 ]
 
@@ -68,7 +70,8 @@ class Word:
 
     letters: tuple[tuple[int, int], ...] = ()
 
-    def __len__(self):
+    def length(self) -> int:
+        """Letter count; unlike ``len`` it is not capped at sys.maxsize."""
         return sum(abs(e) for _, e in self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
@@ -82,9 +85,6 @@ class Word:
             return Word()
         base = self if n > 0 else self.inverse()
         return Word(base.letters * abs(n))
-
-    def is_empty(self) -> bool:
-        return not self.letters
 
 
 def reduce_word(w: Word) -> Word:
@@ -243,9 +243,7 @@ class HomVerdict:
     valid: bool
     violated_relator: Optional[Word] = None
     witness: object = None
-
-    def __bool__(self):
-        return self.valid
+    images: tuple = ()  # evaluated generator images
 
 
 def check_homomorphism(machine, endo: Endomorphism) -> HomVerdict:
@@ -256,8 +254,29 @@ def check_homomorphism(machine, endo: Endomorphism) -> HomVerdict:
         for g, e in rel.letters:
             acc = machine.mul(acc, elem_pow(machine, images[g], e))
         if acc != machine.identity:
-            return HomVerdict(False, rel, acc)
-    return HomVerdict(True)
+            return HomVerdict(False, rel, acc, images)
+    return HomVerdict(True, images=images)
+
+
+@dataclass(frozen=True)
+class ValidEndo:
+    """An endomorphism that maps every relator of ``machine`` to the identity,
+    with its generator images evaluated once.  Build it with ``validate_endo``
+    (or from a valid ``HomVerdict``); every growth route takes one."""
+
+    machine: object
+    endo: Endomorphism
+    images: tuple
+
+
+def validate_endo(machine, endo: Endomorphism) -> ValidEndo:
+    """The checked endomorphism; ValidationError names a relator it violates."""
+    verdict = check_homomorphism(machine, endo)
+    if not verdict.valid:
+        raise ValidationError(
+            f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
+        )
+    return ValidEndo(machine, endo, verdict.images)
 
 
 @dataclass(frozen=True)
@@ -267,7 +286,7 @@ class TrivialityResult:
     reason: str = ""
 
 
-def eventually_trivial(machine, endo: Endomorphism, bound: int = 64) -> TrivialityResult:
+def eventually_trivial(valid: ValidEndo, bound: int = 64) -> TrivialityResult:
     """Does some power of the endomorphism send every generator to the identity?
 
     Exact shortcut first: if the induced matrix on the free abelianization is
@@ -277,14 +296,14 @@ def eventually_trivial(machine, endo: Endomorphism, bound: int = 64) -> Triviali
     from .nilgr import abelianization_matrix  # local import avoids a cycle
     from .exactlin import char_poly
 
-    ab = abelianization_matrix(machine, endo)
+    ab = abelianization_matrix(valid)
     if ab is not None:
         p = char_poly(ab)
         nilpotent = all(c == 0 for c in p.coeffs[:-1])
         if not nilpotent:
             return TrivialityResult("no", None, "free abelianization matrix is not nilpotent")
 
-    images = image_elements(machine, endo)
+    machine, images = valid.machine, valid.images
     state = images
     seen = {state}
     for n in range(1, bound + 1):

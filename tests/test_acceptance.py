@@ -19,6 +19,7 @@ from endogrowth.words import (
     eventually_trivial,
     parse_word,
     reduce_word,
+    validate_endo,
 )
 
 from conftest import load_fixture
@@ -44,10 +45,10 @@ def conjugated(machine, endo, word_text):
 
 def test_criterion_01_sol_ex2():
     machine, endo = load_pair("sol_ex2")
-    closed = closed_growth_rate(machine, endo)
+    closed = closed_growth_rate(validate_endo(machine, endo))
     assert abs(closed.value - SQRT5) <= 1e-9
 
-    table = gr_sol_empirical(classify_endo(machine, endo), kmax=16)
+    table = gr_sol_empirical(classify_endo(validate_endo(machine, endo)), kmax=16)
     for k in range(1, 9):
         assert table.per_gen["a1"][2 * k - 1] == 5**k
         assert table.per_gen["a2"][2 * k - 1] == 5**k
@@ -58,10 +59,10 @@ def test_criterion_01_sol_ex2():
 
 def test_criterion_02_sol_ex3():
     machine, endo = load_pair("sol_ex3")
-    closed = closed_growth_rate(machine, endo)
+    closed = closed_growth_rate(validate_endo(machine, endo))
     assert abs(closed.value - SQRT2) <= 1e-9
 
-    table = gr_sol_empirical(classify_endo(machine, endo), kmax=20)
+    table = gr_sol_empirical(classify_endo(validate_endo(machine, endo)), kmax=20)
     for k in range(1, 11):
         assert table.lengths[2 * k - 1] == 2**k + 2 * k
     summary = gr_estimate(table)
@@ -71,10 +72,10 @@ def test_criterion_02_sol_ex3():
 
 def test_criterion_03_sol_ex1_counterexample():
     machine, endo = load_pair("sol_ex1")
-    closed = closed_growth_rate(machine, endo)
+    closed = closed_growth_rate(validate_endo(machine, endo))
     assert abs(closed.value - 1.0) <= 1e-12
 
-    table = gr_sol_empirical(classify_endo(machine, endo), kmax=40)
+    table = gr_sol_empirical(classify_endo(validate_endo(machine, endo)), kmax=40)
     assert table.lengths == tuple(2 * k + 1 for k in range(1, 41))  # linear growth
     summary = gr_estimate(table)
     assert summary.estimate <= 1.1
@@ -82,7 +83,7 @@ def test_criterion_03_sol_ex1_counterexample():
     # the torus restriction expands at the full holonomy rate
     torus = FreeAbelianMachine(2, ("a1", "a2"))
     restricted = Endomorphism.from_strings(torus.gens, {"a1": "a1^2 a2", "a2": "a1 a2"})
-    restricted_value = closed_growth_rate(torus, restricted).value
+    restricted_value = closed_growth_rate(validate_endo(torus, restricted)).value
     assert abs(restricted_value - GOLDEN) <= 1e-9
     assert closed.value < max(restricted_value, 1.0)  # strict drop under the extension
     print("ACCEPTANCE 03 PASS sol-ex1: closed=1, linear lengths, estimate<=1.1 at k=40, "
@@ -91,10 +92,10 @@ def test_criterion_03_sol_ex1_counterexample():
 
 def test_criterion_04_heisenberg(heis1, heis_ball20):
     machine, endo = load_pair("heis_ex1")
-    closed = closed_growth_rate(machine, endo)
+    closed = closed_growth_rate(validate_endo(machine, endo))
     assert abs(closed.value - GOLDEN) <= 1e-9
 
-    table = L_k_table(machine, endo, kmax=25, radius=10)
+    table = L_k_table(validate_endo(machine, endo), kmax=25, radius=10)
     summary = gr_estimate(table)
     assert abs(summary.estimate - GOLDEN) <= 0.10 * GOLDEN
 
@@ -110,14 +111,14 @@ def test_criterion_04_heisenberg(heis1, heis_ball20):
 
 def test_criterion_05_klein():
     machine, endo = load_pair("klein")
-    closed = closed_growth_rate(machine, endo)
+    closed = closed_growth_rate(validate_endo(machine, endo))
     assert closed.value == 5.0
 
     ball = enumerate_ball(machine, 10)
     for elem, dist in ball.dist.items():
         assert machine.length_upper(elem) == dist
 
-    table = L_k_table(machine, endo, kmax=20, radius=10)
+    table = L_k_table(validate_endo(machine, endo), kmax=20, radius=10)
     summary = gr_estimate(table)
     assert abs(summary.estimate - 5.0) <= 0.10 * 5.0
 
@@ -135,7 +136,7 @@ def test_criterion_06_baumslag_solitar(bs2):
     for k, length in enumerate(bfs_lengths):
         assert length <= 2 * k + 1
 
-    table = L_k_table(machine, endo, kmax=12, radius=9)
+    table = L_k_table(validate_endo(machine, endo), kmax=12, radius=9)
     summary = gr_estimate(table)
     assert summary.estimate <= 1.3
     assert summary.direction == "decreasing"
@@ -144,24 +145,24 @@ def test_criterion_06_baumslag_solitar(bs2):
 
     fiber = FreeAbelianMachine(1, ("b",))
     restricted = Endomorphism.from_strings(fiber.gens, {"b": "b^2"})
-    assert closed_growth_rate(fiber, restricted).value == 2.0
+    assert closed_growth_rate(validate_endo(fiber, restricted)).value == 2.0
     print(f"ACCEPTANCE 06 PASS baumslag-solitar: BFS L(b^(2^k))={bfs_lengths}, "
           f"estimate={summary.estimate:.4f}<=1.3 decreasing, fiber restriction=2")
 
 
 def test_criterion_07_torsion_counter():
     machine, endo = load_pair("counter")
-    table = L_k_table(machine, endo, kmax=32, radius=2)
+    table = L_k_table(validate_endo(machine, endo), kmax=32, radius=2)
     assert table.lengths == (1,) * 32
     assert all(table.exact)
     summary = gr_estimate(table)
     assert summary.estimate == 1.0
-    assert closed_growth_rate(machine, endo).value == 1.0
+    assert closed_growth_rate(validate_endo(machine, endo)).value == 1.0
 
     free_part = FreeAbelianMachine(1, ("alpha",))
     restricted = Endomorphism.from_strings(free_part.gens, {"alpha": ""})
-    assert closed_growth_rate(free_part, restricted).value == 0.0
-    triv = eventually_trivial(free_part, restricted)
+    assert closed_growth_rate(validate_endo(free_part, restricted)).value == 0.0
+    triv = eventually_trivial(validate_endo(free_part, restricted))
     assert triv.status == "yes" and triv.power == 1
     print("ACCEPTANCE 07 PASS torsion counter: L_k=1 exactly (k<=32), estimate=1, "
           "free restriction eventually trivial at power 1")
@@ -171,8 +172,8 @@ def test_criterion_08_property_suite():
     # squares of all bundled closed forms
     for stem in ("counter", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3"):
         machine, endo = load_pair(stem)
-        base = closed_growth_rate(machine, endo).value
-        squared = closed_growth_rate(machine, endo.compose(endo)).value
+        base = closed_growth_rate(validate_endo(machine, endo)).value
+        squared = closed_growth_rate(validate_endo(machine, endo.compose(endo))).value
         assert abs(squared - base**2) <= 1e-9 * max(1.0, base**2), stem
 
     # inner-automorphism invariance of closed forms
@@ -187,11 +188,11 @@ def test_criterion_08_property_suite():
     }
     for stem, words in conjugators.items():
         machine, endo = load_pair(stem)
-        base = closed_growth_rate(machine, endo).value
+        base = closed_growth_rate(validate_endo(machine, endo)).value
         for text in words:
             twisted = conjugated(machine, endo, text)
             assert check_homomorphism(machine, twisted).valid, (stem, text)
-            value = closed_growth_rate(machine, twisted).value
+            value = closed_growth_rate(validate_endo(machine, twisted)).value
             assert abs(value - base) <= 1e-9 * max(1.0, base), (stem, text)
 
     # eigenvalue-product properties, >= 100 random trials each
@@ -233,7 +234,7 @@ def test_criterion_09_nil2_random_valid(nil2_ex3, nil2_commuting):
     for machine in (nil2_ex3, nil2_commuting):
         for endo in random_valid_nil2_endos(machine, rng, 25):
             assert check_homomorphism(machine, endo).valid
-            rep = gr_nilpotent_closed(machine, endo)
+            rep = gr_nilpotent_closed(validate_endo(machine, endo))
             sp_ab = rep.sp_ab.value
             sp_center = rep.sp_center.value
             assert sp_center <= sp_ab**2 + 1e-9
@@ -251,7 +252,7 @@ def test_criterion_10_distortion(z2, heis1, bs2, heis_ball20):
 
     # witness: [a1^5, a2^5] spells the 25th power of the central generator in 20 letters
     witness = parse_word("a1^-5 a2^-5 a1^5 a2^5", heis1.gens)
-    assert len(witness) == 20
+    assert witness.length() == 20
     assert evaluate(heis1, witness) == (0, 0, -25)
     central = [
         (heis1.cyclic_inner_length(2, e), d)

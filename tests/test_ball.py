@@ -10,7 +10,7 @@ from endogrowth.ball import (
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.families import HeisenbergMachine
-from endogrowth.words import Endomorphism, evaluate, parse_word
+from endogrowth.words import Endomorphism, evaluate, parse_word, validate_endo
 
 
 class TestEnumerateBall:
@@ -77,18 +77,18 @@ class TestWordLength:
 class TestLkTable:
     def test_counter_all_ones(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        table = L_k_table(counter_machine, phi, kmax=8, radius=2)
+        table = L_k_table(validate_endo(counter_machine, phi), kmax=8, radius=2)
         assert set(table.lengths) == {1}
         assert all(table.exact)
 
     def test_diagonal_doubling(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "e1^2", "e2": "e2"})
-        table = L_k_table(z2, phi, kmax=8, radius=10)
+        table = L_k_table(validate_endo(z2, phi), kmax=8, radius=10)
         assert table.lengths == tuple(2**k for k in range(1, 9))
 
     def test_bs_doubling_bounded(self, bs2):
         phi = Endomorphism.from_strings(bs2.gens, {"a": "a", "b": "b^2"})
-        table = L_k_table(bs2, phi, kmax=8, radius=9)
+        table = L_k_table(validate_endo(bs2, phi), kmax=8, radius=9)
         for k, length in zip(table.ks, table.lengths):
             assert length <= 2 * k + 1
         assert table.exact[0] and table.exact[3]
@@ -96,23 +96,23 @@ class TestLkTable:
     def test_invalid_endo_refused(self, klein):
         phi = Endomorphism.from_strings(klein.gens, {"x": "x^2", "y": "y^2"})
         with pytest.raises(ValidationError):
-            L_k_table(klein, phi, kmax=3, radius=3)
+            L_k_table(validate_endo(klein, phi), kmax=3, radius=3)
 
 
 class TestGrEstimate:
     def test_counter_estimate_is_one(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        s = gr_estimate(L_k_table(counter_machine, phi, kmax=8, radius=2))
+        s = gr_estimate(L_k_table(validate_endo(counter_machine, phi), kmax=8, radius=2))
         assert s.estimate == 1.0 and s.certified_upper
 
     def test_doubling_estimate_is_two(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "e1^2", "e2": "e2"})
-        s = gr_estimate(L_k_table(z2, phi, kmax=8, radius=10))
+        s = gr_estimate(L_k_table(validate_endo(z2, phi), kmax=8, radius=10))
         assert abs(s.estimate - 2.0) <= 1e-12
 
     def test_bs_decreasing_toward_one(self, bs2):
         phi = Endomorphism.from_strings(bs2.gens, {"a": "a", "b": "b^2"})
-        s = gr_estimate(L_k_table(bs2, phi, kmax=12, radius=9))
+        s = gr_estimate(L_k_table(validate_endo(bs2, phi), kmax=12, radius=9))
         assert s.direction == "decreasing"
         inf = s.running_inf
         assert all(a >= b - 1e-12 for a, b in zip(inf, inf[1:]))
@@ -120,7 +120,7 @@ class TestGrEstimate:
 
     def test_zero_table_gives_zero(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        s = gr_estimate(L_k_table(z2, phi, kmax=4, radius=2))
+        s = gr_estimate(L_k_table(validate_endo(z2, phi), kmax=4, radius=2))
         assert s.estimate == 0.0
 
 
@@ -138,7 +138,7 @@ class TestFunctionalAgainstBall:
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a1 a2", "a2": "a2", "a3": "a3"})
         ball = enumerate_ball(heis1, 14)
         img = [evaluate(heis1, w) for w in phi.images]
-        table = L_k_table(heis1, phi, kmax=4, radius=14)
+        table = L_k_table(validate_endo(heis1, phi), kmax=4, radius=14)
         for gen in range(3):
             for j, k in [(1, 1), (1, 2), (2, 2), (1, 3)]:
                 xj = img[gen]
@@ -167,8 +167,8 @@ class TestGrowthStructure:
             h3.gens, {"a1": "a1^2 a2", "a2": "a1 a2", "a3": "a3"}
         )
         endo2 = Endomorphism.from_strings(h2.gens, {"a1": "a1^2 a2", "a2": "a1 a2"})
-        s3 = gr_estimate(L_k_table(h3, endo3, kmax=22, radius=8))
-        s2 = gr_estimate(L_k_table(h2, endo2, kmax=22, radius=8))
+        s3 = gr_estimate(L_k_table(validate_endo(h3, endo3), kmax=22, radius=8))
+        s2 = gr_estimate(L_k_table(validate_endo(h2, endo2), kmax=22, radius=8))
         golden = (3 + 5**0.5) / 2
         assert abs(s3.estimate - s2.estimate) <= 0.05 * golden
         assert abs(s3.estimate - golden) <= 0.10 * golden

@@ -8,11 +8,12 @@ from endogrowth.errors import ValidationError
 from endogrowth.reports import (
     build_report,
     closed_growth_rate,
-    load_group,
     parse_endo,
     parse_group,
     report_json,
 )
+
+from endogrowth.words import validate_endo
 
 from conftest import FIXTURE_DIR, load_fixture
 
@@ -26,7 +27,7 @@ def fixture_path(name):
 class TestLoading:
     def test_bundled_fixtures_load_and_validate(self):
         for stem in ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3"):
-            _, machine = load_group(fixture_path(f"{stem}.group"))
+            _, machine = parse_group(load_fixture(f"{stem}.group"))
             _, endo = parse_endo(load_fixture(f"{stem}.endo"), machine)
             from endogrowth.words import check_homomorphism
 
@@ -66,16 +67,16 @@ class TestLoading:
 class TestClosedDispatch:
     def test_sol_example(self, sol_fib):
         _, endo = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
-        closed = closed_growth_rate(sol_fib, endo)
+        closed = closed_growth_rate(validate_endo(sol_fib, endo))
         assert abs(closed.value - math.sqrt(5)) <= 1e-9
 
     def test_bs_has_no_closed_form(self, bs2):
         _, endo = parse_endo(load_fixture("bs.endo"), bs2)
-        assert closed_growth_rate(bs2, endo) is None
+        assert closed_growth_rate(validate_endo(bs2, endo)) is None
 
     def test_counter_closed_form(self, counter_machine):
         _, endo = parse_endo(load_fixture("counter.endo"), counter_machine)
-        closed = closed_growth_rate(counter_machine, endo)
+        closed = closed_growth_rate(validate_endo(counter_machine, endo))
         assert closed.value == 1.0
         assert closed.certificate["eventually_trivial"] == "no"
 
@@ -177,6 +178,62 @@ class TestCommands:
         assert abs(out["value"] - GOLDEN) <= 1e-9
 
 
+class TestExactFunctionals:
+    def test_klein_rows_are_exact_and_certified(self, tmp_path):
+        # the Klein normal-form length is the word length, so every row is exact
+        out = tmp_path / "klein.json"
+        code = run(
+            [
+                "compare",
+                "--group", fixture_path("klein.group"),
+                "--endo", fixture_path("klein.endo"),
+                "--kmax", "20",
+                "--radius", "10",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        empirical = json.loads(out.read_text())["empirical"]
+        assert [row["exact"] for row in empirical["rows"]] == [True] * 20
+        assert empirical["certified_upper"] is True
+
+    def test_bfs_families_keep_upper_bound_rows(self, tmp_path):
+        out = tmp_path / "heis.json"
+        args = ["--group", fixture_path("heis_ex1.group"), "--endo", fixture_path("heis_ex1.endo")]
+        assert run(["compare", *args, "--kmax", "25", "--out", str(out)]) == 0
+        empirical = json.loads(out.read_text())["empirical"]
+        assert sum(row["exact"] for row in empirical["rows"]) == 2
+        assert empirical["certified_upper"] is False
+
+
+class TestSingleValidation:
+    STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
+
+    @pytest.mark.parametrize("command", ["check", "closed", "empirical", "compare"])
+    def test_one_relator_check_per_command(self, command, tmp_path, monkeypatch):
+        import endogrowth.cli as cli_mod
+        import endogrowth.words as words_mod
+
+        calls = []
+        original = words_mod.check_homomorphism
+
+        def counted(machine, endo):
+            calls.append(machine.family)
+            return original(machine, endo)
+
+        monkeypatch.setattr(words_mod, "check_homomorphism", counted)
+        monkeypatch.setattr(cli_mod, "check_homomorphism", counted)
+        for stem in self.STEMS:
+            calls.clear()
+            args = ["--group", fixture_path(f"{stem}.group"), "--endo", fixture_path(f"{stem}.endo")]
+            code = run([command, *args, "--kmax", "8", "--radius", "4", "--out", str(tmp_path / "o")])
+            if command == "closed" and stem == "bs":
+                # no closed form: refused before any validation
+                assert (code, len(calls)) == (2, 0)
+            else:
+                assert (code, len(calls)) == (0, 1), stem
+
+
 class TestBundledComparisons:
     KMAX = {"counter": 32, "bs": 12, "heis_ex1": 25, "nil2_ex3": 12, "klein": 20,
             "sol_ex1": 40, "sol_ex2": 16, "sol_ex3": 20}
@@ -245,6 +302,28 @@ class TestBigIntegers:
         assert last["k"] == 1000 and last["length"] > 2**1024
         assert abs(last["root"] - 5.0) <= 1e-9
         assert report["verdict"] == "consistent"
+
+    def test_compare_heisenberg_lengths_beyond_machine_ints(self, tmp_path):
+        # L_45 exceeds sys.maxsize, so the word length must not go through len()
+        out = tmp_path / "heis.json"
+        code = run(
+            [
+                "compare",
+                "--group", fixture_path("heis_ex1.group"),
+                "--endo", fixture_path("heis_ex1.endo"),
+                "--kmax", "45",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        last = json.loads(out.read_text())["empirical"]["rows"][-1]
+        assert last["k"] == 45 and last["length"] > 2**63
+
+    def test_wordlen_bs_huge_a_powers(self, capsys):
+        # a^N b a^-N = b^(1/2^N): the normal form never needs 2^N itself
+        word = "a^10000000000 b a^-10000000000"
+        assert run(["wordlen", "--group", fixture_path("bs.group"), "--word", word, "--radius", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["known"] is False
 
     def test_wordlen_sol_deep_tau_power(self, capsys):
         code = run(["wordlen", "--group", fixture_path("sol_ex1.group"), "--word", "tau^3000"])

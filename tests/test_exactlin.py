@@ -12,7 +12,6 @@ from endogrowth.exactlin import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    col_abs_sum,
     det,
     exterior_square,
     inverse_unimodular_2x2,
@@ -244,10 +243,9 @@ class TestKronecker:
 
 
 class TestMatHelpers:
-    def test_square_and_column_sum(self):
+    def test_square(self):
         sq = mat_pow(mat([[2, 1], [1, 1]]), 2)
         assert sq == mat([[5, 3], [3, 2]])
-        assert col_abs_sum(sq, 0) == 8
 
     def test_power_zero(self):
         assert mat_pow(mat([[3, -1], [0, 2]]), 0) == IntMatrix.identity(2)

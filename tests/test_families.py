@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endogrowth.errors import FamilyError, ValidationError
+from endogrowth.errors import ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
 from endogrowth.families import (
     BSMachine,
+    FreeAbelianMachine,
     HeisenbergMachine,
+    KleinMachine,
     Nil2Machine,
     SolMachine,
+    TorsionProductMachine,
     klein_restricted_matrix,
     machine_from_params,
-    mul_elements,
 )
-from endogrowth.words import Endomorphism, check_homomorphism, elem_pow, evaluate, parse_word
+from endogrowth.words import Endomorphism, check_homomorphism, elem_pow, evaluate, parse_word, validate_endo
 
 
 def random_element(machine, rng, steps=10):
@@ -68,10 +70,6 @@ class TestMultiplicationExamples:
     def test_nil2_identity_neutral(self, nil2_ex3):
         g = ((1, -2, 3), (4, -5))
         assert nil2_ex3.mul(g, nil2_ex3.identity) == g
-
-    def test_mixed_machines_rejected(self):
-        with pytest.raises(FamilyError):
-            mul_elements(HeisenbergMachine(1), (0, 0, 0), HeisenbergMachine(2), (0, 0, 0))
 
 
 class TestGroupLaws:
@@ -136,7 +134,7 @@ class TestKleinReduction:
             phi = Endomorphism.from_strings(klein.gens, {k: v.strip() for k, v in images.items()})
             if not check_homomorphism(klein, phi).valid:
                 continue
-            mat = klein_restricted_matrix(klein, phi)
+            mat = klein_restricted_matrix(validate_endo(klein, phi))
             sp = spectral_radius(mat).value
             assert abs(sp - max(abs(q), abs(r))) <= 1e-9
             count += 1
@@ -167,8 +165,40 @@ class TestLengthFunctionals:
             x = random_element(any_machine, rng, 8)
             w = any_machine.length_upper_word(x)
             assert evaluate(any_machine, w) == x
-            assert len(w) <= any_machine.length_upper(x)
+            assert w.length() <= any_machine.length_upper(x)
             assert evaluate(any_machine, any_machine.decompose(x)) == x
+
+
+class TestBigIntegerLengths:
+    # coordinates of iterate images grow like gr^k, so 2^70 is an ordinary size
+    BIG = 2**70
+    ELEMENTS = {
+        "free_abelian": (BIG, -2 * BIG, 5),
+        "abelian_with_torsion": ((BIG,), (1,)),
+        "heisenberg": (BIG, -BIG, BIG * BIG + 7),
+        "nilpotent2": ((BIG, 1, -BIG), (4 * BIG, 3)),
+        "sol_lattice": ((BIG, -BIG), 3),
+        "klein_bottle": (BIG, -BIG),
+        "baumslag_solitar": (BIG + 1, 0, BIG),
+    }
+
+    @pytest.mark.parametrize("family", sorted(ELEMENTS))
+    def test_length_upper_counts_big_words(self, family):
+        machine = {
+            "free_abelian": FreeAbelianMachine(3),
+            "abelian_with_torsion": TorsionProductMachine(1, (2,)),
+            "heisenberg": HeisenbergMachine(1),
+            "nilpotent2": Nil2Machine(
+                3, ("s12", "s13"), (("s12", (1, 2)), ("s13", (1, 3))), (((3, 2), (-1, -2)),)
+            ),
+            "sol_lattice": SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]])),
+            "klein_bottle": KleinMachine(),
+            "baumslag_solitar": BSMachine(2),
+        }[family]
+        x = self.ELEMENTS[family]
+        w = machine.length_upper_word(x)
+        assert evaluate(machine, w) == x
+        assert machine.length_upper(x) == w.length() >= self.BIG
 
 
 class TestSolHolonomy:

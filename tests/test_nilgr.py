@@ -11,7 +11,7 @@ from endogrowth.nilgr import (
     gr_nilpotent_closed,
     induced_center_matrix,
 )
-from endogrowth.words import Endomorphism, Word, check_homomorphism, reduce_word
+from endogrowth.words import Endomorphism, Word, check_homomorphism, reduce_word, validate_endo
 
 GOLDEN = (3 + 5**0.5) / 2
 
@@ -112,34 +112,34 @@ def random_valid_nil2_endos(machine, rng, count):
 class TestAbelianization:
     def test_heisenberg_matrix(self, heis1):
         endo = heis_endo(heis1, ((2, 1), (1, 1)), p=3, q=-2)
-        assert abelianization_matrix(heis1, endo) == IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert abelianization_matrix(validate_endo(heis1, endo)) == IntMatrix.from_rows([[2, 1], [1, 1]])
 
     def test_identity(self, heis1):
         endo = Endomorphism.identity(heis1.gens)
-        assert abelianization_matrix(heis1, endo) == IntMatrix.identity(2)
+        assert abelianization_matrix(validate_endo(heis1, endo)) == IntMatrix.identity(2)
 
     def test_nil2_columns(self, nil2_ex3):
         endo = nil2_endo(nil2_ex3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-        assert abelianization_matrix(nil2_ex3, endo) == IntMatrix.identity(3).scale(2)
+        assert abelianization_matrix(validate_endo(nil2_ex3, endo)) == IntMatrix.identity(3).scale(2)
 
     def test_invalid_refused(self, heis1):
         bad = Endomorphism.from_strings(heis1.gens, {"a1": "a1", "a2": "a2", "a3": "a3^2"})
         with pytest.raises(ValidationError):
-            abelianization_matrix(heis1, bad)
+            abelianization_matrix(validate_endo(heis1, bad))
 
 
 class TestInducedCenter:
     def test_heisenberg_determinant_block(self, heis1):
         endo = heis_endo(heis1, ((2, 1), (1, 1)))
-        assert induced_center_matrix(heis1, endo) == IntMatrix.from_rows([[1]])
+        assert induced_center_matrix(validate_endo(heis1, endo)) == IntMatrix.from_rows([[1]])
         endo2 = heis_endo(heis1, ((2, 0), (0, 3)))
-        assert induced_center_matrix(heis1, endo2) == IntMatrix.from_rows([[6]])
+        assert induced_center_matrix(validate_endo(heis1, endo2)) == IntMatrix.from_rows([[6]])
 
     def test_two_generator_machine_agrees(self):
         h3 = HeisenbergMachine(1)
         h2 = HeisenbergMachine(1, include_center_gen=False)
         d = ((2, 1), (1, 1))
-        full = induced_center_matrix(h3, heis_endo(h3, d))
+        full = induced_center_matrix(validate_endo(h3, heis_endo(h3, d)))
         (d11, d12), (d21, d22) = d
 
         def word(c1, c2):
@@ -150,11 +150,11 @@ class TestInducedCenter:
             return " ".join(parts)
 
         endo2 = Endomorphism.from_strings(h2.gens, {"a1": word(d11, d21), "a2": word(d12, d22)})
-        assert induced_center_matrix(h2, endo2) == full
+        assert induced_center_matrix(validate_endo(h2, endo2)) == full
 
     def test_identity(self, nil2_ex3):
         endo = Endomorphism.identity(nil2_ex3.gens)
-        assert induced_center_matrix(nil2_ex3, endo) == IntMatrix.identity(2)
+        assert induced_center_matrix(validate_endo(nil2_ex3, endo)) == IntMatrix.identity(2)
 
     def test_full_sigma_equals_exterior_square(self):
         machine = Nil2Machine(
@@ -166,10 +166,9 @@ class TestInducedCenter:
         rng = random.Random(19)
         for _ in range(25):
             cols = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
-            endo = nil2_endo(machine, cols)
-            assert check_homomorphism(machine, endo).valid
-            d1 = abelianization_matrix(machine, endo)
-            assert induced_center_matrix(machine, endo) == exterior_square(d1)
+            valid = validate_endo(machine, nil2_endo(machine, cols))
+            d1 = abelianization_matrix(valid)
+            assert induced_center_matrix(valid) == exterior_square(d1)
 
     def test_minor_formula(self, nil2_ex3, nil2_commuting):
         # central block = [[M33 + m*M13, M32 + m*M12], [M23 + n*M13, M22 + n*M12]]
@@ -178,8 +177,9 @@ class TestInducedCenter:
         for machine in (nil2_ex3, nil2_commuting):
             m_coef, n_coef = bracket_coefficients(machine)
             for endo in random_valid_nil2_endos(machine, rng, 12):
-                d1 = abelianization_matrix(machine, endo)
-                got = induced_center_matrix(machine, endo)
+                valid = validate_endo(machine, endo)
+                d1 = abelianization_matrix(valid)
+                got = induced_center_matrix(valid)
                 expect = IntMatrix.from_rows(
                     [
                         [minor(d1, 3, 3) + m_coef * minor(d1, 1, 3), minor(d1, 3, 2) + m_coef * minor(d1, 1, 2)],
@@ -191,32 +191,32 @@ class TestInducedCenter:
 
 class TestClosedForm:
     def test_heisenberg_golden(self, heis1):
-        rep = gr_nilpotent_closed(heis1, heis_endo(heis1, ((2, 1), (1, 1))))
+        rep = gr_nilpotent_closed(validate_endo(heis1, heis_endo(heis1, ((2, 1), (1, 1)))))
         assert abs(rep.value - GOLDEN) <= 1e-9
         assert rep.center_matrix == IntMatrix.from_rows([[1]])
         assert abs(rep.cross_check - rep.value) <= 1e-9
 
     def test_trivial_endo_zero(self, z2):
         endo = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        rep = gr_nilpotent_closed(z2, endo)
+        rep = gr_nilpotent_closed(validate_endo(z2, endo))
         assert rep.value == 0.0
 
     def test_unipotent_case(self, nil2_commuting):
         # lower-triangular unipotent images on the commuting-t2-t3 group
         endo = nil2_endo(nil2_commuting, ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
         assert check_homomorphism(nil2_commuting, endo).valid
-        rep = gr_nilpotent_closed(nil2_commuting, endo)
+        rep = gr_nilpotent_closed(validate_endo(nil2_commuting, endo))
         assert abs(rep.value - 1.0) <= 1e-9
         assert abs(spectral_radius(rep.center_matrix).value - 1.0) <= 1e-9
 
     def test_sol_machine_rejected(self, sol_fib):
         with pytest.raises(ValidationError):
-            gr_nilpotent_closed(sol_fib, Endomorphism.identity(sol_fib.gens))
+            gr_nilpotent_closed(validate_endo(sol_fib, Endomorphism.identity(sol_fib.gens)))
 
     def test_inner_automorphism_invariance(self, heis1, nil2_ex3):
         rng = random.Random(37)
         endo = heis_endo(heis1, ((2, 1), (1, 1)), p=1, q=0)
-        base = gr_nilpotent_closed(heis1, endo)
+        base = gr_nilpotent_closed(validate_endo(heis1, endo))
         for _ in range(5):
             letters = tuple(
                 (rng.randrange(3), rng.choice([-2, -1, 1, 2])) for _ in range(3)
@@ -226,8 +226,9 @@ class TestClosedForm:
                 heis1.gens,
                 tuple(reduce_word(w * img * w.inverse()) for img in endo.images),
             )
-            rep = gr_nilpotent_closed(heis1, conj)
-            assert abelianization_matrix(heis1, conj, validate=False) == base.ab_matrix
+            valid = validate_endo(heis1, conj)
+            rep = gr_nilpotent_closed(valid)
+            assert abelianization_matrix(valid) == base.ab_matrix
             assert abs(rep.value - base.value) <= 1e-9
 
 
@@ -235,7 +236,7 @@ class TestCenterVsAbelianizationBound:
     def test_random_valid_endos(self, nil2_ex3):
         rng = random.Random(43)
         for endo in random_valid_nil2_endos(nil2_ex3, rng, 15):
-            rep = gr_nilpotent_closed(nil2_ex3, endo)
+            rep = gr_nilpotent_closed(validate_endo(nil2_ex3, endo))
             sp1 = rep.sp_ab.value
             sp2 = rep.sp_center.value
             assert sp2 <= sp1**2 + 1e-9

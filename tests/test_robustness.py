@@ -1,0 +1,213 @@
+"""Every input ends in a report or a documented exit code, never a traceback.
+
+Descriptors are written to files and run through ``cli.run`` exactly as the
+command line would.  Sizes stay small (rank, generator counts, kmax and
+radius at most 4) so that no example builds a large group.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from endogrowth.cli import run
+from endogrowth.families import MACHINES
+from endogrowth.reports import FAMILIES
+
+from conftest import load_fixture
+
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+
+
+def run_docs(command, group, endo, *extra):
+    """Exit code of one command on descriptor documents; endo is not passed
+    to the commands that take none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "g.json").write_text(json.dumps(group))
+        (tmp / "e.json").write_text(json.dumps(endo))
+        argv = [command, "--group", str(tmp / "g.json")]
+        if command in ("check", "closed", "empirical", "compare"):
+            argv += ["--endo", str(tmp / "e.json")]
+        return run(argv + [str(x) for x in extra] + ["--out", str(tmp / "out")])
+
+
+def test_every_machine_class_has_a_family_entry():
+    assert set(MACHINES) == set(FAMILIES)
+    assert all(MACHINES[tag].family == tag for tag in MACHINES)
+
+
+HEIS = {"family": "heisenberg", "params": {"k": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, group, endo",
+    [
+        ("ball", {"family": "free_abelian", "params": {}}, None),
+        ("ball", {"family": "heisenberg", "params": {"k": "2"}}, None),
+        ("ball", {"family": "free_abelian", "params": []}, None),
+        ("compare", load_fixture("sol_ex2.group"), {"sol": {}}),
+        ("compare", HEIS, {"images": []}),
+        ("ball", {"family": "heisenberg", "params": {"k": True}}, None),
+        ("ball", {"family": "baumslag_solitar", "params": {"n": 2.5}}, None),
+        ("ball", {"family": "abelian_with_torsion", "params": {"rank": 1, "torsion": "3"}}, None),
+        (
+            "compare",
+            {"family": "nilpotent2", "params": {"n_gens": 2, "central": ["c", "d"], "designated": {"c": [1, 2]}}},
+            {"images": {"t1": "t1", "t2": "t2", "c": "c", "d": "d^3"}},
+        ),
+    ],
+    ids=[
+        "missing-param", "string-int", "params-list", "sol-shortcut-empty", "images-list",
+        "bool-int", "float-int", "string-torsion", "undesignated-central",
+    ],
+)
+def test_malformed_descriptor_is_a_validation_error(command, group, endo):
+    assert run_docs(command, group, endo, "--radius", 2) == 2
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[{"weight": 1}], [{"weight": 1, "matrix": 5}], {"weight": 1}, [{"weight": "1", "matrix": [[2]]}]],
+    ids=["missing-matrix", "int-matrix", "not-a-list", "string-weight"],
+)
+def test_malformed_block_list_is_a_validation_error(blocks):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocks.json"
+        path.write_text(json.dumps(blocks))
+        assert run(["closed", "--blocks", str(path), "--out", str(Path(tmp) / "out")]) == 2
+
+
+small = st.integers(-1, 4)
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+int_matrix = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3)
+)
+SOL_HOLONOMIES = ([[2, 1], [1, 1]], [[1, 1], [2, 3]], [[3, 1], [2, 1]])
+
+
+@st.composite
+def nil2_params(draw):
+    n = draw(st.integers(2, 3))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True))
+    central = [f"c{i}{j}" for i, j in chosen]
+    params = {"n_gens": n, "central": central, "designated": dict(zip(central, map(list, chosen)))}
+    if n == 3 and draw(st.booleans()):
+        params["gamma"] = {"3,2": draw(st.lists(st.integers(-2, 2), min_size=len(central), max_size=len(central)))}
+    return params
+
+
+# Parameter objects that mostly build a machine, so that many runs get past
+# parsing into the routes.
+VALID_PARAMS = {
+    "free_abelian": st.fixed_dictionaries({"rank": st.integers(1, 4)}),
+    "abelian_with_torsion": st.fixed_dictionaries(
+        {"rank": st.integers(0, 2), "torsion": st.lists(st.integers(2, 4), max_size=2)}
+    ),
+    "heisenberg": st.fixed_dictionaries({"k": st.integers(1, 3)}, optional={"include_center_gen": st.booleans()}),
+    "nilpotent2": nil2_params(),
+    "sol_lattice": st.fixed_dictionaries({"A": st.sampled_from(SOL_HOLONOMIES)}),
+    "klein_bottle": st.just({}),
+    "baumslag_solitar": st.fixed_dictionaries({"n": st.integers(2, 4)}),
+}
+PARAM_NAMES = ("rank", "torsion", "names", "k", "include_center_gen", "n_gens", "central",
+               "designated", "gamma", "tau_names", "A", "n")
+
+
+@st.composite
+def mutated(draw, doc):
+    """The document (half the time), or a copy with one entry dropped,
+    replaced by junk or added."""
+    doc = dict(doc)
+    action = draw(st.integers(0, 5))
+    if action == 1 and doc:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif action == 2 and doc:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(junk)
+    elif action == 3:
+        doc[draw(st.sampled_from(PARAM_NAMES))] = draw(st.one_of(junk, int_matrix))
+    return doc
+
+
+@st.composite
+def groups(draw):
+    family = draw(st.sampled_from(sorted(VALID_PARAMS)))
+    params = draw(mutated(draw(VALID_PARAMS[family])))
+    doc = {"family": family, "params": params}
+    shape = draw(st.integers(0, 9))
+    return draw(junk) if shape == 0 else draw(mutated(doc)) if shape == 1 else doc
+
+
+def word_over(names):
+    letters = st.tuples(st.sampled_from(names), st.integers(-2, 2).filter(bool))
+    return st.lists(letters, max_size=3).map(
+        lambda ls: " ".join(n if e == 1 else f"{n}^{e}" for n, e in ls)
+    )
+
+
+@st.composite
+def endos(draw, group):
+    """Inner automorphisms, trivial maps and random images over the group's
+    generators (valid or not), shortcuts, and junk."""
+    from endogrowth.reports import parse_group
+
+    try:
+        gens = list(parse_group(group)[1].gens.names)
+    except ValueError:
+        gens = ["e1", "a1", "x", "tau"]
+    kind = draw(st.sampled_from(("inner", "trivial", "random", "sol", "matrix", "junk")))
+    if kind == "inner":
+        w = draw(word_over(gens))
+        inverse = " ".join(
+            f"{t.split('^')[0]}^{-int(t.split('^')[1]) if '^' in t else -1}" for t in reversed(w.split())
+        )
+        images = {g: f"{w} {g} {inverse}".strip() for g in gens}
+    elif kind == "trivial":
+        images = {g: "" for g in gens}
+    elif kind == "random":
+        images = {g: draw(word_over(gens)) for g in gens}
+    elif kind == "sol":
+        payload = draw(st.one_of(
+            st.fixed_dictionaries({"M": st.just([[1, 0], [0, 1]])}, optional={"p": small, "q": small}),
+            st.fixed_dictionaries({"M": st.just([[0, 0], [0, 0]]), "tau_exp": small}),
+            st.fixed_dictionaries({}, optional={"M": st.one_of(int_matrix, junk), "p": junk, "tau_exp": junk}),
+        ))
+        return draw(mutated({"sol": payload}))
+    elif kind == "matrix":
+        n = len(gens)
+        square = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+        return {"matrix": draw(st.one_of(square, int_matrix, junk))}
+    else:
+        return draw(junk)
+    return draw(mutated({"images": draw(mutated(images))}))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(("check", "closed", "empirical", "compare", "ball", "wordlen", "distortion")),
+    data=st.data(),
+    kmax=small,
+    radius=small,
+)
+def test_any_descriptor_ends_in_a_documented_exit(command, data, kmax, radius):
+    group = data.draw(groups(), label="group")
+    endo = data.draw(endos(group), label="endo")
+    extra = ["--kmax", kmax, "--radius", radius]
+    gens = ["a1", "x", "b", "tau", "e1"]
+    if command == "wordlen":
+        extra += ["--word", data.draw(word_over(gens), label="word")]
+    if command == "distortion":
+        extra += ["--subgroup", data.draw(st.sampled_from(gens), label="subgroup")]
+    assert run_docs(command, group, endo, *extra) in DOCUMENTED_EXITS

@@ -4,20 +4,20 @@ import random
 import pytest
 
 from endogrowth.ball import enumerate_ball, gr_estimate
-from endogrowth.errors import ClassificationError, ContractError, ValidationError
+from endogrowth.errors import ContractError, ValidationError
 from endogrowth.exactlin import IntMatrix, mat_vec
 from endogrowth.families import SolMachine
 from endogrowth.reports import parse_endo
 from endogrowth.solgr import (
+    LengthMin,
     SolEndo,
     SolLengthMinimizer,
     classify_endo,
     eigen_data,
     gr_sol_closed,
     gr_sol_empirical,
-    sol_length_upper,
 )
-from endogrowth.words import Endomorphism
+from endogrowth.words import Endomorphism, validate_endo
 
 A_FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_23 = IntMatrix.from_rows([[1, 1], [2, 3]])
@@ -28,7 +28,7 @@ M_23 = IntMatrix.from_rows([[0, 1], [2, 2]])
 def sol_endo_from_matrix(machine, m, p=(0, 0), tau_exp=1):
     doc = {"sol": {"M": [list(r) for r in m.entries], "p": p[0], "q": p[1], "tau_exp": tau_exp}}
     _, endo = parse_endo(doc, machine)
-    return classify_endo(machine, endo)
+    return classify_endo(validate_endo(machine, endo))
 
 
 class TestClassification:
@@ -39,19 +39,19 @@ class TestClassification:
 
     def test_collapsing_is_type_three(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "tau^3"})
-        e = classify_endo(sol_fib, endo)
+        e = classify_endo(validate_endo(sol_fib, endo))
         assert e.type_tag == "III" and e.tau_exp == 3
 
     def test_identity_torus_map(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "a1", "a2": "a2", "tau": "a1 tau"})
-        e = classify_endo(sol_fib, endo)
+        e = classify_endo(validate_endo(sol_fib, endo))
         assert e.type_tag == "I" and e.torus_map == IntMatrix.identity(2)
         assert e.p == (1, 0)
 
     def test_non_commuting_rejected(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "a1^2", "a2": "a2", "tau": "tau"})
-        with pytest.raises(ClassificationError):
-            classify_endo(sol_fib, endo)
+        with pytest.raises(ValidationError, match="violates relator"):
+            classify_endo(validate_endo(sol_fib, endo))
 
     def test_type_two(self, sol_fib):
         m = IntMatrix.from_rows([[-1, 0], [1, 1]])
@@ -119,7 +119,7 @@ class TestClosedForm:
 
     def test_collapsing_power(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "a1 tau^3"})
-        assert gr_sol_closed(classify_endo(sol_fib, endo)).value == 3.0
+        assert gr_sol_closed(classify_endo(validate_endo(sol_fib, endo))).value == 3.0
 
     def test_zero_torus_map_type_one(self, sol_fib):
         e = sol_endo_from_matrix(sol_fib, IntMatrix.zeros(2, 2), p=(1, 2))
@@ -136,18 +136,18 @@ class TestClosedForm:
 
 class TestLengthMinimizer:
     def test_unit_vector(self):
-        assert sol_length_upper(A_FIB, (1, 0)) == type(sol_length_upper(A_FIB, (1, 0)))(1, 0)
+        assert SolLengthMinimizer(A_FIB).minimize((1, 0)) == LengthMin(1, 0)
 
     def test_shifted_power(self):
-        best = sol_length_upper(A_23, (16, 44))
+        best = SolLengthMinimizer(A_23).minimize((16, 44))
         assert (best.value, best.shift) == (8, 2)
 
     def test_no_shift_preferred(self):
-        best = sol_length_upper(A_FIB, (5, 0))
+        best = SolLengthMinimizer(A_FIB).minimize((5, 0))
         assert (best.value, best.shift) == (5, 0)
 
     def test_zero_vector(self):
-        best = sol_length_upper(A_FIB, (0, 0))
+        best = SolLengthMinimizer(A_FIB).minimize((0, 0))
         assert (best.value, best.shift) == (0, 0)
 
     def test_minimizer_matches_brute_force(self):
@@ -216,7 +216,7 @@ class TestEmpirical:
 
     def test_type_three_table(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "tau^3"})
-        e = classify_endo(sol_fib, endo)
+        e = classify_endo(validate_endo(sol_fib, endo))
         table = gr_sol_empirical(e, kmax=8)
         assert table.per_gen["a1"] == [0] * 8
         summary = gr_estimate(table)

@@ -16,6 +16,7 @@ from endogrowth.words import (
     eventually_trivial,
     parse_word,
     reduce_word,
+    validate_endo,
     word_str,
 )
 
@@ -124,22 +125,22 @@ class TestCheckHomomorphism:
 class TestEventuallyTrivial:
     def test_trivial_is_yes_one(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        res = eventually_trivial(z2, phi)
+        res = eventually_trivial(validate_endo(z2, phi))
         assert res.status == "yes" and res.power == 1
 
     def test_torsion_survivor_is_no(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        assert eventually_trivial(counter_machine, phi).status == "no"
+        assert eventually_trivial(validate_endo(counter_machine, phi)).status == "no"
 
     def test_nilpotent_heisenberg_endo(self, heis1):
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a2", "a2": "", "a3": ""})
-        res = eventually_trivial(heis1, phi)
+        res = eventually_trivial(validate_endo(heis1, phi))
         assert res.status == "yes" and res.power == 2
 
     def test_yes_implies_zero_lengths(self, heis1):
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a2", "a2": "", "a3": ""})
-        res = eventually_trivial(heis1, phi)
-        table = L_k_table(heis1, phi, kmax=6, radius=3)
+        res = eventually_trivial(validate_endo(heis1, phi))
+        table = L_k_table(validate_endo(heis1, phi), kmax=6, radius=3)
         for k, length in zip(table.ks, table.lengths):
             if k >= res.power:
                 assert length == 0
