@@ -2,9 +2,16 @@
 and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
-and deduplication is automatic.  Construction is deterministic: generators are
-expanded in a fixed order from a FIFO frontier.  Completed balls are immutable
-and safe to share.
+and deduplication is automatic.  One kernel, ``_spheres``, does every search:
+it grows a ball around a start element one sphere at a time, stepping each
+element of the last sphere through ``Machine.steps()`` (right multiplication
+by g0, g0^-1, g1, ... as functions compiled once per search; closed forms for
+most families, ``mul`` otherwise).  Discovery order is therefore fixed.
+
+``enumerate_ball`` grows one ball around the identity.  ``word_length`` grows
+one around the identity and one around the target, the smaller next, until
+they meet: two balls of about half the radius in place of one of the full
+radius.  Completed balls are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -62,13 +69,39 @@ class Ball:
         return out.getvalue()
 
 
-def _generator_steps(machine):
-    steps = []
-    for i in range(len(machine.gens)):
-        g = machine.gen_elem(i)
-        steps.append(g)
-        steps.append(machine.inv(g))
-    return steps
+def _spheres(machine, start, radius: int, cap: int, seen: dict):
+    """The one BFS kernel: yields (r, sphere r around ``start``) for
+    r = 0, 1, ... up to ``radius``, and stops early at an empty sphere.
+
+    Every element found goes into ``seen`` with its distance from ``start``,
+    in discovery order: each element of sphere r - 1 in order, times each of
+    ``machine.steps()`` in order.  Storing a new element when ``seen`` holds
+    ``cap`` raises ResourceCapExceeded with the last full radius.  A caller
+    may resume the generator with ``send(new_cap)``.
+    """
+    steps = machine.steps()
+    seen[start] = 0
+    sphere = [start]
+    r = 0
+    while True:
+        sent = yield r, sphere
+        if sent is not None:
+            cap = sent
+        if r >= radius:
+            return
+        r += 1
+        nxt = []
+        for x in sphere:
+            for step in steps:
+                y = step(x)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceCapExceeded(f"exceeded cap {cap} at radius {r}", completed_radius=r - 1)
+                    seen[y] = r
+                    nxt.append(y)
+        if not nxt:
+            return
+        sphere = nxt
 
 
 def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
@@ -79,63 +112,60 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    steps = _generator_steps(machine)
-    dist = {machine.identity: 0}
-    counts = [1]
-    frontier = [machine.identity]
-    for r in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for s in steps:
-                y = machine.mul(x, s)
-                if y not in dist:
-                    if len(dist) >= cap:
-                        partial = Ball(
-                            r - 1,
-                            {k: v for k, v in dist.items() if v <= r - 1},
-                            tuple(counts),
-                        )
-                        raise ResourceCapExceeded(
-                            f"ball exceeded cap {cap} while exploring radius {r}",
-                            completed_radius=r - 1,
-                            partial=partial,
-                        )
-                    dist[y] = r
-                    nxt.append(y)
-        counts.append(len(dist))
-        frontier = nxt
-        if not frontier:
-            break
-    while len(counts) <= radius:
-        counts.append(counts[-1])
+    dist = {}
+    counts = []
+    try:
+        for _ in _spheres(machine, machine.identity, radius, cap, dist):
+            counts.append(len(dist))
+    except ResourceCapExceeded as exc:
+        done = exc.completed_radius
+        partial = Ball(done, {k: v for k, v in dist.items() if v <= done}, tuple(counts))
+        raise ResourceCapExceeded(
+            f"ball exceeded cap {cap} while exploring radius {done + 1}",
+            completed_radius=done,
+            partial=partial,
+        ) from None
+    counts += [counts[-1]] * (radius + 1 - len(counts))
     return Ball(radius, dist, tuple(counts))
 
 
 def word_length(machine, elem, radius: int, cap: int = DEFAULT_CAP) -> Optional[int]:
-    """Exact geodesic length of ``elem``, or None if it lies beyond ``radius``."""
+    """Exact geodesic length of ``elem``, or None if it lies beyond ``radius``.
+
+    Bidirectional search: one ball grows around the identity and one around
+    ``elem``, the side with the smaller last sphere next (the identity on a
+    tie).  Each new sphere is checked against the other side's ball; the
+    first sphere r that meets it gives the length r + min(distance on the
+    other side).  The search gives up once the two depths sum to ``radius``.
+
+    ``cap`` bounds the elements stored by both sides together.  Past it,
+    ResourceCapExceeded carries as ``completed_radius`` the sum of the two
+    completed depths: the length of ``elem`` is known to exceed it.
+    """
     if elem == machine.identity:
         return 0
-    steps = _generator_steps(machine)
-    dist = {machine.identity: 0}
-    frontier = [machine.identity]
-    for r in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for s in steps:
-                y = machine.mul(x, s)
-                if y not in dist:
-                    if y == elem:
-                        return r
-                    if len(dist) >= cap:
-                        raise ResourceCapExceeded(
-                            f"search exceeded cap {cap} at radius {r}",
-                            completed_radius=r - 1,
-                        )
-                    dist[y] = r
-                    nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
+    if machine.length_lower(elem) > radius:
+        return None
+    seen = ({}, {})
+    sides = [_spheres(machine, start, radius, cap, d) for start, d in zip((machine.identity, elem), seen)]
+    depth = [0, 0]
+    last = [next(side)[1] for side in sides]
+    live = [0, 1]
+    while live and depth[0] + depth[1] < radius:
+        i = min(live, key=lambda j: len(last[j]))
+        other = seen[1 - i]
+        try:
+            depth[i], last[i] = sides[i].send(cap - len(other))
+        except StopIteration:
+            live.remove(i)
+            continue
+        except ResourceCapExceeded:
+            raise ResourceCapExceeded(
+                f"search exceeded cap {cap} at radius {depth[0] + depth[1] + 1}",
+                completed_radius=depth[0] + depth[1],
+            ) from None
+        if not other.keys().isdisjoint(last[i]):
+            return depth[i] + min(other[y] for y in last[i] if y in other)
     return None
 
 

@@ -113,6 +113,18 @@ class Machine:
     def inv(self, a):
         raise NotImplementedError
 
+    def steps(self) -> list:
+        """Right multiplication by each generator and its inverse, as
+        functions ``x -> x*s`` in the order g0, g0^-1, g1, g1^-1, ...: the
+        edges a Cayley-ball search follows.  This default wraps ``mul``;
+        families with a closed form override it."""
+        mul = self.mul
+        out = []
+        for i in range(len(self.gens)):
+            g = self.gen_elem(i)
+            out += [lambda x, s=s: mul(x, s) for s in (g, self.inv(g))]
+        return out
+
     def gen_elem(self, i: int):
         raise NotImplementedError
 
@@ -129,6 +141,11 @@ class Machine:
     def length_upper_word(self, elem) -> Word:
         """Explicit word whose length the functional reports."""
         return self.decompose(elem)
+
+    def length_lower(self, elem) -> int:
+        """A lower bound on the word length, cheap to compute: a search for
+        the length stops before it starts when this exceeds its radius."""
+        return 0
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
@@ -162,6 +179,17 @@ def _gen_word(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 
 
+def _bump(i: int, e: int):
+    """The step x -> x + e * unit_i on int tuples."""
+
+    def step(x):
+        t = list(x)
+        t[i] += e
+        return tuple(t)
+
+    return step
+
+
 @dataclass(frozen=True)
 class FreeAbelianMachine(Machine):
     """Z^rank with coordinatewise arithmetic; elements are int tuples."""
@@ -188,6 +216,9 @@ class FreeAbelianMachine(Machine):
 
     def inv(self, a):
         return tuple(-x for x in a)
+
+    def steps(self):
+        return [_bump(i, e) for i in range(self.rank) for e in (1, -1)]
 
     def gen_elem(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))
@@ -320,6 +351,18 @@ class HeisenbergMachine(Machine):
     def inv(self, a):
         m, n, l = a
         return (-m, -n, -l + self.k * n * m)
+
+    def steps(self):
+        k = self.k
+        out = [
+            lambda a: (a[0] + 1, a[1], a[2] + k * a[1]),
+            lambda a: (a[0] - 1, a[1], a[2] - k * a[1]),
+            lambda a: (a[0], a[1] + 1, a[2]),
+            lambda a: (a[0], a[1] - 1, a[2]),
+        ]
+        if self.include_center_gen:
+            out += [lambda a: (a[0], a[1], a[2] + 1), lambda a: (a[0], a[1], a[2] - 1)]
+        return out
 
     def gen_elem(self, i):
         return ((1, 0, 0), (0, 1, 0), (0, 0, 1))[i]
@@ -472,6 +515,16 @@ class Nil2Machine(Machine):
         x, z = a
         return (tuple(-p for p in x), tuple(-p + q for p, q in zip(z, self._cocycle(x, x))))
 
+    def steps(self):
+        out = []
+        for j in range(1, self.n_gens + 1):
+            # (x, z) tau_j^e = (x + e unit_j, z + e sum_{i > j} x_i gamma(i, j))
+            cols = [(i - 1, vec) for (i, jj), vec in self._gamma_table if jj == j and any(vec)]
+            out += [_tau_step(j - 1, e, cols) for e in (1, -1)]
+        for s in range(len(self.central)):
+            out += [_central_step(s, e) for e in (1, -1)]
+        return out
+
     def gen_elem(self, i):
         n, m = self.n_gens, len(self.central)
         if i < n:
@@ -539,6 +592,39 @@ class Nil2Machine(Machine):
         return super().cyclic_inner_length(gen_index, elem[0] + elem[1])
 
 
+def _tau_step(j: int, e: int, gamma_cols):
+    """Nil2Machine step (x, z) -> (x, z) tau_j^e: x_j moves by e and z by
+    e * x_i * gamma(i, j) for each (i, gamma(i, j)) in ``gamma_cols``."""
+    terms = tuple((i, tuple((s, e * v) for s, v in enumerate(vec) if v)) for i, vec in gamma_cols)
+
+    def step(a):
+        x, z = a
+        if terms:
+            z = list(z)
+            for i, col in terms:
+                xi = x[i]
+                if xi:
+                    for s, v in col:
+                        z[s] += v * xi
+            z = tuple(z)
+        x = list(x)
+        x[j] += e
+        return (tuple(x), z)
+
+    return step
+
+
+def _central_step(s: int, e: int):
+    """Nil2Machine step (x, z) -> (x, z) sigma_s^e."""
+
+    def step(a):
+        z = list(a[1])
+        z[s] += e
+        return (a[0], tuple(z))
+
+    return step
+
+
 @dataclass(frozen=True)
 class SolMachine(Machine):
     """Lattice Z^2 x|_A Z of Sol: generators a1, a2, tau with tau a^v tau^-1 = a^(Av).
@@ -588,6 +674,27 @@ class SolMachine(Machine):
         v, t = a
         w = mat_vec(self.holonomy_power(-t), v)
         return ((-w[0], -w[1]), -t)
+
+    def steps(self):
+        power = self.holonomy_power
+
+        def a_step(i, e):
+            # (v, t) a_i^e = (v + e * column i of A^t, t)
+            def step(x):
+                (v0, v1), t = x
+                p = power(t).entries
+                return ((v0 + e * p[0][i], v1 + e * p[1][i]), t)
+
+            return step
+
+        return [
+            a_step(0, 1),
+            a_step(0, -1),
+            a_step(1, 1),
+            a_step(1, -1),
+            lambda x: (x[0], x[1] + 1),
+            lambda x: (x[0], x[1] - 1),
+        ]
 
     def gen_elem(self, i):
         return (((1, 0), 0), ((0, 1), 0), ((0, 0), 1))[i]
@@ -641,6 +748,15 @@ class KleinMachine(Machine):
     def inv(self, a):
         sign = -1 if a[1] % 2 else 1
         return (sign * -a[0], -a[1])
+
+    def steps(self):
+        # x^(+-1) moves the x-exponent by +-1, against the sign when b is odd
+        return [
+            lambda a: (a[0] - 1 if a[1] & 1 else a[0] + 1, a[1]),
+            lambda a: (a[0] + 1 if a[1] & 1 else a[0] - 1, a[1]),
+            lambda a: (a[0], a[1] + 1),
+            lambda a: (a[0], a[1] - 1),
+        ]
 
     def gen_elem(self, i):
         return ((1, 0), (0, 1))[i]
@@ -740,6 +856,15 @@ class BSMachine(Machine):
             letters.append((1, digits[i]))
         letters.append((0, t - e))
         return reduce_word(_letters(*letters))
+
+    def length_lower(self, elem):
+        """A word's a-exponent moves by one per a letter; its b-part gets the
+        denominator n^e only from a b letter read at a-exponent >= e.  So the
+        a letters climb from 0 to at least e and end at t, plus one b letter
+        when the b-part is not 0.  The bound keeps a search away from the
+        neighbours of such an element, whose b-parts have about e digits."""
+        num, e, t = elem
+        return e + abs(e - t) + (num != 0)
 
     def cyclic_inner_length(self, gen_index, elem):
         num, e, t = elem

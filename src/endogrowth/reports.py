@@ -166,7 +166,7 @@ def _torsion_closed(valid: ValidEndo, tol: float) -> ClosedForm:
 
 
 def _sol_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    closed = gr_sol_closed(classify_endo(valid))
+    closed = gr_sol_closed(valid.derived(classify_endo))
     return ClosedForm(closed.value, "sol_type_formula", closed.certificate())
 
 
@@ -185,7 +185,7 @@ def _bfs_table(valid: ValidEndo, kmax: int, radius: int, cap: int) -> GrowthEsti
 
 
 def _sol_table(valid: ValidEndo, kmax: int, radius: int, cap: int) -> GrowthEstimate:
-    return gr_sol_empirical(classify_endo(valid), kmax)
+    return gr_sol_empirical(valid.derived(classify_endo), kmax)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import UnknownGeneratorError, ValidationError
@@ -267,6 +267,14 @@ class ValidEndo:
     machine: object
     endo: Endomorphism
     images: tuple
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, fn):
+        """``fn(self)``, computed once per ValidEndo, so the routes of one
+        command share what they both derive (the Sol classification)."""
+        if fn not in self._derived:
+            self._derived[fn] = fn(self)
+        return self._derived[fn]
 
 
 def validate_endo(machine, endo: Endomorphism) -> ValidEndo:

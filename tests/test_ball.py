@@ -9,8 +9,34 @@ from endogrowth.ball import (
     word_length,
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
-from endogrowth.families import HeisenbergMachine
+from endogrowth.families import FreeAbelianMachine, HeisenbergMachine
+from endogrowth.reports import parse_group
 from endogrowth.words import Endomorphism, evaluate, parse_word, validate_endo
+
+from conftest import load_fixture
+
+FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
+
+
+def reference_ball(machine, radius):
+    """Distances by a plain BFS over ``mul``: each element of the previous
+    sphere in order, times g0, g0^-1, g1, g1^-1, ... in order."""
+    steps = []
+    for i in range(len(machine.gens)):
+        g = machine.gen_elem(i)
+        steps += [g, machine.inv(g)]
+    dist = {machine.identity: 0}
+    sphere = [machine.identity]
+    for r in range(1, radius + 1):
+        nxt = []
+        for x in sphere:
+            for s in steps:
+                y = machine.mul(x, s)
+                if y not in dist:
+                    dist[y] = r
+                    nxt.append(y)
+        sphere = nxt
+    return dist
 
 
 class TestEnumerateBall:
@@ -53,6 +79,48 @@ class TestEnumerateBall:
     def test_csv_columns(self, z2):
         text = enumerate_ball(z2, 2).to_csv()
         assert text.splitlines()[0] == "n,count,delta,witness"
+
+
+class TestCompiledSteps:
+    def test_steps_equal_mul(self, any_machine):
+        steps = any_machine.steps()
+        assert len(steps) == 2 * len(any_machine.gens)
+        for x in reference_ball(any_machine, 4):
+            for i in range(len(any_machine.gens)):
+                g = any_machine.gen_elem(i)
+                assert steps[2 * i](x) == any_machine.mul(x, g)
+                assert steps[2 * i + 1](x) == any_machine.mul(x, any_machine.inv(g))
+
+    @pytest.mark.parametrize("stem", FIXTURE_STEMS)
+    def test_discovery_order_matches_reference(self, stem):
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        assert list(enumerate_ball(machine, 4).dist.items()) == list(reference_ball(machine, 4).items())
+
+
+class TestBidirectionalSearch:
+    MACHINES = [parse_group(load_fixture(f"{stem}.group"))[1] for stem in FIXTURE_STEMS]
+    MACHINES.append(FreeAbelianMachine(3))
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.family)
+    def test_matches_one_sided_bfs(self, machine):
+        # R = 3 on the 5-generator nilpotent group keeps B(R + 1) near 1,500 elements
+        radius = 3 if len(machine.gens) > 3 else 4
+        ball = enumerate_ball(machine, radius + 1)
+        assert machine.identity in ball and word_length(machine, machine.identity, radius) == 0
+        for elem, d in ball.dist.items():
+            assert word_length(machine, elem, radius) == (d if d <= radius else None)
+            assert word_length(machine, elem, 0) == (0 if d == 0 else None)
+
+    def test_lower_bound_below_geodesics(self, any_machine):
+        for elem, d in enumerate_ball(any_machine, 7).dist.items():
+            assert any_machine.length_lower(elem) <= d
+
+    def test_cap_counts_both_sides(self, z2):
+        # |(9, 9)| = 18; the two sides meet only after 9 spheres each
+        with pytest.raises(ResourceCapExceeded) as err:
+            word_length(z2, (9, 9), radius=30, cap=60)
+        assert 0 < err.value.completed_radius < 18
+        assert word_length(z2, (9, 9), radius=30, cap=400) == 18
 
 
 class TestWordLength:

@@ -233,6 +233,26 @@ class TestSingleValidation:
             else:
                 assert (code, len(calls)) == (0, 1), stem
 
+    @pytest.mark.parametrize("command", ["closed", "empirical", "compare"])
+    def test_one_sol_classification_per_command(self, command, tmp_path, monkeypatch):
+        import endogrowth.reports as reports_mod
+        import endogrowth.solgr as solgr_mod
+
+        calls = []
+        original = solgr_mod.classify_endo
+
+        def counted(valid):
+            calls.append(valid.machine.family)
+            return original(valid)
+
+        monkeypatch.setattr(solgr_mod, "classify_endo", counted)
+        monkeypatch.setattr(reports_mod, "classify_endo", counted)
+        for stem in ("sol_ex1", "sol_ex2", "sol_ex3"):
+            calls.clear()
+            args = ["--group", fixture_path(f"{stem}.group"), "--endo", fixture_path(f"{stem}.endo")]
+            code = run([command, *args, "--kmax", "8", "--out", str(tmp_path / "o")])
+            assert (code, len(calls)) == (0, 1), stem
+
 
 class TestBundledComparisons:
     KMAX = {"counter": 32, "bs": 12, "heis_ex1": 25, "nil2_ex3": 12, "klein": 20,
@@ -341,6 +361,11 @@ class TestExitCodes:
         assert (
             run(["ball", "--group", fixture_path("bs.group"), "--radius", "12", "--cap", "50"]) == 3
         )
+
+    def test_wordlen_resource_cap(self, capsys):
+        args = ["wordlen", "--group", fixture_path("heis_ex1.group"), "--word", "a1^3 a2^3 a3^3"]
+        assert run([*args, "--radius", "12", "--cap", "30"]) == 3
+        assert "completed radius" in capsys.readouterr().err
 
     def test_closed_on_bs_is_validation_error(self):
         assert (
