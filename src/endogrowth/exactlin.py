@@ -22,12 +22,19 @@ Both bounds are linear in the residual, so a root finder's working precision
 carries straight through to the certificate.  The reported error is measured
 from the float value actually returned.
 
+The multiprecision root finder starts from double-precision roots found by
+the same Durand-Kerner iteration in plain ``complex``.  That float seed only
+sets starting points, never the certificate: the bounds above are computed
+from whatever approximations the root finder returns, and a seed that cannot
+be formed falls back to the root finder's default start.
+
 All values are immutable after construction and all operations are pure, so
 concurrent use from any number of threads is safe.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -454,6 +461,48 @@ def _float_up(x: Fraction) -> float:
     return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 
+_SEED_SWEEPS = 500
+
+
+def _float_seed(coeffs):
+    """Double-precision approximations of the roots of a monic radical.
+
+    Durand-Kerner (Kerner 1966) in plain ``complex`` from points spread on a
+    circle of Fujiwara's root-bound radius.  The result only moves the
+    starting points of the certified root finder; None, meaning its default
+    start, when a coefficient overflows ``complex``, a product of root
+    differences vanishes, or a value becomes non-finite.
+    """
+    n = len(coeffs) - 1
+    try:
+        cs = [complex(c) for c in reversed(coeffs)]  # descending, cs[0] == 1
+    except OverflowError:
+        return None
+    radius = 2 * max(abs(c) ** (1 / k) for k, c in enumerate(cs) if k)
+    zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    try:
+        for _ in range(_SEED_SWEEPS):
+            moved = 0.0
+            for i, z in enumerate(zs):
+                corr = 0j  # the Weierstrass correction p(z) / prod_{j != i} (z - z_j)
+                for c in cs:
+                    corr = corr * z + c
+                for j, w in enumerate(zs):
+                    if j != i:
+                        corr /= z - w
+                zs[i] = z - corr
+                moved = max(moved, abs(corr) / (1 + abs(z)))
+            if not math.isfinite(moved):
+                return None
+            if moved < 1e-14:
+                break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(cmath.isfinite(z) for z in zs):
+        return None
+    return zs
+
+
 def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
     """Max eigenvalue modulus, certified to absolute tolerance ``tol``.
 
@@ -479,11 +528,15 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         roots = (complex(0),) * max(zero_mult, 1)
         return SpectralResult(0.0, 0.0, p, roots, 0.0, 0)
 
+    seed = _float_seed(coeffs)
     for dps in _PRECISION_LADDER:
         with mpmath.workdps(dps):
             try:
                 zs = mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=400, extraprec=80
+                    [mpmath.mpf(c) for c in reversed(coeffs)],
+                    maxsteps=400,
+                    extraprec=80,
+                    roots_init=seed and [mpmath.mpc(z) for z in seed],
                 )
             except mpmath.libmp.NoConvergence:
                 continue
@@ -492,6 +545,8 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
                 continue
             lower, upper = bounds
             value = float(max(abs(z) for z in zs))
+            if not math.isfinite(value):
+                raise CertificationError("spectral radius beyond float range")
             # the error is measured from the float actually reported
             abs_err = _float_up(max(upper - Fraction(value), Fraction(value) - lower))
             if abs_err <= tol:

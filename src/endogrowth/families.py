@@ -113,6 +113,22 @@ class Machine:
     def inv(self, a):
         raise NotImplementedError
 
+    def pow(self, x, n: int):
+        """x**n for any integer n, exact.  This default is binary powering,
+        about 2 log2|n| ``mul`` calls; families with a closed form override
+        it, so iterate images with huge exponents cost a few big-int ops."""
+        if n < 0:
+            x = self.inv(x)
+            n = -n
+        mul = self.mul
+        acc = self.identity
+        while n:
+            if n & 1:
+                acc = mul(acc, x)
+            x = mul(x, x)
+            n >>= 1
+        return acc
+
     def steps(self) -> list:
         """Right multiplication by each generator and its inverse, as
         functions ``x -> x*s`` in the order g0, g0^-1, g1, g1^-1, ...: the
@@ -217,6 +233,9 @@ class FreeAbelianMachine(Machine):
     def inv(self, a):
         return tuple(-x for x in a)
 
+    def pow(self, x, n):
+        return tuple(n * c for c in x)
+
     def steps(self):
         return [_bump(i, e) for i in range(self.rank) for e in (1, -1)]
 
@@ -273,6 +292,9 @@ class TorsionProductMachine(Machine):
 
     def inv(self, a):
         return (tuple(-x for x in a[0]), tuple((-x) % m for x, m in zip(a[1], self.torsion)))
+
+    def pow(self, x, n):
+        return (tuple(n * c for c in x[0]), tuple(n * r % m for r, m in zip(x[1], self.torsion)))
 
     def gen_elem(self, i):
         free = tuple(1 if j == i else 0 for j in range(self.rank))
@@ -351,6 +373,11 @@ class HeisenbergMachine(Machine):
     def inv(self, a):
         m, n, l = a
         return (-m, -n, -l + self.k * n * m)
+
+    def pow(self, x, n):
+        # the cross terms k * (j q) * m over j = 0..n-1 sum to k q m n(n-1)/2
+        m, q, l = x
+        return (n * m, n * q, n * l + self.k * q * m * (n * (n - 1) // 2))
 
     def steps(self):
         k = self.k
@@ -514,6 +541,12 @@ class Nil2Machine(Machine):
     def inv(self, a):
         x, z = a
         return (tuple(-p for p in x), tuple(-p + q for p, q in zip(z, self._cocycle(x, x))))
+
+    def pow(self, a, n):
+        # the cocycle is bilinear, so the cross terms sum to n(n-1)/2 cocycle(x, x)
+        x, z = a
+        c = n * (n - 1) // 2
+        return (tuple(n * p for p in x), tuple(n * p + c * q for p, q in zip(z, self._cocycle(x, x))))
 
     def steps(self):
         out = []
@@ -748,6 +781,13 @@ class KleinMachine(Machine):
     def inv(self, a):
         sign = -1 if a[1] % 2 else 1
         return (sign * -a[0], -a[1])
+
+    def pow(self, x, n):
+        # (x^a y^b)^2 = y^(2b) for odd b: the x-parts cancel in pairs
+        a, b = x
+        if b & 1:
+            return (a if n & 1 else 0, n * b)
+        return (n * a, n * b)
 
     def steps(self):
         # x^(+-1) moves the x-exponent by +-1, against the sign when b is odd

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .ball import GrowthEstimate
 from .errors import (
-    CertificationError,
     ClassificationError,
     ContractError,
     InconsistencyError,
@@ -135,46 +134,50 @@ class LengthMin:
 class SolLengthMinimizer:
     """Exact minimizer of n -> 2n + ||A^-n y||_1 over n >= 0.
 
-    Termination is certified: with u the left beta-eigenvector of A,
-    |u . A^-n y| = alpha^n |u . y|, so ||A^-n y||_1 >= alpha^n |u . y| / ||u||_inf
-    grows geometrically; once (trace-1)^n clears the incumbent no later shift
-    can win ((trace-1) <= alpha).
+    Termination is certified in integer arithmetic.  With u the left
+    beta-eigenvector of A, |u . A^-n y| = alpha^n |u . y|, so
+    ||A^-n y||_1 >= alpha^n |u . y| / ||u||_inf grows geometrically; once
+    (trace-1)^n times that bound clears the incumbent no later shift can win
+    ((trace-1) <= alpha).
+
+    Taking u = (l21, beta - l11), 2 u . y = P - y1 sqrt(d) with
+    P = 2 l21 y0 + (t - 2 l11) y1 and d = t^2 - 4.  When P y1 <= 0 the two
+    terms do not cancel and |2 u . y| >= |P| + |y1| isqrt(d).  Otherwise the
+    conjugate bound
+
+        |2 u . y| = |P^2 - d y1^2| / (|P| + |y1| sqrt(d))
+                 >= |P^2 - d y1^2| / (|P| + |y1| (isqrt(d) + 1))
+
+    holds with a nonzero integer numerator, as d is never a square for t > 2.
+    Both sides of the stopping test are then integers, whatever the size of y.
     """
 
     def __init__(self, holonomy: IntMatrix):
         _validate_holonomy(holonomy)
         self.holonomy = holonomy
         self.inverse = inverse_unimodular_2x2(holonomy)
-        (l11, l12), (l21, l22) = holonomy.entries
+        (l11, _), (l21, l22) = holonomy.entries
         t = l11 + l22
         self.d = t * t - 4
-        half = Fraction(1, 2)
-        # left beta-eigenvector (l21, beta - l11); both entries nonzero for valid A
-        self.u1 = Quad.of(l21, 0, self.d)
-        self.u2 = Quad(Fraction(t, 2) - l11, -half, self.d)
-        root_ub = Fraction(isqrt(self.d) + 1)
-        self.u_inf_upper = max(Fraction(abs(l21)), abs(Fraction(t, 2) - l11) + root_ub / 2)
+        self.isqrt_d = isqrt(self.d)
+        self.c0, self.c1 = 2 * l21, t - 2 * l11
+        # 2 ||u||_inf = max(|c0|, |c1 - sqrt(d)|) <= u_inf2
+        self.u_inf2 = max(abs(self.c0), abs(self.c1) + self.isqrt_d + 1)
         self.alpha_floor = t - 1  # alpha = (t + sqrt(t^2-4))/2 >= t - 1 >= 2
 
-    def _certified_lower_abs(self, q: Quad) -> Fraction:
-        """A positive rational r with r <= |q|, for q != 0."""
-        approx = abs(float(q))
-        cand = Fraction(approx) * Fraction(99, 100) if approx > 0 else Fraction(1, 10**9)
-        sq = q * q
-        for _ in range(4000):
-            if cand <= 0:
-                break
-            if Quad.of(cand * cand, 0, self.d) <= sq:
-                return cand
-            cand /= 2
-        raise CertificationError("could not certify a lower bound for the eigenfunctional")
+    def functional_lower(self, y0: int, y1: int) -> tuple[int, int]:
+        """(num, den), positive integers with num / den <= |2 u . y| for y != 0."""
+        p = self.c0 * y0 + self.c1 * y1
+        if p * y1 <= 0:
+            return abs(p) + abs(y1) * self.isqrt_d, 1
+        return abs(p * p - self.d * y1 * y1), abs(p) + abs(y1) * (self.isqrt_d + 1)
 
     def minimize(self, y) -> LengthMin:
         y0, y1 = int(y[0]), int(y[1])
         if y0 == 0 and y1 == 0:
             return LengthMin(0, 0)
-        functional = self.u1 * Quad.of(y0, 0, self.d) + self.u2 * Quad.of(y1, 0, self.d)
-        lower = self._certified_lower_abs(functional)
+        num, den = self.functional_lower(y0, y1)
+        den *= self.u_inf2
         best = abs(y0) + abs(y1)
         best_shift = 0
         w0, w1 = y0, y1
@@ -190,7 +193,7 @@ class SolLengthMinimizer:
             if val < best:
                 best, best_shift = val, n
             growth *= self.alpha_floor
-            if growth * lower >= best * self.u_inf_upper:
+            if growth * num >= best * den:
                 break
         return LengthMin(best, best_shift)
 

@@ -183,27 +183,19 @@ class Endomorphism:
 
 
 def elem_pow(machine, x, n: int):
-    """x**n in the machine by binary powering; n may be any integer."""
-    if n < 0:
-        x = machine.inv(x)
-        n = -n
-    acc = machine.identity
-    while n:
-        if n & 1:
-            acc = machine.mul(acc, x)
-        x = machine.mul(x, x)
-        n >>= 1
-    return acc
+    """x**n in the machine (see ``Machine.pow``); n may be any integer."""
+    return machine.pow(x, n)
 
 
 def evaluate(machine, w: Word):
     """Normal form of the product the word spells, exact."""
     n = len(machine.gens)
+    mul, pow_ = machine.mul, machine.pow
     acc = machine.identity
     for g, e in w.letters:
         if not 0 <= g < n:
             raise UnknownGeneratorError(f"generator index {g} out of range")
-        acc = machine.mul(acc, elem_pow(machine, machine.gen_elem(g), e))
+        acc = mul(acc, pow_(machine.gen_elem(g), e))
     return acc
 
 
@@ -218,9 +210,10 @@ def apply_on_element(machine, images: tuple, x):
     Uses the machine's canonical decomposition, so exponents may be huge
     without any word blowup.
     """
+    mul, pow_ = machine.mul, machine.pow
     acc = machine.identity
     for g, e in machine.decompose(x).letters:
-        acc = machine.mul(acc, elem_pow(machine, images[g], e))
+        acc = mul(acc, pow_(images[g], e))
     return acc
 
 
@@ -249,10 +242,11 @@ class HomVerdict:
 def check_homomorphism(machine, endo: Endomorphism) -> HomVerdict:
     """Valid iff every relator of the machine maps to the identity."""
     images = image_elements(machine, endo)
+    mul, pow_ = machine.mul, machine.pow
     for rel in machine.relators():
         acc = machine.identity
         for g, e in rel.letters:
-            acc = machine.mul(acc, elem_pow(machine, images[g], e))
+            acc = mul(acc, pow_(images[g], e))
         if acc != machine.identity:
             return HomVerdict(False, rel, acc, images)
     return HomVerdict(True, images=images)

@@ -339,6 +339,23 @@ class TestBigIntegers:
         last = json.loads(out.read_text())["empirical"]["rows"][-1]
         assert last["k"] == 45 and last["length"] > 2**63
 
+    def test_compare_sol_beyond_float_range(self, tmp_path):
+        # the torus columns of phi^1000 pass 2^1024; the shift certificate stays in integers
+        out = tmp_path / "sol.json"
+        code = run(
+            [
+                "compare",
+                "--group", fixture_path("sol_ex2.group"),
+                "--endo", fixture_path("sol_ex2.endo"),
+                "--kmax", "1000",
+                "--radius", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        last = json.loads(out.read_text())["empirical"]["rows"][-1]
+        assert last["k"] == 1000 and last["length"] > 2**64
+
     def test_wordlen_bs_huge_a_powers(self, capsys):
         # a^N b a^-N = b^(1/2^N): the normal form never needs 2^N itself
         word = "a^10000000000 b a^-10000000000"

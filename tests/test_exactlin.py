@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endogrowth.errors import DimensionError
+from endogrowth.errors import CertificationError, DimensionError
 from endogrowth.exactlin import (
     IntMatrix,
     IntPolynomial,
@@ -18,6 +19,7 @@ from endogrowth.exactlin import (
     kronecker,
     mat_pow,
     spectral_radius,
+    _float_seed,
     _square_free_part,
 )
 
@@ -191,6 +193,27 @@ class TestCertificate:
         r = spectral_radius(m)
         assert r.dps == 60
         assert r.abs_error <= 1e-9
+
+
+class TestFloatSeed:
+    def test_seed_approximates_the_roots(self):
+        # (x - 1)(x - 2)(x^2 + 1)
+        coeffs = [2, -3, 3, -3, 1]
+        zs = sorted(_float_seed(coeffs), key=lambda z: (z.real, z.imag))
+        for z, root in zip(zs, [-1j, 1j, 1, 2]):
+            assert abs(z - root) <= 1e-12
+
+    def test_coefficient_beyond_float_range_falls_back(self):
+        # x^2 - 10^400: complex() cannot hold the coefficient, so the root
+        # finder starts from its default points and still certifies
+        m = mat([[0, 10**400], [1, 0]])
+        assert _float_seed(list(char_poly(m).coeffs)) is None
+        r = spectral_radius(m, tol=1e190)
+        assert abs(10**200 - Fraction(r.value)) <= r.abs_error <= 1e190
+
+    def test_radius_beyond_float_range_is_a_certification_error(self):
+        with pytest.raises(CertificationError):
+            spectral_radius(mat([[10**400, 0], [0, 1]]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from endogrowth.errors import ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
+from endogrowth.ball import enumerate_ball
 from endogrowth.families import (
     BSMachine,
     FreeAbelianMachine,
     HeisenbergMachine,
     KleinMachine,
+    Machine,
     Nil2Machine,
     SolMachine,
     TorsionProductMachine,
@@ -18,6 +20,8 @@ from endogrowth.families import (
     machine_from_params,
 )
 from endogrowth.words import Endomorphism, check_homomorphism, elem_pow, evaluate, parse_word, validate_endo
+
+from conftest import ALL_MACHINES
 
 
 def random_element(machine, rng, steps=10):
@@ -199,6 +203,41 @@ class TestBigIntegerLengths:
         w = machine.length_upper_word(x)
         assert evaluate(machine, w) == x
         assert machine.length_upper(x) == w.length() >= self.BIG
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_sol_length_upper_beyond_float_range(self, column):
+        # the columns of A^k line up with the expanding direction, where the
+        # shift certificate cancels; 2^1100 is past the float range
+        a = IntMatrix.from_rows([[2, 1], [1, 1]])
+        sol = SolMachine(a)
+        p = mat_pow(a, 800).entries
+        for x in (((2**1100, -(2**1100)), 3), ((p[0][column], p[1][column]), -5)):
+            assert max(abs(c) for c in x[0]) >= 2**1100
+            w = sol.length_upper_word(x)
+            assert evaluate(sol, w) == x
+            assert sol.length_upper(x) == w.length()
+
+
+class TestPow:
+    def test_matches_repeated_mul(self, any_machine):
+        for x in enumerate_ball(any_machine, 3).dist:
+            inverse = any_machine.inv(x)
+            for n in range(-12, 13):
+                expected = any_machine.identity
+                for _ in range(abs(n)):
+                    expected = any_machine.mul(expected, x if n > 0 else inverse)
+                assert any_machine.pow(x, n) == expected, (x, n)
+
+    @pytest.mark.parametrize(
+        "machine",
+        [m for m in ALL_MACHINES if type(m).pow is not Machine.pow],
+        ids=lambda m: f"{m.family}:{','.join(m.gens.names)}",
+    )
+    def test_closed_form_matches_binary_powering(self, machine):
+        n = 2**200 + 12345
+        for x in list(enumerate_ball(machine, 2).dist)[:25]:
+            for e in (n, -n, n + 1):
+                assert machine.pow(x, e) == Machine.pow(machine, x, e), (x, e)
 
 
 class TestSolHolonomy:

@@ -1,11 +1,12 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from endogrowth.ball import enumerate_ball, gr_estimate
 from endogrowth.errors import ContractError, ValidationError
-from endogrowth.exactlin import IntMatrix, mat_vec
+from endogrowth.exactlin import IntMatrix, mat_pow, mat_vec
 from endogrowth.families import SolMachine
 from endogrowth.reports import parse_endo
 from endogrowth.solgr import (
@@ -166,6 +167,14 @@ class TestLengthMinimizer:
                 brute = min(brute, 2 * n + abs(w[0]) + abs(w[1]))
             assert best.value == brute
 
+    def test_big_coordinates_stay_integral(self):
+        # the certificate never leaves the integers, whatever the size of y
+        minimizer = SolLengthMinimizer(A_23)
+        column = mat_vec(mat_pow(A_23, 1500), (0, 1))
+        assert column[1] > 2**2000
+        best = minimizer.minimize(column)
+        assert best.shift > 0 and best.value <= 2 * 1500 + 1
+
     def test_dominates_geodesics(self, sol_fib):
         ball = enumerate_ball(sol_fib, 10, cap=500_000)
         minimizer = SolLengthMinimizer(A_FIB)
@@ -266,3 +275,81 @@ class TestInvariants:
         e = sol_endo_from_matrix(sol_fib, M_ROOT5)
         e2 = SolEndo(A_FIB, "I", M_ROOT5 @ M_ROOT5, (0, 0), 1)
         assert abs(gr_sol_closed(e2).value - gr_sol_closed(e).value ** 2) <= 1e-9
+
+
+def random_holonomies(rng, count):
+    """Seeded integer matrices with determinant 1 and trace > 2."""
+    out = []
+    while len(out) < count:
+        a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
+        if a * d - b * c == 1 and a + d > 2:
+            out.append(IntMatrix.from_rows([[a, b], [c, d]]))
+    return out
+
+
+def certificate_cases(rng):
+    """(holonomy, y): random small vectors, and the columns of A^k, which lie
+    ever closer to the expanding direction, where the functional cancels."""
+    for a in random_holonomies(rng, 8):
+        for _ in range(250):
+            y = (rng.randint(-300, 300), rng.randint(-300, 300))
+            if y != (0, 0):
+                yield a, y
+        for k in range(0, 701, 25):
+            power = mat_pow(a, k).entries
+            for i in range(2):
+                yield a, (power[0][i], power[1][i])
+
+
+def brute_force_min(a, y):
+    """min over shifts 0 <= n < |y|_1 / 2 of 2n + |A^-n y|_1, with no certificate.
+
+    A shift with 2n >= best cannot beat best, so the scan stops there; that
+    leaves the minimum over the whole range unchanged."""
+    (a11, a12), (a21, a22) = a.entries
+    w0, w1 = y
+    best = abs(w0) + abs(w1)
+    n = 0
+    while 2 * (n + 1) < best:
+        n += 1
+        w0, w1 = a22 * w0 - a12 * w1, -a21 * w0 + a11 * w1
+        best = min(best, 2 * n + abs(w0) + abs(w1))
+    return best
+
+
+class TestShiftCertificate:
+    def test_lower_bound_is_sound_and_tight(self):
+        checked = 0
+        for a, (y0, y1) in certificate_cases(random.Random(2026)):
+            minimizer = SolLengthMinimizer(a)
+            num, den = minimizer.functional_lower(y0, y1)
+            assert num > 0 and den > 0
+            (l11, _), (l21, l22) = a.entries
+            t = l11 + l22
+            # 2 u . y cancels to about |y|^-1, so the reference needs 2 log10|y| digits
+            digits = 2 * len(str(max(abs(y0), abs(y1)))) + 60
+            with mpmath.workdps(digits):
+                exact = abs(2 * l21 * y0 + (t - 2 * l11) * y1 - y1 * mpmath.sqrt(t * t - 4))
+                assert mpmath.mpf(num) / den <= exact, (a.entries, y0, y1)
+                # sqrt(d) / (isqrt(d) + 1) >= sqrt(5) / 3 for every d >= 5
+                assert mpmath.mpf(num) / den >= exact * 0.74, (a.entries, y0, y1)
+            checked += 1
+        assert checked > 2000
+
+    def test_norm_bound_covers_the_eigenvector(self):
+        # |u . w| <= |u|_inf |w|_1 turns the functional into a length bound
+        for a in random_holonomies(random.Random(2028), 40):
+            (l11, _), (l21, l22) = a.entries
+            t = l11 + l22
+            with mpmath.workdps(50):
+                two_u_inf = max(abs(2 * l21), abs(t - 2 * l11 - mpmath.sqrt(t * t - 4)))
+                assert SolLengthMinimizer(a).u_inf2 >= two_u_inf
+
+    def test_minimize_is_exact(self):
+        checked = 0
+        for a, y in certificate_cases(random.Random(2027)):
+            if abs(y[0]) + abs(y[1]) >= 20000:
+                continue
+            assert SolLengthMinimizer(a).minimize(y).value == brute_force_min(a, y), (a.entries, y)
+            checked += 1
+        assert checked > 2000
