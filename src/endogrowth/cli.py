@@ -231,7 +231,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceCapExceeded as exc:
-        print(f"resource cap: {exc} (completed radius {exc.completed_radius})", file=sys.stderr)
+        done = "" if exc.completed_radius is None else f" (completed radius {exc.completed_radius})"
+        print(f"resource cap: {exc}{done}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CertificationError, ContractError, InconsistencyError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

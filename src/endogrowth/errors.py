@@ -38,13 +38,15 @@ class InconsistencyError(EndoGrowthError, ValueError):
 
 
 class ResourceCapExceeded(EndoGrowthError, RuntimeError):
-    """Enumeration hit the element cap.
+    """Enumeration hit the element cap, or an element would outgrow its size
+    budget.
 
     Carries the partially completed result: ``partial`` is whatever was
-    fully explored, ``completed_radius`` the largest radius it covers.
+    fully explored, ``completed_radius`` the largest radius it covers (None
+    when no enumeration was under way).
     """
 
-    def __init__(self, message, completed_radius, partial=None):
+    def __init__(self, message, completed_radius=None, partial=None):
         super().__init__(message)
         self.completed_radius = completed_radius
         self.partial = partial

@@ -1,9 +1,10 @@
 """Exact integer matrices, characteristic polynomials, and certified spectral radii.
 
-Everything here is arbitrary precision: matrix products and powers never
-overflow, characteristic polynomials are computed exactly over the integers,
-and spectral radii come with a rigorous absolute error bound derived from the
-exact polynomial (no silent reliance on floating-point eigensolvers).
+Everything here is arbitrary precision integer arithmetic: matrix products
+and powers never overflow, characteristic polynomials are computed exactly
+(modulo primes, recombined under a rigorous coefficient bound), and spectral
+radii come with a rigorous absolute error bound derived from the exact
+polynomial (no silent reliance on floating-point eigensolvers).
 
 A spectral radius is certified from approximate roots z_1..z_n of the monic
 radical p of the characteristic polynomial by two inclusion theorems, both
@@ -18,15 +19,16 @@ evaluated in exact dyadic integer arithmetic:
   is at least |z_m| - n |p(z_m) / p'(z_m)| for the approximation z_m of
   largest modulus.
 
-Both bounds are linear in the residual, so a root finder's working precision
-carries straight through to the certificate.  The reported error is measured
-from the float value actually returned.
+Both bounds are linear in the residual, so the root finder's working
+precision carries straight through to the certificate.  The reported error
+is measured from the float value actually returned.
 
-The multiprecision root finder starts from double-precision roots found by
-the same Durand-Kerner iteration in plain ``complex``.  That float seed only
-sets starting points, never the certificate: the bounds above are computed
-from whatever approximations the root finder returns, and a seed that cannot
-be formed falls back to the root finder's default start.
+The roots are found by Durand-Kerner (Weierstrass) sweeps on Gaussian
+integers scaled by 2^t, started from double-precision roots found by the
+same iteration in plain ``complex``.  That float seed only sets starting
+points, never the certificate: the bounds above are computed from whatever
+approximations the sweeps end with, and a seed that cannot be formed falls
+back to points on a root-bounding circle.
 
 All values are immutable after construction and all operations are pure, so
 concurrent use from any number of threads is safe.
@@ -35,11 +37,10 @@ concurrent use from any number of threads is safe.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import CertificationError, DimensionError
 
@@ -209,9 +210,10 @@ class SpectralResult:
 
     ``value - abs_error <= true max root modulus <= value + abs_error``, and
     every entry of ``roots`` substituted into ``char_poly`` leaves a residual
-    of modulus at most ``max_residual``.  ``dps`` is the precision rung, in
-    decimal digits, at which the certificate met the tolerance (0 when no
-    root finding was needed).
+    of modulus at most ``max_residual``.  ``value`` is the correctly rounded
+    float of the modulus of the largest root approximation.  ``bits`` is the
+    precision rung, in fractional bits of the root approximations, at which
+    the certificate met the tolerance (0 when no root finding was needed).
     """
 
     value: float
@@ -219,7 +221,7 @@ class SpectralResult:
     char_poly: IntPolynomial
     roots: tuple[complex, ...]
     max_residual: float
-    dps: int
+    bits: int
 
 
 def _require_square(m: IntMatrix):
@@ -230,22 +232,27 @@ def _require_square(m: IntMatrix):
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M), monic.
 
-    Faddeev-LeVerrier over the integers; the interior divisions are exact.
+    Computed modulo primes below 2**61 (``_char_poly_mod``) and combined by
+    the Chinese remainder theorem until the product of the primes exceeds
+    2 (1 + R)^n, R the largest absolute row sum: by Gerschgorin every
+    eigenvalue has modulus at most R, so the coefficient of x^(n-k) is at
+    most C(n, k) R^k <= (1 + R)^n in absolute value and its symmetric
+    residue is exact.
     """
     _require_square(m)
     n = m.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    acc = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        acc = m @ acc
-        tr = acc.trace()
-        if tr % k != 0:
-            raise CertificationError("Faddeev-LeVerrier division was not exact")
-        c = -tr // k
-        coeffs[n - k] = c
-        acc = acc + IntMatrix.identity(n).scale(c)
-    return IntPolynomial(tuple(coeffs))
+    r = max(sum(abs(a) for a in row) for row in m.entries)
+    bound = 2 * (1 + r) ** n
+    coeffs, modulus = [0] * (n + 1), 1
+    for q in _primes():
+        residues = _char_poly_mod(m.entries, q)
+        k = pow(modulus, -1, q)
+        coeffs = [c + modulus * ((x - c) * k % q) for c, x in zip(coeffs, residues)]
+        modulus *= q
+        if modulus > bound:
+            break
+    half = modulus // 2
+    return IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
 
 
 def det(m: IntMatrix) -> int:
@@ -323,15 +330,130 @@ def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out))
 
 
-_PRECISION_LADDER = (60, 120, 240, 480, 960)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which is exact
+    for odd q < 2^64."""
+    if any(q % b == 0 for b in _MR_BASES):
+        return q in _MR_BASES
+    d, s = q - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_below(n: int) -> int:
+    q = n - 1 if n % 2 == 0 else n - 2
+    while not _is_prime(q):
+        q -= 2
+    return q
+
+
+def _primes():
+    """The primes below 2**61 in descending order, starting at 2**61 - 1."""
+    q = 1 << 61
+    while True:
+        q = _prime_below(q)
+        yield q
+
+
+def _char_poly_mod(rows, q: int) -> list[int]:
+    """Ascending coefficients of det(xI - M) modulo the prime q.
+
+    M is reduced to upper Hessenberg form over F_q by similarity
+    transformations, pivoting on any nonzero entry below the subdiagonal,
+    which over a field never fails; the characteristic polynomial of the
+    Hessenberg matrix then follows from the recurrence on its leading
+    principal minors (the Hessenberg method, Cohen 1993).  O(n^3)
+    operations modulo q.
+    """
+    n = len(rows)
+    h = [[a % q for a in row] for row in rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, q)
+        pivot_row = h[j + 1]
+        # E H E^-1 with E = I - u e_(j+1)^T: subtract u_i times row j+1 from
+        # each row i, then add sum_i u_i times column i to column j+1
+        us = [(i, h[i][j] * inv % q) for i in range(j + 2, n) if h[i][j]]
+        for i, u in us:
+            h[i][j:] = [(a - u * b) % q for a, b in zip(h[i][j:], pivot_row[j:])]
+        if us:
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(u * row[i] for i, u in us)) % q
+    # p_(m+1) = (x - h_mm) p_m - sum_(i=1..m) h_(m-i+1,m-i)...h_(m,m-1) h_(m-i,m) p_(m-i)
+    polys = [[1]]
+    for m in range(n):
+        new = [0] + polys[m]
+        for k, c in enumerate(polys[m]):
+            new[k] -= h[m][m] * c
+        t = 1
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % q
+            f = t * h[m - i][m] % q
+            if f:
+                for k, c in enumerate(polys[m - i]):
+                    new[k] -= f * c
+        polys.append([c % q for c in new])
+    return polys[n]
+
+
+def _coprime_mod(a, b, q: int) -> bool:
+    """Whether the integer polynomials ``a`` and ``b`` (ascending) have gcd 1
+    over F_q, by Euclid modulo the prime q."""
+
+    def reduced(p):
+        p = [c % q for c in p]
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    a, b = reduced(a), reduced(b)
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            f = a[-1] * inv % q
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - f * c) % q
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def _square_free_part(coeffs):
     """Monic radical of a monic integer polynomial (ascending coefficients).
 
     The radical p/gcd(p, p') of a monic integer polynomial is again monic with
-    integer coefficients and has the same root set, all simple.
+    integer coefficients and has the same root set, all simple.  Most inputs
+    are square-free already, which a gcd modulo one prime q > deg p proves:
+    a common factor of p and p' over Q is, by Gauss's lemma, a monic integer
+    polynomial and survives reduction modulo q.  Only when that test fails
+    is the gcd computed by exact rational Euclid.
     """
+    dp = [k * c for k, c in enumerate(coeffs)][1:]
+    if _coprime_mod(coeffs, dp, next(_primes())):
+        return list(coeffs)
 
     def normalize(p):
         while p and p[-1] == 0:
@@ -350,8 +472,7 @@ def _square_free_part(coeffs):
         return a
 
     p = [Fraction(c) for c in coeffs]
-    dp = normalize([Fraction(k * c) for k, c in enumerate(coeffs)][1:])
-    a, b = p[:], dp
+    a, b = p[:], normalize([Fraction(c) for c in dp])
     while b:
         a, b = b, polymod(a, b)
     g = [c / a[-1] for c in a]  # monic gcd
@@ -368,14 +489,6 @@ def _square_free_part(coeffs):
             raise CertificationError("square-free part was not integral")
         out.append(int(c))
     return out
-
-
-def _dyadic(x):
-    """(m, e) with the mpf ``x`` equal to m * 2**e exactly; None for inf or nan."""
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        return (0, 0) if not exp else None
-    return (-int(man) if sign else int(man), exp)
 
 
 def _gauss_mul(a, b):
@@ -404,15 +517,38 @@ def _sqrt_fixed(num, den, t, up):
     return r
 
 
-def _inclusion_bounds(coeffs, zs, t):
-    """Rigorous (lower, upper) for the max root modulus of a monic radical.
+def _scaled(coeffs, t):
+    """Coefficients of P(Z) = 2^(tn) p(Z / 2^t), so that P takes a root
+    approximation z = Z / 2^t with Z a Gaussian integer to an integer."""
+    n = len(coeffs) - 1
+    return [c << (t * (n - k)) for k, c in enumerate(coeffs)]
 
-    ``coeffs`` are the exact integer coefficients (ascending, monic, simple
-    roots), ``zs`` approximations of all its roots.  Each z_i is read exactly
-    as Z_i / 2**s with Z_i a Gaussian integer, so p(z_i), p'(z_m) and the
-    products of differences are exact integers; only the final square roots
-    round, outward, to ``t`` fractional bits.  Returns Fractions, or None
-    when two approximations coincide or p'(z_m) vanishes.
+
+def _weierstrass(scaled, zs):
+    """(P(Z_i), Q_i) for each approximation, Q_i = prod_(j != i) (Z_i - Z_j).
+
+    At scale t, the Weierstrass correction p(z_i) / prod_(j != i) (z_i - z_j)
+    is P(Z_i) / (2^t Q_i), so in units of 2^-t it is P(Z_i) / Q_i.
+    """
+    out = []
+    for i, zi in enumerate(zs):
+        q = (1, 0)
+        for j, zj in enumerate(zs):
+            if j != i:
+                q = _gauss_mul(q, (zi[0] - zj[0], zi[1] - zj[1]))
+        out.append((_horner(scaled, zi), q))
+    return out
+
+
+def _inclusion_bounds(scaled, zs, t, weierstrass):
+    """Rigorous (lower, upper) for the max root modulus of a monic radical p.
+
+    ``zs`` approximate all roots of p as Gaussian integers Z_i at scale
+    ``t`` (z_i = Z_i / 2^t), ``scaled`` are the coefficients of P (see
+    ``_scaled``) and ``weierstrass`` the pairs of ``_weierstrass``, so p(z_i),
+    p'(z_m) and the products of differences are exact integers; only the
+    final square roots round, outward, to ``t`` fractional bits.  Returns
+    Fractions, or None when two approximations coincide or p'(z_m) vanishes.
 
     Upper bound: p is the characteristic polynomial of diag(z) - W 1^T with
     W_i = p(z_i) / prod_{j != i} (z_i - z_j), so by Gerschgorin every root
@@ -420,45 +556,67 @@ def _inclusion_bounds(coeffs, zs, t):
     Lower bound: p'/p = sum 1/(x - root), so some root lies within
     n |p(z)/p'(z)| of any z; take the approximation z_m of largest modulus.
     """
-    parts = [(_dyadic(z.real), _dyadic(z.imag)) for z in zs]
-    if any(d is None for pair in parts for d in pair):
-        return None
-    s = max(0, -min(e for pair in parts for _, e in pair))
-    big = [tuple(m << (e + s) for m, e in pair) for pair in parts]
-    n = len(coeffs) - 1
-    # P(Z) = sum c_k Z^k 2^(s(n-k)) = 2^(sn) p(Z / 2^s), and P'(Z) = 2^(s(n-1)) p'(Z / 2^s)
-    scaled = [c << (s * (n - k)) for k, c in enumerate(coeffs)]
-    d2 = 1 << (2 * s)
-
+    n = len(scaled) - 1
+    d2 = 1 << (2 * t)
     upper = 0
-    for i, zi in enumerate(big):
-        q = (1, 0)
-        for j, zj in enumerate(big):
-            if j != i:
-                q = _gauss_mul(q, (zi[0] - zj[0], zi[1] - zj[1]))
+    for zi, (pz, q) in zip(zs, weierstrass):
         if not _abs2(q):
             return None
-        # |z_i| = |Z_i| / 2^s and |W_i| = |P(Z_i)| / (2^s |Q_i|)
+        # |z_i| = |Z_i| / 2^t and |W_i| = |P(Z_i)| / (2^t |Q_i|)
         bound = _sqrt_fixed(_abs2(zi), d2, t, True) + n * _sqrt_fixed(
-            _abs2(_horner(scaled, zi)), d2 * _abs2(q), t, True
+            _abs2(pz), d2 * _abs2(q), t, True
         )
         upper = max(upper, bound)
 
-    zm = max(big, key=_abs2)
-    dp_abs2 = _abs2(_horner([k * c for k, c in enumerate(scaled)][1:], zm))
+    m = max(range(n), key=lambda i: _abs2(zs[i]))
+    dp_abs2 = _abs2(_horner([k * c for k, c in enumerate(scaled)][1:], zs[m]))
     if not dp_abs2:
         return None
-    # |p(z_m) / p'(z_m)| = |P(Z_m)| / (2^s |P'(Z_m)|)
-    lower = _sqrt_fixed(_abs2(zm), d2, t, False) - n * _sqrt_fixed(
-        _abs2(_horner(scaled, zm)), d2 * dp_abs2, t, True
+    # P'(Z) = 2^(t(n-1)) p'(Z / 2^t), so |p(z_m) / p'(z_m)| = |P(Z_m)| / (2^t |P'(Z_m)|)
+    lower = _sqrt_fixed(_abs2(zs[m]), d2, t, False) - n * _sqrt_fixed(
+        _abs2(weierstrass[m][0]), d2 * dp_abs2, t, True
     )
     return Fraction(max(lower, 0), 1 << t), Fraction(upper, 1 << t)
 
 
 def _float_up(x: Fraction) -> float:
-    """Smallest float >= x."""
-    f = float(x)
+    """Smallest float >= x, or inf beyond float range."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return math.inf
     return math.nextafter(f, math.inf) if Fraction(f) < x else f
+
+
+def _sqrt_float_up(num: int, den: int) -> float:
+    """A float >= sqrt(num / den), within a few units in the last place."""
+    if not num:
+        return 0.0
+    t = max(0, (den.bit_length() - num.bit_length()) // 2 + 64)
+    return _float_up(Fraction(_sqrt_fixed(num, den, t, True), 1 << t))
+
+
+def _float_modulus(z, t: int) -> float:
+    """The float nearest to |Z| / 2^t, correctly rounded.
+
+    isqrt gives |Z| with at least 59 significant bits; a sticky bit below
+    them marks an inexact square root, which keeps the one rounding of the
+    integer division exact.
+    """
+    a = _abs2(z)
+    e = max(0, 60 - a.bit_length() // 2)
+    r = math.isqrt(a << (2 * e))
+    inexact = r * r != a << (2 * e)
+    try:
+        return (2 * r + inexact) / (1 << (t + e + 1))
+    except OverflowError:
+        raise CertificationError("spectral radius beyond float range") from None
+
+
+def _to_fixed(x: float, t: int) -> int:
+    """floor(x * 2^t) for a finite float x."""
+    num, den = x.as_integer_ratio()
+    return (num << t) // den
 
 
 _SEED_SWEEPS = 500
@@ -469,9 +627,9 @@ def _float_seed(coeffs):
 
     Durand-Kerner (Kerner 1966) in plain ``complex`` from points spread on a
     circle of Fujiwara's root-bound radius.  The result only moves the
-    starting points of the certified root finder; None, meaning its default
-    start, when a coefficient overflows ``complex``, a product of root
-    differences vanishes, or a value becomes non-finite.
+    starting points of the certified root finder; None, meaning its integer
+    start on the same circle, when a coefficient overflows ``complex``, a
+    product of root differences vanishes, or a value becomes non-finite.
     """
     n = len(coeffs) - 1
     try:
@@ -503,12 +661,64 @@ def _float_seed(coeffs):
     return zs
 
 
+def _circle_start(coeffs, t):
+    """Starting points on a circle enclosing every root, as Gaussian
+    integers at scale t: radius 2 max_k |c_(n-k)|^(1/k) (Fujiwara) rounded
+    up to a power of two, angles as in ``_float_seed``."""
+    n = len(coeffs) - 1
+    bits = max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(coeffs[:-1]))
+    radius = 1 << (bits + 1 + t)
+    angles = [2 * math.pi * k / n + 0.4 for k in range(n)]
+    return [
+        (radius * _to_fixed(math.cos(a), 60) >> 60, radius * _to_fixed(math.sin(a), 60) >> 60)
+        for a in angles
+    ]
+
+
+# Fractional bits of the root approximations at each rung (the first holds
+# 60 decimal digits with guard bits), and the Durand-Kerner sweeps allowed
+# per rung.
+_RUNGS = (208, 416, 832, 1664, 3328)
+_RUNG_SWEEPS = 100
+
+
+def _round_div(a, b):
+    """The Gaussian integer nearest to a / b, or None when b = 0."""
+    den = _abs2(b)
+    if not den:
+        return None
+    # a / b = a conj(b) / |b|^2
+    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+    return (2 * re + den) // (2 * den), (2 * im + den) // (2 * den)
+
+
+def _durand_kerner(scaled, zs):
+    """Durand-Kerner (Weierstrass) sweeps on the Gaussian integers ``zs`` at
+    the scale of ``scaled``: each sweep moves every approximation at once by
+    its Weierstrass correction P(Z_i) / Q_i rounded to a Gaussian integer,
+    until no correction exceeds one unit, two approximations coincide, or
+    ``_RUNG_SWEEPS`` sweeps are done.  Returns the approximations and their
+    ``_weierstrass`` pairs."""
+    for _ in range(_RUNG_SWEEPS):
+        wei = _weierstrass(scaled, zs)
+        moves = [_round_div(pz, q) for pz, q in wei]
+        if None in moves or max(max(abs(dr), abs(di)) for dr, di in moves) <= 1:
+            return zs, wei
+        zs = [(zr - dr, zi - di) for (zr, zi), (dr, di) in zip(zs, moves)]
+    return zs, _weierstrass(scaled, zs)
+
+
 def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
     """Max eigenvalue modulus, certified to absolute tolerance ``tol``.
 
-    Deterministic for fixed input and tolerance.  Raises CertificationError
-    rather than returning a loose answer when the precision ladder is
-    exhausted without meeting ``tol``.
+    The roots of the radical are refined by Durand-Kerner sweeps on Gaussian
+    integers at scale 2^t, started from ``_float_seed`` (or from
+    ``_circle_start`` when there is no seed), until the rounded Weierstrass
+    corrections are at most one unit; the approximations then go to
+    ``_inclusion_bounds``.  Each rung of ``_RUNGS`` doubles t and carries the
+    approximations over.  Deterministic for fixed input and tolerance.
+    Raises CertificationError rather than returning a loose answer when the
+    last rung ends without meeting ``tol``.
     """
     _require_square(m)
     if not tol > 0:
@@ -529,34 +739,41 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         return SpectralResult(0.0, 0.0, p, roots, 0.0, 0)
 
     seed = _float_seed(coeffs)
-    for dps in _PRECISION_LADDER:
-        with mpmath.workdps(dps):
-            try:
-                zs = mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(coeffs)],
-                    maxsteps=400,
-                    extraprec=80,
-                    roots_init=seed and [mpmath.mpc(z) for z in seed],
-                )
-            except mpmath.libmp.NoConvergence:
-                continue
-            bounds = _inclusion_bounds(coeffs, zs, mpmath.mp.prec)
-            if bounds is None:
-                continue
-            lower, upper = bounds
-            value = float(max(abs(z) for z in zs))
-            if not math.isfinite(value):
-                raise CertificationError("spectral radius beyond float range")
-            # the error is measured from the float actually reported
-            abs_err = _float_up(max(upper - Fraction(value), Fraction(value) - lower))
-            if abs_err <= tol:
-                roots = tuple(complex(z) for z in zs)
-                if zero_mult:
-                    roots += (complex(0),)
-                # residual bound documented for the rounded roots as returned
-                rev = [mpmath.mpf(c) for c in reversed(p.coeffs)]
-                max_res = max(abs(mpmath.polyval(rev, mpmath.mpc(z))) for z in roots)
-                return SpectralResult(value, abs_err, p, roots, float(max_res), dps)
+    t = _RUNGS[0]
+    if seed is None:
+        zs = _circle_start(coeffs, t)
+    else:
+        zs = [(_to_fixed(z.real, t), _to_fixed(z.imag, t)) for z in seed]
+    for rung in _RUNGS:
+        zs = [(re << (rung - t), im << (rung - t)) for re, im in zs]
+        t = rung
+        scaled = _scaled(coeffs, t)
+        zs, wei = _durand_kerner(scaled, zs)
+        bounds = _inclusion_bounds(scaled, zs, t, wei)
+        if bounds is None:
+            continue
+        lower, upper = bounds
+        value = _float_modulus(max(zs, key=_abs2), t)
+        # the error is measured from the float actually reported
+        abs_err = _float_up(max(upper - Fraction(value), Fraction(value) - lower))
+        if abs_err <= tol:
+            roots = tuple(complex(zr / (1 << t), zi / (1 << t)) for zr, zi in zs)
+            if zero_mult:
+                roots += (complex(0),)
+            return SpectralResult(value, abs_err, p, roots, _max_residual(p.coeffs, roots), t)
     raise CertificationError(
         f"spectral radius of {m.rows}x{m.cols} matrix not certified to {tol}"
     )
+
+
+def _max_residual(coeffs, roots) -> float:
+    """A float >= max |p(z)| over the float roots z, evaluated exactly: each
+    z is a dyadic Gaussian rational Z / 2^s."""
+    n = len(coeffs) - 1
+    out = 0.0
+    for z in roots:
+        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        s = max(da, db).bit_length() - 1
+        pz = _horner(_scaled(coeffs, s), (a * ((1 << s) // da), b * ((1 << s) // db)))
+        out = max(out, _sqrt_float_up(_abs2(pz), 1 << (2 * s * n)))
+    return out

@@ -21,8 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .exactlin import IntMatrix, mat_vec
+from .errors import ResourceCapExceeded, ValidationError
+from .exactlin import IntMatrix, mat_pow, mat_vec
 from .solgr import SolLengthMinimizer
 from .words import GenSet, Word, commutator_word
 
@@ -37,6 +37,7 @@ __all__ = [
     "BSMachine",
     "MACHINES",
     "PARAM_TYPES",
+    "SOL_POWER_BITS",
     "check_params",
     "klein_restricted_matrix",
     "machine_from_params",
@@ -52,6 +53,13 @@ def _list_of(ok):
 
 
 _int_matrix = _list_of(_list_of(_int))
+
+# Sol holonomy powers A^t with |t| up to _SOL_POWER_CACHE are cached per
+# machine (a Cayley-ball search of radius r steps through |t| <= r); larger
+# ones are computed when asked for, and refused with ResourceCapExceeded when
+# their entries would exceed SOL_POWER_BITS bits (half a megabyte each).
+_SOL_POWER_CACHE = 64
+SOL_POWER_BITS = 1 << 22
 
 # Descriptor parameter types, by the names the schemas use.
 PARAM_TYPES = {
@@ -145,6 +153,10 @@ class Machine:
         raise NotImplementedError
 
     def relators(self) -> list[Word]:
+        """The relators an assignment of generator images can fail: an
+        endomorphism is valid iff each maps to the identity.  A family whose
+        machine is abelian leaves out the commutator relators, which images
+        in an abelian group always satisfy."""
         raise NotImplementedError
 
     def decompose(self, elem) -> Word:
@@ -243,11 +255,7 @@ class FreeAbelianMachine(Machine):
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def relators(self):
-        return [
-            commutator_word(_gen_word(i), _gen_word(j))
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-        ]
+        return []
 
     def decompose(self, elem):
         return _letters(*((i, x) for i, x in enumerate(elem)))
@@ -302,14 +310,7 @@ class TorsionProductMachine(Machine):
         return (free, tors)
 
     def relators(self):
-        n = self.rank + len(self.torsion)
-        rels = [
-            commutator_word(_gen_word(i), _gen_word(j))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        rels += [_gen_word(self.rank + j, b) for j, b in enumerate(self.torsion)]
-        return rels
+        return [_gen_word(self.rank + j, b) for j, b in enumerate(self.torsion)]
 
     def _short_residue(self, r, m):
         return r if r <= m - r else r - m
@@ -684,6 +685,13 @@ class SolMachine(Machine):
         object.__setattr__(self, "_pow_cache", {0: IntMatrix.identity(2)})
 
     def holonomy_power(self, t: int) -> IntMatrix:
+        """A^t for any integer t: cached for small |t| (the steps of a ball
+        of that radius), otherwise by binary powering, after checking that
+        its entries, of about |t| log2(alpha) bits, stay within
+        SOL_POWER_BITS (ResourceCapExceeded past it)."""
+        if abs(t) > _SOL_POWER_CACHE:
+            self._check_power_size(t)
+            return mat_pow(self.matrix, t) if t > 0 else mat_pow(self._inv_matrix, -t)
         cache = self._pow_cache
         if t not in cache:
             # the cached exponents form a range around 0: extend it up to t
@@ -698,15 +706,45 @@ class SolMachine(Machine):
                 cache[k] = power
         return cache[t]
 
+    def _check_power_size(self, t: int):
+        # log2(trace A) >= log2(alpha), alpha the expanding eigenvalue
+        bits = abs(t) * math.log2(self.matrix.trace())
+        if bits > SOL_POWER_BITS:
+            raise ResourceCapExceeded(
+                f"A^{t} has entries of about {bits:.3g} bits, past the budget of {SOL_POWER_BITS}"
+            )
+
     def mul(self, a, b):
         (va, ta), (vb, tb) = a, b
+        if vb == (0, 0):
+            return (va, ta + tb)
         w = mat_vec(self.holonomy_power(ta), vb)
         return ((va[0] + w[0], va[1] + w[1]), ta + tb)
 
     def inv(self, a):
         v, t = a
+        if v == (0, 0):
+            return (v, -t)
         w = mat_vec(self.holonomy_power(-t), v)
         return ((-w[0], -w[1]), -t)
+
+    def pow(self, x, n):
+        """(v, t)^n = ((I + B + ... + B^(n-1)) v, nt) with B = A^t, the
+        geometric sum by doubling: S_2k = S_k (I + B^k), S_(k+1) = I + B S_k."""
+        if n < 0:
+            x, n = self.inv(x), -n
+        (v0, v1), t = x
+        if n == 0 or (v0, v1) == (0, 0) or t == 0:
+            return ((n * v0, n * v1), n * t)
+        self._check_power_size(n * t)
+        base = self.holonomy_power(t)
+        one = IntMatrix.identity(2)
+        total, power = one, base  # S_k and B^k for the leading bits k of n
+        for bit in bin(n)[3:]:
+            total, power = total @ (one + power), power @ power
+            if bit == "1":
+                total, power = one + base @ total, power @ base
+        return (mat_vec(total, (v0, v1)), n * t)
 
     def steps(self):
         power = self.holonomy_power
@@ -757,6 +795,10 @@ class SolMachine(Machine):
         (v1, v2), t = elem
         best = self._len_min.minimize((v1, v2))
         return best.value + abs(t)
+
+    def length_lower(self, elem):
+        """The tau-exponent moves by one per tau letter."""
+        return abs(elem[1])
 
     def cyclic_inner_length(self, gen_index, elem):
         return super().cyclic_inner_length(gen_index, elem[0] + (elem[1],))

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,25 @@ from endogrowth.families import (
     TorsionProductMachine,
 )
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "endogrowth" / "fixtures"
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
+FIXTURE_DIR = SRC_DIR / "endogrowth" / "fixtures"
+
+# Run in a child interpreter, optionally with its address space capped, so
+# that a runaway allocation ends the child with MemoryError and not the run.
+_CHILD_PRELUDE = """
+import resource, sys
+limit = int(sys.argv[1])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+"""
+
+
+def run_child(code, *args, limit_mb=0, timeout=120):
+    """CompletedProcess of ``python -c code *args`` importing this checkout's
+    endogrowth, with RLIMIT_AS set to ``limit_mb`` MiB in the child when given."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    argv = [sys.executable, "-c", _CHILD_PRELUDE + code, str(limit_mb << 20), *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def load_fixture(name):

@@ -146,6 +146,17 @@ class TestCommands:
         assert code == 0
         assert json.loads(out.read_text())["valid"] is True
 
+    def test_check_rejects_a_torsion_relator_violation(self, tmp_path):
+        # beta has order 2, but alpha, its image, has infinite order
+        (tmp_path / "e.json").write_text(json.dumps({"images": {"alpha": "alpha", "beta": "alpha"}}))
+        out = tmp_path / "check.json"
+        argv = ["check", "--group", fixture_path("counter.group"), "--endo", str(tmp_path / "e.json")]
+        assert run([*argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["valid"] is False
+        assert report["violated_relator"] == "beta^2"
+        assert run(["closed", *argv[1:], "--out", str(out)]) == 2
+
     def test_ball_csv(self, capsys):
         code = run(["ball", "--group", fixture_path("heis_ex1.group"), "--radius", "2", "--format", "csv"])
         assert code == 0

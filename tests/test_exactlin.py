@@ -19,9 +19,12 @@ from endogrowth.exactlin import (
     kronecker,
     mat_pow,
     spectral_radius,
+    _RUNGS,
     _float_seed,
     _square_free_part,
 )
+
+from conftest import run_child
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -38,6 +41,21 @@ def same_multiset(xs, ys, tol=1e-6):
     xs = sorted(xs, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     ys = sorted(ys, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
+
+
+def faddeev_leverrier(m):
+    """Reference characteristic polynomial by Faddeev-LeVerrier over the
+    integers (every interior division is exact)."""
+    n = m.rows
+    coeffs = [0] * n + [1]
+    acc = IntMatrix.identity(n)
+    for k in range(1, n + 1):
+        acc = m @ acc
+        tr = acc.trace()
+        assert tr % k == 0
+        coeffs[n - k] = -tr // k
+        acc = acc + IntMatrix.identity(n).scale(-tr // k)
+    return tuple(coeffs)
 
 
 class TestCharPoly:
@@ -65,6 +83,39 @@ class TestCharPoly:
     def test_str_rendering(self):
         assert str(char_poly(mat([[2, 1], [1, 1]]))) == "x^2 - 3*x + 1"
 
+    def test_needs_several_primes(self):
+        # the coefficient bound 2 (1 + R)^n is far beyond one 61-bit prime
+        m = mat([[10**30, -(10**29), 7], [3, -(10**31), 1], [10**28, 5, 10**30]])
+        assert char_poly(m).coeffs == faddeev_leverrier(m)
+
+    def test_singular_and_nilpotent(self):
+        assert char_poly(mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])).coeffs == (0, 0, 0, 1)
+        assert char_poly(mat([[0, 0], [0, 0]])).coeffs == (0, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.integers(-5, 5), st.integers(-(10**400), 10**400)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_modular_char_poly_matches_faddeev_leverrier(rows):
+    m = IntMatrix.from_rows(rows)
+    assert char_poly(m).coeffs == faddeev_leverrier(m)
+
+
+def test_cli_import_leaves_mpmath_out():
+    done = run_child("import endogrowth.cli\nprint('mpmath' in sys.modules)")
+    assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
+
 
 class TestSpectralRadius:
     def test_golden_square(self):
@@ -74,7 +125,8 @@ class TestSpectralRadius:
 
     def test_zero_matrix(self):
         r = spectral_radius(IntMatrix.zeros(3, 3))
-        assert r.value == 0.0 and r.abs_error == 0.0 and r.dps == 0
+        # no root finding at all: the radical is the constant 1
+        assert r.value == 0.0 and r.abs_error == 0.0 and r.bits == 0
 
     def test_root_five(self):
         r = spectral_radius(mat([[1, 2], [2, -1]]))
@@ -188,11 +240,28 @@ class TestCertificate:
             for _ in range(2):
                 assert_contains_reference(seeded_matrix(kind, n, rng))
 
+    @pytest.mark.parametrize("kind", ["dense", "block", "jordan"])
+    def test_value_is_the_correctly_rounded_radius(self, kind):
+        rng = random.Random(77)
+        for n in (4, 8, 12):
+            m = seeded_matrix(kind, n, rng)
+            assert spectral_radius(m).value == float(reference_radius(m)), m.entries
+
     def test_dense_16_certifies_at_first_rung(self):
         m = seeded_matrix("dense", 16, random.Random(16))
         r = spectral_radius(m)
-        assert r.dps == 60
+        assert r.bits == _RUNGS[0]
         assert r.abs_error <= 1e-9
+
+
+class TestSquareFreePart:
+    def test_square_free_input_is_returned(self):
+        # (x - 1)(x - 2)(x^2 + 1)
+        assert _square_free_part([2, -3, 3, -3, 1]) == [2, -3, 3, -3, 1]
+
+    def test_repeated_factor_is_removed(self):
+        # (x - 1)^2 (x + 2) has the radical (x - 1)(x + 2)
+        assert _square_free_part([2, -3, 0, 1]) == [-2, 1, 1]
 
 
 class TestFloatSeed:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endogrowth.errors import ValidationError
+from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
-from endogrowth.ball import enumerate_ball
+from endogrowth.ball import enumerate_ball, word_length
 from endogrowth.families import (
     BSMachine,
     FreeAbelianMachine,
@@ -21,7 +21,7 @@ from endogrowth.families import (
 )
 from endogrowth.words import Endomorphism, check_homomorphism, elem_pow, evaluate, parse_word, validate_endo
 
-from conftest import ALL_MACHINES
+from conftest import ALL_MACHINES, FIXTURE_DIR, run_child
 
 
 def random_element(machine, rng, steps=10):
@@ -230,7 +230,8 @@ class TestPow:
 
     @pytest.mark.parametrize(
         "machine",
-        [m for m in ALL_MACHINES if type(m).pow is not Machine.pow],
+        # Sol powers have a size budget; TestSolHolonomy checks that closed form
+        [m for m in ALL_MACHINES if type(m).pow is not Machine.pow and m.family != "sol_lattice"],
         ids=lambda m: f"{m.family}:{','.join(m.gens.names)}",
     )
     def test_closed_form_matches_binary_powering(self, machine):
@@ -246,6 +247,63 @@ class TestSolHolonomy:
         sol = SolMachine(a)
         assert sol.holonomy_power(3000) == mat_pow(a, 3000)
         assert sol.holonomy_power(-3000) @ sol.holonomy_power(3000) == IntMatrix.identity(2)
+
+    def test_cached_and_computed_powers_agree(self):
+        a = IntMatrix.from_rows([[3, 2], [1, 1]])
+        sol = SolMachine(a)
+        inv = sol.holonomy_power(-1)
+        for t in range(-70, 71):
+            assert sol.holonomy_power(t) == (mat_pow(a, t) if t >= 0 else mat_pow(inv, -t)), t
+
+    def test_closed_form_pow_matches_binary_powering(self):
+        sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        for x in list(enumerate_ball(sol, 2).dist):
+            for n in (0, 1, 2, 3, 1000 + 7, -(1000 + 7), 4096):
+                assert sol.pow(x, n) == Machine.pow(sol, x, n), (x, n)
+
+    def test_tau_exponent_bounds_the_length(self):
+        sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        assert sol.length_lower(((5, 0), -7)) == 7
+        assert word_length(sol, ((0, 0), 10**9), 3) is None
+
+    def test_power_past_the_size_budget_is_a_resource_cap(self):
+        sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        with pytest.raises(ResourceCapExceeded):
+            sol.holonomy_power(10**12)
+        with pytest.raises(ResourceCapExceeded):
+            sol.pow(((1, 0), 1), 10**12)
+        assert sol.pow(((0, 0), 1), 10**12) == ((0, 0), 10**12)
+
+
+# The commands below once kept every power A^0..A^t and needed 0.7-1.7 GB.
+# Each runs in a child capped at 256 MiB of address space.
+SOL_CHILD = """
+import json
+from endogrowth.cli import run
+group, endo = sys.argv[2], sys.argv[3]
+with open(endo, "w") as fh:
+    json.dump({"sol": {"M": [[0, 0], [0, 0]], "p": 1, "q": 1, "tau_exp": int(sys.argv[4])}}, fh)
+sys.exit(run(sys.argv[5:] + ["--group", group, "--out", endo + ".out"]))
+"""
+
+
+class TestSolMemory:
+    def run(self, tmp_path, tau_exp, *argv):
+        group = str(FIXTURE_DIR / "sol_ex1.group")
+        return run_child(SOL_CHILD, group, str(tmp_path / "e.json"), str(tau_exp), *argv, limit_mb=256)
+
+    def test_deep_conjugate_word(self, tmp_path):
+        done = self.run(tmp_path, 1, "wordlen", "--word", "tau^60000 a1 tau^-60000", "--radius", "3")
+        assert done.returncode == 0, done.stderr
+
+    def test_large_tau_exponent_endo(self, tmp_path):
+        done = self.run(tmp_path, 30000, "compare", "--endo", str(tmp_path / "e.json"))
+        assert done.returncode == 0, done.stderr
+
+    def test_tau_exponent_past_the_budget_exits_3(self, tmp_path):
+        done = self.run(tmp_path, 10**12, "compare", "--endo", str(tmp_path / "e.json"))
+        assert done.returncode == 3, done.stderr
+        assert "budget" in done.stderr
 
 
 class TestParams:
