@@ -108,7 +108,9 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     """Exact geodesic lengths for every element within ``radius``.
 
     Raises ResourceCapExceeded carrying the ball completed through the last
-    full radius when more than ``cap`` elements would be stored.
+    full radius when more than ``cap`` elements would be stored, or when a
+    finite group runs out of elements and the ``radius + 1`` rows of
+    ``counts`` would exceed ``cap``.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -125,6 +127,14 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
             completed_radius=done,
             partial=partial,
         ) from None
+    # a finite group ran out of elements: the padding rows count against cap
+    if radius >= len(counts) and radius >= cap:
+        done = len(counts) - 1
+        raise ResourceCapExceeded(
+            f"ball table of {radius + 1} rows exceeds cap {cap}",
+            completed_radius=done,
+            partial=Ball(done, dist, tuple(counts)),
+        )
     counts += [counts[-1]] * (radius + 1 - len(counts))
     return Ball(radius, dist, tuple(counts))
 

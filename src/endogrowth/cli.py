@@ -4,6 +4,11 @@ Subcommands: check, closed, empirical, compare, ball, wordlen, distortion.
 Machine output (JSON, or CSV for tables) goes to --out when given, otherwise
 to stdout; with --out a one-line human summary is printed to stdout.
 
+Each command is one entry of ``COMMANDS``.  A run builds the parser of the
+command it runs and nothing else; the full parser of ``make_parser()`` is
+built only for help and errors: when argv does not start with a command name,
+or when the command's parser leaves an argument unrecognized.
+
 Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 4 certification / contract failure.
 """
@@ -11,8 +16,10 @@ Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from .ball import DEFAULT_CAP, cyclic_distortion, enumerate_ball, word_length
 from .errors import (
@@ -43,18 +50,6 @@ def _read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: {exc}") from None
-
-
-def _common_flags(sub, endo=True, required=True):
-    sub.add_argument("--group", required=required, help="group descriptor file (JSON)")
-    if endo:
-        sub.add_argument("--endo", required=required, help="endomorphism descriptor file (JSON)")
-    sub.add_argument("--kmax", type=int, default=16)
-    sub.add_argument("--radius", type=int, default=10)
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None)
 
 
 def _emit(args, machine_text: str, human: str):
@@ -172,61 +167,101 @@ def _cmd_distortion(args):
     return EXIT_OK
 
 
+def _cmd_closed(args):
+    if args.blocks:
+        return _cmd_closed_blocks(args)
+    if not (args.group and args.endo):
+        raise ValidationError("closed needs --group and --endo, or --blocks")
+    return _cmd_report(args, "closed", want_closed=True, want_empirical=False)
+
+
+class Command(NamedTuple):
+    help: str
+    endo: bool  # takes --endo
+    required: bool  # --group, --endo and the extra flag are required
+    extra: Optional[tuple[str, str]]  # (flag, help) of the command's own flag
+    handler: Callable
+
+
+# One entry per command: it feeds both the command's own parser and make_parser().
+COMMANDS = {
+    "check": Command("validate an endomorphism against the relators", True, True, None, _cmd_check),
+    "closed": Command(
+        "closed-form growth rate", True, False,
+        ("--blocks", "diagonal block list file (JSON) instead of group/endo"), _cmd_closed,
+    ),
+    "empirical": Command(
+        "iterate-length table and growth estimate", True, True, None,
+        functools.partial(_cmd_report, command="empirical", want_closed=False, want_empirical=True),
+    ),
+    "compare": Command(
+        "closed form vs empirical estimate with verdict", True, True, None,
+        functools.partial(_cmd_report, command="compare", want_closed=True, want_empirical=True),
+    ),
+    "ball": Command("Cayley ball growth table", False, True, None, _cmd_ball),
+    "wordlen": Command(
+        "exact word length of an element", False, True,
+        ("--word", "word in the group's generators"), _cmd_wordlen,
+    ),
+    "distortion": Command(
+        "distortion profile of a cyclic subgroup", False, True,
+        ("--subgroup", "generator spanning the subgroup"), _cmd_distortion,
+    ),
+}
+
+
+def _add_flags(parser, spec: Command):
+    parser.add_argument("--group", required=spec.required, help="group descriptor file (JSON)")
+    if spec.endo:
+        parser.add_argument("--endo", required=spec.required, help="endomorphism descriptor file (JSON)")
+    parser.add_argument("--kmax", type=int, default=16)
+    parser.add_argument("--radius", type=int, default=10)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", default=None)
+    if spec.extra:
+        flag, text = spec.extra
+        parser.add_argument(flag, required=spec.required, help=text)
+
+
 def make_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser."""
     parser = argparse.ArgumentParser(
         prog="endogrowth",
         description="Growth rates of group endomorphisms: closed forms vs exact word lengths",
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
-
-    sub = subs.add_parser("check", help="validate an endomorphism against the relators")
-    _common_flags(sub)
-
-    sub = subs.add_parser("closed", help="closed-form growth rate")
-    _common_flags(sub, required=False)
-    sub.add_argument("--blocks", help="diagonal block list file (JSON) instead of group/endo")
-
-    sub = subs.add_parser("empirical", help="iterate-length table and growth estimate")
-    _common_flags(sub)
-
-    sub = subs.add_parser("compare", help="closed form vs empirical estimate with verdict")
-    _common_flags(sub)
-
-    sub = subs.add_parser("ball", help="Cayley ball growth table")
-    _common_flags(sub, endo=False)
-
-    sub = subs.add_parser("wordlen", help="exact word length of an element")
-    _common_flags(sub, endo=False)
-    sub.add_argument("--word", required=True, help="word in the group's generators")
-
-    sub = subs.add_parser("distortion", help="distortion profile of a cyclic subgroup")
-    _common_flags(sub, endo=False)
-    sub.add_argument("--subgroup", required=True, help="generator spanning the subgroup")
+    for name, spec in COMMANDS.items():
+        _add_flags(subs.add_parser(name, help=spec.help), spec)
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """What ``make_parser().parse_args(argv)`` returns, building only the
+    invoked command's parser when it accepts every argument.
+
+    The command's parser is built as ``make_parser()`` builds its subparser,
+    so its help and its errors are the same.  Anything else (no command, an
+    option before it, an argument it does not recognize) goes to the full
+    parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"endogrowth {argv[0]}")
+        _add_flags(parser, COMMANDS[argv[0]])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.cmd = argv[0]
+            return args
+    return make_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
-        if args.cmd == "check":
-            return _cmd_check(args)
-        if args.cmd == "closed":
-            if args.blocks:
-                return _cmd_closed_blocks(args)
-            if not (args.group and args.endo):
-                raise ValidationError("closed needs --group and --endo, or --blocks")
-            return _cmd_report(args, "closed", want_closed=True, want_empirical=False)
-        if args.cmd == "empirical":
-            return _cmd_report(args, "empirical", want_closed=False, want_empirical=True)
-        if args.cmd == "compare":
-            return _cmd_report(args, "compare", want_closed=True, want_empirical=True)
-        if args.cmd == "ball":
-            return _cmd_ball(args)
-        if args.cmd == "wordlen":
-            return _cmd_wordlen(args)
-        if args.cmd == "distortion":
-            return _cmd_distortion(args)
-        raise ValidationError(f"unknown command {args.cmd!r}")
+        return COMMANDS[args.cmd].handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

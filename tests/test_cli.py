@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endogrowth.cli import run
+from endogrowth.cli import COMMANDS, make_parser, parse_args, run
 from endogrowth.errors import ValidationError
 from endogrowth.reports import (
     build_report,
@@ -15,7 +22,7 @@ from endogrowth.reports import (
 
 from endogrowth.words import validate_endo
 
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, SRC_DIR, load_fixture
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -428,3 +435,68 @@ class TestExitCodes:
         blocks = tmp_path / "blocks.json"
         blocks.write_text(json.dumps([{"weight": 1, "matrix": [[2]]}]))
         assert run(["closed", "--blocks", str(blocks)]) == 4
+
+
+def parsed(parse, argv):
+    """("ok", namespace) or ("exit", code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return ("ok", vars(parse(list(argv))))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+def full_parse(argv):
+    return make_parser().parse_args(argv)
+
+
+GROUP = fixture_path("klein.group")
+EDGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    *([name, "-h"] for name in COMMANDS),
+    ["frobnicate"],
+    ["check"],
+    ["wordlen", "--group", GROUP],
+    ["compare", "--group", GROUP, "--endo", GROUP, "--kmax", "x"],
+    ["ball", "--group", GROUP, "--format", "xml"],
+    ["ball", "--group", GROUP, "--bogus"],
+    ["ball", "--group", GROUP, "extra"],
+    ["--radius", "2", "ball", "--group", GROUP],
+    ["ball", "--gro", GROUP, "--rad", "2"],
+    ["ball", "--group", GROUP, "--radius=2"],
+    ["ball", "--group", GROUP, "--"],
+    ["check", "--he"],
+]
+FLAGS = ["--group", "--endo", "--kmax", "--radius", "--cap", "--tol", "--format", "--out",
+         "--blocks", "--word", "--subgroup"]
+VALUES = ["2", "-1", "x", "1e-3", "json", "csv", "xml", "-x", ""]
+TOKENS = st.sampled_from([
+    *COMMANDS, *FLAGS, *VALUES, "-h", "--help", "--", "--gro", "--rad", "--he", "--k", "--sub", "--wo", "--e",
+    "--radius=2", "--kmax=x", "--format=csv",
+])
+# single tokens, or a flag with a value so that some argvs parse
+PIECES = st.one_of(TOKENS.map(lambda t: [t]), st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list))
+
+
+class TestCommandParser:
+    """The invoked command's own parser behaves as the full parser."""
+
+    @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=" ".join)
+    def test_edge_argvs(self, argv):
+        assert parsed(parse_args, argv) == parsed(full_parse, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.sampled_from([*COMMANDS, "-h", "--radius", "x"]), tail=st.lists(PIECES, max_size=6))
+    def test_any_tokens(self, head, tail):
+        argv = [head, *(t for piece in tail for t in piece)]
+        assert parsed(parse_args, argv) == parsed(full_parse, argv)
+
+    def test_module_entry_point_writes_what_run_writes(self, capsys):
+        argv = ["compare", "--group", GROUP, "--endo", fixture_path("klein.endo"), "--kmax", "8", "--radius", "4"]
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        done = subprocess.run([sys.executable, "-m", "endogrowth.cli", *argv], env=env, capture_output=True, timeout=120)
+        assert done.returncode == run(argv) == 0, done.stderr
+        assert done.stdout == capsys.readouterr().out.encode()

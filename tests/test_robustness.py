@@ -17,7 +17,7 @@ from endogrowth.cli import run
 from endogrowth.families import MACHINES
 from endogrowth.reports import FAMILIES
 
-from conftest import load_fixture
+from conftest import load_fixture, run_child
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
 
@@ -211,3 +211,39 @@ def test_any_descriptor_ends_in_a_documented_exit(command, data, kmax, radius):
     if command == "distortion":
         extra += ["--subgroup", data.draw(st.sampled_from(gens), label="subgroup")]
     assert run_docs(command, group, endo, *extra) in DOCUMENTED_EXITS
+
+
+# A finite group's ball stops growing long before a huge --radius; its
+# ``radius + 1`` table rows once went to a list of that size.  Each command
+# runs in a child capped at 256 MiB of address space.
+FINITE_CHILD = """
+import json, os
+from endogrowth.cli import run
+os.chdir(sys.argv[2])
+with open("g.json", "w") as fh:
+    json.dump({"family": "abelian_with_torsion", "params": {"rank": 0, "torsion": [3]}}, fh)
+with open("e.json", "w") as fh:
+    json.dump({"images": {"t1": "t1^2"}}, fh)
+sys.exit(run(sys.argv[3:] + ["--group", "g.json", "--out", "out"]))
+"""
+
+
+@pytest.mark.parametrize("radius", [10**8, 10**20])
+@pytest.mark.parametrize("argv", [
+    ["ball"],
+    ["distortion", "--subgroup", "t1"],
+    ["empirical", "--endo", "e.json"],
+    ["compare", "--endo", "e.json"],
+], ids=lambda argv: argv[0])
+def test_huge_radius_on_a_finite_group_hits_the_cap(tmp_path, argv, radius):
+    done = run_child(FINITE_CHILD, str(tmp_path), *argv, "--radius", str(radius), limit_mb=256)
+    assert done.returncode == 3, done.stderr
+    assert "rows exceeds cap" in done.stderr
+
+
+def test_radius_within_the_cap_pads_a_finite_ball(tmp_path):
+    done = run_child(FINITE_CHILD, str(tmp_path), "ball", "--radius", "1000", limit_mb=256)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "out").read_text())["counts"] == [1, 3] + [3] * 999
+    done = run_child(FINITE_CHILD, str(tmp_path), "ball", "--radius", "1000", "--cap", "1000", limit_mb=256)
+    assert done.returncode == 3, done.stderr
