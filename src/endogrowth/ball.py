@@ -8,10 +8,14 @@ element of the last sphere through ``Machine.steps()`` (right multiplication
 by g0, g0^-1, g1, ... as functions compiled once per search; closed forms for
 most families, ``mul`` otherwise).  Discovery order is therefore fixed.
 
-``enumerate_ball`` grows one ball around the identity.  ``word_length`` grows
-one around the identity and one around the target, the smaller next, until
-they meet: two balls of about half the radius in place of one of the full
-radius.  Completed balls are immutable and safe to share.
+``enumerate_ball`` grows one ball around the identity, for the commands that
+tabulate every radius (``ball``, ``distortion``).  ``word_lengths`` finds the
+lengths of given targets: an exact functional or a lower bound answers some
+before any search, and the rest share one ball around the identity while
+each grows its own, until each meets the identity's or runs out of radius.
+Balls of about half the radius thus replace one of the full radius.
+``word_length`` is its one-target case, and ``L_k_table`` makes one call for
+all its iterate images.  Completed balls are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "DistortionTable",
     "enumerate_ball",
     "word_length",
+    "word_lengths",
     "L_k_table",
     "gr_estimate",
     "distortion",
@@ -139,44 +144,112 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     return Ball(radius, dist, tuple(counts))
 
 
-def word_length(machine, elem, radius: int, cap: int = DEFAULT_CAP) -> Optional[int]:
-    """Exact geodesic length of ``elem``, or None if it lies beyond ``radius``.
+def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP) -> list[Optional[int]]:
+    """Exact geodesic length of each target, or None where it lies beyond
+    ``radius``.
 
-    Bidirectional search: one ball grows around the identity and one around
-    ``elem``, the side with the smaller last sphere next (the identity on a
-    tie).  Each new sphere is checked against the other side's ball; the
-    first sphere r that meets it gives the length r + min(distance on the
-    other side).  The search gives up once the two depths sum to ``radius``.
+    Answered before any search: the identity (0), a target whose
+    ``length_lower`` exceeds ``radius`` (None), and every target of a
+    ``length_exact`` machine (``length_upper`` within ``radius``, else None).
+    The rest, deduplicated, go to one multi-target bidirectional search: one
+    ball around the identity, shared, and one around each target.  The
+    identity grows next while its last sphere is no larger than the sum of
+    the unresolved targets' last spheres; otherwise each unresolved target
+    grows one sphere.  A target resolves at the first sphere that meets the
+    other side, with length r + min(distance on the other side), and is None
+    once its depth plus the identity's reaches ``radius``.
 
-    ``cap`` bounds the elements stored by both sides together.  Past it,
-    ResourceCapExceeded carries as ``completed_radius`` the sum of the two
-    completed depths: the length of ``elem`` is known to exceed it.
+    ``cap`` bounds the elements stored by the identity side and the
+    unresolved targets together.  Past it, ResourceCapExceeded carries as
+    ``completed_radius`` the least sum of the identity's depth and an
+    unresolved target's: every unresolved length is known to exceed it.
     """
-    if elem == machine.identity:
-        return 0
-    if machine.length_lower(elem) > radius:
-        return None
-    seen = ({}, {})
-    sides = [_spheres(machine, start, radius, cap, d) for start, d in zip((machine.identity, elem), seen)]
-    depth = [0, 0]
-    last = [next(side)[1] for side in sides]
-    live = [0, 1]
-    while live and depth[0] + depth[1] < radius:
-        i = min(live, key=lambda j: len(last[j]))
-        other = seen[1 - i]
+    found = {}
+    pending = []
+    for x in dict.fromkeys(targets):
+        if x == machine.identity:
+            found[x] = 0
+        elif machine.length_lower(x) > radius:
+            found[x] = None
+        elif machine.length_exact:
+            length = machine.length_upper(x)
+            found[x] = length if length <= radius else None
+        else:
+            pending.append(x)
+    if pending:
+        found.update(_meet(machine, pending, radius, cap))
+    return [found[x] for x in targets]
+
+
+class _Side:
+    """One growing ball of a bidirectional search."""
+
+    __slots__ = ("seen", "spheres", "depth", "last")
+
+    def __init__(self, machine, start, radius: int, cap: int):
+        self.seen = {}
+        self.spheres = _spheres(machine, start, radius, cap, self.seen)
+        self.depth, self.last = next(self.spheres)
+
+    def grow(self, cap: int):
+        """Add the next sphere, storing at most ``cap`` elements in all."""
+        self.depth, self.last = self.spheres.send(cap)
+
+
+def _meet(machine, targets, radius: int, cap: int) -> dict:
+    """{target: length or None} by the search ``word_lengths`` describes;
+    the targets are distinct and none is the identity.
+
+    No side runs out of spheres while a target is open: a side grows only
+    while the depths sum to less than ``radius``, and a complete ball holds
+    the whole (finite) group, so it met the other side first."""
+    found = {}
+    home = _Side(machine, machine.identity, radius, cap)
+    open_ = {x: _Side(machine, x, radius, cap) for x in targets}
+    stored = len(home.seen) + len(open_)
+
+    def close(x, length):
+        nonlocal stored
+        found[x] = length
+        stored -= len(open_.pop(x).seen)
+
+    def grow(side):
+        nonlocal stored
+        before = len(side.seen)
         try:
-            depth[i], last[i] = sides[i].send(cap - len(other))
-        except StopIteration:
-            live.remove(i)
-            continue
+            side.grow(cap - (stored - before))
         except ResourceCapExceeded:
+            done = min(home.depth + s.depth for s in open_.values())
             raise ResourceCapExceeded(
-                f"search exceeded cap {cap} at radius {depth[0] + depth[1] + 1}",
-                completed_radius=depth[0] + depth[1],
+                f"search exceeded cap {cap} at radius {done + 1}", completed_radius=done
             ) from None
-        if not other.keys().isdisjoint(last[i]):
-            return depth[i] + min(other[y] for y in last[i] if y in other)
-    return None
+        stored += len(side.seen) - before
+
+    while True:
+        for x, side in list(open_.items()):
+            if home.depth + side.depth >= radius:
+                close(x, None)
+        if not open_:
+            return found
+        if len(home.last) <= sum(len(s.last) for s in open_.values()):
+            grow(home)
+            # with several targets, a set lets each check scan the smaller
+            # side; one target scans the sphere once, as a list
+            sphere = home.last if len(open_) == 1 else set(home.last)
+            for x, side in list(open_.items()):
+                if not side.seen.keys().isdisjoint(sphere):
+                    close(x, home.depth + min(side.seen[y] for y in sphere if y in side.seen))
+        else:
+            for x, side in list(open_.items()):
+                grow(side)
+                if not home.seen.keys().isdisjoint(side.last):
+                    close(x, side.depth + min(home.seen[y] for y in side.last if y in home.seen))
+
+
+def word_length(machine, elem, radius: int, cap: int = DEFAULT_CAP) -> Optional[int]:
+    """Exact geodesic length of ``elem``, or None if it lies beyond ``radius``:
+    ``word_lengths`` with one target."""
+    return word_lengths(machine, [elem], radius, cap)[0]
 
 
 def _kth_root(length: int, k: int) -> float:
@@ -277,28 +350,33 @@ def L_k_table(
 ) -> GrowthEstimate:
     """Iterate-length table L_k = max_i length(phi^k(s_i)) for k = 1..kmax.
 
-    Lengths are exact BFS geodesics whenever the image lies in the radius-R
-    ball, otherwise the family length functional's value, flagged per entry
-    as exact when the machine declares ``length_exact``.  An L_k entry is
-    exact when its maximal value is exact and dominates every upper-bound
-    entry of the same row.
+    Lengths are exact geodesics (``word_lengths`` over all kmax rows of
+    images at once) whenever the image lies within ``radius``, otherwise the
+    family length functional's value, flagged per entry as exact when the
+    machine declares ``length_exact``.  An L_k entry is exact when its
+    maximal value is exact and dominates every upper-bound entry of the same
+    row.
     """
     if kmax < 1:
         raise ValidationError("kmax must be >= 1")
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
     machine, images = valid.machine, valid.images
-    ball = enumerate_ball(machine, radius, cap)
+    rows = [list(images)]
+    for _ in range(kmax - 1):
+        rows.append([apply_on_element(machine, images, x) for x in rows[-1]])
+    found = iter(word_lengths(machine, [x for row in rows for x in row], radius, cap))
     names = machine.gens.names
     per_gen = {n: [] for n in names}
     per_gen_exact = {n: [] for n in names}
     lengths = []
     exact_flags = []
-    current = list(images)
-    for _ in range(1, kmax + 1):
+    for current in rows:
         row = []
         for name, x in zip(names, current):
-            found = ball.length(x)
-            if found is not None:
-                val, is_exact = found, True
+            val = next(found)
+            if val is not None:
+                is_exact = True
             else:
                 val, is_exact = machine.length_upper(x), machine.length_exact
             per_gen[name].append(val)
@@ -310,7 +388,6 @@ def L_k_table(
         row_exact = any(e and v == l_k for v, e in row)
         lengths.append(l_k)
         exact_flags.append(row_exact)
-        current = [apply_on_element(machine, images, x) for x in current]
     return GrowthEstimate(
         names,
         tuple(range(1, kmax + 1)),

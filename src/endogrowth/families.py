@@ -218,6 +218,20 @@ def _bump(i: int, e: int):
     return step
 
 
+def _central_reach(g: int, c: int) -> int:
+    """Least L >= 0 with g L(L-1)/2 + L >= c: no word of fewer letters moves
+    a central coordinate by c when the letter after a prefix of p letters
+    moves it by at most max(g p, 1) <= g p + 1."""
+    if g == 0:
+        return c
+    b = 2 - g
+    # the positive root of g L^2 + b L - 2c, rounded down, is at most 2 short
+    length = (math.isqrt(b * b + 8 * g * c) - b) // (2 * g)
+    while g * length * (length - 1) // 2 + length < c:
+        length += 1
+    return length
+
+
 @dataclass(frozen=True)
 class FreeAbelianMachine(Machine):
     """Z^rank with coordinatewise arithmetic; elements are int tuples."""
@@ -430,6 +444,18 @@ class HeisenbergMachine(Machine):
             return _letters((0, m), (1, n), (2, l))
         return _letters((0, m), (1, n)) * self._central_word(l)
 
+    def length_lower(self, elem):
+        """max(|m| + |n|, least L with k L(L-1)/2 + L >= |l|).
+
+        Each a1 or a2 letter moves |m| + |n| by one, so a word of length L
+        has |m| + |n| <= L.  Right multiplication by a1^(+-1) moves l by
+        k n_p, by a2^(+-1) not at all and by a3^(+-1) by one, where n_p is
+        the a2-exponent of the prefix; after p letters |n_p| <= p, so the
+        next letter moves l by at most max(k p, 1).  Summed over p < L,
+        |l| <= k L(L-1)/2 + L."""
+        m, n, l = elem
+        return max(abs(m) + abs(n), _central_reach(self.k, abs(l)))
+
     def length_upper_word(self, elem):
         m, n, l = elem
         prefix = _letters((0, m), (1, n))
@@ -519,6 +545,7 @@ class Nil2Machine(Machine):
             for j in range(1, i)
         )
         object.__setattr__(self, "_gamma_table", full)
+        object.__setattr__(self, "_gamma_max", max(abs(v) for _, vec in full for v in vec))
 
     def _cocycle(self, u, v):
         """Central part of tau^u tau^v: sum over i > j of u_i v_j gamma(i, j)."""
@@ -617,6 +644,19 @@ class Nil2Machine(Machine):
             for a, b in blocks:
                 letters += [(i, -a), (j, -b), (i, a), (j, b)]
         return _letters(*letters)
+
+    def length_lower(self, elem):
+        """max(|x|_1, least L with G L(L-1)/2 + L >= |z|_inf), G the largest
+        |gamma| entry.
+
+        Each tau letter moves |x|_1 by one, so a word of length L has
+        |x|_1 <= L.  A tau_j^(+-1) letter moves z by sum over i > j of
+        x_i gamma(i, j), at most G |x|_1 <= G p in each coordinate after a
+        prefix of p letters, and a central letter moves one coordinate by
+        one: at most max(G p, 1) per letter.  Summed over p < L,
+        |z|_inf <= G L(L-1)/2 + L."""
+        x, z = elem
+        return max(sum(abs(e) for e in x), _central_reach(self._gamma_max, max(abs(c) for c in z)))
 
     def commutator_vector(self, u, v):
         """Central exponent vector of [a, b] for elements a, b with x-parts u, v."""
@@ -871,6 +911,8 @@ class BSMachine(Machine):
         object.__setattr__(self, "gens", GenSet(("a", "b")))
         object.__setattr__(self, "identity", (0, 0, 0))
         object.__setattr__(self, "free_ab_indices", (0,))
+        # n^k has about k log2(n) bits
+        object.__setattr__(self, "_power_limit", SOL_POWER_BITS / math.log2(self.n))
 
     def _canonical(self, num, e):
         if num == 0:
@@ -880,6 +922,13 @@ class BSMachine(Machine):
             e -= 1
         return (num, e)
 
+    def _power(self, k: int) -> int:
+        """n^k; past SOL_POWER_BITS bits, the budget of Sol holonomy powers,
+        ResourceCapExceeded in place of a MemoryError."""
+        if k > self._power_limit:
+            raise ResourceCapExceeded(f"{self.n}^{k} would take more than {SOL_POWER_BITS} bits, past the budget")
+        return self.n**k
+
     def mul(self, a, b):
         na, ea, ta = a
         nb, eb, tb = b
@@ -887,16 +936,16 @@ class BSMachine(Machine):
             return (na, ea, ta + tb)
         # q_a + n^(-t_a) q_b over the common denominator n^E
         e_common = max(ea, eb + ta, 0)
-        num = nb * self.n ** (e_common - eb - ta)
+        num = nb * self._power(e_common - eb - ta)
         if na:
-            num += na * self.n ** (e_common - ea)
+            num += na * self._power(e_common - ea)
         num, e = self._canonical(num, e_common)
         return (num, e, ta + tb)
 
     def inv(self, a):
         num, e, t = a
         # -(n^t q, -t); n^t q = num / n^(e - t)
-        num2, e2 = self._canonical(-num, e - t) if e >= t or num == 0 else (-num * self.n ** (t - e), 0)
+        num2, e2 = self._canonical(-num, e - t) if e >= t or num == 0 else (-num * self._power(t - e), 0)
         return (num2, e2, -t)
 
     def gen_elem(self, i):

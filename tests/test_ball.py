@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endogrowth.ball import (
     L_k_table,
@@ -7,13 +9,14 @@ from endogrowth.ball import (
     enumerate_ball,
     gr_estimate,
     word_length,
+    word_lengths,
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.families import FreeAbelianMachine, HeisenbergMachine
 from endogrowth.reports import parse_group
-from endogrowth.words import Endomorphism, evaluate, parse_word, validate_endo
+from endogrowth.words import Endomorphism, apply_on_element, evaluate, parse_word, validate_endo
 
-from conftest import load_fixture
+from conftest import ALL_MACHINES, load_fixture
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
@@ -115,12 +118,64 @@ class TestBidirectionalSearch:
         for elem, d in enumerate_ball(any_machine, 7).dist.items():
             assert any_machine.length_lower(elem) <= d
 
-    def test_cap_counts_both_sides(self, z2):
-        # |(9, 9)| = 18; the two sides meet only after 9 spheres each
+    def test_cap_counts_both_sides(self, heis1, z2):
+        # |(4, 4, 8)| = 8; the two sides meet only after several spheres each
         with pytest.raises(ResourceCapExceeded) as err:
-            word_length(z2, (9, 9), radius=30, cap=60)
-        assert 0 < err.value.completed_radius < 18
-        assert word_length(z2, (9, 9), radius=30, cap=400) == 18
+            word_length(heis1, (4, 4, 8), radius=30, cap=60)
+        assert 0 < err.value.completed_radius < 8
+        assert word_length(heis1, (4, 4, 8), radius=30, cap=400) == 8
+        # an exact length functional answers without storing anything
+        assert word_length(z2, (9, 9), 30, cap=1) == 18
+
+
+@pytest.mark.parametrize("machine", ALL_MACHINES, ids=lambda m: f"{m.family}:{','.join(m.gens.names)}")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_word_lengths_match_the_ball(machine, data):
+    """Each target's length is its ball distance, or None beyond the radius:
+    target lists with repeats, the identity and elements up to two spheres
+    past the radius."""
+    radius = 2 if len(machine.gens) > 3 else 3
+    ball = enumerate_ball(machine, radius)
+    pool = list(enumerate_ball(machine, radius + 2).dist)
+    targets = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    targets = data.draw(st.permutations(targets + data.draw(st.lists(st.sampled_from(targets), max_size=4))))
+    assert word_lengths(machine, targets, radius) == [ball.length(x) for x in targets]
+
+
+def reference_table(valid, kmax, radius):
+    """(lengths, exact) of L_k_table by looking every image up in the full ball."""
+    machine, images = valid.machine, valid.images
+    ball = enumerate_ball(machine, radius)
+    lengths, exact, current = [], [], list(images)
+    for _ in range(kmax):
+        row = [(ball.length(x), True) if x in ball else (machine.length_upper(x), machine.length_exact) for x in current]
+        top = max(v for v, _ in row)
+        lengths.append(top)
+        exact.append(any(e and v == top for v, e in row))
+        current = [apply_on_element(machine, images, x) for x in current]
+    return tuple(lengths), tuple(exact)
+
+
+class TestTargetedLookups:
+    """L_k_table looks up its kmax x |S| images without the full ball."""
+
+    CASES = [("heis_ex1", 25, 10), ("nil2_ex3", 12, 6), ("bs", 12, 9), ("counter", 32, 2)]
+
+    @pytest.mark.parametrize("stem, kmax, radius", CASES)
+    def test_fixture_tables_fit_in_the_ball_size(self, stem, kmax, radius):
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        valid = validate_endo(machine, Endomorphism.from_strings(machine.gens, load_fixture(f"{stem}.endo")["images"]))
+        cap = len(enumerate_ball(machine, radius).dist)
+        table = L_k_table(valid, kmax, radius, cap=cap)
+        assert (table.lengths, table.exact) == reference_table(valid, kmax, radius)
+
+    def test_unipotent_heisenberg_fits_in_the_ball_size(self, heis1):
+        # phi^k(a1) = a1 a2^k: rows up to k = 15 lie within the radius
+        phi = Endomorphism.from_strings(heis1.gens, {"a1": "a1 a2", "a2": "a2", "a3": "a3"})
+        valid = validate_endo(heis1, phi)
+        table = L_k_table(valid, 25, 16, cap=len(enumerate_ball(heis1, 16).dist))
+        assert (table.lengths, table.exact) == reference_table(valid, 25, 16)
 
 
 class TestWordLength:

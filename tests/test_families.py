@@ -19,7 +19,7 @@ from endogrowth.families import (
     klein_restricted_matrix,
     machine_from_params,
 )
-from endogrowth.words import Endomorphism, check_homomorphism, elem_pow, evaluate, parse_word, validate_endo
+from endogrowth.words import Endomorphism, Word, check_homomorphism, elem_pow, evaluate, parse_word, validate_endo
 
 from conftest import ALL_MACHINES, FIXTURE_DIR, run_child
 
@@ -123,6 +123,29 @@ class TestBSCanonicalization:
         with pytest.raises(ValidationError):
             BSMachine(1)
 
+    def test_power_past_the_size_budget_is_a_resource_cap(self, bs2):
+        # a^-N b = b^(2^N) a^-N and the inverse of b a^N need 2^N itself;
+        # N = 5e6 is past the 2^22-bit budget and still cheap to compute
+        with pytest.raises(ResourceCapExceeded):
+            bs2.mul((0, 0, -5 * 10**6), (1, 0, 0))
+        with pytest.raises(ResourceCapExceeded):
+            bs2.inv((1, 0, 5 * 10**6))
+        assert bs2.mul((0, 0, -1000), (1, 0, 0)) == (2**1000, 0, -1000)
+
+
+# Runs in a child capped at 256 MiB of address space.
+BS_CHILD = """
+from endogrowth.cli import run
+sys.exit(run(["wordlen", "--group", sys.argv[2], "--word", sys.argv[3], "--radius", "3"]))
+"""
+
+
+def test_bs_huge_b_power_exits_3():
+    # the normal form of a^-N b a^N is b^(2^N): once a MemoryError traceback
+    done = run_child(BS_CHILD, str(FIXTURE_DIR / "bs.group"), "a^-10000000000 b a^10000000000", limit_mb=256)
+    assert done.returncode == 3, done.stderr
+    assert "budget" in done.stderr
+
 
 class TestKleinReduction:
     def test_restricted_matrix_spectrum(self, klein):
@@ -171,6 +194,42 @@ class TestLengthFunctionals:
             assert evaluate(any_machine, w) == x
             assert w.length() <= any_machine.length_upper(x)
             assert evaluate(any_machine, any_machine.decompose(x)) == x
+
+
+NIL2_WIDE = Nil2Machine(3, ("s12", "s13"), (("s12", (1, 2)),), (((3, 2), (-3, 5)), ((3, 1), (0, 4))))
+LOWER_MACHINES = [
+    HeisenbergMachine(1),
+    HeisenbergMachine(3),
+    HeisenbergMachine(1, include_center_gen=False),
+    Nil2Machine(3, ("s12", "s13"), (("s12", (1, 2)), ("s13", (1, 3))), (((3, 2), (-1, -2)),)),
+    NIL2_WIDE,
+]
+
+
+@pytest.mark.parametrize("machine", LOWER_MACHINES, ids=lambda m: f"{m.family}:{len(m.gens)}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_length_lower_bounds_every_word(machine, data):
+    """length_lower(x) <= |w| for every word w spelling x, up to length 60."""
+    gens = len(machine.gens)
+    letters = data.draw(st.lists(st.tuples(st.integers(0, gens - 1), st.sampled_from([-1, 1])), max_size=60))
+    w = Word(tuple(letters))
+    assert machine.length_lower(evaluate(machine, w)) <= w.length()
+
+
+class TestLengthLower:
+    def test_central_powers(self, heis1):
+        # |a3^l| ~ 2 sqrt(l) in the Heisenberg group; the bound grows like sqrt(2 l)
+        assert heis1.length_lower((0, 0, 1)) == 1
+        assert heis1.length_lower((0, 0, 4)) == 3  # L(L-1)/2 + L is 3 at L = 2, 6 at L = 3
+        assert heis1.length_lower((3, -4, 0)) == 7
+        big = heis1.length_lower((0, 0, 10**40))
+        assert big * (big - 1) // 2 + big >= 10**40 > (big - 1) * (big - 2) // 2 + big - 1
+
+    def test_nil2_uses_the_largest_gamma_entry(self):
+        # G = 5: 5 L(L-1)/2 + L is 970 at L = 20 and 1071 at L = 21
+        assert NIL2_WIDE.length_lower(((0, 0, 0), (0, 1000))) == 21
+        assert NIL2_WIDE.length_lower(((2, -1, 0), (0, 0))) == 3
 
 
 class TestBigIntegerLengths:

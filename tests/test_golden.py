@@ -1,0 +1,122 @@
+"""Byte-identical reports: the SHA-256 of every command's output on every
+bundled fixture, at the sizes of ``scripts/run_examples.py``, and of that
+script's own output.
+
+A performance change must leave every report byte for byte as it was.  The
+digests in ``golden_digests.json`` pin that down.  Print the digests of the
+current code, in the same form, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from endogrowth.cli import run
+
+HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parent
+FIXTURE_DIR = ROOT / "src" / "endogrowth" / "fixtures"
+GOLDEN = HERE / "golden_digests.json"
+
+
+def _load_examples():
+    spec = importlib.util.spec_from_file_location("run_examples", ROOT / "scripts" / "run_examples.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EXAMPLES = _load_examples()
+
+# Per fixture: the generator whose cyclic subgroup ``distortion`` profiles, and
+# two ``wordlen`` words, one within the radius and one beyond it.
+EXTRAS = {
+    "counter": ("beta", "alpha beta", "alpha^5 beta"),
+    "bs": ("b", "b^144 a^-6", "a^10 b^-353 a^-1"),
+    "heis_ex1": ("a3", "a1^-5 a2^5 a3^-15", "a1^-10 a2^-9 a3^25"),
+    "nil2_ex3": ("s12", "t1^2 t2^-1 t3 s12 s13^-4", "t1^-6 t2 t3 s13^3"),
+    "klein": ("x", "x^3 y^7", "x^118 y^43"),
+    "sol_ex1": ("a1", "a1^36 a2^-59 tau^-4", "tau^9 a1"),
+    "sol_ex2": ("a1", "a1^-35 a2^54 tau^-4", "a1^500"),
+    "sol_ex3": ("a1", "a1^-30 a2^-79 tau^2", "a2^1000 tau^-3"),
+}
+
+
+def cases():
+    """(name, argv) of every command run the digests cover."""
+    out = []
+    for stem, kmax, radius in EXAMPLES.EXAMPLES:
+        group = ["--group", str(FIXTURE_DIR / f"{stem}.group")]
+        endo = ["--endo", str(FIXTURE_DIR / f"{stem}.endo")]
+        sizes = ["--kmax", str(kmax), "--radius", str(radius)]
+        sub, near, far = EXTRAS[stem]
+        for cmd in ("check", "closed", "empirical", "compare"):
+            out.append((f"{cmd} {stem}", [cmd, *group, *endo, *sizes]))
+        for fmt in ("json", "csv"):
+            out.append((f"ball {stem} {fmt}", ["ball", *group, "--radius", str(radius), "--format", fmt]))
+            out.append((
+                f"distortion {stem} {fmt}",
+                ["distortion", *group, "--radius", str(radius), "--subgroup", sub, "--format", fmt],
+            ))
+        for word in (near, far):
+            out.append((f"wordlen {stem} {word}", ["wordlen", *group, "--radius", str(radius), "--word", word]))
+    return out
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _captured(fn, *args):
+    """(return value, stdout) of ``fn(*args)``, stderr discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        value = fn(*args)
+    return value, out.getvalue()
+
+
+def digest_of(argv) -> str:
+    """"<exit code> <SHA-256 of stdout>" of one command run."""
+    code, text = _captured(run, argv)
+    return f"{code} {_digest(text)}"
+
+
+def examples_digest() -> str:
+    return _digest(_captured(EXAMPLES.main)[1])
+
+
+def current_digests() -> dict:
+    out = {name: digest_of(argv) for name, argv in cases()}
+    out["scripts/run_examples.py"] = examples_digest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted([name for name, _ in cases()] + ["scripts/run_examples.py"])
+
+
+@pytest.mark.parametrize("name, argv", cases(), ids=[name for name, _ in cases()])
+def test_report_bytes_unchanged(golden, name, argv):
+    assert digest_of(argv) == golden[name]
+
+
+def test_run_examples_output_unchanged(golden):
+    assert examples_digest() == golden["scripts/run_examples.py"]
+
+
+if __name__ == "__main__":
+    json.dump(current_digests(), sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
