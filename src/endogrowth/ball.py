@@ -16,6 +16,14 @@ each grows its own, until each meets the identity's or runs out of radius.
 Balls of about half the radius thus replace one of the full radius.
 ``word_length`` is its one-target case, and ``L_k_table`` makes one call for
 all its iterate images.  Completed balls are immutable and safe to share.
+
+A target's ball is pruned by ``Machine.length_lower``: an element y at
+distance r from the target is stored but not expanded when
+length_lower(y) + r exceeds the radius, since no path of length <= radius
+from the identity to the target runs through it.  Geodesics to targets
+within the radius pass that test at every point, so the lengths found stay
+exact, and a pruned element can only take part in meetings along real
+paths, so it never yields a false length (``_meet`` gives the proof).
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ class Ball:
         return out.getvalue()
 
 
-def _spheres(machine, start, radius: int, cap: int, seen: dict):
+def _spheres(machine, start, radius: int, cap: int, seen: dict, lower: Optional[Callable] = None):
     """The one BFS kernel: yields (r, sphere r around ``start``) for
     r = 0, 1, ... up to ``radius``, and stops early at an empty sphere.
 
@@ -83,6 +91,18 @@ def _spheres(machine, start, radius: int, cap: int, seen: dict):
     ``machine.steps()`` in order.  Storing a new element when ``seen`` holds
     ``cap`` raises ResourceCapExceeded with the last full radius.  A caller
     may resume the generator with ``send(new_cap)``.
+
+    With a lower bound ``lower`` on word length, sphere r + 1 is built only
+    from the x in sphere r with lower(x) + r <= radius.  A word for x
+    followed by the r steps back to ``start`` is at least lower(x) + r long,
+    so a skipped x extends no path from the identity to ``start`` of length
+    <= radius.  The bound is read when x is expanded, never for the last
+    sphere.  Skipped elements stay in ``seen`` and in their sphere.  A
+    distance in ``seen`` is then the length of some path from ``start``,
+    maybe not the shortest.  Yet each y with |y| + d(start, y) <= radius
+    gets its exact distance: every point x of a shortest path from
+    ``start`` to y has |x| + d(start, x) <= |y| + d(start, y), so each is
+    expanded in turn.
     """
     steps = machine.steps()
     seen[start] = 0
@@ -94,6 +114,9 @@ def _spheres(machine, start, radius: int, cap: int, seen: dict):
             cap = sent
         if r >= radius:
             return
+        if lower is not None:
+            slack = radius - r
+            sphere = [x for x in sphere if lower(x) <= slack]
         r += 1
         nxt = []
         for x in sphere:
@@ -115,7 +138,7 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     Raises ResourceCapExceeded carrying the ball completed through the last
     full radius when more than ``cap`` elements would be stored, or when a
     finite group runs out of elements and the ``radius + 1`` rows of
-    ``counts`` would exceed ``cap``.
+    ``counts`` would exceed ``cap`` or not fit in memory.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -133,14 +156,21 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
             partial=partial,
         ) from None
     # a finite group ran out of elements: the padding rows count against cap
-    if radius >= len(counts) and radius >= cap:
-        done = len(counts) - 1
+    done = len(counts) - 1
+    why = None
+    if radius > done and radius >= cap:
+        why = f"exceeds cap {cap}"
+    else:
+        try:
+            counts += [counts[-1]] * (radius - done)
+        except (MemoryError, OverflowError):
+            why = "does not fit in memory"
+    if why:
         raise ResourceCapExceeded(
-            f"ball table of {radius + 1} rows exceeds cap {cap}",
+            f"ball table of {radius + 1} rows {why}",
             completed_radius=done,
             partial=Ball(done, dist, tuple(counts)),
         )
-    counts += [counts[-1]] * (radius + 1 - len(counts))
     return Ball(radius, dist, tuple(counts))
 
 
@@ -152,12 +182,14 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP) -> list[
     ``length_lower`` exceeds ``radius`` (None), and every target of a
     ``length_exact`` machine (``length_upper`` within ``radius``, else None).
     The rest, deduplicated, go to one multi-target bidirectional search: one
-    ball around the identity, shared, and one around each target.  The
-    identity grows next while its last sphere is no larger than the sum of
-    the unresolved targets' last spheres; otherwise each unresolved target
-    grows one sphere.  A target resolves at the first sphere that meets the
+    ball around the identity, shared, and one around each target, pruned by
+    ``length_lower`` as ``_spheres`` describes.  The identity grows next
+    while its last sphere is no larger than the sum of the unresolved
+    targets' last spheres; otherwise each unresolved target grows one
+    sphere.  A target resolves at the first sphere that meets the
     other side, with length r + min(distance on the other side), and is None
-    once its depth plus the identity's reaches ``radius``.
+    once its depth plus the identity's reaches ``radius``, or once its side
+    has nothing left to expand.
 
     ``cap`` bounds the elements stored by the identity side and the
     unresolved targets together.  Past it, ResourceCapExceeded carries as
@@ -182,30 +214,59 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP) -> list[
 
 
 class _Side:
-    """One growing ball of a bidirectional search."""
+    """One growing ball of a bidirectional search; ``lower``, when given,
+    prunes its expansion as in ``_spheres``."""
 
     __slots__ = ("seen", "spheres", "depth", "last")
 
-    def __init__(self, machine, start, radius: int, cap: int):
+    def __init__(self, machine, start, radius: int, cap: int, lower: Optional[Callable] = None):
         self.seen = {}
-        self.spheres = _spheres(machine, start, radius, cap, self.seen)
+        self.spheres = _spheres(machine, start, radius, cap, self.seen, lower)
         self.depth, self.last = next(self.spheres)
 
-    def grow(self, cap: int):
-        """Add the next sphere, storing at most ``cap`` elements in all."""
-        self.depth, self.last = self.spheres.send(cap)
+    def grow(self, cap: int) -> bool:
+        """Add the next sphere, storing at most ``cap`` elements in all;
+        False when there is none."""
+        try:
+            self.depth, self.last = self.spheres.send(cap)
+        except StopIteration:
+            return False
+        return True
 
 
 def _meet(machine, targets, radius: int, cap: int) -> dict:
     """{target: length or None} by the search ``word_lengths`` describes;
     the targets are distinct and none is the identity.
 
-    No side runs out of spheres while a target is open: a side grows only
-    while the depths sum to less than ``radius``, and a complete ball holds
-    the whole (finite) group, so it met the other side first."""
+    Each target side prunes with ``machine.length_lower``.  The identity's
+    side, shared by all targets, does not.
+
+    The lengths stay exact.  Take a target g with |g| = L <= radius and a
+    geodesic from the identity to g.  Its point y at distance j from g has
+    |y| + j = L <= radius, so, by induction on j, g's side expands it at
+    depth j and stores the next point at depth j + 1.  Let D_h and D_g be
+    the depths of the two sides before a step in which they have not met.
+    The identity's ball holds the geodesic's points up to distance D_h from
+    the identity and g's ball those up to distance D_g from g, so
+    D_h + D_g < L, or some point would lie in both.  The step grows one side
+    by a sphere.  A meeting in it is a real path from the identity through
+    the common element to g, of length at most D_h + D_g + 1 <= L, so of
+    length exactly L.  The element may have been pruned, or stored at more
+    than its distance from g; a meeting is still a path, so pruning never
+    gives a false length.
+
+    Sides grow only while their depths sum to less than ``radius``, so a
+    target beyond ``radius`` meets nothing and closes as None when the sum
+    reaches it.  Its side may also run out of spheres first, because every
+    element of its last sphere is pruned or leads only to stored elements.
+    Then g is beyond ``radius`` too, because for L <= radius the geodesic
+    point at distance D_g + 1 from g would be new, and g closes as None.
+    The identity's side never runs out while a target is open: a complete
+    ball holds the whole (finite) group, so it met every target first."""
     found = {}
     home = _Side(machine, machine.identity, radius, cap)
-    open_ = {x: _Side(machine, x, radius, cap) for x in targets}
+    lower = machine.length_lower
+    open_ = {x: _Side(machine, x, radius, cap, lower) for x in targets}
     stored = len(home.seen) + len(open_)
 
     def close(x, length):
@@ -213,17 +274,18 @@ def _meet(machine, targets, radius: int, cap: int) -> dict:
         found[x] = length
         stored -= len(open_.pop(x).seen)
 
-    def grow(side):
+    def grow(side) -> bool:
         nonlocal stored
         before = len(side.seen)
         try:
-            side.grow(cap - (stored - before))
+            grown = side.grow(cap - (stored - before))
         except ResourceCapExceeded:
             done = min(home.depth + s.depth for s in open_.values())
             raise ResourceCapExceeded(
                 f"search exceeded cap {cap} at radius {done + 1}", completed_radius=done
             ) from None
         stored += len(side.seen) - before
+        return grown
 
     while True:
         for x, side in list(open_.items()):
@@ -241,8 +303,9 @@ def _meet(machine, targets, radius: int, cap: int) -> dict:
                     close(x, home.depth + min(side.seen[y] for y in sphere if y in side.seen))
         else:
             for x, side in list(open_.items()):
-                grow(side)
-                if not home.seen.keys().isdisjoint(side.last):
+                if not grow(side):
+                    close(x, None)
+                elif not home.seen.keys().isdisjoint(side.last):
                     close(x, side.depth + min(home.seen[y] for y in side.last if y in home.seen))
 
 
@@ -426,9 +489,12 @@ def distortion(
     """Distortion profile of a subgroup given an exact inner length function.
 
     Witnesses are tie-broken by lexicographically least canonical word.
+    Only the radii the ball reached get a bucket: past them, on a finite
+    group, each row repeats the last.
     """
     ball = enumerate_ball(machine, radius, cap)
-    per_radius = [[] for _ in range(radius + 1)]
+    # discovery order puts an element of the largest distance last
+    per_radius = [[] for _ in range(next(reversed(ball.dist.values())) + 1)]
     for elem, d in ball.dist.items():
         if membership(elem):
             per_radius[d].append(elem)
@@ -436,7 +502,7 @@ def distortion(
     best = 0
     best_witness = ""
     for n in range(radius + 1):
-        for elem in per_radius[n]:
+        for elem in per_radius[n] if n < len(per_radius) else ():
             val = inner_length(elem)
             key = word_str(machine.decompose(elem), machine.gens)
             if val > best:

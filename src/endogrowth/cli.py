@@ -269,6 +269,9 @@ def run(argv=None) -> int:
         done = "" if exc.completed_radius is None else f" (completed radius {exc.completed_radius})"
         print(f"resource cap: {exc}{done}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except (CertificationError, ContractError, InconsistencyError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

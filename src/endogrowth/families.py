@@ -232,6 +232,14 @@ def _central_reach(g: int, c: int) -> int:
     return length
 
 
+def _nil_lower(g: int, ab: int, c: int) -> int:
+    """max(ab, _central_reach(g, c)) for an abelian length ab and a central
+    size c, without the square root when ab already reaches c."""
+    if g * ab * (ab - 1) // 2 + ab >= c:
+        return ab
+    return _central_reach(g, c)
+
+
 @dataclass(frozen=True)
 class FreeAbelianMachine(Machine):
     """Z^rank with coordinatewise arithmetic; elements are int tuples."""
@@ -454,7 +462,7 @@ class HeisenbergMachine(Machine):
         next letter moves l by at most max(k p, 1).  Summed over p < L,
         |l| <= k L(L-1)/2 + L."""
         m, n, l = elem
-        return max(abs(m) + abs(n), _central_reach(self.k, abs(l)))
+        return _nil_lower(self.k, abs(m) + abs(n), abs(l))
 
     def length_upper_word(self, elem):
         m, n, l = elem
@@ -656,7 +664,7 @@ class Nil2Machine(Machine):
         one: at most max(G p, 1) per letter.  Summed over p < L,
         |z|_inf <= G L(L-1)/2 + L."""
         x, z = elem
-        return max(sum(abs(e) for e in x), _central_reach(self._gamma_max, max(abs(c) for c in z)))
+        return _nil_lower(self._gamma_max, sum(map(abs, x)), max(map(abs, z)))
 
     def commutator_vector(self, u, v):
         """Central exponent vector of [a, b] for elements a, b with x-parts u, v."""
@@ -911,8 +919,9 @@ class BSMachine(Machine):
         object.__setattr__(self, "gens", GenSet(("a", "b")))
         object.__setattr__(self, "identity", (0, 0, 0))
         object.__setattr__(self, "free_ab_indices", (0,))
-        # n^k has about k log2(n) bits
+        # n^k has about k log2(n) bits, and at least k floor(log2(n)) + 1
         object.__setattr__(self, "_power_limit", SOL_POWER_BITS / math.log2(self.n))
+        object.__setattr__(self, "_log2_floor", self.n.bit_length() - 1)
 
     def _canonical(self, num, e):
         if num == 0:
@@ -989,13 +998,48 @@ class BSMachine(Machine):
         return reduce_word(_letters(*letters))
 
     def length_lower(self, elem):
-        """A word's a-exponent moves by one per a letter; its b-part gets the
-        denominator n^e only from a b letter read at a-exponent >= e.  So the
-        a letters climb from 0 to at least e and end at t, plus one b letter
-        when the b-part is not 0.  The bound keeps a search away from the
-        neighbours of such an element, whose b-parts have about e digits."""
+        """min over H >= 0 of walk(H) + max(1, ceil(|num| / n^(e+H))), with
+        walk(H) = min(2H + e + |e - t|, 2e + H + |t + H|); |t| when num = 0.
+
+        Read a word letter by letter.  A b^(+-1) read at a-height h (the
+        a-exponent of the prefix) adds +-n^-h to the b-part num / n^e.  Let
+        -H be the lowest height at which the word reads a b letter, or 0 if
+        that is higher.  Each b letter then adds at most n^H in absolute
+        value, so the word reads B >= |num| / n^(e+H) b letters, and B >= 1
+        when num != 0.  When e > 0, n does not divide num, so some b letter
+        is read at height >= e.  The a letters thus walk from 0 through -H
+        and through e, in either order, to t: walk(H) letters at least.
+        H = 0 gives e + |e - t| + 1, the bound that ignores the b-part.
+
+        At most four H can give the minimum.  Let H* be the least H >= 0 with
+        n^(e+H) >= |num|.  Past H* the b-term is 1 and walk does not fall.
+        walk grows by at most 2 per unit of H, while with x = |num| / n^(e+H)
+        the b-term falls by at least ceil(x) - ceil(x / n) >= x / 2 - 1, which
+        is >= 2 once x >= 6.  For H <= H* - 4, x > n^3 >= 8, so H + 1 is never
+        worse, and max(0, H* - 3) .. H* are the candidates.
+
+        Bit lengths decide n^e >= |num| before any power is formed, so no
+        power grows much past |num|: a^N b a^-N with N = 10^10 costs no more
+        than b."""
         num, e, t = elem
-        return e + abs(e - t) + (num != 0)
+        if not num:
+            return abs(t)
+        m = abs(num)
+        if e * self._log2_floor >= m.bit_length():  # n^e >= 2^bits > |num|
+            return e + abs(e - t) + 1
+        n = self.n
+        d = -(-m // n**e)  # ceil(ceil(m / n^e) / n^H) = ceil(m / n^(e+H))
+        # H* and p = n^H*: step up from a float estimate just below it
+        top = max(0, int(math.log(d, n)) - 2) if d.bit_length() > 64 else 0
+        p = n**top
+        while p < d:
+            p *= n
+            top += 1
+        best = e + abs(e - t) + d
+        for h in range(top, max(0, top - 3) - 1, -1):
+            best = min(best, min(2 * h + e + abs(e - t), 2 * e + h + abs(t + h)) - (-d // p))
+            p //= n
+        return best
 
     def cyclic_inner_length(self, gen_index, elem):
         num, e, t = elem

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endogrowth import ball as ball_module
 from endogrowth.ball import (
     L_k_table,
     cyclic_distortion,
@@ -170,12 +171,54 @@ class TestTargetedLookups:
         table = L_k_table(valid, kmax, radius, cap=cap)
         assert (table.lengths, table.exact) == reference_table(valid, kmax, radius)
 
+    def test_bs_table_fits_in_a_twentieth_of_the_ball(self):
+        # the far targets b^(2^k) have length_lower 2k, so the pruned target
+        # sides stay small; without the b-part in the bound this took 29.9%
+        _, machine = parse_group(load_fixture("bs.group"))
+        valid = validate_endo(machine, Endomorphism.from_strings(machine.gens, load_fixture("bs.endo")["images"]))
+        cap = len(enumerate_ball(machine, 9).dist) * 5 // 100
+        table = L_k_table(valid, 12, 9, cap=cap)
+        assert (table.lengths, table.exact) == reference_table(valid, 12, 9)
+
     def test_unipotent_heisenberg_fits_in_the_ball_size(self, heis1):
         # phi^k(a1) = a1 a2^k: rows up to k = 15 lie within the radius
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a1 a2", "a2": "a2", "a3": "a3"})
         valid = validate_endo(heis1, phi)
         table = L_k_table(valid, 25, 16, cap=len(enumerate_ball(heis1, 16).dist))
         assert (table.lengths, table.exact) == reference_table(valid, 25, 16)
+
+
+class TestPrunedSearch:
+    def test_pruned_side_runs_dry(self, bs2, monkeypatch):
+        # (3, 3, 3) = a^3 b^3 has length 5 and length_lower 4.  At radius 4
+        # each of its neighbours has length_lower >= 4, so its side stores
+        # sphere 1, expands none of it and ends before the depths sum to 4.
+        dry = []
+        grow = ball_module._Side.grow
+
+        def spy(side, cap):
+            grown = grow(side, cap)
+            if not grown:
+                dry.append(side.depth)
+            return grown
+
+        monkeypatch.setattr(ball_module._Side, "grow", spy)
+        assert bs2.length_lower((3, 3, 3)) == 4
+        assert word_lengths(bs2, [(3, 3, 3), (1, 0, 0)], 4) == [None, 1]
+        assert dry == [1]
+        assert word_length(bs2, (3, 3, 3), 5) == 5
+
+    def test_pruned_sides_store_fewer_elements(self, bs2):
+        # b^16 = a^-3 b^2 a^3 is 8 letters long, as its bound says, so a
+        # radius-9 ball around it expands only elements close to a geodesic
+        seen, pruned = {}, {}
+        assert bs2.length_lower((16, 0, 0)) == 8
+        for _ in ball_module._spheres(bs2, (16, 0, 0), 9, 10**6, seen):
+            pass
+        for _ in ball_module._spheres(bs2, (16, 0, 0), 9, 10**6, pruned, bs2.length_lower):
+            pass
+        assert len(pruned) < len(seen) // 10
+        assert pruned[bs2.identity] == 8 == word_length(bs2, (16, 0, 0), 9)
 
 
 class TestWordLength:

@@ -22,9 +22,12 @@ from endogrowth.reports import (
 
 from endogrowth.words import validate_endo
 
-from conftest import FIXTURE_DIR, SRC_DIR, load_fixture
+from conftest import FIXTURE_DIR, SRC_DIR, load_fixture, run_child
 
 GOLDEN = (3 + math.sqrt(5)) / 2
+
+# ``cli.run`` on the arguments after the memory limit, in a ``run_child`` child
+CLI_CHILD = "from endogrowth.cli import run\nsys.exit(run(sys.argv[2:]))"
 
 
 def fixture_path(name):
@@ -374,11 +377,14 @@ class TestBigIntegers:
         last = json.loads(out.read_text())["empirical"]["rows"][-1]
         assert last["k"] == 1000 and last["length"] > 2**64
 
-    def test_wordlen_bs_huge_a_powers(self, capsys):
-        # a^N b a^-N = b^(1/2^N): the normal form never needs 2^N itself
+    def test_wordlen_bs_huge_a_powers(self):
+        # a^N b a^-N = b^(1/2^N): neither the normal form nor its lower bound
+        # needs 2^N itself, so the search fits in a child of 256 MiB
         word = "a^10000000000 b a^-10000000000"
-        assert run(["wordlen", "--group", fixture_path("bs.group"), "--word", word, "--radius", "3"]) == 0
-        assert json.loads(capsys.readouterr().out)["known"] is False
+        argv = ["wordlen", "--group", fixture_path("bs.group"), "--word", word, "--radius", "3"]
+        done = run_child(CLI_CHILD, *argv, limit_mb=256)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["known"] is False
 
     def test_wordlen_sol_deep_tau_power(self, capsys):
         code = run(["wordlen", "--group", fixture_path("sol_ex1.group"), "--word", "tau^3000"])
@@ -396,6 +402,14 @@ class TestExitCodes:
         assert (
             run(["ball", "--group", fixture_path("bs.group"), "--radius", "12", "--cap", "50"]) == 3
         )
+
+    def test_out_of_memory_is_a_resource_exit(self):
+        # a --cap past what fits in a 128 MiB child: the BFS itself ends in a
+        # MemoryError, once a traceback with exit 1
+        argv = ["ball", "--group", fixture_path("heis_ex1.group"), "--radius", "1000", "--cap", "1000000000"]
+        done = run_child(CLI_CHILD, *argv, limit_mb=128)
+        assert done.returncode == 3, done.stderr
+        assert "out of memory" in done.stderr
 
     def test_wordlen_resource_cap(self, capsys):
         args = ["wordlen", "--group", fixture_path("heis_ex1.group"), "--word", "a1^3 a2^3 a3^3"]

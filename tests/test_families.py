@@ -203,6 +203,9 @@ LOWER_MACHINES = [
     HeisenbergMachine(1, include_center_gen=False),
     Nil2Machine(3, ("s12", "s13"), (("s12", (1, 2)), ("s13", (1, 3))), (((3, 2), (-1, -2)),)),
     NIL2_WIDE,
+    BSMachine(2),
+    BSMachine(3),
+    BSMachine(4),
 ]
 
 
@@ -230,6 +233,42 @@ class TestLengthLower:
         # G = 5: 5 L(L-1)/2 + L is 970 at L = 20 and 1071 at L = 21
         assert NIL2_WIDE.length_lower(((0, 0, 0), (0, 1000))) == 21
         assert NIL2_WIDE.length_lower(((2, -1, 0), (0, 0))) == 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bs_bound_against_the_ball(self, n):
+        # below every BFS distance in B(10), and never below the bound that
+        # ignored the size of the b-part
+        machine = BSMachine(n)
+        for (num, e, t), d in enumerate_ball(machine, 10).dist.items():
+            lower = machine.length_lower((num, e, t))
+            assert e + abs(e - t) + (num != 0) <= lower <= d
+
+    def test_bs_b_powers(self, bs2):
+        # |b^(2^k)| = 2k for k >= 1 (a^-(k-1) b^2 a^(k-1)), and the bound is exact
+        assert [bs2.length_lower((2**k, 0, 0)) for k in range(8)] == [1, 2, 4, 6, 8, 10, 12, 14]
+        assert bs2.length_lower((0, 0, -7)) == 7
+        assert bs2.length_lower((-(2**1000), 0, 0)) == 2000
+        # b^-40 = a^-3 b^-5 a^3: the minimum is at H = 3, and it is exact
+        assert bs2.length_lower((-40, 0, 0)) == 11 == word_length(bs2, (-40, 0, 0), 11)
+
+
+# Runs in a child capped at 256 MiB of address space and prints the seconds
+# one length_lower call took.
+BS_LOWER_CHILD = """
+import time
+from endogrowth.families import BSMachine
+start = time.perf_counter()
+print(BSMachine(2).length_lower((1, 10**10, 0)))
+print(time.perf_counter() - start)
+"""
+
+
+def test_bs_lower_on_a_huge_denominator_is_cheap():
+    # a^N b a^-N with N = 10^10: bit lengths show n^e > |num| without n^e
+    done = run_child(BS_LOWER_CHILD, limit_mb=256)
+    assert done.returncode == 0, done.stderr
+    lower, seconds = done.stdout.split()
+    assert int(lower) == 2 * 10**10 + 1 and float(seconds) < 0.5
 
 
 class TestBigIntegerLengths:

@@ -242,6 +242,11 @@ def test_huge_radius_on_a_finite_group_hits_the_cap(tmp_path, argv, radius):
     if argv[0] in ("ball", "distortion"):
         assert done.returncode == 3, done.stderr
         assert "rows exceeds cap" in done.stderr
+        # a --cap above the radius admits a table too large for memory: once
+        # a MemoryError (10^8 rows) or OverflowError (10^20 rows) traceback
+        done = run_child(FINITE_CHILD, str(tmp_path), *argv, "--radius", str(radius), "--cap", str(10 * radius), limit_mb=256)
+        assert done.returncode == 3, done.stderr
+        assert "rows does not fit in memory" in done.stderr
         return
     # the length table needs no ball: the exact functional gives |t1^(2^k)| = 1
     assert done.returncode == 0, done.stderr
