@@ -1,6 +1,6 @@
 """Byte-identical reports: the SHA-256 of every command's output on every
-bundled fixture, at the sizes of ``scripts/run_examples.py``, and of that
-script's own output.
+bundled fixture, at the sizes of ``scripts/run_examples.py``, of that
+script's own output, and of ``closed`` on the branches the fixtures miss.
 
 A performance change must leave every report byte for byte as it was.  The
 digests in ``golden_digests.json`` pin that down.  Print the digests of the
@@ -16,6 +16,7 @@ import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -47,6 +48,34 @@ EXTRAS = {
     "sol_ex1": ("a1", "a1^36 a2^-59 tau^-4", "tau^9 a1"),
     "sol_ex2": ("a1", "a1^-35 a2^54 tau^-4", "a1^500"),
     "sol_ex3": ("a1", "a1^-30 a2^-79 tau^2", "a2^1000 tau^-3"),
+}
+
+
+SOL_FIB = {"family": "sol_lattice", "params": {"A": [[2, 1], [1, 1]]}}
+
+# ``closed`` inputs for the closed-form branches no fixture reaches: Sol
+# types II and III, a type I endomorphism with torus map 0, and block lists.
+# Each document is written to a file and passed as ``--<key>``.
+DOCS = {
+    # M A = A^-1 M with M = [[-1, 0], [1, 1]] (I + A)
+    "closed sol type II": {
+        "group": SOL_FIB,
+        "endo": {"sol": {"M": [[-3, -1], [4, 3]], "p": 1, "q": -2, "tau_exp": -1}},
+    },
+    "closed sol type III": {
+        "group": SOL_FIB,
+        "endo": {"sol": {"M": [[0, 0], [0, 0]], "p": 2, "q": 1, "tau_exp": 3}},
+    },
+    "closed sol torus map zero": {
+        "group": SOL_FIB,
+        "endo": {"sol": {"M": [[0, 0], [0, 0]], "p": 1, "q": 2}},
+    },
+    "closed blocks golden": {
+        "blocks": [{"weight": 1, "matrix": [[2, 1], [1, 1]]}, {"weight": 2, "matrix": [[1]]}],
+    },
+    "closed blocks center": {
+        "blocks": [{"weight": 1, "matrix": [[0]]}, {"weight": 2, "matrix": [[4]]}],
+    },
 }
 
 
@@ -89,6 +118,16 @@ def digest_of(argv) -> str:
     return f"{code} {_digest(text)}"
 
 
+def doc_digest(docs: dict, tmp: pathlib.Path) -> str:
+    """``digest_of`` a ``closed`` run on the documents of one ``DOCS`` entry."""
+    argv = ["closed"]
+    for key, doc in docs.items():
+        path = tmp / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{key}", str(path)]
+    return digest_of(argv)
+
+
 def examples_digest() -> str:
     return _digest(_captured(EXAMPLES.main)[1])
 
@@ -96,6 +135,8 @@ def examples_digest() -> str:
 def current_digests() -> dict:
     out = {name: digest_of(argv) for name, argv in cases()}
     out["scripts/run_examples.py"] = examples_digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        out.update((name, doc_digest(docs, pathlib.Path(tmp))) for name, docs in DOCS.items())
     return out
 
 
@@ -105,12 +146,17 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted([name for name, _ in cases()] + ["scripts/run_examples.py"])
+    assert sorted(golden) == sorted([name for name, _ in cases()] + ["scripts/run_examples.py", *DOCS])
 
 
 @pytest.mark.parametrize("name, argv", cases(), ids=[name for name, _ in cases()])
 def test_report_bytes_unchanged(golden, name, argv):
     assert digest_of(argv) == golden[name]
+
+
+@pytest.mark.parametrize("name", list(DOCS))
+def test_closed_branch_bytes_unchanged(golden, name, tmp_path):
+    assert doc_digest(DOCS[name], tmp_path) == golden[name]
 
 
 def test_run_examples_output_unchanged(golden):
