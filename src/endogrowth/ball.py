@@ -35,12 +35,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ResourceCapExceeded, ValidationError
+from .errors import CertificationError, ResourceCapExceeded, ValidationError
 from .words import ValidEndo, apply_on_element, word_str
 
 __all__ = [
     "DEFAULT_CAP",
     "Ball",
+    "ClosedForm",
     "GrowthEstimate",
     "GrowthSummary",
     "DistortionTable",
@@ -315,14 +316,37 @@ def word_length(machine, elem, radius: int, cap: int = DEFAULT_CAP) -> Optional[
     return word_lengths(machine, [elem], radius, cap)[0]
 
 
-def _kth_root(length: int, k: int) -> float:
-    """length^(1/k) as a float, also for lengths beyond float range."""
-    if length <= 0:
-        return 0.0
+def _root(num: int, den: int, k: int) -> float:
+    """(num / den)^(1/k) as a float, also for num / den beyond float range;
+    CertificationError when the root is beyond it too."""
     try:
-        return length ** (1.0 / k)
+        return (num / den) ** (1.0 / k)
     except OverflowError:
-        return math.exp(math.log(length) / k)
+        pass
+    try:
+        return math.exp((math.log(num) - math.log(den)) / k)
+    except OverflowError:
+        raise CertificationError("growth estimate beyond float range") from None
+
+
+def _kth_root(length: int, k: int) -> float:
+    return _root(length, 1, k) if length > 0 else 0.0
+
+
+def _trend(seq) -> Optional[float]:
+    """sqrt(L_k / L_(k-2)) of the last entries; None with fewer than three
+    entries or L_(k-2) = 0."""
+    return _root(seq[-1], seq[-3], 2) if len(seq) >= 3 and seq[-3] > 0 else None
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed-form growth rate: its value, the method that gives it, and
+    the certificate a report prints."""
+
+    value: float
+    method: str
+    certificate: dict
 
 
 @dataclass(frozen=True)
@@ -337,7 +361,6 @@ class GrowthEstimate:
     gen_names: tuple[str, ...]
     ks: tuple[int, ...]
     per_gen: dict
-    per_gen_exact: dict
     lengths: tuple[int, ...]
     exact: tuple[bool, ...]
     method: str
@@ -384,20 +407,12 @@ def gr_estimate(table: GrowthEstimate) -> GrowthSummary:
         return GrowthSummary(
             tuple(runinf), final_inf, None, 0.0, all(table.exact), {}, "decreasing"
         )
-    trend = None
-    if len(table.ks) >= 3:
-        l_now, l_back = table.lengths[-1], table.lengths[-3]
-        if l_back > 0:
-            trend = (l_now / l_back) ** 0.5
+    trend = _trend(table.lengths)
     estimate = final_inf if trend is None else min(final_inf, trend)
     per_gen = {}
     for name in table.gen_names:
         seq = table.per_gen[name]
-        root = _kth_root(seq[-1], table.ks[-1])
-        gtrend = None
-        if len(seq) >= 3 and seq[-3] > 0:
-            gtrend = (seq[-1] / seq[-3]) ** 0.5
-        per_gen[name] = {"root": root, "trend": gtrend}
+        per_gen[name] = {"root": _kth_root(seq[-1], table.ks[-1]), "trend": _trend(seq)}
     mid = runinf[len(runinf) // 2]
     direction = "decreasing" if final_inf < mid - 1e-12 else "flat"
     return GrowthSummary(
@@ -431,7 +446,6 @@ def L_k_table(
     found = iter(word_lengths(machine, [x for row in rows for x in row], radius, cap))
     names = machine.gens.names
     per_gen = {n: [] for n in names}
-    per_gen_exact = {n: [] for n in names}
     lengths = []
     exact_flags = []
     for current in rows:
@@ -443,7 +457,6 @@ def L_k_table(
             else:
                 val, is_exact = machine.length_upper(x), machine.length_exact
             per_gen[name].append(val)
-            per_gen_exact[name].append(is_exact)
             row.append((val, is_exact))
         l_k = max(v for v, _ in row)
         # exact iff an exact entry attains the max: upper-bound entries
@@ -455,7 +468,6 @@ def L_k_table(
         names,
         tuple(range(1, kmax + 1)),
         per_gen,
-        per_gen_exact,
         tuple(lengths),
         tuple(exact_flags),
         "bfs+length_functional",

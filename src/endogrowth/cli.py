@@ -101,7 +101,7 @@ def _cmd_closed_blocks(args):
         "command": "closed",
         "blocks": doc,
         "value": rep.value,
-        "certificate": rep.certificate(),
+        "certificate": rep.certificate,
     }
     _emit(args, report_json(out), f"closed(blocks)={rep.value:.12g}")
     return EXIT_OK

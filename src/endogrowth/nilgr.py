@@ -11,17 +11,15 @@ provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .ball import ClosedForm
 from .errors import CertificationError, InconsistencyError, ValidationError
-from .exactlin import IntMatrix, SpectralResult, spectral_radius
+from .exactlin import IntMatrix, spectral_radius
 from .families import HeisenbergMachine, Nil2Machine
 from .words import ValidEndo
 
 __all__ = [
-    "NilReport",
-    "BlocksReport",
     "abelianization_matrix",
     "induced_center_matrix",
     "gr_nilpotent_closed",
@@ -79,38 +77,16 @@ def induced_center_matrix(valid: ValidEndo) -> IntMatrix:
     raise ValidationError(f"no central block defined for family {machine.family!r}")
 
 
-@dataclass(frozen=True)
-class NilReport:
-    ab_matrix: IntMatrix
-    center_matrix: Optional[IntMatrix]
-    sp_ab: SpectralResult
-    sp_center: Optional[SpectralResult]
-    value: float
-    cross_check: float
-
-    def certificate(self) -> dict:
-        cert = {
-            "ab_matrix": [list(r) for r in self.ab_matrix.entries],
-            "char_poly_ab": str(self.sp_ab.char_poly),
-            "sp_ab": self.sp_ab.value,
-            "cross_check": self.cross_check,
-        }
-        if self.center_matrix is not None:
-            cert["center_matrix"] = [list(r) for r in self.center_matrix.entries]
-            cert["char_poly_center"] = str(self.sp_center.char_poly)
-            cert["sp_center"] = self.sp_center.value
-        return cert
-
-
 _NIL_FAMILIES = ("free_abelian", "heisenberg", "nilpotent2")
 
 
-def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> NilReport:
+def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> ClosedForm:
     """Growth rate of a valid endomorphism of a torsion-free nilpotent family.
 
     The value is sp of the abelianization block.  Where a central block is
     available its square root is certified not to exceed the value (within
-    tol), and the max-of-blocks cross-check is reported.
+    tol), and the max-of-blocks cross-check is reported.  The certificate
+    holds each block, its characteristic polynomial and its spectral radius.
     """
     machine = valid.machine
     if machine.family not in _NIL_FAMILIES:
@@ -119,9 +95,12 @@ def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> NilReport:
         )
     ab = abelianization_matrix(valid)
     sp_ab = spectral_radius(ab, tol)
-    center = None
-    sp_center = None
-    cross = sp_ab.value
+    cert = {
+        "ab_matrix": [list(r) for r in ab.entries],
+        "char_poly_ab": str(sp_ab.char_poly),
+        "sp_ab": sp_ab.value,
+        "cross_check": sp_ab.value,
+    }
     if machine.family in ("heisenberg", "nilpotent2"):
         center = induced_center_matrix(valid)
         sp_center = spectral_radius(center, tol)
@@ -130,27 +109,16 @@ def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> NilReport:
             raise CertificationError(
                 "central block spectral radius exceeds the square of the abelianization block"
             )
-        cross = max(cross, root)
-    return NilReport(ab, center, sp_ab, sp_center, sp_ab.value, cross)
+        cert.update(
+            cross_check=max(sp_ab.value, root),
+            center_matrix=[list(r) for r in center.entries],
+            char_poly_center=str(sp_center.char_poly),
+            sp_center=sp_center.value,
+        )
+    return ClosedForm(sp_ab.value, "nilpotent_abelianization", cert)
 
 
-@dataclass(frozen=True)
-class BlocksReport:
-    value: float
-    argmax_weight: int
-    per_block: tuple[tuple[int, SpectralResult], ...]
-
-    def certificate(self) -> dict:
-        return {
-            "argmax_weight": self.argmax_weight,
-            "blocks": [
-                {"weight": w, "sp": r.value, "char_poly": str(r.char_poly)}
-                for w, r in self.per_block
-            ],
-        }
-
-
-def gr_from_blocks(blocks, tol: float = 1e-9) -> BlocksReport:
+def gr_from_blocks(blocks, tol: float = 1e-9) -> ClosedForm:
     """max over blocks of sp(block)^(1/weight) for user-supplied diagonal blocks.
 
     Weights must be strictly increasing starting at 1.  No attempt is made to
@@ -166,8 +134,8 @@ def gr_from_blocks(blocks, tol: float = 1e-9) -> BlocksReport:
     best_weight = items[0][0]
     for weight, matrix in items:
         res = spectral_radius(matrix, tol)
-        per_block.append((weight, res))
+        per_block.append({"weight": weight, "sp": res.value, "char_poly": str(res.char_poly)})
         val = res.value ** (1.0 / weight)
         if val > best:
             best, best_weight = val, weight
-    return BlocksReport(best, best_weight, tuple(per_block))
+    return ClosedForm(best, "max_block_root", {"argmax_weight": best_weight, "blocks": per_block})

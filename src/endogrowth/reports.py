@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import __version__
-from .ball import DEFAULT_CAP, GrowthEstimate, GrowthSummary, L_k_table, gr_estimate
+from .ball import DEFAULT_CAP, ClosedForm, GrowthEstimate, GrowthSummary, L_k_table, gr_estimate
 from .errors import ValidationError
 from .exactlin import IntMatrix, spectral_radius
 from .families import PARAM_TYPES, Machine, check_params, klein_restricted_matrix, machine_from_params
@@ -129,20 +129,12 @@ def algebraic_entropy(growth_rate: float) -> Optional[float]:
     return math.log(growth_rate) if growth_rate > 0 else None
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    value: float
-    method: str
-    certificate: dict
-
-
 # Routes look their workers up as module globals at call time, so a wrapper
 # installed on a module attribute (a tracer, say) sees every call.
 
 
 def _nilpotent_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    rep = gr_nilpotent_closed(valid, tol)
-    return ClosedForm(rep.value, "nilpotent_abelianization", rep.certificate())
+    return gr_nilpotent_closed(valid, tol)
 
 
 def _torsion_closed(valid: ValidEndo, tol: float) -> ClosedForm:
@@ -166,8 +158,7 @@ def _torsion_closed(valid: ValidEndo, tol: float) -> ClosedForm:
 
 
 def _sol_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    closed = gr_sol_closed(valid.derived(classify_endo))
-    return ClosedForm(closed.value, "sol_type_formula", closed.certificate())
+    return gr_sol_closed(valid.derived(classify_endo))
 
 
 def _klein_closed(valid: ValidEndo, tol: float) -> ClosedForm:

@@ -1,21 +1,24 @@
 """Closed-form and empirical growth rates for endomorphisms of Sol lattices.
 
-The holonomy matrix A (integer, det 1, trace > 2) has irrational eigenvalues
-alpha > 1 > beta = 1/alpha.  Everything branch-critical is decided in exact
-arithmetic over Q(sqrt(d)), d = trace(A)^2 - 4: the labeling of the torus
-map's eigenvalues by eigendirection, tie detection, and the termination
-certificate of the shift minimizer.
+The holonomy matrix A (integer, det 1, trace t > 2) has irrational
+eigenvalues alpha > 1 > beta = 1/alpha, and d = t^2 - 4.  The closed form's
+branch is an integer sign test.  A nonzero torus map M commuting with A is
+c0 I + c1 A, so its eigenvalues on A's expanding and contracting
+eigendirections are mu, nu = x +- y sqrt(d), with x = tr(M) / 2 and
+y = m12 / (2 l12).  Then |mu|^2 - |nu|^2 = 4 x y sqrt(d), so |mu| <= |nu|
+exactly when tr(M) m12 l12 <= 0.  The termination certificate of the shift
+minimizer is integer arithmetic too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
-from typing import Optional
+from math import isinf, isqrt, sqrt
 
-from .ball import GrowthEstimate
+from .ball import ClosedForm, GrowthEstimate
 from .errors import (
+    CertificationError,
     ClassificationError,
     ContractError,
     InconsistencyError,
@@ -25,93 +28,13 @@ from .exactlin import IntMatrix, char_poly, det, inverse_unimodular_2x2, mat_vec
 from .words import ValidEndo
 
 __all__ = [
-    "Quad",
     "LengthMin",
     "SolLengthMinimizer",
-    "EigenData",
     "SolEndo",
-    "SolClosedForm",
     "classify_endo",
-    "eigen_data",
     "gr_sol_closed",
     "gr_sol_empirical",
 ]
-
-
-@dataclass(frozen=True)
-class Quad:
-    """Exact real number a + b*sqrt(d) with rational a, b and fixed d > 0 non-square."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    @staticmethod
-    def of(a, b, d) -> "Quad":
-        return Quad(Fraction(a), Fraction(b), d)
-
-    def _check(self, other: "Quad"):
-        if self.d != other.d:
-            raise ContractError("mixed quadratic fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return Quad(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Quad(self.a - other.a, self.b - other.b, self.d)
-
-    def __neg__(self):
-        return Quad(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Quad(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    def __truediv__(self, other):
-        self._check(other)
-        norm = other.a * other.a - other.b * other.b * other.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        conj_num = self * Quad(other.a, -other.b, self.d)
-        return Quad(conj_num.a / norm, conj_num.b / norm, self.d)
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        t = a * a - b * b * self.d
-        s = (t > 0) - (t < 0)
-        return s if a > 0 else -s
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def abs(self) -> "Quad":
-        return self if self.sign() >= 0 else -self
-
-    def equals_rational(self, r) -> bool:
-        return self.b == 0 and self.a == Fraction(r)
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * sqrt(self.d)
 
 
 def _validate_holonomy(a: IntMatrix):
@@ -199,66 +122,6 @@ class SolLengthMinimizer:
 
 
 @dataclass(frozen=True)
-class EigenData:
-    """Eigenvalues of the holonomy A and a commuting torus map M.
-
-    mu is M's eigenvalue on A's expanding (alpha) eigendirection, nu the one
-    on the contracting (beta) direction; the labeling is by direction, never
-    by magnitude.
-    """
-
-    alpha: Quad
-    beta: Quad
-    mu: Quad
-    nu: Quad
-    trace_m: int
-    det_m: int
-
-    @property
-    def alpha_float(self):
-        return float(self.alpha)
-
-    @property
-    def mu_float(self):
-        return float(self.mu)
-
-    @property
-    def nu_float(self):
-        return float(self.nu)
-
-
-def eigen_data(holonomy: IntMatrix, torus_map: IntMatrix) -> EigenData:
-    """Direction-labeled eigenvalues, exact in Q(sqrt(d)).
-
-    Requires the torus map to commute with the holonomy (they are then
-    simultaneously diagonalizable); cross-checks mu+nu and mu*nu against the
-    exact trace and determinant.
-    """
-    _validate_holonomy(holonomy)
-    if (torus_map.rows, torus_map.cols) != (2, 2):
-        raise ValidationError("torus map must be 2x2")
-    if holonomy @ torus_map != torus_map @ holonomy:
-        raise ContractError("torus map does not commute with the holonomy; labeling impossible")
-    (l11, l12), (_, l22) = holonomy.entries
-    (m11, m12), (m21, m22) = torus_map.entries
-    t = l11 + l22
-    d = t * t - 4
-    half = Fraction(1, 2)
-    alpha = Quad(Fraction(t, 2), half, d)
-    beta = Quad(Fraction(t, 2), -half, d)
-    # alpha-eigenvector (l12, alpha - l11); l12 != 0 for every valid holonomy
-    ratio_a = (alpha - Quad.of(l11, 0, d)) / Quad.of(l12, 0, d)
-    ratio_b = (beta - Quad.of(l11, 0, d)) / Quad.of(l12, 0, d)
-    mu = Quad.of(m11, 0, d) + Quad.of(m12, 0, d) * ratio_a
-    nu = Quad.of(m11, 0, d) + Quad.of(m12, 0, d) * ratio_b
-    tr_m = m11 + m22
-    dt_m = m11 * m22 - m12 * m21
-    if not (mu + nu).equals_rational(tr_m) or not (mu * nu).equals_rational(dt_m):
-        raise ContractError("eigenvalue labeling failed the trace/determinant cross-check")
-    return EigenData(alpha, beta, mu, nu, tr_m, dt_m)
-
-
-@dataclass(frozen=True)
 class SolEndo:
     """Classified endomorphism of a Sol lattice.
 
@@ -296,82 +159,80 @@ def classify_endo(valid: ValidEndo) -> SolEndo:
     return SolEndo(a, "III", m, p, tau_exp)
 
 
-@dataclass(frozen=True)
-class SolClosedForm:
-    value: float
-    branch: str
-    type_tag: str
-    mu: Optional[float]
-    nu: Optional[float]
-    trace_m: Optional[int]
-    det_m: Optional[int]
-    char_poly_holonomy: str
-    char_poly_torus: str
+def _type_one(holonomy: IntMatrix, torus_map: IntMatrix) -> tuple[float, dict]:
+    """Value and certificate fields of a type I endomorphism with torus map
+    M != 0, by the sign test of the module docstring.
 
-    def certificate(self) -> dict:
-        return {
-            "branch": self.branch,
-            "type": self.type_tag,
-            "mu": self.mu,
-            "nu": self.nu,
-            "trace_m": self.trace_m,
-            "det_m": self.det_m,
-            "char_poly_holonomy": self.char_poly_holonomy,
-            "char_poly_torus": self.char_poly_torus,
-        }
+    Cross-checks mu nu = det M as (tr(M)^2 - 4 det M) l12^2 = m12^2 d.
+    A float beyond range raises OverflowError.
+    """
+    _validate_holonomy(holonomy)
+    if (torus_map.rows, torus_map.cols) != (2, 2):
+        raise ValidationError("torus map must be 2x2")
+    if holonomy @ torus_map != torus_map @ holonomy:
+        raise ContractError("torus map does not commute with the holonomy; labeling impossible")
+    (l11, l12), (_, l22) = holonomy.entries
+    (m11, m12), (m21, m22) = torus_map.entries
+    d = (l11 + l22) ** 2 - 4
+    tr_m = m11 + m22
+    det_m = m11 * m22 - m12 * m21
+    if (tr_m * tr_m - 4 * det_m) * l12 * l12 != m12 * m12 * d:
+        raise ContractError("eigenvalue labeling failed the trace/determinant cross-check")
+    if det_m == 0:
+        raise InconsistencyError(
+            "a nonzero torus map commuting with the holonomy cannot be singular"
+        )
+    # l12 != 0 for every valid holonomy
+    x, y = Fraction(tr_m, 2), Fraction(m12, 2 * l12)
+    mu_le_nu = tr_m * m12 * l12 <= 0  # |mu| <= |nu|
+    root_d = sqrt(d)
+    mu, nu = float(x) + float(y) * root_d, float(x) - float(y) * root_d
+    if isinf(mu) or isinf(nu):
+        raise OverflowError("torus map eigenvalue beyond float range")
+    value = abs(nu) if mu_le_nu else sqrt(abs(det_m))
+    branch = "abs_nu" if mu_le_nu else "sqrt_abs_det"
+    return value, {"branch": branch, "mu": mu, "nu": nu, "trace_m": tr_m, "det_m": det_m}
 
 
-def gr_sol_closed(e: SolEndo) -> SolClosedForm:
+def gr_sol_closed(e: SolEndo) -> ClosedForm:
     """Closed-form growth rate with the branch decided exactly.
 
     Branches for types I/II with torus map M != 0: |nu| when |mu| <= |nu|
     (ties exact: trace 0 or zero discriminant), sqrt(|det M|) when |nu| < |mu|.
     M = 0 gives |tau_exp| (1 for types I/II, |m| for type III).  The value is
     an algebraic integer; floats here are exact-formula evaluations.
+
+    Type II goes through the square, a type I endomorphism with torus map
+    M^2.  As MA = A^-1 M, M swaps A's eigenlines, so M^2 = -det(M) I is
+    scalar: every type II endomorphism takes the tie branch
+    typeII_via_square:abs_nu, with value sqrt(|det M|).
+
+    A value or eigenvalue beyond float range raises CertificationError.
     """
-    cp_a = str(char_poly(e.holonomy))
-    cp_m = str(char_poly(e.torus_map))
-    if e.type_tag == "III":
-        return SolClosedForm(
-            float(abs(e.tau_exp)), "quotient_power", "III", None, None, None,
-            det(e.torus_map), cp_a, cp_m,
-        )
-    if e.torus_map.is_zero():
-        return SolClosedForm(1.0, "torus_map_zero", e.type_tag, 0.0, 0.0, 0, 0, cp_a, cp_m)
-    if e.type_tag == "II":
-        squared = SolEndo(
-            e.holonomy,
-            "I",
-            e.torus_map @ e.torus_map,
-            tuple(mat_vec(e.torus_map - e.holonomy, e.p)),
-            1,
-        )
-        inner = gr_sol_closed(squared)
-        return SolClosedForm(
-            sqrt(inner.value),
-            "typeII_via_square:" + inner.branch,
-            "II",
-            inner.mu,
-            inner.nu,
-            inner.trace_m,
-            inner.det_m,
-            cp_a,
-            cp_m,
-        )
-    ed = eigen_data(e.holonomy, e.torus_map)
-    if ed.det_m == 0:
-        raise InconsistencyError(
-            "a nonzero torus map commuting with the holonomy cannot be singular"
-        )
-    if ed.mu.abs() <= ed.nu.abs():
-        value = abs(ed.nu_float)
-        branch = "abs_nu"
-    else:
-        value = sqrt(abs(ed.det_m))
-        branch = "sqrt_abs_det"
-    return SolClosedForm(
-        value, branch, "I", ed.mu_float, ed.nu_float, ed.trace_m, ed.det_m, cp_a, cp_m
-    )
+    cert = {
+        "type": e.type_tag,
+        "char_poly_holonomy": str(char_poly(e.holonomy)),
+        "char_poly_torus": str(char_poly(e.torus_map)),
+    }
+    try:
+        if e.type_tag == "III":
+            value = float(abs(e.tau_exp))
+            cert.update(branch="quotient_power", mu=None, nu=None, trace_m=None, det_m=det(e.torus_map))
+        elif e.torus_map.is_zero():
+            value = 1.0
+            cert.update(branch="torus_map_zero", mu=0.0, nu=0.0, trace_m=0, det_m=0)
+        elif e.type_tag == "II":
+            m = e.torus_map
+            inner = gr_sol_closed(SolEndo(e.holonomy, "I", m @ m, tuple(mat_vec(m - e.holonomy, e.p)), 1))
+            value = sqrt(inner.value)
+            cert.update({k: inner.certificate[k] for k in ("mu", "nu", "trace_m", "det_m")})
+            cert["branch"] = "typeII_via_square:" + inner.certificate["branch"]
+        else:
+            value, fields = _type_one(e.holonomy, e.torus_map)
+            cert.update(fields)
+    except OverflowError:
+        raise CertificationError("Sol growth rate beyond float range") from None
+    return ClosedForm(value, "sol_type_formula", cert)
 
 
 def gr_sol_empirical(e: SolEndo, kmax: int = 16) -> GrowthEstimate:
@@ -428,12 +289,10 @@ def gr_sol_empirical(e: SolEndo, kmax: int = 16) -> GrowthEstimate:
     lengths = tuple(
         max(per_gen["a1"][i], per_gen["a2"][i], per_gen["tau"][i]) for i in range(kmax)
     )
-    falses = {n: [False] * kmax for n in names}
     return GrowthEstimate(
         names,
         ks,
         {n: list(v) for n, v in per_gen.items()},
-        falses,
         lengths,
         (False,) * kmax,
         "sol_shift_minimizer",

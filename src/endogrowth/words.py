@@ -24,7 +24,6 @@ __all__ = [
     "word_str",
     "reduce_word",
     "evaluate",
-    "elem_pow",
     "endo_power_image",
     "check_homomorphism",
     "validate_endo",
@@ -180,11 +179,6 @@ class Endomorphism:
         for _ in range(k):
             acc = self.compose(acc)
         return acc
-
-
-def elem_pow(machine, x, n: int):
-    """x**n in the machine (see ``Machine.pow``); n may be any integer."""
-    return machine.pow(x, n)
 
 
 def evaluate(machine, w: Word):

@@ -235,11 +235,11 @@ def test_criterion_09_nil2_random_valid(nil2_ex3, nil2_commuting):
         for endo in random_valid_nil2_endos(machine, rng, 25):
             assert check_homomorphism(machine, endo).valid
             rep = gr_nilpotent_closed(validate_endo(machine, endo))
-            sp_ab = rep.sp_ab.value
-            sp_center = rep.sp_center.value
+            sp_ab = rep.certificate["sp_ab"]
+            sp_center = rep.certificate["sp_center"]
             assert sp_center <= sp_ab**2 + 1e-9
             assert rep.value == sp_ab
-            assert rep.cross_check <= sp_ab + 1e-9
+            assert rep.certificate["cross_check"] <= sp_ab + 1e-9
             total += 1
     assert total == 50
     print(f"ACCEPTANCE 09 PASS nil2: {total} random valid endomorphisms satisfy "

@@ -19,7 +19,7 @@ from endogrowth.families import (
     klein_restricted_matrix,
     machine_from_params,
 )
-from endogrowth.words import Endomorphism, Word, check_homomorphism, elem_pow, evaluate, parse_word, validate_endo
+from endogrowth.words import Endomorphism, Word, check_homomorphism, evaluate, parse_word, validate_endo
 
 from conftest import ALL_MACHINES, FIXTURE_DIR, run_child
 
@@ -28,7 +28,7 @@ def random_element(machine, rng, steps=10):
     x = machine.identity
     for _ in range(steps):
         i = rng.randrange(len(machine.gens))
-        x = machine.mul(x, elem_pow(machine, machine.gen_elem(i), rng.choice([-2, -1, 1, 2])))
+        x = machine.mul(x, machine.pow(machine.gen_elem(i), rng.choice([-2, -1, 1, 2])))
     return x
 
 

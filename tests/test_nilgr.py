@@ -193,8 +193,8 @@ class TestClosedForm:
     def test_heisenberg_golden(self, heis1):
         rep = gr_nilpotent_closed(validate_endo(heis1, heis_endo(heis1, ((2, 1), (1, 1)))))
         assert abs(rep.value - GOLDEN) <= 1e-9
-        assert rep.center_matrix == IntMatrix.from_rows([[1]])
-        assert abs(rep.cross_check - rep.value) <= 1e-9
+        assert IntMatrix.from_rows(rep.certificate["center_matrix"]) == IntMatrix.from_rows([[1]])
+        assert abs(rep.certificate["cross_check"] - rep.value) <= 1e-9
 
     def test_trivial_endo_zero(self, z2):
         endo = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
@@ -207,7 +207,8 @@ class TestClosedForm:
         assert check_homomorphism(nil2_commuting, endo).valid
         rep = gr_nilpotent_closed(validate_endo(nil2_commuting, endo))
         assert abs(rep.value - 1.0) <= 1e-9
-        assert abs(spectral_radius(rep.center_matrix).value - 1.0) <= 1e-9
+        center = IntMatrix.from_rows(rep.certificate["center_matrix"])
+        assert abs(spectral_radius(center).value - 1.0) <= 1e-9
 
     def test_sol_machine_rejected(self, sol_fib):
         with pytest.raises(ValidationError):
@@ -228,7 +229,7 @@ class TestClosedForm:
             )
             valid = validate_endo(heis1, conj)
             rep = gr_nilpotent_closed(valid)
-            assert abelianization_matrix(valid) == base.ab_matrix
+            assert abelianization_matrix(valid) == IntMatrix.from_rows(base.certificate["ab_matrix"])
             assert abs(rep.value - base.value) <= 1e-9
 
 
@@ -237,8 +238,8 @@ class TestCenterVsAbelianizationBound:
         rng = random.Random(43)
         for endo in random_valid_nil2_endos(nil2_ex3, rng, 15):
             rep = gr_nilpotent_closed(validate_endo(nil2_ex3, endo))
-            sp1 = rep.sp_ab.value
-            sp2 = rep.sp_center.value
+            sp1 = rep.certificate["sp_ab"]
+            sp2 = rep.certificate["sp_center"]
             assert sp2 <= sp1**2 + 1e-9
 
 
@@ -248,7 +249,7 @@ class TestBlocks:
             [(1, IntMatrix.from_rows([[2, 1], [1, 1]])), (2, IntMatrix.from_rows([[1]]))]
         )
         assert abs(rep.value - GOLDEN) <= 1e-9
-        assert rep.argmax_weight == 1
+        assert rep.certificate["argmax_weight"] == 1
 
     def test_weight_two_root(self):
         rep = gr_from_blocks([(1, IntMatrix.from_rows([[2]])), (2, IntMatrix.from_rows([[3]]))])
@@ -257,7 +258,7 @@ class TestBlocks:
     def test_center_dominates(self):
         rep = gr_from_blocks([(1, IntMatrix.from_rows([[0]])), (2, IntMatrix.from_rows([[4]]))])
         assert abs(rep.value - 2.0) <= 1e-9
-        assert rep.argmax_weight == 2
+        assert rep.certificate["argmax_weight"] == 2
 
     def test_spec_unipotent_blocks(self):
         # upper-triangular unipotent 3x3 with its 2x2 minors block

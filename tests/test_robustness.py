@@ -81,6 +81,44 @@ def test_malformed_block_list_is_a_validation_error(blocks):
         assert run(["closed", "--blocks", str(path), "--out", str(Path(tmp) / "out")]) == 2
 
 
+SOL_FIB = {"family": "sol_lattice", "params": {"A": [[2, 1], [1, 1]]}}
+Z1 = {"family": "free_abelian", "params": {"rank": 1}}
+Z2 = {"family": "free_abelian", "params": {"rank": 2}}
+BIG = 10**200
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "command, group, endo",
+    [
+        # sqrt|det M| of a 10^400 determinant
+        ("closed", SOL_FIB, {"sol": {"M": [[BIG + 2, 1], [1, BIG + 1]]}}),
+        # mu, nu themselves
+        ("closed", SOL_FIB, {"sol": {"M": [[HUGE + 2, 1], [1, HUGE + 1]]}}),
+        # x = 0, so only y sqrt(d) overflows, to an infinite nu
+        ("closed", SOL_FIB, {"sol": {"M": [[10**308, 2 * 10**308], [2 * 10**308, -(10**308)]]}}),
+        ("closed", SOL_FIB, {"sol": {"M": [[0, 0], [0, 0]], "tau_exp": HUGE}}),
+        # the k-th root of L_1
+        ("empirical", Z2, {"matrix": [[HUGE, 0], [0, 1]]}),
+    ],
+    ids=["sol-sqrt-det", "sol-eigenvalues", "sol-infinite-nu", "sol-type-three", "kth-root"],
+)
+def test_growth_beyond_float_range_is_a_certification_failure(command, group, endo, capsys):
+    assert run_docs(command, group, endo, "--kmax", 3) == 4
+    assert "beyond float range" in capsys.readouterr().err
+
+
+def test_trend_past_float_range_ratio_is_reported(tmp_path):
+    # L_3 / L_1 = 10^400 is beyond float range; its square root is not
+    (tmp_path / "g.json").write_text(json.dumps(Z1))
+    (tmp_path / "e.json").write_text(json.dumps({"matrix": [[BIG]]}))
+    argv = ["empirical", "--group", str(tmp_path / "g.json"), "--endo", str(tmp_path / "e.json")]
+    assert run(argv + ["--kmax", "3", "--out", str(tmp_path / "out")]) == 0
+    empirical = json.loads((tmp_path / "out").read_text())["empirical"]
+    assert empirical["trend"] == pytest.approx(1e200)
+    assert empirical["per_gen"]["e1"]["trend"] == pytest.approx(1e200)
+
+
 small = st.integers(-1, 4)
 junk = st.one_of(
     st.none(),

@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from endogrowth.ball import enumerate_ball, gr_estimate
 from endogrowth.errors import ContractError, ValidationError
-from endogrowth.exactlin import IntMatrix, mat_pow, mat_vec
+from endogrowth.exactlin import IntMatrix, det, inverse_unimodular_2x2, mat_pow, mat_vec
 from endogrowth.families import SolMachine
 from endogrowth.reports import parse_endo
 from endogrowth.solgr import (
@@ -14,7 +16,6 @@ from endogrowth.solgr import (
     SolEndo,
     SolLengthMinimizer,
     classify_endo,
-    eigen_data,
     gr_sol_closed,
     gr_sol_empirical,
 )
@@ -24,6 +25,13 @@ A_FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_23 = IntMatrix.from_rows([[1, 1], [2, 3]])
 M_ROOT5 = IntMatrix.from_rows([[1, 2], [2, -1]])
 M_23 = IntMatrix.from_rows([[0, 1], [2, 2]])
+ALPHA_FIB = (3 + math.sqrt(5)) / 2
+
+
+def type_one_certificate(a, m):
+    """Closed-form certificate of the type I endomorphism with holonomy a,
+    torus map m and p = 0."""
+    return gr_sol_closed(SolEndo(a, "I", m, (0, 0), 1)).certificate
 
 
 def sol_endo_from_matrix(machine, m, p=(0, 0), tau_exp=1):
@@ -64,39 +72,43 @@ class TestClassification:
 
 class TestEigenData:
     def test_root_five_pair(self):
-        ed = eigen_data(A_FIB, M_ROOT5)
-        assert abs(ed.alpha_float - (3 + math.sqrt(5)) / 2) <= 1e-12
-        assert abs(ed.mu_float - math.sqrt(5)) <= 1e-12
-        assert abs(ed.nu_float + math.sqrt(5)) <= 1e-12
+        cert = type_one_certificate(A_FIB, M_ROOT5)
+        assert abs(type_one_certificate(A_FIB, A_FIB)["mu"] - ALPHA_FIB) <= 1e-12
+        assert abs(cert["mu"] - math.sqrt(5)) <= 1e-12
+        assert abs(cert["nu"] + math.sqrt(5)) <= 1e-12
 
     def test_holonomy_is_its_own_torus_map(self):
-        ed = eigen_data(A_FIB, A_FIB)
-        assert abs(ed.mu_float - ed.alpha_float) <= 1e-12
-        assert abs(ed.nu_float - float(ed.beta)) <= 1e-12
+        cert = type_one_certificate(A_FIB, A_FIB)
+        assert abs(cert["mu"] - ALPHA_FIB) <= 1e-12
+        assert abs(cert["nu"] - 1 / ALPHA_FIB) <= 1e-12
 
     def test_one_plus_sqrt_three(self):
-        ed = eigen_data(A_23, M_23)
-        assert abs(ed.mu_float - (1 + math.sqrt(3))) <= 1e-12
-        assert abs(ed.nu_float - (1 - math.sqrt(3))) <= 1e-12
+        cert = type_one_certificate(A_23, M_23)
+        assert abs(cert["mu"] - (1 + math.sqrt(3))) <= 1e-12
+        assert abs(cert["nu"] - (1 - math.sqrt(3))) <= 1e-12
 
     def test_exact_cross_checks(self):
+        # mu, nu = x +- y sqrt(d) with x = tr M / 2 and y = m12 / (2 l12)
+        (l11, l12), (_, l22) = A_FIB.entries
+        d = (l11 + l22) ** 2 - 4
         rng = random.Random(3)
         for _ in range(50):
-            x, y = rng.randint(-4, 4), rng.randint(-4, 4)
-            m = IntMatrix.identity(2).scale(x) + A_FIB.scale(y)
-            ed = eigen_data(A_FIB, m)
-            assert (ed.mu + ed.nu).equals_rational(m.trace())
-            from endogrowth.exactlin import det
-
-            assert (ed.mu * ed.nu).equals_rational(det(m))
+            c0, c1 = rng.randint(-4, 4), rng.randint(-4, 4)
+            m = IntMatrix.identity(2).scale(c0) + A_FIB.scale(c1)
+            cert = type_one_certificate(A_FIB, m)
+            x, y = Fraction(cert["trace_m"], 2), Fraction(m.entries[0][1], 2 * l12)
+            assert 2 * x == m.trace()
+            assert x * x - d * y * y == det(m) == cert["det_m"]
+            assert cert["mu"] == float(x) + float(y) * math.sqrt(d)
+            assert cert["nu"] == float(x) - float(y) * math.sqrt(d)
 
     def test_non_commuting_raises(self):
         with pytest.raises(ContractError):
-            eigen_data(A_FIB, IntMatrix.from_rows([[1, 1], [0, 1]]))
+            type_one_certificate(A_FIB, IntMatrix.from_rows([[1, 1], [0, 1]]))
 
     def test_invalid_holonomy_raises(self):
         with pytest.raises(ValidationError):
-            eigen_data(IntMatrix.identity(2), M_ROOT5)
+            type_one_certificate(IntMatrix.identity(2), M_ROOT5)
 
 
 class TestClosedForm:
@@ -104,14 +116,14 @@ class TestClosedForm:
         e = sol_endo_from_matrix(sol_fib, M_ROOT5)
         closed = gr_sol_closed(e)
         assert abs(closed.value - math.sqrt(5)) <= 1e-9
-        assert closed.branch == "abs_nu"
+        assert closed.certificate["branch"] == "abs_nu"
 
     def test_root_two(self):
         machine = SolMachine(A_23)
         e = sol_endo_from_matrix(machine, M_23)
         closed = gr_sol_closed(e)
         assert abs(closed.value - math.sqrt(2)) <= 1e-9
-        assert closed.branch == "sqrt_abs_det"
+        assert closed.certificate["branch"] == "sqrt_abs_det"
 
     def test_torus_map_equals_holonomy(self, sol_fib):
         for p in [(0, 0), (3, -2)]:
@@ -132,7 +144,30 @@ class TestClosedForm:
         closed = gr_sol_closed(e)
         # square has torus map M^2 = I, a tie, so GR = sqrt(1)
         assert abs(closed.value - 1.0) <= 1e-12
-        assert closed.branch.startswith("typeII_via_square")
+        assert closed.certificate["branch"].startswith("typeII_via_square")
+
+    def test_type_two_is_root_of_det(self):
+        # M A = A^-1 M swaps A's eigenlines, so M^2 = -det(M) I is scalar: the
+        # square always takes the tie branch, and the rate is sqrt|det M|
+        rng = random.Random(2030)
+        checked = 0
+        for a in random_holonomies(rng, 9):
+            machine = SolMachine(a)
+            inv = inverse_unimodular_2x2(a)
+            maps = [
+                m
+                for m in (IntMatrix.from_rows([r[:2], r[2:]]) for r in itertools.product(range(-4, 5), repeat=4))
+                if not m.is_zero() and m @ a == inv @ m
+            ]
+            for m in rng.sample(maps, min(len(maps), 6)):
+                p = (rng.randint(-3, 3), rng.randint(-3, 3))
+                e = sol_endo_from_matrix(machine, m, p=p, tau_exp=-1)
+                assert e.type_tag == "II"
+                closed = gr_sol_closed(e)
+                assert closed.certificate["branch"] == "typeII_via_square:abs_nu"
+                assert closed.value == math.sqrt(abs(det(m)))
+                checked += 1
+        assert checked >= 30
 
 
 class TestLengthMinimizer:
