@@ -1,5 +1,5 @@
-"""Cayley balls by breadth-first search, iterate-length tables, growth estimation,
-and subgroup distortion profiles.
+"""Cayley balls by breadth-first search, sphere counts by series, iterate-length
+tables, growth estimation, and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
 and deduplication is automatic.  One kernel, ``_spheres``, does every search:
@@ -8,14 +8,22 @@ element of the last sphere through ``Machine.steps()`` (right multiplication
 by g0, g0^-1, g1, ... as functions compiled once per search; closed forms for
 most families, ``mul`` otherwise).  Discovery order is therefore fixed.
 
-``enumerate_ball`` grows one ball around the identity, for the commands that
-tabulate every radius (``ball``, ``distortion``).  ``word_lengths`` finds the
-lengths of given targets: an exact functional or a lower bound answers some
-before any search, and the rest share one ball around the identity while
-each grows its own, until each meets the identity's or runs out of radius.
-Balls of about half the radius thus replace one of the full radius.
-``word_length`` is its one-target case, and ``L_k_table`` makes one call for
-all its iterate images.  Completed balls are immutable and safe to share.
+``enumerate_ball`` grows one ball around the identity, and the ``distortion``
+of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
+targets: an exact functional or a lower bound answers some before any
+search, and the rest share one ball around the identity while each grows its
+own, until each meets the identity's or runs out of radius.  Balls of about
+half the radius thus replace one of the full radius.  ``word_length`` is its
+one-target case, and ``L_k_table`` makes one call for all its iterate images.
+Completed balls are immutable and safe to share.
+
+Two commands need no full ball where the family allows it.  ``ball_counts``
+sums a series on machines whose word length is a sum of per-coordinate
+lengths (``Machine.coordinate_orders``: free abelian, abelian with torsion,
+Klein), and runs the BFS elsewhere.  ``cyclic_distortion`` looks the powers
+g, g^2, ... of its generator up with one ``word_lengths`` call, as far as a
+lower bound monotone in the exponent allows (``Machine.powers_lower_monotone``;
+all families but Sol), and reads the full ball elsewhere.
 
 A target's ball is pruned by ``Machine.length_lower``: an element y at
 distance r from the target is stored but not expanded when
@@ -32,7 +40,9 @@ import csv
 import functools
 import io
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .errors import CertificationError, ResourceCapExceeded, ValidationError
@@ -46,6 +56,8 @@ __all__ = [
     "GrowthSummary",
     "DistortionTable",
     "enumerate_ball",
+    "ball_counts",
+    "counts_csv",
     "word_length",
     "word_lengths",
     "L_k_table",
@@ -75,12 +87,38 @@ class Ball:
         return self.dist.get(elem)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["n", "count", "delta", "witness"])
-        for n, c in enumerate(self.counts):
-            w.writerow([n, c, "", ""])
-        return out.getvalue()
+        return counts_csv(self.counts)
+
+
+def _csv(rows) -> str:
+    """The CSV table of ``ball`` and ``distortion``, one row per radius."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["n", "count", "delta", "witness"])
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def counts_csv(counts) -> str:
+    """``ball --format csv``: the cumulative count of each radius."""
+    return _csv([n, c, "", ""] for n, c in enumerate(counts))
+
+
+def _pad_rows(rows: list, radius: int, cap: int, what: str, partial=None) -> list:
+    """``rows``, one per radius 0..done with the last one final, repeated up
+    to the ``radius + 1`` rows of a table.  The repeated rows count against
+    ``cap``: ResourceCapExceeded, with ``partial`` and ``completed_radius``
+    done, when ``radius`` reaches ``cap`` or the rows do not fit in memory."""
+    done = len(rows) - 1
+    if radius > done and radius >= cap:
+        why = f"exceeds cap {cap}"
+    else:
+        try:
+            rows += [rows[-1]] * (radius - done)
+            return rows
+        except (MemoryError, OverflowError):
+            why = "does not fit in memory"
+    raise ResourceCapExceeded(f"{what} table of {radius + 1} rows {why}", completed_radius=done, partial=partial)
 
 
 def _spheres(machine, start, radius: int, cap: int, seen: dict, lower: Optional[Callable] = None):
@@ -156,26 +194,76 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
             completed_radius=done,
             partial=partial,
         ) from None
-    # a finite group ran out of elements: the padding rows count against cap
-    done = len(counts) - 1
-    why = None
-    if radius > done and radius >= cap:
-        why = f"exceeds cap {cap}"
-    else:
-        try:
-            counts += [counts[-1]] * (radius - done)
-        except (MemoryError, OverflowError):
-            why = "does not fit in memory"
-    if why:
-        raise ResourceCapExceeded(
-            f"ball table of {radius + 1} rows {why}",
-            completed_radius=done,
-            partial=Ball(done, dist, tuple(counts)),
-        )
-    return Ball(radius, dist, tuple(counts))
+    # a finite group may run out of elements before the radius
+    partial = Ball(len(counts) - 1, dist, tuple(counts))
+    return Ball(radius, dist, tuple(_pad_rows(counts, radius, cap, "ball", partial)))
 
 
-def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP) -> list[Optional[int]]:
+def ball_counts(machine, radius: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """The ``counts`` of ``enumerate_ball(machine, radius, cap)``, from the
+    BFS or, storing no element, from a series.
+
+    The series applies where ``machine.coordinate_orders()`` gives cyclic
+    coordinates whose lengths add up to the word length.  The sphere sizes
+    are then the coefficients of the product of the coordinates' sphere
+    series (``_sphere_sizes``), at O(1) work per coordinate and radius.  The
+    BFS would store element cap + 1 at the first radius r >= 1 whose count
+    exceeds ``cap``; the series stops there with the BFS's
+    ResourceCapExceeded message and completed radius, and a finite group
+    pads its rows under the same rule.
+    """
+    orders = machine.coordinate_orders()
+    if orders is None:
+        return enumerate_ball(machine, radius, cap).counts
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
+    counts = []
+    total = 0
+    for r, size in enumerate(_sphere_sizes(orders)):
+        total += size
+        if r and total > cap:
+            raise ResourceCapExceeded(f"ball exceeded cap {cap} while exploring radius {r}", completed_radius=r - 1)
+        counts.append(total)
+        if r == radius:
+            break
+    return tuple(_pad_rows(counts, radius, cap, "ball"))
+
+
+def _sphere_sizes(orders):
+    """Sphere sizes at radius 0, 1, ... of a product of cyclic coordinates
+    of the given orders (0 for Z) under the sum of coordinate lengths,
+    ending at the last nonempty sphere of a finite product."""
+    sizes = iter((1,))
+    for m in orders:
+        sizes = _times_cyclic(sizes, m)
+    return sizes
+
+
+def _times_cyclic(sizes, m: int):
+    """Sphere sizes y of G x Z/m (Z when m = 0) from those, x, of G.
+
+    The spheres of Z/m under min(r, m - r) have sizes 1, 2, ..., 2 up to
+    radius h = m // 2, with a last 1 in place of 2 when m is even; those of
+    Z have sizes 1, 2, 2, ....  So y_r = x_r + 2 (x_(r-1) + ... + x_(r-h))
+    - [m even] x_(r-h), a sliding window sum.  On Z the window never drops
+    a term: multiplying the series by (1 + x) / (1 - x) is one step and one
+    running sum per radius."""
+    window = 0
+    if m == 0:
+        for x in chain(sizes, repeat(0)):
+            yield x + 2 * window
+            window += x
+        return
+    h, even = m // 2, m % 2 == 0
+    last = deque()  # x_(r-h) .. x_(r-1), once r >= h
+    for x in chain(sizes, repeat(0, h)):
+        edge = last.popleft() if len(last) == h else 0
+        yield x + 2 * window - (edge if even else 0)
+        window += x - edge
+        last.append(x)
+
+
+def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: int = 0) -> list[Optional[int]]:
     """Exact geodesic length of each target, or None where it lies beyond
     ``radius``.
 
@@ -193,9 +281,10 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP) -> list[
     has nothing left to expand.
 
     ``cap`` bounds the elements stored by the identity side and the
-    unresolved targets together.  Past it, ResourceCapExceeded carries as
-    ``completed_radius`` the least sum of the identity's depth and an
-    unresolved target's: every unresolved length is known to exceed it.
+    unresolved targets together, plus the ``held`` ones the caller stores.
+    Past it, ResourceCapExceeded carries as ``completed_radius`` the least
+    sum of the identity's depth and an unresolved target's: every
+    unresolved length is known to exceed it.
     """
     found = {}
     pending = []
@@ -210,7 +299,7 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP) -> list[
         else:
             pending.append(x)
     if pending:
-        found.update(_meet(machine, pending, radius, cap))
+        found.update(_meet(machine, pending, radius, cap, held))
     return [found[x] for x in targets]
 
 
@@ -235,7 +324,7 @@ class _Side:
         return True
 
 
-def _meet(machine, targets, radius: int, cap: int) -> dict:
+def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     """{target: length or None} by the search ``word_lengths`` describes;
     the targets are distinct and none is the identity.
 
@@ -268,7 +357,7 @@ def _meet(machine, targets, radius: int, cap: int) -> dict:
     home = _Side(machine, machine.identity, radius, cap)
     lower = machine.length_lower
     open_ = {x: _Side(machine, x, radius, cap, lower) for x in targets}
-    stored = len(home.seen) + len(open_)
+    stored = held + len(home.seen) + len(open_)
 
     def close(x, length):
         nonlocal stored
@@ -296,12 +385,13 @@ def _meet(machine, targets, radius: int, cap: int) -> dict:
             return found
         if len(home.last) <= sum(len(s.last) for s in open_.values()):
             grow(home)
-            # with several targets, a set lets each check scan the smaller
-            # side; one target scans the sphere once, as a list
+            # with several targets, a set lets each intersection scan the
+            # smaller side; one target scans the sphere once, as a list
             sphere = home.last if len(open_) == 1 else set(home.last)
             for x, side in list(open_.items()):
-                if not side.seen.keys().isdisjoint(sphere):
-                    close(x, home.depth + min(side.seen[y] for y in sphere if y in side.seen))
+                common = side.seen.keys() & sphere
+                if common:
+                    close(x, home.depth + min(side.seen[y] for y in common))
         else:
             for x, side in list(open_.items()):
                 if not grow(side):
@@ -483,12 +573,7 @@ class DistortionTable:
     witnesses: tuple[str, ...]  # canonical word of an attaining element
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["n", "count", "delta", "witness"])
-        for n, d, wit in zip(self.ns, self.delta, self.witnesses):
-            w.writerow([n, "", d, wit])
-        return out.getvalue()
+        return _csv([n, "", d, wit] for n, d, wit in zip(self.ns, self.delta, self.witnesses))
 
 
 def distortion(
@@ -528,6 +613,64 @@ def distortion(
 
 
 def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CAP) -> DistortionTable:
-    """Distortion of the cyclic subgroup generated by one generator."""
-    inner = functools.partial(machine.cyclic_inner_length, machine.gens.index(gen_name))
-    return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)
+    """Distortion of the cyclic subgroup generated by one generator g: the
+    table of ``distortion``, whose members are the powers of g.
+
+    g^k and g^-k have the same length and inner length, so delta(n) is the
+    largest inner length of a g^k, k >= 1, with |g^k| <= n, and its witness
+    is the lesser canonical word of g^k and g^-k.  Where
+    ``machine.powers_lower_monotone`` holds, one ``word_lengths`` call looks
+    up g, g^2, ..., g^K: it stops before g^k is the identity or has
+    lower(g^k) > radius, with lower the exact ``length_upper`` on
+    ``length_exact`` machines and ``length_lower`` elsewhere.  No later
+    power lies within the radius, as lower(g^k) never falls as k grows:
+
+    - free abelian and Klein: g^k moves one coordinate to k, of length k;
+      so does a free generator of a torsion product, and one of order m has
+      length min(k, m - k), nondecreasing up to k = m / 2, past which
+      g^k = g^-(m - k) repeats an earlier pair;
+    - Heisenberg and nilpotent2: g^k has one coordinate k and the others 0.
+      An a1, a2 or tau power has |m| + |n| = k (or |x|_1 = k), and both
+      Heisenberg bounds are then k.  A central power has one central
+      coordinate k, and every bound is a least length whose reach in that
+      coordinate is at least k, nondecreasing in k;
+    - Baumslag-Solitar: a^k = (0, 0, k) has the bound k, and b^k = (k, 0, 0)
+      the least over H of 2H + ceil(k / n^H), each term nondecreasing in k;
+    - Sol: length_lower(a1^k) = |t| = 0 for every k, so no K exists, and
+      the table reads the full ball.
+
+    Each of these bounds grows without limit with k, so K is finite.  ``cap``
+    counts the powers stored plus the elements the search stores.  Rows past
+    the longest power found repeat it, under the rule of ``_pad_rows``.
+    """
+    index = machine.gens.index(gen_name)
+    inner = functools.partial(machine.cyclic_inner_length, index)
+    if not machine.powers_lower_monotone:
+        return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
+    lower = machine.length_upper if machine.length_exact else machine.length_lower
+    step = machine.steps()[2 * index]
+    powers = []
+    x = step(machine.identity)
+    while x != machine.identity and lower(x) <= radius:
+        if len(powers) >= cap:
+            raise ResourceCapExceeded(
+                f"distortion exceeded cap {cap} with the powers of {gen_name} within radius {radius}"
+            )
+        powers.append(x)
+        x = step(x)
+    best_at = {}  # length -> (inner length, power) of the largest inner length
+    for x, length in zip(powers, word_lengths(machine, powers, radius, cap, held=len(powers))):
+        val = inner(x)
+        if length is not None and val > best_at.get(length, (0,))[0]:
+            best_at[length] = (val, x)
+    rows = [(0, "")]
+    for n in range(1, max(best_at, default=0) + 1):
+        val, x = best_at.get(n, (0, None))
+        if val > rows[-1][0]:
+            rows.append((val, min(word_str(machine.decompose(y), machine.gens) for y in (x, machine.inv(x)))))
+        else:
+            rows.append(rows[-1])
+    deltas, witnesses = zip(*_pad_rows(rows, radius, cap, "distortion"))
+    return DistortionTable(tuple(range(radius + 1)), deltas, witnesses)

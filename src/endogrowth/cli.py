@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from .ball import DEFAULT_CAP, cyclic_distortion, enumerate_ball, word_length
+from .ball import DEFAULT_CAP, ball_counts, counts_csv, cyclic_distortion, word_length
 from .errors import (
     CertificationError,
     ContractError,
@@ -124,12 +124,12 @@ def _cmd_check(args):
 
 def _cmd_ball(args):
     _, machine = parse_group(_read_json(args.group))
-    ball = enumerate_ball(machine, args.radius, args.cap)
+    counts = ball_counts(machine, args.radius, args.cap)
+    human = f"ball: radius={args.radius} size={counts[-1]}"
     if args.format == "csv":
-        _emit(args, ball.to_csv(), f"ball: radius={ball.radius} size={ball.counts[-1]}")
+        _emit(args, counts_csv(counts), human)
     else:
-        out = {"command": "ball", "radius": ball.radius, "counts": list(ball.counts)}
-        _emit(args, report_json(out), f"ball: radius={ball.radius} size={ball.counts[-1]}")
+        _emit(args, report_json({"command": "ball", "radius": args.radius, "counts": list(counts)}), human)
     return EXIT_OK
 
 
@@ -269,7 +269,9 @@ def run(argv=None) -> int:
         done = "" if exc.completed_radius is None else f" (completed radius {exc.completed_radius})"
         print(f"resource cap: {exc}{done}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:
+    except MemoryError as exc:
+        # the traceback's frames still hold what filled memory: free it first
+        exc.__traceback__ = None
         print("resource cap: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (CertificationError, ContractError, InconsistencyError) as exc:

@@ -106,6 +106,10 @@ class Machine:
     family: str
     schema: tuple = ()
     length_exact = False  # length_upper is the true word length
+    # the lower bound of each generator's powers g^k never falls as k grows
+    # and is unbounded (or g^k returns to the identity); ball.cyclic_distortion
+    # gives the proof per family
+    powers_lower_monotone = True
     gens: GenSet
     identity: object
     free_ab_indices: tuple[int, ...]
@@ -175,6 +179,13 @@ class Machine:
         the length stops before it starts when this exceeds its radius."""
         return 0
 
+    def coordinate_orders(self):
+        """The orders (0 for Z) of cyclic coordinates whose lengths, |x| on Z
+        and min(r, m - r) on Z/m, add up to the word length; None when the
+        word length is no such sum.  ``ball.ball_counts`` counts spheres
+        from them."""
+        return None
+
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
@@ -240,6 +251,23 @@ def _nil_lower(g: int, ab: int, c: int) -> int:
     return _central_reach(g, c)
 
 
+def _area_reach(k: int, s: int, c: int) -> int:
+    """Least f(u) = 2u - s + max(0, c - floor(k u^2 / 4)) over integers
+    u >= s >= 0, for k >= 1 and c >= 0.
+
+    Let u0 be the least u >= s with k u^2 >= 4c, so f(u0) = 2u0 - s and f
+    grows past u0.  Below u0, f(u) = ceil(2u - s + c - k u^2 / 4) is the
+    ceiling of a concave function, least at u = s or u = u0 - 1."""
+    if c == 0:
+        return s
+    need = -(-4 * c // k)  # k u^2 >= 4c iff u^2 >= ceil(4c / k)
+    u0 = max(s, math.isqrt(need - 1) + 1)
+    best = 2 * u0 - s
+    if u0 > s:
+        best = min(best, *(2 * u - s + c - k * u * u // 4 for u in (s, u0 - 1)))
+    return best
+
+
 @dataclass(frozen=True)
 class FreeAbelianMachine(Machine):
     """Z^rank with coordinatewise arithmetic; elements are int tuples."""
@@ -284,6 +312,9 @@ class FreeAbelianMachine(Machine):
 
     def length_upper(self, elem):
         return sum(abs(x) for x in elem)
+
+    def coordinate_orders(self):
+        return (0,) * self.rank
 
 
 @dataclass(frozen=True)
@@ -351,6 +382,9 @@ class TorsionProductMachine(Machine):
         return sum(abs(x) for x in free) + sum(
             min(r, m - r) for r, m in zip(tors, self.torsion)
         )
+
+    def coordinate_orders(self):
+        return (0,) * self.rank + self.torsion
 
     def cyclic_inner_length(self, gen_index, elem):
         free, tors = elem
@@ -453,16 +487,31 @@ class HeisenbergMachine(Machine):
         return _letters((0, m), (1, n)) * self._central_word(l)
 
     def length_lower(self, elem):
-        """max(|m| + |n|, least L with k L(L-1)/2 + L >= |l|).
+        """The larger of two bounds on the length L of a word for (m, n, l).
 
-        Each a1 or a2 letter moves |m| + |n| by one, so a word of length L
-        has |m| + |n| <= L.  Right multiplication by a1^(+-1) moves l by
-        k n_p, by a2^(+-1) not at all and by a3^(+-1) by one, where n_p is
-        the a2-exponent of the prefix; after p letters |n_p| <= p, so the
-        next letter moves l by at most max(k p, 1).  Summed over p < L,
-        |l| <= k L(L-1)/2 + L."""
+        Letter by letter: max(|m| + |n|, least L with k L(L-1)/2 + L >= |l|).
+        Each a1 or a2 letter moves |m| + |n| by one, so |m| + |n| <= L.
+        Right multiplication by a1^(+-1) moves l by k n_p, by a2^(+-1) not
+        at all and by a3^(+-1) by one, where n_p is the a2-exponent of the
+        prefix; after p letters |n_p| <= p, so the next letter moves l by at
+        most max(k p, 1).  Summed over p < L, |l| <= k L(L-1)/2 + L.
+
+        By area, charging a3 for what the a1, a2 letters cannot reach: let
+        the word have p letters a1^(+-1) or a2^(+-1) and q letters a3^(+-1).
+        The first walk a lattice path from (0, 0) to (m, n), and l is k times
+        the sum of n_p dm over the a1 steps plus the a3 exponent sum, of size
+        at most q.  Walking back by
+        a2^-n, then a1^-m at height 0, adds nothing to that sum and closes
+        the path, now of length P = p + |m| + |n| with M horizontal and V
+        vertical steps.  On a closed path sum dm = 0, so the sum equals
+        sum (n_p - h) dm for the middle height h of the path, and
+        |n_p - h| <= V/4: it is at most M V / 4 <= P^2/16 in size.  Hence
+        |l| <= k P^2/16 + q.  As p >= s = |m| + |n| and p = s mod 2,
+        P = 2u with u >= s, and L = p + q >= 2u - s + max(0, |l| -
+        floor(k u^2 / 4)); ``_area_reach`` gives the least such value."""
         m, n, l = elem
-        return _nil_lower(self.k, abs(m) + abs(n), abs(l))
+        s, c = abs(m) + abs(n), abs(l)
+        return max(_nil_lower(self.k, s, c), _area_reach(self.k, s, c))
 
     def length_upper_word(self, elem):
         m, n, l = elem
@@ -718,6 +767,7 @@ class SolMachine(Machine):
     matrix: IntMatrix
     family = "sol_lattice"
     schema = (("A", "2x2 int matrix"),)
+    powers_lower_monotone = False  # length_lower(a1^k) = 0 for every k
 
     @classmethod
     def build(cls, A):
@@ -899,6 +949,10 @@ class KleinMachine(Machine):
 
     def length_upper(self, elem):
         return abs(elem[0]) + abs(elem[1])
+
+    def coordinate_orders(self):
+        # x^a y^b <-> (a, b) is a bijection onto Z^2, and the length is |a| + |b|
+        return (0, 0)
 
 
 @dataclass(frozen=True)

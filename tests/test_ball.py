@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from endogrowth import ball as ball_module
 from endogrowth.ball import (
     L_k_table,
+    ball_counts,
     cyclic_distortion,
     distortion,
     enumerate_ball,
@@ -13,7 +16,7 @@ from endogrowth.ball import (
     word_lengths,
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
-from endogrowth.families import FreeAbelianMachine, HeisenbergMachine
+from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, TorsionProductMachine
 from endogrowth.reports import parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, parse_word, validate_endo
 
@@ -375,3 +378,139 @@ class TestDistortion:
         lines = text.splitlines()
         assert lines[0] == "n,count,delta,witness"
         assert lines[-1].startswith("4,,4,")
+
+
+def full_ball_distortion(machine, gen_name, radius, cap=ball_module.DEFAULT_CAP):
+    """The cyclic distortion table read off the full ball, as for Sol."""
+    inner = functools.partial(machine.cyclic_inner_length, machine.gens.index(gen_name))
+    return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)
+
+
+LOOKUP_MACHINES = [m for m in ALL_MACHINES if m.powers_lower_monotone] + [
+    FreeAbelianMachine(1),
+    TorsionProductMachine(0, (5,)),
+    TorsionProductMachine(0, (4, 6)),
+    TorsionProductMachine(1, (8,)),
+]
+
+
+@pytest.mark.parametrize("machine", LOOKUP_MACHINES, ids=lambda m: f"{m.family}:{','.join(m.gens.names)}")
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_lookup_distortion_matches_the_full_ball(machine, data):
+    """Powers looked up by ``word_lengths`` give the full ball's ns, delta
+    and witnesses, for every generator, also past a finite group's diameter."""
+    gen = data.draw(st.sampled_from(machine.gens.names))
+    radius = data.draw(st.integers(0, 4 if len(machine.gens) > 3 else 7))
+    assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius)
+
+
+FIXTURE_MACHINES = {stem: parse_group(load_fixture(f"{stem}.group"))[1] for stem in FIXTURE_STEMS}
+
+
+class TestPowerLookups:
+    @pytest.mark.parametrize("stem, radius, gen", [
+        ("nil2_ex3", 6, "s12"), ("heis_ex1", 10, "a3"), ("bs", 9, "b"), ("klein", 10, "x"), ("counter", 2, "beta"),
+    ])
+    def test_fixture_runs_match_the_full_ball(self, stem, radius, gen):
+        machine = FIXTURE_MACHINES[stem]
+        assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius)
+
+    @pytest.mark.parametrize("machine", [m for stem, m in FIXTURE_MACHINES.items() if m.powers_lower_monotone]
+                             + [FreeAbelianMachine(3)], ids=lambda m: m.family)
+    def test_lower_bound_never_falls_along_generator_powers(self, machine):
+        """The proof obligation of the lookups: for k <= 5000, lower(g^k)
+        is nondecreasing and grows, until g^k returns to the identity; a
+        generator of order m is checked up to k = m / 2, past which the
+        powers are inverses of earlier ones."""
+        lower = machine.length_upper if machine.length_exact else machine.length_lower
+        for i in range(len(machine.gens)):
+            g = machine.gen_elem(i)
+            x, seq = g, []
+            while x != machine.identity and len(seq) < 5000:
+                seq.append(lower(x))
+                x = machine.mul(x, g)
+            if x == machine.identity:
+                seq = seq[: (len(seq) + 1) // 2]
+            else:
+                assert seq[-1] > seq[0]
+            assert all(a <= b for a, b in zip(seq, seq[1:])), machine.gens.names[i]
+
+    def test_sol_keeps_the_full_ball(self):
+        # length_lower of a torus power is |t| = 0, so no bound ends the powers
+        sol = FIXTURE_MACHINES["sol_ex1"]
+        assert not sol.powers_lower_monotone
+        assert sol.length_lower(sol.pow(sol.gen_elem(0), 10**6)) == 0
+        for gen in sol.gens.names:
+            assert cyclic_distortion(sol, gen, 5) == full_ball_distortion(sol, gen, 5)
+
+    def test_cap_counts_the_powers_and_the_search(self, bs2):
+        # b, ..., b^8 have lower bounds <= 6; their search stores more
+        with pytest.raises(ResourceCapExceeded, match="powers of b"):
+            cyclic_distortion(bs2, "b", 6, cap=7)
+        with pytest.raises(ResourceCapExceeded, match="search exceeded cap 20"):
+            cyclic_distortion(bs2, "b", 6, cap=20)
+        cap = len(enumerate_ball(bs2, 6).dist)
+        assert cyclic_distortion(bs2, "b", 6, cap) == full_ball_distortion(bs2, "b", 6, cap)
+
+    def test_finite_order_pads_past_the_longest_power(self, counter_machine):
+        table = cyclic_distortion(counter_machine, "beta", 6)
+        assert table.delta == (0,) + (1,) * 6 and table.witnesses == ("",) + ("beta",) * 6
+        with pytest.raises(ResourceCapExceeded, match="distortion table of 7 rows exceeds cap 6"):
+            cyclic_distortion(counter_machine, "beta", 6, cap=6)
+
+    def test_negative_radius_is_refused(self, z2):
+        with pytest.raises(ValidationError):
+            cyclic_distortion(z2, "e1", -1)
+        with pytest.raises(ValidationError):
+            ball_counts(z2, -1)
+
+
+SERIES_MACHINES = [
+    (FreeAbelianMachine(1), 40),
+    (FreeAbelianMachine(2), 30),
+    (FreeAbelianMachine(3), 12),
+    (FreeAbelianMachine(4), 8),
+    (KleinMachine(), 40),
+    (TorsionProductMachine(0, (2,)), 5),
+    (TorsionProductMachine(0, (7,)), 9),
+    (TorsionProductMachine(0, (4, 6)), 9),
+    (TorsionProductMachine(0, (2, 3, 8, 9)), 14),
+    (TorsionProductMachine(1, (4,)), 12),
+    (TorsionProductMachine(2, (3, 10)), 9),
+]
+
+
+class TestSeriesCounts:
+    @pytest.mark.parametrize("machine, radius", SERIES_MACHINES, ids=lambda x: getattr(x, "family", str(x)))
+    def test_series_matches_the_ball(self, machine, radius):
+        # finite products run past their diameter, sum(m // 2): rows repeat
+        assert machine.coordinate_orders() is not None
+        assert ball_counts(machine, radius) == enumerate_ball(machine, radius).counts
+
+    @pytest.mark.parametrize("machine, radius", SERIES_MACHINES, ids=lambda x: getattr(x, "family", str(x)))
+    @pytest.mark.parametrize("cap", [0, 1, 4, 30, 300])
+    def test_cap_raises_as_the_ball_does(self, machine, radius, cap):
+        def outcome(count):
+            try:
+                return count()
+            except ResourceCapExceeded as exc:
+                return str(exc), exc.completed_radius
+
+        assert outcome(lambda: ball_counts(machine, radius, cap)) == outcome(
+            lambda: enumerate_ball(machine, radius, cap).counts
+        )
+
+    def test_other_families_run_the_bfs(self, any_machine):
+        if any_machine.coordinate_orders() is None:
+            assert ball_counts(any_machine, 3) == enumerate_ball(any_machine, 3).counts
+
+    def test_huge_radius_is_linear(self):
+        # counts[r] = 2r + 1 passes the default cap at r = 2,500,000, as the
+        # BFS found after storing five million elements
+        with pytest.raises(ResourceCapExceeded) as err:
+            ball_counts(FreeAbelianMachine(1), 10**8)
+        assert str(err.value) == "ball exceeded cap 5000000 while exploring radius 2500000"
+        assert err.value.completed_radius == 2499999
+        big = TorsionProductMachine(0, (10**12,))
+        assert ball_counts(big, 3) == (1, 3, 5, 7)

@@ -16,6 +16,8 @@ from endogrowth.families import (
     Nil2Machine,
     SolMachine,
     TorsionProductMachine,
+    _central_reach,
+    _nil_lower,
     klein_restricted_matrix,
     machine_from_params,
 )
@@ -222,12 +224,37 @@ def test_length_lower_bounds_every_word(machine, data):
 
 class TestLengthLower:
     def test_central_powers(self, heis1):
-        # |a3^l| ~ 2 sqrt(l) in the Heisenberg group; the bound grows like sqrt(2 l)
+        # |a3^l| ~ 2 sqrt(l) in the Heisenberg group.  The letter-by-letter
+        # bound grows like sqrt(2 l): L(L-1)/2 + L is 3 at L = 2, 6 at L = 3
         assert heis1.length_lower((0, 0, 1)) == 1
-        assert heis1.length_lower((0, 0, 4)) == 3  # L(L-1)/2 + L is 3 at L = 2, 6 at L = 3
+        assert _central_reach(1, 4) == 3
         assert heis1.length_lower((3, -4, 0)) == 7
-        big = heis1.length_lower((0, 0, 10**40))
+        big = _central_reach(1, 10**40)
         assert big * (big - 1) // 2 + big >= 10**40 > (big - 1) * (big - 2) // 2 + big - 1
+        # the area bound is 2 sqrt(4 l / k) once the area pays for all of l:
+        # a3^4 takes 4 letters, not 3
+        assert heis1.length_lower((0, 0, 4)) == 4 == word_length(heis1, (0, 0, 4), 4)
+        assert heis1.length_lower((0, 0, 10**40)) == 4 * 10**20
+
+    def test_area_bound_charges_the_centre(self, heis1):
+        # P = 2u with u = 11 is the least closed path whose area covers l = 29
+        # with no a3 letter: p = 2u - 9 = 13, where the letter bound gives 9
+        elem = evaluate(heis1, parse_word("a1^-6 a2^3 a3^29", heis1.gens))
+        assert _nil_lower(1, 9, 29) == 9
+        assert heis1.length_lower(elem) == 13 <= word_length(heis1, elem, 19)
+
+    @pytest.mark.parametrize("machine, radius", [
+        (HeisenbergMachine(1), 10),
+        (HeisenbergMachine(2), 10),
+        (HeisenbergMachine(3), 9),
+        (HeisenbergMachine(1, include_center_gen=False), 12),
+    ], ids=lambda x: str(x) if isinstance(x, int) else f"k{x.k}:{len(x.gens)}")
+    def test_heisenberg_bound_against_the_ball(self, machine, radius):
+        # below every BFS distance, and above the letter bound on a share of them
+        dist = enumerate_ball(machine, radius).dist
+        assert all(machine.length_lower(x) <= d for x, d in dist.items())
+        stronger = sum(machine.length_lower(x) > _nil_lower(machine.k, abs(x[0]) + abs(x[1]), abs(x[2])) for x in dist)
+        assert stronger > len(dist) // 5
 
     def test_nil2_uses_the_largest_gamma_entry(self):
         # G = 5: 5 L(L-1)/2 + L is 970 at L = 20 and 1071 at L = 21

@@ -298,3 +298,31 @@ def test_radius_within_the_cap_pads_a_finite_ball(tmp_path):
     assert json.loads((tmp_path / "out").read_text())["counts"] == [1, 3] + [3] * 999
     done = run_child(FINITE_CHILD, str(tmp_path), "ball", "--radius", "1000", "--cap", "1000", limit_mb=256)
     assert done.returncode == 3, done.stderr
+
+
+# Z^1 at a radius far past the cap.  ``ball`` sums its series, linear in the
+# radius, and stops where the BFS stopped after storing five million
+# elements, with the same message.  ``distortion`` stores the powers e1^k,
+# which count against --cap, and ends in a report or exit 3.
+Z1_CHILD = """
+import json, os
+from endogrowth.cli import run
+os.chdir(sys.argv[2])
+with open("g.json", "w") as fh:
+    json.dump({"family": "free_abelian", "params": {"rank": 1}}, fh)
+sys.exit(run(sys.argv[3:] + ["--group", "g.json", "--radius", "100000000", "--out", "out"]))
+"""
+
+
+def test_huge_radius_ball_on_z1_stops_at_the_cap(tmp_path):
+    done = run_child(Z1_CHILD, str(tmp_path), "ball", limit_mb=256)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (
+        "resource cap: ball exceeded cap 5000000 while exploring radius 2500000 (completed radius 2499999)\n"
+    )
+
+
+def test_huge_radius_distortion_on_z1_ends_in_a_documented_exit(tmp_path):
+    done = run_child(Z1_CHILD, str(tmp_path), "distortion", "--subgroup", "e1", limit_mb=256)
+    assert done.returncode in (0, 3), done.stderr
+    assert "Traceback" not in done.stderr
