@@ -2,11 +2,12 @@
 tables, growth estimation, and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
-and deduplication is automatic.  One kernel, ``_spheres``, does every search:
-it grows a ball around a start element one sphere at a time, stepping each
-element of the last sphere through ``Machine.steps()`` (right multiplication
-by g0, g0^-1, g1, ... as functions compiled once per search; closed forms for
-most families, ``mul`` otherwise).  Discovery order is therefore fixed.
+and deduplication is automatic.  One class, ``_Frontier``, grows every ball:
+a ball around a start element, one sphere at a time, stepping each element
+of the last sphere through ``Machine.steps()`` (right multiplication by g0,
+g0^-1, g1, ... as functions compiled once per search and shared by all its
+balls; closed forms for most families, ``mul`` otherwise).  Discovery order
+is therefore fixed.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
@@ -104,11 +105,11 @@ def counts_csv(counts) -> str:
     return _csv([n, c, "", ""] for n, c in enumerate(counts))
 
 
-def _pad_rows(rows: list, radius: int, cap: int, what: str, partial=None) -> list:
+def _pad_rows(rows: list, radius: int, cap: int, what: str) -> list:
     """``rows``, one per radius 0..done with the last one final, repeated up
     to the ``radius + 1`` rows of a table.  The repeated rows count against
-    ``cap``: ResourceCapExceeded, with ``partial`` and ``completed_radius``
-    done, when ``radius`` reaches ``cap`` or the rows do not fit in memory."""
+    ``cap``: ResourceCapExceeded, with ``completed_radius`` done, when
+    ``radius`` reaches ``cap`` or the rows do not fit in memory."""
     done = len(rows) - 1
     if radius > done and radius >= cap:
         why = f"exceeds cap {cap}"
@@ -118,18 +119,16 @@ def _pad_rows(rows: list, radius: int, cap: int, what: str, partial=None) -> lis
             return rows
         except (MemoryError, OverflowError):
             why = "does not fit in memory"
-    raise ResourceCapExceeded(f"{what} table of {radius + 1} rows {why}", completed_radius=done, partial=partial)
+    raise ResourceCapExceeded(f"{what} table of {radius + 1} rows {why}", completed_radius=done)
 
 
-def _spheres(machine, start, radius: int, cap: int, seen: dict, lower: Optional[Callable] = None):
-    """The one BFS kernel: yields (r, sphere r around ``start``) for
-    r = 0, 1, ... up to ``radius``, and stops early at an empty sphere.
+class _Frontier:
+    """A ball around ``start`` grown one sphere at a time, out to ``radius``:
+    ``seen`` maps each element found to its distance from ``start``, and
+    ``last`` is sphere ``depth``.
 
-    Every element found goes into ``seen`` with its distance from ``start``,
-    in discovery order: each element of sphere r - 1 in order, times each of
-    ``machine.steps()`` in order.  Storing a new element when ``seen`` holds
-    ``cap`` raises ResourceCapExceeded with the last full radius.  A caller
-    may resume the generator with ``send(new_cap)``.
+    Every element found goes into ``seen`` in discovery order: each element
+    of sphere r - 1 in order, times each of ``steps`` in order.
 
     With a lower bound ``lower`` on word length, sphere r + 1 is built only
     from the x in sphere r with lower(x) + r <= radius.  A word for x
@@ -143,20 +142,31 @@ def _spheres(machine, start, radius: int, cap: int, seen: dict, lower: Optional[
     ``start`` to y has |x| + d(start, x) <= |y| + d(start, y), so each is
     expanded in turn.
     """
-    steps = machine.steps()
-    seen[start] = 0
-    sphere = [start]
-    r = 0
-    while True:
-        sent = yield r, sphere
-        if sent is not None:
-            cap = sent
-        if r >= radius:
-            return
-        if lower is not None:
-            slack = radius - r
+
+    __slots__ = ("steps", "radius", "lower", "seen", "last", "depth")
+
+    def __init__(self, steps: list, start, radius: int, lower: Optional[Callable] = None):
+        self.steps = steps
+        self.radius = radius
+        self.lower = lower
+        self.seen = {start: 0}
+        self.last = [start]
+        self.depth = 0
+
+    def grow(self, cap: int) -> bool:
+        """Add the next sphere, storing at most ``cap`` elements in all;
+        False, with nothing changed, at ``radius`` or when the next sphere
+        is empty.  Storing a new element when ``seen`` holds ``cap`` raises
+        ResourceCapExceeded with the last full radius."""
+        r = self.depth
+        if r >= self.radius:
+            return False
+        sphere = self.last
+        if self.lower is not None:
+            slack, lower = self.radius - r, self.lower
             sphere = [x for x in sphere if lower(x) <= slack]
         r += 1
+        seen, steps = self.seen, self.steps
         nxt = []
         for x in sphere:
             for step in steps:
@@ -167,36 +177,33 @@ def _spheres(machine, start, radius: int, cap: int, seen: dict, lower: Optional[
                     seen[y] = r
                     nxt.append(y)
         if not nxt:
-            return
-        sphere = nxt
+            return False
+        self.depth, self.last = r, nxt
+        return True
 
 
 def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     """Exact geodesic lengths for every element within ``radius``.
 
-    Raises ResourceCapExceeded carrying the ball completed through the last
-    full radius when more than ``cap`` elements would be stored, or when a
-    finite group runs out of elements and the ``radius + 1`` rows of
-    ``counts`` would exceed ``cap`` or not fit in memory.
+    Raises ResourceCapExceeded, with the last full radius as
+    ``completed_radius``, when more than ``cap`` elements would be stored,
+    or when a finite group runs out of elements and the ``radius + 1`` rows
+    of ``counts`` would exceed ``cap`` or not fit in memory.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    dist = {}
-    counts = []
+    ball = _Frontier(machine.steps(), machine.identity, radius)
+    counts = [1]
     try:
-        for _ in _spheres(machine, machine.identity, radius, cap, dist):
-            counts.append(len(dist))
+        while ball.grow(cap):
+            counts.append(len(ball.seen))
     except ResourceCapExceeded as exc:
         done = exc.completed_radius
-        partial = Ball(done, {k: v for k, v in dist.items() if v <= done}, tuple(counts))
         raise ResourceCapExceeded(
-            f"ball exceeded cap {cap} while exploring radius {done + 1}",
-            completed_radius=done,
-            partial=partial,
+            f"ball exceeded cap {cap} while exploring radius {done + 1}", completed_radius=done
         ) from None
     # a finite group may run out of elements before the radius
-    partial = Ball(len(counts) - 1, dist, tuple(counts))
-    return Ball(radius, dist, tuple(_pad_rows(counts, radius, cap, "ball", partial)))
+    return Ball(radius, ball.seen, tuple(_pad_rows(counts, radius, cap, "ball")))
 
 
 def ball_counts(machine, radius: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
@@ -256,7 +263,7 @@ def _times_cyclic(sizes, m: int):
         return
     h, even = m // 2, m % 2 == 0
     last = deque()  # x_(r-h) .. x_(r-1), once r >= h
-    for x in chain(sizes, repeat(0, h)):
+    for x in chain(sizes, (0 for _ in range(h))):
         edge = last.popleft() if len(last) == h else 0
         yield x + 2 * window - (edge if even else 0)
         window += x - edge
@@ -272,7 +279,7 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: in
     ``length_exact`` machine (``length_upper`` within ``radius``, else None).
     The rest, deduplicated, go to one multi-target bidirectional search: one
     ball around the identity, shared, and one around each target, pruned by
-    ``length_lower`` as ``_spheres`` describes.  The identity grows next
+    ``length_lower`` as ``_Frontier`` describes.  The identity grows next
     while its last sphere is no larger than the sum of the unresolved
     targets' last spheres; otherwise each unresolved target grows one
     sphere.  A target resolves at the first sphere that meets the
@@ -301,27 +308,6 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: in
     if pending:
         found.update(_meet(machine, pending, radius, cap, held))
     return [found[x] for x in targets]
-
-
-class _Side:
-    """One growing ball of a bidirectional search; ``lower``, when given,
-    prunes its expansion as in ``_spheres``."""
-
-    __slots__ = ("seen", "spheres", "depth", "last")
-
-    def __init__(self, machine, start, radius: int, cap: int, lower: Optional[Callable] = None):
-        self.seen = {}
-        self.spheres = _spheres(machine, start, radius, cap, self.seen, lower)
-        self.depth, self.last = next(self.spheres)
-
-    def grow(self, cap: int) -> bool:
-        """Add the next sphere, storing at most ``cap`` elements in all;
-        False when there is none."""
-        try:
-            self.depth, self.last = self.spheres.send(cap)
-        except StopIteration:
-            return False
-        return True
 
 
 def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
@@ -354,9 +340,9 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     The identity's side never runs out while a target is open: a complete
     ball holds the whole (finite) group, so it met every target first."""
     found = {}
-    home = _Side(machine, machine.identity, radius, cap)
-    lower = machine.length_lower
-    open_ = {x: _Side(machine, x, radius, cap, lower) for x in targets}
+    steps, lower = machine.steps(), machine.length_lower
+    home = _Frontier(steps, machine.identity, radius)
+    open_ = {x: _Frontier(steps, x, radius, lower) for x in targets}
     stored = held + len(home.seen) + len(open_)
 
     def close(x, length):

@@ -41,12 +41,10 @@ class ResourceCapExceeded(EndoGrowthError, RuntimeError):
     """Enumeration hit the element cap, or an element would outgrow its size
     budget.
 
-    Carries the partially completed result: ``partial`` is whatever was
-    fully explored, ``completed_radius`` the largest radius it covers (None
-    when no enumeration was under way).
+    ``completed_radius`` is the largest radius fully explored (None when no
+    enumeration was under way).
     """
 
-    def __init__(self, message, completed_radius=None, partial=None):
+    def __init__(self, message, completed_radius=None):
         super().__init__(message)
         self.completed_radius = completed_radius
-        self.partial = partial

@@ -68,14 +68,12 @@ class TestEnumerateBall:
         members = [e for e, d in ball.dist.items() if e[0] == (0,)]
         assert len(members) == 2  # identity and the torsion generator
 
-    def test_cap_carries_partial(self, heis1):
+    def test_cap_gives_the_last_full_radius(self, heis1):
         with pytest.raises(ResourceCapExceeded) as err:
             enumerate_ball(heis1, 10, cap=40)
-        partial = err.value.partial
-        assert err.value.completed_radius == partial.radius
-        assert all(d <= partial.radius for d in partial.dist.values())
-        full = enumerate_ball(heis1, partial.radius)
-        assert partial.dist == full.dist
+        counts = enumerate_ball(heis1, 4).counts
+        assert counts[-1] > 40
+        assert err.value.completed_radius == max(r for r, c in enumerate(counts) if c <= 40)
 
     def test_determinism(self, heis1):
         a = enumerate_ball(heis1, 5)
@@ -197,7 +195,7 @@ class TestPrunedSearch:
         # each of its neighbours has length_lower >= 4, so its side stores
         # sphere 1, expands none of it and ends before the depths sum to 4.
         dry = []
-        grow = ball_module._Side.grow
+        grow = ball_module._Frontier.grow
 
         def spy(side, cap):
             grown = grow(side, cap)
@@ -205,7 +203,7 @@ class TestPrunedSearch:
                 dry.append(side.depth)
             return grown
 
-        monkeypatch.setattr(ball_module._Side, "grow", spy)
+        monkeypatch.setattr(ball_module._Frontier, "grow", spy)
         assert bs2.length_lower((3, 3, 3)) == 4
         assert word_lengths(bs2, [(3, 3, 3), (1, 0, 0)], 4) == [None, 1]
         assert dry == [1]
@@ -214,14 +212,31 @@ class TestPrunedSearch:
     def test_pruned_sides_store_fewer_elements(self, bs2):
         # b^16 = a^-3 b^2 a^3 is 8 letters long, as its bound says, so a
         # radius-9 ball around it expands only elements close to a geodesic
-        seen, pruned = {}, {}
         assert bs2.length_lower((16, 0, 0)) == 8
-        for _ in ball_module._spheres(bs2, (16, 0, 0), 9, 10**6, seen):
-            pass
-        for _ in ball_module._spheres(bs2, (16, 0, 0), 9, 10**6, pruned, bs2.length_lower):
-            pass
-        assert len(pruned) < len(seen) // 10
-        assert pruned[bs2.identity] == 8 == word_length(bs2, (16, 0, 0), 9)
+        full = ball_module._Frontier(bs2.steps(), (16, 0, 0), 9)
+        pruned = ball_module._Frontier(bs2.steps(), (16, 0, 0), 9, bs2.length_lower)
+        for side in (full, pruned):
+            while side.grow(10**6):
+                pass
+        assert full.depth == 9
+        assert len(pruned.seen) < len(full.seen) // 10
+        assert pruned.seen[bs2.identity] == 8 == word_length(bs2, (16, 0, 0), 9)
+
+    def test_one_steps_list_per_search(self, heis1, monkeypatch):
+        # every side of a search shares the identity's compiled steps
+        calls = []
+        steps = type(heis1).steps
+
+        def spy(machine):
+            calls.append(machine)
+            return steps(machine)
+
+        monkeypatch.setattr(type(heis1), "steps", spy)
+        targets = [(i, j, 0) for i in range(1, 11) for j in range(1, 11)]
+        assert all(heis1.length_lower(x) <= 24 for x in targets)
+        lengths = word_lengths(heis1, targets, 24)
+        assert len(calls) == 1
+        assert lengths == [i + j for i, j, _ in targets]
 
 
 class TestWordLength:
@@ -514,3 +529,10 @@ class TestSeriesCounts:
         assert err.value.completed_radius == 2499999
         big = TorsionProductMachine(0, (10**12,))
         assert ball_counts(big, 3) == (1, 3, 5, 7)
+
+    @pytest.mark.parametrize("order", [2**64, 2**64 + 1, 10**30])
+    def test_torsion_order_past_a_machine_word(self, order):
+        # the window holds order // 2 zeros, past a C-sized count from 2^64 on
+        assert ball_counts(TorsionProductMachine(0, (order,)), 3) == (1, 3, 5, 7)
+        product = TorsionProductMachine(1, (order, 3))
+        assert ball_counts(product, 3) == enumerate_ball(product, 3).counts

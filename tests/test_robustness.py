@@ -119,6 +119,16 @@ def test_trend_past_float_range_ratio_is_reported(tmp_path):
     assert empirical["per_gen"]["e1"]["trend"] == pytest.approx(1e200)
 
 
+def test_ball_on_a_torsion_order_past_a_machine_word(tmp_path):
+    # the series pads a cyclic factor's window with m // 2 zeros, which no
+    # C-sized count holds once m reaches 2^64
+    group = {"family": "abelian_with_torsion", "params": {"rank": 0, "torsion": [10**30]}}
+    (tmp_path / "g.json").write_text(json.dumps(group))
+    argv = ["ball", "--group", str(tmp_path / "g.json"), "--radius", "3", "--out", str(tmp_path / "out")]
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "out").read_text())["counts"] == [1, 3, 5, 7]
+
+
 small = st.integers(-1, 4)
 junk = st.one_of(
     st.none(),
@@ -152,7 +162,7 @@ def nil2_params(draw):
 VALID_PARAMS = {
     "free_abelian": st.fixed_dictionaries({"rank": st.integers(1, 4)}),
     "abelian_with_torsion": st.fixed_dictionaries(
-        {"rank": st.integers(0, 2), "torsion": st.lists(st.integers(2, 4), max_size=2)}
+        {"rank": st.integers(0, 2), "torsion": st.lists(st.sampled_from((2, 3, 4, 2**64, 10**30)), max_size=2)}
     ),
     "heisenberg": st.fixed_dictionaries({"k": st.integers(1, 3)}, optional={"include_center_gen": st.booleans()}),
     "nilpotent2": nil2_params(),
@@ -326,3 +336,22 @@ def test_huge_radius_distortion_on_z1_ends_in_a_documented_exit(tmp_path):
     done = run_child(Z1_CHILD, str(tmp_path), "distortion", "--subgroup", "e1", limit_mb=256)
     assert done.returncode in (0, 3), done.stderr
     assert "Traceback" not in done.stderr
+
+
+# At radius 40 about a million powers of b in BS(1, 2) pass the length lower
+# bound, and the lookup search starts a ball around each until memory runs
+# out.  Freeing that search must write nothing to stderr but the exit-3 line.
+BS_CHILD = """
+import json, os
+from endogrowth.cli import run
+os.chdir(sys.argv[2])
+with open("g.json", "w") as fh:
+    json.dump({"family": "baumslag_solitar", "params": {"n": 2}}, fh)
+sys.exit(run(sys.argv[3:] + ["--group", "g.json", "--out", "out"]))
+"""
+
+
+def test_out_of_memory_in_a_search_prints_one_line(tmp_path):
+    done = run_child(BS_CHILD, str(tmp_path), "distortion", "--subgroup", "b", "--radius", "40", limit_mb=256)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "resource cap: out of memory\n"
