@@ -6,8 +6,9 @@ and deduplication is automatic.  One class, ``_Frontier``, grows every ball:
 a ball around a start element, one sphere at a time, stepping each element
 of the last sphere through ``Machine.steps()`` (right multiplication by g0,
 g0^-1, g1, ... as functions compiled once per search and shared by all its
-balls; closed forms for most families, ``mul`` otherwise).  Discovery order
-is therefore fixed.
+balls), so discovery order is fixed.  Every family but abelian with
+torsion gives its steps in closed form; that one wraps ``mul``, and no
+command searches it: its lengths are exact and its ball counts a series.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
@@ -344,15 +345,18 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     home = _Frontier(steps, machine.identity, radius)
     open_ = {x: _Frontier(steps, x, radius, lower) for x in targets}
     stored = held + len(home.seen) + len(open_)
+    rims = len(open_)  # the sizes of the open targets' last spheres, summed
 
     def close(x, length):
-        nonlocal stored
+        nonlocal stored, rims
         found[x] = length
-        stored -= len(open_.pop(x).seen)
+        side = open_.pop(x)
+        stored -= len(side.seen)
+        rims -= len(side.last)
 
     def grow(side) -> bool:
-        nonlocal stored
-        before = len(side.seen)
+        nonlocal stored, rims
+        before, rim = len(side.seen), len(side.last)
         try:
             grown = side.grow(cap - (stored - before))
         except ResourceCapExceeded:
@@ -361,6 +365,8 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
                 f"search exceeded cap {cap} at radius {done + 1}", completed_radius=done
             ) from None
         stored += len(side.seen) - before
+        if side is not home:
+            rims += len(side.last) - rim
         return grown
 
     while True:
@@ -369,7 +375,7 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
                 close(x, None)
         if not open_:
             return found
-        if len(home.last) <= sum(len(s.last) for s in open_.values()):
+        if len(home.last) <= rims:
             grow(home)
             # with several targets, a set lets each intersection scan the
             # smaller side; one target scans the sphere once, as a list

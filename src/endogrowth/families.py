@@ -526,8 +526,10 @@ class HeisenbergMachine(Machine):
 class Nil2Machine(Machine):
     """Torsion-free class-2 nilpotent group with designated central generators.
 
-    Generators: tau_1..tau_n plus central sigma names.  Normal form
-    (x, z) = tau^x sigma^z.  gamma[(i, j)] for i > j is the central exponent
+    Generators: tau_1..tau_n plus central sigma names.  An element is one
+    flat int tuple (x_1, ..., x_n, z_1, ..., z_m) for tau^x sigma^z: its
+    first ``n_gens`` entries are the tau exponents, in generator order like
+    the central ones after them.  gamma[(i, j)] for i > j is the central exponent
     vector of [tau_i, tau_j]; each designated sigma is [tau_i, tau_j] for its
     designated pair, so its gamma entry is the matching +-unit vector.
     """
@@ -565,7 +567,7 @@ class Nil2Machine(Machine):
             raise ValidationError("need one name per tau generator")
         object.__setattr__(self, "tau_names", taus)
         object.__setattr__(self, "gens", GenSet(taus + tuple(self.central)))
-        object.__setattr__(self, "identity", ((0,) * n, (0,) * m))
+        object.__setattr__(self, "identity", (0,) * (n + m))
         object.__setattr__(self, "free_ab_indices", tuple(range(n)))
 
         table = {}
@@ -605,49 +607,43 @@ class Nil2Machine(Machine):
         object.__setattr__(self, "_gamma_max", max(abs(v) for _, vec in full for v in vec))
 
     def _cocycle(self, u, v):
-        """Central part of tau^u tau^v: sum over i > j of u_i v_j gamma(i, j)."""
-        m = len(self.central)
-        out = [0] * m
+        """The central part of tau^u tau^v, sum over i > j of u_i v_j gamma(i, j),
+        as a flat element (zero tau entries).  It reads only the tau entries
+        of u and v."""
+        n = self.n_gens
+        out = [0] * len(self.gens)
         for (i, j), vec in self._gamma_table:
             c = u[i - 1] * v[j - 1]
             if c:
-                for s in range(m):
-                    out[s] += c * vec[s]
+                for s, g in enumerate(vec, n):
+                    out[s] += c * g
         return out
 
     def mul(self, a, b):
-        (xa, za), (xb, zb) = a, b
-        corr = self._cocycle(xa, xb)
-        return (
-            tuple(p + q for p, q in zip(xa, xb)),
-            tuple(p + q + r for p, q, r in zip(za, zb, corr)),
-        )
+        return tuple(p + q + r for p, q, r in zip(a, b, self._cocycle(a, b)))
 
     def inv(self, a):
-        x, z = a
-        return (tuple(-p for p in x), tuple(-p + q for p, q in zip(z, self._cocycle(x, x))))
+        return tuple(q - p for p, q in zip(a, self._cocycle(a, a)))
 
     def pow(self, a, n):
         # the cocycle is bilinear, so the cross terms sum to n(n-1)/2 cocycle(x, x)
-        x, z = a
         c = n * (n - 1) // 2
-        return (tuple(n * p for p in x), tuple(n * p + c * q for p, q in zip(z, self._cocycle(x, x))))
+        return tuple(n * p + c * q for p, q in zip(a, self._cocycle(a, a)))
 
     def steps(self):
+        n = self.n_gens
         out = []
-        for j in range(1, self.n_gens + 1):
-            # (x, z) tau_j^e = (x + e unit_j, z + e sum_{i > j} x_i gamma(i, j))
+        for j in range(1, n + 1):
+            # (x, z) tau_j^e = (x + e unit_j, z + e sum_{i > j} x_i gamma(i, j)),
+            # with z_s at flat index n + s; z stays when every gamma(i, j) is 0
             cols = [(i - 1, vec) for (i, jj), vec in self._gamma_table if jj == j and any(vec)]
-            out += [_tau_step(j - 1, e, cols) for e in (1, -1)]
-        for s in range(len(self.central)):
-            out += [_central_step(s, e) for e in (1, -1)]
+            out += [_tau_step(j - 1, e, n, cols) if cols else _bump(j - 1, e) for e in (1, -1)]
+        # sigma_s^e moves z_s by e
+        out += [_bump(n + s, e) for s in range(len(self.central)) for e in (1, -1)]
         return out
 
     def gen_elem(self, i):
-        n, m = self.n_gens, len(self.central)
-        if i < n:
-            return (tuple(1 if j == i else 0 for j in range(n)), (0,) * m)
-        return ((0,) * n, tuple(1 if j == i - n else 0 for j in range(m)))
+        return tuple(1 if j == i else 0 for j in range(len(self.gens)))
 
     def central_word(self, vec) -> Word:
         n = self.n_gens
@@ -672,8 +668,8 @@ class Nil2Machine(Machine):
         return rels
 
     def decompose(self, elem):
-        x, z = elem
-        return _letters(*((i, e) for i, e in enumerate(x))) * self.central_word(z)
+        # flat index i is generator i: the tau letters, then the sigma ones
+        return _letters(*enumerate(elem))
 
     def length_upper_word(self, elem):
         """tau prefix, then each designated central power via commutator blocks.
@@ -682,10 +678,10 @@ class Nil2Machine(Machine):
         power sigma_s^c costs about 4*sqrt(|c|) letters; plain sigma letters
         win for small c and are the only option for undesignated generators.
         """
-        x, z = elem
+        n = self.n_gens
+        x, z = elem[:n], elem[n:]
         designated_of = {self.central.index(name): pair for name, pair in self.designated}
         letters = [(i, e) for i, e in enumerate(x)]
-        n = self.n_gens
         for s, c in enumerate(z):
             pair = designated_of.get(s)
             if pair is None or abs(c) <= 4:
@@ -712,46 +708,27 @@ class Nil2Machine(Machine):
         prefix of p letters, and a central letter moves one coordinate by
         one: at most max(G p, 1) per letter.  Summed over p < L,
         |z|_inf <= G L(L-1)/2 + L."""
-        x, z = elem
-        return _nil_lower(self._gamma_max, sum(map(abs, x)), max(map(abs, z)))
+        n = self.n_gens
+        return _nil_lower(self._gamma_max, sum(map(abs, elem[:n])), max(map(abs, elem[n:])))
 
     def commutator_vector(self, u, v):
-        """Central exponent vector of [a, b] for elements a, b with x-parts u, v."""
-        return tuple(p - q for p, q in zip(self._cocycle(u, v), self._cocycle(v, u)))
-
-    def cyclic_inner_length(self, gen_index, elem):
-        return super().cyclic_inner_length(gen_index, elem[0] + elem[1])
+        """Central exponent vector of [a, b] from a, b or their tau entries u, v."""
+        return tuple(p - q for p, q in zip(self._cocycle(u, v), self._cocycle(v, u)))[self.n_gens :]
 
 
-def _tau_step(j: int, e: int, gamma_cols):
-    """Nil2Machine step (x, z) -> (x, z) tau_j^e: x_j moves by e and z by
-    e * x_i * gamma(i, j) for each (i, gamma(i, j)) in ``gamma_cols``."""
-    terms = tuple((i, tuple((s, e * v) for s, v in enumerate(vec) if v)) for i, vec in gamma_cols)
-
-    def step(a):
-        x, z = a
-        if terms:
-            z = list(z)
-            for i, col in terms:
-                xi = x[i]
-                if xi:
-                    for s, v in col:
-                        z[s] += v * xi
-            z = tuple(z)
-        x = list(x)
-        x[j] += e
-        return (tuple(x), z)
-
-    return step
-
-
-def _central_step(s: int, e: int):
-    """Nil2Machine step (x, z) -> (x, z) sigma_s^e."""
+def _tau_step(j: int, e: int, n: int, gamma_cols):
+    """Nil2Machine step a -> a tau_j^e on flat elements with ``n`` tau
+    entries: x_j moves by e and z_s, at index n + s, by
+    e * x_i * gamma(i, j)_s for each (i, gamma(i, j)) in ``gamma_cols``.
+    The terms (n + s, i, e * gamma(i, j)_s) are formed once, with the step."""
+    terms = tuple((n + s, i, e * v) for i, vec in gamma_cols for s, v in enumerate(vec) if v)
 
     def step(a):
-        z = list(a[1])
-        z[s] += e
-        return (a[0], tuple(z))
+        t = list(a)
+        for k, i, coef in terms:
+            t[k] += coef * a[i]
+        t[j] += e
+        return tuple(t)
 
     return step
 
@@ -1010,6 +987,23 @@ class BSMachine(Machine):
         # -(n^t q, -t); n^t q = num / n^(e - t)
         num2, e2 = self._canonical(-num, e - t) if e >= t or num == 0 else (-num * self._power(t - e), 0)
         return (num2, e2, -t)
+
+    def steps(self):
+        power, canonical = self._power, self._canonical  # mul's powers, in its budget
+
+        def b_step(s):
+            # (num / n^e, t) b^s adds s / n^t to the b-part
+            def step(x):
+                num, e, t = x
+                if t > e:  # (num n^(t-e) + s) / n^t, canonical as the top is s mod n
+                    return (num * power(t - e) + s if num else s, t, t)
+                if t < e:  # (num + s n^(e-t)) / n^e; for e > 0, n divides s n^(e-t) but not num
+                    return (num + s * power(e - t), e, t)
+                return canonical(num + s, e) + (t,)  # t = e: n may divide num + s
+
+            return step
+
+        return [lambda x: (x[0], x[1], x[2] + 1), lambda x: (x[0], x[1], x[2] - 1), b_step(1), b_step(-1)]
 
     def gen_elem(self, i):
         return ((0, 0, 1), (1, 0, 0))[i]

@@ -69,9 +69,9 @@ def induced_center_matrix(valid: ValidEndo) -> IntMatrix:
         cols = []
         for _, (i, j) in machine.designated:
             c = machine.commutator(images[i - 1], images[j - 1])
-            if any(v != 0 for v in c[0]):
+            if any(v != 0 for v in c[: machine.n_gens]):
                 raise InconsistencyError("image commutator left the center")
-            cols.append(c[1])
+            cols.append(c[machine.n_gens :])
         m = len(machine.central)
         return IntMatrix.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
     raise ValidationError(f"no central block defined for family {machine.family!r}")

@@ -71,10 +71,10 @@ class TestMultiplicationExamples:
 
     def test_nil2_bracket(self, nil2_ex3):
         w = parse_word("t2^-1 t3^-1 t2 t3", nil2_ex3.gens)
-        assert evaluate(nil2_ex3, w) == ((0, 0, 0), (1, 2))
+        assert evaluate(nil2_ex3, w) == (0, 0, 0, 1, 2)
 
     def test_nil2_identity_neutral(self, nil2_ex3):
-        g = ((1, -2, 3), (4, -5))
+        g = (1, -2, 3, 4, -5)
         assert nil2_ex3.mul(g, nil2_ex3.identity) == g
 
 
@@ -105,8 +105,8 @@ class TestNil2HeisenbergAgreement:
             a = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             b = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             ha = heis.mul(a, b)
-            na = nil.mul(((a[0], a[1]), (a[2],)), ((b[0], b[1]), (b[2],)))
-            assert ha == (na[0][0], na[0][1], na[1][0])
+            # the flat nilpotent2 form of a1^m a2^n c^l is (m, n, l) too
+            assert ha == nil.mul(a, b)
 
 
 class TestBSCanonicalization:
@@ -133,6 +133,45 @@ class TestBSCanonicalization:
         with pytest.raises(ResourceCapExceeded):
             bs2.inv((1, 0, 5 * 10**6))
         assert bs2.mul((0, 0, -1000), (1, 0, 0)) == (2**1000, 0, -1000)
+
+
+class TestBSSteps:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_steps_equal_mul_on_every_branch(self, n):
+        # each closed-form b step branches on t against e; every case is hit,
+        # t = e > 0 also with n | num + s, where the step must cancel n
+        machine = BSMachine(n)
+        steps = machine.steps()
+        moves = [y for i in range(2) for y in (machine.gen_elem(i), machine.inv(machine.gen_elem(i)))]
+        rng = random.Random(100 + n)
+        branches = set()
+        for _ in range(500):
+            x = random_element(machine, rng, 8)
+            num, e, t = x
+            for s in (1, -1):
+                if t == e > 0:
+                    branches.add("t = e > 0, n | num + s" if (num + s) % n == 0 else "t = e > 0")
+                else:
+                    branches.add("t > e" if t > e else "t < e" if t < e else "t = e = 0")
+            for step, y in zip(steps, moves):
+                assert step(x) == machine.mul(x, y)
+        assert branches >= {"t > e", "t < e", "t = e = 0", "t = e > 0, n | num + s"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_steps_keep_the_power_budget(self, n):
+        # a b step from a^-N or from a-height N past the budget needs n^N,
+        # like mul; from the pure power a^N it needs none
+        machine = BSMachine(n)
+        steps = machine.steps()
+        for x in ((0, 0, -(10**9)), (1, 3, 10**9)):
+            for step, y in ((steps[2], (1, 0, 0)), (steps[3], (-1, 0, 0))):
+                with pytest.raises(ResourceCapExceeded):
+                    step(x)
+                with pytest.raises(ResourceCapExceeded):
+                    machine.mul(x, y)
+        x = (0, 0, 10**9)
+        assert steps[2](x) == machine.mul(x, (1, 0, 0)) == (1, 10**9, 10**9)
+        assert steps[3](x) == machine.mul(x, (-1, 0, 0)) == (-1, 10**9, 10**9)
 
 
 # Runs in a child capped at 256 MiB of address space.
@@ -258,8 +297,8 @@ class TestLengthLower:
 
     def test_nil2_uses_the_largest_gamma_entry(self):
         # G = 5: 5 L(L-1)/2 + L is 970 at L = 20 and 1071 at L = 21
-        assert NIL2_WIDE.length_lower(((0, 0, 0), (0, 1000))) == 21
-        assert NIL2_WIDE.length_lower(((2, -1, 0), (0, 0))) == 3
+        assert NIL2_WIDE.length_lower((0, 0, 0, 0, 1000)) == 21
+        assert NIL2_WIDE.length_lower((2, -1, 0, 0, 0)) == 3
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bs_bound_against_the_ball(self, n):
@@ -305,7 +344,7 @@ class TestBigIntegerLengths:
         "free_abelian": (BIG, -2 * BIG, 5),
         "abelian_with_torsion": ((BIG,), (1,)),
         "heisenberg": (BIG, -BIG, BIG * BIG + 7),
-        "nilpotent2": ((BIG, 1, -BIG), (4 * BIG, 3)),
+        "nilpotent2": (BIG, 1, -BIG, 4 * BIG, 3),
         "sol_lattice": ((BIG, -BIG), 3),
         "klein_bottle": (BIG, -BIG),
         "baumslag_solitar": (BIG + 1, 0, BIG),
@@ -444,7 +483,7 @@ class TestParams:
                 "gamma": {"3,2": [-1, -2]},
             },
         )
-        assert evaluate(m2, parse_word("t2^-1 t3^-1 t2 t3", m2.gens)) == ((0, 0, 0), (1, 2))
+        assert evaluate(m2, parse_word("t2^-1 t3^-1 t2 t3", m2.gens)) == (0, 0, 0, 1, 2)
 
     def test_sol_validation(self):
         with pytest.raises(ValidationError):
