@@ -6,9 +6,8 @@ and deduplication is automatic.  One class, ``_Frontier``, grows every ball:
 a ball around a start element, one sphere at a time, stepping each element
 of the last sphere through ``Machine.steps()`` (right multiplication by g0,
 g0^-1, g1, ... as functions compiled once per search and shared by all its
-balls), so discovery order is fixed.  Every family but abelian with
-torsion gives its steps in closed form; that one wraps ``mul``, and no
-command searches it: its lengths are exact and its ball counts a series.
+balls), so discovery order is fixed.  Every family gives its steps in
+closed form, without a call to ``mul``.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given

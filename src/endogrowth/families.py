@@ -144,14 +144,9 @@ class Machine:
     def steps(self) -> list:
         """Right multiplication by each generator and its inverse, as
         functions ``x -> x*s`` in the order g0, g0^-1, g1, g1^-1, ...: the
-        edges a Cayley-ball search follows.  This default wraps ``mul``;
-        families with a closed form override it."""
-        mul = self.mul
-        out = []
-        for i in range(len(self.gens)):
-            g = self.gen_elem(i)
-            out += [lambda x, s=s: mul(x, s) for s in (g, self.inv(g))]
-        return out
+        edges a Cayley-ball search follows.  Every family gives them in
+        closed form, without a call to ``mul``."""
+        raise NotImplementedError
 
     def gen_elem(self, i: int):
         raise NotImplementedError
@@ -218,13 +213,21 @@ def _gen_word(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 
 
-def _bump(i: int, e: int):
-    """The step x -> x + e * unit_i on int tuples."""
+def _bump(i: int, e: int, m: int = 0):
+    """The step x -> x + e * unit_i on int tuples, modulo m at index i when m > 0."""
+    if m:
 
-    def step(x):
-        t = list(x)
-        t[i] += e
-        return tuple(t)
+        def step(x):
+            t = list(x)
+            t[i] = (t[i] + e) % m
+            return tuple(t)
+
+    else:
+
+        def step(x):
+            t = list(x)
+            t[i] += e
+            return tuple(t)
 
     return step
 
@@ -268,15 +271,74 @@ def _area_reach(k: int, s: int, c: int) -> int:
     return best
 
 
+class _AbelianMachine(Machine):
+    """Z^rank x prod Z_m on flat int tuples: the rank free exponents, then
+    the residues in [0, m).  ``orders`` holds 0 for each Z and m for each
+    Z_m coordinate, and generator i is the unit of coordinate i."""
+
+    rank: int
+    orders: tuple[int, ...]
+    length_exact = True
+
+    def _set_orders(self, names, orders):
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "gens", GenSet(self.names))
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "identity", (0,) * len(orders))
+        object.__setattr__(self, "free_ab_indices", tuple(range(self.rank)))
+        object.__setattr__(self, "_torsion_at", tuple((i, m) for i, m in enumerate(orders) if m))
+
+    def _reduced(self, t: list) -> tuple:
+        for i, m in self._torsion_at:
+            t[i] %= m
+        return tuple(t)
+
+    def mul(self, a, b):
+        return self._reduced([x + y for x, y in zip(a, b)])
+
+    def inv(self, a):
+        return self._reduced([-x for x in a])
+
+    def pow(self, x, n):
+        return self._reduced([n * c for c in x])
+
+    def steps(self):
+        return [_bump(i, e, m) for i, m in enumerate(self.orders) for e in (1, -1)]
+
+    def gen_elem(self, i):
+        return tuple(1 if j == i else 0 for j in range(len(self.orders)))
+
+    def relators(self):
+        return [_gen_word(i, m) for i, m in self._torsion_at]
+
+    def decompose(self, elem):
+        letters = list(enumerate(elem[: self.rank]))
+        for i, m in self._torsion_at:
+            r = elem[i]
+            letters.append((i, r if r <= m - r else r - m))  # the shorter way round
+        return _letters(*letters)
+
+    def length_upper(self, elem):
+        total = sum(map(abs, elem[: self.rank]))
+        for i, m in self._torsion_at:
+            total += min(elem[i], m - elem[i])
+        return total
+
+    def coordinate_orders(self):
+        return self.orders
+
+    def cyclic_inner_length(self, gen_index, elem):
+        return self.length_upper(elem) if elem.count(0) + (elem[gen_index] != 0) == len(elem) else None
+
+
 @dataclass(frozen=True)
-class FreeAbelianMachine(Machine):
+class FreeAbelianMachine(_AbelianMachine):
     """Z^rank with coordinatewise arithmetic; elements are int tuples."""
 
     rank: int
     names: tuple[str, ...] = ()
     family = "free_abelian"
     schema = (("rank", "int"), ("names", "list of str", ()))
-    length_exact = True
 
     def __post_init__(self):
         if self.rank < 1:
@@ -284,49 +346,20 @@ class FreeAbelianMachine(Machine):
         names = self.names or tuple(f"e{i + 1}" for i in range(self.rank))
         if len(names) != self.rank:
             raise ValidationError("need one name per generator")
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "gens", GenSet(self.names))
-        object.__setattr__(self, "identity", (0,) * self.rank)
-        object.__setattr__(self, "free_ab_indices", tuple(range(self.rank)))
-
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
-
-    def pow(self, x, n):
-        return tuple(n * c for c in x)
-
-    def steps(self):
-        return [_bump(i, e) for i in range(self.rank) for e in (1, -1)]
-
-    def gen_elem(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def relators(self):
-        return []
-
-    def decompose(self, elem):
-        return _letters(*((i, x) for i, x in enumerate(elem)))
-
-    def length_upper(self, elem):
-        return sum(abs(x) for x in elem)
-
-    def coordinate_orders(self):
-        return (0,) * self.rank
+        self._set_orders(names, (0,) * self.rank)
 
 
 @dataclass(frozen=True)
-class TorsionProductMachine(Machine):
-    """Z^rank x prod Z_{b_i}; elements are (free tuple, residue tuple)."""
+class TorsionProductMachine(_AbelianMachine):
+    """Z^rank x prod Z_{b_i}; an element is one flat int tuple
+    (x_1, ..., x_rank, r_1, ..., r_s) for a^x t^r, the free exponents, then
+    the residues r_i in [0, b_i)."""
 
     rank: int
     torsion: tuple[int, ...]
     names: tuple[str, ...] = ()
     family = "abelian_with_torsion"
     schema = (("rank", "int"), ("torsion", "list of int"), ("names", "list of str", ()))
-    length_exact = True
 
     def __post_init__(self):
         if self.rank < 0 or (self.rank == 0 and not self.torsion):
@@ -340,62 +373,7 @@ class TorsionProductMachine(Machine):
         )
         if len(names) != self.rank + len(self.torsion):
             raise ValidationError("need one name per generator")
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "gens", GenSet(self.names))
-        object.__setattr__(self, "identity", ((0,) * self.rank, (0,) * len(self.torsion)))
-        object.__setattr__(self, "free_ab_indices", tuple(range(self.rank)))
-
-    def mul(self, a, b):
-        return (
-            tuple(x + y for x, y in zip(a[0], b[0])),
-            tuple((x + y) % m for x, y, m in zip(a[1], b[1], self.torsion)),
-        )
-
-    def inv(self, a):
-        return (tuple(-x for x in a[0]), tuple((-x) % m for x, m in zip(a[1], self.torsion)))
-
-    def pow(self, x, n):
-        return (tuple(n * c for c in x[0]), tuple(n * r % m for r, m in zip(x[1], self.torsion)))
-
-    def gen_elem(self, i):
-        free = tuple(1 if j == i else 0 for j in range(self.rank))
-        tors = tuple(1 if self.rank + j == i else 0 for j in range(len(self.torsion)))
-        return (free, tors)
-
-    def relators(self):
-        return [_gen_word(self.rank + j, b) for j, b in enumerate(self.torsion)]
-
-    def _short_residue(self, r, m):
-        return r if r <= m - r else r - m
-
-    def decompose(self, elem):
-        free, tors = elem
-        letters = [(i, x) for i, x in enumerate(free)]
-        letters += [
-            (self.rank + j, self._short_residue(r, m))
-            for j, (r, m) in enumerate(zip(tors, self.torsion))
-        ]
-        return _letters(*letters)
-
-    def length_upper(self, elem):
-        free, tors = elem
-        return sum(abs(x) for x in free) + sum(
-            min(r, m - r) for r, m in zip(tors, self.torsion)
-        )
-
-    def coordinate_orders(self):
-        return (0,) * self.rank + self.torsion
-
-    def cyclic_inner_length(self, gen_index, elem):
-        free, tors = elem
-        if any(x != 0 for i, x in enumerate(free) if i != gen_index):
-            return None
-        if any(r != 0 for j, r in enumerate(tors) if self.rank + j != gen_index):
-            return None
-        if gen_index < self.rank:
-            return abs(free[gen_index])
-        j = gen_index - self.rank
-        return min(tors[j], self.torsion[j] - tors[j])
+        self._set_orders(names, (0,) * self.rank + self.torsion)
 
 
 @dataclass(frozen=True)
@@ -1111,7 +1089,12 @@ def klein_restricted_matrix(valid) -> IntMatrix:
     return IntMatrix.from_rows([[q, y2_image[0]], [0, r]])
 
 
-MACHINES = {cls.family: cls for cls in Machine.__subclasses__()}
+MACHINES = {
+    cls.family: cls
+    for cls in (
+        FreeAbelianMachine, TorsionProductMachine, HeisenbergMachine, Nil2Machine, SolMachine, KleinMachine, BSMachine
+    )
+}
 
 
 def machine_from_params(family: str, params: dict) -> Machine:

@@ -181,16 +181,24 @@ class Endomorphism:
         return acc
 
 
+def _product(machine, elems, letters):
+    """The product of elems[g]^e over the letters (g, e), exact."""
+    mul, pow_ = machine.mul, machine.pow
+    acc = machine.identity
+    for g, e in letters:
+        acc = mul(acc, pow_(elems[g], e))
+    return acc
+
+
 def evaluate(machine, w: Word):
     """Normal form of the product the word spells, exact."""
     n = len(machine.gens)
-    mul, pow_ = machine.mul, machine.pow
-    acc = machine.identity
-    for g, e in w.letters:
+    elems = {}
+    for g, _ in w.letters:
         if not 0 <= g < n:
             raise UnknownGeneratorError(f"generator index {g} out of range")
-        acc = mul(acc, pow_(machine.gen_elem(g), e))
-    return acc
+        elems[g] = machine.gen_elem(g)
+    return _product(machine, elems, w.letters)
 
 
 def image_elements(machine, endo: Endomorphism) -> tuple:
@@ -204,11 +212,7 @@ def apply_on_element(machine, images: tuple, x):
     Uses the machine's canonical decomposition, so exponents may be huge
     without any word blowup.
     """
-    mul, pow_ = machine.mul, machine.pow
-    acc = machine.identity
-    for g, e in machine.decompose(x).letters:
-        acc = mul(acc, pow_(images[g], e))
-    return acc
+    return _product(machine, images, machine.decompose(x).letters)
 
 
 def endo_power_image(endo: Endomorphism, gen: str, k: int) -> Word:
@@ -236,11 +240,8 @@ class HomVerdict:
 def check_homomorphism(machine, endo: Endomorphism) -> HomVerdict:
     """Valid iff every relator of the machine maps to the identity."""
     images = image_elements(machine, endo)
-    mul, pow_ = machine.mul, machine.pow
     for rel in machine.relators():
-        acc = machine.identity
-        for g, e in rel.letters:
-            acc = mul(acc, pow_(images[g], e))
+        acc = _product(machine, images, rel.letters)
         if acc != machine.identity:
             return HomVerdict(False, rel, acc, images)
     return HomVerdict(True, images=images)

@@ -65,7 +65,7 @@ class TestEnumerateBall:
 
     def test_finite_group_stops_early(self, counter_machine):
         ball = enumerate_ball(counter_machine, 3)
-        members = [e for e, d in ball.dist.items() if e[0] == (0,)]
+        members = [e for e, d in ball.dist.items() if e[0] == 0]
         assert len(members) == 2  # identity and the torsion generator
 
     def test_cap_gives_the_last_full_radius(self, heis1):

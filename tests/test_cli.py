@@ -165,6 +165,7 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["valid"] is False
         assert report["violated_relator"] == "beta^2"
+        assert report["witness"] == "(2, 0)"  # alpha^2: the flat normal form (free exponent, residue)
         assert run(["closed", *argv[1:], "--out", str(out)]) == 2
 
     def test_ball_csv(self, capsys):

@@ -21,7 +21,7 @@ from endogrowth.families import (
     klein_restricted_matrix,
     machine_from_params,
 )
-from endogrowth.words import Endomorphism, Word, check_homomorphism, evaluate, parse_word, validate_endo
+from endogrowth.words import Endomorphism, Word, check_homomorphism, evaluate, parse_word, validate_endo, word_str
 
 from conftest import ALL_MACHINES, FIXTURE_DIR, run_child
 
@@ -172,6 +172,36 @@ class TestBSSteps:
         x = (0, 0, 10**9)
         assert steps[2](x) == machine.mul(x, (1, 0, 0)) == (1, 10**9, 10**9)
         assert steps[3](x) == machine.mul(x, (-1, 0, 0)) == (-1, 10**9, 10**9)
+
+
+class TestAbelianMachines:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_free_abelian_is_the_product_without_torsion(self, rank):
+        free, product = FreeAbelianMachine(rank), TorsionProductMachine(rank, ())
+        assert free.identity == product.identity
+        free_steps, product_steps = free.steps(), product.steps()
+        assert len(free_steps) == len(product_steps) == 2 * rank
+        rng = random.Random(rank)
+        inner = set()
+        for _ in range(300):
+            # about half the coordinates are 0, so single-coordinate elements occur
+            a, b = (tuple(rng.choice((0, rng.randint(-9, 9), 2**70)) for _ in range(rank)) for _ in range(2))
+            n = rng.randint(-6, 6)
+            assert free.mul(a, b) == product.mul(a, b)
+            assert free.inv(a) == product.inv(a)
+            assert free.pow(a, n) == product.pow(a, n)
+            assert [step(a) for step in free_steps] == [step(a) for step in product_steps]
+            assert free.length_upper(a) == product.length_upper(a)
+            assert free.decompose(a) == product.decompose(a)
+            for i in range(rank):
+                assert free.cyclic_inner_length(i, a) == product.cyclic_inner_length(i, a)
+                inner.add(free.cyclic_inner_length(i, a) is None)
+        assert inner == ({False} if rank == 1 else {True, False})  # None only with two nonzero coordinates
+
+    def test_torsion_step_wraps_around(self):
+        machine = TorsionProductMachine(0, (5,))
+        assert machine.steps()[1](machine.identity) == (4,)  # t1^-1
+        assert word_str(machine.decompose((4,)), machine.gens) == "t1^-1"
 
 
 # Runs in a child capped at 256 MiB of address space.
@@ -342,7 +372,7 @@ class TestBigIntegerLengths:
     BIG = 2**70
     ELEMENTS = {
         "free_abelian": (BIG, -2 * BIG, 5),
-        "abelian_with_torsion": ((BIG,), (1,)),
+        "abelian_with_torsion": (BIG, 1),
         "heisenberg": (BIG, -BIG, BIG * BIG + 7),
         "nilpotent2": (BIG, 1, -BIG, 4 * BIG, 3),
         "sol_lattice": ((BIG, -BIG), 3),
