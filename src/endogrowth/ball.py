@@ -3,11 +3,14 @@ tables, growth estimation, and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
 and deduplication is automatic.  One class, ``_Frontier``, grows every ball:
-a ball around a start element, one sphere at a time, stepping each element
-of the last sphere through ``Machine.steps()`` (right multiplication by g0,
-g0^-1, g1, ... as functions compiled once per search and shared by all its
-balls), so discovery order is fixed.  Every family gives its steps in
-closed form, without a call to ``mul``.
+a ball around a start element, one sphere at a time.  It steps the last
+sphere in chunks of up to ``_CHUNK`` elements through ``Machine.steps()``:
+right multiplication by g0, g0^-1, g1, ..., made once per search and shared
+by all its balls.  Each step maps the coordinate columns of a whole chunk
+in closed form, without a call to ``mul``, so a Cayley-graph edge costs one
+``seen`` probe and a share of a list comprehension, not a Python call (but
+for the Baumslag-Solitar b steps).  Discovery order is fixed: element by
+element, step by step.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
@@ -69,6 +72,9 @@ __all__ = [
 
 DEFAULT_CAP = 5_000_000
 
+# _Frontier.grow steps this many elements of a sphere at a time
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -128,7 +134,10 @@ class _Frontier:
     ``last`` is sphere ``depth``.
 
     Every element found goes into ``seen`` in discovery order: each element
-    of sphere r - 1 in order, times each of ``steps`` in order.
+    of sphere r - 1 in order, times each of ``steps`` in order.  ``grow``
+    takes the sphere ``_CHUNK`` elements at a time: it transposes a chunk
+    into coordinate columns once, has each step map the whole chunk, and
+    interleaves the products element by element, so the order is the same.
 
     With a lower bound ``lower`` on word length, sphere r + 1 is built only
     from the x in sphere r with lower(x) + r <= radius.  A word for x
@@ -156,8 +165,10 @@ class _Frontier:
     def grow(self, cap: int) -> bool:
         """Add the next sphere, storing at most ``cap`` elements in all;
         False, with nothing changed, at ``radius`` or when the next sphere
-        is empty.  Storing a new element when ``seen`` holds ``cap`` raises
-        ResourceCapExceeded with the last full radius."""
+        is empty.  When ``seen`` holds more than ``cap`` after a chunk,
+        ResourceCapExceeded with the last full radius.  As ``seen`` only
+        grows, that is the radius at which a check after every new element
+        would raise."""
         r = self.depth
         if r >= self.radius:
             return False
@@ -168,14 +179,14 @@ class _Frontier:
         r += 1
         seen, steps = self.seen, self.steps
         nxt = []
-        for x in sphere:
-            for step in steps:
-                y = step(x)
+        for i in range(0, len(sphere), _CHUNK):
+            cols = tuple(zip(*sphere[i : i + _CHUNK]))
+            for y in chain.from_iterable(zip(*[step(cols) for step in steps])):
                 if y not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceCapExceeded(f"exceeded cap {cap} at radius {r}", completed_radius=r - 1)
                     seen[y] = r
                     nxt.append(y)
+            if len(seen) > cap:
+                raise ResourceCapExceeded(f"exceeded cap {cap} at radius {r}", completed_radius=r - 1)
         if not nxt:
             return False
         self.depth, self.last = r, nxt
@@ -643,14 +654,14 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     lower = machine.length_upper if machine.length_exact else machine.length_lower
     step = machine.steps()[2 * index]
     powers = []
-    x = step(machine.identity)
+    (x,) = step(tuple(zip(machine.identity)))  # a one-element chunk
     while x != machine.identity and lower(x) <= radius:
         if len(powers) >= cap:
             raise ResourceCapExceeded(
                 f"distortion exceeded cap {cap} with the powers of {gen_name} within radius {radius}"
             )
         powers.append(x)
-        x = step(x)
+        (x,) = step(tuple(zip(x)))
     best_at = {}  # length -> (inner length, power) of the largest inner length
     for x, length in zip(powers, word_lengths(machine, powers, radius, cap, held=len(powers))):
         val = inner(x)

@@ -142,10 +142,14 @@ class Machine:
         return acc
 
     def steps(self) -> list:
-        """Right multiplication by each generator and its inverse, as
-        functions ``x -> x*s`` in the order g0, g0^-1, g1, g1^-1, ...: the
-        edges a Cayley-ball search follows.  Every family gives them in
-        closed form, without a call to ``mul``."""
+        """Right multiplication by each generator and its inverse, in the
+        order g0, g0^-1, g1, g1^-1, ...: the edges a Cayley-ball search
+        follows.  Each step maps a chunk of elements at once.  It takes the
+        chunk's coordinate columns, ``cols[k]`` holding coordinate k of each
+        element (``tuple(zip(*chunk))``; empty columns for an empty chunk),
+        and returns an iterable of the products x*s in chunk order.  Every
+        family gives them in closed form, without a call to ``mul``; a new
+        list per call, since a step may cache per search."""
         raise NotImplementedError
 
     def gen_elem(self, i: int):
@@ -213,23 +217,31 @@ def _gen_word(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 
 
-def _bump(i: int, e: int, m: int = 0):
-    """The step x -> x + e * unit_i on int tuples, modulo m at index i when m > 0."""
-    if m:
+def _bump(i: int, e: int, m: int = 0, terms=()):
+    """The chunk step x -> x + e * unit_i on flat int tuples, modulo m at
+    index i when m > 0, that also adds coef * x_j at index k for each
+    (k, j, coef) in ``terms``.  Unchanged columns are reused."""
 
-        def step(x):
-            t = list(x)
-            t[i] = (t[i] + e) % m
-            return tuple(t)
-
-    else:
-
-        def step(x):
-            t = list(x)
-            t[i] += e
-            return tuple(t)
+    def step(cols):
+        out = list(cols)
+        out[i] = [(x + e) % m for x in cols[i]] if m else [x + e for x in cols[i]]
+        for k, j, coef in terms:
+            out[k] = [z + coef * x for z, x in zip(out[k], cols[j])]
+        return zip(*out)
 
     return step
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k) when it is first read."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _central_reach(g: int, c: int) -> int:
@@ -416,14 +428,15 @@ class HeisenbergMachine(Machine):
 
     def steps(self):
         k = self.k
+        # columns (m, n, l); a1^(+-1) also moves l by +-k n
         out = [
-            lambda a: (a[0] + 1, a[1], a[2] + k * a[1]),
-            lambda a: (a[0] - 1, a[1], a[2] - k * a[1]),
-            lambda a: (a[0], a[1] + 1, a[2]),
-            lambda a: (a[0], a[1] - 1, a[2]),
+            lambda c: zip([m + 1 for m in c[0]], c[1], [l + k * n for l, n in zip(c[2], c[1])]),
+            lambda c: zip([m - 1 for m in c[0]], c[1], [l - k * n for l, n in zip(c[2], c[1])]),
+            lambda c: zip(c[0], [n + 1 for n in c[1]], c[2]),
+            lambda c: zip(c[0], [n - 1 for n in c[1]], c[2]),
         ]
         if self.include_center_gen:
-            out += [lambda a: (a[0], a[1], a[2] + 1), lambda a: (a[0], a[1], a[2] - 1)]
+            out += [lambda c: zip(c[0], c[1], [l + 1 for l in c[2]]), lambda c: zip(c[0], c[1], [l - 1 for l in c[2]])]
         return out
 
     def gen_elem(self, i):
@@ -613,9 +626,11 @@ class Nil2Machine(Machine):
         out = []
         for j in range(1, n + 1):
             # (x, z) tau_j^e = (x + e unit_j, z + e sum_{i > j} x_i gamma(i, j)),
-            # with z_s at flat index n + s; z stays when every gamma(i, j) is 0
-            cols = [(i - 1, vec) for (i, jj), vec in self._gamma_table if jj == j and any(vec)]
-            out += [_tau_step(j - 1, e, n, cols) if cols else _bump(j - 1, e) for e in (1, -1)]
+            # with z_s at flat index n + s
+            gammas = [(i - 1, vec) for (i, jj), vec in self._gamma_table if jj == j]
+            for e in (1, -1):
+                terms = tuple((n + s, i, e * v) for i, vec in gammas for s, v in enumerate(vec) if v)
+                out.append(_bump(j - 1, e, terms=terms))
         # sigma_s^e moves z_s by e
         out += [_bump(n + s, e) for s in range(len(self.central)) for e in (1, -1)]
         return out
@@ -692,23 +707,6 @@ class Nil2Machine(Machine):
     def commutator_vector(self, u, v):
         """Central exponent vector of [a, b] from a, b or their tau entries u, v."""
         return tuple(p - q for p, q in zip(self._cocycle(u, v), self._cocycle(v, u)))[self.n_gens :]
-
-
-def _tau_step(j: int, e: int, n: int, gamma_cols):
-    """Nil2Machine step a -> a tau_j^e on flat elements with ``n`` tau
-    entries: x_j moves by e and z_s, at index n + s, by
-    e * x_i * gamma(i, j)_s for each (i, gamma(i, j)) in ``gamma_cols``.
-    The terms (n + s, i, e * gamma(i, j)_s) are formed once, with the step."""
-    terms = tuple((n + s, i, e * v) for i, vec in gamma_cols for s, v in enumerate(vec) if v)
-
-    def step(a):
-        t = list(a)
-        for k, i, coef in terms:
-            t[k] += coef * a[i]
-        t[j] += e
-        return tuple(t)
-
-    return step
 
 
 @dataclass(frozen=True)
@@ -803,11 +801,17 @@ class SolMachine(Machine):
         power = self.holonomy_power
 
         def a_step(i, e):
-            # (v, t) a_i^e = (v + e * column i of A^t, t)
-            def step(x):
-                (v0, v1), t = x
+            # (v, t) a_i^e = (v + e * column i of A^t, t), the shift of each t
+            # computed once per search
+            def shift(t):
                 p = power(t).entries
-                return ((v0 + e * p[0][i], v1 + e * p[1][i]), t)
+                return (e * p[0][i], e * p[1][i])
+
+            shifts = _Memo(shift)
+
+            def step(cols):
+                vs, ts = cols
+                return [((v0 + d0, v1 + d1), t) for ((v0, v1), t, (d0, d1)) in zip(vs, ts, map(shifts.__getitem__, ts))]
 
             return step
 
@@ -816,8 +820,8 @@ class SolMachine(Machine):
             a_step(0, -1),
             a_step(1, 1),
             a_step(1, -1),
-            lambda x: (x[0], x[1] + 1),
-            lambda x: (x[0], x[1] - 1),
+            lambda cols: zip(cols[0], [t + 1 for t in cols[1]]),
+            lambda cols: zip(cols[0], [t - 1 for t in cols[1]]),
         ]
 
     def gen_elem(self, i):
@@ -854,7 +858,12 @@ class SolMachine(Machine):
         return abs(elem[1])
 
     def cyclic_inner_length(self, gen_index, elem):
-        return super().cyclic_inner_length(gen_index, elem[0] + (elem[1],))
+        (v0, v1), t = elem
+        if gen_index == 0:
+            return abs(v0) if v1 == t == 0 else None
+        if gen_index == 1:
+            return abs(v1) if v0 == t == 0 else None
+        return abs(t) if v0 == v1 == 0 else None
 
 
 @dataclass(frozen=True)
@@ -885,12 +894,12 @@ class KleinMachine(Machine):
         return (n * a, n * b)
 
     def steps(self):
-        # x^(+-1) moves the x-exponent by +-1, against the sign when b is odd
+        # columns (a, b): x^(+-1) moves a by +-1, against the sign when b is odd
         return [
-            lambda a: (a[0] - 1 if a[1] & 1 else a[0] + 1, a[1]),
-            lambda a: (a[0] + 1 if a[1] & 1 else a[0] - 1, a[1]),
-            lambda a: (a[0], a[1] + 1),
-            lambda a: (a[0], a[1] - 1),
+            lambda c: zip([a - 1 if b & 1 else a + 1 for a, b in zip(*c)], c[1]),
+            lambda c: zip([a + 1 if b & 1 else a - 1 for a, b in zip(*c)], c[1]),
+            lambda c: zip(c[0], [b + 1 for b in c[1]]),
+            lambda c: zip(c[0], [b - 1 for b in c[1]]),
         ]
 
     def gen_elem(self, i):
@@ -971,17 +980,21 @@ class BSMachine(Machine):
 
         def b_step(s):
             # (num / n^e, t) b^s adds s / n^t to the b-part
-            def step(x):
-                num, e, t = x
+            def step(num, e, t):
                 if t > e:  # (num n^(t-e) + s) / n^t, canonical as the top is s mod n
                     return (num * power(t - e) + s if num else s, t, t)
                 if t < e:  # (num + s n^(e-t)) / n^e; for e > 0, n divides s n^(e-t) but not num
                     return (num + s * power(e - t), e, t)
                 return canonical(num + s, e) + (t,)  # t = e: n may divide num + s
 
-            return step
+            return lambda cols: map(step, *cols)
 
-        return [lambda x: (x[0], x[1], x[2] + 1), lambda x: (x[0], x[1], x[2] - 1), b_step(1), b_step(-1)]
+        return [
+            lambda c: zip(c[0], c[1], [t + 1 for t in c[2]]),
+            lambda c: zip(c[0], c[1], [t - 1 for t in c[2]]),
+            b_step(1),
+            b_step(-1),
+        ]
 
     def gen_elem(self, i):
         return ((0, 0, 1), (1, 0, 0))[i]

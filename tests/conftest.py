@@ -39,6 +39,12 @@ def run_child(code, *args, limit_mb=0, timeout=120):
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
 
 
+def step_one(step, x):
+    """x*s by a chunk step of ``Machine.steps()``, on the one-element chunk [x]."""
+    (y,) = step(tuple(zip(x)))
+    return y
+
+
 def load_fixture(name):
     with open(FIXTURE_DIR / name, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -20,23 +20,34 @@ from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMach
 from endogrowth.reports import parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, parse_word, validate_endo
 
-from conftest import ALL_MACHINES, load_fixture
+from conftest import ALL_MACHINES, load_fixture, step_one
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
 
-def reference_ball(machine, radius):
-    """Distances by a plain BFS over ``mul``: each element of the previous
-    sphere in order, times g0, g0^-1, g1, g1^-1, ... in order."""
-    steps = []
+def moves(machine):
+    """The right factors of the steps: g0, g0^-1, g1, g1^-1, ..."""
+    out = []
     for i in range(len(machine.gens)):
         g = machine.gen_elem(i)
-        steps += [g, machine.inv(g)]
-    dist = {machine.identity: 0}
-    sphere = [machine.identity]
+        out += [g, machine.inv(g)]
+    return out
+
+
+def reference_ball(machine, radius, start=None, lower=None):
+    """Distances by a plain BFS over ``mul``: each element of the previous
+    sphere in order, times g0, g0^-1, g1, g1^-1, ... in order.  With
+    ``lower``, an element x of sphere r is expanded only when
+    lower(x) <= radius - r, as on a pruned ``_Frontier`` side."""
+    start = machine.identity if start is None else start
+    steps = moves(machine)
+    dist = {start: 0}
+    sphere = [start]
     for r in range(1, radius + 1):
         nxt = []
         for x in sphere:
+            if lower is not None and lower(x) > radius - r + 1:
+                continue
             for s in steps:
                 y = machine.mul(x, s)
                 if y not in dist:
@@ -44,6 +55,15 @@ def reference_ball(machine, radius):
                     nxt.append(y)
         sphere = nxt
     return dist
+
+
+def expanded_sizes(dist, radius, lower=None):
+    """The number of elements of each sphere r < radius that a BFS expands."""
+    sizes = [0] * radius
+    for x, d in dist.items():
+        if d < radius and (lower is None or lower(x) <= radius - d):
+            sizes[d] += 1
+    return sizes
 
 
 class TestEnumerateBall:
@@ -93,13 +113,106 @@ class TestCompiledSteps:
         for x in reference_ball(any_machine, 4):
             for i in range(len(any_machine.gens)):
                 g = any_machine.gen_elem(i)
-                assert steps[2 * i](x) == any_machine.mul(x, g)
-                assert steps[2 * i + 1](x) == any_machine.mul(x, any_machine.inv(g))
+                assert step_one(steps[2 * i], x) == any_machine.mul(x, g)
+                assert step_one(steps[2 * i + 1], x) == any_machine.mul(x, any_machine.inv(g))
 
     @pytest.mark.parametrize("stem", FIXTURE_STEMS)
     def test_discovery_order_matches_reference(self, stem):
         _, machine = parse_group(load_fixture(f"{stem}.group"))
         assert list(enumerate_ball(machine, 4).dist.items()) == list(reference_ball(machine, 4).items())
+
+
+class TestChunkedKernel:
+    """``_Frontier.grow`` steps a sphere in chunks of ``_CHUNK`` elements."""
+
+    def test_steps_on_a_chunk_equal_mul(self, any_machine):
+        # every step maps a whole chunk, in order, and leaves its columns as
+        # they were; the empty chunk has empty columns and gives nothing
+        chunk = list(reference_ball(any_machine, 4))
+        assert len(chunk) > 1
+        cols = tuple(zip(*chunk))
+        empty = tuple(() for _ in any_machine.identity)
+        for step, s in zip(any_machine.steps(), moves(any_machine)):
+            assert list(step(cols)) == [any_machine.mul(x, s) for x in chunk]
+            assert list(step(empty)) == []
+        assert cols == tuple(zip(*chunk))
+
+    @pytest.mark.parametrize("stem, radius", [("nil2_ex3", 5), ("sol_ex3", 6), ("bs", 9), ("heis_ex1", 9)])
+    def test_discovery_order_across_chunks(self, stem, radius):
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        reference = reference_ball(machine, radius)
+        assert expanded_sizes(reference, radius)[-1] > 2 * ball_module._CHUNK
+        assert list(enumerate_ball(machine, radius).dist.items()) == list(reference.items())
+
+    def test_pruned_side_across_chunks(self, nil2_ex3):
+        # the side of a search around a target, pruned by length_lower
+        start, radius, lower = (0, 0, 0, 3, 0), 7, nil2_ex3.length_lower  # s12^3
+        side = ball_module._Frontier(nil2_ex3.steps(), start, radius, lower)
+        while side.grow(10**6):
+            pass
+        reference = reference_ball(nil2_ex3, radius, start, lower)
+        assert max(expanded_sizes(reference, radius, lower)) > 2 * ball_module._CHUNK
+        # a full ball of that radius, around any start, is 8 times larger
+        assert 8 * len(reference) < len(enumerate_ball(nil2_ex3, radius).dist)
+        assert list(side.seen.items()) == list(reference.items())
+
+
+def cap_cases(thresholds):
+    """(cap, completed radius) around each threshold t and between two:
+    the least caps at which the completed radius reaches 1, 2, ... and,
+    last, the least cap that completes (None)."""
+    caps = set()
+    prev = 1
+    for t in thresholds:
+        caps |= {t - 1, t, t + 1, (prev + t) // 2}
+        prev = t
+    for cap in sorted(c for c in caps if c >= 1):
+        yield cap, None if cap >= thresholds[-1] else sum(t <= cap for t in thresholds)
+
+
+class TestCapAcrossChunks:
+    """The cap is checked once per chunk, yet raises the message and the
+    completed radius of an element-by-element check.  The thresholds were
+    recorded with that check."""
+
+    BALLS = {
+        ("nil2_ex3", 5): (11, 73, 371, 1473, 4947),
+        ("sol_ex3", 6): (7, 33, 119, 357, 977, 2547),
+        ("heis_ex1", 9): (7, 29, 83, 189, 379, 697, 1199, 1953, 3039),
+        ("bs", 9): (5, 17, 43, 93, 191, 375, 711, 1317, 2403),
+    }
+    SEARCHES = {
+        ("nil2_ex3", ((7, 0, 0, 0, 0),), 9): (12, 22, 84, 146, 444, 569, 697),
+        ("nil2_ex3", ((7, 0, 0, 0, 0), (0, 0, 0, 0, -7), (3, -2, 1, 0, 0)), 9): (14, 44, 106, 292, 590, 1270, 2042),
+        ("heis_ex1", ((5, 5, 12),), 20): (8, 14, 36, 58, 112, 166, 272, 378, 568, 758),
+        ("bs", ((16, 0, 0), (5, 2, 1)), 11): (7, 15, 27, 51, 77, 79, 103, 144),
+    }
+
+    @pytest.mark.parametrize("stem, radius", list(BALLS))
+    def test_enumerate_ball(self, stem, radius):
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        for cap, done in cap_cases(self.BALLS[stem, radius]):
+            if done is None:
+                assert len(enumerate_ball(machine, radius, cap).dist) <= cap
+                continue
+            with pytest.raises(ResourceCapExceeded) as err:
+                enumerate_ball(machine, radius, cap)
+            assert (str(err.value), err.value.completed_radius) == (
+                f"ball exceeded cap {cap} while exploring radius {done + 1}",
+                done,
+            )
+
+    @pytest.mark.parametrize("stem, targets, radius", list(SEARCHES))
+    def test_word_lengths(self, stem, targets, radius):
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        lengths = word_lengths(machine, targets, radius)
+        for cap, done in cap_cases(self.SEARCHES[stem, targets, radius]):
+            if done is None:
+                assert word_lengths(machine, targets, radius, cap) == lengths
+                continue
+            with pytest.raises(ResourceCapExceeded) as err:
+                word_lengths(machine, targets, radius, cap)
+            assert (str(err.value), err.value.completed_radius) == (f"search exceeded cap {cap} at radius {done + 1}", done)
 
 
 class TestBidirectionalSearch:
@@ -223,7 +336,7 @@ class TestPrunedSearch:
         assert pruned.seen[bs2.identity] == 8 == word_length(bs2, (16, 0, 0), 9)
 
     def test_one_steps_list_per_search(self, heis1, monkeypatch):
-        # every side of a search shares the identity's compiled steps
+        # every side of a search shares the steps list of the identity side
         calls = []
         steps = type(heis1).steps
 

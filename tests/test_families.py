@@ -21,9 +21,10 @@ from endogrowth.families import (
     klein_restricted_matrix,
     machine_from_params,
 )
+from endogrowth.reports import parse_group
 from endogrowth.words import Endomorphism, Word, check_homomorphism, evaluate, parse_word, validate_endo, word_str
 
-from conftest import ALL_MACHINES, FIXTURE_DIR, run_child
+from conftest import ALL_MACHINES, FIXTURE_DIR, load_fixture, run_child, step_one
 
 
 def random_element(machine, rng, steps=10):
@@ -154,7 +155,7 @@ class TestBSSteps:
                 else:
                     branches.add("t > e" if t > e else "t < e" if t < e else "t = e = 0")
             for step, y in zip(steps, moves):
-                assert step(x) == machine.mul(x, y)
+                assert step_one(step, x) == machine.mul(x, y)
         assert branches >= {"t > e", "t < e", "t = e = 0", "t = e > 0, n | num + s"}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -166,12 +167,27 @@ class TestBSSteps:
         for x in ((0, 0, -(10**9)), (1, 3, 10**9)):
             for step, y in ((steps[2], (1, 0, 0)), (steps[3], (-1, 0, 0))):
                 with pytest.raises(ResourceCapExceeded):
-                    step(x)
+                    step_one(step, x)
                 with pytest.raises(ResourceCapExceeded):
                     machine.mul(x, y)
         x = (0, 0, 10**9)
-        assert steps[2](x) == machine.mul(x, (1, 0, 0)) == (1, 10**9, 10**9)
-        assert steps[3](x) == machine.mul(x, (-1, 0, 0)) == (-1, 10**9, 10**9)
+        assert step_one(steps[2], x) == machine.mul(x, (1, 0, 0)) == (1, 10**9, 10**9)
+        assert step_one(steps[3], x) == machine.mul(x, (-1, 0, 0)) == (-1, 10**9, 10**9)
+
+
+class TestSolCyclicInnerLength:
+    @pytest.mark.parametrize("stem", ["sol_ex1", "sol_ex2", "sol_ex3"])
+    def test_matches_the_generic_reading(self, stem):
+        # the generic reading on the flattened (v1, v2, t), for each generator
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        powers = 0
+        for elem in enumerate_ball(machine, 6).dist:
+            (v1, v2), t = elem
+            for i in range(3):
+                val = machine.cyclic_inner_length(i, elem)
+                assert val == Machine.cyclic_inner_length(machine, i, (v1, v2, t))
+                powers += val is not None
+        assert powers > 3
 
 
 class TestAbelianMachines:
@@ -190,7 +206,7 @@ class TestAbelianMachines:
             assert free.mul(a, b) == product.mul(a, b)
             assert free.inv(a) == product.inv(a)
             assert free.pow(a, n) == product.pow(a, n)
-            assert [step(a) for step in free_steps] == [step(a) for step in product_steps]
+            assert [step_one(step, a) for step in free_steps] == [step_one(step, a) for step in product_steps]
             assert free.length_upper(a) == product.length_upper(a)
             assert free.decompose(a) == product.decompose(a)
             for i in range(rank):
@@ -200,7 +216,7 @@ class TestAbelianMachines:
 
     def test_torsion_step_wraps_around(self):
         machine = TorsionProductMachine(0, (5,))
-        assert machine.steps()[1](machine.identity) == (4,)  # t1^-1
+        assert step_one(machine.steps()[1], machine.identity) == (4,)  # t1^-1
         assert word_str(machine.decompose((4,)), machine.gens) == "t1^-1"
 
 
