@@ -261,6 +261,8 @@ def parse_args(argv) -> argparse.Namespace:
 def run(argv=None) -> int:
     args = parse_args(argv)
     try:
+        if args.radius < 0:
+            raise ValidationError("radius must be nonnegative")
         return COMMANDS[args.cmd].handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

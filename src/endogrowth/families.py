@@ -9,7 +9,11 @@ length; exact where the class sets ``length_exact``).
 Each machine class also declares its descriptor ``family`` tag, the
 parameter ``schema`` of that descriptor, and the ``build`` classmethod that
 turns checked parameters into a machine; ``machine_from_params`` looks the
-class up in ``MACHINES`` by tag and checks the parameters once.
+class up in ``MACHINES`` by tag and checks the parameters once.  ``MACHINES``
+is the one family table: each class also owns its growth routes, the
+endomorphism ``shortcut`` it accepts, its ``closed_form`` and its
+``length_table``, whose workers live in :mod:`endogrowth.nilgr`,
+:mod:`endogrowth.solgr` and :mod:`endogrowth.ball`.
 
 Machines are immutable after construction and all element operations are
 pure, so sharing across threads is safe.
@@ -21,9 +25,11 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ResourceCapExceeded, ValidationError
-from .exactlin import IntMatrix, mat_pow, mat_vec
-from .solgr import SolLengthMinimizer
+from .ball import ClosedForm, L_k_table
+from .errors import InconsistencyError, ResourceCapExceeded, ValidationError
+from .exactlin import IntMatrix, mat_pow, mat_vec, spectral_radius
+from .nilgr import gr_nilpotent_closed, gr_torsion_closed
+from .solgr import SolLengthMinimizer, classify_endo, gr_sol_closed, gr_sol_empirical
 from .words import GenSet, Word, commutator_word
 
 __all__ = [
@@ -113,6 +119,7 @@ class Machine:
     gens: GenSet
     identity: object
     free_ab_indices: tuple[int, ...]
+    shortcut = None  # the endomorphism descriptor shortcut it accepts: "matrix", "sol" or None
 
     @classmethod
     def build(cls, **params):
@@ -187,6 +194,26 @@ class Machine:
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+
+    # Growth routes take the ValidEndo a report validates once.  They look
+    # their workers up as module globals at call time, so a wrapper
+    # installed on a module attribute (a tracer, say) sees every call.
+
+    def closed_form(self, valid, tol):
+        """Closed-form growth rate; this default is the spectral radius of the
+        abelianization block of a torsion-free nilpotent family.  A family
+        without a closed form sets ``closed_form = None``."""
+        return gr_nilpotent_closed(valid, tol)
+
+    def length_table(self, valid, kmax, radius, cap):
+        """Iterate-length table: exact Cayley-ball lengths within ``radius``,
+        the length functional past it."""
+        return L_k_table(valid, kmax, radius, cap)
+
+    def center_block(self, images):
+        """Matrix of the induced map on the designated central generators,
+        from the generator images; None where the family designates none."""
+        return None
 
     def cyclic_inner_length(self, gen_index: int, elem):
         """|k| if elem == gen^k, else None.  Used for distortion profiles.
@@ -351,6 +378,7 @@ class FreeAbelianMachine(_AbelianMachine):
     names: tuple[str, ...] = ()
     family = "free_abelian"
     schema = (("rank", "int"), ("names", "list of str", ()))
+    shortcut = "matrix"
 
     def __post_init__(self):
         if self.rank < 1:
@@ -386,6 +414,9 @@ class TorsionProductMachine(_AbelianMachine):
         if len(names) != self.rank + len(self.torsion):
             raise ValidationError("need one name per generator")
         self._set_orders(names, (0,) * self.rank + self.torsion)
+
+    def closed_form(self, valid, tol):
+        return gr_torsion_closed(valid, tol)
 
 
 @dataclass(frozen=True)
@@ -511,6 +542,16 @@ class HeisenbergMachine(Machine):
         if self.include_center_gen and abs(l) <= central.length():
             central = _letters((2, l))
         return prefix * central
+
+    def center_block(self, images):
+        """The 1x1 block of a3: read off its image, or from the commutator
+        [a2, a1], which generates the center when a3 is no generator."""
+        if self.include_center_gen:
+            m, n, l = images[2]
+            if (m, n) != (0, 0):
+                raise InconsistencyError("central generator image must stay central")
+            return IntMatrix.from_rows([[l]])
+        return IntMatrix.from_rows([[self.commutator(images[1], images[0])[2]]])
 
 
 @dataclass(frozen=True)
@@ -708,6 +749,21 @@ class Nil2Machine(Machine):
         """Central exponent vector of [a, b] from a, b or their tau entries u, v."""
         return tuple(p - q for p, q in zip(self._cocycle(u, v), self._cocycle(v, u)))[self.n_gens :]
 
+    def center_block(self, images):
+        """Column s is the central part of the commutator of the images of
+        sigma_s's designated pair, so relation-dependent central generators
+        are folded in; columns and rows both follow the ``central`` order."""
+        if len(self.designated) != len(self.central):
+            raise ValidationError("the central block needs every central generator designated")
+        n, cols, pair_of = self.n_gens, [], dict(self.designated)
+        for name in self.central:
+            i, j = pair_of[name]
+            c = self.commutator(images[i - 1], images[j - 1])
+            if any(c[:n]):
+                raise InconsistencyError("image commutator left the center")
+            cols.append(c[n:])
+        return IntMatrix.from_rows([list(row) for row in zip(*cols)])
+
 
 @dataclass(frozen=True)
 class SolMachine(Machine):
@@ -720,6 +776,7 @@ class SolMachine(Machine):
     matrix: IntMatrix
     family = "sol_lattice"
     schema = (("A", "2x2 int matrix"),)
+    shortcut = "sol"
     powers_lower_monotone = False  # length_lower(a1^k) = 0 for every k
 
     @classmethod
@@ -865,6 +922,14 @@ class SolMachine(Machine):
             return abs(v1) if v0 == t == 0 else None
         return abs(t) if v0 == v1 == 0 else None
 
+    def closed_form(self, valid, tol):
+        """The classified-type branch formula."""
+        return gr_sol_closed(valid.derived(classify_endo))
+
+    def length_table(self, valid, kmax, radius, cap):
+        """Lengths from the shift minimizer's formulas, at any k; no search."""
+        return gr_sol_empirical(valid.derived(classify_endo), kmax)
+
 
 @dataclass(frozen=True)
 class KleinMachine(Machine):
@@ -918,6 +983,16 @@ class KleinMachine(Machine):
         # x^a y^b <-> (a, b) is a bijection onto Z^2, and the length is |a| + |b|
         return (0, 0)
 
+    def closed_form(self, valid, tol):
+        """Spectral radius on the invariant index-2 free abelian subgroup."""
+        mat = klein_restricted_matrix(valid)
+        sp = spectral_radius(mat, tol)
+        return ClosedForm(
+            sp.value,
+            "klein_index2_reduction",
+            {"restricted_matrix": [list(r) for r in mat.entries], "char_poly": str(sp.char_poly)},
+        )
+
 
 @dataclass(frozen=True)
 class BSMachine(Machine):
@@ -930,6 +1005,7 @@ class BSMachine(Machine):
     n: int
     family = "baumslag_solitar"
     schema = (("n", "int"),)
+    closed_form = None  # empirical only
 
     def __post_init__(self):
         if self.n < 2:

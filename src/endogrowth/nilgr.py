@@ -1,12 +1,15 @@
-"""Closed-form growth rates for nilpotent families.
+"""Closed-form growth rates for nilpotent and abelian families.
 
 For a valid endomorphism of a torsion-free nilpotent family the growth rate
 equals the spectral radius of the induced matrix on the free abelianization;
 the induced block on the designated central generators gives the cross-check
 max(sp(block_1), sp(block_2)^(1/2)), which the abelianization block always
-attains.  User-supplied block lists for deeper nilpotency classes are
-evaluated by the same max-of-root-powers formula without verifying group
-provenance.
+attains.  ``gr_torsion_closed`` splits off the finite torsion of Z^r x
+finite.  These are workers: the ``closed_form`` routes of the machine classes
+in :mod:`endogrowth.families` call them, and the central block comes from the
+machine's ``center_block``, so no family class is named here.  User-supplied
+block lists for deeper nilpotency classes are evaluated by the same
+max-of-root-powers formula without verifying group provenance.
 """
 
 from __future__ import annotations
@@ -14,15 +17,15 @@ from __future__ import annotations
 from typing import Optional
 
 from .ball import ClosedForm
-from .errors import CertificationError, InconsistencyError, ValidationError
+from .errors import CertificationError, ValidationError
 from .exactlin import IntMatrix, spectral_radius
-from .families import HeisenbergMachine, Nil2Machine
-from .words import ValidEndo
+from .words import ValidEndo, eventually_trivial
 
 __all__ = [
     "abelianization_matrix",
     "induced_center_matrix",
     "gr_nilpotent_closed",
+    "gr_torsion_closed",
     "gr_from_blocks",
 ]
 
@@ -45,36 +48,10 @@ def abelianization_matrix(valid: ValidEndo) -> Optional[IntMatrix]:
     return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-def induced_center_matrix(valid: ValidEndo) -> IntMatrix:
-    """Matrix of the induced map on the designated central generators.
-
-    Computed from exact group arithmetic (central parts of commutators of the
-    generator images), so relation-dependent central generators are folded in
-    automatically.  For the Heisenberg lattice this is the 1x1 determinant
-    block carried by the central generator.
-    """
-    machine, images = valid.machine, valid.images
-    if isinstance(machine, HeisenbergMachine):
-        if machine.include_center_gen:
-            m, n, l = images[2]
-            if (m, n) != (0, 0):
-                raise InconsistencyError("central generator image must stay central")
-            return IntMatrix.from_rows([[l]])
-        # center is generated by [a2, a1] when k = 1
-        comm = machine.commutator(images[1], images[0])
-        return IntMatrix.from_rows([[comm[2]]])
-    if isinstance(machine, Nil2Machine):
-        if len(machine.designated) != len(machine.central):
-            raise ValidationError("the central block needs every central generator designated")
-        cols = []
-        for _, (i, j) in machine.designated:
-            c = machine.commutator(images[i - 1], images[j - 1])
-            if any(v != 0 for v in c[: machine.n_gens]):
-                raise InconsistencyError("image commutator left the center")
-            cols.append(c[machine.n_gens :])
-        m = len(machine.central)
-        return IntMatrix.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
-    raise ValidationError(f"no central block defined for family {machine.family!r}")
+def induced_center_matrix(valid: ValidEndo) -> Optional[IntMatrix]:
+    """Matrix of the induced map on the designated central generators, by the
+    machine's ``center_block``; None for a family without one."""
+    return valid.machine.center_block(valid.images)
 
 
 _NIL_FAMILIES = ("free_abelian", "heisenberg", "nilpotent2")
@@ -101,8 +78,8 @@ def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> ClosedForm:
         "sp_ab": sp_ab.value,
         "cross_check": sp_ab.value,
     }
-    if machine.family in ("heisenberg", "nilpotent2"):
-        center = induced_center_matrix(valid)
+    center = induced_center_matrix(valid)
+    if center is not None:
         sp_center = spectral_radius(center, tol)
         root = sp_center.value ** 0.5
         if root > sp_ab.value + tol:
@@ -116,6 +93,27 @@ def gr_nilpotent_closed(valid: ValidEndo, tol: float = 1e-9) -> ClosedForm:
             sp_center=sp_center.value,
         )
     return ClosedForm(sp_ab.value, "nilpotent_abelianization", cert)
+
+
+def gr_torsion_closed(valid: ValidEndo, tol: float = 1e-9) -> ClosedForm:
+    """Growth rate of a valid endomorphism of Z^rank x finite torsion: 0 when
+    it is eventually trivial, else max(sp(free part), 1)."""
+    free = abelianization_matrix(valid)
+    triv = eventually_trivial(valid, bound=256)
+    if triv.status == "unknown":
+        raise ValidationError("could not decide eventual triviality for the torsion family")
+    cert = {"eventually_trivial": triv.status, "power": triv.power}
+    free_sp = 0.0
+    if free is not None:
+        sp = spectral_radius(free, tol)
+        free_sp = sp.value
+        cert.update(
+            free_matrix=[list(r) for r in free.entries],
+            char_poly_free=str(sp.char_poly),
+            sp_free=sp.value,
+        )
+    value = 0.0 if triv.status == "yes" else max(free_sp, 1.0)
+    return ClosedForm(value, "finite_normal_torsion_split", cert)
 
 
 def gr_from_blocks(blocks, tol: float = 1e-9) -> ClosedForm:

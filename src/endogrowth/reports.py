@@ -1,17 +1,17 @@
-"""Descriptors, the family route table, and machine-readable run reports.
+"""Descriptors and machine-readable run reports.
 
 Group and endomorphism descriptors are JSON documents.  A group descriptor is
 ``{"family": tag, "params": {...}}`` with the parameter ``schema`` of the
 family's machine class in :mod:`endogrowth.families`.  An endomorphism
 descriptor is either explicit generator images ``{"images": {gen: word}}``,
-or the shortcut its family accepts in ``FAMILIES``: a Sol shortcut
+or the ``shortcut`` its machine class accepts: a Sol shortcut
 ``{"sol": {"M": [[..],[..]], "p": int, "q": int, "tau_exp": int}}`` or an
 abelian matrix shortcut ``{"matrix": [[..]]}`` (column i = image of
 generator i).
 
-``FAMILIES`` maps each family tag to its endomorphism shortcut, its
-closed-form route (None where there is none) and its empirical route.  Every
-route takes the ``ValidEndo`` that a report validates once.
+The growth routes live on the machine classes (``closed_form`` and
+``length_table``); a report validates the endomorphism once and hands the
+``ValidEndo`` to them.  This module knows no family by name.
 
 Reports are deterministic: identical inputs and package version produce
 byte-identical output.  The ``work`` section carries deterministic effort
@@ -23,23 +23,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__
-from .ball import DEFAULT_CAP, ClosedForm, GrowthEstimate, GrowthSummary, L_k_table, gr_estimate
+from .ball import DEFAULT_CAP, ClosedForm, GrowthEstimate, GrowthSummary, gr_estimate
 from .errors import ValidationError
-from .exactlin import IntMatrix, spectral_radius
-from .families import PARAM_TYPES, Machine, check_params, klein_restricted_matrix, machine_from_params
-from .nilgr import abelianization_matrix, gr_nilpotent_closed
-from .solgr import classify_endo, gr_sol_closed, gr_sol_empirical
-from .words import Endomorphism, ValidEndo, eventually_trivial, validate_endo
+from .exactlin import IntMatrix
+from .families import MACHINES, PARAM_TYPES, Machine, check_params, machine_from_params
+from .words import Endomorphism, ValidEndo, validate_endo
 
 __all__ = [
     "GroupDescriptor",
     "EndoDescriptor",
     "ClosedForm",
-    "Family",
-    "FAMILIES",
     "parse_group",
     "parse_endo",
     "closed_growth_rate",
@@ -116,8 +112,8 @@ def parse_endo(doc: dict, machine: Machine) -> tuple[EndoDescriptor, Endomorphis
         kind = next((k for k in _SHORTCUTS if k in doc), None)
         if kind is None:
             raise ValidationError("endomorphism descriptor needs 'images', 'sol', or 'matrix'")
-        if FAMILIES[machine.family].shortcut != kind:
-            owner = next(tag for tag, f in FAMILIES.items() if f.shortcut == kind)
+        if machine.shortcut != kind:
+            owner = next(tag for tag, cls in MACHINES.items() if cls.shortcut == kind)
             raise ValidationError(f"{kind!r} shortcut needs a {owner} group")
         images = _SHORTCUTS[kind](machine, doc[kind])
     endo = Endomorphism.from_strings(machine.gens, {k: str(v) for k, v in images.items()})
@@ -129,85 +125,10 @@ def algebraic_entropy(growth_rate: float) -> Optional[float]:
     return math.log(growth_rate) if growth_rate > 0 else None
 
 
-# Routes look their workers up as module globals at call time, so a wrapper
-# installed on a module attribute (a tracer, say) sees every call.
-
-
-def _nilpotent_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    return gr_nilpotent_closed(valid, tol)
-
-
-def _torsion_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    free = abelianization_matrix(valid)
-    triv = eventually_trivial(valid, bound=256)
-    if triv.status == "unknown":
-        raise ValidationError("could not decide eventual triviality for the torsion family")
-    cert = {"eventually_trivial": triv.status, "power": triv.power}
-    if free is not None:
-        sp = spectral_radius(free, tol)
-        cert.update(
-            free_matrix=[list(r) for r in free.entries],
-            char_poly_free=str(sp.char_poly),
-            sp_free=sp.value,
-        )
-        free_sp = sp.value
-    else:
-        free_sp = 0.0
-    value = 0.0 if triv.status == "yes" else max(free_sp, 1.0)
-    return ClosedForm(value, "finite_normal_torsion_split", cert)
-
-
-def _sol_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    return gr_sol_closed(valid.derived(classify_endo))
-
-
-def _klein_closed(valid: ValidEndo, tol: float) -> ClosedForm:
-    mat = klein_restricted_matrix(valid)
-    sp = spectral_radius(mat, tol)
-    return ClosedForm(
-        sp.value,
-        "klein_index2_reduction",
-        {"restricted_matrix": [list(r) for r in mat.entries], "char_poly": str(sp.char_poly)},
-    )
-
-
-def _bfs_table(valid: ValidEndo, kmax: int, radius: int, cap: int) -> GrowthEstimate:
-    return L_k_table(valid, kmax, radius, cap)
-
-
-def _sol_table(valid: ValidEndo, kmax: int, radius: int, cap: int) -> GrowthEstimate:
-    return gr_sol_empirical(valid.derived(classify_endo), kmax)
-
-
-@dataclass(frozen=True)
-class Family:
-    """Routes of one family: the endomorphism shortcut it accepts ("matrix",
-    "sol" or None), its closed form (None: empirical only) and its length table."""
-
-    shortcut: Optional[str]
-    closed: Optional[Callable[[ValidEndo, float], ClosedForm]]
-    empirical: Callable[[ValidEndo, int, int, int], GrowthEstimate]
-
-
-FAMILIES = {
-    # free abelian, Heisenberg, nilpotent2: spectral radius of the abelianization block
-    "free_abelian": Family("matrix", _nilpotent_closed, _bfs_table),
-    # 0 when eventually trivial, else max(sp(free part), 1)
-    "abelian_with_torsion": Family(None, _torsion_closed, _bfs_table),
-    "heisenberg": Family(None, _nilpotent_closed, _bfs_table),
-    "nilpotent2": Family(None, _nilpotent_closed, _bfs_table),
-    # the classified-type branch formula; lengths from the shift minimizer
-    "sol_lattice": Family("sol", _sol_closed, _sol_table),
-    # spectral radius on the invariant index-2 free abelian subgroup
-    "klein_bottle": Family(None, _klein_closed, _bfs_table),
-    "baumslag_solitar": Family(None, None, _bfs_table),
-}
-
-
 def closed_growth_rate(valid: ValidEndo, tol: float = 1e-9) -> Optional[ClosedForm]:
-    """Closed-form growth rate by the family's ``FAMILIES`` route; None for
-    families without one."""
-    route = FAMILIES[valid.machine.family].closed
+    """Closed-form growth rate by the machine's ``closed_form`` route; None
+    for families without one."""
+    route = valid.machine.closed_form
     return None if route is None else route(valid, tol)
 
 
@@ -217,9 +138,10 @@ def empirical_estimate(
     radius: int = 10,
     cap: int = DEFAULT_CAP,
 ) -> GrowthEstimate:
-    """Length table by the family's ``FAMILIES`` route: the shift-minimizer
-    formulas for Sol, BFS + family length functional everywhere else."""
-    return FAMILIES[valid.machine.family].empirical(valid, kmax, radius, cap)
+    """Length table by the machine's ``length_table`` route: the
+    shift-minimizer formulas for Sol, BFS + family length functional
+    everywhere else."""
+    return valid.machine.length_table(valid, kmax, radius, cap)
 
 
 def _verdict(closed: Optional[ClosedForm], summary: GrowthSummary) -> str:
@@ -272,7 +194,7 @@ def build_report(
     want_closed: bool = True,
     want_empirical: bool = True,
 ) -> dict:
-    descriptor, machine = parse_group(group_doc)
+    _, machine = parse_group(group_doc)
     report = {
         "command": command,
         "version": __version__,
@@ -293,7 +215,7 @@ def build_report(
     if endo_doc is not None:
         _, endo = parse_endo(endo_doc, machine)
         # validate once, and only when some route will run
-        if want_empirical or (want_closed and FAMILIES[machine.family].closed is not None):
+        if want_empirical or (want_closed and machine.closed_form is not None):
             valid = validate_endo(machine, endo)
     closed = None
     if want_closed and valid is not None:

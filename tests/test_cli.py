@@ -257,7 +257,7 @@ class TestSingleValidation:
 
     @pytest.mark.parametrize("command", ["closed", "empirical", "compare"])
     def test_one_sol_classification_per_command(self, command, tmp_path, monkeypatch):
-        import endogrowth.reports as reports_mod
+        import endogrowth.families as families_mod
         import endogrowth.solgr as solgr_mod
 
         calls = []
@@ -268,7 +268,7 @@ class TestSingleValidation:
             return original(valid)
 
         monkeypatch.setattr(solgr_mod, "classify_endo", counted)
-        monkeypatch.setattr(reports_mod, "classify_endo", counted)
+        monkeypatch.setattr(families_mod, "classify_endo", counted)
         for stem in ("sol_ex1", "sol_ex2", "sol_ex3"):
             calls.clear()
             args = ["--group", fixture_path(f"{stem}.group"), "--endo", fixture_path(f"{stem}.endo")]
@@ -416,6 +416,22 @@ class TestExitCodes:
         args = ["wordlen", "--group", fixture_path("heis_ex1.group"), "--word", "a1^3 a2^3 a3^3"]
         assert run([*args, "--radius", "12", "--cap", "30"]) == 3
         assert "completed radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wordlen", "--group", fixture_path("sol_ex1.group"), "--word", "a1 a1^-1"],
+            *(
+                [command, "--group", fixture_path("sol_ex1.group"), "--endo", fixture_path("sol_ex1.endo")]
+                for command in ("empirical", "compare", "closed", "check")
+            ),
+        ],
+        ids=["wordlen", "sol-empirical", "sol-compare", "sol-closed", "sol-check"],
+    )
+    def test_negative_radius_is_a_validation_error(self, argv, capsys):
+        # none of these reaches a radius check of the library
+        assert run([*argv, "--radius", "-1"]) == 2
+        assert "radius must be nonnegative" in capsys.readouterr().err
 
     def test_closed_on_bs_is_validation_error(self):
         assert (

@@ -156,6 +156,17 @@ class TestInducedCenter:
         endo = Endomorphism.identity(nil2_ex3.gens)
         assert induced_center_matrix(validate_endo(nil2_ex3, endo)) == IntMatrix.identity(2)
 
+    def test_columns_follow_the_central_order(self):
+        # c -> c^2 and d -> c^2 d^2 under t1 -> t1^2, t2 -> t2, t3 -> t2 t3,
+        # whichever order the central generators are listed in
+        images = {"t1": "t1^2", "t2": "t2", "t3": "t2 t3", "c": "c^2", "d": "c^2 d^2"}
+        expected = {("c", "d"): [[2, 2], [0, 2]], ("d", "c"): [[2, 0], [2, 2]]}
+        for central, rows in expected.items():
+            machine = Nil2Machine(3, central, (("c", (1, 2)), ("d", (1, 3))), ())
+            valid = validate_endo(machine, Endomorphism.from_strings(machine.gens, images))
+            assert induced_center_matrix(valid) == IntMatrix.from_rows(rows), central
+            assert gr_nilpotent_closed(valid).certificate["sp_center"] == 2.0
+
     def test_full_sigma_equals_exterior_square(self):
         machine = Nil2Machine(
             3,

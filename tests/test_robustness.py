@@ -6,6 +6,7 @@ radius at most 4) so that no example builds a large group.
 """
 
 import json
+import pkgutil
 import tempfile
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import endogrowth
 from endogrowth.cli import run
 from endogrowth.families import MACHINES
-from endogrowth.reports import FAMILIES
+from endogrowth.reports import _SHORTCUTS
 
 from conftest import load_fixture, run_child
 
@@ -35,9 +37,19 @@ def run_docs(command, group, endo, *extra):
         return run(argv + [str(x) for x in extra] + ["--out", str(tmp / "out")])
 
 
-def test_every_machine_class_has_a_family_entry():
-    assert set(MACHINES) == set(FAMILIES)
+def test_every_family_class_owns_its_routes():
+    owners = {kind: [tag for tag, cls in MACHINES.items() if cls.shortcut == kind] for kind in _SHORTCUTS}
+    assert owners == {"matrix": ["free_abelian"], "sol": ["sol_lattice"]}
+    assert all(cls.shortcut in (None, *_SHORTCUTS) for cls in MACHINES.values())
+    assert [tag for tag, cls in MACHINES.items() if cls.closed_form is None] == ["baumslag_solitar"]
     assert all(MACHINES[tag].family == tag for tag in MACHINES)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(endogrowth.__path__)))
+def test_each_module_imports_first(module):
+    # a fresh interpreter, so an import cycle shows whichever module starts it
+    done = run_child(f"import endogrowth.{module}")
+    assert done.returncode == 0, done.stderr
 
 
 HEIS = {"family": "heisenberg", "params": {"k": 1}}
