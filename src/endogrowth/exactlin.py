@@ -2,9 +2,9 @@
 
 Everything here is arbitrary precision integer arithmetic: matrix products
 and powers never overflow, characteristic polynomials are computed exactly
-(modulo primes, recombined under a rigorous coefficient bound), and spectral
-radii come with a rigorous absolute error bound derived from the exact
-polynomial (no silent reliance on floating-point eigensolvers).
+(modulo primes, recombined under Hadamard's bound on the coefficients), and
+spectral radii come with a rigorous absolute error bound derived from the
+exact polynomial (no silent reliance on floating-point eigensolvers).
 
 A spectral radius is certified from approximate roots z_1..z_n of the monic
 radical p of the characteristic polynomial by two inclusion theorems, both
@@ -29,6 +29,16 @@ same iteration in plain ``complex``.  That float seed only sets starting
 points, never the certificate: the bounds above are computed from whatever
 approximations the sweeps end with, and a seed that cannot be formed falls
 back to points on a root-bounding circle.
+
+The working precision rises as the roots converge, as in multiprecision
+root finders (Bini & Fiorentino, MPSolve, 2000): a sweep near convergence
+about doubles the correct bits, so the seed of a radical of degree 6 or
+more is swept once at t/4 and once at t/2 fractional bits before the first
+rung t, and each later rung doubles t.  A sweep only needs its corrections
+to the nearest unit, so ``_round_div`` divides truncated operands; the
+truncated quotients move the approximations and never enter the
+certificate, which reads the exact p(z_i) and products of differences at
+the approximations the sweeps end with.
 
 All values are immutable after construction and all operations are pure, so
 concurrent use from any number of threads is safe.
@@ -234,15 +244,21 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
     Computed modulo primes below 2**61 (``_char_poly_mod``) and combined by
     the Chinese remainder theorem until the product of the primes exceeds
-    2 (1 + R)^n, R the largest absolute row sum: by Gerschgorin every
-    eigenvalue has modulus at most R, so the coefficient of x^(n-k) is at
-    most C(n, k) R^k <= (1 + R)^n in absolute value and its symmetric
-    residue is exact.
+    2 prod_i (1 + ceil(|row_i|_2)).  The coefficient of x^(n-k) is, up to
+    sign, the sum of the k x k principal minors, and by Hadamard's
+    inequality each of them is at most the product of its rows' 2-norms, so
+    the coefficient is at most the k-th elementary symmetric function of the
+    row norms, below prod_i (1 + |row_i|_2); its symmetric residue is then
+    exact.  The bound never exceeds Gerschgorin's 2 (1 + R)^n, R the largest
+    absolute row sum, and a dense matrix of small entries needs one prime.
     """
     _require_square(m)
     n = m.rows
-    r = max(sum(abs(a) for a in row) for row in m.entries)
-    bound = 2 * (1 + r) ** n
+    bound = 2
+    for row in m.entries:
+        s = sum(a * a for a in row)
+        r = math.isqrt(s)
+        bound *= 1 + r + (r * r < s)  # 1 + ceil(|row|_2)
     coeffs, modulus = [0] * (n + 1), 1
     for q in _primes():
         residues = _char_poly_mod(m.entries, q)
@@ -681,31 +697,57 @@ def _circle_start(coeffs, t):
 _RUNGS = (208, 416, 832, 1664, 3328)
 _RUNG_SWEEPS = 100
 
+# Radical degree from which the seed is first swept at t/4 and t/2 bits:
+# below it the products of a full-width sweep are small enough that a
+# narrow sweep costs about as much.
+_DOUBLING_MIN_DEGREE = 6
+
+# Bits a truncated correction keeps below the quotient's units digit.
+_GUARD_BITS = 32
+
 
 def _round_div(a, b):
-    """The Gaussian integer nearest to a / b, or None when b = 0."""
-    den = _abs2(b)
-    if not den:
+    """A Gaussian integer within one, in each coordinate, of the Gaussian
+    integer nearest to a / b; None when b = 0.
+
+    A correction is only rounded to one unit, yet at a high rung a and b
+    have thousands of bits.  Both are shifted right by k bits, so that b
+    keeps the quotient's bits plus ``_GUARD_BITS`` (and never fewer than
+    ``_GUARD_BITS``, so b stays nonzero when |a| is much smaller than |b|).
+    Each coordinate of a and b then loses less than 2^k, which moves the
+    quotient by at most sqrt(2) (|a / b| + 1) / |b'|, b' the shifted b, and
+    that is below 2^(4 - _GUARD_BITS): only a quotient that close to a
+    rounding boundary rounds the other way.  Small operands are divided as
+    they are.
+    """
+    db = max(b[0].bit_length(), b[1].bit_length())
+    if not db:
         return None
+    da = max(a[0].bit_length(), a[1].bit_length())
+    k = db - max(da - db, 0) - _GUARD_BITS
+    if k > 0:
+        a, b = (a[0] >> k, a[1] >> k), (b[0] >> k, b[1] >> k)
+    den = _abs2(b)
     # a / b = a conj(b) / |b|^2
     re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
     return (2 * re + den) // (2 * den), (2 * im + den) // (2 * den)
 
 
-def _durand_kerner(scaled, zs):
-    """Durand-Kerner (Weierstrass) sweeps on the Gaussian integers ``zs`` at
-    the scale of ``scaled``: each sweep moves every approximation at once by
-    its Weierstrass correction P(Z_i) / Q_i rounded to a Gaussian integer,
-    until no correction exceeds one unit, two approximations coincide, or
-    ``_RUNG_SWEEPS`` sweeps are done.  Returns the approximations and their
-    ``_weierstrass`` pairs."""
-    for _ in range(_RUNG_SWEEPS):
+def _durand_kerner(scaled, zs, sweeps):
+    """Up to ``sweeps`` Durand-Kerner (Weierstrass) sweeps on the Gaussian
+    integers ``zs`` at the scale of ``scaled``: each sweep moves every
+    approximation at once by its Weierstrass correction P(Z_i) / Q_i rounded
+    to a Gaussian integer (``_round_div``), until no correction exceeds one
+    unit or two approximations coincide.  Returns the approximations and,
+    when the sweeps stopped that way, their ``_weierstrass`` pairs; None in
+    their place when every sweep moved."""
+    for _ in range(sweeps):
         wei = _weierstrass(scaled, zs)
         moves = [_round_div(pz, q) for pz, q in wei]
         if None in moves or max(max(abs(dr), abs(di)) for dr, di in moves) <= 1:
             return zs, wei
         zs = [(zr - dr, zi - di) for (zr, zi), (dr, di) in zip(zs, moves)]
-    return zs, _weierstrass(scaled, zs)
+    return zs, None
 
 
 def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
@@ -713,12 +755,17 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
 
     The roots of the radical are refined by Durand-Kerner sweeps on Gaussian
     integers at scale 2^t, started from ``_float_seed`` (or from
-    ``_circle_start`` when there is no seed), until the rounded Weierstrass
-    corrections are at most one unit; the approximations then go to
-    ``_inclusion_bounds``.  Each rung of ``_RUNGS`` doubles t and carries the
-    approximations over.  Deterministic for fixed input and tolerance.
-    Raises CertificationError rather than returning a loose answer when the
-    last rung ends without meeting ``tol``.
+    ``_circle_start`` when there is no seed).  The precision doubles as the
+    roots converge: one sweep at t/4 and one at t/2 fractional bits, for the
+    first rung t (from radical degree ``_DOUBLING_MIN_DEGREE``), then sweeps
+    at t until the rounded Weierstrass corrections are at most one unit; the approximations and their exact P(Z_i) and Q_i
+    then go to ``_inclusion_bounds``.  Each rung of ``_RUNGS`` doubles t and
+    carries the approximations over.  Deterministic for fixed input and
+    tolerance.  Raises CertificationError rather than returning a loose
+    answer: at once when the certified interval holds no float within
+    ``tol`` of any of its points (no rung can do better, as the value
+    reported is a float), else when the last rung ends without meeting
+    ``tol``.
     """
     _require_square(m)
     if not tol > 0:
@@ -744,12 +791,23 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         zs = _circle_start(coeffs, t)
     else:
         zs = [(_to_fixed(z.real, t), _to_fixed(z.imag, t)) for z in seed]
+    # the seed holds about 50 correct bits and a sweep near convergence
+    # about doubles them, so one sweep each at t/4 and t/2 leaves the first
+    # rung one sweep and its final check.  A narrow sweep that stops (every
+    # correction within one unit, or two approximations equal) leaves the
+    # start as it was, so equal approximations never reach a rung.
+    if n >= _DOUBLING_MIN_DEGREE:
+        for s in (t // 4, t // 2):
+            low = [(re >> (t - s), im >> (t - s)) for re, im in zs]
+            low, wei = _durand_kerner(_scaled(coeffs, s), low, 1)
+            if wei is None:
+                zs = [(re << (t - s), im << (t - s)) for re, im in low]
     for rung in _RUNGS:
         zs = [(re << (rung - t), im << (rung - t)) for re, im in zs]
         t = rung
         scaled = _scaled(coeffs, t)
-        zs, wei = _durand_kerner(scaled, zs)
-        bounds = _inclusion_bounds(scaled, zs, t, wei)
+        zs, wei = _durand_kerner(scaled, zs, _RUNG_SWEEPS)
+        bounds = _inclusion_bounds(scaled, zs, t, wei or _weierstrass(scaled, zs))
         if bounds is None:
             continue
         lower, upper = bounds
@@ -761,6 +819,11 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
             if zero_mult:
                 roots += (complex(0),)
             return SpectralResult(value, abs_err, p, roots, _max_residual(p.coeffs, roots), t)
+        if _float_up(lower - Fraction(tol)) > upper + Fraction(tol):
+            raise CertificationError(
+                f"no float lies within {tol} of the spectral radius of the "
+                f"{m.rows}x{m.cols} matrix"
+            )
     raise CertificationError(
         f"spectral radius of {m.rows}x{m.cols} matrix not certified to {tol}"
     )

@@ -39,6 +39,20 @@ def run_child(code, *args, limit_mb=0, timeout=120):
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records the arguments of
+    each call in the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def step_one(step, x):
     """x*s by a chunk step of ``Machine.steps()``, on the one-element chunk [x]."""
     (y,) = step(tuple(zip(x)))

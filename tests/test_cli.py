@@ -22,7 +22,7 @@ from endogrowth.reports import (
 
 from endogrowth.words import validate_endo
 
-from conftest import FIXTURE_DIR, SRC_DIR, load_fixture, run_child
+from conftest import FIXTURE_DIR, SRC_DIR, count_calls, load_fixture, run_child
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -454,6 +454,17 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert run(["ball", "--group", "/nonexistent/g.group", "--radius", "1"]) == 2
+
+    def test_unreachable_tolerance_exits_four_at_once(self, monkeypatch, capsys):
+        # no float lies within 1e-300 of the golden ratio squared, so the
+        # first precision rung ends the search
+        import endogrowth.exactlin as exactlin
+
+        rungs = count_calls(monkeypatch, exactlin, "_inclusion_bounds")
+        argv = ["closed", "--group", fixture_path("heis_ex1.group"), "--endo", fixture_path("heis_ex1.endo")]
+        assert run([*argv, "--tol", "1e-300"]) == 4
+        assert "no float lies within 1e-300" in capsys.readouterr().err
+        assert len(rungs) == 1
 
     def test_certification_failure_maps_to_four(self, tmp_path, monkeypatch):
         import endogrowth.cli as cli_mod

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import endogrowth.exactlin as exactlin
 from endogrowth.errors import CertificationError, DimensionError
 from endogrowth.exactlin import (
     IntMatrix,
@@ -21,10 +22,11 @@ from endogrowth.exactlin import (
     spectral_radius,
     _RUNGS,
     _float_seed,
+    _round_div,
     _square_free_part,
 )
 
-from conftest import run_child
+from conftest import count_calls, run_child
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -84,13 +86,39 @@ class TestCharPoly:
         assert str(char_poly(mat([[2, 1], [1, 1]]))) == "x^2 - 3*x + 1"
 
     def test_needs_several_primes(self):
-        # the coefficient bound 2 (1 + R)^n is far beyond one 61-bit prime
+        # the coefficient bound 2 prod_i (1 + ceil(|row_i|_2)) is far beyond
+        # one 61-bit prime
         m = mat([[10**30, -(10**29), 7], [3, -(10**31), 1], [10**28, 5, 10**30]])
         assert char_poly(m).coeffs == faddeev_leverrier(m)
 
     def test_singular_and_nilpotent(self):
         assert char_poly(mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])).coeffs == (0, 0, 0, 1)
         assert char_poly(mat([[0, 0], [0, 0]])).coeffs == (0, 0, 1)
+
+
+def sylvester(n):
+    """The n x n Sylvester Hadamard matrix, n a power of two."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+# (n, c): the largest scale c at which 2 prod_i (1 + ceil(|row_i|_2)) for
+# c H_n stays below the first 61-bit prime.  Hadamard's inequality is an
+# equality for c H_n, and at c + 1 its determinant c^n n^(n/2) reaches 2^60,
+# 2^60 and 2^64, past the symmetric range of one prime.
+HADAMARD_ONE_PRIME = ((4, 16383), (8, 63), (16, 3))
+
+
+@pytest.mark.parametrize("n, c_max", HADAMARD_ONE_PRIME)
+@pytest.mark.parametrize("above", [False, True], ids=["one-prime", "two-primes"])
+def test_char_poly_where_hadamards_bound_is_tight(n, c_max, above, monkeypatch):
+    c = c_max + above
+    m = mat([[c * x for x in row] for row in sylvester(n)])
+    calls = count_calls(monkeypatch, exactlin, "_char_poly_mod")
+    assert char_poly(m).coeffs == faddeev_leverrier(m)
+    assert len(calls) == 1 + above
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,6 +280,107 @@ class TestCertificate:
         r = spectral_radius(m)
         assert r.bits == _RUNGS[0]
         assert r.abs_error <= 1e-9
+
+
+class TestPrecisionLadder:
+    def test_dense_16_work(self, monkeypatch):
+        # the matrix of TestCertificate.test_dense_16_certifies_at_first_rung
+        m = seeded_matrix("dense", 16, random.Random(16))
+        scales = {}
+        inner_scaled = exactlin._scaled
+
+        def scaled(coeffs, t):
+            out = inner_scaled(coeffs, t)
+            scales[id(out)] = t
+            return out
+
+        monkeypatch.setattr(exactlin, "_scaled", scaled)
+        evaluations = count_calls(monkeypatch, exactlin, "_weierstrass")
+        hessenberg = count_calls(monkeypatch, exactlin, "_char_poly_mod")
+        r = spectral_radius(m)
+        widths = [scales[id(args[0])] for args in evaluations]
+        assert r.bits == _RUNGS[0]
+        # Hadamard's bound needs one prime here, the row-sum bound two
+        assert len(hessenberg) == 1
+        # from the seed alone this rung needs four full-width evaluations;
+        # after the sweeps at t/4 and t/2, a sweep and its final check
+        assert widths.count(_RUNGS[0]) <= 2
+        assert sorted(set(widths)) == [_RUNGS[0] // 4, _RUNGS[0] // 2, _RUNGS[0]]
+
+    def test_no_float_within_tol_fails_on_the_first_rung(self, monkeypatch):
+        rungs = count_calls(monkeypatch, exactlin, "_inclusion_bounds")
+        # the golden ratio squared is irrational, so no float is within 1e-300
+        with pytest.raises(CertificationError, match="no float lies within"):
+            spectral_radius(mat([[2, 1], [1, 1]]), tol=1e-300)
+        assert len(rungs) == 1
+
+    def test_radius_beyond_float_resolution_fails_on_the_first_rung(self, monkeypatch):
+        # a radius of some 1e9, where consecutive floats are 2^-22 or more apart
+        rng = random.Random(0)
+        m = mat([[rng.randint(-(10**9), 10**9) for _ in range(16)] for _ in range(16)])
+        rungs = count_calls(monkeypatch, exactlin, "_inclusion_bounds")
+        with pytest.raises(CertificationError, match="no float lies within"):
+            spectral_radius(m, tol=1e-9)
+        assert len(rungs) == 1
+
+    def test_a_float_in_reach_keeps_climbing(self, monkeypatch):
+        # x^3 - 8: every root has modulus 2, a float, but the complex pair is
+        # irrational, so the interval narrows to 1e-300 only rungs later
+        rungs = count_calls(monkeypatch, exactlin, "_inclusion_bounds")
+        r = spectral_radius(mat([[0, 0, 8], [1, 0, 0], [0, 1, 0]]), tol=1e-300)
+        assert r.value == 2.0 and r.abs_error <= 1e-300
+        assert r.bits > _RUNGS[0] and len(rungs) > 1
+
+
+def gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def exact_round_div(a, b):
+    """The Gaussian integer nearest to a / b = a conj(b) / |b|^2, halves up."""
+    num, den = gauss_mul(a, (b[0], -b[1])), b[0] * b[0] + b[1] * b[1]
+    return tuple(math.floor(Fraction(x, den) + Fraction(1, 2)) for x in num)
+
+
+def gaussian(max_bits):
+    coord = st.integers(0, max_bits).flatmap(lambda k: st.integers(-(1 << k), 1 << k))
+    return st.tuples(coord, coord)
+
+
+@st.composite
+def near_quotients(draw):
+    """(a, b) with a = b q + r: a quotient of up to 300 bits and a remainder
+    up to |b|, so the truncation keeps the quotient plus its guard bits."""
+    b = draw(gaussian(4000).filter(lambda z: z != (0, 0)))
+    q, r = draw(gaussian(300)), draw(gaussian(max(b[0].bit_length(), b[1].bit_length())))
+    bq = gauss_mul(b, q)
+    return (bq[0] + r[0], bq[1] + r[1]), b
+
+
+class TestRoundDiv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(gaussian(4000), gaussian(4000)), near_quotients()))
+    def test_within_one_of_the_nearest(self, ab):
+        a, b = ab
+        if b == (0, 0):
+            assert _round_div(a, b) is None
+            return
+        got, want = _round_div(a, b), exact_round_div(a, b)
+        assert all(abs(x - y) <= 1 for x, y in zip(got, want)), (got, want)
+
+    def test_zero_divisor(self):
+        assert _round_div((5, -3), (0, 0)) is None
+
+    def test_small_numerator_keeps_the_divisor(self):
+        # a shift sized only by the quotient would leave b = 0 here
+        assert _round_div((1, -1), (1 << 4000, 3)) == (0, 0)
+        assert _round_div((1 << 3000, 0), (1 << 4000, -(1 << 3999))) == (0, 0)
+        assert _round_div((0, 0), (3, 1 << 4000)) == (0, 0)
+
+    def test_exact_quotient(self):
+        b = ((1 << 3000) + 12345, -(1 << 2999) + 7)
+        q = ((1 << 200) - 3, -(1 << 150))
+        assert _round_div(gauss_mul(b, q), b) == q
 
 
 class TestSquareFreePart:
