@@ -332,6 +332,48 @@ class TestPrecisionLadder:
         assert r.bits > _RUNGS[0] and len(rungs) > 1
 
 
+def mignotte_companion(n, a):
+    """Companion matrix of x^n - 2 (a x - 1)^2, whose two roots near 1/a
+    are about 2 a^(-(n + 2) / 2) apart."""
+    coeffs = [-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1]
+    return mat([[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)])
+
+
+class TestCloseRoots:
+    # x^8 - 2 (10^4 x - 1)^2: two roots some 2e-20 apart, far under one
+    # unit at t/4 = 52 fractional bits
+    M = mignotte_companion(8, 10**4)
+
+    def cluster_seed(self, monkeypatch, near):
+        """Replace the float seed's two roots near 1e-4 by ``near``."""
+        far = [z for z in _float_seed(list(char_poly(self.M).coeffs)) if abs(z) > 2e-4]
+        monkeypatch.setattr(exactlin, "_float_seed", lambda coeffs: far + near)
+
+    def test_close_roots_certify(self):
+        r = spectral_radius(self.M)
+        assert r.bits == _RUNGS[0]
+        assert r.value == float(reference_radius(self.M))
+
+    @pytest.mark.parametrize(
+        "offset", [2**-52 * 1j, 2**-51, -(2**-50)], ids=["up one unit", "right two", "left four"]
+    )
+    def test_a_narrow_sweep_that_merges_two_points_is_dropped(self, offset, monkeypatch):
+        # from these two points, one unit apart or a little more at 52 bits,
+        # the sweep at t/4 moves one onto the other
+        assert self.M.rows >= exactlin._DOUBLING_MIN_DEGREE  # the sweeps run
+        want = spectral_radius(self.M).value
+        self.cluster_seed(monkeypatch, [1e-4, 1e-4 + offset])
+        r = spectral_radius(self.M)
+        assert r.value == want and r.bits == _RUNGS[0]
+
+    def test_equal_seed_points_start_from_the_circle(self, monkeypatch):
+        want = spectral_radius(self.M).value
+        self.cluster_seed(monkeypatch, [1e-4, 1e-4])
+        starts = count_calls(monkeypatch, exactlin, "_circle_start")
+        r = spectral_radius(self.M)
+        assert r.value == want and len(starts) == 1
+
+
 def gauss_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
