@@ -304,14 +304,17 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: in
     sum of the identity's depth and an unresolved target's: every
     unresolved length is known to exceed it.
     """
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
     found = {}
     pending = []
+    exact = machine.length_exact
     for x in dict.fromkeys(targets):
         if x == machine.identity:
             found[x] = 0
         elif machine.length_lower(x) > radius:
             found[x] = None
-        elif machine.length_exact:
+        elif exact:
             length = machine.length_upper(x)
             found[x] = length if length <= radius else None
         else:
@@ -536,7 +539,7 @@ def L_k_table(
     for _ in range(kmax - 1):
         rows.append([apply_on_element(machine, images, x) for x in rows[-1]])
     found = iter(word_lengths(machine, [x for row in rows for x in row], radius, cap))
-    names = machine.gens.names
+    names, exact = machine.gens.names, machine.length_exact
     per_gen = {n: [] for n in names}
     lengths = []
     exact_flags = []
@@ -547,7 +550,7 @@ def L_k_table(
             if val is not None:
                 is_exact = True
             else:
-                val, is_exact = machine.length_upper(x), machine.length_exact
+                val, is_exact = machine.length_upper(x), exact
             per_gen[name].append(val)
             row.append((val, is_exact))
         l_k = max(v for v, _ in row)

@@ -1,10 +1,15 @@
 """Exact normal-form machines for the bundled group families.
 
 Each machine owns: a generator set, exact multiplication/inversion on normal
-forms (plain hashable tuples), its defining relator list, a canonical word
-decomposition of any element, and a length functional that returns the length
-of an explicit word representing the element (an upper bound on the true word
-length; exact where the class sets ``length_exact``).
+forms, its defining relator list, a canonical word decomposition of any
+element, and a length functional that returns the length of an explicit word
+representing the element (an upper bound on the true word length; exact where
+``length_exact``, that is where ``coordinate_orders`` is not None).
+
+A normal form is a flat tuple of ints.  In every family but Baumslag-Solitar
+entry i is the exponent of generator i (the central ones last), so the base
+class supplies ``gen_elem``, ``decompose`` and ``cyclic_inner_length``, and a
+family overrides one only where its normal form reads otherwise.
 
 Each machine class also declares its descriptor ``family`` tag, the
 parameter ``schema`` of that descriptor, and the ``build`` classmethod that
@@ -111,7 +116,6 @@ class Machine:
 
     family: str
     schema: tuple = ()
-    length_exact = False  # length_upper is the true word length
     # the lower bound of each generator's powers g^k never falls as k grows
     # and is unbounded (or g^k returns to the identity); ball.cyclic_distortion
     # gives the proof per family
@@ -160,7 +164,10 @@ class Machine:
         raise NotImplementedError
 
     def gen_elem(self, i: int):
-        raise NotImplementedError
+        """Generator i: the unit vector i of the normal form."""
+        unit = [0] * len(self.identity)
+        unit[i] = 1
+        return tuple(unit)
 
     def relators(self) -> list[Word]:
         """The relators an assignment of generator images can fail: an
@@ -170,8 +177,9 @@ class Machine:
         raise NotImplementedError
 
     def decompose(self, elem) -> Word:
-        """Canonical (not necessarily geodesic) word for the element."""
-        raise NotImplementedError
+        """Canonical (not necessarily geodesic) word for the element; this
+        default reads entry i as the exponent of generator i."""
+        return _letters(*enumerate(elem))
 
     def length_upper(self, elem) -> int:
         return self.length_upper_word(elem).length()
@@ -191,6 +199,12 @@ class Machine:
         word length is no such sum.  ``ball.ball_counts`` counts spheres
         from them."""
         return None
+
+    @property
+    def length_exact(self) -> bool:
+        """``length_upper`` is the true word length: it is the sum of the
+        cyclic coordinate lengths that ``coordinate_orders`` declares."""
+        return self.coordinate_orders() is not None
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
@@ -317,7 +331,6 @@ class _AbelianMachine(Machine):
 
     rank: int
     orders: tuple[int, ...]
-    length_exact = True
 
     def _set_orders(self, names, orders):
         object.__setattr__(self, "names", tuple(names))
@@ -343,9 +356,6 @@ class _AbelianMachine(Machine):
 
     def steps(self):
         return [_bump(i, e, m) for i, m in enumerate(self.orders) for e in (1, -1)]
-
-    def gen_elem(self, i):
-        return tuple(1 if j == i else 0 for j in range(len(self.orders)))
 
     def relators(self):
         return [_gen_word(i, m) for i, m in self._torsion_at]
@@ -458,20 +468,9 @@ class HeisenbergMachine(Machine):
         return (n * m, n * q, n * l + self.k * q * m * (n * (n - 1) // 2))
 
     def steps(self):
-        k = self.k
         # columns (m, n, l); a1^(+-1) also moves l by +-k n
-        out = [
-            lambda c: zip([m + 1 for m in c[0]], c[1], [l + k * n for l, n in zip(c[2], c[1])]),
-            lambda c: zip([m - 1 for m in c[0]], c[1], [l - k * n for l, n in zip(c[2], c[1])]),
-            lambda c: zip(c[0], [n + 1 for n in c[1]], c[2]),
-            lambda c: zip(c[0], [n - 1 for n in c[1]], c[2]),
-        ]
-        if self.include_center_gen:
-            out += [lambda c: zip(c[0], c[1], [l + 1 for l in c[2]]), lambda c: zip(c[0], c[1], [l - 1 for l in c[2]])]
-        return out
-
-    def gen_elem(self, i):
-        return ((1, 0, 0), (0, 1, 0), (0, 0, 1))[i]
+        a1 = [_bump(0, e, terms=((2, 1, e * self.k),)) for e in (1, -1)]
+        return a1 + [_bump(i, e) for i in range(1, len(self.gens)) for e in (1, -1)]
 
     def relators(self):
         c12 = commutator_word(_gen_word(0), _gen_word(1))
@@ -503,9 +502,9 @@ class HeisenbergMachine(Machine):
         return _letters(*letters)
 
     def decompose(self, elem):
-        m, n, l = elem
         if self.include_center_gen:
-            return _letters((0, m), (1, n), (2, l))
+            return super().decompose(elem)
+        m, n, l = elem
         return _letters((0, m), (1, n)) * self._central_word(l)
 
     def length_lower(self, elem):
@@ -676,9 +675,6 @@ class Nil2Machine(Machine):
         out += [_bump(n + s, e) for s in range(len(self.central)) for e in (1, -1)]
         return out
 
-    def gen_elem(self, i):
-        return tuple(1 if j == i else 0 for j in range(len(self.gens)))
-
     def central_word(self, vec) -> Word:
         n = self.n_gens
         return _letters(*((n + s, e) for s, e in enumerate(vec)))
@@ -700,10 +696,6 @@ class Nil2Machine(Machine):
             for u in range(s + 1, total):
                 rels.append(commutator_word(_gen_word(s), _gen_word(u)))
         return rels
-
-    def decompose(self, elem):
-        # flat index i is generator i: the tau letters, then the sigma ones
-        return _letters(*enumerate(elem))
 
     def length_upper_word(self, elem):
         """tau prefix, then each designated central power via commutator blocks.
@@ -770,7 +762,7 @@ class SolMachine(Machine):
     """Lattice Z^2 x|_A Z of Sol: generators a1, a2, tau with tau a^v tau^-1 = a^(Av).
 
     A must be an integer 2x2 matrix with determinant 1 and trace > 2.
-    Elements are ((v1, v2), t) for a1^v1 a2^v2 tau^t.
+    Elements are flat int tuples (v1, v2, t) for a1^v1 a2^v2 tau^t.
     """
 
     matrix: IntMatrix
@@ -786,7 +778,7 @@ class SolMachine(Machine):
     def __post_init__(self):
         minimizer = SolLengthMinimizer(self.matrix)  # validates the holonomy
         object.__setattr__(self, "gens", GenSet(("a1", "a2", "tau")))
-        object.__setattr__(self, "identity", ((0, 0), 0))
+        object.__setattr__(self, "identity", (0, 0, 0))
         object.__setattr__(self, "free_ab_indices", (2,))
         object.__setattr__(self, "_len_min", minimizer)
         object.__setattr__(self, "_inv_matrix", minimizer.inverse)
@@ -823,27 +815,28 @@ class SolMachine(Machine):
             )
 
     def mul(self, a, b):
-        (va, ta), (vb, tb) = a, b
-        if vb == (0, 0):
-            return (va, ta + tb)
-        w = mat_vec(self.holonomy_power(ta), vb)
-        return ((va[0] + w[0], va[1] + w[1]), ta + tb)
+        v0, v1, ta = a
+        w0, w1, tb = b
+        if not (w0 or w1):
+            return (v0, v1, ta + tb)
+        d0, d1 = mat_vec(self.holonomy_power(ta), (w0, w1))
+        return (v0 + d0, v1 + d1, ta + tb)
 
     def inv(self, a):
-        v, t = a
-        if v == (0, 0):
-            return (v, -t)
-        w = mat_vec(self.holonomy_power(-t), v)
-        return ((-w[0], -w[1]), -t)
+        v0, v1, t = a
+        if not (v0 or v1):
+            return (0, 0, -t)
+        w0, w1 = mat_vec(self.holonomy_power(-t), (v0, v1))
+        return (-w0, -w1, -t)
 
     def pow(self, x, n):
         """(v, t)^n = ((I + B + ... + B^(n-1)) v, nt) with B = A^t, the
         geometric sum by doubling: S_2k = S_k (I + B^k), S_(k+1) = I + B S_k."""
         if n < 0:
             x, n = self.inv(x), -n
-        (v0, v1), t = x
-        if n == 0 or (v0, v1) == (0, 0) or t == 0:
-            return ((n * v0, n * v1), n * t)
+        v0, v1, t = x
+        if n == 0 or not (v0 or v1) or t == 0:
+            return (n * v0, n * v1, n * t)
         self._check_power_size(n * t)
         base = self.holonomy_power(t)
         one = IntMatrix.identity(2)
@@ -852,7 +845,7 @@ class SolMachine(Machine):
             total, power = total @ (one + power), power @ power
             if bit == "1":
                 total, power = one + base @ total, power @ base
-        return (mat_vec(total, (v0, v1)), n * t)
+        return (*mat_vec(total, (v0, v1)), n * t)
 
     def steps(self):
         power = self.holonomy_power
@@ -867,22 +860,12 @@ class SolMachine(Machine):
             shifts = _Memo(shift)
 
             def step(cols):
-                vs, ts = cols
-                return [((v0 + d0, v1 + d1), t) for ((v0, v1), t, (d0, d1)) in zip(vs, ts, map(shifts.__getitem__, ts))]
+                v0s, v1s, ts = cols
+                return [(v0 + d0, v1 + d1, t) for v0, v1, t, (d0, d1) in zip(v0s, v1s, ts, map(shifts.__getitem__, ts))]
 
             return step
 
-        return [
-            a_step(0, 1),
-            a_step(0, -1),
-            a_step(1, 1),
-            a_step(1, -1),
-            lambda cols: zip(cols[0], [t + 1 for t in cols[1]]),
-            lambda cols: zip(cols[0], [t - 1 for t in cols[1]]),
-        ]
-
-    def gen_elem(self, i):
-        return (((1, 0), 0), ((0, 1), 0), ((0, 0), 1))[i]
+        return [a_step(i, e) for i in range(2) for e in (1, -1)] + [_bump(2, 1), _bump(2, -1)]
 
     def relators(self):
         a = self.matrix.entries
@@ -893,12 +876,8 @@ class SolMachine(Machine):
             rels.append(conj * rhs)
         return rels
 
-    def decompose(self, elem):
-        (v1, v2), t = elem
-        return _letters((0, v1), (1, v2), (2, t))
-
     def length_upper_word(self, elem):
-        (v1, v2), t = elem
+        v1, v2, t = elem
         best = self._len_min.minimize((v1, v2))
         shifted = mat_vec(self.holonomy_power(-best.shift), (v1, v2))
         return _letters(
@@ -906,21 +885,12 @@ class SolMachine(Machine):
         )
 
     def length_upper(self, elem):
-        (v1, v2), t = elem
-        best = self._len_min.minimize((v1, v2))
-        return best.value + abs(t)
+        v1, v2, t = elem
+        return self._len_min.minimize((v1, v2)).value + abs(t)
 
     def length_lower(self, elem):
         """The tau-exponent moves by one per tau letter."""
-        return abs(elem[1])
-
-    def cyclic_inner_length(self, gen_index, elem):
-        (v0, v1), t = elem
-        if gen_index == 0:
-            return abs(v0) if v1 == t == 0 else None
-        if gen_index == 1:
-            return abs(v1) if v0 == t == 0 else None
-        return abs(t) if v0 == v1 == 0 else None
+        return abs(elem[2])
 
     def closed_form(self, valid, tol):
         """The classified-type branch formula."""
@@ -936,7 +906,6 @@ class KleinMachine(Machine):
     """Klein bottle group <x, y | y x y^-1 = x^-1>, normal form x^a y^b."""
 
     family = "klein_bottle"
-    length_exact = True
 
     def __post_init__(self):
         object.__setattr__(self, "gens", GenSet(("x", "y")))
@@ -963,18 +932,12 @@ class KleinMachine(Machine):
         return [
             lambda c: zip([a - 1 if b & 1 else a + 1 for a, b in zip(*c)], c[1]),
             lambda c: zip([a + 1 if b & 1 else a - 1 for a, b in zip(*c)], c[1]),
-            lambda c: zip(c[0], [b + 1 for b in c[1]]),
-            lambda c: zip(c[0], [b - 1 for b in c[1]]),
+            _bump(1, 1),
+            _bump(1, -1),
         ]
-
-    def gen_elem(self, i):
-        return ((1, 0), (0, 1))[i]
 
     def relators(self):
         return [_letters((1, 1), (0, 1), (1, -1), (0, 1))]
-
-    def decompose(self, elem):
-        return _letters((0, elem[0]), (1, elem[1]))
 
     def length_upper(self, elem):
         return abs(elem[0]) + abs(elem[1])
@@ -1065,12 +1028,7 @@ class BSMachine(Machine):
 
             return lambda cols: map(step, *cols)
 
-        return [
-            lambda c: zip(c[0], c[1], [t + 1 for t in c[2]]),
-            lambda c: zip(c[0], c[1], [t - 1 for t in c[2]]),
-            b_step(1),
-            b_step(-1),
-        ]
+        return [_bump(2, 1), _bump(2, -1), b_step(1), b_step(-1)]
 
     def gen_elem(self, i):
         return ((0, 0, 1), (1, 0, 0))[i]

@@ -141,11 +141,10 @@ def classify_endo(valid: ValidEndo) -> SolEndo:
     """Sort a valid endomorphism into type I / II / III."""
     a = valid.machine.matrix
     e1, e2, etau = valid.images
-    if e1[1] != 0 or e2[1] != 0:
+    if e1[2] != 0 or e2[2] != 0:
         raise ClassificationError("images of the torus generators must stay in the torus")
-    m = IntMatrix.from_rows([[e1[0][0], e2[0][0]], [e1[0][1], e2[0][1]]])
-    p = etau[0]
-    tau_exp = etau[1]
+    m = IntMatrix.from_rows([[e1[0], e2[0]], [e1[1], e2[1]]])
+    p, tau_exp = etau[:2], etau[2]
     if tau_exp == 1:
         if a @ m != m @ a:
             raise ClassificationError("tau-fixing images need a commuting torus map")

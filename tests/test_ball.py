@@ -589,6 +589,8 @@ class TestPowerLookups:
 
     def test_negative_radius_is_refused(self, z2):
         with pytest.raises(ValidationError):
+            word_length(z2, (0, 0), -1)
+        with pytest.raises(ValidationError):
             cyclic_distortion(z2, "e1", -1)
         with pytest.raises(ValidationError):
             ball_counts(z2, -1)

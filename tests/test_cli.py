@@ -64,8 +64,8 @@ class TestLoading:
         _, endo = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
         from endogrowth.words import evaluate
 
-        assert evaluate(sol_fib, endo.images[0]) == ((1, 2), 0)
-        assert evaluate(sol_fib, endo.images[2]) == ((0, 0), 1)
+        assert evaluate(sol_fib, endo.images[0]) == (1, 2, 0)
+        assert evaluate(sol_fib, endo.images[2]) == (0, 0, 1)
 
     def test_matrix_shortcut(self, z2):
         _, endo = parse_endo({"matrix": [[2, 0], [0, 1]]}, z2)

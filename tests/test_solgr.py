@@ -215,7 +215,7 @@ class TestLengthMinimizer:
         minimizer = SolLengthMinimizer(A_FIB)
         checked = 0
         for elem, dist in ball.dist.items():
-            (v1, v2), t = elem
+            v1, v2, t = elem
             if t != 0:
                 continue
             assert minimizer.minimize((v1, v2)).value >= dist
