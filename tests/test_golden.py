@@ -52,10 +52,12 @@ EXTRAS = {
 
 
 SOL_FIB = {"family": "sol_lattice", "params": {"A": [[2, 1], [1, 1]]}}
+Z3 = {"family": "free_abelian", "params": {"rank": 3}}
 
 # ``closed`` inputs for the closed-form branches no fixture reaches: Sol
-# types II and III, a type I endomorphism with torus map 0, and block lists.
-# Each document is written to a file and passed as ``--<key>``.
+# types II and III, a type I endomorphism with torus map 0, block lists, and
+# the free abelian ``matrix`` shortcut, refusals included.  Each document is
+# written to a file and passed as ``--<key>``.
 DOCS = {
     # M A = A^-1 M with M = [[-1, 0], [1, 1]] (I + A)
     "closed sol type II": {
@@ -75,6 +77,20 @@ DOCS = {
     },
     "closed blocks center": {
         "blocks": [{"weight": 1, "matrix": [[0]]}, {"weight": 2, "matrix": [[4]]}],
+    },
+    "closed matrix shortcut": {
+        "group": Z3,
+        "endo": {"matrix": [[2, 0, -1], [1, 1, 0], [0, 3, 1]]},
+    },
+    # exit 2: not square of the generator count
+    "closed matrix shortcut wrong size": {
+        "group": Z3,
+        "endo": {"matrix": [[1, 0], [0, 1]]},
+    },
+    # exit 2: a free abelian group takes no 'sol' shortcut
+    "closed sol and matrix keys": {
+        "group": {"family": "free_abelian", "params": {"rank": 2}},
+        "endo": {"sol": {"M": [[1, 0], [0, 1]]}, "matrix": [[1, 0], [0, 1]]},
     },
 }
 
