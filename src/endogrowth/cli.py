@@ -61,7 +61,7 @@ def _emit(args, machine_text: str, human: str):
         sys.stdout.write(machine_text)
 
 
-def _cmd_report(args, command: str, want_closed: bool, want_empirical: bool):
+def _cmd_report(args, command: str):
     group_doc = _read_json(args.group)
     endo_doc = _read_json(args.endo)
     report = build_report(
@@ -72,8 +72,6 @@ def _cmd_report(args, command: str, want_closed: bool, want_empirical: bool):
         radius=args.radius,
         cap=args.cap,
         tol=args.tol,
-        want_closed=want_closed,
-        want_empirical=want_empirical,
     )
     if command == "closed" and report["closed"] is None:
         raise ValidationError(
@@ -172,7 +170,7 @@ def _cmd_closed(args):
         return _cmd_closed_blocks(args)
     if not (args.group and args.endo):
         raise ValidationError("closed needs --group and --endo, or --blocks")
-    return _cmd_report(args, "closed", want_closed=True, want_empirical=False)
+    return _cmd_report(args, "closed")
 
 
 class Command(NamedTuple):
@@ -192,11 +190,11 @@ COMMANDS = {
     ),
     "empirical": Command(
         "iterate-length table and growth estimate", True, True, None,
-        functools.partial(_cmd_report, command="empirical", want_closed=False, want_empirical=True),
+        functools.partial(_cmd_report, command="empirical"),
     ),
     "compare": Command(
         "closed form vs empirical estimate with verdict", True, True, None,
-        functools.partial(_cmd_report, command="compare", want_closed=True, want_empirical=True),
+        functools.partial(_cmd_report, command="compare"),
     ),
     "ball": Command("Cayley ball growth table", False, True, None, _cmd_ball),
     "wordlen": Command(

@@ -220,19 +220,16 @@ class IntPolynomial:
 class SpectralResult:
     """Certified spectral radius.
 
-    ``value - abs_error <= true max root modulus <= value + abs_error``, and
-    every entry of ``roots`` substituted into ``char_poly`` leaves a residual
-    of modulus at most ``max_residual``.  ``value`` is the correctly rounded
-    float of the modulus of the largest root approximation.  ``bits`` is the
-    precision rung, in fractional bits of the root approximations, at which
-    the certificate met the tolerance (0 when no root finding was needed).
+    ``value - abs_error <= true max root modulus <= value + abs_error``.
+    ``value`` is the correctly rounded float of the modulus of the largest
+    root approximation.  ``bits`` is the precision rung, in fractional bits
+    of the root approximations, at which the certificate met the tolerance
+    (0 when no root finding was needed).
     """
 
     value: float
     abs_error: float
     char_poly: IntPolynomial
-    roots: tuple[complex, ...]
-    max_residual: float
     bits: int
 
 
@@ -606,14 +603,6 @@ def _float_up(x: Fraction) -> float:
     return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 
-def _sqrt_float_up(num: int, den: int) -> float:
-    """A float >= sqrt(num / den), within a few units in the last place."""
-    if not num:
-        return 0.0
-    t = max(0, (den.bit_length() - num.bit_length()) // 2 + 64)
-    return _float_up(Fraction(_sqrt_fixed(num, den, t, True), 1 << t))
-
-
 def _float_modulus(z, t: int) -> float:
     """The float nearest to |Z| / 2^t, correctly rounded.
 
@@ -776,18 +765,15 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         raise ValueError("tol must be positive")
     p = char_poly(m)
     coeffs = list(p.coeffs)
-    zero_mult = 0
     while coeffs[0] == 0 and len(coeffs) > 1:
         coeffs.pop(0)
-        zero_mult += 1
     if len(coeffs) > 1:
         # multiple roots stall the root finder and weaken the residual
         # bounds; the radical has the same root set, all simple
         coeffs = _square_free_part(coeffs)
     n = len(coeffs) - 1
     if n == 0:
-        roots = (complex(0),) * max(zero_mult, 1)
-        return SpectralResult(0.0, 0.0, p, roots, 0.0, 0)
+        return SpectralResult(0.0, 0.0, p, 0)
 
     seed = _float_seed(coeffs)
     t = _RUNGS[0]
@@ -820,10 +806,7 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         # the error is measured from the float actually reported
         abs_err = _float_up(max(upper - Fraction(value), Fraction(value) - lower))
         if abs_err <= tol:
-            roots = tuple(complex(zr / (1 << t), zi / (1 << t)) for zr, zi in zs)
-            if zero_mult:
-                roots += (complex(0),)
-            return SpectralResult(value, abs_err, p, roots, _max_residual(p.coeffs, roots), t)
+            return SpectralResult(value, abs_err, p, t)
         if _float_up(lower - Fraction(tol)) > upper + Fraction(tol):
             raise CertificationError(
                 f"no float lies within {tol} of the spectral radius of the "
@@ -833,15 +816,3 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         f"spectral radius of {m.rows}x{m.cols} matrix not certified to {tol}"
     )
 
-
-def _max_residual(coeffs, roots) -> float:
-    """A float >= max |p(z)| over the float roots z, evaluated exactly: each
-    z is a dyadic Gaussian rational Z / 2^s."""
-    n = len(coeffs) - 1
-    out = 0.0
-    for z in roots:
-        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        s = max(da, db).bit_length() - 1
-        pz = _horner(_scaled(coeffs, s), (a * ((1 << s) // da), b * ((1 << s) // db)))
-        out = max(out, _sqrt_float_up(_abs2(pz), 1 << (2 * s * n)))
-    return out

@@ -15,8 +15,9 @@ Each machine class also declares its descriptor ``family`` tag, the
 parameter ``schema`` of that descriptor, and the ``build`` classmethod that
 turns checked parameters into a machine; ``machine_from_params`` looks the
 class up in ``MACHINES`` by tag and checks the parameters once.  ``MACHINES``
-is the one family table: each class also owns its growth routes, the
-endomorphism ``shortcut`` it accepts, its ``closed_form`` and its
+is the one family table: each class also owns the endomorphism
+``shortcut`` it accepts, with ``shortcut_images`` to expand its payload into
+generator images, and its growth routes, ``closed_form`` and
 ``length_table``, whose workers live in :mod:`endogrowth.nilgr`,
 :mod:`endogrowth.solgr` and :mod:`endogrowth.ball`.
 
@@ -35,7 +36,7 @@ from .errors import InconsistencyError, ResourceCapExceeded, ValidationError
 from .exactlin import IntMatrix, mat_pow, mat_vec, spectral_radius
 from .nilgr import gr_nilpotent_closed, gr_torsion_closed
 from .solgr import SolLengthMinimizer, classify_endo, gr_sol_closed, gr_sol_empirical
-from .words import GenSet, Word, commutator_word
+from .words import GenSet, Word, commutator_word, reduce_word
 
 __all__ = [
     "Machine",
@@ -123,7 +124,7 @@ class Machine:
     gens: GenSet
     identity: object
     free_ab_indices: tuple[int, ...]
-    shortcut = None  # the endomorphism descriptor shortcut it accepts: "matrix", "sol" or None
+    shortcut = None  # the endomorphism descriptor shortcut key it accepts, if any
 
     @classmethod
     def build(cls, **params):
@@ -161,6 +162,11 @@ class Machine:
         and returns an iterable of the products x*s in chunk order.  Every
         family gives them in closed form, without a call to ``mul``; a new
         list per call, since a step may cache per search."""
+        raise NotImplementedError
+
+    def shortcut_images(self, payload) -> tuple:
+        """The generator images, as elements, that a ``shortcut`` payload
+        describes; ValidationError when the payload is malformed."""
         raise NotImplementedError
 
     def gen_elem(self, i: int):
@@ -397,6 +403,16 @@ class FreeAbelianMachine(_AbelianMachine):
         if len(names) != self.rank:
             raise ValidationError("need one name per generator")
         self._set_orders(names, (0,) * self.rank)
+
+    def shortcut_images(self, rows):
+        """The columns of a square int matrix: column i is the image of
+        generator i."""
+        if not PARAM_TYPES["int matrix"](rows):
+            raise ValidationError("'matrix' shortcut must be an int matrix")
+        mat = IntMatrix.from_rows(rows)
+        if mat.rows != self.rank or mat.cols != self.rank:
+            raise ValidationError("matrix shortcut must be square of the generator count")
+        return mat.transpose().entries
 
 
 @dataclass(frozen=True)
@@ -757,6 +773,9 @@ class Nil2Machine(Machine):
         return IntMatrix.from_rows([list(row) for row in zip(*cols)])
 
 
+_SOL_SHORTCUT = (("M", "2x2 int matrix"), ("p", "int", 0), ("q", "int", 0), ("tau_exp", "int", 1))
+
+
 @dataclass(frozen=True)
 class SolMachine(Machine):
     """Lattice Z^2 x|_A Z of Sol: generators a1, a2, tau with tau a^v tau^-1 = a^(Av).
@@ -783,6 +802,14 @@ class SolMachine(Machine):
         object.__setattr__(self, "_len_min", minimizer)
         object.__setattr__(self, "_inv_matrix", minimizer.inverse)
         object.__setattr__(self, "_pow_cache", {0: IntMatrix.identity(2)})
+
+    def shortcut_images(self, payload):
+        """a1 -> a^(column 1 of M), a2 -> a^(column 2 of M) and
+        tau -> a1^p a2^q tau^tau_exp, for ``{"M": [[..], [..]], "p": int,
+        "q": int, "tau_exp": int}`` (p, q default to 0, tau_exp to 1)."""
+        args = check_params(_SOL_SHORTCUT, payload, "'sol' shortcut")
+        (m11, m12), (m21, m22) = args["M"]
+        return (m11, m21, 0), (m12, m22, 0), (args["p"], args["q"], args["tau_exp"])
 
     def holonomy_power(self, t: int) -> IntMatrix:
         """A^t for any integer t: cached for small |t| (the steps of a ball
@@ -1055,8 +1082,6 @@ class BSMachine(Machine):
 
     def length_upper_word(self, elem):
         """Horner word in base n: a^(e-E) b^(d_E) a b^(d_(E-1)) a ... b^(d_0) a^(t-e)."""
-        from .words import reduce_word
-
         num, e, t = elem
         digits = self._balanced_digits(num)
         if not digits:

@@ -4,10 +4,8 @@ Group and endomorphism descriptors are JSON documents.  A group descriptor is
 ``{"family": tag, "params": {...}}`` with the parameter ``schema`` of the
 family's machine class in :mod:`endogrowth.families`.  An endomorphism
 descriptor is either explicit generator images ``{"images": {gen: word}}``,
-or the ``shortcut`` its machine class accepts: a Sol shortcut
-``{"sol": {"M": [[..],[..]], "p": int, "q": int, "tau_exp": int}}`` or an
-abelian matrix shortcut ``{"matrix": [[..]]}`` (column i = image of
-generator i).
+or ``{key: payload}`` for the ``shortcut`` key its machine class accepts;
+the class's ``shortcut_images`` expands the payload into generator images.
 
 The growth routes live on the machine classes (``closed_form`` and
 ``length_table``); a report validates the endomorphism once and hands the
@@ -28,8 +26,7 @@ from typing import Optional
 from . import __version__
 from .ball import DEFAULT_CAP, ClosedForm, GrowthEstimate, GrowthSummary, gr_estimate
 from .errors import ValidationError
-from .exactlin import IntMatrix
-from .families import MACHINES, PARAM_TYPES, Machine, check_params, machine_from_params
+from .families import MACHINES, Machine, machine_from_params
 from .words import Endomorphism, ValidEndo, validate_endo
 
 __all__ = [
@@ -57,7 +54,6 @@ class GroupDescriptor:
 
 @dataclass(frozen=True)
 class EndoDescriptor:
-    images: dict
     raw: dict
 
 
@@ -70,54 +66,28 @@ def parse_group(doc: dict) -> tuple[GroupDescriptor, Machine]:
     return GroupDescriptor(family, params, doc), machine
 
 
-_SOL_SHORTCUT = (("M", "2x2 int matrix"), ("p", "int", 0), ("q", "int", 0), ("tau_exp", "int", 1))
-
-
-def _power_word(letters) -> str:
-    """Word text of (generator name, exponent) letters, zero exponents dropped."""
-    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in letters if e)
-
-
-def _sol_shortcut_images(machine, shortcut) -> dict:
-    args = check_params(_SOL_SHORTCUT, shortcut, "'sol' shortcut")
-    m = args["M"]
-    return {
-        "a1": _power_word((("a1", m[0][0]), ("a2", m[1][0]))),
-        "a2": _power_word((("a1", m[0][1]), ("a2", m[1][1]))),
-        "tau": _power_word((("a1", args["p"]), ("a2", args["q"]), ("tau", args["tau_exp"]))),
-    }
-
-
-def _matrix_shortcut_images(machine, rows) -> dict:
-    if not PARAM_TYPES["int matrix"](rows):
-        raise ValidationError("'matrix' shortcut must be an int matrix")
-    mat = IntMatrix.from_rows(rows)
-    names = machine.gens.names
-    if mat.rows != len(names) or mat.cols != len(names):
-        raise ValidationError("matrix shortcut must be square of the generator count")
-    return {name: _power_word(zip(names, col)) for name, col in zip(names, mat.transpose().entries)}
-
-
-_SHORTCUTS = {"sol": _sol_shortcut_images, "matrix": _matrix_shortcut_images}
+# shortcut key -> the family tag of the one machine class that accepts it
+_SHORTCUT_OWNERS = {cls.shortcut: tag for tag, cls in MACHINES.items() if cls.shortcut}
 
 
 def parse_endo(doc: dict, machine: Machine) -> tuple[EndoDescriptor, Endomorphism]:
+    """The endomorphism of explicit ``images`` or of the machine's shortcut.
+    A document that names another family's shortcut is refused."""
     if not isinstance(doc, dict):
         raise ValidationError("endomorphism descriptor must be an object")
     if "images" in doc:
         images = doc["images"]
         if not isinstance(images, dict):
             raise ValidationError("'images' must be an object of generator: word")
-    else:
-        kind = next((k for k in _SHORTCUTS if k in doc), None)
-        if kind is None:
-            raise ValidationError("endomorphism descriptor needs 'images', 'sol', or 'matrix'")
-        if machine.shortcut != kind:
-            owner = next(tag for tag, cls in MACHINES.items() if cls.shortcut == kind)
+        endo = Endomorphism.from_strings(machine.gens, {k: str(v) for k, v in images.items()})
+        return EndoDescriptor(doc), endo
+    for kind, owner in _SHORTCUT_OWNERS.items():
+        if kind in doc and kind != machine.shortcut:
             raise ValidationError(f"{kind!r} shortcut needs a {owner} group")
-        images = _SHORTCUTS[kind](machine, doc[kind])
-    endo = Endomorphism.from_strings(machine.gens, {k: str(v) for k, v in images.items()})
-    return EndoDescriptor(images, doc), endo
+    if machine.shortcut not in doc:
+        raise ValidationError(f"endomorphism descriptor needs one of {['images', *_SHORTCUT_OWNERS]}")
+    images = machine.shortcut_images(doc[machine.shortcut])
+    return EndoDescriptor(doc), Endomorphism(machine.gens, tuple(map(machine.decompose, images)))
 
 
 def algebraic_entropy(growth_rate: float) -> Optional[float]:
@@ -186,14 +156,15 @@ def _empirical_section(table: GrowthEstimate, summary: GrowthSummary) -> dict:
 def build_report(
     command: str,
     group_doc: dict,
-    endo_doc: Optional[dict],
+    endo_doc: dict,
     kmax: int = 16,
     radius: int = 10,
     cap: int = DEFAULT_CAP,
     tol: float = 1e-9,
-    want_closed: bool = True,
-    want_empirical: bool = True,
 ) -> dict:
+    """The report of ``command``: ``closed`` runs only the closed form,
+    ``empirical`` only the length table, and ``compare`` both and gives a
+    verdict."""
     _, machine = parse_group(group_doc)
     report = {
         "command": command,
@@ -211,14 +182,14 @@ def build_report(
         "verdict": None,
         "work": {},
     }
-    valid = None
-    if endo_doc is not None:
-        _, endo = parse_endo(endo_doc, machine)
-        # validate once, and only when some route will run
-        if want_empirical or (want_closed and machine.closed_form is not None):
-            valid = validate_endo(machine, endo)
+    _, endo = parse_endo(endo_doc, machine)
+    want_closed, want_empirical = command != "empirical", command != "closed"
+    # validate once, and only when some route will run
+    if not (want_empirical or (want_closed and machine.closed_form is not None)):
+        return report
+    valid = validate_endo(machine, endo)
     closed = None
-    if want_closed and valid is not None:
+    if want_closed:
         closed = closed_growth_rate(valid, tol)
         if closed is not None:
             report["closed"] = {
@@ -227,14 +198,13 @@ def build_report(
                 "method": closed.method,
                 "certificate": closed.certificate,
             }
-    summary = None
-    if want_empirical and valid is not None:
+    if want_empirical:
         table = empirical_estimate(valid, kmax, radius, cap)
         summary = gr_estimate(table)
         report["empirical"] = _empirical_section(table, summary)
         report["work"]["table_entries"] = len(table.ks)
-    if want_closed and want_empirical and summary is not None:
-        report["verdict"] = _verdict(closed, summary)
+        if want_closed:
+            report["verdict"] = _verdict(closed, summary)
     return report
 
 

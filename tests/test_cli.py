@@ -73,6 +73,18 @@ class TestLoading:
 
         assert evaluate(z2, endo.images[0]) == (2, 0)
 
+    def test_sol_shortcut_is_its_images_text(self, sol_fib):
+        _, endo = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
+        text = {"a1": "a1 a2^2", "a2": "a1^2 a2^-1", "tau": "tau"}
+        assert endo == parse_endo({"images": text}, sol_fib)[1]
+
+    def test_matrix_shortcut_is_its_images_text(self):
+        _, z3 = parse_group({"family": "free_abelian", "params": {"rank": 3}})
+        _, endo = parse_endo({"matrix": [[2, 0, -1], [1, 1, 0], [0, 3, 1]]}, z3)
+        # column i is the image of generator i
+        text = {"e1": "e1^2 e2", "e2": "e2 e3^3", "e3": "e1^-1 e3"}
+        assert endo == parse_endo({"images": text}, z3)[1]
+
 
 class TestClosedDispatch:
     def test_sol_example(self, sol_fib):
@@ -314,13 +326,11 @@ class TestDeterminism:
             "closed",
             load_fixture("sol_ex2.group"),
             load_fixture("sol_ex2.endo"),
-            want_empirical=False,
         )
         again = build_report(
             "closed",
             report["inputs"]["group"],
             report["inputs"]["endo"],
-            want_empirical=False,
         )
         assert report_json(report) == report_json(again)
 

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 import endogrowth
 from endogrowth.cli import run
-from endogrowth.families import MACHINES
-from endogrowth.reports import _SHORTCUTS
+from endogrowth.families import MACHINES, Machine
 
 from conftest import load_fixture, run_child
 
@@ -38,9 +37,10 @@ def run_docs(command, group, endo, *extra):
 
 
 def test_every_family_class_owns_its_routes():
-    owners = {kind: [tag for tag, cls in MACHINES.items() if cls.shortcut == kind] for kind in _SHORTCUTS}
+    kinds = {cls.shortcut for cls in MACHINES.values()} - {None}
+    owners = {kind: [tag for tag, cls in MACHINES.items() if cls.shortcut == kind] for kind in kinds}
     assert owners == {"matrix": ["free_abelian"], "sol": ["sol_lattice"]}
-    assert all(cls.shortcut in (None, *_SHORTCUTS) for cls in MACHINES.values())
+    assert all(MACHINES[tag].shortcut_images is not Machine.shortcut_images for [tag] in owners.values())
     assert [tag for tag, cls in MACHINES.items() if cls.closed_form is None] == ["baumslag_solitar"]
     assert all(MACHINES[tag].family == tag for tag in MACHINES)
 
@@ -62,6 +62,7 @@ HEIS = {"family": "heisenberg", "params": {"k": 1}}
         ("ball", {"family": "heisenberg", "params": {"k": "2"}}, None),
         ("ball", {"family": "free_abelian", "params": []}, None),
         ("compare", load_fixture("sol_ex2.group"), {"sol": {}}),
+        ("compare", load_fixture("sol_ex2.group"), {**load_fixture("sol_ex2.endo"), "matrix": [[1, 0], [0, 1]]}),
         ("compare", HEIS, {"images": []}),
         ("ball", {"family": "heisenberg", "params": {"k": True}}, None),
         ("ball", {"family": "baumslag_solitar", "params": {"n": 2.5}}, None),
@@ -73,7 +74,7 @@ HEIS = {"family": "heisenberg", "params": {"k": 1}}
         ),
     ],
     ids=[
-        "missing-param", "string-int", "params-list", "sol-shortcut-empty", "images-list",
+        "missing-param", "string-int", "params-list", "sol-shortcut-empty", "two-shortcuts", "images-list",
         "bool-int", "float-int", "string-torsion", "undesignated-central",
     ],
 )
