@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from endogrowth.cli import COMMANDS, make_parser, parse_args, run
 from endogrowth.errors import ValidationError
+from endogrowth.ball import ClosedForm, GrowthEstimate, gr_estimate
 from endogrowth.reports import (
+    _verdict,
     build_report,
     closed_growth_rate,
     parse_endo,
@@ -303,6 +305,28 @@ class TestBundledComparisons:
             )
             expected = "inconclusive" if stem == "bs" else "consistent"
             assert report["verdict"] == expected, (stem, report["verdict"])
+
+
+class TestVerdict:
+    def test_sol_collapse_to_the_torus_is_consistent(self):
+        # tau -> a1^2 a2 and a_i -> 1: phi^2 is trivial
+        endo = {"sol": {"M": [[0, 0], [0, 0]], "p": 2, "q": 1, "tau_exp": 0}}
+        report = build_report("compare", load_fixture("sol_ex1.group"), endo, kmax=4)
+        assert [row["length"] for row in report["empirical"]["rows"]] == [3, 0, 0, 0]
+        assert report["closed"]["value"] == 0.0
+        assert report["verdict"] == "consistent"
+
+    def test_trivial_endomorphism_of_a_finite_group_is_consistent(self):
+        group = {"family": "abelian_with_torsion", "params": {"rank": 0, "torsion": [3]}}
+        report = build_report("compare", group, {"images": {"t1": ""}}, kmax=4, radius=2)
+        assert report["closed"]["value"] == 0.0
+        assert report["empirical"]["estimate"] == 0.0
+        assert report["verdict"] == "consistent"
+
+    def test_running_infimum_below_the_closed_form_is_inconsistent(self):
+        # honest upper bounds of 1 per row cannot meet a growth rate of 2
+        table = GrowthEstimate(("x",), (1, 2, 3), {"x": [1, 1, 1]}, (1, 1, 1), (True,) * 3, "test")
+        assert _verdict(ClosedForm(2.0, "test", {}), gr_estimate(table)) == "inconsistent"
 
 
 class TestDeterminism:

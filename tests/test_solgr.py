@@ -19,7 +19,7 @@ from endogrowth.solgr import (
     gr_sol_closed,
     gr_sol_empirical,
 )
-from endogrowth.words import Endomorphism, validate_endo
+from endogrowth.words import Endomorphism, apply_on_element, validate_endo
 
 A_FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_23 = IntMatrix.from_rows([[1, 1], [2, 3]])
@@ -257,6 +257,20 @@ class TestEmpirical:
         # per-iterate shifts keeps the length quadratic, not exponential
         for k, val in zip(table.ks, table.per_gen["tau"]):
             assert val <= k * k + 1
+
+    def test_type_two_table_is_the_iterates_lengths(self, sol_fib):
+        # MA = A^-1 M, and tau -> a^p tau^-1: every row is the shift
+        # minimizer's length of the iterate itself
+        doc = {"sol": {"M": [[-3, 0], [3, 3]], "p": 1, "q": -2, "tau_exp": -1}}
+        valid = validate_endo(sol_fib, parse_endo(doc, sol_fib)[1])
+        e = classify_endo(valid)
+        assert e.type_tag == "II"
+        table = gr_sol_empirical(e, kmax=10)
+        row = valid.images
+        for k in range(10):
+            for name, x in zip(sol_fib.gens.names, row):
+                assert table.per_gen[name][k] == sol_fib.length_upper(x), (name, k + 1)
+            row = tuple(apply_on_element(sol_fib, valid.images, x) for x in row)
 
     def test_type_three_table(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "tau^3"})
