@@ -46,7 +46,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Optional
 
 from .errors import CertificationError, ResourceCapExceeded, ValidationError
@@ -268,10 +268,10 @@ def _times_cyclic(sizes, m: int):
     running sum per radius."""
     window = 0
     if m == 0:
+        # endless: the caller takes as many sizes as it needs
         for x in chain(sizes, repeat(0)):
             yield x + 2 * window
             window += x
-        return
     h, even = m // 2, m % 2 == 0
     last = deque()  # x_(r-h) .. x_(r-1), once r >= h
     for x in chain(sizes, (0 for _ in range(h))):
@@ -460,22 +460,11 @@ class GrowthEstimate:
     exact: tuple[bool, ...]
     method: str
 
-    def roots(self) -> list[float]:
-        return [_kth_root(l, k) for k, l in zip(self.ks, self.lengths)]
-
-    def running_inf(self) -> list[float]:
-        out = []
-        cur = float("inf")
-        for r in self.roots():
-            cur = min(cur, r)
-            out.append(cur)
-        return out
-
 
 @dataclass(frozen=True)
 class GrowthSummary:
-    running_inf: tuple[float, ...]
-    final_inf: float
+    roots: tuple[float, ...]  # L_k^(1/k), one per row
+    running_inf: tuple[float, ...]  # min of the roots up to each row
     trend: Optional[float]
     estimate: float
     certified_upper: bool
@@ -495,13 +484,12 @@ def gr_estimate(table: GrowthEstimate) -> GrowthSummary:
     """
     if not table.ks:
         raise ValidationError("empty growth table")
-    runinf = table.running_inf()
+    roots = tuple(_kth_root(l, k) for k, l in zip(table.ks, table.lengths))
+    runinf = tuple(accumulate(roots, min))
     final_inf = runinf[-1]
     if any(l == 0 for l in table.lengths):
         # some power sends every generator to the identity: growth rate 0
-        return GrowthSummary(
-            tuple(runinf), final_inf, None, 0.0, all(table.exact), {}, "decreasing"
-        )
+        return GrowthSummary(roots, runinf, None, 0.0, all(table.exact), {}, "decreasing")
     trend = _trend(table.lengths)
     estimate = final_inf if trend is None else min(final_inf, trend)
     per_gen = {}
@@ -510,9 +498,7 @@ def gr_estimate(table: GrowthEstimate) -> GrowthSummary:
         per_gen[name] = {"root": _kth_root(seq[-1], table.ks[-1]), "trend": _trend(seq)}
     mid = runinf[len(runinf) // 2]
     direction = "decreasing" if final_inf < mid - 1e-12 else "flat"
-    return GrowthSummary(
-        tuple(runinf), final_inf, trend, estimate, all(table.exact), per_gen, direction
-    )
+    return GrowthSummary(roots, runinf, trend, estimate, all(table.exact), per_gen, direction)
 
 
 def L_k_table(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -111,7 +112,7 @@ def _cmd_check(args):
     verdict = check_homomorphism(machine, endo)
     out = {"command": "check", "valid": verdict.valid}
     if verdict.valid:
-        triv = eventually_trivial(ValidEndo(machine, endo, verdict.images))
+        triv = eventually_trivial(ValidEndo(machine, verdict.images))
         out["eventually_trivial"] = {"status": triv.status, "power": triv.power}
     else:
         out["violated_relator"] = word_str(verdict.violated_relator, machine.gens)
@@ -261,6 +262,8 @@ def run(argv=None) -> int:
     try:
         if args.radius < 0:
             raise ValidationError("radius must be nonnegative")
+        if not 0 < args.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
         return COMMANDS[args.cmd].handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

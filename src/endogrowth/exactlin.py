@@ -109,10 +109,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 
@@ -142,9 +138,6 @@ class IntMatrix:
                 for row in self.entries
             )
         )
-
-    def __pow__(self, n: int) -> "IntMatrix":
-        return mat_pow(self, n)
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
@@ -177,12 +170,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_matrix(self, m: IntMatrix) -> IntMatrix:
         """Horner evaluation at a square matrix, exact."""
@@ -470,34 +457,25 @@ def _square_free_part(coeffs):
     if _coprime_mod(coeffs, dp, next(_primes())):
         return list(coeffs)
 
-    def normalize(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def polymod(a, b):
-        a = a[:]
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            off = len(a) - len(b)
+    def divide(a, b):
+        """Quotient and remainder of a by b, the remainder without trailing
+        zeros, by rational long division."""
+        q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+        r = a[:]
+        for k in reversed(range(len(q))):
+            q[k] = r[k + len(b) - 1] / b[-1]
             for i, c in enumerate(b):
-                a[off + i] -= f * c
-            a = normalize(a[:-1] + [a[-1]])
-            a = normalize(a)
-        return a
+                r[k + i] -= q[k] * c
+        while r and r[-1] == 0:
+            r.pop()
+        return q, r
 
     p = [Fraction(c) for c in coeffs]
-    a, b = p[:], normalize([Fraction(c) for c in dp])
+    # p' has leading coefficient deg p, never 0
+    a, b = p, [Fraction(c) for c in dp]
     while b:
-        a, b = b, polymod(a, b)
-    g = [c / a[-1] for c in a]  # monic gcd
-    # exact division p // g
-    q = [Fraction(0)] * (len(p) - len(g) + 1)
-    rem = p[:]
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = rem[k + len(g) - 1] / g[-1]
-        for i, c in enumerate(g):
-            rem[k + i] -= q[k] * c
+        a, b = b, divide(a, b)[1]
+    q, _ = divide(p, [c / a[-1] for c in a])  # p over the monic gcd, exactly
     out = []
     for c in q:
         if c.denominator != 1:

@@ -780,7 +780,9 @@ _SOL_SHORTCUT = (("M", "2x2 int matrix"), ("p", "int", 0), ("q", "int", 0), ("ta
 class SolMachine(Machine):
     """Lattice Z^2 x|_A Z of Sol: generators a1, a2, tau with tau a^v tau^-1 = a^(Av).
 
-    A must be an integer 2x2 matrix with determinant 1 and trace > 2.
+    A must be an integer 2x2 matrix with determinant 1 and trace > 2; the
+    machine's ``minimizer``, the one shift minimizer of its length functional
+    and of the Sol routes, checks it and holds A^-1.
     Elements are flat int tuples (v1, v2, t) for a1^v1 a2^v2 tau^t.
     """
 
@@ -795,12 +797,10 @@ class SolMachine(Machine):
         return cls(IntMatrix.from_rows(A))
 
     def __post_init__(self):
-        minimizer = SolLengthMinimizer(self.matrix)  # validates the holonomy
+        object.__setattr__(self, "minimizer", SolLengthMinimizer(self.matrix))
         object.__setattr__(self, "gens", GenSet(("a1", "a2", "tau")))
         object.__setattr__(self, "identity", (0, 0, 0))
         object.__setattr__(self, "free_ab_indices", (2,))
-        object.__setattr__(self, "_len_min", minimizer)
-        object.__setattr__(self, "_inv_matrix", minimizer.inverse)
         object.__setattr__(self, "_pow_cache", {0: IntMatrix.identity(2)})
 
     def shortcut_images(self, payload):
@@ -818,11 +818,11 @@ class SolMachine(Machine):
         SOL_POWER_BITS (ResourceCapExceeded past it)."""
         if abs(t) > _SOL_POWER_CACHE:
             self._check_power_size(t)
-            return mat_pow(self.matrix, t) if t > 0 else mat_pow(self._inv_matrix, -t)
+            return mat_pow(self.matrix, t) if t > 0 else mat_pow(self.minimizer.inverse, -t)
         cache = self._pow_cache
         if t not in cache:
             # the cached exponents form a range around 0: extend it up to t
-            step, factor = (1, self.matrix) if t > 0 else (-1, self._inv_matrix)
+            step, factor = (1, self.matrix) if t > 0 else (-1, self.minimizer.inverse)
             k = t
             while k not in cache:
                 k -= step
@@ -905,7 +905,7 @@ class SolMachine(Machine):
 
     def length_upper_word(self, elem):
         v1, v2, t = elem
-        best = self._len_min.minimize((v1, v2))
+        best = self.minimizer.minimize((v1, v2))
         shifted = mat_vec(self.holonomy_power(-best.shift), (v1, v2))
         return _letters(
             (2, best.shift), (0, shifted[0]), (1, shifted[1]), (2, -best.shift + t)
@@ -913,7 +913,7 @@ class SolMachine(Machine):
 
     def length_upper(self, elem):
         v1, v2, t = elem
-        return self._len_min.minimize((v1, v2)).value + abs(t)
+        return self.minimizer.minimize((v1, v2)).value + abs(t)
 
     def length_lower(self, elem):
         """The tau-exponent moves by one per tau letter."""

@@ -6,7 +6,9 @@ the induced block on the designated central generators gives the cross-check
 max(sp(block_1), sp(block_2)^(1/2)), which the abelianization block always
 attains.  ``gr_torsion_closed`` splits off the finite torsion of Z^r x
 finite.  These are workers: the ``closed_form`` routes of the machine classes
-in :mod:`endogrowth.families` call them, and the central block comes from the
+in :mod:`endogrowth.families` call them.  Both blocks are read from the
+validated generator images: the abelianization by
+``words.abelianization_matrix`` (re-exported here), the central block by the
 machine's ``center_block``, so no family class is named here.  User-supplied
 block lists for deeper nilpotency classes are evaluated by the same
 max-of-root-powers formula without verifying group provenance.
@@ -19,7 +21,7 @@ from typing import Optional
 from .ball import ClosedForm
 from .errors import CertificationError, ValidationError
 from .exactlin import IntMatrix, spectral_radius
-from .words import ValidEndo, eventually_trivial
+from .words import ValidEndo, abelianization_matrix, eventually_trivial
 
 __all__ = [
     "abelianization_matrix",
@@ -28,24 +30,6 @@ __all__ = [
     "gr_torsion_closed",
     "gr_from_blocks",
 ]
-
-
-def abelianization_matrix(valid: ValidEndo) -> Optional[IntMatrix]:
-    """Exponent-sum matrix on the free abelianization; column i is the image of
-    generator i.  Returns None when the machine declares no free part."""
-    idxs = valid.machine.free_ab_indices
-    if not idxs:
-        return None
-    pos = {g: r for r, g in enumerate(idxs)}
-    n = len(idxs)
-    cols = []
-    for i in idxs:
-        vec = [0] * n
-        for g, e in valid.endo.images[i].letters:
-            if g in pos:
-                vec[pos[g]] += e
-        cols.append(vec)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def induced_center_matrix(valid: ValidEndo) -> Optional[IntMatrix]:

@@ -117,7 +117,7 @@ def empirical_estimate(
 def _verdict(closed: Optional[ClosedForm], summary: GrowthSummary) -> str:
     if closed is None:
         return "inconclusive"
-    if summary.final_inf < closed.value - 1e-6:
+    if summary.running_inf[-1] < closed.value - 1e-6:
         # running infimum of honest upper bounds can never undercut the truth
         return "inconsistent"
     if closed.value == 0.0:
@@ -128,14 +128,13 @@ def _verdict(closed: Optional[ClosedForm], summary: GrowthSummary) -> str:
 
 def _empirical_section(table: GrowthEstimate, summary: GrowthSummary) -> dict:
     rows = []
-    roots = table.roots()
     for i, k in enumerate(table.ks):
         rows.append(
             {
                 "k": k,
                 "length": table.lengths[i],
                 "exact": table.exact[i],
-                "root": roots[i],
+                "root": summary.roots[i],
                 "running_inf": summary.running_inf[i],
                 "per_gen": {n: table.per_gen[n][i] for n in table.gen_names},
             }
@@ -146,7 +145,7 @@ def _empirical_section(table: GrowthEstimate, summary: GrowthSummary) -> dict:
         "estimate": summary.estimate,
         "entropy_estimate": algebraic_entropy(summary.estimate),
         "trend": summary.trend,
-        "final_running_inf": summary.final_inf,
+        "final_running_inf": summary.running_inf[-1],
         "certified_upper": summary.certified_upper,
         "direction": summary.direction,
         "per_gen": summary.per_gen,

@@ -37,15 +37,6 @@ __all__ = [
 ]
 
 
-def _validate_holonomy(a: IntMatrix):
-    if (a.rows, a.cols) != (2, 2):
-        raise ValidationError("holonomy matrix must be 2x2")
-    if det(a) != 1:
-        raise ValidationError("holonomy matrix must have determinant 1")
-    if a.trace() <= 2:
-        raise ValidationError("holonomy matrix must have trace > 2")
-
-
 @dataclass(frozen=True)
 class LengthMin:
     """Minimum of 2n + |column sum of A^-n y| over shifts n >= 0."""
@@ -73,10 +64,17 @@ class SolLengthMinimizer:
 
     holds with a nonzero integer numerator, as d is never a square for t > 2.
     Both sides of the stopping test are then integers, whatever the size of y.
+    Building one checks the holonomy: ValidationError unless it is 2x2 with
+    determinant 1 and trace > 2.
     """
 
     def __init__(self, holonomy: IntMatrix):
-        _validate_holonomy(holonomy)
+        if (holonomy.rows, holonomy.cols) != (2, 2):
+            raise ValidationError("holonomy matrix must be 2x2")
+        if det(holonomy) != 1:
+            raise ValidationError("holonomy matrix must have determinant 1")
+        if holonomy.trace() <= 2:
+            raise ValidationError("holonomy matrix must have trace > 2")
         self.holonomy = holonomy
         self.inverse = inverse_unimodular_2x2(holonomy)
         (l11, _), (l21, l22) = holonomy.entries
@@ -123,14 +121,16 @@ class SolLengthMinimizer:
 
 @dataclass(frozen=True)
 class SolEndo:
-    """Classified endomorphism of a Sol lattice.
+    """Classified endomorphism of the Sol lattice ``machine``.  The
+    machine's ``minimizer`` has checked its holonomy A, holds A^-1, and is
+    the one shift minimizer both Sol routes use.
 
     type I:   a_i -> a^(M e_i), tau -> a^p tau      (AM = MA)
     type II:  a_i -> a^(M e_i), tau -> a^p tau^-1   (MA = A^-1 M)
     type III: a_i -> 1,         tau -> a^p tau^m    (|m| != 1)
     """
 
-    holonomy: IntMatrix
+    machine: "SolMachine"
     type_tag: str
     torus_map: IntMatrix
     p: tuple[int, int]
@@ -139,7 +139,8 @@ class SolEndo:
 
 def classify_endo(valid: ValidEndo) -> SolEndo:
     """Sort a valid endomorphism into type I / II / III."""
-    a = valid.machine.matrix
+    machine = valid.machine
+    a = machine.matrix
     e1, e2, etau = valid.images
     if e1[2] != 0 or e2[2] != 0:
         raise ClassificationError("images of the torus generators must stay in the torus")
@@ -148,31 +149,28 @@ def classify_endo(valid: ValidEndo) -> SolEndo:
     if tau_exp == 1:
         if a @ m != m @ a:
             raise ClassificationError("tau-fixing images need a commuting torus map")
-        return SolEndo(a, "I", m, p, 1)
+        return SolEndo(machine, "I", m, p, 1)
     if tau_exp == -1:
-        if m @ a != inverse_unimodular_2x2(a) @ m:
+        if m @ a != machine.minimizer.inverse @ m:
             raise ClassificationError("tau-inverting images need MA = A^-1 M")
-        return SolEndo(a, "II", m, p, -1)
+        return SolEndo(machine, "II", m, p, -1)
     if not m.is_zero():
         raise ClassificationError("tau-exponent != +-1 forces trivial torus images")
-    return SolEndo(a, "III", m, p, tau_exp)
+    return SolEndo(machine, "III", m, p, tau_exp)
 
 
-def _type_one(holonomy: IntMatrix, torus_map: IntMatrix) -> tuple[float, dict]:
-    """Value and certificate fields of a type I endomorphism with torus map
-    M != 0, by the sign test of the module docstring.
+def _type_one(minimizer: SolLengthMinimizer, torus_map: IntMatrix) -> tuple[float, dict]:
+    """Value and certificate fields of a type I endomorphism with 2x2 torus
+    map M != 0, by the sign test of the module docstring.
 
     Cross-checks mu nu = det M as (tr(M)^2 - 4 det M) l12^2 = m12^2 d.
     A float beyond range raises OverflowError.
     """
-    _validate_holonomy(holonomy)
-    if (torus_map.rows, torus_map.cols) != (2, 2):
-        raise ValidationError("torus map must be 2x2")
+    holonomy, d = minimizer.holonomy, minimizer.d
     if holonomy @ torus_map != torus_map @ holonomy:
         raise ContractError("torus map does not commute with the holonomy; labeling impossible")
-    (l11, l12), (_, l22) = holonomy.entries
+    l12 = holonomy.entries[0][1]
     (m11, m12), (m21, m22) = torus_map.entries
-    d = (l11 + l22) ** 2 - 4
     tr_m = m11 + m22
     det_m = m11 * m22 - m12 * m21
     if (tr_m * tr_m - 4 * det_m) * l12 * l12 != m12 * m12 * d:
@@ -210,7 +208,7 @@ def gr_sol_closed(e: SolEndo) -> ClosedForm:
     """
     cert = {
         "type": e.type_tag,
-        "char_poly_holonomy": str(char_poly(e.holonomy)),
+        "char_poly_holonomy": str(char_poly(e.machine.matrix)),
         "char_poly_torus": str(char_poly(e.torus_map)),
     }
     try:
@@ -222,12 +220,12 @@ def gr_sol_closed(e: SolEndo) -> ClosedForm:
             cert.update(branch="torus_map_zero", mu=0.0, nu=0.0, trace_m=0, det_m=0)
         elif e.type_tag == "II":
             m = e.torus_map
-            inner = gr_sol_closed(SolEndo(e.holonomy, "I", m @ m, tuple(mat_vec(m - e.holonomy, e.p)), 1))
+            inner = gr_sol_closed(SolEndo(e.machine, "I", m @ m, tuple(mat_vec(m - e.machine.matrix, e.p)), 1))
             value = sqrt(inner.value)
             cert.update({k: inner.certificate[k] for k in ("mu", "nu", "trace_m", "det_m")})
             cert["branch"] = "typeII_via_square:" + inner.certificate["branch"]
         else:
-            value, fields = _type_one(e.holonomy, e.torus_map)
+            value, fields = _type_one(e.machine.minimizer, e.torus_map)
             cert.update(fields)
     except OverflowError:
         raise CertificationError("Sol growth rate beyond float range") from None
@@ -244,55 +242,48 @@ def gr_sol_empirical(e: SolEndo, kmax: int = 16) -> GrowthEstimate:
     """
     if kmax < 1:
         raise ValidationError("kmax must be >= 1")
-    minimizer = SolLengthMinimizer(e.holonomy)
-    names = ("a1", "a2", "tau")
-    per_gen = {n: [] for n in names}
+    minimizer = e.machine.minimizer
     ks = tuple(range(1, kmax + 1))
-    m = e.torus_map
+    a1, a2, tau = [], [], []
 
     if e.type_tag == "III":
         base = minimizer.minimize(e.p).value
-        for k in ks:
-            per_gen["a1"].append(0)
-            per_gen["a2"].append(0)
-            if e.tau_exp == 0:
-                per_gen["tau"].append(base if k == 1 else 0)
-            else:
-                per_gen["tau"].append((base + abs(e.tau_exp)) * abs(e.tau_exp) ** (k - 1))
+        n = abs(e.tau_exp)
+        a1, a2 = [0] * kmax, [0] * kmax
+        if n == 0:
+            tau = [base if k == 1 else 0 for k in ks]
+        else:
+            tau = [(base + n) * n ** (k - 1) for k in ks]
     else:
+        m = e.torus_map
         mk = m
         tau_part = e.p
         tau_sign = e.tau_exp
         telescoped = abs(e.p[0]) + abs(e.p[1])
         mj_p = e.p
         for k in ks:
-            for idx, name in enumerate(("a1", "a2")):
-                col = (mk.entries[0][idx], mk.entries[1][idx])
-                per_gen[name].append(minimizer.minimize(col).value)
+            (c11, c12), (c21, c22) = mk.entries
+            a1.append(minimizer.minimize((c11, c21)).value)
+            a2.append(minimizer.minimize((c12, c22)).value)
             direct = minimizer.minimize(tau_part).value + 1
             if e.type_tag == "I":
-                per_gen["tau"].append(min(direct, telescoped + 1))
+                tau.append(min(direct, telescoped + 1))
                 mj_p = mat_vec(m, mj_p)
                 telescoped += minimizer.minimize(mj_p).value
             else:
-                per_gen["tau"].append(direct)
-            # advance phi^k -> phi^(k+1)
+                tau.append(direct)
+            # advance phi^k -> phi^(k+1): phi(a^v tau^s) = a^(Mv) (a^p tau^e)^s,
+            # and (a^p tau^-1)^-1 = a^(-Ap) tau
             mk = mk @ m
-            if e.type_tag == "I":
-                tau_part = tuple(x + y for x, y in zip(mat_vec(m, tau_part), e.p))
-            else:
-                step = e.p if tau_sign == 1 else tuple(-v for v in mat_vec(e.holonomy, e.p))
-                tau_part = tuple(x + y for x, y in zip(mat_vec(m, tau_part), step))
-                tau_sign = -tau_sign
+            step = e.p if tau_sign == 1 else tuple(-v for v in mat_vec(e.machine.matrix, e.p))
+            tau_part = tuple(x + y for x, y in zip(mat_vec(m, tau_part), step))
+            tau_sign *= e.tau_exp
 
-    lengths = tuple(
-        max(per_gen["a1"][i], per_gen["a2"][i], per_gen["tau"][i]) for i in range(kmax)
-    )
     return GrowthEstimate(
-        names,
+        e.machine.gens.names,
         ks,
-        {n: list(v) for n, v in per_gen.items()},
-        lengths,
+        dict(zip(e.machine.gens.names, (a1, a2, tau))),
+        tuple(map(max, a1, a2, tau)),
         (False,) * kmax,
         "sol_shift_minimizer",
     )

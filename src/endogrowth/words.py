@@ -5,8 +5,11 @@ text form is whitespace-separated tokens ``name`` or ``name^INT`` with INT a
 nonzero integer (negative allowed), e.g. ``a1^-2 a2 a1``.
 
 Machines (see :mod:`endogrowth.families`) supply exact group arithmetic;
-everything here is machine-agnostic.  All values are immutable and all
-operations pure.
+everything here is machine-agnostic.  An endomorphism is checked once, by
+``validate_endo``, into a ``ValidEndo``: the machine and the generator images
+as elements, from which every route derives what it needs (the free
+abelianization matrix, eventual triviality, iterates).  All values are
+immutable and all operations pure.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import UnknownGeneratorError, ValidationError
+from .exactlin import IntMatrix, char_poly
 
 __all__ = [
     "GenSet",
@@ -33,6 +37,7 @@ __all__ = [
     "HomVerdict",
     "ValidEndo",
     "TrivialityResult",
+    "abelianization_matrix",
 ]
 
 
@@ -249,12 +254,11 @@ def check_homomorphism(machine, endo: Endomorphism) -> HomVerdict:
 
 @dataclass(frozen=True)
 class ValidEndo:
-    """An endomorphism that maps every relator of ``machine`` to the identity,
-    with its generator images evaluated once.  Build it with ``validate_endo``
+    """The generator images, as elements of ``machine``, of an endomorphism
+    that maps every relator to the identity.  Build it with ``validate_endo``
     (or from a valid ``HomVerdict``); every growth route takes one."""
 
     machine: object
-    endo: Endomorphism
     images: tuple
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -273,7 +277,27 @@ def validate_endo(machine, endo: Endomorphism) -> ValidEndo:
         raise ValidationError(
             f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
         )
-    return ValidEndo(machine, endo, verdict.images)
+    return ValidEndo(machine, verdict.images)
+
+
+def abelianization_matrix(valid: ValidEndo) -> Optional[IntMatrix]:
+    """Exponent-sum matrix on the free abelianization; column i is the image of
+    generator i, summed over the machine's word for it.  Every relator has
+    exponent sum 0 in each free-abelianization generator, so any word for the
+    image gives the same column.  Returns None when the machine declares no
+    free part."""
+    idxs = valid.machine.free_ab_indices
+    if not idxs:
+        return None
+    pos = {g: r for r, g in enumerate(idxs)}
+    cols = []
+    for i in idxs:
+        vec = [0] * len(idxs)
+        for g, e in valid.machine.decompose(valid.images[i]).letters:
+            if g in pos:
+                vec[pos[g]] += e
+        cols.append(vec)
+    return IntMatrix.from_rows([list(row) for row in zip(*cols)])
 
 
 @dataclass(frozen=True)
@@ -290,9 +314,6 @@ def eventually_trivial(valid: ValidEndo, bound: int = 64) -> TrivialityResult:
     not nilpotent, no power can be trivial.  Otherwise iterate generator
     images as exact elements up to ``bound`` compositions, detecting cycles.
     """
-    from .nilgr import abelianization_matrix  # local import avoids a cycle
-    from .exactlin import char_poly
-
     ab = abelianization_matrix(valid)
     if ab is not None:
         p = char_poly(ab)

@@ -290,6 +290,29 @@ class TestSingleValidation:
             assert (code, len(calls)) == (0, 1), stem
 
 
+    @pytest.mark.parametrize("command", ["closed", "empirical", "compare"])
+    def test_one_holonomy_check_per_sol_command(self, command, tmp_path, monkeypatch):
+        # the machine's minimizer checks and inverts the holonomy; the routes
+        # reuse it
+        import endogrowth.solgr as solgr_mod
+
+        built = []
+        original = solgr_mod.SolLengthMinimizer.__init__
+
+        def counted(self, holonomy):
+            built.append(holonomy)
+            original(self, holonomy)
+
+        monkeypatch.setattr(solgr_mod.SolLengthMinimizer, "__init__", counted)
+        inverses = count_calls(monkeypatch, solgr_mod, "inverse_unimodular_2x2")
+        for stem in ("sol_ex1", "sol_ex2", "sol_ex3"):
+            built.clear()
+            inverses.clear()
+            args = ["--group", fixture_path(f"{stem}.group"), "--endo", fixture_path(f"{stem}.endo")]
+            code = run([command, *args, "--kmax", "8", "--out", str(tmp_path / "o")])
+            assert (code, len(built), len(inverses)) == (0, 1, 1), stem
+
+
 class TestBundledComparisons:
     KMAX = {"counter": 32, "bs": 12, "heis_ex1": 25, "nil2_ex3": 12, "klein": 20,
             "sol_ex1": 40, "sol_ex2": 16, "sol_ex3": 20}
@@ -466,6 +489,30 @@ class TestExitCodes:
         # none of these reaches a radius check of the library
         assert run([*argv, "--radius", "-1"]) == 2
         assert "radius must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [command, "--group", fixture_path(f"{stem}.group"), "--endo", fixture_path(f"{stem}.endo")]
+                for command, stem in (
+                    ("closed", "sol_ex1"), ("compare", "sol_ex1"), ("compare", "bs"),
+                    ("empirical", "heis_ex1"), ("empirical", "counter"), ("closed", "heis_ex1"),
+                    ("check", "klein"),
+                )
+            ),
+            ["ball", "--group", fixture_path("klein.group")],
+        ],
+        ids=["sol-closed", "sol-compare", "bs-compare", "heis-empirical", "counter-empirical",
+             "heis-closed", "check", "ball"],
+    )
+    def test_tolerance_must_be_positive_and_finite(self, argv, tol, tmp_path, capsys):
+        # a NaN or infinite tol would be echoed as JSON no parser accepts
+        out = tmp_path / "out.json"
+        assert run([*argv, "--tol", tol, "--out", str(out)]) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_closed_on_bs_is_validation_error(self):
         assert (

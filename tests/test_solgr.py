@@ -31,7 +31,7 @@ ALPHA_FIB = (3 + math.sqrt(5)) / 2
 def type_one_certificate(a, m):
     """Closed-form certificate of the type I endomorphism with holonomy a,
     torus map m and p = 0."""
-    return gr_sol_closed(SolEndo(a, "I", m, (0, 0), 1)).certificate
+    return gr_sol_closed(SolEndo(SolMachine(a), "I", m, (0, 0), 1)).certificate
 
 
 def sol_endo_from_matrix(machine, m, p=(0, 0), tau_exp=1):
@@ -316,13 +316,13 @@ class TestInvariants:
             p2 = tuple(
                 a + b for a, b in zip(mat_vec(e.torus_map, e.p), e.p)
             )  # (M + I) p
-            e2 = SolEndo(e.holonomy, "I", m2, p2, 1)
+            e2 = SolEndo(e.machine, "I", m2, p2, 1)
             v, v2 = gr_sol_closed(e).value, gr_sol_closed(e2).value
             assert abs(v2 - v**2) <= 1e-9 * max(1.0, v**2)
 
     def test_branch_matches_square_branch(self, sol_fib):
         e = sol_endo_from_matrix(sol_fib, M_ROOT5)
-        e2 = SolEndo(A_FIB, "I", M_ROOT5 @ M_ROOT5, (0, 0), 1)
+        e2 = SolEndo(sol_fib, "I", M_ROOT5 @ M_ROOT5, (0, 0), 1)
         assert abs(gr_sol_closed(e2).value - gr_sol_closed(e).value ** 2) <= 1e-9
 
 
