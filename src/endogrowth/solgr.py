@@ -219,11 +219,10 @@ def gr_sol_closed(e: SolEndo) -> ClosedForm:
             value = 1.0
             cert.update(branch="torus_map_zero", mu=0.0, nu=0.0, trace_m=0, det_m=0)
         elif e.type_tag == "II":
-            m = e.torus_map
-            inner = gr_sol_closed(SolEndo(e.machine, "I", m @ m, tuple(mat_vec(m - e.machine.matrix, e.p)), 1))
-            value = sqrt(inner.value)
-            cert.update({k: inner.certificate[k] for k in ("mu", "nu", "trace_m", "det_m")})
-            cert["branch"] = "typeII_via_square:" + inner.certificate["branch"]
+            # M^2 != 0, as a kernel of M would be an A-invariant rational line
+            square, fields = _type_one(e.machine.minimizer, e.torus_map @ e.torus_map)
+            value = sqrt(square)
+            cert.update(fields, branch="typeII_via_square:" + fields["branch"])
         else:
             value, fields = _type_one(e.machine.minimizer, e.torus_map)
             cert.update(fields)
