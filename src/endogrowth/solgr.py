@@ -214,7 +214,8 @@ def gr_sol_closed(e: SolEndo) -> ClosedForm:
     try:
         if e.type_tag == "III":
             value = float(abs(e.tau_exp))
-            cert.update(branch="quotient_power", mu=None, nu=None, trace_m=None, det_m=det(e.torus_map))
+            # classify_endo forced M = 0
+            cert.update(branch="quotient_power", mu=None, nu=None, trace_m=None, det_m=0)
         elif e.torus_map.is_zero():
             value = 1.0
             cert.update(branch="torus_map_zero", mu=0.0, nu=0.0, trace_m=0, det_m=0)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endogrowth.ball import ClosedForm, GrowthEstimate, gr_estimate
 from endogrowth.cli import COMMANDS, make_parser, parse_args, run
 from endogrowth.errors import ValidationError
-from endogrowth.ball import ClosedForm, GrowthEstimate, gr_estimate
 from endogrowth.reports import (
     _verdict,
     build_report,
@@ -288,7 +288,6 @@ class TestSingleValidation:
             args = ["--group", fixture_path(f"{stem}.group"), "--endo", fixture_path(f"{stem}.endo")]
             code = run([command, *args, "--kmax", "8", "--out", str(tmp_path / "o")])
             assert (code, len(calls)) == (0, 1), stem
-
 
     @pytest.mark.parametrize("command", ["closed", "empirical", "compare"])
     def test_one_holonomy_check_per_sol_command(self, command, tmp_path, monkeypatch):
