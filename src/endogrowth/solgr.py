@@ -272,7 +272,7 @@ def gr_sol_empirical(e: SolEndo, kmax: int = 16) -> GrowthEstimate:
                 telescoped += minimizer.minimize(mj_p).value
             else:
                 tau.append(direct)
-            # advance phi^k -> phi^(k+1): phi(a^v tau^s) = a^(Mv) (a^p tau^e)^s,
+            # advance phi^k -> phi^(k+1): phi(a^v tau^s) = a^(Mv) (a^p tau^tau_exp)^s,
             # and (a^p tau^-1)^-1 = a^(-Ap) tau
             mk = mk @ m
             step = e.p if tau_sign == 1 else tuple(-v for v in mat_vec(e.machine.matrix, e.p))
