@@ -112,8 +112,8 @@ def _cmd_check(args):
     verdict = check_homomorphism(machine, endo)
     out = {"command": "check", "valid": verdict.valid}
     if verdict.valid:
-        triv = eventually_trivial(ValidEndo(machine, verdict.images))
-        out["eventually_trivial"] = {"status": triv.status, "power": triv.power}
+        power = eventually_trivial(ValidEndo(machine, verdict.images))
+        out["eventually_trivial"] = {"status": "no" if power is None else "yes", "power": power}
     else:
         out["violated_relator"] = word_str(verdict.violated_relator, machine.gens)
         out["witness"] = repr(verdict.witness)

@@ -215,6 +215,19 @@ class Machine:
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
+    @property
+    def triviality_power(self) -> int:
+        """A power B such that phi^B is trivial whenever some power of the
+        endomorphism phi is; ``words.eventually_trivial`` tests no higher one.
+
+        This default is the Hirsch length h = ``len(identity)`` of a
+        torsion-free nilpotent family (free abelian, Heisenberg, nilpotent2),
+        whose normal form has one Z coordinate per Mal'cev basis element.
+        phi extends to a linear map L of the h-dimensional rational Mal'cev
+        Lie algebra with phi^n = exp L^n log, and log is injective on G.  If
+        phi^N = 1 then L^N = 0, so L is nilpotent, L^h = 0 and phi^h = 1."""
+        return len(self.identity)
+
     # Growth routes take the ValidEndo a report validates once.  They look
     # their workers up as module globals at call time, so a wrapper
     # installed on a module attribute (a tracer, say) sees every call.
@@ -440,6 +453,17 @@ class TorsionProductMachine(_AbelianMachine):
         if len(names) != self.rank + len(self.torsion):
             raise ValidationError("need one name per generator")
         self._set_orders(names, (0,) * self.rank + self.torsion)
+
+    @property
+    def triviality_power(self) -> int:
+        """rank + floor(log2 |T|), T the torsion subgroup.  If some power of
+        phi is trivial, the free block phi induces on G/T = Z^rank is
+        nilpotent, so its rank-th power is 0 and phi^rank maps G into T.
+        phi maps T into T, so the subgroups phi^k(T) fall until one step
+        leaves them equal, and from then on they stay equal; here they end
+        at 1.  Each strict step goes to a proper subgroup, of at most half
+        the order, so phi^k(T) = 1 for k = floor(log2 |T|)."""
+        return self.rank + math.prod(self.torsion).bit_length() - 1
 
     def closed_form(self, valid, tol):
         return gr_torsion_closed(valid, tol)
@@ -791,6 +815,13 @@ class SolMachine(Machine):
     schema = (("A", "2x2 int matrix"),)
     shortcut = "sol"
     powers_lower_monotone = False  # length_lower(a1^k) = 0 for every k
+    # If some power of phi is trivial, its 1x1 free block (the tau-exponent
+    # of phi(tau)) is 0, so phi maps G into the abelian kernel N = Z^2 of
+    # the tau-exponent sum.  With phi(a^v) = a^(Mv) and phi(tau) = a^w, the
+    # relator tau a_i tau^-1 a^(-A e_i) maps to a^(M(I - A) e_i), so
+    # M(A - I) = 0.  A - I is invertible (det(A - I) = 2 - tr A != 0), so
+    # M = 0: phi(N) = 1 and phi^2 = 1.
+    triviality_power = 2
 
     @classmethod
     def build(cls, A):
@@ -933,6 +964,12 @@ class KleinMachine(Machine):
     """Klein bottle group <x, y | y x y^-1 = x^-1>, normal form x^a y^b."""
 
     family = "klein_bottle"
+    # If some power of phi is trivial, its 1x1 free block (the y-exponent
+    # sum of phi(y)) is 0, so phi maps G into the kernel N = <x> of the
+    # y-exponent sum.  With phi(x) = x^q and phi(y) = x^p, the relator
+    # y x y^-1 x maps to x^(2q), so q = 0, as N = Z is torsion-free:
+    # phi(N) = 1 and phi^2 = 1.
+    triviality_power = 2
 
     def __post_init__(self):
         object.__setattr__(self, "gens", GenSet(("x", "y")))
@@ -996,6 +1033,12 @@ class BSMachine(Machine):
     family = "baumslag_solitar"
     schema = (("n", "int"),)
     closed_form = None  # empirical only
+    # If some power of phi is trivial, its 1x1 free block (the a-exponent
+    # sum of phi(a)) is 0, so phi maps G into the kernel N = Z[1/n] of the
+    # a-exponent sum, the abelian normal closure of b.  With phi(b) = y and
+    # phi(a) = z in N, the relator a^-1 b a b^-n maps to y^(1 - n), so
+    # y = 1, as N is torsion-free and n >= 2: phi(N) = 1 and phi^2 = 1.
+    triviality_power = 2
 
     def __post_init__(self):
         if self.n < 2:

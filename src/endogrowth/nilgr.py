@@ -83,10 +83,8 @@ def gr_torsion_closed(valid: ValidEndo, tol: float = 1e-9) -> ClosedForm:
     """Growth rate of a valid endomorphism of Z^rank x finite torsion: 0 when
     it is eventually trivial, else max(sp(free part), 1)."""
     free = abelianization_matrix(valid)
-    triv = eventually_trivial(valid, bound=256)
-    if triv.status == "unknown":
-        raise ValidationError("could not decide eventual triviality for the torsion family")
-    cert = {"eventually_trivial": triv.status, "power": triv.power}
+    power = eventually_trivial(valid)
+    cert = {"eventually_trivial": "no" if power is None else "yes", "power": power}
     free_sp = 0.0
     if free is not None:
         sp = spectral_radius(free, tol)
@@ -96,7 +94,7 @@ def gr_torsion_closed(valid: ValidEndo, tol: float = 1e-9) -> ClosedForm:
             char_poly_free=str(sp.char_poly),
             sp_free=sp.value,
         )
-    value = 0.0 if triv.status == "yes" else max(free_sp, 1.0)
+    value = max(free_sp, 1.0) if power is None else 0.0
     return ClosedForm(value, "finite_normal_torsion_split", cert)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "apply_on_element",
     "HomVerdict",
     "ValidEndo",
-    "TrivialityResult",
     "abelianization_matrix",
 ]
 
@@ -300,35 +299,34 @@ def abelianization_matrix(valid: ValidEndo) -> Optional[IntMatrix]:
     return IntMatrix.from_rows([list(row) for row in zip(*cols)])
 
 
-@dataclass(frozen=True)
-class TrivialityResult:
-    status: str  # "yes" | "no" | "unknown"
-    power: Optional[int] = None
-    reason: str = ""
-
-
-def eventually_trivial(valid: ValidEndo, bound: int = 64) -> TrivialityResult:
-    """Does some power of the endomorphism send every generator to the identity?
+def eventually_trivial(valid: ValidEndo) -> Optional[int]:
+    """The least n with phi^n trivial, or None when no power of phi is.
 
     Exact shortcut first: if the induced matrix on the free abelianization is
-    not nilpotent, no power can be trivial.  Otherwise iterate generator
-    images as exact elements up to ``bound`` compositions, detecting cycles.
+    not nilpotent, no power can be trivial.  Otherwise some power is trivial
+    iff phi^B is, B the machine's ``triviality_power``.  The images of
+    phi^(2^j) are built by squaring until 2^j >= B; when the last one is
+    trivial, the greatest n with phi^n nontrivial is found bit by bit from
+    the top.  That is at most 2 ceil(log2 B) compositions.
     """
     ab = abelianization_matrix(valid)
-    if ab is not None:
-        p = char_poly(ab)
-        nilpotent = all(c == 0 for c in p.coeffs[:-1])
-        if not nilpotent:
-            return TrivialityResult("no", None, "free abelianization matrix is not nilpotent")
+    if ab is not None and any(char_poly(ab).coeffs[:-1]):
+        return None
 
-    machine, images = valid.machine, valid.images
-    state = images
-    seen = {state}
-    for n in range(1, bound + 1):
-        if all(x == machine.identity for x in state):
-            return TrivialityResult("yes", n, f"all generator images trivial at power {n}")
-        state = tuple(apply_on_element(machine, images, x) for x in state)
-        if state in seen:
-            return TrivialityResult("no", None, "image state cycles without dying")
-        seen.add(state)
-    return TrivialityResult("unknown", None, f"no verdict within {bound} compositions")
+    machine = valid.machine
+    identity = machine.identity
+
+    def compose(outer, inner):  # the images of outer after inner
+        return tuple(apply_on_element(machine, outer, x) for x in inner)
+
+    powers = [valid.images]  # powers[j]: the images of phi^(2^j)
+    while 1 << (len(powers) - 1) < machine.triviality_power:
+        powers.append(compose(powers[-1], powers[-1]))
+    if any(x != identity for x in powers[-1]):
+        return None
+    n, state = 0, tuple(machine.gen_elem(i) for i in range(len(machine.gens)))
+    for j in reversed(range(len(powers) - 1)):
+        images = compose(powers[j], state)
+        if any(x != identity for x in images):
+            n, state = n + (1 << j), images
+    return n + 1

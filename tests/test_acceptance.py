@@ -162,8 +162,7 @@ def test_criterion_07_torsion_counter():
     free_part = FreeAbelianMachine(1, ("alpha",))
     restricted = Endomorphism.from_strings(free_part.gens, {"alpha": ""})
     assert closed_growth_rate(validate_endo(free_part, restricted)).value == 0.0
-    triv = eventually_trivial(validate_endo(free_part, restricted))
-    assert triv.status == "yes" and triv.power == 1
+    assert eventually_trivial(validate_endo(free_part, restricted)) == 1
     print("ACCEPTANCE 07 PASS torsion counter: L_k=1 exactly (k<=32), estimate=1, "
           "free restriction eventually trivial at power 1")
 

@@ -182,6 +182,26 @@ class TestCommands:
         assert report["witness"] == "(2, 0)"  # alpha^2: the flat normal form (free exponent, residue)
         assert run(["closed", *argv[1:], "--out", str(out)]) == 2
 
+    @staticmethod
+    def _doubling_on_cyclic(tmp_path, order, command):
+        """The report of ``command`` on t1 -> t1^2 of Z/order."""
+        group, endo, out = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "out.json"
+        group.write_text(json.dumps({"family": "abelian_with_torsion", "params": {"rank": 0, "torsion": [order]}}))
+        endo.write_text(json.dumps({"images": {"t1": "t1^2"}}))
+        assert run([command, "--group", str(group), "--endo", str(endo), "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_check_decides_a_long_torsion_cycle(self, tmp_path):
+        # 2 has order 210 modulo 211: the images cycle without dying
+        report = self._doubling_on_cyclic(tmp_path, 211, "check")
+        assert report["eventually_trivial"] == {"status": "no", "power": None}
+
+    def test_closed_decides_a_longer_torsion_cycle(self, tmp_path):
+        # 2 has order 515 modulo 1031
+        report = self._doubling_on_cyclic(tmp_path, 1031, "closed")
+        assert report["closed"]["value"] == 1.0
+        assert report["closed"]["certificate"]["eventually_trivial"] == "no"
+
     def test_ball_csv(self, capsys):
         code = run(["ball", "--group", fixture_path("heis_ex1.group"), "--radius", "2", "--format", "csv"])
         assert code == 0

@@ -1,14 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endogrowth.ball import L_k_table
-from endogrowth.errors import UnknownGeneratorError, ValidationError
-from endogrowth.families import HeisenbergMachine, KleinMachine
+from endogrowth.errors import ResourceCapExceeded, UnknownGeneratorError, ValidationError
+from endogrowth.families import HeisenbergMachine, KleinMachine, TorsionProductMachine
+from endogrowth.reports import closed_growth_rate
 from endogrowth.words import (
     Endomorphism,
     GenSet,
+    ValidEndo,
     Word,
+    apply_on_element,
     check_homomorphism,
     endo_power_image,
     evaluate,
@@ -18,6 +23,8 @@ from endogrowth.words import (
     validate_endo,
     word_str,
 )
+
+from conftest import ALL_MACHINES
 
 AB = GenSet(("a", "b"))
 
@@ -124,25 +131,96 @@ class TestCheckHomomorphism:
 class TestEventuallyTrivial:
     def test_trivial_is_yes_one(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        res = eventually_trivial(validate_endo(z2, phi))
-        assert res.status == "yes" and res.power == 1
+        assert eventually_trivial(validate_endo(z2, phi)) == 1
 
     def test_torsion_survivor_is_no(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        assert eventually_trivial(validate_endo(counter_machine, phi)).status == "no"
+        assert eventually_trivial(validate_endo(counter_machine, phi)) is None
 
     def test_nilpotent_heisenberg_endo(self, heis1):
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a2", "a2": "", "a3": ""})
-        res = eventually_trivial(validate_endo(heis1, phi))
-        assert res.status == "yes" and res.power == 2
+        assert eventually_trivial(validate_endo(heis1, phi)) == 2
 
     def test_yes_implies_zero_lengths(self, heis1):
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a2", "a2": "", "a3": ""})
-        res = eventually_trivial(validate_endo(heis1, phi))
+        power = eventually_trivial(validate_endo(heis1, phi))
         table = L_k_table(validate_endo(heis1, phi), kmax=6, radius=3)
         for k, length in zip(table.ks, table.lengths):
-            if k >= res.power:
+            if k >= power:
                 assert length == 0
+
+    # each power equals its machine's bound, so a lower bound fails the test
+    def test_torsion_chain_meets_the_bound(self):
+        # t1 -> t1^2 on Z/1024 halves the image 10 times
+        machine = TorsionProductMachine(0, (1024,))
+        phi = Endomorphism.from_strings(machine.gens, {"t1": "t1^2"})
+        assert eventually_trivial(validate_endo(machine, phi)) == machine.triviality_power == 10
+
+    def test_rank_term_of_the_bound_is_needed(self):
+        # a1 -> t1 -> t1^2 -> t1^4 = 1: one step into the torsion, two in it
+        machine = TorsionProductMachine(1, (4,))
+        phi = Endomorphism.from_strings(machine.gens, {"a1": "t1", "t1": "t1^2"})
+        assert eventually_trivial(validate_endo(machine, phi)) == machine.triviality_power == 3
+
+
+TORSION_GROUPS = [
+    TorsionProductMachine(0, (8,)),
+    TorsionProductMachine(0, (2, 4)),
+    TorsionProductMachine(0, (256,)),
+    TorsionProductMachine(1, (16,)),
+    TorsionProductMachine(2, (2,)),
+]
+
+
+def _random_word(rng, n):
+    """Up to 2 letters over n generators, empty 2 times in 5."""
+    length = rng.choice([0, 0, 1, 1, 2])
+    return Word(tuple((rng.randrange(n), rng.choice([-2, -1, 1, 2])) for _ in range(length)))
+
+
+def _orbit_power(machine, images, cap=12):
+    """The least n <= cap with phi^n trivial, None when the images of the
+    powers of phi repeat first, "undecided" when neither happens."""
+    state, seen = images, {images}
+    for n in range(1, cap + 1):
+        if all(x == machine.identity for x in state):
+            return n
+        state = tuple(apply_on_element(machine, images, x) for x in state)
+        if state in seen:  # periodic from here on, never trivial
+            return None
+        seen.add(state)
+    return "undecided"
+
+
+@pytest.mark.parametrize(
+    "machine", ALL_MACHINES + TORSION_GROUPS, ids=lambda m: f"{m.family}:{','.join(m.gens.names)}"
+)
+def test_eventually_trivial_matches_orbit_iteration(machine):
+    # the orbit runs past every bound here, so an undecided orbit never dies
+    assert machine.triviality_power <= 12
+    rng = random.Random(repr(machine))
+    n = len(machine.gens)
+    decided = 0
+    for _ in range(400):
+        words = [_random_word(rng, n) for _ in range(n)]
+        verdict = check_homomorphism(machine, Endomorphism(machine.gens, tuple(words)))
+        if not verdict.valid:
+            continue
+        try:
+            expected = _orbit_power(machine, verdict.images)
+        except ResourceCapExceeded:
+            expected = "undecided"
+        valid = ValidEndo(machine, verdict.images)
+        power = eventually_trivial(valid)
+        if expected == "undecided":
+            assert power is None, words
+        else:
+            decided += 1
+            assert power == expected, words
+        if machine.family == "abelian_with_torsion":
+            cert = closed_growth_rate(valid).certificate
+            assert (cert["eventually_trivial"], cert["power"]) == ("no" if power is None else "yes", power)
+    assert decided >= 20
 
 
 words_strategy = st.lists(
