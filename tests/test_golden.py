@@ -1,6 +1,7 @@
 """Byte-identical reports: the SHA-256 of every command's output on every
 bundled fixture, at the sizes of ``scripts/run_examples.py``, of that
-script's own output, and of ``closed`` on the branches the fixtures miss.
+script's own output, of ``closed`` on the branches the fixtures miss, and of
+``check`` on endomorphisms that violate a relator.
 
 A performance change must leave every report byte for byte as it was.  The
 digests in ``golden_digests.json`` pin that down.  Print the digests of the
@@ -54,10 +55,11 @@ EXTRAS = {
 SOL_FIB = {"family": "sol_lattice", "params": {"A": [[2, 1], [1, 1]]}}
 Z3 = {"family": "free_abelian", "params": {"rank": 3}}
 
-# ``closed`` inputs for the closed-form branches no fixture reaches: Sol
-# types II and III, a type I endomorphism with torus map 0, block lists, and
-# the free abelian ``matrix`` shortcut, refusals included.  Each document is
-# written to a file and passed as ``--<key>``.
+# Inputs no fixture reaches, run by the command that starts their name.
+# ``closed``: Sol types II and III, a type I endomorphism with torus map 0,
+# block lists, and the free abelian ``matrix`` shortcut, refusals included.
+# ``check``: a shortcut and explicit images that violate a relator.  Each
+# document is written to a file and passed as ``--<key>``.
 DOCS = {
     # M A = A^-1 M with M = [[-1, 0], [1, 1]] (I + A)
     "closed sol type II": {
@@ -91,6 +93,16 @@ DOCS = {
     "closed sol and matrix keys": {
         "group": {"family": "free_abelian", "params": {"rank": 2}},
         "endo": {"sol": {"M": [[1, 0], [0, 1]]}, "matrix": [[1, 0], [0, 1]]},
+    },
+    # M does not commute with A: tau a1 tau^-1 a1^-2 a2^-1 maps to (-1, 0, 0)
+    "check sol shortcut violates relator": {
+        "group": SOL_FIB,
+        "endo": {"sol": {"M": [[1, 1], [0, 1]]}},
+    },
+    # [a1, a2] a3 maps to a3
+    "check images violate relator": {
+        "group": {"family": "heisenberg", "params": {"k": 1}},
+        "endo": {"images": {"a1": "a1", "a2": "a2", "a3": "a3^2"}},
     },
 }
 
@@ -134,10 +146,11 @@ def digest_of(argv) -> str:
     return f"{code} {_digest(text)}"
 
 
-def doc_digest(docs: dict, tmp: pathlib.Path) -> str:
-    """``digest_of`` a ``closed`` run on the documents of one ``DOCS`` entry."""
-    argv = ["closed"]
-    for key, doc in docs.items():
+def doc_digest(name: str, tmp: pathlib.Path) -> str:
+    """``digest_of`` a run on the documents of the ``DOCS`` entry ``name``, by
+    the command its first word names."""
+    argv = [name.split()[0]]
+    for key, doc in DOCS[name].items():
         path = tmp / f"{key}.json"
         path.write_text(json.dumps(doc))
         argv += [f"--{key}", str(path)]
@@ -152,7 +165,7 @@ def current_digests() -> dict:
     out = {name: digest_of(argv) for name, argv in cases()}
     out["scripts/run_examples.py"] = examples_digest()
     with tempfile.TemporaryDirectory() as tmp:
-        out.update((name, doc_digest(docs, pathlib.Path(tmp))) for name, docs in DOCS.items())
+        out.update((name, doc_digest(name, pathlib.Path(tmp))) for name in DOCS)
     return out
 
 
@@ -172,7 +185,7 @@ def test_report_bytes_unchanged(golden, name, argv):
 
 @pytest.mark.parametrize("name", list(DOCS))
 def test_closed_branch_bytes_unchanged(golden, name, tmp_path):
-    assert doc_digest(DOCS[name], tmp_path) == golden[name]
+    assert doc_digest(name, tmp_path) == golden[name]
 
 
 def test_run_examples_output_unchanged(golden):
