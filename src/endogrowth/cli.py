@@ -108,11 +108,11 @@ def _cmd_closed_blocks(args):
 
 def _cmd_check(args):
     _, machine = parse_group(_read_json(args.group))
-    _, endo = parse_endo(_read_json(args.endo), machine)
-    verdict = check_homomorphism(machine, endo)
+    images = parse_endo(_read_json(args.endo), machine)
+    verdict = check_homomorphism(machine, images)
     out = {"command": "check", "valid": verdict.valid}
     if verdict.valid:
-        power = eventually_trivial(ValidEndo(machine, verdict.images))
+        power = eventually_trivial(ValidEndo(machine, images))
         out["eventually_trivial"] = {"status": "no" if power is None else "yes", "power": power}
     else:
         out["violated_relator"] = word_str(verdict.violated_relator, machine.gens)
@@ -262,6 +262,10 @@ def run(argv=None) -> int:
     try:
         if args.radius < 0:
             raise ValidationError("radius must be nonnegative")
+        if args.cap < 0:
+            raise ValidationError("cap must be nonnegative")
+        if args.kmax < 1:
+            raise ValidationError("kmax must be >= 1")
         if not 0 < args.tol < math.inf:
             raise ValidationError("tol must be positive and finite")
         return COMMANDS[args.cmd].handler(args)

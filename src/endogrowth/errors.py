@@ -21,10 +21,6 @@ class UnknownGeneratorError(ValidationError):
     """A word refers to a generator the machine does not have."""
 
 
-class ClassificationError(ValidationError):
-    """Endomorphism images match none of the known shapes for the family."""
-
-
 class ContractError(EndoGrowthError, ValueError):
     """Caller violated an operation precondition (e.g. non-commuting data)."""
 

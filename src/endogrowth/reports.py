@@ -4,11 +4,12 @@ Group and endomorphism descriptors are JSON documents.  A group descriptor is
 ``{"family": tag, "params": {...}}`` with the parameter ``schema`` of the
 family's machine class in :mod:`endogrowth.families`.  An endomorphism
 descriptor is either explicit generator images ``{"images": {gen: word}}``,
-or ``{key: payload}`` for the ``shortcut`` key its machine class accepts;
-the class's ``shortcut_images`` expands the payload into generator images.
+or ``{key: payload}`` for the ``shortcut`` key its machine class accepts.
+``parse_endo`` turns either into the generator images, as elements: the
+evaluated words, or what the class's ``shortcut_images`` gives.
 
 The growth routes live on the machine classes (``closed_form`` and
-``length_table``); a report validates the endomorphism once and hands the
+``length_table``); a report validates the images once and hands the
 ``ValidEndo`` to them.  This module knows no family by name.
 
 Reports are deterministic: identical inputs and package version produce
@@ -27,11 +28,10 @@ from . import __version__
 from .ball import DEFAULT_CAP, ClosedForm, GrowthEstimate, GrowthSummary, gr_estimate
 from .errors import ValidationError
 from .families import MACHINES, Machine, machine_from_params
-from .words import Endomorphism, ValidEndo, validate_endo
+from .words import Endomorphism, ValidEndo, image_elements, validate_endo
 
 __all__ = [
     "GroupDescriptor",
-    "EndoDescriptor",
     "ClosedForm",
     "parse_group",
     "parse_endo",
@@ -52,11 +52,6 @@ class GroupDescriptor:
     raw: dict
 
 
-@dataclass(frozen=True)
-class EndoDescriptor:
-    raw: dict
-
-
 def parse_group(doc: dict) -> tuple[GroupDescriptor, Machine]:
     if not isinstance(doc, dict) or "family" not in doc:
         raise ValidationError("group descriptor needs a 'family' field")
@@ -70,24 +65,23 @@ def parse_group(doc: dict) -> tuple[GroupDescriptor, Machine]:
 _SHORTCUT_OWNERS = {cls.shortcut: tag for tag, cls in MACHINES.items() if cls.shortcut}
 
 
-def parse_endo(doc: dict, machine: Machine) -> tuple[EndoDescriptor, Endomorphism]:
-    """The endomorphism of explicit ``images`` or of the machine's shortcut.
-    A document that names another family's shortcut is refused."""
+def parse_endo(doc: dict, machine: Machine) -> tuple:
+    """The generator images, as elements of ``machine``, of explicit
+    ``images`` or of the machine's shortcut; not yet checked against the
+    relators.  A document that names another family's shortcut is refused."""
     if not isinstance(doc, dict):
         raise ValidationError("endomorphism descriptor must be an object")
     if "images" in doc:
         images = doc["images"]
-        if not isinstance(images, dict):
+        if not isinstance(images, dict) or not all(isinstance(v, str) for v in images.values()):
             raise ValidationError("'images' must be an object of generator: word")
-        endo = Endomorphism.from_strings(machine.gens, {k: str(v) for k, v in images.items()})
-        return EndoDescriptor(doc), endo
+        return image_elements(machine, Endomorphism.from_strings(machine.gens, images))
     for kind, owner in _SHORTCUT_OWNERS.items():
         if kind in doc and kind != machine.shortcut:
             raise ValidationError(f"{kind!r} shortcut needs a {owner} group")
     if machine.shortcut not in doc:
         raise ValidationError(f"endomorphism descriptor needs one of {['images', *_SHORTCUT_OWNERS]}")
-    images = machine.shortcut_images(doc[machine.shortcut])
-    return EndoDescriptor(doc), Endomorphism(machine.gens, tuple(map(machine.decompose, images)))
+    return machine.shortcut_images(doc[machine.shortcut])
 
 
 def algebraic_entropy(growth_rate: float) -> Optional[float]:
@@ -181,12 +175,12 @@ def build_report(
         "verdict": None,
         "work": {},
     }
-    _, endo = parse_endo(endo_doc, machine)
+    images = parse_endo(endo_doc, machine)
     want_closed, want_empirical = command != "empirical", command != "closed"
     # validate once, and only when some route will run
     if not (want_empirical or (want_closed and machine.closed_form is not None)):
         return report
-    valid = validate_endo(machine, endo)
+    valid = validate_endo(machine, images)
     closed = None
     if want_closed:
         closed = closed_growth_rate(valid, tol)

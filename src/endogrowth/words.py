@@ -5,11 +5,13 @@ text form is whitespace-separated tokens ``name`` or ``name^INT`` with INT a
 nonzero integer (negative allowed), e.g. ``a1^-2 a2 a1``.
 
 Machines (see :mod:`endogrowth.families`) supply exact group arithmetic;
-everything here is machine-agnostic.  An endomorphism is checked once, by
-``validate_endo``, into a ``ValidEndo``: the machine and the generator images
-as elements, from which every route derives what it needs (the free
-abelianization matrix, eventual triviality, iterates).  All values are
-immutable and all operations pure.
+everything here is machine-agnostic.  An endomorphism reaches this module as
+its generator images, as elements: ``image_elements`` evaluates image words,
+and a descriptor shortcut gives elements directly.  ``validate_endo`` checks
+them against the relators once, into a ``ValidEndo``, from which every route
+derives what it needs (the free abelianization matrix, eventual triviality,
+iterates).  No route checks the images again.  All values are immutable and
+all operations pure.
 """
 
 from __future__ import annotations
@@ -238,24 +240,24 @@ class HomVerdict:
     valid: bool
     violated_relator: Optional[Word] = None
     witness: object = None
-    images: tuple = ()  # evaluated generator images
 
 
-def check_homomorphism(machine, endo: Endomorphism) -> HomVerdict:
-    """Valid iff every relator of the machine maps to the identity."""
-    images = image_elements(machine, endo)
+def check_homomorphism(machine, images: tuple) -> HomVerdict:
+    """Valid iff every relator of the machine maps to the identity under the
+    assignment of the generator images ``images``, elements of ``machine``."""
     for rel in machine.relators():
         acc = _product(machine, images, rel.letters)
         if acc != machine.identity:
-            return HomVerdict(False, rel, acc, images)
-    return HomVerdict(True, images=images)
+            return HomVerdict(False, rel, acc)
+    return HomVerdict(True)
 
 
 @dataclass(frozen=True)
 class ValidEndo:
     """The generator images, as elements of ``machine``, of an endomorphism
     that maps every relator to the identity.  Build it with ``validate_endo``
-    (or from a valid ``HomVerdict``); every growth route takes one."""
+    (or from images whose ``HomVerdict`` is valid); every growth route takes
+    one and relies on the relators holding."""
 
     machine: object
     images: tuple
@@ -269,14 +271,15 @@ class ValidEndo:
         return self._derived[fn]
 
 
-def validate_endo(machine, endo: Endomorphism) -> ValidEndo:
-    """The checked endomorphism; ValidationError names a relator it violates."""
-    verdict = check_homomorphism(machine, endo)
+def validate_endo(machine, images: tuple) -> ValidEndo:
+    """The checked endomorphism with the generator images ``images``;
+    ValidationError names a relator it violates."""
+    verdict = check_homomorphism(machine, images)
     if not verdict.valid:
         raise ValidationError(
             f"endomorphism violates relator {word_str(verdict.violated_relator, machine.gens)!r}"
         )
-    return ValidEndo(machine, verdict.images)
+    return ValidEndo(machine, images)
 
 
 def abelianization_matrix(valid: ValidEndo) -> Optional[IntMatrix]:

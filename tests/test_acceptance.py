@@ -14,11 +14,12 @@ from endogrowth.reports import closed_growth_rate, parse_endo, parse_group
 from endogrowth.solgr import classify_endo, gr_sol_empirical
 from endogrowth.words import (
     Endomorphism,
+    apply_on_element,
     check_homomorphism,
     evaluate,
     eventually_trivial,
+    image_elements,
     parse_word,
-    reduce_word,
     validate_endo,
 )
 
@@ -32,23 +33,26 @@ GOLDEN = (3 + SQRT5) / 2
 
 def load_pair(stem):
     _, machine = parse_group(load_fixture(f"{stem}.group"))
-    _, endo = parse_endo(load_fixture(f"{stem}.endo"), machine)
-    return machine, endo
+    return machine, parse_endo(load_fixture(f"{stem}.endo"), machine)
 
 
-def conjugated(machine, endo, word_text):
-    w = parse_word(word_text, machine.gens)
-    return Endomorphism(
-        machine.gens, tuple(reduce_word(w * img * w.inverse()) for img in endo.images)
-    )
+def squared(machine, images):
+    """The generator images of phi^2."""
+    return tuple(apply_on_element(machine, images, x) for x in images)
+
+
+def conjugated(machine, images, word_text):
+    """The generator images of phi followed by conjugation by the word."""
+    g = evaluate(machine, parse_word(word_text, machine.gens))
+    return tuple(machine.mul(machine.mul(g, x), machine.inv(g)) for x in images)
 
 
 def test_criterion_01_sol_ex2():
-    machine, endo = load_pair("sol_ex2")
-    closed = closed_growth_rate(validate_endo(machine, endo))
+    machine, images = load_pair("sol_ex2")
+    closed = closed_growth_rate(validate_endo(machine, images))
     assert abs(closed.value - SQRT5) <= 1e-9
 
-    table = gr_sol_empirical(classify_endo(validate_endo(machine, endo)), kmax=16)
+    table = gr_sol_empirical(classify_endo(validate_endo(machine, images)), kmax=16)
     for k in range(1, 9):
         assert table.per_gen["a1"][2 * k - 1] == 5**k
         assert table.per_gen["a2"][2 * k - 1] == 5**k
@@ -58,11 +62,11 @@ def test_criterion_01_sol_ex2():
 
 
 def test_criterion_02_sol_ex3():
-    machine, endo = load_pair("sol_ex3")
-    closed = closed_growth_rate(validate_endo(machine, endo))
+    machine, images = load_pair("sol_ex3")
+    closed = closed_growth_rate(validate_endo(machine, images))
     assert abs(closed.value - SQRT2) <= 1e-9
 
-    table = gr_sol_empirical(classify_endo(validate_endo(machine, endo)), kmax=20)
+    table = gr_sol_empirical(classify_endo(validate_endo(machine, images)), kmax=20)
     for k in range(1, 11):
         assert table.lengths[2 * k - 1] == 2**k + 2 * k
     summary = gr_estimate(table)
@@ -71,11 +75,11 @@ def test_criterion_02_sol_ex3():
 
 
 def test_criterion_03_sol_ex1_counterexample():
-    machine, endo = load_pair("sol_ex1")
-    closed = closed_growth_rate(validate_endo(machine, endo))
+    machine, images = load_pair("sol_ex1")
+    closed = closed_growth_rate(validate_endo(machine, images))
     assert abs(closed.value - 1.0) <= 1e-12
 
-    table = gr_sol_empirical(classify_endo(validate_endo(machine, endo)), kmax=40)
+    table = gr_sol_empirical(classify_endo(validate_endo(machine, images)), kmax=40)
     assert table.lengths == tuple(2 * k + 1 for k in range(1, 41))  # linear growth
     summary = gr_estimate(table)
     assert summary.estimate <= 1.1
@@ -83,7 +87,7 @@ def test_criterion_03_sol_ex1_counterexample():
     # the torus restriction expands at the full holonomy rate
     torus = FreeAbelianMachine(2, ("a1", "a2"))
     restricted = Endomorphism.from_strings(torus.gens, {"a1": "a1^2 a2", "a2": "a1 a2"})
-    restricted_value = closed_growth_rate(validate_endo(torus, restricted)).value
+    restricted_value = closed_growth_rate(validate_endo(torus, image_elements(torus, restricted))).value
     assert abs(restricted_value - GOLDEN) <= 1e-9
     assert closed.value < max(restricted_value, 1.0)  # strict drop under the extension
     print("ACCEPTANCE 03 PASS sol-ex1: closed=1, linear lengths, estimate<=1.1 at k=40, "
@@ -91,11 +95,11 @@ def test_criterion_03_sol_ex1_counterexample():
 
 
 def test_criterion_04_heisenberg(heis1, heis_ball20):
-    machine, endo = load_pair("heis_ex1")
-    closed = closed_growth_rate(validate_endo(machine, endo))
+    machine, images = load_pair("heis_ex1")
+    closed = closed_growth_rate(validate_endo(machine, images))
     assert abs(closed.value - GOLDEN) <= 1e-9
 
-    table = L_k_table(validate_endo(machine, endo), kmax=25, radius=10)
+    table = L_k_table(validate_endo(machine, images), kmax=25, radius=10)
     summary = gr_estimate(table)
     assert abs(summary.estimate - GOLDEN) <= 0.10 * GOLDEN
 
@@ -110,33 +114,33 @@ def test_criterion_04_heisenberg(heis1, heis_ball20):
 
 
 def test_criterion_05_klein():
-    machine, endo = load_pair("klein")
-    closed = closed_growth_rate(validate_endo(machine, endo))
+    machine, images = load_pair("klein")
+    closed = closed_growth_rate(validate_endo(machine, images))
     assert closed.value == 5.0
 
     ball = enumerate_ball(machine, 10)
     for elem, dist in ball.dist.items():
         assert machine.length_upper(elem) == dist
 
-    table = L_k_table(validate_endo(machine, endo), kmax=20, radius=10)
+    table = L_k_table(validate_endo(machine, images), kmax=20, radius=10)
     summary = gr_estimate(table)
     assert abs(summary.estimate - 5.0) <= 0.10 * 5.0
 
     rejected = Endomorphism.from_strings(machine.gens, {"x": "x^2", "y": "y^2"})
-    assert not check_homomorphism(machine, rejected).valid
+    assert not check_homomorphism(machine, image_elements(machine, rejected)).valid
     print(f"ACCEPTANCE 05 PASS klein: closed=5, normal-form lengths exact on B(10), "
           f"estimate={summary.estimate:.4f}, (q,r)=(2,2) rejected")
 
 
 def test_criterion_06_baumslag_solitar(bs2):
-    machine, endo = load_pair("bs")
+    machine, images = load_pair("bs")
     ball = enumerate_ball(machine, 9)
     bfs_lengths = [ball.length((2**k, 0, 0)) for k in range(5)]
     assert bfs_lengths == [1, 2, 4, 6, 8]
     for k, length in enumerate(bfs_lengths):
         assert length <= 2 * k + 1
 
-    table = L_k_table(validate_endo(machine, endo), kmax=12, radius=9)
+    table = L_k_table(validate_endo(machine, images), kmax=12, radius=9)
     summary = gr_estimate(table)
     assert summary.estimate <= 1.3
     assert summary.direction == "decreasing"
@@ -145,24 +149,24 @@ def test_criterion_06_baumslag_solitar(bs2):
 
     fiber = FreeAbelianMachine(1, ("b",))
     restricted = Endomorphism.from_strings(fiber.gens, {"b": "b^2"})
-    assert closed_growth_rate(validate_endo(fiber, restricted)).value == 2.0
+    assert closed_growth_rate(validate_endo(fiber, image_elements(fiber, restricted))).value == 2.0
     print(f"ACCEPTANCE 06 PASS baumslag-solitar: BFS L(b^(2^k))={bfs_lengths}, "
           f"estimate={summary.estimate:.4f}<=1.3 decreasing, fiber restriction=2")
 
 
 def test_criterion_07_torsion_counter():
-    machine, endo = load_pair("counter")
-    table = L_k_table(validate_endo(machine, endo), kmax=32, radius=2)
+    machine, images = load_pair("counter")
+    table = L_k_table(validate_endo(machine, images), kmax=32, radius=2)
     assert table.lengths == (1,) * 32
     assert all(table.exact)
     summary = gr_estimate(table)
     assert summary.estimate == 1.0
-    assert closed_growth_rate(validate_endo(machine, endo)).value == 1.0
+    assert closed_growth_rate(validate_endo(machine, images)).value == 1.0
 
     free_part = FreeAbelianMachine(1, ("alpha",))
     restricted = Endomorphism.from_strings(free_part.gens, {"alpha": ""})
-    assert closed_growth_rate(validate_endo(free_part, restricted)).value == 0.0
-    assert eventually_trivial(validate_endo(free_part, restricted)) == 1
+    assert closed_growth_rate(validate_endo(free_part, image_elements(free_part, restricted))).value == 0.0
+    assert eventually_trivial(validate_endo(free_part, image_elements(free_part, restricted))) == 1
     print("ACCEPTANCE 07 PASS torsion counter: L_k=1 exactly (k<=32), estimate=1, "
           "free restriction eventually trivial at power 1")
 
@@ -170,10 +174,10 @@ def test_criterion_07_torsion_counter():
 def test_criterion_08_property_suite():
     # squares of all bundled closed forms
     for stem in ("counter", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3"):
-        machine, endo = load_pair(stem)
-        base = closed_growth_rate(validate_endo(machine, endo)).value
-        squared = closed_growth_rate(validate_endo(machine, endo.compose(endo))).value
-        assert abs(squared - base**2) <= 1e-9 * max(1.0, base**2), stem
+        machine, images = load_pair(stem)
+        base = closed_growth_rate(validate_endo(machine, images)).value
+        square = closed_growth_rate(validate_endo(machine, squared(machine, images))).value
+        assert abs(square - base**2) <= 1e-9 * max(1.0, base**2), stem
 
     # inner-automorphism invariance of closed forms
     conjugators = {
@@ -186,10 +190,10 @@ def test_criterion_08_property_suite():
         "sol_ex3": ("a1^2 a2^-1", "a1 tau"),
     }
     for stem, words in conjugators.items():
-        machine, endo = load_pair(stem)
-        base = closed_growth_rate(validate_endo(machine, endo)).value
+        machine, images = load_pair(stem)
+        base = closed_growth_rate(validate_endo(machine, images)).value
         for text in words:
-            twisted = conjugated(machine, endo, text)
+            twisted = conjugated(machine, images, text)
             assert check_homomorphism(machine, twisted).valid, (stem, text)
             value = closed_growth_rate(validate_endo(machine, twisted)).value
             assert abs(value - base) <= 1e-9 * max(1.0, base), (stem, text)
@@ -232,8 +236,9 @@ def test_criterion_09_nil2_random_valid(nil2_ex3, nil2_commuting):
     total = 0
     for machine in (nil2_ex3, nil2_commuting):
         for endo in random_valid_nil2_endos(machine, rng, 25):
-            assert check_homomorphism(machine, endo).valid
-            rep = gr_nilpotent_closed(validate_endo(machine, endo))
+            images = image_elements(machine, endo)
+            assert check_homomorphism(machine, images).valid
+            rep = gr_nilpotent_closed(validate_endo(machine, images))
             sp_ab = rep.certificate["sp_ab"]
             sp_center = rep.certificate["sp_center"]
             assert sp_center <= sp_ab**2 + 1e-9

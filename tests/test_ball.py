@@ -17,8 +17,8 @@ from endogrowth.ball import (
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, TorsionProductMachine
-from endogrowth.reports import parse_group
-from endogrowth.words import Endomorphism, apply_on_element, evaluate, parse_word, validate_endo
+from endogrowth.reports import parse_endo, parse_group
+from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_elements, parse_word, validate_endo
 
 from conftest import ALL_MACHINES, load_fixture, step_one
 
@@ -280,7 +280,7 @@ class TestTargetedLookups:
     @pytest.mark.parametrize("stem, kmax, radius", CASES)
     def test_fixture_tables_fit_in_the_ball_size(self, stem, kmax, radius):
         _, machine = parse_group(load_fixture(f"{stem}.group"))
-        valid = validate_endo(machine, Endomorphism.from_strings(machine.gens, load_fixture(f"{stem}.endo")["images"]))
+        valid = validate_endo(machine, parse_endo(load_fixture(f"{stem}.endo"), machine))
         cap = len(enumerate_ball(machine, radius).dist)
         table = L_k_table(valid, kmax, radius, cap=cap)
         assert (table.lengths, table.exact) == reference_table(valid, kmax, radius)
@@ -289,7 +289,7 @@ class TestTargetedLookups:
         # the far targets b^(2^k) have length_lower 2k, so the pruned target
         # sides stay small; without the b-part in the bound this took 29.9%
         _, machine = parse_group(load_fixture("bs.group"))
-        valid = validate_endo(machine, Endomorphism.from_strings(machine.gens, load_fixture("bs.endo")["images"]))
+        valid = validate_endo(machine, parse_endo(load_fixture("bs.endo"), machine))
         cap = len(enumerate_ball(machine, 9).dist) * 5 // 100
         table = L_k_table(valid, 12, 9, cap=cap)
         assert (table.lengths, table.exact) == reference_table(valid, 12, 9)
@@ -297,7 +297,7 @@ class TestTargetedLookups:
     def test_unipotent_heisenberg_fits_in_the_ball_size(self, heis1):
         # phi^k(a1) = a1 a2^k: rows up to k = 15 lie within the radius
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a1 a2", "a2": "a2", "a3": "a3"})
-        valid = validate_endo(heis1, phi)
+        valid = validate_endo(heis1, image_elements(heis1, phi))
         table = L_k_table(valid, 25, 16, cap=len(enumerate_ball(heis1, 16).dist))
         assert (table.lengths, table.exact) == reference_table(valid, 25, 16)
 
@@ -374,18 +374,18 @@ class TestWordLength:
 class TestLkTable:
     def test_counter_all_ones(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        table = L_k_table(validate_endo(counter_machine, phi), kmax=8, radius=2)
+        table = L_k_table(validate_endo(counter_machine, image_elements(counter_machine, phi)), kmax=8, radius=2)
         assert set(table.lengths) == {1}
         assert all(table.exact)
 
     def test_diagonal_doubling(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "e1^2", "e2": "e2"})
-        table = L_k_table(validate_endo(z2, phi), kmax=8, radius=10)
+        table = L_k_table(validate_endo(z2, image_elements(z2, phi)), kmax=8, radius=10)
         assert table.lengths == tuple(2**k for k in range(1, 9))
 
     def test_bs_doubling_bounded(self, bs2):
         phi = Endomorphism.from_strings(bs2.gens, {"a": "a", "b": "b^2"})
-        table = L_k_table(validate_endo(bs2, phi), kmax=8, radius=9)
+        table = L_k_table(validate_endo(bs2, image_elements(bs2, phi)), kmax=8, radius=9)
         for k, length in zip(table.ks, table.lengths):
             assert length <= 2 * k + 1
         assert table.exact[0] and table.exact[3]
@@ -393,23 +393,24 @@ class TestLkTable:
     def test_invalid_endo_refused(self, klein):
         phi = Endomorphism.from_strings(klein.gens, {"x": "x^2", "y": "y^2"})
         with pytest.raises(ValidationError):
-            L_k_table(validate_endo(klein, phi), kmax=3, radius=3)
+            L_k_table(validate_endo(klein, image_elements(klein, phi)), kmax=3, radius=3)
 
 
 class TestGrEstimate:
     def test_counter_estimate_is_one(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        s = gr_estimate(L_k_table(validate_endo(counter_machine, phi), kmax=8, radius=2))
+        valid = validate_endo(counter_machine, image_elements(counter_machine, phi))
+        s = gr_estimate(L_k_table(valid, kmax=8, radius=2))
         assert s.estimate == 1.0 and s.certified_upper
 
     def test_doubling_estimate_is_two(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "e1^2", "e2": "e2"})
-        s = gr_estimate(L_k_table(validate_endo(z2, phi), kmax=8, radius=10))
+        s = gr_estimate(L_k_table(validate_endo(z2, image_elements(z2, phi)), kmax=8, radius=10))
         assert abs(s.estimate - 2.0) <= 1e-12
 
     def test_bs_decreasing_toward_one(self, bs2):
         phi = Endomorphism.from_strings(bs2.gens, {"a": "a", "b": "b^2"})
-        s = gr_estimate(L_k_table(validate_endo(bs2, phi), kmax=12, radius=9))
+        s = gr_estimate(L_k_table(validate_endo(bs2, image_elements(bs2, phi)), kmax=12, radius=9))
         assert s.direction == "decreasing"
         inf = s.running_inf
         assert all(a >= b - 1e-12 for a, b in zip(inf, inf[1:]))
@@ -417,7 +418,7 @@ class TestGrEstimate:
 
     def test_zero_table_gives_zero(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        s = gr_estimate(L_k_table(validate_endo(z2, phi), kmax=4, radius=2))
+        s = gr_estimate(L_k_table(validate_endo(z2, image_elements(z2, phi)), kmax=4, radius=2))
         assert s.estimate == 0.0
 
 
@@ -435,7 +436,7 @@ class TestFunctionalAgainstBall:
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a1 a2", "a2": "a2", "a3": "a3"})
         ball = enumerate_ball(heis1, 14)
         img = [evaluate(heis1, w) for w in phi.images]
-        table = L_k_table(validate_endo(heis1, phi), kmax=4, radius=14)
+        table = L_k_table(validate_endo(heis1, image_elements(heis1, phi)), kmax=4, radius=14)
         for gen in range(3):
             for j, k in [(1, 1), (1, 2), (2, 2), (1, 3)]:
                 xj = img[gen]
@@ -464,8 +465,8 @@ class TestGrowthStructure:
             h3.gens, {"a1": "a1^2 a2", "a2": "a1 a2", "a3": "a3"}
         )
         endo2 = Endomorphism.from_strings(h2.gens, {"a1": "a1^2 a2", "a2": "a1 a2"})
-        s3 = gr_estimate(L_k_table(validate_endo(h3, endo3), kmax=22, radius=8))
-        s2 = gr_estimate(L_k_table(validate_endo(h2, endo2), kmax=22, radius=8))
+        s3 = gr_estimate(L_k_table(validate_endo(h3, image_elements(h3, endo3)), kmax=22, radius=8))
+        s2 = gr_estimate(L_k_table(validate_endo(h2, image_elements(h2, endo2)), kmax=22, radius=8))
         golden = (3 + 5**0.5) / 2
         assert abs(s3.estimate - s2.estimate) <= 0.05 * golden
         assert abs(s3.estimate - golden) <= 0.10 * golden

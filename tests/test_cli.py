@@ -40,10 +40,10 @@ class TestLoading:
     def test_bundled_fixtures_load_and_validate(self):
         for stem in ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3"):
             _, machine = parse_group(load_fixture(f"{stem}.group"))
-            _, endo = parse_endo(load_fixture(f"{stem}.endo"), machine)
+            images = parse_endo(load_fixture(f"{stem}.endo"), machine)
             from endogrowth.words import check_homomorphism
 
-            assert check_homomorphism(machine, endo).valid, stem
+            assert check_homomorphism(machine, images).valid, stem
 
     def test_round_trip(self):
         for stem in ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3"):
@@ -51,8 +51,7 @@ class TestLoading:
             desc, machine = parse_group(json.loads(json.dumps(raw)))
             assert desc.raw == raw
             raw_endo = load_fixture(f"{stem}.endo")
-            endo_desc, _ = parse_endo(json.loads(json.dumps(raw_endo)), machine)
-            assert endo_desc.raw == raw_endo
+            assert parse_endo(json.loads(json.dumps(raw_endo)), machine) == parse_endo(raw_endo, machine)
 
     def test_simple_group_loads(self):
         _, machine = parse_group({"family": "free_abelian", "params": {"rank": 2}})
@@ -63,44 +62,39 @@ class TestLoading:
             parse_group({"family": "sol_lattice", "params": {"A": [[1, 0], [0, 1]]}})
 
     def test_sol_shortcut_expands(self, sol_fib):
-        _, endo = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
-        from endogrowth.words import evaluate
-
-        assert evaluate(sol_fib, endo.images[0]) == (1, 2, 0)
-        assert evaluate(sol_fib, endo.images[2]) == (0, 0, 1)
+        images = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
+        assert images[0] == (1, 2, 0)
+        assert images[2] == (0, 0, 1)
 
     def test_matrix_shortcut(self, z2):
-        _, endo = parse_endo({"matrix": [[2, 0], [0, 1]]}, z2)
-        from endogrowth.words import evaluate
-
-        assert evaluate(z2, endo.images[0]) == (2, 0)
+        assert parse_endo({"matrix": [[2, 0], [0, 1]]}, z2)[0] == (2, 0)
 
     def test_sol_shortcut_is_its_images_text(self, sol_fib):
-        _, endo = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
+        images = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
         text = {"a1": "a1 a2^2", "a2": "a1^2 a2^-1", "tau": "tau"}
-        assert endo == parse_endo({"images": text}, sol_fib)[1]
+        assert images == parse_endo({"images": text}, sol_fib)
 
     def test_matrix_shortcut_is_its_images_text(self):
         _, z3 = parse_group({"family": "free_abelian", "params": {"rank": 3}})
-        _, endo = parse_endo({"matrix": [[2, 0, -1], [1, 1, 0], [0, 3, 1]]}, z3)
+        images = parse_endo({"matrix": [[2, 0, -1], [1, 1, 0], [0, 3, 1]]}, z3)
         # column i is the image of generator i
         text = {"e1": "e1^2 e2", "e2": "e2 e3^3", "e3": "e1^-1 e3"}
-        assert endo == parse_endo({"images": text}, z3)[1]
+        assert images == parse_endo({"images": text}, z3)
 
 
 class TestClosedDispatch:
     def test_sol_example(self, sol_fib):
-        _, endo = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
-        closed = closed_growth_rate(validate_endo(sol_fib, endo))
+        images = parse_endo(load_fixture("sol_ex2.endo"), sol_fib)
+        closed = closed_growth_rate(validate_endo(sol_fib, images))
         assert abs(closed.value - math.sqrt(5)) <= 1e-9
 
     def test_bs_has_no_closed_form(self, bs2):
-        _, endo = parse_endo(load_fixture("bs.endo"), bs2)
-        assert closed_growth_rate(validate_endo(bs2, endo)) is None
+        images = parse_endo(load_fixture("bs.endo"), bs2)
+        assert closed_growth_rate(validate_endo(bs2, images)) is None
 
     def test_counter_closed_form(self, counter_machine):
-        _, endo = parse_endo(load_fixture("counter.endo"), counter_machine)
-        closed = closed_growth_rate(validate_endo(counter_machine, endo))
+        images = parse_endo(load_fixture("counter.endo"), counter_machine)
+        closed = closed_growth_rate(validate_endo(counter_machine, images))
         assert closed.value == 1.0
         assert closed.certificate["eventually_trivial"] == "no"
 
@@ -273,9 +267,9 @@ class TestSingleValidation:
         calls = []
         original = words_mod.check_homomorphism
 
-        def counted(machine, endo):
+        def counted(machine, images):
             calls.append(machine.family)
-            return original(machine, endo)
+            return original(machine, images)
 
         monkeypatch.setattr(words_mod, "check_homomorphism", counted)
         monkeypatch.setattr(cli_mod, "check_homomorphism", counted)
@@ -532,6 +526,40 @@ class TestExitCodes:
         assert run([*argv, "--tol", tol, "--out", str(out)]) == 2
         assert "tol must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cap", "-1"], "cap must be nonnegative"),
+            (["--kmax", "0"], "kmax must be >= 1"),
+            (["--kmax", "-3"], "kmax must be >= 1"),
+            (["--kmax", "0", "--cap", "-7"], "cap must be nonnegative"),
+        ],
+        ids=["cap", "kmax-zero", "kmax-negative", "both"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [command, "--group", fixture_path("heis_ex1.group"), "--endo", fixture_path("heis_ex1.endo")]
+                for command in ("check", "closed", "empirical", "compare")
+            ),
+            ["ball", "--group", fixture_path("heis_ex1.group")],
+            ["wordlen", "--group", fixture_path("heis_ex1.group"), "--word", "a1 a2"],
+            ["distortion", "--group", fixture_path("heis_ex1.group"), "--subgroup", "a3"],
+        ],
+        ids=["check", "closed", "empirical", "compare", "ball", "wordlen", "distortion"],
+    )
+    def test_cap_and_kmax_must_be_in_range(self, argv, flags, message, tmp_path, capsys):
+        # a negative cap used to exit 3 on a search, and to be echoed into a
+        # closed report along with a kmax of 0
+        out = tmp_path / "out.json"
+        assert run([*argv, "--radius", "4", *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # the least values in range pass the check
+        run([*argv, "--radius", "1", "--kmax", "1", "--cap", "0", "--out", str(out)])
+        assert "must be" not in capsys.readouterr().err
 
     def test_closed_on_bs_is_validation_error(self):
         assert (

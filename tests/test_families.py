@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,16 @@ from endogrowth.families import (
     klein_restricted_matrix,
     machine_from_params,
 )
-from endogrowth.words import Endomorphism, Word, check_homomorphism, evaluate, parse_word, validate_endo, word_str
+from endogrowth.words import (
+    Endomorphism,
+    Word,
+    check_homomorphism,
+    evaluate,
+    image_elements,
+    parse_word,
+    validate_endo,
+    word_str,
+)
 
 from conftest import ALL_MACHINES, FIXTURE_DIR, run_child, step_one
 
@@ -235,12 +245,23 @@ class TestKleinReduction:
                 continue
             images = {"x": f"x^{q}" if q else "", "y": (f"y^{r} " if r else "") + (f"x^{l}" if l else "")}
             phi = Endomorphism.from_strings(klein.gens, {k: v.strip() for k, v in images.items()})
-            if not check_homomorphism(klein, phi).valid:
+            if not check_homomorphism(klein, image_elements(klein, phi)).valid:
                 continue
-            mat = klein_restricted_matrix(validate_endo(klein, phi))
+            mat = klein_restricted_matrix(validate_endo(klein, image_elements(klein, phi)))
             sp = spectral_radius(mat).value
             assert abs(sp - max(abs(q), abs(r))) <= 1e-9
             count += 1
+
+    def test_the_relator_keeps_the_image_of_x_in_x(self, klein):
+        # klein_restricted_matrix checks nothing: every assignment with small
+        # entries that the relator accepts maps x to a power of x
+        moved = 0
+        for ex, ey in itertools.product(itertools.product(range(-2, 3), repeat=2), repeat=2):
+            if check_homomorphism(klein, (ex, ey)).valid:
+                assert ex[1] == 0, (ex, ey)
+                assert klein.mul(ey, ey)[1] == 2 * ey[1]
+                moved += ex != klein.identity
+        assert moved > 0
 
     def test_index2_subgroup_invariant(self, klein):
         # images of x and y^2 land in <x, y^2> = {(a, b): b even}

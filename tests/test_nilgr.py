@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,14 @@ from endogrowth.nilgr import (
     gr_nilpotent_closed,
     induced_center_matrix,
 )
-from endogrowth.words import Endomorphism, Word, check_homomorphism, reduce_word, validate_endo
+from endogrowth.words import (
+    Endomorphism,
+    Word,
+    check_homomorphism,
+    image_elements,
+    reduce_word,
+    validate_endo,
+)
 
 GOLDEN = (3 + 5**0.5) / 2
 
@@ -103,8 +111,7 @@ def random_valid_nil2_endos(machine, rng, count):
             cols = (c1, c2, rng.choice(solutions))
         shifts = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(3))
         endo = nil2_endo(machine, cols, shifts)
-        verdict = check_homomorphism(machine, endo)
-        if verdict.valid:
+        if check_homomorphism(machine, image_elements(machine, endo)).valid:
             found.append(endo)
     return found
 
@@ -112,34 +119,36 @@ def random_valid_nil2_endos(machine, rng, count):
 class TestAbelianization:
     def test_heisenberg_matrix(self, heis1):
         endo = heis_endo(heis1, ((2, 1), (1, 1)), p=3, q=-2)
-        assert abelianization_matrix(validate_endo(heis1, endo)) == IntMatrix.from_rows([[2, 1], [1, 1]])
+        valid = validate_endo(heis1, image_elements(heis1, endo))
+        assert abelianization_matrix(valid) == IntMatrix.from_rows([[2, 1], [1, 1]])
 
     def test_identity(self, heis1):
         endo = Endomorphism.identity(heis1.gens)
-        assert abelianization_matrix(validate_endo(heis1, endo)) == IntMatrix.identity(2)
+        assert abelianization_matrix(validate_endo(heis1, image_elements(heis1, endo))) == IntMatrix.identity(2)
 
     def test_nil2_columns(self, nil2_ex3):
         endo = nil2_endo(nil2_ex3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-        assert abelianization_matrix(validate_endo(nil2_ex3, endo)) == IntMatrix.identity(3).scale(2)
+        valid = validate_endo(nil2_ex3, image_elements(nil2_ex3, endo))
+        assert abelianization_matrix(valid) == IntMatrix.identity(3).scale(2)
 
     def test_invalid_refused(self, heis1):
         bad = Endomorphism.from_strings(heis1.gens, {"a1": "a1", "a2": "a2", "a3": "a3^2"})
         with pytest.raises(ValidationError):
-            abelianization_matrix(validate_endo(heis1, bad))
+            abelianization_matrix(validate_endo(heis1, image_elements(heis1, bad)))
 
 
 class TestInducedCenter:
     def test_heisenberg_determinant_block(self, heis1):
         endo = heis_endo(heis1, ((2, 1), (1, 1)))
-        assert induced_center_matrix(validate_endo(heis1, endo)) == IntMatrix.from_rows([[1]])
+        assert induced_center_matrix(validate_endo(heis1, image_elements(heis1, endo))) == IntMatrix.from_rows([[1]])
         endo2 = heis_endo(heis1, ((2, 0), (0, 3)))
-        assert induced_center_matrix(validate_endo(heis1, endo2)) == IntMatrix.from_rows([[6]])
+        assert induced_center_matrix(validate_endo(heis1, image_elements(heis1, endo2))) == IntMatrix.from_rows([[6]])
 
     def test_two_generator_machine_agrees(self):
         h3 = HeisenbergMachine(1)
         h2 = HeisenbergMachine(1, include_center_gen=False)
         d = ((2, 1), (1, 1))
-        full = induced_center_matrix(validate_endo(h3, heis_endo(h3, d)))
+        full = induced_center_matrix(validate_endo(h3, image_elements(h3, heis_endo(h3, d))))
         (d11, d12), (d21, d22) = d
 
         def word(c1, c2):
@@ -150,11 +159,34 @@ class TestInducedCenter:
             return " ".join(parts)
 
         endo2 = Endomorphism.from_strings(h2.gens, {"a1": word(d11, d21), "a2": word(d12, d22)})
-        assert induced_center_matrix(validate_endo(h2, endo2)) == full
+        assert induced_center_matrix(validate_endo(h2, image_elements(h2, endo2))) == full
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_relators_keep_the_image_of_a3_central(self, k):
+        # center_block reads phi(a3)'s last entry and checks nothing: every
+        # assignment with small entries that the relators accept maps a3
+        # into the center
+        machine = HeisenbergMachine(k)
+        moved = 0
+        for images in itertools.product(itertools.product(range(-1, 2), repeat=3), repeat=3):
+            if check_homomorphism(machine, images).valid:
+                assert images[2][:2] == (0, 0), images
+                moved += images[2] != machine.identity
+        assert moved > 0
+
+    def test_class_two_commutators_are_central(self, nil2_ex3, nil2_commuting):
+        # the nilpotent2 center_block takes the central part of commutators
+        # and checks nothing: the tau part of a commutator is always 0
+        rng = random.Random(23)
+        for machine in (nil2_ex3, nil2_commuting):
+            n = machine.n_gens
+            for _ in range(300):
+                a, b = (tuple(rng.randint(-6, 6) for _ in machine.identity) for _ in range(2))
+                assert machine.commutator(a, b)[:n] == (0,) * n, (a, b)
 
     def test_identity(self, nil2_ex3):
         endo = Endomorphism.identity(nil2_ex3.gens)
-        assert induced_center_matrix(validate_endo(nil2_ex3, endo)) == IntMatrix.identity(2)
+        assert induced_center_matrix(validate_endo(nil2_ex3, image_elements(nil2_ex3, endo))) == IntMatrix.identity(2)
 
     def test_columns_follow_the_central_order(self):
         # c -> c^2 and d -> c^2 d^2 under t1 -> t1^2, t2 -> t2, t3 -> t2 t3,
@@ -163,7 +195,7 @@ class TestInducedCenter:
         expected = {("c", "d"): [[2, 2], [0, 2]], ("d", "c"): [[2, 0], [2, 2]]}
         for central, rows in expected.items():
             machine = Nil2Machine(3, central, (("c", (1, 2)), ("d", (1, 3))), ())
-            valid = validate_endo(machine, Endomorphism.from_strings(machine.gens, images))
+            valid = validate_endo(machine, image_elements(machine, Endomorphism.from_strings(machine.gens, images)))
             assert induced_center_matrix(valid) == IntMatrix.from_rows(rows), central
             assert gr_nilpotent_closed(valid).certificate["sp_center"] == 2.0
 
@@ -177,7 +209,7 @@ class TestInducedCenter:
         rng = random.Random(19)
         for _ in range(25):
             cols = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
-            valid = validate_endo(machine, nil2_endo(machine, cols))
+            valid = validate_endo(machine, image_elements(machine, nil2_endo(machine, cols)))
             d1 = abelianization_matrix(valid)
             assert induced_center_matrix(valid) == exterior_square(d1)
 
@@ -188,7 +220,7 @@ class TestInducedCenter:
         for machine in (nil2_ex3, nil2_commuting):
             m_coef, n_coef = bracket_coefficients(machine)
             for endo in random_valid_nil2_endos(machine, rng, 12):
-                valid = validate_endo(machine, endo)
+                valid = validate_endo(machine, image_elements(machine, endo))
                 d1 = abelianization_matrix(valid)
                 got = induced_center_matrix(valid)
                 expect = IntMatrix.from_rows(
@@ -202,33 +234,33 @@ class TestInducedCenter:
 
 class TestClosedForm:
     def test_heisenberg_golden(self, heis1):
-        rep = gr_nilpotent_closed(validate_endo(heis1, heis_endo(heis1, ((2, 1), (1, 1)))))
+        rep = gr_nilpotent_closed(validate_endo(heis1, image_elements(heis1, heis_endo(heis1, ((2, 1), (1, 1))))))
         assert abs(rep.value - GOLDEN) <= 1e-9
         assert IntMatrix.from_rows(rep.certificate["center_matrix"]) == IntMatrix.from_rows([[1]])
         assert abs(rep.certificate["cross_check"] - rep.value) <= 1e-9
 
     def test_trivial_endo_zero(self, z2):
         endo = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        rep = gr_nilpotent_closed(validate_endo(z2, endo))
+        rep = gr_nilpotent_closed(validate_endo(z2, image_elements(z2, endo)))
         assert rep.value == 0.0
 
     def test_unipotent_case(self, nil2_commuting):
         # lower-triangular unipotent images on the commuting-t2-t3 group
         endo = nil2_endo(nil2_commuting, ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
-        assert check_homomorphism(nil2_commuting, endo).valid
-        rep = gr_nilpotent_closed(validate_endo(nil2_commuting, endo))
+        assert check_homomorphism(nil2_commuting, image_elements(nil2_commuting, endo)).valid
+        rep = gr_nilpotent_closed(validate_endo(nil2_commuting, image_elements(nil2_commuting, endo)))
         assert abs(rep.value - 1.0) <= 1e-9
         center = IntMatrix.from_rows(rep.certificate["center_matrix"])
         assert abs(spectral_radius(center).value - 1.0) <= 1e-9
 
     def test_sol_machine_rejected(self, sol_fib):
         with pytest.raises(ValidationError):
-            gr_nilpotent_closed(validate_endo(sol_fib, Endomorphism.identity(sol_fib.gens)))
+            gr_nilpotent_closed(validate_endo(sol_fib, image_elements(sol_fib, Endomorphism.identity(sol_fib.gens))))
 
     def test_inner_automorphism_invariance(self, heis1, nil2_ex3):
         rng = random.Random(37)
         endo = heis_endo(heis1, ((2, 1), (1, 1)), p=1, q=0)
-        base = gr_nilpotent_closed(validate_endo(heis1, endo))
+        base = gr_nilpotent_closed(validate_endo(heis1, image_elements(heis1, endo)))
         for _ in range(5):
             letters = tuple(
                 (rng.randrange(3), rng.choice([-2, -1, 1, 2])) for _ in range(3)
@@ -238,7 +270,7 @@ class TestClosedForm:
                 heis1.gens,
                 tuple(reduce_word(w * img * w.inverse()) for img in endo.images),
             )
-            valid = validate_endo(heis1, conj)
+            valid = validate_endo(heis1, image_elements(heis1, conj))
             rep = gr_nilpotent_closed(valid)
             assert abelianization_matrix(valid) == IntMatrix.from_rows(base.certificate["ab_matrix"])
             assert abs(rep.value - base.value) <= 1e-9
@@ -248,7 +280,7 @@ class TestCenterVsAbelianizationBound:
     def test_random_valid_endos(self, nil2_ex3):
         rng = random.Random(43)
         for endo in random_valid_nil2_endos(nil2_ex3, rng, 15):
-            rep = gr_nilpotent_closed(validate_endo(nil2_ex3, endo))
+            rep = gr_nilpotent_closed(validate_endo(nil2_ex3, image_elements(nil2_ex3, endo)))
             sp1 = rep.certificate["sp_ab"]
             sp2 = rep.certificate["sp_center"]
             assert sp2 <= sp1**2 + 1e-9

@@ -72,10 +72,13 @@ HEIS = {"family": "heisenberg", "params": {"k": 1}}
             {"family": "nilpotent2", "params": {"n_gens": 2, "central": ["c", "d"], "designated": {"c": [1, 2]}}},
             {"images": {"t1": "t1", "t2": "t2", "c": "c", "d": "d^3"}},
         ),
+        # a word must be a JSON string: null is no word "None", and 2 no word "2"
+        ("check", {"family": "free_abelian", "params": {"rank": 1, "names": ["None"]}}, {"images": {"None": None}}),
+        ("check", {"family": "free_abelian", "params": {"rank": 2, "names": ["1", "2"]}}, {"images": {"1": 2, "2": 1}}),
     ],
     ids=[
         "missing-param", "string-int", "params-list", "sol-shortcut-empty", "two-shortcuts", "images-list",
-        "bool-int", "float-int", "string-torsion", "undesignated-central",
+        "bool-int", "float-int", "string-torsion", "undesignated-central", "null-word", "int-word",
     ],
 )
 def test_malformed_descriptor_is_a_validation_error(command, group, endo):

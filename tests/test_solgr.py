@@ -19,7 +19,7 @@ from endogrowth.solgr import (
     gr_sol_closed,
     gr_sol_empirical,
 )
-from endogrowth.words import Endomorphism, apply_on_element, validate_endo
+from endogrowth.words import Endomorphism, apply_on_element, check_homomorphism, image_elements, validate_endo
 
 A_FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_23 = IntMatrix.from_rows([[1, 1], [2, 3]])
@@ -36,8 +36,7 @@ def type_one_certificate(a, m):
 
 def sol_endo_from_matrix(machine, m, p=(0, 0), tau_exp=1):
     doc = {"sol": {"M": [list(r) for r in m.entries], "p": p[0], "q": p[1], "tau_exp": tau_exp}}
-    _, endo = parse_endo(doc, machine)
-    return classify_endo(validate_endo(machine, endo))
+    return classify_endo(validate_endo(machine, parse_endo(doc, machine)))
 
 
 class TestClassification:
@@ -48,19 +47,19 @@ class TestClassification:
 
     def test_collapsing_is_type_three(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "tau^3"})
-        e = classify_endo(validate_endo(sol_fib, endo))
+        e = classify_endo(validate_endo(sol_fib, image_elements(sol_fib, endo)))
         assert e.type_tag == "III" and e.tau_exp == 3
 
     def test_identity_torus_map(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "a1", "a2": "a2", "tau": "a1 tau"})
-        e = classify_endo(validate_endo(sol_fib, endo))
+        e = classify_endo(validate_endo(sol_fib, image_elements(sol_fib, endo)))
         assert e.type_tag == "I" and e.torus_map == IntMatrix.identity(2)
         assert e.p == (1, 0)
 
     def test_non_commuting_rejected(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "a1^2", "a2": "a2", "tau": "tau"})
         with pytest.raises(ValidationError, match="violates relator"):
-            classify_endo(validate_endo(sol_fib, endo))
+            classify_endo(validate_endo(sol_fib, image_elements(sol_fib, endo)))
 
     def test_type_two(self, sol_fib):
         m = IntMatrix.from_rows([[-1, 0], [1, 1]])
@@ -68,6 +67,28 @@ class TestClassification:
         assert m @ A_FIB == inv @ m
         e = sol_endo_from_matrix(sol_fib, m, tau_exp=-1)
         assert e.type_tag == "II"
+
+    def test_the_relators_force_each_shape(self, sol_fib):
+        # classify_endo checks nothing: every assignment with small entries
+        # that the relators accept has the shape its type assumes
+        a, a_inv = sol_fib.matrix, sol_fib.minimizer.inverse
+        small = range(-1, 2)
+        tags = set()
+        for e1, e2 in itertools.product(itertools.product(small, repeat=3), repeat=2):
+            for tau in itertools.product(small, small, range(-2, 3)):
+                images = (e1, e2, tau)
+                if not check_homomorphism(sol_fib, images).valid:
+                    continue
+                assert e1[2] == e2[2] == 0, images
+                m = IntMatrix.from_rows([[e1[0], e2[0]], [e1[1], e2[1]]])
+                if tau[2] == 1:
+                    assert a @ m == m @ a, images
+                elif tau[2] == -1:
+                    assert m @ a == a_inv @ m, images
+                else:
+                    assert m.is_zero(), images
+                tags.add(classify_endo(validate_endo(sol_fib, images)).type_tag)
+        assert tags == {"I", "II", "III"}
 
 
 class TestEigenData:
@@ -132,7 +153,8 @@ class TestClosedForm:
 
     def test_collapsing_power(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "a1 tau^3"})
-        assert gr_sol_closed(classify_endo(validate_endo(sol_fib, endo))).value == 3.0
+        e = classify_endo(validate_endo(sol_fib, image_elements(sol_fib, endo)))
+        assert gr_sol_closed(e).value == 3.0
 
     def test_zero_torus_map_type_one(self, sol_fib):
         e = sol_endo_from_matrix(sol_fib, IntMatrix.zeros(2, 2), p=(1, 2))
@@ -262,7 +284,7 @@ class TestEmpirical:
         # MA = A^-1 M, and tau -> a^p tau^-1: every row is the shift
         # minimizer's length of the iterate itself
         doc = {"sol": {"M": [[-3, 0], [3, 3]], "p": 1, "q": -2, "tau_exp": -1}}
-        valid = validate_endo(sol_fib, parse_endo(doc, sol_fib)[1])
+        valid = validate_endo(sol_fib, parse_endo(doc, sol_fib))
         e = classify_endo(valid)
         assert e.type_tag == "II"
         table = gr_sol_empirical(e, kmax=10)
@@ -274,7 +296,7 @@ class TestEmpirical:
 
     def test_type_three_table(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "tau^3"})
-        e = classify_endo(validate_endo(sol_fib, endo))
+        e = classify_endo(validate_endo(sol_fib, image_elements(sol_fib, endo)))
         table = gr_sol_empirical(e, kmax=8)
         assert table.per_gen["a1"] == [0] * 8
         summary = gr_estimate(table)

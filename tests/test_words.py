@@ -18,6 +18,7 @@ from endogrowth.words import (
     endo_power_image,
     evaluate,
     eventually_trivial,
+    image_elements,
     parse_word,
     reduce_word,
     validate_endo,
@@ -112,17 +113,18 @@ class TestEndoPowerImage:
 
 class TestCheckHomomorphism:
     def test_identity_valid_everywhere(self, any_machine):
-        assert check_homomorphism(any_machine, Endomorphism.identity(any_machine.gens)).valid
+        identity = image_elements(any_machine, Endomorphism.identity(any_machine.gens))
+        assert check_homomorphism(any_machine, identity).valid
 
     def test_sol_commuting_pair(self, sol_fib):
         phi = Endomorphism.from_strings(
             sol_fib.gens, {"a1": "a1 a2^2", "a2": "a1^2 a2^-1", "tau": "tau"}
         )
-        assert check_homomorphism(sol_fib, phi).valid
+        assert check_homomorphism(sol_fib, image_elements(sol_fib, phi)).valid
 
     def test_klein_even_r_nonzero_q_rejected(self, klein):
         phi = Endomorphism.from_strings(klein.gens, {"x": "x^2", "y": "y^2 x"})
-        verdict = check_homomorphism(klein, phi)
+        verdict = check_homomorphism(klein, image_elements(klein, phi))
         assert not verdict.valid
         assert verdict.violated_relator is not None
         assert verdict.witness != klein.identity
@@ -131,20 +133,22 @@ class TestCheckHomomorphism:
 class TestEventuallyTrivial:
     def test_trivial_is_yes_one(self, z2):
         phi = Endomorphism.from_strings(z2.gens, {"e1": "", "e2": ""})
-        assert eventually_trivial(validate_endo(z2, phi)) == 1
+        assert eventually_trivial(validate_endo(z2, image_elements(z2, phi))) == 1
 
     def test_torsion_survivor_is_no(self, counter_machine):
         phi = Endomorphism.from_strings(counter_machine.gens, {"alpha": "", "beta": "beta"})
-        assert eventually_trivial(validate_endo(counter_machine, phi)) is None
+        valid = validate_endo(counter_machine, image_elements(counter_machine, phi))
+        assert eventually_trivial(valid) is None
 
     def test_nilpotent_heisenberg_endo(self, heis1):
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a2", "a2": "", "a3": ""})
-        assert eventually_trivial(validate_endo(heis1, phi)) == 2
+        assert eventually_trivial(validate_endo(heis1, image_elements(heis1, phi))) == 2
 
     def test_yes_implies_zero_lengths(self, heis1):
         phi = Endomorphism.from_strings(heis1.gens, {"a1": "a2", "a2": "", "a3": ""})
-        power = eventually_trivial(validate_endo(heis1, phi))
-        table = L_k_table(validate_endo(heis1, phi), kmax=6, radius=3)
+        valid = validate_endo(heis1, image_elements(heis1, phi))
+        power = eventually_trivial(valid)
+        table = L_k_table(valid, kmax=6, radius=3)
         for k, length in zip(table.ks, table.lengths):
             if k >= power:
                 assert length == 0
@@ -154,13 +158,15 @@ class TestEventuallyTrivial:
         # t1 -> t1^2 on Z/1024 halves the image 10 times
         machine = TorsionProductMachine(0, (1024,))
         phi = Endomorphism.from_strings(machine.gens, {"t1": "t1^2"})
-        assert eventually_trivial(validate_endo(machine, phi)) == machine.triviality_power == 10
+        valid = validate_endo(machine, image_elements(machine, phi))
+        assert eventually_trivial(valid) == machine.triviality_power == 10
 
     def test_rank_term_of_the_bound_is_needed(self):
         # a1 -> t1 -> t1^2 -> t1^4 = 1: one step into the torsion, two in it
         machine = TorsionProductMachine(1, (4,))
         phi = Endomorphism.from_strings(machine.gens, {"a1": "t1", "t1": "t1^2"})
-        assert eventually_trivial(validate_endo(machine, phi)) == machine.triviality_power == 3
+        valid = validate_endo(machine, image_elements(machine, phi))
+        assert eventually_trivial(valid) == machine.triviality_power == 3
 
 
 TORSION_GROUPS = [
@@ -203,14 +209,14 @@ def test_eventually_trivial_matches_orbit_iteration(machine):
     decided = 0
     for _ in range(400):
         words = [_random_word(rng, n) for _ in range(n)]
-        verdict = check_homomorphism(machine, Endomorphism(machine.gens, tuple(words)))
-        if not verdict.valid:
+        images = image_elements(machine, Endomorphism(machine.gens, tuple(words)))
+        if not check_homomorphism(machine, images).valid:
             continue
         try:
-            expected = _orbit_power(machine, verdict.images)
+            expected = _orbit_power(machine, images)
         except ResourceCapExceeded:
             expected = "undecided"
-        valid = ValidEndo(machine, verdict.images)
+        valid = ValidEndo(machine, images)
         power = eventually_trivial(valid)
         if expected == "undecided":
             assert power is None, words
