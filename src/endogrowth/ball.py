@@ -8,9 +8,8 @@ sphere in chunks of up to ``_CHUNK`` elements through ``Machine.steps()``:
 right multiplication by g0, g0^-1, g1, ..., made once per search and shared
 by all its balls.  Each step maps the coordinate columns of a whole chunk
 in closed form, without a call to ``mul``, so a Cayley-graph edge costs one
-``seen`` probe and a share of a list comprehension, not a Python call (but
-for the Baumslag-Solitar b steps).  Discovery order is fixed: element by
-element, step by step.
+``seen`` probe and a share of a list comprehension, not a Python call.
+Discovery order is fixed: element by element, step by step.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given

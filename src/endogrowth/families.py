@@ -1084,18 +1084,23 @@ class BSMachine(Machine):
         return (num2, e2, -t)
 
     def steps(self):
-        power, canonical = self._power, self._canonical  # mul's powers, in its budget
+        canonical = self._canonical
+        pw = _Memo(self._power)  # n^d for this search, in mul's budget
 
         def b_step(s):
-            # (num / n^e, t) b^s adds s / n^t to the b-part
-            def step(num, e, t):
-                if t > e:  # (num n^(t-e) + s) / n^t, canonical as the top is s mod n
-                    return (num * power(t - e) + s if num else s, t, t)
-                if t < e:  # (num + s n^(e-t)) / n^e; for e > 0, n divides s n^(e-t) but not num
-                    return (num + s * power(e - t), e, t)
-                return canonical(num + s, e) + (t,)  # t = e: n may divide num + s
-
-            return lambda cols: map(step, *cols)
+            # (num / n^e, t) b^s adds s / n^t to the b-part:
+            # t > e: (num n^(t-e) + s) / n^t, canonical as the top is s mod n;
+            # t < e: (num + s n^(e-t)) / n^e, as for e > 0 n divides s n^(e-t)
+            # but not num; t = e: n may divide num + s.  n^(t-e) is formed only
+            # for num != 0, as in mul, which never forms n^t for a power of a.
+            return lambda cols: [
+                ((num * pw[t - e] + s if num else s), t, t)
+                if t > e
+                else (num + s * pw[e - t], e, t)
+                if t < e
+                else canonical(num + s, e) + (t,)
+                for num, e, t in zip(*cols)
+            ]
 
         return [_bump(2, 1), _bump(2, -1), b_step(1), b_step(-1)]
 
