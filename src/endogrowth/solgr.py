@@ -6,8 +6,8 @@ branch is an integer sign test.  A nonzero torus map M commuting with A is
 c0 I + c1 A, so its eigenvalues on A's expanding and contracting
 eigendirections are mu, nu = x +- y sqrt(d), with x = tr(M) / 2 and
 y = m12 / (2 l12).  Then |mu|^2 - |nu|^2 = 4 x y sqrt(d), so |mu| <= |nu|
-exactly when tr(M) m12 l12 <= 0.  The termination certificate of the shift
-minimizer is integer arithmetic too.
+exactly when tr(M) m12 l12 <= 0.  The stopping certificates of the shift
+minimizer are integer arithmetic too.
 
 Both routes take the ``ValidEndo`` that a report builds once from the
 generator images, however the descriptor gave them.  ``classify_endo`` reads
@@ -23,7 +23,7 @@ from math import isinf, isqrt, sqrt
 
 from .ball import ClosedForm, GrowthEstimate
 from .errors import CertificationError, ContractError, InconsistencyError, ValidationError
-from .exactlin import IntMatrix, char_poly, det, inverse_unimodular_2x2, mat_vec
+from .exactlin import IntMatrix, char_poly, det, inverse_unimodular_2x2
 from .words import ValidEndo
 
 __all__ = [
@@ -45,26 +45,49 @@ class LengthMin:
 
 
 class SolLengthMinimizer:
-    """Exact minimizer of n -> 2n + ||A^-n y||_1 over n >= 0.
+    """Exact minimizer of f(n) = 2n + ||A^-n y||_1 over n >= 0.
 
-    Termination is certified in integer arithmetic.  With u the left
-    beta-eigenvector of A, |u . A^-n y| = alpha^n |u . y|, so
-    ||A^-n y||_1 >= alpha^n |u . y| / ||u||_inf grows geometrically; once
-    (trace-1)^n times that bound clears the incumbent no later shift can win
-    ((trace-1) <= alpha).
+    Write w_n = A^-n y.  Both stopping tests are certificates on the current
+    vector w_n, checked in integer arithmetic.  Let u and u' be the left
+    eigenvectors of A of eigenvalues beta and alpha:
 
-    Taking u = (l21, beta - l11), 2 u . y = P - y1 sqrt(d) with
-    P = 2 l21 y0 + (t - 2 l11) y1 and d = t^2 - 4.  When P y1 <= 0 the two
-    terms do not cancel and |2 u . y| >= |P| + |y1| isqrt(d).  Otherwise the
-    conjugate bound
+        u = (l21, beta - l11),    u' = (l21, alpha - l11).
 
-        |2 u . y| = |P^2 - d y1^2| / (|P| + |y1| sqrt(d))
-                 >= |P^2 - d y1^2| / (|P| + |y1| (isqrt(d) + 1))
+    Then u . w_m = alpha^(m-n) u . w_n and u' . w_m = alpha^(n-m) u' . w_n,
+    and |z . w| <= ||z||_inf ||w||_1.  So
+
+        f(m) >= 2m + |u . w_n| / ||u||_inf     for every m >= n,
+        f(m) >= |u' . w_n| / ||u'||_inf        for every m <= n,
+
+    as alpha > 1: the beta row grows up the shifts, the alpha row down them.
+    The scan starts at any shift ``start``.  It steps up until the beta row
+    on w_n leaves no room for a value below the best one, and then down
+    until the alpha row on w_n exceeds the best value.  The downward scan
+    takes a value equal to the best one, so a tie goes to the least shift.
+    A test runs only at a shift whose value is not the best: going up, a
+    test there would at most save one step; going down, it cannot pass,
+    as f(n) >= 2n + |u' . w_n| / ||u'||_inf.  From the shift that minimized
+    a nearby vector, as for the iterates of a table, both scans take a few
+    steps, not n.
+
+    With c0 = 2 l21, c1 = t - 2 l11 and P = c0 w0 + c1 w1, the two rows are
+    2 u . w = P - w1 sqrt(d) and 2 u' . w = P + w1 sqrt(d), d = t^2 - 4.
+    When the two terms of a row have the same sign (P w1 <= 0 for the beta
+    row, P w1 >= 0 for the alpha row) the row is at least |P| + |w1| isqrt(d).
+    Otherwise the conjugate bound
+
+        |P -+ w1 sqrt(d)| = |P^2 - d w1^2| / (|P| + |w1| sqrt(d))
+                         >= |P^2 - d w1^2| / (|P| + |w1| (isqrt(d) + 1))
 
     holds with a nonzero integer numerator, as d is never a square for t > 2.
-    Both sides of the stopping test are then integers, whatever the size of y.
-    Building one checks the holonomy: ValidationError unless it is 2x2 with
-    determinant 1 and trace > 2.
+    Both norms are at most u_inf2 / 2, since
+
+        2 ||u||_inf, 2 ||u'||_inf = max(|c0|, |c1 -+ sqrt(d)|)
+                                  <= max(|c0|, |c1| + isqrt(d) + 1) = u_inf2.
+
+    Both sides of each stopping test are then integers, whatever the size
+    of y.  Building one checks the holonomy: ValidationError unless it is
+    2x2 with determinant 1 and trace > 2.
     """
 
     def __init__(self, holonomy: IntMatrix):
@@ -81,40 +104,68 @@ class SolLengthMinimizer:
         self.d = t * t - 4
         self.isqrt_d = isqrt(self.d)
         self.c0, self.c1 = 2 * l21, t - 2 * l11
-        # 2 ||u||_inf = max(|c0|, |c1 - sqrt(d)|) <= u_inf2
         self.u_inf2 = max(abs(self.c0), abs(self.c1) + self.isqrt_d + 1)
-        self.alpha_floor = t - 1  # alpha = (t + sqrt(t^2-4))/2 >= t - 1 >= 2
+        self._inverse_powers = [((1, 0), (0, 1))]
 
-    def functional_lower(self, y0: int, y1: int) -> tuple[int, int]:
-        """(num, den), positive integers with num / den <= |2 u . y| for y != 0."""
+    def functional_lower(self, y0: int, y1: int, expanding: bool = False) -> tuple[int, int]:
+        """(num, den), positive integers with num / den <= |2 u . y| for y != 0,
+        or <= |2 u' . y| when ``expanding``."""
         p = self.c0 * y0 + self.c1 * y1
-        if p * y1 <= 0:
+        if (p * y1 >= 0) if expanding else (p * y1 <= 0):
             return abs(p) + abs(y1) * self.isqrt_d, 1
         return abs(p * p - self.d * y1 * y1), abs(p) + abs(y1) * (self.isqrt_d + 1)
 
-    def minimize(self, y) -> LengthMin:
+    def _inverse_power(self, n: int):
+        """A^-n, from a table grown on demand.  A start is the shift that
+        minimized a nearby vector, so the entries of A^-start, about
+        alpha^start, are no larger than the vector they shift."""
+        powers = self._inverse_powers
+        (i11, i12), (i21, i22) = self.inverse.entries
+        while len(powers) <= n:
+            (a, b), (c, d) = powers[-1]
+            powers.append(((a * i11 + b * i21, a * i12 + b * i22), (c * i11 + d * i21, c * i12 + d * i22)))
+        return powers[n]
+
+    def minimize(self, y, start: int = 0) -> LengthMin:
+        """The least value of f, at the least shift that takes it.  Any
+        ``start`` >= 0 gives the same answer; one near that shift is fast."""
         y0, y1 = int(y[0]), int(y[1])
         if y0 == 0 and y1 == 0:
             return LengthMin(0, 0)
-        num, den = self.functional_lower(y0, y1)
-        den *= self.u_inf2
-        best = abs(y0) + abs(y1)
-        best_shift = 0
-        w0, w1 = y0, y1
+        if start:
+            (s11, s12), (s21, s22) = self._inverse_power(start)
+            y0, y1 = s11 * y0 + s12 * y1, s21 * y0 + s22 * y1
+        best = top = 2 * start + abs(y0) + abs(y1)
+        best_shift, lower, u_inf2 = start, self.functional_lower, self.u_inf2
+
+        # a stopping test runs only at a shift that did not take the best
+        # value: elsewhere it cannot pass, or passes at the next shift
         (i11, i12), (i21, i22) = self.inverse.entries
-        growth = 1
-        n = 0
-        while True:
-            n += 1
-            if 2 * n >= best:
-                break
-            w0, w1 = i11 * w0 + i12 * w1, i21 * w0 + i22 * w1
+        w0, w1, n = y0, y1, start
+        while 2 * n + 2 < best:
+            w0, w1, n = i11 * w0 + i12 * w1, i21 * w0 + i22 * w1, n + 1
             val = 2 * n + abs(w0) + abs(w1)
             if val < best:
                 best, best_shift = val, n
-            growth *= self.alpha_floor
-            if growth * num >= best * den:
+                continue
+            # every shift above n takes at least 2(n + 1) + |u . w| / ||u||_inf
+            num, den = lower(w0, w1)
+            if num >= (best - 2 * n - 2) * den * u_inf2:
                 break
+
+        if start:
+            (l11, l12), (l21, l22) = self.holonomy.entries
+            w0, w1, n, val = y0, y1, start, top
+            while n:
+                if val > best:
+                    # every shift up to n takes at least |u' . w| / ||u'||_inf
+                    num, den = lower(w0, w1, True)
+                    if num > best * den * u_inf2:
+                        break
+                w0, w1, n = l11 * w0 + l12 * w1, l21 * w0 + l22 * w1, n - 1
+                val = 2 * n + abs(w0) + abs(w1)
+                if val <= best:
+                    best, best_shift = val, n
         return LengthMin(best, best_shift)
 
 
@@ -237,6 +288,8 @@ def gr_sol_empirical(e: SolEndo, kmax: int = 16) -> GrowthEstimate:
     tau: the smaller of the accumulated form (one minimized shift for the
     whole torus part) and the telescoped per-iterate sum, each plus one tau
     letter.  All entries are honest word lengths, flagged as upper bounds.
+    Each of the four minimized streams starts at the shift it took at
+    k - 1, so a table costs O(kmax) minimizer steps, not O(kmax^2).
     """
     if kmax < 1:
         raise ValidationError("kmax must be >= 1")
@@ -253,28 +306,44 @@ def gr_sol_empirical(e: SolEndo, kmax: int = 16) -> GrowthEstimate:
         else:
             tau = [(base + n) * n ** (k - 1) for k in ks]
     else:
-        m = e.torus_map
-        mk = m
-        tau_part = e.p
+        # phi^k(a_i) = a^(M^k e_i) and phi^k(tau) = a^(tau part) tau^(+-1)
+        minimize = minimizer.minimize
+        (m11, m12), (m21, m22) = e.torus_map.entries
+        (l11, l12), (l21, l22) = e.machine.matrix.entries
+        p0, p1 = e.p
+        c11, c12, c21, c22 = m11, m12, m21, m22  # M^k
+        t0, t1 = p0, p1  # the tau part of phi^k(tau)
+        j0, j1 = p0, p1  # M^j p, telescoped
+        neg_ap = (-(l11 * p0 + l12 * p1), -(l21 * p0 + l22 * p1))  # (a^p tau^-1)^-1 = a^(-Ap) tau
         tau_sign = e.tau_exp
-        telescoped = abs(e.p[0]) + abs(e.p[1])
-        mj_p = e.p
+        telescoped = abs(p0) + abs(p1)
+        s1 = s2 = s_tau = s_j = 0
         for k in ks:
-            (c11, c12), (c21, c22) = mk.entries
-            a1.append(minimizer.minimize((c11, c21)).value)
-            a2.append(minimizer.minimize((c12, c22)).value)
-            direct = minimizer.minimize(tau_part).value + 1
+            best = minimize((c11, c21), s1)
+            a1.append(best.value)
+            s1 = best.shift
+            best = minimize((c12, c22), s2)
+            a2.append(best.value)
+            s2 = best.shift
+            best = minimize((t0, t1), s_tau)
+            s_tau = best.shift
             if e.type_tag == "I":
-                tau.append(min(direct, telescoped + 1))
-                mj_p = mat_vec(m, mj_p)
-                telescoped += minimizer.minimize(mj_p).value
+                tau.append(min(best.value + 1, telescoped + 1))
+                j0, j1 = m11 * j0 + m12 * j1, m21 * j0 + m22 * j1
+                best = minimize((j0, j1), s_j)
+                telescoped += best.value
+                s_j = best.shift
             else:
-                tau.append(direct)
-            # advance phi^k -> phi^(k+1): phi(a^v tau^s) = a^(Mv) (a^p tau^tau_exp)^s,
-            # and (a^p tau^-1)^-1 = a^(-Ap) tau
-            mk = mk @ m
-            step = e.p if tau_sign == 1 else tuple(-v for v in mat_vec(e.machine.matrix, e.p))
-            tau_part = tuple(x + y for x, y in zip(mat_vec(m, tau_part), step))
+                tau.append(best.value + 1)
+            # advance phi^k -> phi^(k+1): phi(a^v tau^s) = a^(Mv) (a^p tau^tau_exp)^s
+            c11, c12, c21, c22 = (
+                c11 * m11 + c12 * m21,
+                c11 * m12 + c12 * m22,
+                c21 * m11 + c22 * m21,
+                c21 * m12 + c22 * m22,
+            )
+            step0, step1 = (p0, p1) if tau_sign == 1 else neg_ap
+            t0, t1 = m11 * t0 + m12 * t1 + step0, m21 * t0 + m22 * t1 + step1
             tau_sign *= e.tau_exp
 
     return GrowthEstimate(

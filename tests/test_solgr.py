@@ -294,6 +294,29 @@ class TestEmpirical:
                 assert table.per_gen[name][k] == sol_fib.length_upper(x), (name, k + 1)
             row = tuple(apply_on_element(sol_fib, valid.images, x) for x in row)
 
+    @pytest.mark.parametrize(
+        "a, m, p, tau_exp",
+        [
+            (A_FIB, M_ROOT5, (2, -1), 1),
+            (A_FIB, A_FIB, (1, 0), 1),
+            (A_23, M_23, (-1, 3), 1),
+            (A_FIB, IntMatrix.from_rows([[-3, 0], [3, 3]]), (1, -2), -1),
+            (A_FIB, IntMatrix.from_rows([[-1, 0], [1, 1]]), (2, 1), -1),
+            (A_23, IntMatrix.from_rows([[-2, -3], [2, 2]]), (1, 2), -1),
+        ],
+        ids=["I-root5", "I-holonomy", "I-root2", "II-scaled", "II-unit", "II-root2"],
+    )
+    def test_warm_started_table_equals_the_cold_one(self, a, m, p, tau_exp):
+        # each of the four streams starts at its shift for k - 1; the
+        # reference minimizes every entry from shift 0
+        e = sol_endo_from_matrix(SolMachine(a), m, p=p, tau_exp=tau_exp)
+        assert e.type_tag == ("I" if tau_exp == 1 else "II")
+        kmax = 300
+        table = gr_sol_empirical(e, kmax)
+        cold = cold_table(e, kmax)
+        assert table.per_gen == cold
+        assert table.lengths == tuple(map(max, *cold.values()))
+
     def test_type_three_table(self, sol_fib):
         endo = Endomorphism.from_strings(sol_fib.gens, {"a1": "", "a2": "", "tau": "tau^3"})
         e = classify_endo(validate_endo(sol_fib, image_elements(sol_fib, endo)))
@@ -301,6 +324,32 @@ class TestEmpirical:
         assert table.per_gen["a1"] == [0] * 8
         summary = gr_estimate(table)
         assert abs(summary.estimate - 3.0) <= 0.2
+
+
+def cold_table(e, kmax):
+    """The rows of gr_sol_empirical for a type I or II endomorphism, each
+    shift minimized from 0, in IntMatrix arithmetic."""
+    minimize = e.machine.minimizer.minimize
+    m, a = e.torus_map, e.machine.matrix
+    mk, tau_part, tau_sign, mj_p = m, e.p, e.tau_exp, e.p
+    telescoped = abs(e.p[0]) + abs(e.p[1])
+    a1, a2, tau = [], [], []
+    for _ in range(kmax):
+        (c11, c12), (c21, c22) = mk.entries
+        a1.append(minimize((c11, c21)).value)
+        a2.append(minimize((c12, c22)).value)
+        direct = minimize(tau_part).value + 1
+        if e.type_tag == "I":
+            tau.append(min(direct, telescoped + 1))
+            mj_p = mat_vec(m, mj_p)
+            telescoped += minimize(mj_p).value
+        else:
+            tau.append(direct)
+        mk = mk @ m
+        step = e.p if tau_sign == 1 else tuple(-v for v in mat_vec(a, e.p))
+        tau_part = tuple(x + y for x, y in zip(mat_vec(m, tau_part), step))
+        tau_sign *= e.tau_exp
+    return {"a1": a1, "a2": a2, "tau": tau}
 
 
 def random_type_one(machine, rng):
@@ -358,54 +407,71 @@ def random_holonomies(rng, count):
     return out
 
 
-def certificate_cases(rng):
+def certificate_cases(rng, expanding=False):
     """(holonomy, y): random small vectors, and the columns of A^k, which lie
-    ever closer to the expanding direction, where the functional cancels."""
+    ever closer to the expanding direction, where the beta row cancels; with
+    ``expanding``, the columns of A^-k, where the alpha row cancels."""
     for a in random_holonomies(rng, 8):
         for _ in range(250):
             y = (rng.randint(-300, 300), rng.randint(-300, 300))
             if y != (0, 0):
                 yield a, y
+        base = inverse_unimodular_2x2(a) if expanding else a
         for k in range(0, 701, 25):
-            power = mat_pow(a, k).entries
+            power = mat_pow(base, k).entries
             for i in range(2):
                 yield a, (power[0][i], power[1][i])
 
 
 def brute_force_min(a, y):
-    """min over shifts 0 <= n < |y|_1 / 2 of 2n + |A^-n y|_1, with no certificate.
+    """(min, least argmin) over shifts 0 <= n < |y|_1 / 2 of 2n + |A^-n y|_1,
+    with no certificate.
 
     A shift with 2n >= best cannot beat best, so the scan stops there; that
-    leaves the minimum over the whole range unchanged."""
+    leaves the minimum and its least shift over the whole range unchanged."""
     (a11, a12), (a21, a22) = a.entries
     w0, w1 = y
-    best = abs(w0) + abs(w1)
+    best, shift = abs(w0) + abs(w1), 0
     n = 0
     while 2 * (n + 1) < best:
         n += 1
         w0, w1 = a22 * w0 - a12 * w1, -a21 * w0 + a11 * w1
-        best = min(best, 2 * n + abs(w0) + abs(w1))
-    return best
+        if 2 * n + abs(w0) + abs(w1) < best:
+            best, shift = 2 * n + abs(w0) + abs(w1), n
+    return best, shift
+
+
+def row_reference(a, y, expanding):
+    """|2 u . y| (beta row) or |2 u' . y| (alpha row), in mpmath."""
+    (l11, _), (l21, l22) = a.entries
+    t = l11 + l22
+    sign = 1 if expanding else -1
+    return abs(2 * l21 * y[0] + (t - 2 * l11) * y[1] + sign * y[1] * mpmath.sqrt(t * t - 4))
+
+
+def check_row_bound(expanding):
+    """functional_lower is positive, at most the row, and at least 0.74 of it."""
+    checked = 0
+    for a, (y0, y1) in certificate_cases(random.Random(2026), expanding):
+        num, den = SolLengthMinimizer(a).functional_lower(y0, y1, expanding)
+        assert num > 0 and den > 0
+        # a row cancels to about |y|^-1, so the reference needs 2 log10|y| digits
+        digits = 2 * len(str(max(abs(y0), abs(y1)))) + 60
+        with mpmath.workdps(digits):
+            exact = row_reference(a, (y0, y1), expanding)
+            assert mpmath.mpf(num) / den <= exact, (a.entries, y0, y1)
+            # sqrt(d) / (isqrt(d) + 1) >= sqrt(5) / 3 for every d >= 5
+            assert mpmath.mpf(num) / den >= exact * 0.74, (a.entries, y0, y1)
+        checked += 1
+    assert checked > 2000
 
 
 class TestShiftCertificate:
     def test_lower_bound_is_sound_and_tight(self):
-        checked = 0
-        for a, (y0, y1) in certificate_cases(random.Random(2026)):
-            minimizer = SolLengthMinimizer(a)
-            num, den = minimizer.functional_lower(y0, y1)
-            assert num > 0 and den > 0
-            (l11, _), (l21, l22) = a.entries
-            t = l11 + l22
-            # 2 u . y cancels to about |y|^-1, so the reference needs 2 log10|y| digits
-            digits = 2 * len(str(max(abs(y0), abs(y1)))) + 60
-            with mpmath.workdps(digits):
-                exact = abs(2 * l21 * y0 + (t - 2 * l11) * y1 - y1 * mpmath.sqrt(t * t - 4))
-                assert mpmath.mpf(num) / den <= exact, (a.entries, y0, y1)
-                # sqrt(d) / (isqrt(d) + 1) >= sqrt(5) / 3 for every d >= 5
-                assert mpmath.mpf(num) / den >= exact * 0.74, (a.entries, y0, y1)
-            checked += 1
-        assert checked > 2000
+        check_row_bound(expanding=False)
+
+    def test_expanding_lower_bound_is_sound_and_tight(self):
+        check_row_bound(expanding=True)
 
     def test_norm_bound_covers_the_eigenvector(self):
         # |u . w| <= |u|_inf |w|_1 turns the functional into a length bound
@@ -416,11 +482,54 @@ class TestShiftCertificate:
                 two_u_inf = max(abs(2 * l21), abs(t - 2 * l11 - mpmath.sqrt(t * t - 4)))
                 assert SolLengthMinimizer(a).u_inf2 >= two_u_inf
 
+    def test_norm_bound_covers_the_expanding_eigenvector(self):
+        # 2 u' = (2 l21, 2 alpha - 2 l11) = (c0, c1 + sqrt(d)), and
+        # |c1 + sqrt(d)| <= |c1| + isqrt(d) + 1 as for the beta row
+        for a in random_holonomies(random.Random(2029), 40):
+            (l11, _), (l21, l22) = a.entries
+            t = l11 + l22
+            with mpmath.workdps(50):
+                alpha = (t + mpmath.sqrt(t * t - 4)) / 2
+                two_u_inf = max(abs(2 * l21), abs(2 * alpha - 2 * l11))
+                assert SolLengthMinimizer(a).u_inf2 >= two_u_inf
+                # u' is the left alpha-eigenvector: u' A = alpha u'
+                (_, l12), _ = a.entries
+                assert abs(l21 * l12 + (alpha - l11) * l22 - alpha * (alpha - l11)) < mpmath.mpf(10) ** -40
+
     def test_minimize_is_exact(self):
         checked = 0
         for a, y in certificate_cases(random.Random(2027)):
             if abs(y[0]) + abs(y[1]) >= 20000:
                 continue
-            assert SolLengthMinimizer(a).minimize(y).value == brute_force_min(a, y), (a.entries, y)
+            best = SolLengthMinimizer(a).minimize(y)
+            assert (best.value, best.shift) == brute_force_min(a, y), (a.entries, y)
             checked += 1
         assert checked > 2000
+
+    def test_every_start_gives_the_minimum(self):
+        # the downward scan's alpha-row certificate and the upward scan's
+        # beta row on the current vector end both scans at any start
+        rng = random.Random(2030)
+        checked = 0
+        for a, y in certificate_cases(random.Random(2027)):
+            minimizer = SolLengthMinimizer(a)
+            ref = brute_force_min(a, y)
+            shift = ref[1]
+            for start in {0, shift, max(shift - 3, 0), shift + 3, rng.randint(0, 2 * shift + 5)}:
+                best = minimizer.minimize(y, start)
+                assert (best.value, best.shift) == ref, (a.entries, y, start)
+                checked += 1
+        assert checked > 6000
+
+    def test_a_tie_goes_to_the_least_shift_from_above(self):
+        # f(2) = f(3) = 7 is the minimum for y = (13, 8) under A_FIB, and
+        # (5, 3) ties at shifts 1 and 2: a scan that starts above the least
+        # shift must still walk down onto it
+        minimizer = SolLengthMinimizer(A_FIB)
+        for y, ties in (((13, 8), (2, 3)), ((5, 3), (1, 2))):
+            value, shift = brute_force_min(A_FIB, y)
+            assert shift == ties[0]
+            w = mat_vec(mat_pow(minimizer.inverse, ties[1]), y)
+            assert 2 * ties[1] + abs(w[0]) + abs(w[1]) == value
+            for start in range(ties[0], ties[1] + 4):
+                assert minimizer.minimize(y, start) == LengthMin(value, shift), (y, start)
