@@ -116,9 +116,11 @@ class SolLengthMinimizer:
         return abs(p * p - self.d * y1 * y1), abs(p) + abs(y1) * (self.isqrt_d + 1)
 
     def _inverse_power(self, n: int):
-        """A^-n, from a table grown on demand.  A start is the shift that
-        minimized a nearby vector, so the entries of A^-start, about
-        alpha^start, are no larger than the vector they shift."""
+        """A^-n, from a table grown on demand.  Its entries are about
+        alpha^n.  A start is a shift that minimized a vector y' near y, and
+        alpha^n |2 u . y'| <= u_inf2 f(n) <= u_inf2 ||y'||_1 with
+        |2 u . y'| >= 1 / (|P| + |y'1| sqrt(d)): A^-start has at most about
+        twice the bits of y."""
         powers = self._inverse_powers
         (i11, i12), (i21, i22) = self.inverse.entries
         while len(powers) <= n:
@@ -138,8 +140,6 @@ class SolLengthMinimizer:
         best = top = 2 * start + abs(y0) + abs(y1)
         best_shift, lower, u_inf2 = start, self.functional_lower, self.u_inf2
 
-        # a stopping test runs only at a shift that did not take the best
-        # value: elsewhere it cannot pass, or passes at the next shift
         (i11, i12), (i21, i22) = self.inverse.entries
         w0, w1, n = y0, y1, start
         while 2 * n + 2 < best:

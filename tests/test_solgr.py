@@ -436,8 +436,9 @@ def brute_force_min(a, y):
     while 2 * (n + 1) < best:
         n += 1
         w0, w1 = a22 * w0 - a12 * w1, -a21 * w0 + a11 * w1
-        if 2 * n + abs(w0) + abs(w1) < best:
-            best, shift = 2 * n + abs(w0) + abs(w1), n
+        val = 2 * n + abs(w0) + abs(w1)
+        if val < best:
+            best, shift = val, n
     return best, shift
 
 
@@ -486,14 +487,13 @@ class TestShiftCertificate:
         # 2 u' = (2 l21, 2 alpha - 2 l11) = (c0, c1 + sqrt(d)), and
         # |c1 + sqrt(d)| <= |c1| + isqrt(d) + 1 as for the beta row
         for a in random_holonomies(random.Random(2029), 40):
-            (l11, _), (l21, l22) = a.entries
+            (l11, l12), (l21, l22) = a.entries
             t = l11 + l22
             with mpmath.workdps(50):
                 alpha = (t + mpmath.sqrt(t * t - 4)) / 2
                 two_u_inf = max(abs(2 * l21), abs(2 * alpha - 2 * l11))
                 assert SolLengthMinimizer(a).u_inf2 >= two_u_inf
-                # u' is the left alpha-eigenvector: u' A = alpha u'
-                (_, l12), _ = a.entries
+                # u' is the left alpha-eigenvector: (u' A)_2 = alpha u'_2
                 assert abs(l21 * l12 + (alpha - l11) * l22 - alpha * (alpha - l11)) < mpmath.mpf(10) ** -40
 
     def test_minimize_is_exact(self):
