@@ -32,11 +32,10 @@ back to points on a root-bounding circle.
 
 The working precision rises as the roots converge, as in multiprecision
 root finders (Bini & Fiorentino, MPSolve, 2000): a sweep near convergence
-about doubles the correct bits, so the seed of a radical of degree 7 or
-more is swept once at t/4 and once at t/2 fractional bits before the first
-rung t, and each later rung doubles t.  A narrow sweep is kept only when
-its approximations stay distinct, as a cluster of roots can round to one
-point at t/4 bits.  A sweep only needs its corrections
+about doubles the correct bits, so the first rung t = 104 is twice the bits
+of the float seed, and each later rung doubles t.  The first rung's answer
+stands only when its certified interval rounds to a single float, which is
+then the correctly rounded radius.  A sweep only needs its corrections
 to the nearest unit, so ``_round_div`` divides truncated operands; the
 truncated quotients move the approximations and never enter the
 certificate, which reads the exact p(z_i) and products of differences at
@@ -247,14 +246,10 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         bound *= 1 + r + (r * r < s)  # 1 + ceil(|row|_2)
     coeffs, modulus = [0] * (n + 1), 1
     for q in _primes():
-        residues = _char_poly_mod(m.entries, q)
-        k = pow(modulus, -1, q)
-        coeffs = [c + modulus * ((x - c) * k % q) for c, x in zip(coeffs, residues)]
-        modulus *= q
+        coeffs, modulus = _crt(coeffs, modulus, _char_poly_mod(m.entries, q), q), modulus * q
         if modulus > bound:
             break
-    half = modulus // 2
-    return IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
+    return IntPolynomial(tuple(_symmetric(coeffs, modulus)))
 
 
 def det(m: IntMatrix) -> int:
@@ -419,17 +414,12 @@ def _char_poly_mod(rows, q: int) -> list[int]:
     return polys[n]
 
 
-def _coprime_mod(a, b, q: int) -> bool:
-    """Whether the integer polynomials ``a`` and ``b`` (ascending) have gcd 1
-    over F_q, by Euclid modulo the prime q."""
-
-    def reduced(p):
-        p = [c % q for c in p]
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    a, b = reduced(a), reduced(b)
+def _gcd_mod(a, b, q: int) -> list[int]:
+    """Monic gcd over F_q of the monic integer polynomial ``a`` and the
+    integer polynomial ``b`` (ascending), by Euclid modulo the prime q."""
+    a, b = [c % q for c in a], [c % q for c in b]
+    while b and not b[-1]:
+        b.pop()
     while b:
         inv = pow(b[-1], -1, q)
         while len(a) >= len(b):
@@ -440,48 +430,70 @@ def _coprime_mod(a, b, q: int) -> bool:
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) == 1
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _crt(cs, modulus: int, residues, q: int) -> list[int]:
+    """The residues modulo ``modulus * q`` that are ``cs`` modulo ``modulus``
+    and ``residues`` modulo the prime q (Chinese remainder theorem)."""
+    k = pow(modulus, -1, q)
+    return [c + modulus * ((x - c) * k % q) for c, x in zip(cs, residues)]
+
+
+def _symmetric(cs, modulus: int) -> list[int]:
+    """The representatives of ``cs`` in (-modulus / 2, modulus / 2]."""
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in cs]
+
+
+def _divmod_monic(a, g):
+    """Quotient and remainder of the integer polynomial ``a`` by the monic
+    integer polynomial ``g`` (ascending, len(a) >= len(g)), exactly in Z[x]."""
+    r, quotient = list(a), []
+    for k in reversed(range(len(a) - len(g) + 1)):
+        c = r[k + len(g) - 1]
+        quotient.append(c)
+        for i, x in enumerate(g):
+            r[k + i] -= c * x
+    return quotient[::-1], r[: len(g) - 1]
 
 
 def _square_free_part(coeffs):
-    """Monic radical of a monic integer polynomial (ascending coefficients).
+    """Monic radical of a monic integer polynomial p (ascending coefficients).
 
-    The radical p/gcd(p, p') of a monic integer polynomial is again monic with
-    integer coefficients and has the same root set, all simple.  Most inputs
-    are square-free already, which a gcd modulo one prime q > deg p proves:
-    a common factor of p and p' over Q is, by Gauss's lemma, a monic integer
-    polynomial and survives reduction modulo q.  Only when that test fails
-    is the gcd computed by exact rational Euclid.
+    The radical p / g, g = gcd(p, p'), has the roots of p, all simple.  g is
+    a monic integer polynomial (Gauss's lemma) and, for every prime q, g mod q
+    divides gcd(p, p') over F_q, which thus has degree at least deg g, with
+    equality, and then equal to g mod q, for all but finitely many q.  A
+    modular gcd of degree 0 therefore proves p square-free, which settles
+    most inputs with one prime.  Otherwise the modular gcds of least degree
+    so far are combined by the Chinese remainder theorem until the modulus
+    passes twice Mignotte's bound C(d, floor(d / 2)) |p|_2 on the
+    coefficients of a divisor of p of degree below d = deg p (Mignotte
+    1974), and their symmetric residues form a monic h.  h is accepted only
+    if it divides p and p' exactly in Z[x]: then h divides g, and
+    deg h >= deg g, so h = g.  Otherwise some prime was unlucky, and primes
+    are drawn on until a lucky one lowers the least degree.
     """
     dp = [k * c for k, c in enumerate(coeffs)][1:]
-    if _coprime_mod(coeffs, dp, next(_primes())):
-        return list(coeffs)
-
-    def divide(a, b):
-        """Quotient and remainder of a by b, the remainder without trailing
-        zeros, by rational long division."""
-        q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-        r = a[:]
-        for k in reversed(range(len(q))):
-            q[k] = r[k + len(b) - 1] / b[-1]
-            for i, c in enumerate(b):
-                r[k + i] -= q[k] * c
-        while r and r[-1] == 0:
-            r.pop()
-        return q, r
-
-    p = [Fraction(c) for c in coeffs]
-    # p' has leading coefficient deg p, never 0
-    a, b = p, [Fraction(c) for c in dp]
-    while b:
-        a, b = b, divide(a, b)[1]
-    q, _ = divide(p, [c / a[-1] for c in a])  # p over the monic gcd, exactly
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise CertificationError("square-free part was not integral")
-        out.append(int(c))
-    return out
+    d = len(dp)
+    bound = 2 * math.comb(d, d // 2) * (math.isqrt(sum(c * c for c in coeffs)) + 1)
+    cs, modulus = None, 1
+    for q in _primes():
+        residues = _gcd_mod(coeffs, dp, q)
+        if len(residues) == 1:
+            return list(coeffs)
+        if cs is None or len(residues) < len(cs):
+            cs, modulus = [0] * len(residues), 1  # every earlier prime was unlucky
+        elif len(residues) > len(cs):
+            continue  # q is unlucky
+        cs, modulus = _crt(cs, modulus, residues, q), modulus * q
+        if modulus > bound:
+            h = _symmetric(cs, modulus)
+            radical, rem = _divmod_monic(coeffs, h)
+            if not any(rem) and not any(_divmod_monic(dp, h)[1]):
+                return radical
 
 
 def _gauss_mul(a, b):
@@ -660,17 +672,11 @@ def _circle_start(coeffs, t):
     ]
 
 
-# Fractional bits of the root approximations at each rung (the first holds
-# 60 decimal digits with guard bits), and the Durand-Kerner sweeps allowed
-# per rung.
-_RUNGS = (208, 416, 832, 1664, 3328)
+# Fractional bits of the root approximations at each rung, and the
+# Durand-Kerner sweeps allowed per rung.  The first rung holds twice the
+# ~52 bits of the float seed, which a sweep near convergence about reaches.
+_RUNGS = (104, 208, 416, 832, 1664, 3328)
 _RUNG_SWEEPS = 100
-
-# Radical degree from which the seed is first swept at t/4 and t/2 bits.
-# One spectral_radius call with and without those sweeps, timed over pool
-# and random matrices: 4-8% slower with them at degrees 2-5, 1-2% at 6,
-# faster from 7 (12% at 10).
-_DOUBLING_MIN_DEGREE = 7
 
 # Bits a truncated correction keeps below the quotient's units digit.
 _GUARD_BITS = 32
@@ -726,15 +732,14 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
     The roots of the radical are refined by Durand-Kerner sweeps on Gaussian
     integers at scale 2^t, started from ``_float_seed`` (or from
     ``_circle_start`` when there is no seed or two of its points are
-    equal).  The precision doubles as the roots converge: one sweep at t/4
-    and one at t/2 fractional bits, for the first rung t (from radical
-    degree ``_DOUBLING_MIN_DEGREE``), then sweeps at t until the rounded
-    Weierstrass corrections are at most one unit; the approximations and
-    their exact P(Z_i) and Q_i then go to ``_inclusion_bounds``.  Each rung
-    of ``_RUNGS`` doubles t and carries the approximations over.
+    equal), until the rounded Weierstrass corrections are at most one unit;
+    the approximations and their exact P(Z_i) and Q_i then go to
+    ``_inclusion_bounds``.  Each rung of ``_RUNGS`` doubles t and carries
+    the approximations over.  The first rung's answer stands only when its
+    certified interval rounds to a single float; else the ladder goes on.
     Deterministic for fixed input and tolerance.  Raises CertificationError
-    rather than returning a loose answer: at once when the certified
-    interval holds no float within ``tol`` of any of its points (no rung can
+    rather than returning a loose answer: at the first rung that stands
+    when its interval holds no float within ``tol`` of any point (no rung can
     do better, as the value reported is a float), else when the last rung
     ends without meeting ``tol``.
     """
@@ -759,18 +764,6 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
     if zs is None or len(set(zs)) < n:
         # equal approximations have no Weierstrass correction and never part
         zs = _circle_start(coeffs, t)
-    # the seed holds about 50 correct bits and a sweep near convergence
-    # about doubles them, so one sweep each at t/4 and t/2 leaves the first
-    # rung one sweep and its final check.  A narrow sweep is kept only when
-    # it moved and its approximations are still distinct: rounded to t/4 or
-    # t/2 bits, a cluster of roots can collapse to one point, which no rung
-    # could then separate.
-    if n >= _DOUBLING_MIN_DEGREE:
-        for s in (t // 4, t // 2):
-            low = [(re >> (t - s), im >> (t - s)) for re, im in zs]
-            low, wei = _durand_kerner(_scaled(coeffs, s), low, 1)
-            if wei is None and len(set(low)) == n:
-                zs = [(re << (t - s), im << (t - s)) for re, im in low]
     for rung in _RUNGS:
         zs = [(re << (rung - t), im << (rung - t)) for re, im in zs]
         t = rung
@@ -780,6 +773,13 @@ def spectral_radius(m: IntMatrix, tol: float = 1e-9) -> SpectralResult:
         if bounds is None:
             continue
         lower, upper = bounds
+        if t == _RUNGS[0]:
+            # stands only where the interval rounds to one finite float
+            try:
+                if float(lower) != float(upper):
+                    continue
+            except OverflowError:
+                continue
         value = _float_modulus(max(zs, key=_abs2), t)
         # the error is measured from the float actually reported
         abs_err = _float_up(max(upper - Fraction(value), Fraction(value) - lower))

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +29,7 @@ from endogrowth.exactlin import (
 )
 
 from conftest import count_calls, run_child
+from endogrowth.cli import run
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -200,6 +203,32 @@ class TestSpectralRadius:
             assert abs(a - b) <= 1e-9 * max(1.0, a)
 
 
+def reference_square_free_part(coeffs):
+    """Monic radical p / gcd(p, p') of a monic integer polynomial (ascending),
+    by rational Euclid."""
+
+    def divide(a, b):
+        """Quotient and remainder of a by b, the remainder without trailing
+        zeros, by rational long division."""
+        q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+        r = a[:]
+        for k in reversed(range(len(q))):
+            q[k] = r[k + len(b) - 1] / b[-1]
+            for i, c in enumerate(b):
+                r[k + i] -= q[k] * c
+        while r and r[-1] == 0:
+            r.pop()
+        return q, r
+
+    p = [Fraction(c) for c in coeffs]
+    a, b = p, [Fraction(k * c) for k, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, divide(a, b)[1]
+    q, _ = divide(p, [c / a[-1] for c in a])
+    assert all(c.denominator == 1 for c in q)
+    return [int(c) for c in q]
+
+
 def reference_radius(m):
     """Max root modulus from polyroots of the square-free part at 300 digits."""
     coeffs = list(char_poly(m).coeffs)
@@ -207,7 +236,7 @@ def reference_radius(m):
         coeffs.pop(0)
     if len(coeffs) == 1:
         return mpmath.mpf(0)
-    radical = _square_free_part(coeffs)
+    radical = reference_square_free_part(coeffs)
     with mpmath.workdps(300):
         zs = mpmath.polyroots(
             [mpmath.mpf(c) for c in reversed(radical)], maxsteps=800, extraprec=300
@@ -236,17 +265,17 @@ def block_diag(blocks):
 
 
 def seeded_matrix(kind, n, rng):
-    """dense: entries in [-3, 3]; block: one 2x2 block repeated; jordan:
-    4x4 blocks [[B, I], [0, B]]; both structured kinds permuted."""
+    """dense: entries in [-3, 3]; block: one 2x2 block B repeated; jordan:
+    4x4 blocks [[B, I], [0, B]], then B for the rest.  An odd n ends the
+    structured kinds on the 1x1 block B_11.  Both structured kinds are
+    permuted."""
     if kind == "dense":
         return mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
     b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-    if kind == "block":
-        rows = block_diag([b] * (n // 2))
-    else:
-        chain = block_diag([b, b])
-        chain[0][2] = chain[1][3] = 1
-        rows = block_diag([chain] * (n // 4))
+    chain = block_diag([b, b])
+    chain[0][2] = chain[1][3] = 1
+    chains = n // 4 if kind == "jordan" else 0
+    rows = block_diag([chain] * chains + [b] * ((n - 4 * chains) // 2) + [[b[0][:1]]] * (n % 2))
     perm = list(range(n))
     rng.shuffle(perm)
     return mat([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
@@ -263,7 +292,7 @@ class TestCertificate:
     @pytest.mark.parametrize("kind", ["dense", "block", "jordan"])
     def test_value_is_the_correctly_rounded_radius(self, kind):
         rng = random.Random(77)
-        for n in (4, 8, 12):
+        for n in range(2, 17):
             m = seeded_matrix(kind, n, rng)
             assert spectral_radius(m).value == float(reference_radius(m)), m.entries
 
@@ -294,10 +323,9 @@ class TestPrecisionLadder:
         assert r.bits == _RUNGS[0]
         # Hadamard's bound needs one prime here, the row-sum bound two
         assert len(hessenberg) == 1
-        # from the seed alone this rung needs four full-width evaluations;
-        # after the sweeps at t/4 and t/2, a sweep and its final check
-        assert widths.count(_RUNGS[0]) <= 2
-        assert sorted(set(widths)) == [_RUNGS[0] // 4, _RUNGS[0] // 2, _RUNGS[0]]
+        # the seed holds about half the first rung's bits: a sweep or two,
+        # and the final check
+        assert set(widths) == {_RUNGS[0]} and len(widths) <= 3
 
     def test_no_float_within_tol_fails_on_the_first_rung(self, monkeypatch):
         rungs = count_calls(monkeypatch, exactlin, "_inclusion_bounds")
@@ -323,6 +351,32 @@ class TestPrecisionLadder:
         assert r.value == 2.0 and r.abs_error <= 1e-300
         assert r.bits > _RUNGS[0] and len(rungs) > 1
 
+    @pytest.mark.parametrize("e", range(915, 935))
+    def test_near_the_float_maximum(self, e, tmp_path):
+        # radius sqrt(N) lies about 2^(e - 1025) below M + 2^970, the
+        # boundary past which a float rounds to infinity: the first rung's
+        # interval crosses it up to e = 922, and the next rung certifies M
+        big = int(sys.float_info.max)
+        rows = [[0, (big + 2**970) ** 2 - 2**e], [1, 0]]
+        assert spectral_radius(mat(rows), tol=1e300).value == sys.float_info.max
+        with pytest.raises(CertificationError, match="no float lies within"):
+            spectral_radius(mat(rows), tol=1e-9)
+        blocks = tmp_path / "blocks.json"
+        blocks.write_text(json.dumps([{"weight": 1, "matrix": rows}]))
+        out = str(tmp_path / "out.json")
+        assert run(["closed", "--blocks", str(blocks), "--tol", "1e300", "--out", out]) == 0
+        assert run(["closed", "--blocks", str(blocks), "--tol", "1e-9", "--out", out]) == 4
+
+    @pytest.mark.parametrize("tol", [2.0, 1e6])
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_a_radius_on_a_float_midpoint(self, a, tol):
+        # roots a +- i sqrt(K^2 - a^2) of modulus K = 2^53 + 1, halfway
+        # between two floats: the first rung's interval reaches past K and
+        # spans both, so the next rung returns the even neighbour
+        k = 2**53 + 1
+        r = spectral_radius(mat([[0, -k * k], [1, 2 * a]]), tol=tol)
+        assert r.value == 9007199254740992.0 and r.bits == _RUNGS[1]
+
 
 def mignotte_companion(n, a):
     """Companion matrix of x^n - 2 (a x - 1)^2, whose two roots near 1/a
@@ -333,7 +387,7 @@ def mignotte_companion(n, a):
 
 class TestCloseRoots:
     # x^8 - 2 (10^4 x - 1)^2: two roots some 2e-20 apart, far under one
-    # unit at t/4 = 52 fractional bits
+    # unit of the 52-bit float seed
     M = mignotte_companion(8, 10**4)
 
     def cluster_seed(self, monkeypatch, near):
@@ -349,10 +403,9 @@ class TestCloseRoots:
     @pytest.mark.parametrize(
         "offset", [2**-52 * 1j, 2**-51, -(2**-50)], ids=["up one unit", "right two", "left four"]
     )
-    def test_a_narrow_sweep_that_merges_two_points_is_dropped(self, offset, monkeypatch):
-        # from these two points, one unit apart or a little more at 52 bits,
-        # the sweep at t/4 moves one onto the other
-        assert self.M.rows >= exactlin._DOUBLING_MIN_DEGREE  # the sweeps run
+    def test_clustered_seeds_certify_at_the_first_rung(self, offset, monkeypatch):
+        # two seed points one unit apart or a little more at 52 bits give
+        # the same value as the seed of distinct points
         want = spectral_radius(self.M).value
         self.cluster_seed(monkeypatch, [1e-4, 1e-4 + offset])
         r = spectral_radius(self.M)
@@ -364,6 +417,14 @@ class TestCloseRoots:
         starts = count_calls(monkeypatch, exactlin, "_circle_start")
         r = spectral_radius(self.M)
         assert r.value == want and len(starts) == 1
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def gauss_mul(a, b):
@@ -425,6 +486,67 @@ class TestSquareFreePart:
     def test_repeated_factor_is_removed(self):
         # (x - 1)^2 (x + 2) has the radical (x - 1)(x + 2)
         assert _square_free_part([2, -3, 0, 1]) == [-2, 1, 1]
+
+    @pytest.mark.parametrize("kind", ["block", "jordan"])
+    def test_structured_char_polys_match_the_reference(self, kind):
+        rng = random.Random(31)
+        for n in range(2, 17):
+            coeffs = list(char_poly(seeded_matrix(kind, n, rng)).coeffs)
+            assert _square_free_part(coeffs) == reference_square_free_part(coeffs), coeffs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3).flatmap(
+                    lambda k: st.lists(st.integers(-9, 9), min_size=k, max_size=k)
+                ),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_products_of_powers_match_the_reference(self, factors):
+        coeffs = [1]
+        for low, power in factors:
+            for _ in range(power):
+                coeffs = poly_mul(coeffs, low + [1])
+        assert _square_free_part(coeffs) == reference_square_free_part(coeffs)
+
+    def test_an_unlucky_prime_is_passed_over(self, monkeypatch):
+        # p = x^2 + 1 has p' = 2x, which vanishes modulo 2, where the gcd is
+        # p itself; the next prime proves p square-free
+        primes, drawn = exactlin._primes, []
+
+        def two_first():
+            drawn.append(2)
+            yield 2
+            for q in primes():
+                drawn.append(q)
+                yield q
+
+        monkeypatch.setattr(exactlin, "_primes", two_first)
+        assert _square_free_part([1, 0, 1]) == [1, 0, 1]
+        assert drawn == [2, next(primes())]
+
+    @pytest.mark.parametrize(
+        "fake", [[-2, 1, 1], [-1, 0, 1]], ids=["divides p only", "divides p' only"]
+    )
+    def test_a_lift_that_does_not_divide_both_is_rejected(self, fake, monkeypatch):
+        # p = (x - 1)^2 (x + 2) and p' = 3 (x - 1)(x + 1) have the gcd x - 1.
+        # The first prime reports (x - 1)(x + 2) or (x - 1)(x + 1) in its
+        # place, and one prime passes Mignotte's bound, so that lift is
+        # checked, rejected, and the next prime lowers the degree
+        inner, calls = exactlin._gcd_mod, []
+
+        def gcd_mod(a, b, q):
+            calls.append(q)
+            return [c % q for c in fake] if len(calls) == 1 else inner(a, b, q)
+
+        monkeypatch.setattr(exactlin, "_gcd_mod", gcd_mod)
+        assert _square_free_part([2, -3, 0, 1]) == [-2, 1, 1]
+        assert len(calls) == 2
 
 
 class TestFloatSeed:
