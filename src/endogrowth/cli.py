@@ -4,10 +4,12 @@ Subcommands: check, closed, empirical, compare, ball, wordlen, distortion.
 Machine output (JSON, or CSV for tables) goes to --out when given, otherwise
 to stdout; with --out a one-line human summary is printed to stdout.
 
-Each command is one entry of ``COMMANDS``.  A run builds the parser of the
-command it runs and nothing else; the full parser of ``make_parser()`` is
-built only for help and errors: when argv does not start with a command name,
-or when the command's parser leaves an argument unrecognized.
+Each command is one entry of ``COMMANDS`` and each flag one entry of
+``FLAGS``.  A plain command line, ``CMD --flag value ...`` with every flag
+spelled in full and belonging to CMD, no value starting with ``-``, every
+value valid for its flag and every required flag given, is parsed from
+``FLAGS`` without building any parser.  Every other argv goes to the full
+parser of ``make_parser()``, so help, usage and error text are its own.
 
 Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 4 certification / contract failure.
@@ -34,7 +36,7 @@ from .errors import (
 from .exactlin import IntMatrix
 from .families import check_params
 from .nilgr import gr_from_blocks
-from .reports import build_report, parse_endo, parse_group, report_json
+from .reports import build_report, parse_endo, parse_group, report_json, unlimited_int_digits
 from .words import ValidEndo, check_homomorphism, evaluate, eventually_trivial, parse_word, word_str
 
 EXIT_OK = 0
@@ -116,7 +118,8 @@ def _cmd_check(args):
         out["eventually_trivial"] = {"status": "no" if power is None else "yes", "power": power}
     else:
         out["violated_relator"] = word_str(verdict.violated_relator, machine.gens)
-        out["witness"] = repr(verdict.witness)
+        with unlimited_int_digits():
+            out["witness"] = repr(verdict.witness)
     _emit(args, report_json(out), f"check: valid={verdict.valid}")
     return EXIT_OK
 
@@ -174,54 +177,77 @@ def _cmd_closed(args):
     return _cmd_report(args, "closed")
 
 
+class Flag(NamedTuple):
+    type: Optional[Callable] = None  # int or float; None keeps the string
+    choices: Optional[tuple] = None
+    default: object = None
+    help: Optional[str] = None
+
+
+# Every flag: what converts and checks its value, its default and its help.
+# Both the plain parse and make_parser() read it.
+FLAGS = {
+    "--group": Flag(help="group descriptor file (JSON)"),
+    "--endo": Flag(help="endomorphism descriptor file (JSON)"),
+    "--kmax": Flag(int, default=16),
+    "--radius": Flag(int, default=10),
+    "--cap": Flag(int, default=DEFAULT_CAP),
+    "--tol": Flag(float, default=1e-9),
+    "--format": Flag(choices=("json", "csv"), default="json"),
+    "--out": Flag(),
+    "--blocks": Flag(help="diagonal block list file (JSON) instead of group/endo"),
+    "--word": Flag(help="word in the group's generators"),
+    "--subgroup": Flag(help="generator spanning the subgroup"),
+}
+_COMMON = ("--kmax", "--radius", "--cap", "--tol", "--format", "--out")
+
+
 class Command(NamedTuple):
     help: str
-    endo: bool  # takes --endo
-    required: bool  # --group, --endo and the extra flag are required
-    extra: Optional[tuple[str, str]]  # (flag, help) of the command's own flag
+    flags: tuple[str, ...]  # the keys of FLAGS the command takes, in help order
+    required: frozenset[str]  # the flags it cannot run without
     handler: Callable
 
 
-# One entry per command: it feeds both the command's own parser and make_parser().
+# One entry per command: it feeds both the plain parse and make_parser().
 COMMANDS = {
-    "check": Command("validate an endomorphism against the relators", True, True, None, _cmd_check),
+    "check": Command(
+        "validate an endomorphism against the relators",
+        ("--group", "--endo", *_COMMON), frozenset({"--group", "--endo"}), _cmd_check,
+    ),
     "closed": Command(
-        "closed-form growth rate", True, False,
-        ("--blocks", "diagonal block list file (JSON) instead of group/endo"), _cmd_closed,
+        "closed-form growth rate",
+        ("--group", "--endo", *_COMMON, "--blocks"), frozenset(), _cmd_closed,
     ),
     "empirical": Command(
-        "iterate-length table and growth estimate", True, True, None,
+        "iterate-length table and growth estimate",
+        ("--group", "--endo", *_COMMON), frozenset({"--group", "--endo"}),
         functools.partial(_cmd_report, command="empirical"),
     ),
     "compare": Command(
-        "closed form vs empirical estimate with verdict", True, True, None,
+        "closed form vs empirical estimate with verdict",
+        ("--group", "--endo", *_COMMON), frozenset({"--group", "--endo"}),
         functools.partial(_cmd_report, command="compare"),
     ),
-    "ball": Command("Cayley ball growth table", False, True, None, _cmd_ball),
+    "ball": Command("Cayley ball growth table", ("--group", *_COMMON), frozenset({"--group"}), _cmd_ball),
     "wordlen": Command(
-        "exact word length of an element", False, True,
-        ("--word", "word in the group's generators"), _cmd_wordlen,
+        "exact word length of an element",
+        ("--group", *_COMMON, "--word"), frozenset({"--group", "--word"}), _cmd_wordlen,
     ),
     "distortion": Command(
-        "distortion profile of a cyclic subgroup", False, True,
-        ("--subgroup", "generator spanning the subgroup"), _cmd_distortion,
+        "distortion profile of a cyclic subgroup",
+        ("--group", *_COMMON, "--subgroup"), frozenset({"--group", "--subgroup"}), _cmd_distortion,
     ),
 }
 
 
 def _add_flags(parser, spec: Command):
-    parser.add_argument("--group", required=spec.required, help="group descriptor file (JSON)")
-    if spec.endo:
-        parser.add_argument("--endo", required=spec.required, help="endomorphism descriptor file (JSON)")
-    parser.add_argument("--kmax", type=int, default=16)
-    parser.add_argument("--radius", type=int, default=10)
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None)
-    if spec.extra:
-        flag, text = spec.extra
-        parser.add_argument(flag, required=spec.required, help=text)
+    for flag in spec.flags:
+        kind = FLAGS[flag]
+        parser.add_argument(
+            flag, type=kind.type, choices=kind.choices, default=kind.default,
+            required=flag in spec.required, help=kind.help,
+        )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -236,25 +262,53 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """What ``make_parser().parse_args(argv)`` returns, building only the
-    invoked command's parser when it accepts every argument.
+def _parse_plain(argv) -> Optional[argparse.Namespace]:
+    """The namespace of ``CMD --flag value ...``, or None for any other argv.
 
-    The command's parser is built as ``make_parser()`` builds its subparser,
-    so its help and its errors are the same.  Anything else (no command, an
-    option before it, an argument it does not recognize) goes to the full
-    parser.
+    Every flag must be spelled in full and belong to CMD, no value may start
+    with ``-``, and every flag CMD requires must be given.  Each value, a
+    repeated flag's too, converts by its flag's type and must be one of its
+    choices; a repeated flag keeps its last value.  On such an argv the full
+    parser returns the same namespace, as its subparser sees only options and
+    their values.
+    """
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None or len(argv) % 2 == 0:
+        return None
+    values = {flag: FLAGS[flag].default for flag in spec.flags}
+    given = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in values or text.startswith("-"):
+            return None
+        kind = FLAGS[flag]
+        value = text
+        if kind.type is not None:
+            try:
+                value = kind.type(text)
+            except ValueError:
+                return None
+        if kind.choices is not None and value not in kind.choices:
+            return None
+        values[flag] = value
+        given.add(flag)
+    if not spec.required <= given:
+        return None
+    return argparse.Namespace(cmd=argv[0], **{flag[2:]: value for flag, value in values.items()})
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """What ``make_parser().parse_args(argv)`` returns, without building any
+    parser when argv is a plain ``CMD --flag value ...`` command line.
+
+    ``_parse_plain`` says which argvs are plain.  Any other argv (no command,
+    an option before it, an abbreviated or ``--flag=value`` option, a value
+    starting with ``-``, a missing or invalid value, ``-h``) goes to the full
+    parser, so help, usage and error text are the full parser's.
     """
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"endogrowth {argv[0]}")
-        _add_flags(parser, COMMANDS[argv[0]])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.cmd = argv[0]
-            return args
-    return make_parser().parse_args(argv)
+    args = _parse_plain(argv)
+    return make_parser().parse_args(argv) if args is None else args
 
 
 def run(argv=None) -> int:

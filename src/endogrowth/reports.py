@@ -19,8 +19,10 @@ counters instead of wall-clock timings for exactly that reason.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +41,7 @@ __all__ = [
     "empirical_estimate",
     "build_report",
     "report_json",
+    "unlimited_int_digits",
     "CONSISTENCY_BAND",
 ]
 
@@ -201,5 +204,27 @@ def build_report(
     return report
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift CPython's limit on the digits of an int converted to str for the
+    block, and restore it after.
+
+    An exact length such as 10^4320 is a valid result, but the limit (4300
+    digits by default, added in 3.10.7 and 3.11) refuses to print it.  Only
+    output is printed under the lifted limit: ints parsed from descriptors
+    keep it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # a release without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    with unlimited_int_digits():
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -20,6 +20,7 @@ from endogrowth.reports import (
     parse_endo,
     parse_group,
     report_json,
+    unlimited_int_digits,
 )
 
 from endogrowth.words import validate_endo
@@ -448,6 +449,36 @@ class TestBigIntegers:
         last = json.loads(out.read_text())["empirical"]["rows"][-1]
         assert last["k"] == 1000 and last["length"] > 2**64
 
+    @pytest.mark.parametrize("command", ["empirical", "compare"])
+    def test_lengths_past_the_int_digit_limit(self, command, tmp_path):
+        # L_480 = 10^4320 has more digits than CPython prints by default
+        group, endo, out = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "out.json"
+        group.write_text(json.dumps({"family": "free_abelian", "params": {"rank": 1}}))
+        endo.write_text(json.dumps({"matrix": [[10**9]]}))
+        argv = [command, "--group", str(group), "--endo", str(endo), "--kmax", "480", "--out", str(out)]
+        assert run(argv) == 0
+        with unlimited_int_digits():
+            last = json.loads(out.read_text())["empirical"]["rows"][-1]
+        assert last["k"] == 480 and last["length"] == 10**4320
+
+    def test_check_witness_past_the_int_digit_limit(self, tmp_path, capsys):
+        # a1 -> a1^N, a2 -> a2^N, a3 -> a3 breaks [a1, a2] = a3 by N^2 - 1
+        n = 10**2200
+        endo = tmp_path / "e.json"
+        endo.write_text(json.dumps({"images": {"a1": f"a1^{n}", "a2": f"a2^{n}", "a3": "a3"}}))
+        assert run(["check", "--group", fixture_path("heis_ex1.group"), "--endo", str(endo)]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        with unlimited_int_digits():
+            assert witness == repr((0, 0, 1 - n * n))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_an_oversized_int_in_a_descriptor_is_refused(self, tmp_path, capsys):
+        group, endo = tmp_path / "g.json", tmp_path / "e.json"
+        group.write_text(json.dumps({"family": "free_abelian", "params": {"rank": 1}}))
+        endo.write_text('{"matrix": [[1' + "0" * 4400 + "]]}")
+        assert run(["empirical", "--group", str(group), "--endo", str(endo)]) == 2
+        assert "limit" in capsys.readouterr().err
+
     def test_wordlen_bs_huge_a_powers(self):
         # a^N b a^-N = b^(1/2^N): neither the normal form nor its lower bound
         # needs 2^N itself, so the search fits in a child of 256 MiB
@@ -608,11 +639,15 @@ class TestExitCodes:
 
 
 def parsed(parse, argv):
-    """("ok", namespace) or ("exit", code, stdout, stderr) of one parse."""
+    """("ok", namespace items) or ("exit", code, stdout, stderr) of one parse.
+
+    Values compare by repr, so that a NaN tol equals itself and 3 differs
+    from 3.0.
+    """
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return ("ok", vars(parse(list(argv))))
+            return ("ok", sorted((key, repr(value)) for key, value in vars(parse(list(argv))).items()))
     except SystemExit as exc:
         return ("exit", exc.code, out.getvalue(), err.getvalue())
 
@@ -622,6 +657,18 @@ def full_parse(argv):
 
 
 GROUP = fixture_path("klein.group")
+ENDO = fixture_path("klein.endo")
+COMMON = ["--kmax", "20", "--radius", "10", "--cap", "5000", "--tol", "1e-6", "--format", "csv", "--out", "o.json"]
+# one argv per command that sets every flag the command takes
+COMPLETE_ARGVS = [
+    ["check", "--group", GROUP, "--endo", ENDO, *COMMON],
+    ["closed", "--group", GROUP, "--endo", ENDO, *COMMON, "--blocks", "blocks.json"],
+    ["empirical", "--group", GROUP, "--endo", ENDO, *COMMON],
+    ["compare", "--group", GROUP, "--endo", ENDO, *COMMON],
+    ["ball", "--group", GROUP, *COMMON],
+    ["wordlen", "--group", GROUP, *COMMON, "--word", "x^2 y^-1"],
+    ["distortion", "--group", GROUP, *COMMON, "--subgroup", "x"],
+]
 EDGE_ARGVS = [
     [],
     ["-h"],
@@ -639,10 +686,16 @@ EDGE_ARGVS = [
     ["ball", "--group", GROUP, "--radius=2"],
     ["ball", "--group", GROUP, "--"],
     ["check", "--he"],
+    ["ball", "--group", GROUP, "--radius", "2", "--radius", "3"],
+    ["ball", "--group", GROUP, "--radius", "x", "--radius", "3"],
+    ["wordlen", "--group", GROUP, "--word", ""],
+    ["compare", "--endo", ENDO, "--kmax", "4"],
+    ["closed"],
+    *COMPLETE_ARGVS,
 ]
 FLAGS = ["--group", "--endo", "--kmax", "--radius", "--cap", "--tol", "--format", "--out",
          "--blocks", "--word", "--subgroup"]
-VALUES = ["2", "-1", "x", "1e-3", "json", "csv", "xml", "-x", ""]
+VALUES = ["2", "-1", "x", "1e-3", "json", "csv", "xml", "-x", "", "nan", "inf", "1_0", " 3", "+2", "0x10", "\u0663"]
 TOKENS = st.sampled_from([
     *COMMANDS, *FLAGS, *VALUES, "-h", "--help", "--", "--gro", "--rad", "--he", "--k", "--sub", "--wo", "--e",
     "--radius=2", "--kmax=x", "--format=csv",
@@ -652,7 +705,7 @@ PIECES = st.one_of(TOKENS.map(lambda t: [t]), st.tuples(st.sampled_from(FLAGS), 
 
 
 class TestCommandParser:
-    """The invoked command's own parser behaves as the full parser."""
+    """``parse_args`` behaves as the full parser."""
 
     @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=" ".join)
     def test_edge_argvs(self, argv):
@@ -663,6 +716,22 @@ class TestCommandParser:
     def test_any_tokens(self, head, tail):
         argv = [head, *(t for piece in tail for t in piece)]
         assert parsed(parse_args, argv) == parsed(full_parse, argv)
+
+    @pytest.mark.parametrize("argv", COMPLETE_ARGVS, ids=lambda argv: argv[0])
+    def test_a_plain_argv_builds_no_parser(self, argv, monkeypatch):
+        import argparse
+
+        import endogrowth.cli as cli_mod
+
+        expected = full_parse(argv)
+        assert None not in vars(expected).values()  # every flag is set
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        monkeypatch.setattr(cli_mod, "make_parser", refuse)
+        assert parse_args(argv) == expected
 
     def test_module_entry_point_writes_what_run_writes(self, capsys):
         argv = ["compare", "--group", GROUP, "--endo", fixture_path("klein.endo"), "--kmax", "8", "--radius", "4"]
