@@ -44,9 +44,8 @@ import functools
 import io
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CertificationError, ResourceCapExceeded, ValidationError
 from .words import ValidEndo, apply_on_element, word_str
@@ -75,8 +74,7 @@ DEFAULT_CAP = 5_000_000
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(NamedTuple):
     """All elements of word length <= radius with their exact lengths.
 
     ``counts[r]`` is the cumulative number of elements of length <= r.
@@ -433,8 +431,7 @@ def _trend(seq) -> Optional[float]:
     return _root(seq[-1], seq[-3], 2) if len(seq) >= 3 and seq[-3] > 0 else None
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """A closed-form growth rate: its value, the method that gives it, and
     the certificate a report prints."""
 
@@ -443,8 +440,7 @@ class ClosedForm:
     certificate: dict
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     """Table k -> max generator-image length, with per-entry provenance.
 
     ``exact`` entries are BFS geodesics or values of an exact family length
@@ -460,8 +456,7 @@ class GrowthEstimate:
     method: str
 
 
-@dataclass(frozen=True)
-class GrowthSummary:
+class GrowthSummary(NamedTuple):
     roots: tuple[float, ...]  # L_k^(1/k), one per row
     running_inf: tuple[float, ...]  # min of the roots up to each row
     trend: Optional[float]
@@ -554,8 +549,7 @@ def L_k_table(
     )
 
 
-@dataclass(frozen=True)
-class DistortionTable:
+class DistortionTable(NamedTuple):
     """n -> max inner length over subgroup elements of ambient length <= n."""
 
     ns: tuple[int, ...]

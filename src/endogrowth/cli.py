@@ -8,8 +8,9 @@ Each command is one entry of ``COMMANDS`` and each flag one entry of
 ``FLAGS``.  A plain command line, ``CMD --flag value ...`` with every flag
 spelled in full and belonging to CMD, no value starting with ``-``, every
 value valid for its flag and every required flag given, is parsed from
-``FLAGS`` without building any parser.  Every other argv goes to the full
-parser of ``make_parser()``, so help, usage and error text are its own.
+``FLAGS`` into a ``types.SimpleNamespace``, without importing argparse.
+Every other argv goes to the full parser of ``make_parser()``, the one place
+that imports argparse, so help, usage and error text are its own.
 
 Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 4 certification / contract failure.
@@ -17,11 +18,11 @@ Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from .ball import DEFAULT_CAP, ball_counts, counts_csv, cyclic_distortion, word_length
@@ -251,7 +252,10 @@ def _add_flags(parser, spec: Command):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    """The full parser: every command as a subparser."""
+    """The full parser: every command as a subparser.  A plain command line
+    never reaches it, so only here is argparse imported."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="endogrowth",
         description="Growth rates of group endomorphisms: closed forms vs exact word lengths",
@@ -262,15 +266,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_plain(argv) -> Optional[argparse.Namespace]:
+def _parse_plain(argv) -> Optional[SimpleNamespace]:
     """The namespace of ``CMD --flag value ...``, or None for any other argv.
 
     Every flag must be spelled in full and belong to CMD, no value may start
     with ``-``, and every flag CMD requires must be given.  Each value, a
     repeated flag's too, converts by its flag's type and must be one of its
     choices; a repeated flag keeps its last value.  On such an argv the full
-    parser returns the same namespace, as its subparser sees only options and
-    their values.
+    parser returns a namespace of the same attributes, as its subparser sees
+    only options and their values.
     """
     spec = COMMANDS.get(argv[0]) if argv else None
     if spec is None or len(argv) % 2 == 0:
@@ -293,12 +297,13 @@ def _parse_plain(argv) -> Optional[argparse.Namespace]:
         given.add(flag)
     if not spec.required <= given:
         return None
-    return argparse.Namespace(cmd=argv[0], **{flag[2:]: value for flag, value in values.items()})
+    return SimpleNamespace(cmd=argv[0], **{flag[2:]: value for flag, value in values.items()})
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """What ``make_parser().parse_args(argv)`` returns, without building any
-    parser when argv is a plain ``CMD --flag value ...`` command line.
+def parse_args(argv):
+    """The attributes ``make_parser().parse_args(argv)`` returns, without
+    building any parser when argv is a plain ``CMD --flag value ...`` command
+    line.
 
     ``_parse_plain`` says which argvs are plain.  Any other argv (no command,
     an option before it, an abbreviated or ``--flag=value`` option, a value

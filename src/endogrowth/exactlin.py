@@ -41,7 +41,7 @@ truncated quotients move the approximations and never enter the
 certificate, which reads the exact p(z_i) and products of differences at
 the approximations the sweeps end with.
 
-All values are immutable after construction and all operations are pure, so
+No value is changed after construction and all operations are pure, so
 concurrent use from any number of threads is safe.
 """
 
@@ -50,8 +50,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CertificationError, DimensionError
 
@@ -70,19 +70,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, row-major, arbitrary precision entries."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        if not entries or not entries[0]:
             raise DimensionError("matrix must have at least one row and column")
-        width = len(self.entries[0])
-        for row in self.entries:
+        width = len(entries[0])
+        for row in entries:
             if len(row) != width:
                 raise DimensionError("ragged rows")
+        self.entries = entries
+
+    def __eq__(self, other):
+        return type(other) is IntMatrix and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"IntMatrix(entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -147,8 +156,7 @@ class IntMatrix:
         return sum(self.entries[i][i] for i in range(self.rows))
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer polynomial, coefficients in ascending degree order.
 
     The leading coefficient is nonzero unless this is the zero polynomial.
@@ -202,8 +210,7 @@ class IntPolynomial:
         return out
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Certified spectral radius.
 
     ``value - abs_error <= true max root modulus <= value + abs_error``.

@@ -21,15 +21,16 @@ generator images, and its growth routes, ``closed_form`` and
 ``length_table``, whose workers live in :mod:`endogrowth.nilgr`,
 :mod:`endogrowth.solgr` and :mod:`endogrowth.ball`.
 
-Machines are immutable after construction and all element operations are
-pure, so sharing across threads is safe.
+A machine is not changed after construction, apart from the caches it
+fills, and all element operations are pure, so sharing across threads is
+safe.  Two machines compare and hash equal when they are of one family with
+equal parameters.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .ball import ClosedForm, L_k_table
 from .errors import ResourceCapExceeded, ValidationError
@@ -130,6 +131,21 @@ class Machine:
     def build(cls, **params):
         """The machine for schema-checked parameters; lists become tuples."""
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
+
+    def _params(self) -> dict:
+        """The constructor's arguments by name, which ==, hash and repr read:
+        by default those the schema names, which ``build`` passes on."""
+        return {name: getattr(self, name) for name, *_ in self.schema}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._params() == other._params()
+
+    def __hash__(self):
+        return hash(tuple(self._params().values()))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in self._params().items())
+        return f"{type(self).__name__}({args})"
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -352,12 +368,12 @@ class _AbelianMachine(Machine):
     orders: tuple[int, ...]
 
     def _set_orders(self, names, orders):
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "gens", GenSet(self.names))
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "identity", (0,) * len(orders))
-        object.__setattr__(self, "free_ab_indices", tuple(range(self.rank)))
-        object.__setattr__(self, "_torsion_at", tuple((i, m) for i, m in enumerate(orders) if m))
+        self.names = tuple(names)
+        self.gens = GenSet(self.names)
+        self.orders = orders
+        self.identity = (0,) * len(orders)
+        self.free_ab_indices = tuple(range(self.rank))
+        self._torsion_at = tuple((i, m) for i, m in enumerate(orders) if m)
 
     def _reduced(self, t: list) -> tuple:
         for i, m in self._torsion_at:
@@ -399,23 +415,21 @@ class _AbelianMachine(Machine):
         return self.length_upper(elem) if elem.count(0) + (elem[gen_index] != 0) == len(elem) else None
 
 
-@dataclass(frozen=True)
 class FreeAbelianMachine(_AbelianMachine):
     """Z^rank with coordinatewise arithmetic; elements are int tuples."""
 
-    rank: int
-    names: tuple[str, ...] = ()
     family = "free_abelian"
     schema = (("rank", "int"), ("names", "list of str", ()))
     shortcut = "matrix"
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, names: tuple[str, ...] = ()):
+        if rank < 1:
             raise ValidationError("rank must be >= 1")
-        names = self.names or tuple(f"e{i + 1}" for i in range(self.rank))
-        if len(names) != self.rank:
+        self.rank = rank
+        names = names or tuple(f"e{i + 1}" for i in range(rank))
+        if len(names) != rank:
             raise ValidationError("need one name per generator")
-        self._set_orders(names, (0,) * self.rank)
+        self._set_orders(names, (0,) * rank)
 
     def shortcut_images(self, rows):
         """The columns of a square int matrix: column i is the image of
@@ -428,31 +442,28 @@ class FreeAbelianMachine(_AbelianMachine):
         return mat.transpose().entries
 
 
-@dataclass(frozen=True)
 class TorsionProductMachine(_AbelianMachine):
     """Z^rank x prod Z_{b_i}; an element is one flat int tuple
     (x_1, ..., x_rank, r_1, ..., r_s) for a^x t^r, the free exponents, then
     the residues r_i in [0, b_i)."""
 
-    rank: int
-    torsion: tuple[int, ...]
-    names: tuple[str, ...] = ()
     family = "abelian_with_torsion"
     schema = (("rank", "int"), ("torsion", "list of int"), ("names", "list of str", ()))
 
-    def __post_init__(self):
-        if self.rank < 0 or (self.rank == 0 and not self.torsion):
+    def __init__(self, rank: int, torsion: tuple[int, ...], names: tuple[str, ...] = ()):
+        if rank < 0 or (rank == 0 and not torsion):
             raise ValidationError("need at least one generator")
-        object.__setattr__(self, "torsion", tuple(int(b) for b in self.torsion))
+        self.rank = rank
+        self.torsion = tuple(int(b) for b in torsion)
         for b in self.torsion:
             if b < 2:
                 raise ValidationError("torsion orders must be >= 2")
-        names = self.names or tuple(f"a{i + 1}" for i in range(self.rank)) + tuple(
+        names = names or tuple(f"a{i + 1}" for i in range(rank)) + tuple(
             f"t{i + 1}" for i in range(len(self.torsion))
         )
-        if len(names) != self.rank + len(self.torsion):
+        if len(names) != rank + len(self.torsion):
             raise ValidationError("need one name per generator")
-        self._set_orders(names, (0,) * self.rank + self.torsion)
+        self._set_orders(names, (0,) * rank + self.torsion)
 
     @property
     def triviality_power(self) -> int:
@@ -469,7 +480,6 @@ class TorsionProductMachine(_AbelianMachine):
         return gr_torsion_closed(valid, tol)
 
 
-@dataclass(frozen=True)
 class HeisenbergMachine(Machine):
     """Integer Heisenberg lattice with parameter k: [a1, a2] = a3^-k.
 
@@ -480,20 +490,19 @@ class HeisenbergMachine(Machine):
     allowed for k=1, where the center is generated by the commutator).
     """
 
-    k: int = 1
-    include_center_gen: bool = True
     family = "heisenberg"
     schema = (("k", "int"), ("include_center_gen", "bool", True))
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int = 1, include_center_gen: bool = True):
+        if k < 1:
             raise ValidationError("k must be >= 1")
-        if not self.include_center_gen and self.k != 1:
+        if not include_center_gen and k != 1:
             raise ValidationError("dropping the central generator requires k = 1")
-        names = ("a1", "a2", "a3") if self.include_center_gen else ("a1", "a2")
-        object.__setattr__(self, "gens", GenSet(names))
-        object.__setattr__(self, "identity", (0, 0, 0))
-        object.__setattr__(self, "free_ab_indices", (0, 1))
+        self.k = k
+        self.include_center_gen = include_center_gen
+        self.gens = GenSet(("a1", "a2", "a3") if include_center_gen else ("a1", "a2"))
+        self.identity = (0, 0, 0)
+        self.free_ab_indices = (0, 1)
 
     def mul(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + self.k * a[1] * b[0])
@@ -594,7 +603,6 @@ class HeisenbergMachine(Machine):
         return IntMatrix.from_rows([[self.commutator(images[1], images[0])[2]]])
 
 
-@dataclass(frozen=True)
 class Nil2Machine(Machine):
     """Torsion-free class-2 nilpotent group with designated central generators.
 
@@ -606,11 +614,6 @@ class Nil2Machine(Machine):
     designated pair, so its gamma entry is the matching +-unit vector.
     """
 
-    n_gens: int
-    central: tuple[str, ...]
-    designated: tuple[tuple[str, tuple[int, int]], ...]  # name -> (i, j), 1-based
-    gamma: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]  # (i, j) i>j -> vector
-    tau_names: tuple[str, ...] = ()
     family = "nilpotent2"
     schema = (
         ("n_gens", "int"),
@@ -630,28 +633,36 @@ class Nil2Machine(Machine):
             tuple(tau_names),
         )
 
-    def __post_init__(self):
-        n, m = self.n_gens, len(self.central)
+    def __init__(
+        self,
+        n_gens: int,
+        central: tuple[str, ...],
+        designated: tuple[tuple[str, tuple[int, int]], ...],  # name -> (i, j), 1-based
+        gamma: tuple[tuple[tuple[int, int], tuple[int, ...]], ...],  # (i, j) i>j -> vector
+        tau_names: tuple[str, ...] = (),
+    ):
+        n, m = n_gens, len(central)
         if n < 2 or m < 1:
             raise ValidationError("need >= 2 tau generators and >= 1 central generator")
-        taus = self.tau_names or tuple(f"t{i + 1}" for i in range(n))
+        taus = tau_names or tuple(f"t{i + 1}" for i in range(n))
         if len(taus) != n:
             raise ValidationError("need one name per tau generator")
-        object.__setattr__(self, "tau_names", taus)
-        object.__setattr__(self, "gens", GenSet(taus + tuple(self.central)))
-        object.__setattr__(self, "identity", (0,) * (n + m))
-        object.__setattr__(self, "free_ab_indices", tuple(range(n)))
+        self.n_gens, self.central, self.designated, self.gamma = n_gens, central, designated, gamma
+        self.tau_names = taus
+        self.gens = GenSet(taus + tuple(central))
+        self.identity = (0,) * (n + m)
+        self.free_ab_indices = tuple(range(n))
 
         table = {}
-        for (i, j), vec in self.gamma:
+        for (i, j), vec in gamma:
             if not (1 <= j < i <= n):
                 raise ValidationError(f"gamma index {(i, j)} must satisfy n >= i > j >= 1")
             if len(vec) != m:
                 raise ValidationError("gamma vectors must match the central rank")
             table[(i, j)] = tuple(int(v) for v in vec)
         seen_pairs = set()
-        central_index = {name: s for s, name in enumerate(self.central)}
-        for name, (i, j) in self.designated:
+        central_index = {name: s for s, name in enumerate(central)}
+        for name, (i, j) in designated:
             if name not in central_index:
                 raise ValidationError(f"designated name {name!r} is not central")
             if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -675,8 +686,8 @@ class Nil2Machine(Machine):
             for i in range(2, n + 1)
             for j in range(1, i)
         )
-        object.__setattr__(self, "_gamma_table", full)
-        object.__setattr__(self, "_gamma_max", max(abs(v) for _, vec in full for v in vec))
+        self._gamma_table = full
+        self._gamma_max = max(abs(v) for _, vec in full for v in vec)
 
     def _cocycle(self, u, v):
         """The central part of tau^u tau^v, sum over i > j of u_i v_j gamma(i, j),
@@ -799,7 +810,6 @@ class Nil2Machine(Machine):
 _SOL_SHORTCUT = (("M", "2x2 int matrix"), ("p", "int", 0), ("q", "int", 0), ("tau_exp", "int", 1))
 
 
-@dataclass(frozen=True)
 class SolMachine(Machine):
     """Lattice Z^2 x|_A Z of Sol: generators a1, a2, tau with tau a^v tau^-1 = a^(Av).
 
@@ -809,7 +819,6 @@ class SolMachine(Machine):
     Elements are flat int tuples (v1, v2, t) for a1^v1 a2^v2 tau^t.
     """
 
-    matrix: IntMatrix
     family = "sol_lattice"
     schema = (("A", "2x2 int matrix"),)
     shortcut = "sol"
@@ -826,12 +835,16 @@ class SolMachine(Machine):
     def build(cls, A):
         return cls(IntMatrix.from_rows(A))
 
-    def __post_init__(self):
-        object.__setattr__(self, "minimizer", SolLengthMinimizer(self.matrix))
-        object.__setattr__(self, "gens", GenSet(("a1", "a2", "tau")))
-        object.__setattr__(self, "identity", (0, 0, 0))
-        object.__setattr__(self, "free_ab_indices", (2,))
-        object.__setattr__(self, "_pow_cache", {0: IntMatrix.identity(2)})
+    def __init__(self, matrix: IntMatrix):
+        self.matrix = matrix
+        self.minimizer = SolLengthMinimizer(matrix)
+        self.gens = GenSet(("a1", "a2", "tau"))
+        self.identity = (0, 0, 0)
+        self.free_ab_indices = (2,)
+        self._pow_cache = {0: IntMatrix.identity(2)}
+
+    def _params(self):
+        return {"matrix": self.matrix}
 
     def shortcut_images(self, payload):
         """a1 -> a^(column 1 of M), a2 -> a^(column 2 of M) and
@@ -958,7 +971,6 @@ class SolMachine(Machine):
         return gr_sol_empirical(valid.derived(classify_endo), kmax)
 
 
-@dataclass(frozen=True)
 class KleinMachine(Machine):
     """Klein bottle group <x, y | y x y^-1 = x^-1>, normal form x^a y^b."""
 
@@ -970,10 +982,10 @@ class KleinMachine(Machine):
     # phi(N) = 1 and phi^2 = 1.
     triviality_power = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", GenSet(("x", "y")))
-        object.__setattr__(self, "identity", (0, 0))
-        object.__setattr__(self, "free_ab_indices", (1,))
+    def __init__(self):
+        self.gens = GenSet(("x", "y"))
+        self.identity = (0, 0)
+        self.free_ab_indices = (1,)
 
     def mul(self, a, b):
         sign = -1 if a[1] % 2 else 1
@@ -1020,7 +1032,6 @@ class KleinMachine(Machine):
         )
 
 
-@dataclass(frozen=True)
 class BSMachine(Machine):
     """Baumslag-Solitar group <a, b | a^-1 b a = b^n>, n >= 2.
 
@@ -1028,7 +1039,6 @@ class BSMachine(Machine):
     (e >= 0; n does not divide num when e > 0), t the a-exponent.
     """
 
-    n: int
     family = "baumslag_solitar"
     schema = (("n", "int"),)
     closed_form = None  # empirical only
@@ -1039,15 +1049,16 @@ class BSMachine(Machine):
     # y = 1, as N is torsion-free and n >= 2: phi(N) = 1 and phi^2 = 1.
     triviality_power = 2
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise ValidationError("parameter n must be >= 2")
-        object.__setattr__(self, "gens", GenSet(("a", "b")))
-        object.__setattr__(self, "identity", (0, 0, 0))
-        object.__setattr__(self, "free_ab_indices", (0,))
+        self.n = n
+        self.gens = GenSet(("a", "b"))
+        self.identity = (0, 0, 0)
+        self.free_ab_indices = (0,)
         # n^k has about k log2(n) bits, and at least k floor(log2(n)) + 1
-        object.__setattr__(self, "_power_limit", SOL_POWER_BITS / math.log2(self.n))
-        object.__setattr__(self, "_log2_floor", self.n.bit_length() - 1)
+        self._power_limit = SOL_POWER_BITS / math.log2(n)
+        self._log2_floor = n.bit_length() - 1
 
     def _canonical(self, num, e):
         if num == 0:

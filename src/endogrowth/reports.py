@@ -23,8 +23,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .ball import DEFAULT_CAP, ClosedForm, GrowthEstimate, GrowthSummary, gr_estimate
@@ -48,8 +47,7 @@ __all__ = [
 CONSISTENCY_BAND = 0.15
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     family: str
     params: dict
     raw: dict

@@ -17,9 +17,9 @@ force each type's shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isinf, isqrt, sqrt
+from typing import NamedTuple
 
 from .ball import ClosedForm, GrowthEstimate
 from .errors import CertificationError, ContractError, InconsistencyError, ValidationError
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LengthMin:
+class LengthMin(NamedTuple):
     """Minimum of 2n + |column sum of A^-n y| over shifts n >= 0."""
 
     value: int
@@ -169,8 +168,7 @@ class SolLengthMinimizer:
         return LengthMin(best, best_shift)
 
 
-@dataclass(frozen=True)
-class SolEndo:
+class SolEndo(NamedTuple):
     """Classified endomorphism of the Sol lattice ``machine``.  The
     machine's ``minimizer`` has checked its holonomy A, holds A^-1, and is
     the one shift minimizer both Sol routes use.

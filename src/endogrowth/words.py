@@ -10,14 +10,13 @@ its generator images, as elements: ``image_elements`` evaluates image words,
 and a descriptor shortcut gives elements directly.  ``validate_endo`` checks
 them against the relators once, into a ``ValidEndo``, from which every route
 derives what it needs (the free abelianization matrix, eventual triviality,
-iterates).  No route checks the images again.  All values are immutable and
-all operations pure.
+iterates).  No route checks the images again.  No value is changed after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnknownGeneratorError, ValidationError
 from .exactlin import IntMatrix, char_poly
@@ -42,22 +41,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GenSet:
     """Ordered generator names; unique, nonempty, no whitespace or '^'."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]):
+        if not names:
             raise ValidationError("generator set must be nonempty")
         seen = set()
-        for name in self.names:
+        for name in names:
             if not name or any(c.isspace() for c in name) or "^" in name:
                 raise ValidationError(f"bad generator name {name!r}")
             if name in seen:
                 raise ValidationError(f"duplicate generator name {name!r}")
             seen.add(name)
+        self.names = names
+
+    def __eq__(self, other):
+        return type(other) is GenSet and self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     def __len__(self):
         return len(self.names)
@@ -69,11 +74,22 @@ class GenSet:
             raise UnknownGeneratorError(f"unknown generator {name!r}") from None
 
 
-@dataclass(frozen=True)
 class Word:
     """Letters (generator index, exponent != 0); not necessarily reduced."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
+        self.letters = letters
+
+    def __eq__(self, other):
+        return type(other) is Word and self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
+
+    def __repr__(self):
+        return f"Word(letters={self.letters!r})"
 
     def length(self) -> int:
         """Letter count; unlike ``len`` it is not capped at sys.maxsize."""
@@ -136,21 +152,27 @@ def word_str(w: Word, gens: GenSet) -> str:
     )
 
 
-@dataclass(frozen=True)
 class Endomorphism:
     """Map of each generator to a word over the same generators."""
 
-    domain: GenSet
-    images: tuple[Word, ...]
+    __slots__ = ("domain", "images")
 
-    def __post_init__(self):
-        if len(self.images) != len(self.domain):
+    def __init__(self, domain: GenSet, images: tuple[Word, ...]):
+        if len(images) != len(domain):
             raise ValidationError("one image word per generator required")
-        n = len(self.domain)
-        for w in self.images:
+        n = len(domain)
+        for w in images:
             for g, _ in w.letters:
                 if not 0 <= g < n:
                     raise UnknownGeneratorError(f"image uses generator index {g}")
+        self.domain = domain
+        self.images = images
+
+    def __eq__(self, other):
+        return type(other) is Endomorphism and (self.domain, self.images) == (other.domain, other.images)
+
+    def __hash__(self):
+        return hash((self.domain, self.images))
 
     @staticmethod
     def identity(gens: GenSet) -> "Endomorphism":
@@ -235,8 +257,7 @@ def endo_power_image(endo: Endomorphism, gen: str, k: int) -> Word:
     return reduce_word(w)
 
 
-@dataclass(frozen=True)
-class HomVerdict:
+class HomVerdict(NamedTuple):
     valid: bool
     violated_relator: Optional[Word] = None
     witness: object = None
@@ -252,16 +273,24 @@ def check_homomorphism(machine, images: tuple) -> HomVerdict:
     return HomVerdict(True)
 
 
-@dataclass(frozen=True)
 class ValidEndo:
     """The generator images, as elements of ``machine``, of an endomorphism
     that maps every relator to the identity.  Build it with ``validate_endo``
     (or from images whose ``HomVerdict`` is valid); every growth route takes
     one and relies on the relators holding."""
 
-    machine: object
-    images: tuple
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("machine", "images", "_derived")
+
+    def __init__(self, machine, images: tuple):
+        self.machine = machine
+        self.images = images
+        self._derived = {}
+
+    def __eq__(self, other):
+        return type(other) is ValidEndo and (self.machine, self.images) == (other.machine, other.images)
+
+    def __hash__(self):
+        return hash((self.machine, self.images))
 
     def derived(self, fn):
         """``fn(self)``, computed once per ValidEndo, so the routes of one

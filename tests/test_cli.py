@@ -731,7 +731,22 @@ class TestCommandParser:
 
         monkeypatch.setattr(argparse, "ArgumentParser", refuse)
         monkeypatch.setattr(cli_mod, "make_parser", refuse)
-        assert parse_args(argv) == expected
+        assert vars(parse_args(argv)) == vars(expected)
+
+    def test_a_plain_run_imports_no_argparse(self, tmp_path, monkeypatch):
+        code = (
+            "from endogrowth.cli import run\nstatus = run(sys.argv[2:])\n"
+            'print(status, [m for m in ("dataclasses", "inspect", "argparse") if m in sys.modules])'
+        )
+        out = tmp_path / "ball.json"
+        done = run_child(code, "ball", "--group", GROUP, "--radius", "3", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert json.loads(out.read_text())["counts"][-1] > 1
+        monkeypatch.setenv("COLUMNS", "80")  # one help width here and in the child
+        done = run_child(CLI_CHILD, "-h")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == make_parser().format_help()
 
     def test_module_entry_point_writes_what_run_writes(self, capsys):
         argv = ["compare", "--group", GROUP, "--endo", fixture_path("klein.endo"), "--kmax", "8", "--radius", "4"]

@@ -63,6 +63,15 @@ def faddeev_leverrier(m):
     return tuple(coeffs)
 
 
+def test_equal_matrices_compare_and_hash_equal():
+    m = IntMatrix.from_rows([[2, 1], [1, 1]])
+    rebuilt = IntMatrix.from_rows([list(row) for row in m.entries])
+    assert rebuilt is not m and rebuilt == m and hash(rebuilt) == hash(m)
+    assert m == m.transpose() and m @ m == IntMatrix.from_rows([[5, 3], [3, 2]])
+    assert m != IntMatrix.from_rows([[2, 1], [1, 2]]) and m != m.entries
+    assert repr(m) == "IntMatrix(entries=((2, 1), (1, 1)))"
+
+
 class TestCharPoly:
     def test_fibonacci_like(self):
         assert char_poly(mat([[2, 1], [1, 1]])).coeffs == (1, -3, 1)

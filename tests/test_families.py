@@ -526,7 +526,43 @@ class TestSolMemory:
         assert "budget" in done.stderr
 
 
+# the descriptor params that rebuild a machine of each family
+DESCRIPTOR_PARAMS = {
+    "free_abelian": lambda m: {"rank": m.rank, "names": list(m.names)},
+    "abelian_with_torsion": lambda m: {"rank": m.rank, "torsion": list(m.torsion), "names": list(m.names)},
+    "heisenberg": lambda m: {"k": m.k, "include_center_gen": m.include_center_gen},
+    "nilpotent2": lambda m: {
+        "n_gens": m.n_gens,
+        "central": list(m.central),
+        "designated": {name: list(pair) for name, pair in m.designated},
+        "gamma": {f"{i},{j}": list(vec) for (i, j), vec in m.gamma},
+        "tau_names": list(m.tau_names),
+    },
+    "sol_lattice": lambda m: {"A": [list(row) for row in m.matrix.entries]},
+    "klein_bottle": lambda m: {},
+    "baumslag_solitar": lambda m: {"n": m.n},
+}
+
+
 class TestParams:
+    def test_equal_params_give_equal_machines(self, any_machine):
+        rebuilt = machine_from_params(any_machine.family, DESCRIPTOR_PARAMS[any_machine.family](any_machine))
+        assert rebuilt is not any_machine
+        assert rebuilt == any_machine and hash(rebuilt) == hash(any_machine)
+        assert repr(rebuilt) == repr(any_machine)
+        assert {rebuilt, any_machine} == {any_machine}
+        # the machines of conftest are pairwise of other families or params
+        assert [other == any_machine for other in ALL_MACHINES] == [other is any_machine for other in ALL_MACHINES]
+        assert any_machine != any_machine.identity
+
+    def test_other_params_give_other_machines(self):
+        assert FreeAbelianMachine(2) != FreeAbelianMachine(2, ("x", "y"))
+        assert TorsionProductMachine(1, (2,)) != TorsionProductMachine(1, (3,))
+        central, designated = ("s12", "s13"), (("s12", (1, 2)), ("s13", (1, 3)))
+        a, b = (Nil2Machine(3, central, designated, (((3, 2), vec),)) for vec in ((-1, -2), (1, -2)))
+        assert a != b
+        assert KleinMachine() == KleinMachine()  # the family has no parameters
+
     def test_machine_from_params_roundtrip(self):
         m = machine_from_params("heisenberg", {"k": 2})
         assert m == HeisenbergMachine(2)

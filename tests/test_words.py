@@ -58,6 +58,27 @@ class TestParsing:
         with pytest.raises(UnknownGeneratorError):
             parse_word("c", AB)
 
+    def test_equal_values_compare_and_hash_equal(self):
+        w = parse_word("a^2 b^-1 a", AB)
+        rebuilt = parse_word(word_str(w, AB), AB)
+        assert rebuilt is not w and rebuilt == w and hash(rebuilt) == hash(w)
+        assert w != parse_word("a^2 b a", AB) and w != w.letters
+        gens = GenSet(tuple(list(AB.names)))
+        assert gens is not AB and gens == AB and hash(gens) == hash(AB)
+        assert AB != GenSet(("b", "a")) and AB != AB.names
+        endo = Endomorphism.from_strings(AB, {"a": "a b", "b": "b"})
+        assert endo == Endomorphism(GenSet(("a", "b")), (parse_word("a b", AB), Word(((1, 1),))))
+        assert endo != Endomorphism.identity(AB)
+
+    def test_valid_endos_compare_without_their_cache(self):
+        machine = KleinMachine()
+        images = ((1, 0), (0, 1))
+        valid = ValidEndo(machine, images)
+        valid.derived(eventually_trivial)
+        assert valid == ValidEndo(KleinMachine(), images)
+        assert hash(valid) == hash(ValidEndo(KleinMachine(), images))
+        assert valid != ValidEndo(machine, ((-1, 0), (0, 1)))
+
     def test_bad_names(self):
         with pytest.raises(ValidationError):
             GenSet(("a", "a"))
