@@ -70,7 +70,29 @@ __all__ = [
 ]
 
 
-class IntMatrix:
+class _Value:
+    """Equality, hash and repr by value, as a frozen dataclass gives them, over
+    ``_key()``: (name, value) pairs, by default one per slot."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in self._key())
+        return f"{type(self).__name__}({args})"
+
+
+class IntMatrix(_Value):
     """Dense integer matrix, row-major, arbitrary precision entries."""
 
     __slots__ = ("entries",)
@@ -83,15 +105,6 @@ class IntMatrix:
             if len(row) != width:
                 raise DimensionError("ragged rows")
         self.entries = entries
-
-    def __eq__(self, other):
-        return type(other) is IntMatrix and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"IntMatrix(entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":

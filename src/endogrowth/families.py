@@ -34,7 +34,7 @@ import re
 
 from .ball import ClosedForm, L_k_table
 from .errors import ResourceCapExceeded, ValidationError
-from .exactlin import IntMatrix, mat_pow, mat_vec, spectral_radius
+from .exactlin import IntMatrix, _Value, mat_pow, mat_vec, spectral_radius
 from .nilgr import gr_nilpotent_closed, gr_torsion_closed
 from .solgr import SolLengthMinimizer, classify_endo, gr_sol_closed, gr_sol_empirical
 from .words import GenSet, Word, commutator_word, reduce_word
@@ -113,7 +113,7 @@ def check_params(schema, params, what: str) -> dict:
     return args
 
 
-class Machine:
+class Machine(_Value):
     """Shared helpers; concrete families fill in the arithmetic."""
 
     family: str
@@ -132,20 +132,10 @@ class Machine:
         """The machine for schema-checked parameters; lists become tuples."""
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
 
-    def _params(self) -> dict:
+    def _key(self):
         """The constructor's arguments by name, which ==, hash and repr read:
         by default those the schema names, which ``build`` passes on."""
-        return {name: getattr(self, name) for name, *_ in self.schema}
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._params() == other._params()
-
-    def __hash__(self):
-        return hash(tuple(self._params().values()))
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in self._params().items())
-        return f"{type(self).__name__}({args})"
+        return tuple((name, getattr(self, name)) for name, *_ in self.schema)
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -843,8 +833,8 @@ class SolMachine(Machine):
         self.free_ab_indices = (2,)
         self._pow_cache = {0: IntMatrix.identity(2)}
 
-    def _params(self):
-        return {"matrix": self.matrix}
+    def _key(self):
+        return (("matrix", self.matrix),)
 
     def shortcut_images(self, payload):
         """a1 -> a^(column 1 of M), a2 -> a^(column 2 of M) and

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import UnknownGeneratorError, ValidationError
-from .exactlin import IntMatrix, char_poly
+from .exactlin import IntMatrix, _Value, char_poly
 
 __all__ = [
     "GenSet",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class GenSet:
+class GenSet(_Value):
     """Ordered generator names; unique, nonempty, no whitespace or '^'."""
 
     __slots__ = ("names",)
@@ -58,12 +58,6 @@ class GenSet:
             seen.add(name)
         self.names = names
 
-    def __eq__(self, other):
-        return type(other) is GenSet and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
     def __len__(self):
         return len(self.names)
 
@@ -74,22 +68,13 @@ class GenSet:
             raise UnknownGeneratorError(f"unknown generator {name!r}") from None
 
 
-class Word:
+class Word(_Value):
     """Letters (generator index, exponent != 0); not necessarily reduced."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
         self.letters = letters
-
-    def __eq__(self, other):
-        return type(other) is Word and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return f"Word(letters={self.letters!r})"
 
     def length(self) -> int:
         """Letter count; unlike ``len`` it is not capped at sys.maxsize."""
@@ -152,7 +137,7 @@ def word_str(w: Word, gens: GenSet) -> str:
     )
 
 
-class Endomorphism:
+class Endomorphism(_Value):
     """Map of each generator to a word over the same generators."""
 
     __slots__ = ("domain", "images")
@@ -167,12 +152,6 @@ class Endomorphism:
                     raise UnknownGeneratorError(f"image uses generator index {g}")
         self.domain = domain
         self.images = images
-
-    def __eq__(self, other):
-        return type(other) is Endomorphism and (self.domain, self.images) == (other.domain, other.images)
-
-    def __hash__(self):
-        return hash((self.domain, self.images))
 
     @staticmethod
     def identity(gens: GenSet) -> "Endomorphism":
@@ -273,7 +252,7 @@ def check_homomorphism(machine, images: tuple) -> HomVerdict:
     return HomVerdict(True)
 
 
-class ValidEndo:
+class ValidEndo(_Value):
     """The generator images, as elements of ``machine``, of an endomorphism
     that maps every relator to the identity.  Build it with ``validate_endo``
     (or from images whose ``HomVerdict`` is valid); every growth route takes
@@ -286,11 +265,8 @@ class ValidEndo:
         self.images = images
         self._derived = {}
 
-    def __eq__(self, other):
-        return type(other) is ValidEndo and (self.machine, self.images) == (other.machine, other.images)
-
-    def __hash__(self):
-        return hash((self.machine, self.images))
+    def _key(self):
+        return (("machine", self.machine), ("images", self.images))
 
     def derived(self, fn):
         """``fn(self)``, computed once per ValidEndo, so the routes of one

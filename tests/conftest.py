@@ -31,14 +31,15 @@ if limit:
 """
 
 
-def run_child(code, *args, limit_mb=0, timeout=120):
-    """CompletedProcess of ``python -S -c code *args`` importing this
-    checkout's endogrowth, with RLIMIT_AS set to ``limit_mb`` MiB in the child
-    when given.  With -S no site hook runs, so the child can import only the
+def run_child(code, *args, limit_mb=0, timeout=120, no_site=False):
+    """CompletedProcess of ``python -c code *args`` importing this checkout's
+    endogrowth, with RLIMIT_AS set to ``limit_mb`` MiB in the child when given.
+    ``no_site`` adds -S: no site hook runs, so the child can import only the
     standard library and endogrowth, and its ``sys.modules`` holds only what
     they import."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    argv = [sys.executable, "-S", "-c", _CHILD_PRELUDE + code, str(limit_mb << 20), *args]
+    flags = ["-S"] if no_site else []
+    argv = [sys.executable, *flags, "-c", _CHILD_PRELUDE + code, str(limit_mb << 20), *args]
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
 
 

@@ -739,7 +739,7 @@ class TestCommandParser:
             'print(status, [m for m in ("dataclasses", "inspect", "argparse") if m in sys.modules])'
         )
         out = tmp_path / "ball.json"
-        done = run_child(code, "ball", "--group", GROUP, "--radius", "3", "--out", str(out))
+        done = run_child(code, "ball", "--group", GROUP, "--radius", "3", "--out", str(out), no_site=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
         assert json.loads(out.read_text())["counts"][-1] > 1

@@ -1,4 +1,5 @@
 import random
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,10 @@ class TestParsing:
         endo = Endomorphism.from_strings(AB, {"a": "a b", "b": "b"})
         assert endo == Endomorphism(GenSet(("a", "b")), (parse_word("a b", AB), Word(((1, 1),))))
         assert endo != Endomorphism.identity(AB)
+        assert repr(AB) == "GenSet(names=('a', 'b'))"
+        assert repr(w) == "Word(letters=((0, 2), (1, -1), (0, 1)))"
+        # a foreign operand's __eq__ decides, as with a dataclass
+        assert w == ANY and AB == ANY and endo == ANY
 
     def test_valid_endos_compare_without_their_cache(self):
         machine = KleinMachine()
@@ -78,6 +83,7 @@ class TestParsing:
         assert valid == ValidEndo(KleinMachine(), images)
         assert hash(valid) == hash(ValidEndo(KleinMachine(), images))
         assert valid != ValidEndo(machine, ((-1, 0), (0, 1)))
+        assert repr(valid) == "ValidEndo(machine=KleinMachine(), images=((1, 0), (0, 1)))"
 
     def test_bad_names(self):
         with pytest.raises(ValidationError):
