@@ -9,7 +9,11 @@ right multiplication by g0, g0^-1, g1, ..., made once per search and shared
 by all its balls.  Each step maps the coordinate columns of a whole chunk
 in closed form, without a call to ``mul``, so a Cayley-graph edge costs one
 ``seen`` probe and a share of a list comprehension, not a Python call.
-Discovery order is fixed: element by element, step by step.
+Spheres are stored one after another; within one, each step maps a whole
+chunk before the next step runs.  A full ball also skips edges that can
+only lead to stored elements: the step back to an element's parent, and
+each lower step that commutes with the one the element arrived by
+(``_skip_known``).
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
@@ -128,13 +132,19 @@ def _pad_rows(rows: list, radius: int, cap: int, what: str) -> list:
 class _Frontier:
     """A ball around ``start`` grown one sphere at a time, out to ``radius``:
     ``seen`` maps each element found to its distance from ``start``, and
-    ``last`` is sphere ``depth``.
+    ``groups`` holds sphere ``depth`` in groups, each with its own list of
+    steps to take next (``moves``).
 
-    Every element found goes into ``seen`` in discovery order: each element
-    of sphere r - 1 in order, times each of ``steps`` in order.  ``grow``
-    takes the sphere ``_CHUNK`` elements at a time: it transposes a chunk
-    into coordinate columns once, has each step map the whole chunk, and
-    interleaves the products element by element, so the order is the same.
+    Without ``after`` the sphere is one group that takes every step.  With
+    it, elements are grouped by arrival step, the step that first reached
+    them: those that arrived by step j take only the steps ``after[j]``
+    (``_skip_known`` gives the rule and why no element is lost), and
+    ``start`` takes every step.  ``grow`` runs the groups in turn, a group
+    ``_CHUNK`` elements at a time: it transposes a chunk into coordinate
+    columns once, has each of the group's steps map the whole chunk, one
+    step after another, and files each new product under the step that
+    made it.  So ``seen`` holds the spheres one after another, each in that
+    order.
 
     With a lower bound ``lower`` on word length, sphere r + 1 is built only
     from the x in sphere r with lower(x) + r <= radius.  A word for x
@@ -149,15 +159,25 @@ class _Frontier:
     expanded in turn.
     """
 
-    __slots__ = ("steps", "radius", "lower", "seen", "last", "depth")
+    __slots__ = ("radius", "lower", "moves", "seen", "groups", "depth")
 
-    def __init__(self, steps: list, start, radius: int, lower: Optional[Callable] = None):
-        self.steps = steps
+    def __init__(self, steps: list, start, radius: int, lower: Optional[Callable] = None, after: Optional[list] = None):
         self.radius = radius
         self.lower = lower
+        if after is None:  # one group: every step, every product
+            self.moves = [[(step, 0) for step in steps]]
+        else:  # a group per arrival step, then the start's
+            self.moves = [[(steps[k], k) for k in ks] for ks in [*after, range(len(steps))]]
         self.seen = {start: 0}
-        self.last = [start]
+        self.groups = [[] for _ in self.moves]
+        self.groups[-1].append(start)
         self.depth = 0
+
+    @property
+    def last(self) -> list:
+        """Sphere ``depth`` as one list."""
+        groups = self.groups
+        return groups[0] if len(groups) == 1 else list(chain.from_iterable(groups))
 
     def grow(self, cap: int) -> bool:
         """Add the next sphere, storing at most ``cap`` elements in all;
@@ -169,25 +189,53 @@ class _Frontier:
         r = self.depth
         if r >= self.radius:
             return False
-        sphere = self.last
+        groups = self.groups
         if self.lower is not None:
             slack, lower = self.radius - r, self.lower
-            sphere = [x for x in sphere if lower(x) <= slack]
+            groups = [[x for x in group if lower(x) <= slack] for group in groups]
         r += 1
-        seen, steps = self.seen, self.steps
-        nxt = []
-        for i in range(0, len(sphere), _CHUNK):
-            cols = tuple(zip(*sphere[i : i + _CHUNK]))
-            for y in chain.from_iterable(zip(*[step(cols) for step in steps])):
-                if y not in seen:
-                    seen[y] = r
-                    nxt.append(y)
-            if len(seen) > cap:
-                raise ResourceCapExceeded(f"exceeded cap {cap} at radius {r}", completed_radius=r - 1)
-        if not nxt:
+        seen = self.seen
+        nxt = [[] for _ in groups]
+        for moves, group in zip(self.moves, groups):
+            for i in range(0, len(group), _CHUNK):
+                cols = tuple(zip(*group[i : i + _CHUNK]))
+                for step, into in moves:
+                    out = nxt[into]
+                    for y in step(cols):
+                        if y not in seen:
+                            seen[y] = r
+                            out.append(y)
+                if len(seen) > cap:
+                    raise ResourceCapExceeded(f"exceeded cap {cap} at radius {r}", completed_radius=r - 1)
+        if not any(nxt):
             return False
-        self.depth, self.last = r, nxt
+        self.depth, self.groups = r, nxt
         return True
+
+
+def _skip_known(machine, steps) -> list:
+    """The steps an element takes next in a full ball, by the step that
+    first reached it (its arrival step).  An element that arrived by step j
+    skips step j ^ 1, the step back to its stored parent, and each step
+    i < j whose right factor commutes with step j's under ``machine.mul``.
+    The factors are the steps' products on the identity.
+
+    No element is lost, so every distance stays exact.  Suppose y lies at
+    distance r + 1 and every pair (x in sphere r, step t) with y = x t is
+    skipped.  Take one.  x is not the start, which takes every step, so
+    x = w a, with a its arrival step and w in sphere r - 1.  t = a ^ 1 would
+    give y = w, at distance r - 1, so t < a and t commutes with a.  Then
+    y = (w t) a, and w t lies in sphere r: one step from w, and one from y.
+    The pair (w t, a) is skipped too, and the same argument gives a pair
+    whose step exceeds a.  The steps would rise without end, which a finite
+    list of steps does not allow."""
+    one = tuple(zip(machine.identity))  # a one-element chunk
+    factors = [next(iter(step(one))) for step in steps]
+    mul = machine.mul
+    return [
+        [i for i, s in enumerate(factors) if i != j ^ 1 and not (i < j and mul(s, t) == mul(t, s))]
+        for j, t in enumerate(factors)
+    ]
 
 
 def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
@@ -200,7 +248,8 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    ball = _Frontier(machine.steps(), machine.identity, radius)
+    steps = machine.steps()
+    ball = _Frontier(steps, machine.identity, radius, after=_skip_known(machine, steps))
     counts = [1]
     try:
         while ball.grow(cap):

@@ -16,11 +16,11 @@ from endogrowth.ball import (
     word_lengths,
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
-from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, TorsionProductMachine
+from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, Nil2Machine, TorsionProductMachine
 from endogrowth.reports import parse_endo, parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_elements, parse_word, validate_endo
 
-from conftest import ALL_MACHINES, load_fixture, step_one
+from conftest import ALL_MACHINES, count_calls, load_fixture, step_one
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
@@ -55,6 +55,13 @@ def reference_ball(machine, radius, start=None, lower=None):
                     nxt.append(y)
         sphere = nxt
     return dist
+
+
+def sphere_by_sphere(dist):
+    """Whether ``dist`` lists its elements sphere by sphere, as a BFS
+    stores them: ``distortion`` reads the last one as the farthest."""
+    values = list(dist.values())
+    return values == sorted(values)
 
 
 def expanded_sizes(dist, radius, lower=None):
@@ -118,8 +125,12 @@ class TestCompiledSteps:
 
     @pytest.mark.parametrize("stem", FIXTURE_STEMS)
     def test_discovery_order_matches_reference(self, stem):
+        # the same elements at the same distances, stored sphere by sphere;
+        # the order within a sphere is the kernel's own
         _, machine = parse_group(load_fixture(f"{stem}.group"))
-        assert list(enumerate_ball(machine, 4).dist.items()) == list(reference_ball(machine, 4).items())
+        dist = enumerate_ball(machine, 4).dist
+        assert dist == reference_ball(machine, 4)
+        assert sphere_by_sphere(dist)
 
 
 class TestChunkedKernel:
@@ -142,7 +153,9 @@ class TestChunkedKernel:
         _, machine = parse_group(load_fixture(f"{stem}.group"))
         reference = reference_ball(machine, radius)
         assert expanded_sizes(reference, radius)[-1] > 2 * ball_module._CHUNK
-        assert list(enumerate_ball(machine, radius).dist.items()) == list(reference.items())
+        dist = enumerate_ball(machine, radius).dist
+        assert dist == reference
+        assert sphere_by_sphere(dist)
 
     def test_pruned_side_across_chunks(self, nil2_ex3):
         # the side of a search around a target, pruned by length_lower
@@ -154,7 +167,71 @@ class TestChunkedKernel:
         assert max(expanded_sizes(reference, radius, lower)) > 2 * ball_module._CHUNK
         # a full ball of that radius, around any start, is 8 times larger
         assert 8 * len(reference) < len(enumerate_ball(nil2_ex3, radius).dist)
-        assert list(side.seen.items()) == list(reference.items())
+        assert side.seen == reference
+        assert sphere_by_sphere(side.seen)
+
+
+# t2 and t3 commute: no gamma entry for the pair (3, 2)
+COMMUTING_NIL2 = Nil2Machine(3, ("s12", "s13"), (("s12", (1, 2)), ("s13", (1, 3))), ())
+
+# at each radius the last sphere expanded holds more than 2 * _CHUNK
+# elements, but on Z x Z/2, whose spheres never exceed 4
+FULL_BALLS = list(zip(ALL_MACHINES, (13, 40, 30, 9, 8, 9, 5, 7, 6, 130, 9, 8), strict=True))
+FULL_BALLS.append((COMMUTING_NIL2, 5))
+
+
+def commute_both_ways(machine, steps):
+    """A wrong table for ``_skip_known``: it skips the step back and every
+    commuting step, higher or lower."""
+    factors = [step_one(step, machine.identity) for step in steps]
+    mul = machine.mul
+    return [
+        [i for i, s in enumerate(factors) if i != j ^ 1 and (i == j or mul(s, t) != mul(t, s))]
+        for j, t in enumerate(factors)
+    ]
+
+
+class TestSkipKnownSteps:
+    """A full ball skips the step back to each element's parent and every
+    lower step that commutes with the one it arrived by."""
+
+    @pytest.mark.parametrize(
+        "machine, radius", FULL_BALLS, ids=[f"{m.family}:{','.join(m.gens.names)}" for m, _ in FULL_BALLS]
+    )
+    def test_full_ball_matches_reference(self, machine, radius, monkeypatch):
+        reference = reference_ball(machine, radius)
+        counts = tuple(sum(d <= r for d in reference.values()) for r in range(radius + 1))
+        # the real chunk size, then one small enough that every group of a
+        # sphere spans several chunks
+        for chunk in (ball_module._CHUNK, 5):
+            monkeypatch.setattr(ball_module, "_CHUNK", chunk)
+            ball = enumerate_ball(machine, radius)
+            assert ball.dist == reference
+            assert ball.counts == counts
+
+    def test_commuting_tau_pair_is_skipped(self):
+        after = ball_module._skip_known(COMMUTING_NIL2, COMMUTING_NIL2.steps())
+        assert after[4] == [0, 1, 4, 6, 7, 8, 9]  # t3: no t2, no t2^-1, no t3^-1
+
+    def test_heisenberg_table(self):
+        _, heis_ex1 = parse_group(load_fixture("heis_ex1.group"))
+        after = ball_module._skip_known(heis_ex1, heis_ex1.steps())
+        assert after[4] == [4] and after[5] == [5]  # a3 is central and last
+        assert after[0] == [0, 2, 3, 4, 5]  # a1 commutes with no lower step
+
+    def test_only_full_balls_skip(self, heis1, monkeypatch):
+        calls = count_calls(monkeypatch, ball_module, "_skip_known")
+        reference = reference_ball(heis1, 9)
+        assert word_lengths(heis1, [(3, 2, 5), (0, 0, 9)], 9) == [reference[3, 2, 5], reference[0, 0, 9]]
+        assert calls == []
+        enumerate_ball(heis1, 3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("stem, radius", [("heis_ex1", 6), ("nil2_ex3", 4), ("sol_ex1", 5)])
+    def test_skipping_both_ways_loses_elements(self, stem, radius, monkeypatch):
+        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        monkeypatch.setattr(ball_module, "_skip_known", commute_both_ways)
+        assert enumerate_ball(machine, radius).dist != reference_ball(machine, radius)
 
 
 def cap_cases(thresholds):
