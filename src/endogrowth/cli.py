@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -48,12 +49,31 @@ EXIT_CERTIFICATION = 4
 _BLOCK_SCHEMA = (("weight", "int"), ("matrix", "int matrix"))
 
 
+# Real descriptors nest at most 4 levels.  A report holds its descriptors a few
+# levels down and report_json recurses once per level, so this bound keeps it
+# far from the recursion limit on every Python version.
+MAX_JSON_DEPTH = 64
+
+
 def _read_json(path):
+    """The document in ``path``, refused unless it is JSON nested at most
+    ``MAX_JSON_DEPTH`` containers deep (``[]`` and ``{"a": 1}`` are 1 deep)."""
+    too_deep = f"{path}: nested deeper than {MAX_JSON_DEPTH} levels"
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        except RecursionError:  # how deep json's parser goes depends on the Python version
+            raise ValidationError(too_deep) from None
+    level = [doc]
+    for _ in range(MAX_JSON_DEPTH + 1):  # one pass per depth, so no recursion
+        kinds = set(map(type, level))
+        if dict not in kinds and list not in kinds:
+            return doc
+        containers = (o for o in level if type(o) in (dict, list))
+        level = list(itertools.chain.from_iterable(o.values() if type(o) is dict else o for o in containers))
+    raise ValidationError(too_deep)
 
 
 def _emit(args, machine_text: str, human: str):

@@ -459,7 +459,10 @@ class TestBigIntegers:
         assert run(argv) == 0
         with unlimited_int_digits():
             last = json.loads(out.read_text())["empirical"]["rows"][-1]
+            report = build_report(command, json.loads(group.read_text()), json.loads(endo.read_text()), kmax=480)
+            expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert last["k"] == 480 and last["length"] == 10**4320
+        assert out.read_text() == expected
 
     def test_check_witness_past_the_int_digit_limit(self, tmp_path, capsys):
         # a1 -> a1^N, a2 -> a2^N, a3 -> a3 breaks [a1, a2] = a3 by N^2 - 1

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import endogrowth
-from endogrowth.cli import run
+from endogrowth.cli import MAX_JSON_DEPTH, run
 from endogrowth.families import MACHINES, Machine
 
 from conftest import load_fixture, run_child
@@ -143,6 +143,50 @@ def test_ball_on_a_torsion_order_past_a_machine_word(tmp_path):
     argv = ["ball", "--group", str(tmp_path / "g.json"), "--radius", "3", "--out", str(tmp_path / "out")]
     assert run(argv) == 0
     assert json.loads((tmp_path / "out").read_text())["counts"] == [1, 3, 5, 7]
+
+
+def nested(depth):
+    """A list nested ``depth`` levels deep, as JSON text."""
+    return "[" * depth + "]" * depth
+
+
+# Each document is ``depth`` containers deep; the extra key or item is read by no route.
+DEEP_DOCS = {
+    "--group": lambda depth: '{"family": "free_abelian", "params": {"rank": 1}, "extra": %s}' % nested(depth - 1),
+    "--endo": lambda depth: '{"matrix": [[2]], "extra": %s}' % nested(depth - 1),
+    "--blocks": lambda depth: '[{"weight": 1, "matrix": [[2]]}, %s]' % nested(depth - 1),
+}
+
+
+def run_deep(tmp_path, flag, depth):
+    """Exit code of ``closed --blocks``, or of ``empirical`` on Z with the
+    group or endomorphism document of ``flag``, ``depth`` levels deep."""
+    docs = {} if flag == "--blocks" else {"--group": json.dumps(Z1), "--endo": '{"matrix": [[2]]}'}
+    docs[flag] = DEEP_DOCS[flag](depth)
+    argv = ["closed" if flag == "--blocks" else "empirical", "--kmax", "3", "--out", str(tmp_path / "out")]
+    for name, text in docs.items():
+        (tmp_path / name[2:]).write_text(text)
+        argv += [name, str(tmp_path / name[2:])]
+    return run(argv)
+
+
+@pytest.mark.parametrize("flag", sorted(DEEP_DOCS))
+def test_a_descriptor_at_the_nesting_bound_is_read(tmp_path, flag, capsys):
+    code = run_deep(tmp_path, flag, MAX_JSON_DEPTH)
+    err = capsys.readouterr().err
+    assert "nested" not in err
+    # a block list is flat, so its extra item fails the block schema
+    assert code == (2 if flag == "--blocks" else 0), err
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH + 1, 2000, 100000])
+@pytest.mark.parametrize("flag", sorted(DEEP_DOCS))
+def test_a_descriptor_past_the_nesting_bound_is_refused(tmp_path, flag, depth, capsys):
+    # past about 1000 levels json's own parser gives up first, at a depth that
+    # depends on the Python version; either way the run exits 2 with one line
+    assert run_deep(tmp_path, flag, depth) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"nested deeper than {MAX_JSON_DEPTH} levels" in err[0]
 
 
 small = st.integers(-1, 4)
