@@ -24,13 +24,12 @@ half the radius thus replace one of the full radius.  ``word_length`` is its
 one-target case, and ``L_k_table`` makes one call for all its iterate images.
 Completed balls are immutable and safe to share.
 
-Two commands need no full ball where the family allows it.  ``ball_counts``
-sums a series on machines whose word length is a sum of per-coordinate
-lengths (``Machine.coordinate_orders``: free abelian, abelian with torsion,
-Klein), and runs the BFS elsewhere.  ``cyclic_distortion`` looks the powers
-g, g^2, ... of its generator up with one ``word_lengths`` call, as far as a
-lower bound monotone in the exponent allows (``Machine.powers_lower_monotone``;
-all families but Sol), and reads the full ball elsewhere.
+``ball_counts`` sums a series, with no ball, on machines whose word length
+is a sum of per-coordinate lengths (``Machine.coordinate_orders``: free
+abelian, abelian with torsion, Klein), and runs the BFS elsewhere.
+``cyclic_distortion`` never needs a full ball: it looks the powers g, g^2,
+... of its generator up with one ``word_lengths`` call, as far as a lower
+bound that never falls along them allows.
 
 A target's ball is pruned by ``Machine.length_lower``: an element y at
 distance r from the target is stored but not expanded when
@@ -651,10 +650,9 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
 
     g^k and g^-k have the same length and inner length, so delta(n) is the
     largest inner length of a g^k, k >= 1, with |g^k| <= n, and its witness
-    is the lesser canonical word of g^k and g^-k.  Where
-    ``machine.powers_lower_monotone`` holds, one ``word_lengths`` call looks
-    up g, g^2, ..., g^K: it stops before g^k is the identity or has
-    lower(g^k) > radius, with lower the exact ``length_upper`` on
+    is the lesser canonical word of g^k and g^-k.  One ``word_lengths``
+    call looks up g, g^2, ..., g^K: it stops before g^k is the identity or
+    has lower(g^k) > radius, with lower the exact ``length_upper`` on
     ``length_exact`` machines and ``length_lower`` elsewhere.  No later
     power lies within the radius, as lower(g^k) never falls as k grows:
 
@@ -669,8 +667,12 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
       coordinate is at least k, nondecreasing in k;
     - Baumslag-Solitar: a^k = (0, 0, k) has the bound k, and b^k = (k, 0, 0)
       the least over H of 2H + ceil(k / n^H), each term nondecreasing in k;
-    - Sol: length_lower(a1^k) = |t| = 0 for every k, so no K exists, and
-      the table reads the full ball.
+    - Sol: tau^k = (0, 0, k) has the bound k.  a1^k and a2^k have t = 0 and
+      the invariant form Q(k e1) = c k^2, Q(k e2) = -b k^2 for A =
+      [[a, b], [c, d]], with b, c != 0 as tr(A) > 2.  Their bound is
+      min over D of 2D + ceil(sqrt(|Q| / E(D))), E(D) >= 1 the entry bound
+      of ``SolMachine.length_lower``: each term is nondecreasing in k, and
+      a bound of at most h needs |Q| <= h^2 max(E(0), ..., E(h / 2)).
 
     Each of these bounds grows without limit with k, so K is finite.  ``cap``
     counts the powers stored plus the elements the search stores.  Rows past
@@ -678,8 +680,6 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     """
     index = machine.gens.index(gen_name)
     inner = functools.partial(machine.cyclic_inner_length, index)
-    if not machine.powers_lower_monotone:
-        return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     lower = machine.length_upper if machine.length_exact else machine.length_lower

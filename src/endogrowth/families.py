@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 
 from .ball import ClosedForm, L_k_table
 from .errors import ResourceCapExceeded, ValidationError
@@ -71,6 +72,7 @@ _int_matrix = _list_of(_list_of(_int))
 # machine (a Cayley-ball search of radius r steps through |t| <= r); larger
 # ones are computed when asked for, and refused with ResourceCapExceeded when
 # their entries would exceed SOL_POWER_BITS bits (half a megabyte each).
+# SolMachine.length_lower bounds entries exactly up to the same height.
 _SOL_POWER_CACHE = 64
 SOL_POWER_BITS = 1 << 22
 
@@ -118,10 +120,6 @@ class Machine(_Value):
 
     family: str
     schema: tuple = ()
-    # the lower bound of each generator's powers g^k never falls as k grows
-    # and is unbounded (or g^k returns to the identity); ball.cyclic_distortion
-    # gives the proof per family
-    powers_lower_monotone = True
     gens: GenSet
     identity: object
     free_ab_indices: tuple[int, ...]
@@ -812,7 +810,6 @@ class SolMachine(Machine):
     family = "sol_lattice"
     schema = (("A", "2x2 int matrix"),)
     shortcut = "sol"
-    powers_lower_monotone = False  # length_lower(a1^k) = 0 for every k
     # If some power of phi is trivial, its 1x1 free block (the tau-exponent
     # of phi(tau)) is 0, so phi maps G into the abelian kernel N = Z^2 of
     # the tau-exponent sum.  With phi(a^v) = a^(Mv) and phi(tau) = a^w, the
@@ -832,6 +829,12 @@ class SolMachine(Machine):
         self.identity = (0, 0, 0)
         self.free_ab_indices = (2,)
         self._pow_cache = {0: IntMatrix.identity(2)}
+        (a, b), (c, d) = matrix.entries
+        self._form = (c, d - a, -b)  # Q(v) = c v0^2 + (d - a) v0 v1 - b v1^2
+        # s, the largest column sum of |A|: ||M A||_max <= s ||M||_max
+        self._growth = max(abs(a) + abs(c), abs(b) + abs(d))
+        self._bounds = [max(map(abs, (a, b, c, d)))], (a, b, c, d)  # E(0..D) and A^(D + 1)
+        self._reach = {}  # |t| -> table of the largest |Q| within each height cost
 
     def _key(self):
         return (("matrix", self.matrix),)
@@ -949,8 +952,116 @@ class SolMachine(Machine):
         return self.minimizer.minimize((v1, v2)).value + abs(t)
 
     def length_lower(self, elem):
-        """The tau-exponent moves by one per tau letter."""
-        return abs(elem[2])
+        """A bound from the invariant form Q(v) = v x Av, u x w = u0 w1 - u1 w0:
+        for A = [[a, b], [c, d]], Q(v) = c v0^2 + (d - a) v0 v1 - b v1^2, an
+        integer.  The bound is |t| when v = 0 and H(|Q(v)|, |t|) - |t|
+        otherwise, with H(q, T) = min over D >= T of 2D + ceil(sqrt(q / E(D)))
+        (``_height_cost``) and E(D) the largest entry in size of A^m over
+        0 <= m <= D + 1.
+
+        Q is invariant: Au x Aw = det(A) (u x w) = u x w, so Q(Av) = Q(v).
+        Take a word for (v, t).  An a_i^(+-1) letter read at height h (the
+        tau-exponent of the prefix) adds u = +-A^h e_i to v.  With n such
+        letters v = u_1 + ... + u_n, and Q(v) is the sum over j, k of
+        u_j x A u_k = +-e_i x A^m e_i', m = h_k - h_j + 1: +-1 times an entry
+        of A^m.  If the heights of the a letters span D, then |m| <= D + 1,
+        and as A^-m = adj(A^m) has the entries of A^m up to sign,
+        |Q(v)| <= n^2 E(D).  The tau letters walk from height 0 to t through
+        an interval of span at least D: from 0 to one end, to the other and
+        on to t, at least 2D - |t| letters, and at least |t|.  So the word has
+        at least ceil(sqrt(|Q| / E(D))) + max(|t|, 2D - |t|) letters for some
+        D.  As E never falls, D <= |t| gives no less than D = |t|, and the
+        least over D is H(|Q|, |t|) - |t|.  Any upper bound on E(D) keeps it a
+        bound: past K = _SOL_POWER_CACHE, H reads E(K) s^(D - K), with s the
+        largest column sum of |A|, as |(M A)_ij| <= s max |M_kl|.  Q(v) = 0
+        only for v = 0, as the discriminant tr(A)^2 - 4 of Q is no square for
+        tr(A) > 2, so the bound exceeds |t| when v != 0.
+
+        Along the powers of a generator the bound never falls and grows
+        without limit, as ``ball.cyclic_distortion`` needs: tau^k has bound
+        k, and Q(k e1) = c k^2, Q(k e2) = -b k^2 with b, c != 0 (else ad = 1
+        and tr(A) = 2).  H is nondecreasing in q, and H(q, 0) <= h needs some
+        D <= h / 2 with q <= h^2 E(D).
+
+        A search reads the bound on every element it expands, so the common
+        case is one lookup in the table of |t| that ``_height_cost`` fills."""
+        v0, v1, t = elem
+        if not (v0 or v1):
+            return abs(t)
+        c, e, f = self._form
+        q, t = abs(c * v0 * v0 + e * v0 * v1 + f * v1 * v1), abs(t)
+        table = self._reach.get(t)
+        if table is not None and q <= table[-1]:
+            return t + 1 + bisect_left(table, q)
+        return self._height_cost(q, t) - t
+
+    def _height_cost(self, q: int, t: int) -> int:
+        """H(q, t) = min over D >= t of 2D + ceil(sqrt(q / E(D))), for q >= 1,
+        with E(D) exact up to K = _SOL_POWER_CACHE and E(K) s^(D - K) past it.
+
+        Up to 2K + 2 only the terms D <= K count, and the table of t answers:
+        its entry for h is the largest q with H(q, t) <= h, the max over
+        t <= D < h / 2 of (h - 2D)^2 E(D).  It is built up to the first entry
+        >= q and stored whole, so a reader never sees a part.  Past it H is
+        the least of the terms D = t .. K and of the terms past K, of which
+        only a few can give the least.  If q >= 64 E(D) with D >= K, so
+        x = sqrt(q / E(D)) >= 8, then ceil(x) - ceil(x / sqrt(s)) >
+        x (1 - 1/sqrt(3)) - 1 > 2, and D + 1 costs less than D.  Here s >= 3:
+        a or d is at least 2 as tr(A) >= 3, and a column sum of 2 would leave
+        c = 0 and det A = 2d, or b = 0 and det A = 2a.  Once q <= E(D) the
+        term is 2D + 1 and only grows.  The scan starts from bit lengths at
+        or below the least D with q < 64 E(D), so it forms no power much past
+        q, and none at all when bit lengths show E(t) > q."""
+        top = _SOL_POWER_CACHE
+        if t <= top:
+            table = self._reach.get(t, [])
+            h, last = 2 * t + 1 + len(table), 2 * top + 2
+            if h <= last and not (table and q <= table[-1]):
+                table = list(table)
+                while h <= last and not (table and q <= table[-1]):
+                    bounds = self._entry_bounds((h - 1) // 2)
+                    table.append(max([(h - 2 * d) ** 2 * bounds[d] for d in range(t, (h + 1) // 2)]))
+                    h += 1
+                self._reach[t] = table
+            if q <= table[-1]:
+                return 2 * t + 1 + bisect_left(table, q)
+
+        def cost(d, bound):  # 2d + the least n with n^2 bound >= q
+            return 2 * d + math.isqrt(-(-q // bound) - 1) + 1
+
+        bounds = self._entry_bounds(top)
+        s, e_top = self._growth, bounds[top]
+        j = max(t, top + 1) - top  # the term D = K + j
+        if e_top.bit_length() - 1 + j * (s.bit_length() - 1) >= q.bit_length():
+            best = 2 * (top + j) + 1  # E(D) > q: the term is 2D + 1
+        else:
+            # 64 E(K + j) <= q for this j and every smaller one
+            j = max(j, (q.bit_length() - 7 - e_top.bit_length()) // s.bit_length())
+            bound = e_top * s**j
+            while 64 * bound <= q:
+                j, bound = j + 1, bound * s
+            best = cost(top + j, bound)
+            while best > 2 * (top + j) + 1:
+                j, bound = j + 1, bound * s
+                best = min(best, cost(top + j, bound))
+        # each term D <= K is at least 2t + sqrt(q / E(K))
+        if t <= top and 2 * t + math.isqrt(q // e_top) < best:
+            best = min(best, *(cost(d, bounds[d]) for d in range(t, top + 1)))
+        return best
+
+    def _entry_bounds(self, top: int) -> list:
+        """E(0), ..., E(top) at least, E(D) the largest entry in size of A^m
+        over 0 <= m <= D + 1 (E(0) is that of A, as |A^0| = 1)."""
+        bounds, power = self._bounds
+        if len(bounds) <= top:
+            bounds = list(bounds)  # extended whole, with A^len(bounds)
+            (a, b), (c, d) = self.matrix.entries
+            p, q, r, s = power
+            while len(bounds) <= top:
+                p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+                bounds.append(max(bounds[-1], abs(p), abs(q), abs(r), abs(s)))
+            self._bounds = bounds, (p, q, r, s)
+        return bounds
 
     def closed_form(self, valid, tol):
         """The classified-type branch formula."""

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -55,6 +56,17 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def sol_machines(count, seed):
+    """``count`` Sol machines of seeded holonomy: determinant 1, trace > 2,
+    entries in [-6, 6]."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
+        if a * d - b * c == 1 and a + d > 2:
+            out.append(SolMachine(IntMatrix.from_rows([[a, b], [c, d]])))
+    return out
 
 
 def step_one(step, x):

@@ -20,7 +20,7 @@ from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMach
 from endogrowth.reports import parse_endo, parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_elements, parse_word, validate_endo
 
-from conftest import ALL_MACHINES, count_calls, load_fixture, step_one
+from conftest import ALL_MACHINES, count_calls, load_fixture, sol_machines, step_one
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
@@ -587,12 +587,12 @@ class TestDistortion:
 
 
 def full_ball_distortion(machine, gen_name, radius, cap=ball_module.DEFAULT_CAP):
-    """The cyclic distortion table read off the full ball, as for Sol."""
+    """The cyclic distortion table read off the full ball."""
     inner = functools.partial(machine.cyclic_inner_length, machine.gens.index(gen_name))
     return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)
 
 
-LOOKUP_MACHINES = [m for m in ALL_MACHINES if m.powers_lower_monotone] + [
+LOOKUP_MACHINES = ALL_MACHINES + [
     FreeAbelianMachine(1),
     TorsionProductMachine(0, (5,)),
     TorsionProductMachine(0, (4, 6)),
@@ -622,8 +622,7 @@ class TestPowerLookups:
         machine = FIXTURE_MACHINES[stem]
         assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius)
 
-    @pytest.mark.parametrize("machine", [m for stem, m in FIXTURE_MACHINES.items() if m.powers_lower_monotone]
-                             + [FreeAbelianMachine(3)], ids=lambda m: m.family)
+    @pytest.mark.parametrize("machine", [*FIXTURE_MACHINES.values(), FreeAbelianMachine(3)], ids=lambda m: m.family)
     def test_lower_bound_never_falls_along_generator_powers(self, machine):
         """The proof obligation of the lookups: for k <= 5000, lower(g^k)
         is nondecreasing and grows, until g^k returns to the identity; a
@@ -642,13 +641,14 @@ class TestPowerLookups:
                 assert seq[-1] > seq[0]
             assert all(a <= b for a, b in zip(seq, seq[1:])), machine.gens.names[i]
 
-    def test_sol_keeps_the_full_ball(self):
-        # length_lower of a torus power is |t| = 0, so no bound ends the powers
-        sol = FIXTURE_MACHINES["sol_ex1"]
-        assert not sol.powers_lower_monotone
-        assert sol.length_lower(sol.pow(sol.gen_elem(0), 10**6)) == 0
-        for gen in sol.gens.names:
-            assert cyclic_distortion(sol, gen, 5) == full_ball_distortion(sol, gen, 5)
+    @pytest.mark.parametrize("machine, radius", [
+        *((FIXTURE_MACHINES[stem], 9) for stem in ("sol_ex1", "sol_ex3")),
+        *((machine, 8) for machine in sol_machines(4, 23)),
+    ], ids=["sol_ex1", "sol_ex3", "seeded0", "seeded1", "seeded2", "seeded3"])
+    def test_sol_lookups_match_the_full_ball(self, machine, radius):
+        # the torus powers end where the bound of the form v x Av passes the radius
+        for gen in machine.gens.names:
+            assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius), gen
 
     def test_cap_counts_the_powers_and_the_search(self, bs2):
         # b, ..., b^8 have lower bounds <= 6; their search stores more

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
 from endogrowth.ball import enumerate_ball, word_length
 from endogrowth.families import (
+    _SOL_POWER_CACHE,
     BSMachine,
     FreeAbelianMachine,
     HeisenbergMachine,
@@ -33,7 +35,7 @@ from endogrowth.words import (
     word_str,
 )
 
-from conftest import ALL_MACHINES, FIXTURE_DIR, run_child, step_one
+from conftest import ALL_MACHINES, FIXTURE_DIR, run_child, sol_machines, step_one
 
 
 def random_element(machine, rng, steps=10):
@@ -303,6 +305,9 @@ LOWER_MACHINES = [
     BSMachine(2),
     BSMachine(3),
     BSMachine(4),
+    SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]])),  # sol_ex1, sol_ex2
+    SolMachine(IntMatrix.from_rows([[1, 1], [2, 3]])),  # sol_ex3
+    *sol_machines(2, 3),
 ]
 
 
@@ -483,8 +488,38 @@ class TestSolHolonomy:
 
     def test_tau_exponent_bounds_the_length(self):
         sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
-        assert sol.length_lower((5, 0, -7)) == 7
+        # one a letter and seven tau letters
+        assert sol.length_lower((5, 0, -7)) == 8
         assert word_length(sol, (0, 0, 10**9), 3) is None
+
+    @pytest.mark.parametrize("sol", sol_machines(12, 11), ids=lambda m: str(m.matrix.entries))
+    def test_length_lower_bounds_the_ball(self, sol):
+        assert all(sol.length_lower(x) <= d for x, d in enumerate_ball(sol, 8).dist.items())
+
+    @pytest.mark.parametrize("sol", sol_machines(4, 17), ids=lambda m: str(m.matrix.entries))
+    def test_height_cost_tables_match_the_minimum(self, sol):
+        """The tables and the scan past them give H(q, t), the least over
+        D >= t of 2D + ceil(sqrt(q / E(D))), here over D < t + 400."""
+        top = _SOL_POWER_CACHE
+        bounds = sol._entry_bounds(top)
+
+        def height_cost(q, t):
+            return min(
+                2 * d + math.isqrt(-(-q // (bounds[min(d, top)] * sol._growth ** max(0, d - top))) - 1) + 1
+                for d in range(t, t + 400)
+            )
+
+        rng = random.Random(5)
+        for _ in range(300):
+            q, t = rng.randint(1, 10 ** rng.randint(1, 120)), rng.randint(0, 80)
+            assert sol._height_cost(q, t) == height_cost(q, t), (q, t)
+        # read back through the tables the calls above filled
+        assert all(sol.length_lower((1, 0, t)) == height_cost(abs(sol._form[0]), t) - t for t in range(70))
+
+    def test_tau_exponent_past_the_cached_powers(self, sol_fib):
+        # E(10^12) is never formed: bit lengths show that one a letter will do
+        assert sol_fib.length_lower((5, 3, -(10**12))) == 10**12 + 1
+        assert sol_fib.length_lower((0, 0, 10**12)) == 10**12
 
     def test_power_past_the_size_budget_is_a_resource_cap(self):
         sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
@@ -508,9 +543,9 @@ sys.exit(run(sys.argv[5:] + ["--group", group, "--out", endo + ".out"]))
 
 
 class TestSolMemory:
-    def run(self, tmp_path, tau_exp, *argv):
+    def run(self, tmp_path, tau_exp, *argv, timeout=120):
         group = str(FIXTURE_DIR / "sol_ex1.group")
-        return run_child(SOL_CHILD, group, str(tmp_path / "e.json"), str(tau_exp), *argv, limit_mb=256)
+        return run_child(SOL_CHILD, group, str(tmp_path / "e.json"), str(tau_exp), *argv, limit_mb=256, timeout=timeout)
 
     def test_deep_conjugate_word(self, tmp_path):
         done = self.run(tmp_path, 1, "wordlen", "--word", "tau^60000 a1 tau^-60000", "--radius", "3")
@@ -520,10 +555,37 @@ class TestSolMemory:
         done = self.run(tmp_path, 30000, "compare", "--endo", str(tmp_path / "e.json"))
         assert done.returncode == 0, done.stderr
 
+    def test_huge_torus_power_is_unknown_at_once(self, tmp_path):
+        # a1^N, N of 4000 digits: the bound of |Q| = N^2 passes the radius
+        done = self.run(tmp_path, 1, "wordlen", "--word", f"a1^{10**3999 + 7}", "--radius", "8", timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "wordlen: unknown beyond radius 8\n"
+
     def test_tau_exponent_past_the_budget_exits_3(self, tmp_path):
         done = self.run(tmp_path, 10**12, "compare", "--endo", str(tmp_path / "e.json"))
         assert done.returncode == 3, done.stderr
         assert "budget" in done.stderr
+
+
+# Runs in a child capped at 256 MiB of address space and prints the seconds
+# one length_lower call took.
+SOL_LOWER_CHILD = """
+import time
+from endogrowth.exactlin import IntMatrix
+from endogrowth.families import SolMachine
+sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
+start = time.perf_counter()
+print(sol.length_lower((10**4000, 0, 0)))
+print(time.perf_counter() - start)
+"""
+
+
+def test_sol_lower_on_a_huge_torus_vector_is_cheap():
+    # |Q| = 10^8000: past the exact entry bounds, the scan starts from bit lengths
+    done = run_child(SOL_LOWER_CHILD, limit_mb=256)
+    assert done.returncode == 0, done.stderr
+    lower, seconds = done.stdout.split()
+    assert int(lower) > 30000 and float(seconds) < 0.1  # about 2 log_3 |Q|
 
 
 # the descriptor params that rebuild a machine of each family

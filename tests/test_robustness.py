@@ -18,7 +18,7 @@ import endogrowth
 from endogrowth.cli import MAX_JSON_DEPTH, run
 from endogrowth.families import MACHINES, Machine
 
-from conftest import load_fixture, run_child
+from conftest import FIXTURE_DIR, load_fixture, run_child
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
 
@@ -415,3 +415,18 @@ def test_out_of_memory_in_a_search_prints_one_line(tmp_path):
     done = run_child(BS_CHILD, str(tmp_path), "distortion", "--subgroup", "b", "--radius", "40", limit_mb=256)
     assert done.returncode == 3, done.stderr
     assert done.stderr == "resource cap: out of memory\n"
+
+
+# Sol distortion looks the torus powers up.  About 32,000 powers of a1 have a
+# bound within radius 40, and their search passes the cap, not a full ball.
+SOL_CHILD = """
+from endogrowth.cli import run
+sys.exit(run(sys.argv[3:] + ["--group", sys.argv[2]]))
+"""
+
+
+def test_capped_sol_distortion_stops_in_the_search(tmp_path):
+    argv = ["distortion", "--subgroup", "a1", "--radius", "40", "--cap", "200000", "--out", str(tmp_path / "out")]
+    done = run_child(SOL_CHILD, str(FIXTURE_DIR / "sol_ex1.group"), *argv, limit_mb=256)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "resource cap: search exceeded cap 200000 at radius 12 (completed radius 11)\n"
