@@ -1035,7 +1035,8 @@ class SolMachine(Machine):
         if e_top.bit_length() - 1 + j * (s.bit_length() - 1) >= q.bit_length():
             best = 2 * (top + j) + 1  # E(D) > q: the term is 2D + 1
         else:
-            # 64 E(K + j) <= q for this j and every smaller one
+            # start at or below the least j with q < 64 E(K + j): the terms
+            # before it each cost more than the next
             j = max(j, (q.bit_length() - 7 - e_top.bit_length()) // s.bit_length())
             bound = e_top * s**j
             while 64 * bound <= q:
