@@ -2,18 +2,28 @@
 tables, growth estimation, and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
-and deduplication is automatic.  One class, ``_Frontier``, grows every ball:
-a ball around a start element, one sphere at a time.  It steps the last
-sphere in chunks of up to ``_CHUNK`` elements through ``Machine.steps()``:
-right multiplication by g0, g0^-1, g1, ..., made once per search and shared
-by all its balls.  Each step maps the coordinate columns of a whole chunk
-in closed form, without a call to ``mul``, so a Cayley-graph edge costs one
-``seen`` probe and a share of a list comprehension, not a Python call.
-Spheres are stored one after another; within one, each step maps a whole
-chunk before the next step runs.  A full ball also skips edges that can
-only lead to stored elements: the step back to an element's parent, and
-each lower step that commutes with the one the element arrived by
-(``_skip_known``).
+and deduplication is automatic.  Inside a search each element is one int, its
+key, which packs the normal form's coordinates into offset bit fields
+(``Machine.codec``, ``families.Codec``).  A search builds one codec from its
+starts and shares it among all its balls; the codec's steps, right
+multiplication by g0, g0^-1, g1, ..., map a list of keys to the list of
+their products, mostly by one integer add.  So a Cayley-graph edge costs one
+``seen`` probe and a share of a list comprehension, and no tuple is built.
+Normal forms appear only at the boundary: targets are encoded, a pruned side
+decodes the elements it expands, and ``enumerate_ball`` decodes its result.
+
+One class, ``_Frontier``, grows every ball: a ball around a start element,
+one sphere at a time, in chunks of up to ``_CHUNK`` keys.  Spheres are
+stored one after another; within one, each step maps a whole chunk before
+the next step runs.  A full ball also skips edges that can only lead to
+stored elements: the step back to an element's parent, and each lower step
+that commutes with the one the element arrived by (``_skip_known``).
+
+A codec is exact only for elements within its depth of a start, and on Sol
+and Baumslag-Solitar its size grows with the depth.  So a search sizes its
+first codec for at most ``_FIRST_DEPTH`` steps, and re-encodes all its
+balls into a codec of twice the depth before one of them would outgrow it
+(``_widen``): a radius the search never reaches costs nothing.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
@@ -76,6 +86,12 @@ DEFAULT_CAP = 5_000_000
 # _Frontier.grow steps this many elements of a sphere at a time
 _CHUNK = 256
 
+# The depth of a search's first codec when its radius is larger: past the
+# radii of the bundled examples (up to 18 outside the series families), so
+# those never re-encode, yet small enough that Sol and Baumslag-Solitar
+# tables, linear in it, cost little
+_FIRST_DEPTH = 32
+
 
 class Ball(NamedTuple):
     """All elements of word length <= radius with their exact lengths.
@@ -130,47 +146,60 @@ def _pad_rows(rows: list, radius: int, cap: int, what: str) -> list:
 
 class _Frontier:
     """A ball around ``start`` grown one sphere at a time, out to ``radius``:
-    ``seen`` maps each element found to its distance from ``start``, and
-    ``groups`` holds sphere ``depth`` in groups, each with its own list of
-    steps to take next (``moves``).
+    ``seen`` maps the key of each element found to its distance from
+    ``start``, and ``groups`` holds sphere ``depth`` in groups, each with its
+    own list of steps to take next (``moves``).  Keys come from ``codec``,
+    which its sides share, and the ball treats them as opaque.
 
     Without ``after`` the sphere is one group that takes every step.  With
     it, elements are grouped by arrival step, the step that first reached
     them: those that arrived by step j take only the steps ``after[j]``
     (``_skip_known`` gives the rule and why no element is lost), and
     ``start`` takes every step.  ``grow`` runs the groups in turn, a group
-    ``_CHUNK`` elements at a time: it transposes a chunk into coordinate
-    columns once, has each of the group's steps map the whole chunk, one
-    step after another, and files each new product under the step that
-    made it.  So ``seen`` holds the spheres one after another, each in that
-    order.
+    ``_CHUNK`` keys at a time: each of the group's steps maps the whole
+    chunk, one step after another, and each new product is filed under the
+    step that made it.  So ``seen`` holds the spheres one after another,
+    each in that order.
 
     With a lower bound ``lower`` on word length, sphere r + 1 is built only
     from the x in sphere r with lower(x) + r <= radius.  A word for x
     followed by the r steps back to ``start`` is at least lower(x) + r long,
     so a skipped x extends no path from the identity to ``start`` of length
-    <= radius.  The bound is read when x is expanded, never for the last
-    sphere.  Skipped elements stay in ``seen`` and in their sphere.  A
-    distance in ``seen`` is then the length of some path from ``start``,
-    maybe not the shortest.  Yet each y with |y| + d(start, y) <= radius
-    gets its exact distance: every point x of a shortest path from
-    ``start`` to y has |x| + d(start, x) <= |y| + d(start, y), so each is
-    expanded in turn.
+    <= radius.  The bound reads the normal form, so x is decoded when it is
+    expanded, never for the last sphere.  Skipped elements stay in ``seen``
+    and in their sphere.  A distance in ``seen`` is then the length of some
+    path from ``start``, maybe not the shortest.  Yet each y with
+    |y| + d(start, y) <= radius gets its exact distance: every point x of a
+    shortest path from ``start`` to y has |x| + d(start, x) <=
+    |y| + d(start, y), so each is expanded in turn.
     """
 
-    __slots__ = ("radius", "lower", "moves", "seen", "groups", "depth")
+    __slots__ = ("radius", "lower", "after", "codec", "moves", "seen", "groups", "depth")
 
-    def __init__(self, steps: list, start, radius: int, lower: Optional[Callable] = None, after: Optional[list] = None):
+    def __init__(self, codec, start, radius: int, lower: Optional[Callable] = None, after: Optional[list] = None):
         self.radius = radius
         self.lower = lower
-        if after is None:  # one group: every step, every product
+        self.after = after
+        key = codec.encode(start)
+        self.seen = {key: 0}
+        self.groups = [[] for _ in (() if after is None else after)] + [[key]]
+        self.depth = 0
+        self.codec = None
+        self.use(codec)
+
+    def use(self, codec):
+        """Take the steps of ``codec``, re-encoding the stored keys into it
+        from the codec before, if any."""
+        old, self.codec = self.codec, codec
+        steps = codec.steps
+        if self.after is None:  # one group: every step, every product
             self.moves = [[(step, 0) for step in steps]]
         else:  # a group per arrival step, then the start's
-            self.moves = [[(steps[k], k) for k in ks] for ks in [*after, range(len(steps))]]
-        self.seen = {start: 0}
-        self.groups = [[] for _ in self.moves]
-        self.groups[-1].append(start)
-        self.depth = 0
+            self.moves = [[(steps[k], k) for k in ks] for ks in [*self.after, range(len(steps))]]
+        if old is not None:
+            new = dict(zip(self.seen, map(codec.encode, map(old.decode, self.seen))))
+            self.seen = dict(zip(new.values(), self.seen.values()))
+            self.groups = [[new[x] for x in group] for group in self.groups]
 
     @property
     def last(self) -> list:
@@ -184,23 +213,25 @@ class _Frontier:
         is empty.  When ``seen`` holds more than ``cap`` after a chunk,
         ResourceCapExceeded with the last full radius.  As ``seen`` only
         grows, that is the radius at which a check after every new element
-        would raise."""
+        would raise.  The codec must reach the next sphere (``_widen``)."""
         r = self.depth
         if r >= self.radius:
             return False
+        if r >= self.codec.depth:
+            raise ValueError(f"a codec of depth {self.codec.depth} cannot hold sphere {r + 1}")
         groups = self.groups
         if self.lower is not None:
-            slack, lower = self.radius - r, self.lower
-            groups = [[x for x in group if lower(x) <= slack] for group in groups]
+            slack, lower, decode = self.radius - r, self.lower, self.codec.decode
+            groups = [[x for x in group if lower(decode(x)) <= slack] for group in groups]
         r += 1
         seen = self.seen
         nxt = [[] for _ in groups]
         for moves, group in zip(self.moves, groups):
             for i in range(0, len(group), _CHUNK):
-                cols = tuple(zip(*group[i : i + _CHUNK]))
+                chunk = group[i : i + _CHUNK]
                 for step, into in moves:
                     out = nxt[into]
-                    for y in step(cols):
+                    for y in step(chunk):
                         if y not in seen:
                             seen[y] = r
                             out.append(y)
@@ -212,12 +243,28 @@ class _Frontier:
         return True
 
 
-def _skip_known(machine, steps) -> list:
+def _codec(machine, starts, radius: int):
+    """The first codec of a search from ``starts``: sized for the radius,
+    but never past ``_FIRST_DEPTH`` steps, so a radius the search does not
+    reach costs nothing."""
+    return machine.codec(starts, min(radius, _FIRST_DEPTH))
+
+
+def _widen(machine, sides):
+    """Before one of ``sides``, which share a codec, grows past its depth:
+    move them all to a codec of twice that depth, at most their radius."""
+    old = sides[0].codec
+    new = machine.codec(old.starts, min(2 * old.depth, sides[0].radius))
+    for side in sides:
+        side.use(new)
+
+
+def _skip_known(machine) -> list:
     """The steps an element takes next in a full ball, by the step that
     first reached it (its arrival step).  An element that arrived by step j
     skips step j ^ 1, the step back to its stored parent, and each step
     i < j whose right factor commutes with step j's under ``machine.mul``.
-    The factors are the steps' products on the identity.
+    The factors are g0, g0^-1, g1, g1^-1, ....
 
     No element is lost, so every distance stays exact.  Suppose y lies at
     distance r + 1 and every pair (x in sphere r, step t) with y = x t is
@@ -228,13 +275,39 @@ def _skip_known(machine, steps) -> list:
     The pair (w t, a) is skipped too, and the same argument gives a pair
     whose step exceeds a.  The steps would rise without end, which a finite
     list of steps does not allow."""
-    one = tuple(zip(machine.identity))  # a one-element chunk
-    factors = [next(iter(step(one))) for step in steps]
+    factors = []
+    for i in range(len(machine.gens)):
+        g = machine.gen_elem(i)
+        factors += [g, machine.inv(g)]
     mul = machine.mul
     return [
         [i for i, s in enumerate(factors) if i != j ^ 1 and not (i < j and mul(s, t) == mul(t, s))]
         for j, t in enumerate(factors)
     ]
+
+
+def _full_ball(machine, radius: int, cap: int) -> tuple[_Frontier, list]:
+    """The BFS of ``enumerate_ball`` around the identity: the grown ball
+    and its cumulative counts, padded to ``radius + 1`` rows."""
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
+    identity = machine.identity
+    ball = _Frontier(_codec(machine, (identity,), radius), identity, radius, after=_skip_known(machine))
+    counts = [1]
+    try:
+        while True:
+            if ball.depth == ball.codec.depth < radius:
+                _widen(machine, [ball])
+            if not ball.grow(cap):
+                break
+            counts.append(len(ball.seen))
+    except ResourceCapExceeded as exc:
+        done = exc.completed_radius
+        raise ResourceCapExceeded(
+            f"ball exceeded cap {cap} while exploring radius {done + 1}", completed_radius=done
+        ) from None
+    # a finite group may run out of elements before the radius
+    return ball, _pad_rows(counts, radius, cap, "ball")
 
 
 def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
@@ -245,21 +318,9 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
     or when a finite group runs out of elements and the ``radius + 1`` rows
     of ``counts`` would exceed ``cap`` or not fit in memory.
     """
-    if radius < 0:
-        raise ValidationError("radius must be nonnegative")
-    steps = machine.steps()
-    ball = _Frontier(steps, machine.identity, radius, after=_skip_known(machine, steps))
-    counts = [1]
-    try:
-        while ball.grow(cap):
-            counts.append(len(ball.seen))
-    except ResourceCapExceeded as exc:
-        done = exc.completed_radius
-        raise ResourceCapExceeded(
-            f"ball exceeded cap {cap} while exploring radius {done + 1}", completed_radius=done
-        ) from None
-    # a finite group may run out of elements before the radius
-    return Ball(radius, ball.seen, tuple(_pad_rows(counts, radius, cap, "ball")))
+    ball, counts = _full_ball(machine, radius, cap)
+    seen = ball.seen
+    return Ball(radius, dict(zip(map(ball.codec.decode, seen), seen.values())), tuple(counts))
 
 
 def ball_counts(machine, radius: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
@@ -276,8 +337,8 @@ def ball_counts(machine, radius: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]
     pads its rows under the same rule.
     """
     orders = machine.coordinate_orders()
-    if orders is None:
-        return enumerate_ball(machine, radius, cap).counts
+    if orders is None:  # the BFS; its counts need no element decoded
+        return tuple(_full_ball(machine, radius, cap)[1])
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     counts = []
@@ -399,9 +460,9 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     The identity's side never runs out while a target is open: a complete
     ball holds the whole (finite) group, so it met every target first."""
     found = {}
-    steps, lower = machine.steps(), machine.length_lower
-    home = _Frontier(steps, machine.identity, radius)
-    open_ = {x: _Frontier(steps, x, radius, lower) for x in targets}
+    codec, lower = _codec(machine, (machine.identity, *targets), radius), machine.length_lower
+    home = _Frontier(codec, machine.identity, radius)
+    open_ = {x: _Frontier(codec, x, radius, lower) for x in targets}
     stored = held + len(home.seen) + len(open_)
     rims = len(open_)  # the sizes of the open targets' last spheres, summed
 
@@ -414,6 +475,8 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
 
     def grow(side) -> bool:
         nonlocal stored, rims
+        if side.depth == side.codec.depth < radius:
+            _widen(machine, [home, *open_.values()])
         before, rim = len(side.seen), len(side.last)
         try:
             grown = side.grow(cap - (stored - before))
@@ -683,16 +746,16 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     lower = machine.length_upper if machine.length_exact else machine.length_lower
-    step = machine.steps()[2 * index]
+    mul, g = machine.mul, machine.gen_elem(index)
     powers = []
-    (x,) = step(tuple(zip(machine.identity)))  # a one-element chunk
+    x = g
     while x != machine.identity and lower(x) <= radius:
         if len(powers) >= cap:
             raise ResourceCapExceeded(
                 f"distortion exceeded cap {cap} with the powers of {gen_name} within radius {radius}"
             )
         powers.append(x)
-        (x,) = step(tuple(zip(x)))
+        x = mul(x, g)
     best_at = {}  # length -> (inner length, power) of the largest inner length
     for x, length in zip(powers, word_lengths(machine, powers, radius, cap, held=len(powers))):
         val = inner(x)

@@ -11,6 +11,13 @@ entry i is the exponent of generator i (the central ones last), so the base
 class supplies ``gen_elem``, ``decompose`` and ``cyclic_inner_length``, and a
 family overrides one only where its normal form reads otherwise.
 
+Inside a Cayley-ball search an element is an int, not a tuple: each class's
+``codec`` packs the normal forms within a given depth of the search's starts
+into one int apiece, with right multiplication by each generator as a map on
+lists of such ints, and its docstring proves the bounds the packing rests
+on.  Every other method takes and returns normal forms; the search encodes
+and decodes at its boundary.
+
 Each machine class also declares its descriptor ``family`` tag, the
 parameter ``schema`` of that descriptor, and the ``build`` classmethod that
 turns checked parameters into a machine; ``machine_from_params`` looks the
@@ -29,9 +36,13 @@ equal parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from bisect import bisect_left
+from itertools import chain
+from operator import lshift
+from typing import Callable, NamedTuple
 
 from .ball import ClosedForm, L_k_table
 from .errors import ResourceCapExceeded, ValidationError
@@ -157,15 +168,10 @@ class Machine(_Value):
             n >>= 1
         return acc
 
-    def steps(self) -> list:
-        """Right multiplication by each generator and its inverse, in the
-        order g0, g0^-1, g1, g1^-1, ...: the edges a Cayley-ball search
-        follows.  Each step maps a chunk of elements at once.  It takes the
-        chunk's coordinate columns, ``cols[k]`` holding coordinate k of each
-        element (``tuple(zip(*chunk))``; empty columns for an empty chunk),
-        and returns an iterable of the products x*s in chunk order.  Every
-        family gives them in closed form, without a call to ``mul``; a new
-        list per call, since a step may cache per search."""
+    def codec(self, starts, depth: int) -> Codec:
+        """The ``Codec`` of a search from ``starts`` (normal forms) that
+        reaches at most ``depth`` steps from one of them.  Each family's
+        docstring proves the bounds its fields rest on."""
         raise NotImplementedError
 
     def shortcut_images(self, payload) -> tuple:
@@ -281,31 +287,126 @@ def _gen_word(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 
 
-def _bump(i: int, e: int, m: int = 0, terms=()):
-    """The chunk step x -> x + e * unit_i on flat int tuples, modulo m at
-    index i when m > 0, that also adds coef * x_j at index k for each
-    (k, j, coef) in ``terms``.  Unchanged columns are reused."""
+class Codec(NamedTuple):
+    """The elements of one Cayley-ball search packed into ints.
 
-    def step(cols):
-        out = list(cols)
-        out[i] = [(x + e) % m for x in cols[i]] if m else [x + e for x in cols[i]]
-        for k, j, coef in terms:
-            out[k] = [z + coef * x for z, x in zip(out[k], cols[j])]
-        return zip(*out)
+    Inside a search an element is one Python int, its key, which the kernel
+    hashes, compares and steps without building a tuple.  ``encode`` and
+    ``decode`` convert between normal forms and keys.  ``steps`` holds, in
+    the order g0, g0^-1, g1, g1^-1, ..., right multiplication by each
+    generator and its inverse as a map from a list of keys to the list of
+    their products, in order.
 
-    return step
+    A codec is built from the search's ``starts`` for a ``depth``: keys and
+    steps are exact on every element within ``depth`` steps of a start.
+    ``box`` holds, per normal-form coordinate, a range (lo, hi) that such
+    elements never leave, or None where the coordinate needs no bound.  A
+    search that would go deeper builds a codec of a larger depth and
+    re-encodes its elements."""
+
+    starts: tuple
+    depth: int
+    box: tuple
+    encode: Callable
+    decode: Callable
+    steps: list
 
 
-class _Memo(dict):
-    """A dict that fills a missing key k with fn(k) when it is first read."""
+class _Fields:
+    """Normal forms as offset bit fields of one int, placed low to high in
+    ``order``.  A coordinate i with ``box[i]`` = (lo, hi) is stored as
+    x_i - lo in (hi - lo).bit_length() bits.  The last coordinate in
+    ``order`` is stored as it is, signed, in the bits above all others, so
+    its box may be None: it needs no bound.  The key of x is then
+    base + sum of x_i << shift_i, affine in x, and a coordinate within its
+    box reads back as (key >> shift & mask) + lo, with mask -1 and lo 0 for
+    the top one."""
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
+    def __init__(self, box, order=None):
+        self.box = tuple(box)
+        self.spec = spec = [None] * len(box)
+        order = range(len(box)) if order is None else order
+        shift = 0
+        for i in order:
+            if i == order[-1]:
+                spec[i] = (shift, -1, 0)
+            else:
+                lo, hi = box[i]
+                width = (hi - lo).bit_length()
+                spec[i] = (shift, (1 << width) - 1, lo)
+                shift += width
+        self.shifts = tuple(shift for shift, _, _ in spec)
+        self.base = -sum(lo << shift for shift, _, lo in spec)
+        self.decode = _reader(len(spec))(*chain.from_iterable(spec))
 
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+    def codec(self, starts, depth: int, steps: list) -> Codec:
+        return Codec(tuple(starts), depth, self.box, self.encode, self.decode, steps)
+
+    def encode(self, x) -> int:
+        return sum(map(lshift, x, self.shifts), self.base)
+
+    def step(self, moves, reads=()):
+        """The step that adds d to coordinate i for each (i, d) in ``moves``
+        and, for each (j, coefs) in ``reads``, x_j times c to coordinate i
+        for each (i, c) in ``coefs``, with x_j read from its field."""
+        spec = self.spec
+        add = sum(d << spec[i][0] for i, d in moves)
+        terms = []
+        for j, coefs in reads:
+            shift, mask, lo = spec[j]
+            coef = sum(c << spec[i][0] for i, c in coefs)
+            add += lo * coef
+            terms.append((shift, mask, coef))
+        if not terms:
+            return lambda keys: [x + add for x in keys]
+        if len(terms) == 1:
+            ((shift, mask, coef),) = terms
+            return lambda keys: [x + add + (x >> shift & mask) * coef for x in keys]
+        return lambda keys: [x + add + sum([(x >> s & m) * c for s, m, c in terms]) for x in keys]
+
+
+@functools.lru_cache(maxsize=None)
+def _reader(arity: int):
+    """The decoder factory for ``arity`` fields: called with shift, mask
+    and lo of each field in coordinate order, it returns the function that
+    reads them all, one expression per field.  That is about twice as fast
+    as a loop over the fields, and a search decodes every element it
+    prunes.  The source holds only names and digits; it is compiled once
+    per arity."""
+    args = ", ".join(f"s{i}, m{i}, l{i}" for i in range(arity))
+    reads = "".join(f"(key >> s{i} & m{i}) + l{i}, " for i in range(arity))
+    return eval(f"lambda {args}: lambda key: ({reads})")
+
+
+def _wrap_step(field: tuple, m: int, e: int):
+    """The step that adds e = +-1 to a residue modulo m held in ``field``
+    = (shift, mask, 0), wrapping from one end of [0, m) to the other."""
+    shift, mask, _ = field
+    edge, wrap, move = (m - 1 if e > 0 else 0), -e * (m - 1) << shift, e << shift
+    return lambda keys: [x + wrap if (x >> shift & mask) == edge else x + move for x in keys]
+
+
+def _table_step(table: list, mask: int):
+    """The step x -> x + table[f], f the lowest field of x, under ``mask``."""
+    return lambda keys: [x + table[x & mask] for x in keys]
+
+
+def _windows(values, reach: int) -> list:
+    """The union of [v - reach, v + reach] over ``values``, as sorted
+    disjoint intervals [lo, hi]."""
+    out = []
+    for v in sorted(set(values)):
+        if out and v - reach <= out[-1][1] + 1:
+            out[-1][1] = v + reach
+        else:
+            out.append([v - reach, v + reach])
+    return out
+
+
+def _spread(starts, i: int, reach: int) -> tuple[int, int]:
+    """The range of coordinate i over the starts, widened by ``reach``."""
+    values = [x[i] for x in starts]
+    return min(values) - reach, max(values) + reach
 
 
 def _central_reach(g: int, c: int) -> int:
@@ -377,8 +478,21 @@ class _AbelianMachine(Machine):
     def pow(self, x, n):
         return self._reduced([n * c for c in x])
 
-    def steps(self):
-        return [_bump(i, e, m) for i, m in enumerate(self.orders) for e in (1, -1)]
+    def codec(self, starts, depth):
+        """Each step moves one coordinate by one, so within ``depth`` steps
+        of a start a free exponent lies within ``depth`` of the start's; a
+        residue modulo m lies in [0, m) and wraps around at either end.  The
+        last coordinate is the top field."""
+        box = [(0, m - 1) if m else _spread(starts, i, depth) for i, m in enumerate(self.orders)]
+        if not self.orders[-1]:
+            box[-1] = None
+        fields = _Fields(box)
+        steps = [
+            _wrap_step(fields.spec[i], m, e) if m else fields.step(((i, e),))
+            for i, m in enumerate(self.orders)
+            for e in (1, -1)
+        ]
+        return fields.codec(starts, depth, steps)
 
     def relators(self):
         return [_gen_word(i, m) for i, m in self._torsion_at]
@@ -504,10 +618,15 @@ class HeisenbergMachine(Machine):
         m, q, l = x
         return (n * m, n * q, n * l + self.k * q * m * (n * (n - 1) // 2))
 
-    def steps(self):
-        # columns (m, n, l); a1^(+-1) also moves l by +-k n
-        a1 = [_bump(0, e, terms=((2, 1, e * self.k),)) for e in (1, -1)]
-        return a1 + [_bump(i, e) for i in range(1, len(self.gens)) for e in (1, -1)]
+    def codec(self, starts, depth):
+        """Fields m, n, then l on top.  A step moves m or n by at most one,
+        so within ``depth`` steps of a start each lies within ``depth`` of
+        the start's; l needs no bound.  a1^(+-1) reads n to move l by
+        +-k n."""
+        fields = _Fields((_spread(starts, 0, depth), _spread(starts, 1, depth), None))
+        steps = [fields.step(((0, e),), ((1, ((2, e * self.k),)),)) for e in (1, -1)]
+        steps += [fields.step(((i, e),)) for i in range(1, len(self.gens)) for e in (1, -1)]
+        return fields.codec(starts, depth, steps)
 
     def relators(self):
         c12 = commutator_word(_gen_word(0), _gen_word(1))
@@ -701,19 +820,32 @@ class Nil2Machine(Machine):
         c = n * (n - 1) // 2
         return tuple(n * p + c * q for p, q in zip(a, self._cocycle(a, a)))
 
-    def steps(self):
-        n = self.n_gens
-        out = []
+    def codec(self, starts, depth):
+        """Fields x_1..x_n, z_1, ..., then the last z on top.  A step moves
+        |x|_1 by at most one, so within ``depth`` steps of a start each x_i
+        lies within ``depth`` of the start's.  A step from an element p
+        steps from its start moves z_s by at most G_s |x|_1 + 1 <=
+        G_s (X + p) + 1, G_s the largest |gamma(i, j)_s| and X the largest
+        |x|_1 of a start; over p = 0 .. depth - 1 that sums to
+        B_s = G_s (depth X + depth (depth - 1) / 2) + depth, so z_s lies
+        within B_s of the start's.  tau_j^(+-1) reads each x_i, i > j, with
+        gamma(i, j) != 0."""
+        n, m = self.n_gens, len(self.central)
+        x_max = max(sum(map(abs, x[:n])) for x in starts)
+        box = [_spread(starts, i, depth) for i in range(n)]
+        for s in range(m - 1):
+            g = max(abs(vec[s]) for _, vec in self._gamma_table)
+            box.append(_spread(starts, n + s, g * (depth * x_max + depth * (depth - 1) // 2) + depth))
+        fields = _Fields(box + [None])
+        steps = []
         for j in range(1, n + 1):
-            # (x, z) tau_j^e = (x + e unit_j, z + e sum_{i > j} x_i gamma(i, j)),
-            # with z_s at flat index n + s
-            gammas = [(i - 1, vec) for (i, jj), vec in self._gamma_table if jj == j]
+            # (x, z) tau_j^e = (x + e unit_j, z + e sum_{i > j} x_i gamma(i, j))
+            gammas = [(i - 1, vec) for (i, jj), vec in self._gamma_table if jj == j and any(vec)]
             for e in (1, -1):
-                terms = tuple((n + s, i, e * v) for i, vec in gammas for s, v in enumerate(vec) if v)
-                out.append(_bump(j - 1, e, terms=terms))
-        # sigma_s^e moves z_s by e
-        out += [_bump(n + s, e) for s in range(len(self.central)) for e in (1, -1)]
-        return out
+                reads = [(i, [(n + s, e * v) for s, v in enumerate(vec) if v]) for i, vec in gammas]
+                steps.append(fields.step(((j - 1, e),), reads))
+        steps += [fields.step(((n + s, e),)) for s in range(m) for e in (1, -1)]
+        return fields.codec(starts, depth, steps)
 
     def central_word(self, vec) -> Word:
         n = self.n_gens
@@ -910,25 +1042,48 @@ class SolMachine(Machine):
                 total, power = one + base @ total, power @ base
         return (*mat_vec(total, (v0, v1)), n * t)
 
-    def steps(self):
-        power = self.holonomy_power
+    def codec(self, starts, depth):
+        """Fields t, v0, then v1 on top.  A step moves t by at most one, so
+        within ``depth`` steps of a start t lies within ``depth`` of the
+        start's.  An a_i^(+-1) letter read at height h adds +-column i of
+        A^h to v, and the letter after p steps from a start is read at a
+        height |h| <= T + p, T the largest |t| of a start.  So v0 moves by at
+        most the sum over p = 0 .. depth - 1 of ``_entry_bound(T + p)``.
+        The a steps read +-column i of A^t from a table indexed by the t
+        field, filled at the heights within ``depth`` of a start's."""
+        tmin, tmax = t_box = _spread(starts, 2, depth)
+        self._check_power_size(max(-tmin, tmax))
+        top = max(abs(x[2]) for x in starts)
+        reach = sum(self._entry_bound(top + p) for p in range(depth))
+        fields = _Fields((_spread(starts, 0, reach), None, t_box), (2, 0, 1))
+        (s0, _, _), (s1, _, _), (_, mask, _) = fields.spec
+        (a, b), (c, d) = self.matrix.entries
+        tables = [[None] * (tmax - tmin + 1) for _ in range(4)]
+        for lo, hi in _windows([x[2] for x in starts], depth):
+            if abs(lo) > _SOL_POWER_CACHE:
+                (p, q), (r, u) = self.holonomy_power(lo).entries
+            else:  # A^lo by |lo| products with A or A^-1
+                p, q, r, u = 1, 0, 0, 1
+                (e, f), (g, h) = (self.matrix if lo > 0 else self.minimizer.inverse).entries
+                for _ in range(abs(lo)):
+                    p, q, r, u = p * e + q * g, p * f + q * h, r * e + u * g, r * f + u * h
+            for t in range(lo - tmin, hi - tmin + 1):  # A^t = [[p, q], [r, u]]
+                for i, (v0, v1) in enumerate(((p, r), (q, u))):
+                    tables[2 * i][t] = (v0 << s0) + (v1 << s1)
+                    tables[2 * i + 1][t] = -tables[2 * i][t]
+                p, q, r, u = p * a + q * c, p * b + q * d, r * a + u * c, r * b + u * d
+        steps = [_table_step(table, mask) for table in tables]
+        steps += [fields.step(((2, e),)) for e in (1, -1)]
+        return fields.codec(starts, depth, steps)
 
-        def a_step(i, e):
-            # (v, t) a_i^e = (v + e * column i of A^t, t), the shift of each t
-            # computed once per search
-            def shift(t):
-                p = power(t).entries
-                return (e * p[0][i], e * p[1][i])
-
-            shifts = _Memo(shift)
-
-            def step(cols):
-                v0s, v1s, ts = cols
-                return [(v0 + d0, v1 + d1, t) for v0, v1, t, (d0, d1) in zip(v0s, v1s, ts, map(shifts.__getitem__, ts))]
-
-            return step
-
-        return [a_step(i, e) for i in range(2) for e in (1, -1)] + [_bump(2, 1), _bump(2, -1)]
+    def _entry_bound(self, h: int) -> int:
+        """A bound on the entries in size of A^m over |m| <= h: A^-m has the
+        entries of A^m up to sign, so E(max(h - 1, 0)) of ``_entry_bounds``,
+        read as E(K) s^(h - 1 - K) past K = _SOL_POWER_CACHE."""
+        top = _SOL_POWER_CACHE
+        if h - 1 <= top:
+            return self._entry_bounds(max(h - 1, 0))[max(h - 1, 0)]
+        return self._entry_bounds(top)[top] * self._growth ** (h - 1 - top)
 
     def relators(self):
         a = self.matrix.entries
@@ -1104,14 +1259,18 @@ class KleinMachine(Machine):
             return (a if n & 1 else 0, n * b)
         return (n * a, n * b)
 
-    def steps(self):
-        # columns (a, b): x^(+-1) moves a by +-1, against the sign when b is odd
-        return [
-            lambda c: zip([a - 1 if b & 1 else a + 1 for a, b in zip(*c)], c[1]),
-            lambda c: zip([a + 1 if b & 1 else a - 1 for a, b in zip(*c)], c[1]),
-            _bump(1, 1),
-            _bump(1, -1),
+    def codec(self, starts, depth):
+        """Field a, then b on top.  A step moves a by at most one, so within
+        ``depth`` steps of a start a lies within ``depth`` of the start's.
+        x^(+-1) reads the parity of b: it moves a against the sign when b
+        is odd."""
+        fields = _Fields((_spread(starts, 0, depth), None))
+        shift = fields.spec[1][0]
+        steps = [
+            lambda keys, e=e: [x - e if x >> shift & 1 else x + e for x in keys] for e in (1, -1)
         ]
+        steps += [fields.step(((1, e),)) for e in (1, -1)]
+        return fields.codec(starts, depth, steps)
 
     def relators(self):
         return [_letters((1, 1), (0, 1), (1, -1), (0, 1))]
@@ -1161,13 +1320,35 @@ class BSMachine(Machine):
         # n^k has about k log2(n) bits, and at least k floor(log2(n)) + 1
         self._power_limit = SOL_POWER_BITS / math.log2(n)
         self._log2_floor = n.bit_length() - 1
+        self._two_power = n == 1 << self._log2_floor
+        self._squares = [n]  # n^(2^j), j = 0, 1, ...: a cache, extended whole
 
     def _canonical(self, num, e):
+        """num / n^e in lowest terms: (num / n^k, e - k) for k = min(e, the
+        exponent of n in num), 0 as (0, 0).  A power of two strips k with
+        one shift.  Otherwise the divisors n^(2^j) go in descending j, each
+        taken when it divides what is left and 2^j <= e: what is left of k
+        is below 2^j after each, so O(log k) divisions strip it all.  n^k
+        divides num only for k floor(log2 n) < num.bit_length(), so no
+        divisor is formed much past num."""
         if num == 0:
             return (0, 0)
-        while e > 0 and num % self.n == 0:
-            num //= self.n
-            e -= 1
+        if self._two_power:
+            k = min(e, ((num & -num).bit_length() - 1) // self._log2_floor)
+            return (num >> k * self._log2_floor, e - k)
+        if e == 0 or num % self.n:
+            return (num, e)
+        most = min(e, (num.bit_length() - 1) // self._log2_floor)
+        squares = self._squares
+        if 1 << len(squares) <= most:
+            squares = list(squares)
+            while 1 << len(squares) <= most:
+                squares.append(squares[-1] ** 2)
+            self._squares = squares
+        for j in range(most.bit_length() - 1, -1, -1):
+            if 1 << j <= e and num % squares[j] == 0:
+                num //= squares[j]
+                e -= 1 << j
         return (num, e)
 
     def _power(self, k: int) -> int:
@@ -1196,26 +1377,45 @@ class BSMachine(Machine):
         num2, e2 = self._canonical(-num, e - t) if e >= t or num == 0 else (-num * self._power(t - e), 0)
         return (num2, e2, -t)
 
-    def steps(self):
+    def codec(self, starts, depth):
+        """Keys (t - tmin) + (Q << w): the a-exponent t in a field of w bits
+        for tmin <= t <= tmax, with tmin and tmax the least and largest
+        start exponents widened by ``depth`` (a step moves t by at most
+        one), and above it the b-part num / n^e as the integer
+        Q = num n^(E - e), for E the largest of 0, tmax and every start's e.
+        A b^(+-1) letter at height t adds +-n^-t to the b-part, so Q moves by
+        +-n^(E - t), read from a table indexed by the t field and filled at
+        the heights within ``depth`` of a start's.  Q stays an integer, as
+        E >= t, and needs no bound.  ``decode`` puts Q / n^E in lowest terms.
+        Every power goes through ``_power``, so a start whose heights would
+        need one past the budget raises ResourceCapExceeded, as ``mul``
+        would."""
+        tmin, tmax = t_box = _spread(starts, 2, depth)
+        top = max(0, tmax, *(e for _, e, _ in starts))
+        width = (tmax - tmin).bit_length()
+        mask, power = (1 << width) - 1, self._power
+        # the largest power first: past the budget it raises before the
+        # tables, as long as the span of the start heights, are allocated
+        power(top - tmin)
+        moves = [[None] * (tmax - tmin + 1) for _ in range(2)]
+        for lo, hi in _windows([x[2] for x in starts], depth):
+            move = power(top - hi) << width
+            for t in range(hi - tmin, lo - tmin - 1, -1):  # n^(top - t), t falling
+                moves[0][t], moves[1][t] = move, -move
+                move *= self.n
         canonical = self._canonical
-        pw = _Memo(self._power)  # n^d for this search, in mul's budget
 
-        def b_step(s):
-            # (num / n^e, t) b^s adds s / n^t to the b-part:
-            # t > e: (num n^(t-e) + s) / n^t, canonical as the top is s mod n;
-            # t < e: (num + s n^(e-t)) / n^e, as for e > 0 n divides s n^(e-t)
-            # but not num; t = e: n may divide num + s.  n^(t-e) is formed only
-            # for num != 0, as in mul, which never forms n^t for a power of a.
-            return lambda cols: [
-                ((num * pw[t - e] + s if num else s), t, t)
-                if t > e
-                else (num + s * pw[e - t], e, t)
-                if t < e
-                else canonical(num + s, e) + (t,)
-                for num, e, t in zip(*cols)
-            ]
+        def encode(x):
+            num, e, t = x
+            return t - tmin + (num * power(top - e) << width if num else 0)
 
-        return [_bump(2, 1), _bump(2, -1), b_step(1), b_step(-1)]
+        def decode(key):
+            num, e = canonical(key >> width, top)
+            return (num, e, (key & mask) + tmin)
+
+        steps = [lambda keys: [x + 1 for x in keys], lambda keys: [x - 1 for x in keys]]
+        steps += [_table_step(table, mask) for table in moves]
+        return Codec(tuple(starts), depth, (None, (0, top), t_box), encode, decode, steps)
 
     def gen_elem(self, i):
         return ((0, 0, 1), (1, 0, 0))[i]

@@ -69,10 +69,40 @@ def sol_machines(count, seed):
     return out
 
 
-def step_one(step, x):
-    """x*s by a chunk step of ``Machine.steps()``, on the one-element chunk [x]."""
-    (y,) = step(tuple(zip(x)))
-    return y
+def step_factors(machine):
+    """The right factors of a codec's steps: g0, g0^-1, g1, g1^-1, ..."""
+    out = []
+    for i in range(len(machine.gens)):
+        g = machine.gen_elem(i)
+        out += [g, machine.inv(g)]
+    return out
+
+
+def check_packed_steps(machine, codec, elements):
+    """Each packed step of ``codec`` maps the keys of ``elements``, as one
+    list, to the keys of their products by ``mul``, in order, and leaves the
+    list as it was; ``decode`` reads every key back."""
+    keys = [codec.encode(x) for x in elements]
+    assert [codec.decode(k) for k in keys] == list(elements)
+    for step, s in zip(codec.steps, step_factors(machine), strict=True):
+        assert step(keys) == [codec.encode(machine.mul(x, s)) for x in elements]
+    assert keys == [codec.encode(x) for x in elements]
+
+
+# an unbounded coordinate's corners; n does not divide it for n = 2..7
+_FAR = 2**70 + 3
+
+
+def box_corners(machine, codec):
+    """The normal forms at the corners of ``codec.box``: each bounded
+    coordinate at either end, each unbounded one at -_FAR, 0 or _FAR.  On
+    Baumslag-Solitar, only the (num, e) already in lowest terms."""
+    corners = [()]
+    for span in codec.box:
+        corners = [x + (v,) for x in corners for v in ((-_FAR, 0, _FAR) if span is None else span)]
+    if isinstance(machine, BSMachine):
+        corners = [x for x in corners if machine._canonical(x[0], x[1]) == x[:2]]
+    return corners
 
 
 def load_fixture(name):

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,22 +17,20 @@ from endogrowth.ball import (
     word_lengths,
 )
 from endogrowth.errors import ResourceCapExceeded, ValidationError
-from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, Nil2Machine, TorsionProductMachine
+from endogrowth.families import (
+    BSMachine,
+    FreeAbelianMachine,
+    HeisenbergMachine,
+    KleinMachine,
+    Nil2Machine,
+    TorsionProductMachine,
+)
 from endogrowth.reports import parse_endo, parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_elements, parse_word, validate_endo
 
-from conftest import ALL_MACHINES, count_calls, load_fixture, sol_machines, step_one
+from conftest import ALL_MACHINES, box_corners, check_packed_steps, count_calls, load_fixture, sol_machines, step_factors
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
-
-
-def moves(machine):
-    """The right factors of the steps: g0, g0^-1, g1, g1^-1, ..."""
-    out = []
-    for i in range(len(machine.gens)):
-        g = machine.gen_elem(i)
-        out += [g, machine.inv(g)]
-    return out
 
 
 def reference_ball(machine, radius, start=None, lower=None):
@@ -40,7 +39,7 @@ def reference_ball(machine, radius, start=None, lower=None):
     ``lower``, an element x of sphere r is expanded only when
     lower(x) <= radius - r, as on a pruned ``_Frontier`` side."""
     start = machine.identity if start is None else start
-    steps = moves(machine)
+    steps = step_factors(machine)
     dist = {start: 0}
     sphere = [start]
     for r in range(1, radius + 1):
@@ -115,13 +114,12 @@ class TestEnumerateBall:
 
 class TestCompiledSteps:
     def test_steps_equal_mul(self, any_machine):
-        steps = any_machine.steps()
-        assert len(steps) == 2 * len(any_machine.gens)
-        for x in reference_ball(any_machine, 4):
-            for i in range(len(any_machine.gens)):
-                g = any_machine.gen_elem(i)
-                assert step_one(steps[2 * i], x) == any_machine.mul(x, g)
-                assert step_one(steps[2 * i + 1], x) == any_machine.mul(x, any_machine.inv(g))
+        # on a ball, from a codec sized for one step past it, and on the
+        # corners of that codec's box, where a product may leave the box
+        codec = any_machine.codec((any_machine.identity,), 5)
+        assert len(codec.steps) == 2 * len(any_machine.gens)
+        check_packed_steps(any_machine, codec, list(reference_ball(any_machine, 4)))
+        check_packed_steps(any_machine, codec, box_corners(any_machine, codec))
 
     @pytest.mark.parametrize("stem", FIXTURE_STEMS)
     def test_discovery_order_matches_reference(self, stem):
@@ -137,16 +135,14 @@ class TestChunkedKernel:
     """``_Frontier.grow`` steps a sphere in chunks of ``_CHUNK`` elements."""
 
     def test_steps_on_a_chunk_equal_mul(self, any_machine):
-        # every step maps a whole chunk, in order, and leaves its columns as
-        # they were; the empty chunk has empty columns and gives nothing
-        chunk = list(reference_ball(any_machine, 4))
+        # every step maps a whole chunk of keys, in order, around a start
+        # off the identity; the empty chunk gives nothing
+        start = next(reversed(reference_ball(any_machine, 2)))
+        codec = any_machine.codec((start,), 5)
+        chunk = list(reference_ball(any_machine, 4, start))
         assert len(chunk) > 1
-        cols = tuple(zip(*chunk))
-        empty = tuple(() for _ in any_machine.identity)
-        for step, s in zip(any_machine.steps(), moves(any_machine)):
-            assert list(step(cols)) == [any_machine.mul(x, s) for x in chunk]
-            assert list(step(empty)) == []
-        assert cols == tuple(zip(*chunk))
+        check_packed_steps(any_machine, codec, chunk)
+        assert all(step([]) == [] for step in codec.steps)
 
     @pytest.mark.parametrize("stem, radius", [("nil2_ex3", 5), ("sol_ex3", 6), ("bs", 9), ("heis_ex1", 9)])
     def test_discovery_order_across_chunks(self, stem, radius):
@@ -160,15 +156,17 @@ class TestChunkedKernel:
     def test_pruned_side_across_chunks(self, nil2_ex3):
         # the side of a search around a target, pruned by length_lower
         start, radius, lower = (0, 0, 0, 3, 0), 7, nil2_ex3.length_lower  # s12^3
-        side = ball_module._Frontier(nil2_ex3.steps(), start, radius, lower)
+        codec = nil2_ex3.codec((start,), radius)
+        side = ball_module._Frontier(codec, start, radius, lower)
         while side.grow(10**6):
             pass
         reference = reference_ball(nil2_ex3, radius, start, lower)
         assert max(expanded_sizes(reference, radius, lower)) > 2 * ball_module._CHUNK
         # a full ball of that radius, around any start, is 8 times larger
         assert 8 * len(reference) < len(enumerate_ball(nil2_ex3, radius).dist)
-        assert side.seen == reference
-        assert sphere_by_sphere(side.seen)
+        seen = {codec.decode(x): d for x, d in side.seen.items()}
+        assert seen == reference
+        assert sphere_by_sphere(seen)
 
 
 # t2 and t3 commute: no gamma entry for the pair (3, 2)
@@ -180,10 +178,10 @@ FULL_BALLS = list(zip(ALL_MACHINES, (13, 40, 30, 9, 8, 9, 5, 7, 6, 130, 9, 8), s
 FULL_BALLS.append((COMMUTING_NIL2, 5))
 
 
-def commute_both_ways(machine, steps):
+def commute_both_ways(machine):
     """A wrong table for ``_skip_known``: it skips the step back and every
     commuting step, higher or lower."""
-    factors = [step_one(step, machine.identity) for step in steps]
+    factors = step_factors(machine)
     mul = machine.mul
     return [
         [i for i, s in enumerate(factors) if i != j ^ 1 and (i == j or mul(s, t) != mul(t, s))]
@@ -210,12 +208,12 @@ class TestSkipKnownSteps:
             assert ball.counts == counts
 
     def test_commuting_tau_pair_is_skipped(self):
-        after = ball_module._skip_known(COMMUTING_NIL2, COMMUTING_NIL2.steps())
+        after = ball_module._skip_known(COMMUTING_NIL2)
         assert after[4] == [0, 1, 4, 6, 7, 8, 9]  # t3: no t2, no t2^-1, no t3^-1
 
     def test_heisenberg_table(self):
         _, heis_ex1 = parse_group(load_fixture("heis_ex1.group"))
-        after = ball_module._skip_known(heis_ex1, heis_ex1.steps())
+        after = ball_module._skip_known(heis_ex1)
         assert after[4] == [4] and after[5] == [5]  # a3 is central and last
         assert after[0] == [0, 2, 3, 4, 5]  # a1 commutes with no lower step
 
@@ -403,25 +401,27 @@ class TestPrunedSearch:
         # b^16 = a^-3 b^2 a^3 is 8 letters long, as its bound says, so a
         # radius-9 ball around it expands only elements close to a geodesic
         assert bs2.length_lower((16, 0, 0)) == 8
-        full = ball_module._Frontier(bs2.steps(), (16, 0, 0), 9)
-        pruned = ball_module._Frontier(bs2.steps(), (16, 0, 0), 9, bs2.length_lower)
+        codec = bs2.codec(((16, 0, 0),), 9)
+        full = ball_module._Frontier(codec, (16, 0, 0), 9)
+        pruned = ball_module._Frontier(codec, (16, 0, 0), 9, bs2.length_lower)
         for side in (full, pruned):
             while side.grow(10**6):
                 pass
         assert full.depth == 9
         assert len(pruned.seen) < len(full.seen) // 10
-        assert pruned.seen[bs2.identity] == 8 == word_length(bs2, (16, 0, 0), 9)
+        assert pruned.seen[codec.encode(bs2.identity)] == 8 == word_length(bs2, (16, 0, 0), 9)
 
     def test_one_steps_list_per_search(self, heis1, monkeypatch):
-        # every side of a search shares the steps list of the identity side
+        # every side of a search shares the codec, and its steps, of the
+        # identity side
         calls = []
-        steps = type(heis1).steps
+        codec = type(heis1).codec
 
-        def spy(machine):
-            calls.append(machine)
-            return steps(machine)
+        def spy(machine, starts, depth):
+            calls.append(depth)
+            return codec(machine, starts, depth)
 
-        monkeypatch.setattr(type(heis1), "steps", spy)
+        monkeypatch.setattr(type(heis1), "codec", spy)
         targets = [(i, j, 0) for i in range(1, 11) for j in range(1, 11)]
         assert all(heis1.length_lower(x) <= 24 for x in targets)
         lengths = word_lengths(heis1, targets, 24)
@@ -729,3 +729,125 @@ class TestSeriesCounts:
         assert ball_counts(TorsionProductMachine(0, (order,)), 3) == (1, 3, 5, 7)
         product = TorsionProductMachine(1, (order, 3))
         assert ball_counts(product, 3) == enumerate_ball(product, 3).counts
+
+
+def machine_id(machine):
+    return f"{machine.family}:{','.join(machine.gens.names)}"
+
+
+def reference_length(machine, target, radius):
+    """|target| by a plain BFS over ``mul`` around it, or None beyond ``radius``."""
+    return reference_ball(machine, radius, target).get(machine.identity)
+
+
+@functools.lru_cache(maxsize=None)
+def far_start(machine):
+    """g0^3 g1^4 ...: a start off every axis, with a t, an |x|_1 or an e of
+    its own on the families whose bounds read them."""
+    x = machine.identity
+    for i in range(len(machine.gens)):
+        x = machine.mul(x, machine.pow(machine.gen_elem(i), 3 + i))
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def small_ball(machine):
+    return list(reference_ball(machine, 3))
+
+
+# six seeded Sol holonomies and BS(1, n), n = 2..5, at the least radius at
+# which the last sphere expanded holds more than 2 * _CHUNK elements
+PACKED_BALLS = [*zip(sol_machines(6, 31), (7, 6, 7, 6, 6, 6)), *zip(map(BSMachine, (2, 3, 4, 5)), (9, 8, 7, 7))]
+
+
+class TestPackedKernel:
+    """Searches on packed keys against plain searches over ``mul`` on
+    normal forms."""
+
+    @pytest.mark.parametrize("machine, radius", PACKED_BALLS, ids=[machine_id(m) for m, _ in PACKED_BALLS])
+    def test_full_ball_matches_reference(self, machine, radius):
+        reference = reference_ball(machine, radius)
+        assert expanded_sizes(reference, radius)[-1] > 2 * ball_module._CHUNK
+        ball = enumerate_ball(machine, radius)
+        assert ball.dist == reference
+        assert ball.counts == ball_counts(machine, radius) == tuple(
+            sum(d <= r for d in reference.values()) for r in range(radius + 1)
+        )
+
+    @pytest.mark.parametrize("machine", [*ALL_MACHINES, COMMUTING_NIL2], ids=machine_id)
+    def test_searches_widen_their_codec(self, machine, monkeypatch):
+        # a first codec of depth 1: every search re-encodes all its sides
+        # into codecs of depth 2, 4, ... as they grow
+        widened = count_calls(monkeypatch, ball_module, "_widen")
+        monkeypatch.setattr(ball_module, "_FIRST_DEPTH", 1)
+        radius = 4 if len(machine.gens) > 3 else 5
+        reference = reference_ball(machine, radius + 1)
+        assert enumerate_ball(machine, radius).dist == {x: d for x, d in reference.items() if d <= radius}
+        assert len(widened) >= 2
+        rng = random.Random(radius)
+        targets = rng.sample(sorted(reference), min(40, len(reference)))
+        expected = [reference[x] if reference[x] <= radius else None for x in targets]
+        assert word_lengths(machine, targets, radius) == expected
+
+    @pytest.mark.parametrize("machine", ALL_MACHINES, ids=machine_id)
+    def test_targets_at_the_bound(self, machine):
+        # each target's lower bound is the radius, so its side expands only
+        # points of a geodesic, or nothing
+        radius = 3 if len(machine.gens) > 3 else 5
+        lower = machine.length_upper if machine.length_exact else machine.length_lower
+        targets = [x for x in reference_ball(machine, radius + 2) if lower(x) == radius][:12]
+        assert targets
+        assert word_lengths(machine, targets, radius) == [reference_length(machine, x, radius) for x in targets]
+
+    @pytest.mark.parametrize("machine", [FIXTURE_MACHINES["sol_ex1"], *sol_machines(2, 31)], ids=machine_id)
+    def test_sol_torus_vectors_far_out(self, machine):
+        # A^m e1 = tau^m a1 tau^-m: a small bound, coordinates of about
+        # m log2(alpha) bits, and a v0 field as wide
+        targets = []
+        for m in (1, 2, 3, 10, 50, 200):
+            x = machine.mul(machine.mul((0, 0, m), (1, 0, 0)), (0, 0, -m))
+            assert machine.length_lower(x) <= 4
+            targets += [x, machine.inv(x), machine.mul(x, (0, 0, 1))]
+        lengths = word_lengths(machine, targets, 6)
+        assert lengths == [reference_length(machine, x, 6) for x in targets]
+        assert None not in lengths[:3] and lengths[-3:] == [None] * 3
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bs_targets_at_the_radius(self, n):
+        # b-parts 1 / n^e with e up to the radius, at heights around e
+        machine, radius = BSMachine(n), 7
+        targets = [
+            (num, e, t)
+            for e in (radius - 2, radius - 1, radius)
+            for t in (0, e - 1, e, e + 1)
+            for num in (1, -1, n + 1, 2 * n - 1)
+            if num % n
+        ]
+        lengths = word_lengths(machine, targets, radius)
+        assert lengths == [reference_length(machine, x, radius) for x in targets]
+        assert lengths.count(None) < len(targets)
+
+    @pytest.mark.parametrize("machine", [*ALL_MACHINES, COMMUTING_NIL2, *sol_machines(2, 31)], ids=machine_id)
+    def test_the_box_holds_the_search(self, machine):
+        # every element within the depth of a start stays in the box the
+        # codec declares, each coordinate between its two ends
+        depth = 3 if len(machine.gens) > 3 else 4
+        starts = (machine.identity, far_start(machine))
+        codec = machine.codec(starts, depth)
+        for start in starts:
+            for x in reference_ball(machine, depth, start):
+                assert all(span is None or span[0] <= v <= span[1] for v, span in zip(x, codec.box)), x
+
+
+@pytest.mark.parametrize("machine", ALL_MACHINES, ids=machine_id)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_keys_round_trip_at_the_box_corners(machine, data):
+    """decode(encode(x)) == x at every corner of the box of a codec built
+    from random starts and depth, and each packed step there is the key of
+    the product by ``mul``."""
+    starts = data.draw(st.lists(st.sampled_from([*small_ball(machine), far_start(machine)]), min_size=1, max_size=3))
+    codec = machine.codec(starts, data.draw(st.integers(0, 40)))
+    corners = box_corners(machine, codec)
+    assert corners
+    check_packed_steps(machine, codec, corners)

@@ -35,7 +35,7 @@ from endogrowth.words import (
     word_str,
 )
 
-from conftest import ALL_MACHINES, FIXTURE_DIR, run_child, sol_machines, step_one
+from conftest import ALL_MACHINES, FIXTURE_DIR, check_packed_steps, run_child, sol_machines
 
 
 def random_element(machine, rng, steps=10):
@@ -155,11 +155,10 @@ class TestBSCanonicalization:
 class TestBSSteps:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_steps_equal_mul_on_every_branch(self, n):
-        # each closed-form b step branches on t against e; every case is hit,
-        # t = e > 0 also with n | num + s, where the step must cancel n
+        # a b step adds n^(E - t) to the b-part's numerator over n^E, and
+        # decode must cancel every factor of n that leaves; every case of
+        # mul's canonical form is hit, t = e > 0 also with n | num + s
         machine = BSMachine(n)
-        steps = machine.steps()
-        moves = [y for i in range(2) for y in (machine.gen_elem(i), machine.inv(machine.gen_elem(i)))]
         rng = random.Random(100 + n)
         branches = set()
         for _ in range(500):
@@ -170,25 +169,29 @@ class TestBSSteps:
                     branches.add("t = e > 0, n | num + s" if (num + s) % n == 0 else "t = e > 0")
                 else:
                     branches.add("t > e" if t > e else "t < e" if t < e else "t = e = 0")
-            for step, y in zip(steps, moves):
-                assert step_one(step, x) == machine.mul(x, y)
+            check_packed_steps(machine, machine.codec((x,), 1), [x])
         assert branches >= {"t > e", "t < e", "t = e = 0", "t = e > 0, n | num + s"}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_steps_keep_the_power_budget(self, n):
-        # a b step from a^-N or from a-height N past the budget needs n^N,
-        # like mul; from the pure power a^N it needs none
+        # a codec for a start at a-height -N, or one that keys a start at
+        # height N with a b-part, needs n^N, and past the budget raises as
+        # mul does; from the pure power a^N alone it needs none
         machine = BSMachine(n)
-        steps = machine.steps()
         for x in ((0, 0, -(10**9)), (1, 3, 10**9)):
-            for step, y in ((steps[2], (1, 0, 0)), (steps[3], (-1, 0, 0))):
-                with pytest.raises(ResourceCapExceeded):
-                    step_one(step, x)
+            with pytest.raises(ResourceCapExceeded):
+                machine.codec((x,), 1).encode(x)
+            with pytest.raises(ResourceCapExceeded):
+                machine.codec((machine.identity, x), 1)
+            for y in ((1, 0, 0), (-1, 0, 0)):
                 with pytest.raises(ResourceCapExceeded):
                     machine.mul(x, y)
         x = (0, 0, 10**9)
-        assert step_one(steps[2], x) == machine.mul(x, (1, 0, 0)) == (1, 10**9, 10**9)
-        assert step_one(steps[3], x) == machine.mul(x, (-1, 0, 0)) == (-1, 10**9, 10**9)
+        codec = machine.codec((x,), 1)
+        check_packed_steps(machine, codec, [x])
+        key = codec.encode(x)
+        assert codec.decode(codec.steps[2]([key])[0]) == machine.mul(x, (1, 0, 0)) == (1, 10**9, 10**9)
+        assert codec.decode(codec.steps[3]([key])[0]) == machine.mul(x, (-1, 0, 0)) == (-1, 10**9, 10**9)
 
 
 class TestAbelianMachines:
@@ -196,8 +199,6 @@ class TestAbelianMachines:
     def test_free_abelian_is_the_product_without_torsion(self, rank):
         free, product = FreeAbelianMachine(rank), TorsionProductMachine(rank, ())
         assert free.identity == product.identity
-        free_steps, product_steps = free.steps(), product.steps()
-        assert len(free_steps) == len(product_steps) == 2 * rank
         rng = random.Random(rank)
         inner = set()
         for _ in range(300):
@@ -207,7 +208,11 @@ class TestAbelianMachines:
             assert free.mul(a, b) == product.mul(a, b)
             assert free.inv(a) == product.inv(a)
             assert free.pow(a, n) == product.pow(a, n)
-            assert [step_one(step, a) for step in free_steps] == [step_one(step, a) for step in product_steps]
+            free_codec, product_codec = free.codec((a, b), 1), product.codec((a, b), 1)
+            assert len(free_codec.steps) == len(product_codec.steps) == 2 * rank
+            assert free_codec.box == product_codec.box
+            for codec in (free_codec, product_codec):
+                check_packed_steps(free, codec, [a, b])
             assert free.length_upper(a) == product.length_upper(a)
             assert free.decompose(a) == product.decompose(a)
             for i in range(rank):
@@ -217,7 +222,9 @@ class TestAbelianMachines:
 
     def test_torsion_step_wraps_around(self):
         machine = TorsionProductMachine(0, (5,))
-        assert step_one(machine.steps()[1], machine.identity) == (4,)  # t1^-1
+        codec = machine.codec((machine.identity,), 1)
+        assert codec.decode(codec.steps[1]([codec.encode(machine.identity)])[0]) == (4,)  # t1^-1
+        assert codec.decode(codec.steps[0]([codec.encode((4,))])[0]) == (0,)  # t1
         assert word_str(machine.decompose((4,)), machine.gens) == "t1^-1"
 
 

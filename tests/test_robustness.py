@@ -430,3 +430,21 @@ def test_capped_sol_distortion_stops_in_the_search(tmp_path):
     done = run_child(SOL_CHILD, str(FIXTURE_DIR / "sol_ex1.group"), *argv, limit_mb=256)
     assert done.returncode == 3, done.stderr
     assert done.stderr == "resource cap: search exceeded cap 200000 at radius 12 (completed radius 11)\n"
+
+
+# A radius the search never reaches costs nothing: a search sizes its codec
+# for the depth it has reached and widens it as it goes.  A codec sized for
+# the radius would tabulate A^t or n^(E - t) for every height up to it.
+@pytest.mark.parametrize("stem, word", [("sol_ex1", "a1"), ("bs", "b"), ("heis_ex1", "a1"), ("nil2_ex3", "t1")])
+def test_huge_radius_with_a_near_target_is_cheap(tmp_path, stem, word):
+    argv = ["wordlen", "--word", word, "--radius", "1000000", "--out", str(tmp_path / "out")]
+    done = run_child(SOL_CHILD, str(FIXTURE_DIR / f"{stem}.group"), *argv, limit_mb=256, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "wordlen: 1\n"
+
+
+def test_huge_radius_ball_stops_at_the_cap(tmp_path):
+    argv = ["ball", "--radius", "1000000", "--cap", "100000", "--out", str(tmp_path / "out")]
+    done = run_child(SOL_CHILD, str(FIXTURE_DIR / "sol_ex1.group"), *argv, limit_mb=256, timeout=10)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "resource cap: ball exceeded cap 100000 while exploring radius 12 (completed radius 11)\n"
