@@ -20,7 +20,7 @@ stored elements: the step back to an element's parent, and each lower step
 that commutes with the one the element arrived by (``_skip_known``).
 
 A codec is exact only for elements within its depth of a start, and on Sol
-and Baumslag-Solitar its size grows with the depth.  So a search sizes its
+its size grows with the depth.  So a search sizes its
 first codec for at most ``_FIRST_DEPTH`` steps, and re-encodes all its
 balls into a codec of twice the depth before one of them would outgrow it
 (``_widen``): a radius the search never reaches costs nothing.

@@ -337,7 +337,7 @@ class _Fields:
                 shift += width
         self.shifts = tuple(shift for shift, _, _ in spec)
         self.base = -sum(lo << shift for shift, _, lo in spec)
-        self.decode = _reader(len(spec))(*chain.from_iterable(spec))
+        self.decode = lambda key: tuple([(key >> shift & mask) + lo for shift, mask, lo in spec])
 
     def codec(self, starts, depth: int, steps: list) -> Codec:
         return Codec(tuple(starts), depth, self.box, self.encode, self.decode, steps)
@@ -359,23 +359,15 @@ class _Fields:
             terms.append((shift, mask, coef))
         if not terms:
             return lambda keys: [x + add for x in keys]
-        if len(terms) == 1:
-            ((shift, mask, coef),) = terms
-            return lambda keys: [x + add + (x >> shift & mask) * coef for x in keys]
-        return lambda keys: [x + add + sum([(x >> s & m) * c for s, m, c in terms]) for x in keys]
 
+        def step(keys):
+            (shift, mask, coef), *rest = terms
+            out = [x + add + (x >> shift & mask) * coef for x in keys]
+            for shift, mask, coef in rest:
+                out = [y + (x >> shift & mask) * coef for x, y in zip(keys, out)]
+            return out
 
-@functools.lru_cache(maxsize=None)
-def _reader(arity: int):
-    """The decoder factory for ``arity`` fields: called with shift, mask
-    and lo of each field in coordinate order, it returns the function that
-    reads them all, one expression per field.  That is about twice as fast
-    as a loop over the fields, and a search decodes every element it
-    prunes.  The source holds only names and digits; it is compiled once
-    per arity."""
-    args = ", ".join(f"s{i}, m{i}, l{i}" for i in range(arity))
-    reads = "".join(f"(key >> s{i} & m{i}) + l{i}, " for i in range(arity))
-    return eval(f"lambda {args}: lambda key: ({reads})")
+        return step
 
 
 def _wrap_step(field: tuple, m: int, e: int):
@@ -386,21 +378,17 @@ def _wrap_step(field: tuple, m: int, e: int):
     return lambda keys: [x + wrap if (x >> shift & mask) == edge else x + move for x in keys]
 
 
-def _table_step(table: list, mask: int):
-    """The step x -> x + table[f], f the lowest field of x, under ``mask``."""
-    return lambda keys: [x + table[x & mask] for x in keys]
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k) when it is first read:
+    a table of a search's step moves, filled only where the search goes."""
 
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
 
-def _windows(values, reach: int) -> list:
-    """The union of [v - reach, v + reach] over ``values``, as sorted
-    disjoint intervals [lo, hi]."""
-    out = []
-    for v in sorted(set(values)):
-        if out and v - reach <= out[-1][1] + 1:
-            out[-1][1] = v + reach
-        else:
-            out.append([v - reach, v + reach])
-    return out
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _spread(starts, i: int, reach: int) -> tuple[int, int]:
@@ -1050,29 +1038,24 @@ class SolMachine(Machine):
         height |h| <= T + p, T the largest |t| of a start.  So v0 moves by at
         most the sum over p = 0 .. depth - 1 of ``_entry_bound(T + p)``.
         The a steps read +-column i of A^t from a table indexed by the t
-        field, filled at the heights within ``depth`` of a start's."""
+        field, filled at each height when a step first reads it."""
         tmin, tmax = t_box = _spread(starts, 2, depth)
         self._check_power_size(max(-tmin, tmax))
         top = max(abs(x[2]) for x in starts)
         reach = sum(self._entry_bound(top + p) for p in range(depth))
         fields = _Fields((_spread(starts, 0, reach), None, t_box), (2, 0, 1))
         (s0, _, _), (s1, _, _), (_, mask, _) = fields.spec
-        (a, b), (c, d) = self.matrix.entries
-        tables = [[None] * (tmax - tmin + 1) for _ in range(4)]
-        for lo, hi in _windows([x[2] for x in starts], depth):
-            if abs(lo) > _SOL_POWER_CACHE:
-                (p, q), (r, u) = self.holonomy_power(lo).entries
-            else:  # A^lo by |lo| products with A or A^-1
-                p, q, r, u = 1, 0, 0, 1
-                (e, f), (g, h) = (self.matrix if lo > 0 else self.minimizer.inverse).entries
-                for _ in range(abs(lo)):
-                    p, q, r, u = p * e + q * g, p * f + q * h, r * e + u * g, r * f + u * h
-            for t in range(lo - tmin, hi - tmin + 1):  # A^t = [[p, q], [r, u]]
-                for i, (v0, v1) in enumerate(((p, r), (q, u))):
-                    tables[2 * i][t] = (v0 << s0) + (v1 << s1)
-                    tables[2 * i + 1][t] = -tables[2 * i][t]
-                p, q, r, u = p * a + q * c, p * b + q * d, r * a + u * c, r * b + u * d
-        steps = [_table_step(table, mask) for table in tables]
+        power = self.holonomy_power
+
+        def offset(i, f):  # column i of A^t, t = f + tmin, as a key offset
+            v0, v1 = (row[i] for row in power(f + tmin).entries)
+            return (v0 << s0) + (v1 << s1)
+
+        steps = []
+        for i in range(2):
+            column = _Memo(functools.partial(offset, i))
+            steps.append(lambda keys, column=column: [x + column[x & mask] for x in keys])
+            steps.append(lambda keys, column=column: [x - column[x & mask] for x in keys])
         steps += [fields.step(((2, e),)) for e in (1, -1)]
         return fields.codec(starts, depth, steps)
 
@@ -1320,35 +1303,13 @@ class BSMachine(Machine):
         # n^k has about k log2(n) bits, and at least k floor(log2(n)) + 1
         self._power_limit = SOL_POWER_BITS / math.log2(n)
         self._log2_floor = n.bit_length() - 1
-        self._two_power = n == 1 << self._log2_floor
-        self._squares = [n]  # n^(2^j), j = 0, 1, ...: a cache, extended whole
 
     def _canonical(self, num, e):
-        """num / n^e in lowest terms: (num / n^k, e - k) for k = min(e, the
-        exponent of n in num), 0 as (0, 0).  A power of two strips k with
-        one shift.  Otherwise the divisors n^(2^j) go in descending j, each
-        taken when it divides what is left and 2^j <= e: what is left of k
-        is below 2^j after each, so O(log k) divisions strip it all.  n^k
-        divides num only for k floor(log2 n) < num.bit_length(), so no
-        divisor is formed much past num."""
         if num == 0:
             return (0, 0)
-        if self._two_power:
-            k = min(e, ((num & -num).bit_length() - 1) // self._log2_floor)
-            return (num >> k * self._log2_floor, e - k)
-        if e == 0 or num % self.n:
-            return (num, e)
-        most = min(e, (num.bit_length() - 1) // self._log2_floor)
-        squares = self._squares
-        if 1 << len(squares) <= most:
-            squares = list(squares)
-            while 1 << len(squares) <= most:
-                squares.append(squares[-1] ** 2)
-            self._squares = squares
-        for j in range(most.bit_length() - 1, -1, -1):
-            if 1 << j <= e and num % squares[j] == 0:
-                num //= squares[j]
-                e -= 1 << j
+        while e > 0 and num % self.n == 0:
+            num //= self.n
+            e -= 1
         return (num, e)
 
     def _power(self, k: int) -> int:
@@ -1378,43 +1339,59 @@ class BSMachine(Machine):
         return (num2, e2, -t)
 
     def codec(self, starts, depth):
-        """Keys (t - tmin) + (Q << w): the a-exponent t in a field of w bits
-        for tmin <= t <= tmax, with tmin and tmax the least and largest
-        start exponents widened by ``depth`` (a step moves t by at most
-        one), and above it the b-part num / n^e as the integer
-        Q = num n^(E - e), for E the largest of 0, tmax and every start's e.
-        A b^(+-1) letter at height t adds +-n^-t to the b-part, so Q moves by
-        +-n^(E - t), read from a table indexed by the t field and filled at
-        the heights within ``depth`` of a start's.  Q stays an integer, as
-        E >= t, and needs no bound.  ``decode`` puts Q / n^E in lowest terms.
-        Every power goes through ``_power``, so a start whose heights would
-        need one past the budget raises ResourceCapExceeded, as ``mul``
-        would."""
+        """Keys (u - ulo) + ((t - tmin) << w) + (num << W): the normal form
+        with u = e - t in place of e, so an a^(+-1) step, which moves t by
+        +-1 and keeps the b-part, is one add.  A step moves t by at most
+        one, so within ``depth`` steps of a start t lies in [tmin, tmax],
+        the least and largest start exponents widened by ``depth``.  A b
+        step at height t gives a denominator n^e' with e' <= max(e, t), and
+        the step after p < depth steps from a start is taken at a height of
+        at most tmax - 1.  So e lies in [0, top], top the largest of 0,
+        tmax - 1 and every start's e, and u in [-tmax, top - tmin].
+
+        A b^(+-1) step adds +-n^-t to num / n^e, as ``mul`` does.  Below the
+        denominator's height, u > 0, it adds +-n^u to num and keeps e: n
+        divides n^u but not num when e > 0.  That is one add of n^u << W,
+        read from a table indexed by the u field and filled at each u when
+        a step first reads it.  At or above it, u <= 0, the b-part takes
+        the denominator n^t, as in ``mul``: num n^-u +- 1 over n^t for
+        u < 0, and num +- 1 for u = 0, in lowest terms.  Every power goes
+        through ``_power``, so a step that needs one past the budget raises
+        ResourceCapExceeded, as ``mul`` does, and a pure power of a forms
+        none."""
         tmin, tmax = t_box = _spread(starts, 2, depth)
-        top = max(0, tmax, *(e for _, e, _ in starts))
-        width = (tmax - tmin).bit_length()
-        mask, power = (1 << width) - 1, self._power
-        # the largest power first: past the budget it raises before the
-        # tables, as long as the span of the start heights, are allocated
-        power(top - tmin)
-        moves = [[None] * (tmax - tmin + 1) for _ in range(2)]
-        for lo, hi in _windows([x[2] for x in starts], depth):
-            move = power(top - hi) << width
-            for t in range(hi - tmin, lo - tmin - 1, -1):  # n^(top - t), t falling
-                moves[0][t], moves[1][t] = move, -move
-                move *= self.n
-        canonical = self._canonical
+        top = max(0, tmax - 1, *(e for _, e, _ in starts))
+        ulo = -tmax
+        wu = (top - tmin - ulo).bit_length()
+        wq = wu + (tmax - tmin).bit_length()
+        umask, tmask, zero = (1 << wu) - 1, (1 << wq - wu) - 1, -ulo  # zero: the u field of u = 0
+        n, power, canonical = self.n, self._power, self._canonical
+        above = _Memo(lambda f: power(abs(f + ulo)) << wq)  # n^|u| << W at the u field f
 
         def encode(x):
             num, e, t = x
-            return t - tmin + (num * power(top - e) << width if num else 0)
+            return e - t - ulo + (t - tmin << wu) + (num << wq)
 
         def decode(key):
-            num, e = canonical(key >> width, top)
-            return (num, e, (key & mask) + tmin)
+            t = (key >> wu & tmask) + tmin
+            return (key >> wq, (key & umask) + ulo + t, t)
 
-        steps = [lambda keys: [x + 1 for x in keys], lambda keys: [x - 1 for x in keys]]
-        steps += [_table_step(table, mask) for table in moves]
+        def rescale(x, s):  # b^s at u <= 0
+            f, num = x & umask, x >> wq
+            if f != zero:  # u < 0: (num n^-u + s) / n^t, in lowest terms as t >= 1
+                return (x & tmask << wu) + zero + (num * above[f] if num else 0) + (s << wq)
+            t = (x >> wu & tmask) + tmin
+            if t and not (num + s) % n:  # u = 0 < t: (num + s) / n^t may cancel
+                return encode((*canonical(num + s, t), t))
+            return x + (s << wq)
+
+        a_step = (1 << wu) - 1  # t + 1 and u - 1
+        steps = [
+            lambda keys: [x + a_step for x in keys],
+            lambda keys: [x - a_step for x in keys],
+            lambda keys: [x + above[f] if (f := x & umask) > zero else rescale(x, 1) for x in keys],
+            lambda keys: [x - above[f] if (f := x & umask) > zero else rescale(x, -1) for x in keys],
+        ]
         return Codec(tuple(starts), depth, (None, (0, top), t_box), encode, decode, steps)
 
     def gen_elem(self, i):

@@ -155,9 +155,10 @@ class TestBSCanonicalization:
 class TestBSSteps:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_steps_equal_mul_on_every_branch(self, n):
-        # a b step adds n^(E - t) to the b-part's numerator over n^E, and
-        # decode must cancel every factor of n that leaves; every case of
-        # mul's canonical form is hit, t = e > 0 also with n | num + s
+        # a b step below the denominator's height adds n^(e - t) to the
+        # numerator, and at or above it takes the denominator n^t, as mul
+        # does; every case of mul's canonical form is hit, t = e > 0 also
+        # with n | num + s
         machine = BSMachine(n)
         rng = random.Random(100 + n)
         branches = set()
@@ -174,16 +175,18 @@ class TestBSSteps:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_steps_keep_the_power_budget(self, n):
-        # a codec for a start at a-height -N, or one that keys a start at
-        # height N with a b-part, needs n^N, and past the budget raises as
-        # mul does; from the pure power a^N alone it needs none
+        # a b step at a-height -N, or at height N on a b-part over a small
+        # denominator, needs n^N: past the budget it raises as mul does,
+        # when the step is taken; keys need no power, and from the pure
+        # power a^N alone no step needs one
         machine = BSMachine(n)
         for x in ((0, 0, -(10**9)), (1, 3, 10**9)):
-            with pytest.raises(ResourceCapExceeded):
-                machine.codec((x,), 1).encode(x)
-            with pytest.raises(ResourceCapExceeded):
-                machine.codec((machine.identity, x), 1)
-            for y in ((1, 0, 0), (-1, 0, 0)):
+            codec = machine.codec((machine.identity, x), 1)
+            key = codec.encode(x)
+            assert codec.decode(key) == x
+            for step, y in zip(codec.steps[2:], ((1, 0, 0), (-1, 0, 0))):
+                with pytest.raises(ResourceCapExceeded):
+                    step([key])
                 with pytest.raises(ResourceCapExceeded):
                     machine.mul(x, y)
         x = (0, 0, 10**9)

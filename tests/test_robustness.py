@@ -434,7 +434,8 @@ def test_capped_sol_distortion_stops_in_the_search(tmp_path):
 
 # A radius the search never reaches costs nothing: a search sizes its codec
 # for the depth it has reached and widens it as it goes.  A codec sized for
-# the radius would tabulate A^t or n^(E - t) for every height up to it.
+# the radius would widen Sol's v0 field, and tabulate A^t, for every height
+# up to it.
 @pytest.mark.parametrize("stem, word", [("sol_ex1", "a1"), ("bs", "b"), ("heis_ex1", "a1"), ("nil2_ex3", "t1")])
 def test_huge_radius_with_a_near_target_is_cheap(tmp_path, stem, word):
     argv = ["wordlen", "--word", word, "--radius", "1000000", "--out", str(tmp_path / "out")]
@@ -448,3 +449,16 @@ def test_huge_radius_ball_stops_at_the_cap(tmp_path):
     done = run_child(SOL_CHILD, str(FIXTURE_DIR / "sol_ex1.group"), *argv, limit_mb=256, timeout=10)
     assert done.returncode == 3, done.stderr
     assert done.stderr == "resource cap: ball exceeded cap 100000 while exploring radius 12 (completed radius 11)\n"
+
+
+# A far start costs what the heights the search reaches cost.  a^N and a^-N
+# have length N, and their sides walk a geodesic with a few pruned b steps
+# per sphere; tables filled for every height within reach of every start, or
+# b-parts kept over a denominator of every height the search may reach, take
+# more than 256 MiB here.
+@pytest.mark.parametrize("word, length", [("a^20000", 20000), ("a^-10000", 10000)])
+def test_far_baumslag_solitar_target_is_cheap(tmp_path, word, length):
+    argv = ["wordlen", "--word", word, "--radius", str(length), "--out", str(tmp_path / "out")]
+    done = run_child(SOL_CHILD, str(FIXTURE_DIR / "bs.group"), *argv, limit_mb=256, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wordlen: {length}\n"
