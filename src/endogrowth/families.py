@@ -36,11 +36,9 @@ equal parameters.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from bisect import bisect_left
-from itertools import chain
 from operator import lshift
 from typing import Callable, NamedTuple
 
@@ -1053,7 +1051,7 @@ class SolMachine(Machine):
 
         steps = []
         for i in range(2):
-            column = _Memo(functools.partial(offset, i))
+            column = _Memo(lambda f, i=i: offset(i, f))
             steps.append(lambda keys, column=column: [x + column[x & mask] for x in keys])
             steps.append(lambda keys, column=column: [x - column[x & mask] for x in keys])
         steps += [fields.step(((2, e),)) for e in (1, -1)]
