@@ -2,15 +2,19 @@
 tables, growth estimation, and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
-and deduplication is automatic.  Inside a search each element is one int, its
-key, which packs the normal form's coordinates into offset bit fields
-(``Machine.codec``, ``families.Codec``).  A search builds one codec from its
+and deduplication is automatic.  Inside a search each element is a key from
+``Machine.codec`` (``families.Codec``).  A search builds one codec from its
 starts and shares it among all its balls; the codec's steps, right
 multiplication by g0, g0^-1, g1, ..., map a list of keys to the list of
-their products, mostly by one integer add.  So a Cayley-graph edge costs one
-``seen`` probe and a share of a list comprehension, and no tuple is built.
-Normal forms appear only at the boundary: targets are encoded, a pruned side
-decodes the elements it expands, and ``enumerate_ball`` decodes its result.
+their products.  On the families that commands search (Heisenberg,
+nilpotent2, Sol, Baumslag-Solitar) a key is one int, which packs the normal
+form's coordinates into offset bit fields, and a step is mostly one integer
+add: a Cayley-graph edge costs one ``seen`` probe and a share of a list
+comprehension, and no tuple is built.  The families whose word length is a
+sum of coordinate lengths are searched only by ``enumerate_ball`` callers,
+so their key is the normal form and their steps call ``mul``.  Normal forms
+appear only at the boundary: targets are encoded, a pruned side decodes the
+elements it expands, and ``enumerate_ball`` decodes its result.
 
 One class, ``_Frontier``, grows every ball: a ball around a start element,
 one sphere at a time, in chunks of up to ``_CHUNK`` keys.  Spheres are
@@ -19,11 +23,11 @@ the next step runs.  A full ball also skips edges that can only lead to
 stored elements: the step back to an element's parent, and each lower step
 that commutes with the one the element arrived by (``_skip_known``).
 
-A codec is exact only for elements within its depth of a start, and on Sol
-its size grows with the depth.  So a search sizes its
-first codec for at most ``_FIRST_DEPTH`` steps, and re-encodes all its
-balls into a codec of twice the depth before one of them would outgrow it
-(``_widen``): a radius the search never reaches costs nothing.
+A packed codec is exact only for elements within its depth of a start, and
+on Sol its keys grow with the depth.  So a search sizes its first codec for
+at most ``_FIRST_DEPTH`` steps, and re-encodes all its balls into a codec of
+twice the depth before one of them would outgrow it (``_widen``): a radius
+the search never reaches costs nothing.  The default codec never runs out.
 
 ``enumerate_ball`` grows one ball around the identity, and the ``distortion``
 of a general subgroup reads it.  ``word_lengths`` finds the lengths of given
@@ -88,8 +92,9 @@ _CHUNK = 256
 
 # The depth of a search's first codec when its radius is larger: past the
 # radii of the bundled examples (up to 18 outside the series families), so
-# those never re-encode, yet small enough that Sol and Baumslag-Solitar
-# tables, linear in it, cost little
+# those never re-encode, yet small enough that Sol's v0 field, whose width
+# sums an entry bound of A^h over every height h the depth reaches, costs
+# little in every key
 _FIRST_DEPTH = 32
 
 

@@ -29,9 +29,7 @@ from typing import Callable, NamedTuple, Optional
 from .ball import DEFAULT_CAP, ball_counts, counts_csv, cyclic_distortion, word_length
 from .errors import (
     CertificationError,
-    ContractError,
     EndoGrowthError,
-    InconsistencyError,
     ResourceCapExceeded,
     ValidationError,
 )
@@ -360,7 +358,7 @@ def run(argv=None) -> int:
         exc.__traceback__ = None
         print("resource cap: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CertificationError, ContractError, InconsistencyError) as exc:
+    except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except (EndoGrowthError, ValueError, OSError) as exc:

@@ -9,28 +9,14 @@ class EndoGrowthError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(EndoGrowthError, ValueError):
-    """Matrix or vector shape does not fit the operation."""
-
-
 class ValidationError(EndoGrowthError, ValueError):
-    """Descriptor, parameter, or endomorphism failed validation."""
-
-
-class UnknownGeneratorError(ValidationError):
-    """A word refers to a generator the machine does not have."""
-
-
-class ContractError(EndoGrowthError, ValueError):
-    """Caller violated an operation precondition (e.g. non-commuting data)."""
+    """Descriptor, parameter, endomorphism or word failed validation, or a
+    matrix shape does not fit the operation."""
 
 
 class CertificationError(EndoGrowthError, RuntimeError):
-    """A numeric result could not be certified to the requested tolerance."""
-
-
-class InconsistencyError(EndoGrowthError, ValueError):
-    """Derived data contradicts the group structure (homomorphism violation)."""
+    """A numeric result could not be certified to the requested tolerance,
+    or derived data failed a cross-check."""
 
 
 class ResourceCapExceeded(EndoGrowthError, RuntimeError):

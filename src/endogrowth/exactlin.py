@@ -53,7 +53,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CertificationError, DimensionError
+from .errors import CertificationError, ValidationError
 
 __all__ = [
     "IntMatrix",
@@ -99,11 +99,11 @@ class IntMatrix(_Value):
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         if not entries or not entries[0]:
-            raise DimensionError("matrix must have at least one row and column")
+            raise ValidationError("matrix must have at least one row and column")
         width = len(entries[0])
         for row in entries:
             if len(row) != width:
-                raise DimensionError("ragged rows")
+                raise ValidationError("ragged rows")
         self.entries = entries
 
     @staticmethod
@@ -135,7 +135,7 @@ class IntMatrix(_Value):
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
+            raise ValidationError("shape mismatch in addition")
         return IntMatrix(
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
         )
@@ -151,7 +151,7 @@ class IntMatrix(_Value):
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
+            raise ValidationError("inner dimensions do not match")
         cols = other.transpose().entries
         return IntMatrix(
             tuple(
@@ -165,7 +165,7 @@ class IntMatrix(_Value):
 
     def trace(self) -> int:
         if not self.is_square:
-            raise DimensionError("trace of non-square matrix")
+            raise ValidationError("trace of non-square matrix")
         return sum(self.entries[i][i] for i in range(self.rows))
 
 
@@ -194,7 +194,7 @@ class IntPolynomial(NamedTuple):
     def eval_matrix(self, m: IntMatrix) -> IntMatrix:
         """Horner evaluation at a square matrix, exact."""
         if not m.is_square:
-            raise DimensionError("polynomial evaluation needs a square matrix")
+            raise ValidationError("polynomial evaluation needs a square matrix")
         n = m.rows
         acc = IntMatrix.zeros(n, n)
         for c in reversed(self.coeffs):
@@ -241,7 +241,7 @@ class SpectralResult(NamedTuple):
 
 def _require_square(m: IntMatrix):
     if not m.is_square:
-        raise DimensionError(f"square matrix required, got {m.rows}x{m.cols}")
+        raise ValidationError(f"square matrix required, got {m.rows}x{m.cols}")
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
@@ -296,14 +296,14 @@ def mat_pow(m: IntMatrix, n: int) -> IntMatrix:
 
 def mat_vec(m: IntMatrix, v) -> tuple[int, ...]:
     if m.cols != len(v):
-        raise DimensionError("vector length does not match matrix width")
+        raise ValidationError("vector length does not match matrix width")
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m.entries)
 
 
 def inverse_unimodular_2x2(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a 2x2 integer matrix with determinant +-1."""
     if (m.rows, m.cols) != (2, 2):
-        raise DimensionError("2x2 matrix required")
+        raise ValidationError("2x2 matrix required")
     (a, b), (c, d) = m.entries
     dt = a * d - b * c
     if dt not in (1, -1):
@@ -321,7 +321,7 @@ def exterior_square(m: IntMatrix) -> IntMatrix:
     _require_square(m)
     n = m.rows
     if n < 2:
-        raise DimensionError("exterior square needs size >= 2")
+        raise ValidationError("exterior square needs size >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     e = m.entries
     return IntMatrix(

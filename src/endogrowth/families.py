@@ -11,12 +11,18 @@ entry i is the exponent of generator i (the central ones last), so the base
 class supplies ``gen_elem``, ``decompose`` and ``cyclic_inner_length``, and a
 family overrides one only where its normal form reads otherwise.
 
-Inside a Cayley-ball search an element is an int, not a tuple: each class's
-``codec`` packs the normal forms within a given depth of the search's starts
-into one int apiece, with right multiplication by each generator as a map on
-lists of such ints, and its docstring proves the bounds the packing rests
-on.  Every other method takes and returns normal forms; the search encodes
-and decodes at its boundary.
+Inside a Cayley-ball search an element is a key from the machine's
+``codec``.  The families that commands search (Heisenberg, nilpotent2, Sol,
+Baumslag-Solitar) pack the normal forms within a given depth of the
+search's starts into one int apiece, with right multiplication by each
+generator as a map on lists of such ints, and each docstring proves the
+bounds the packing rests on.  No command searches the families whose word
+length is a sum of coordinate lengths (free abelian, abelian with torsion,
+Klein): ``length_exact`` gives their lengths and a series their sphere
+sizes.  They keep the default codec, whose key is the normal form itself,
+stepped by ``mul``; for an ``enumerate_ball`` caller it costs about what
+packing did.  Every other method takes and returns normal forms; the search
+encodes and decodes at its boundary.
 
 Each machine class also declares its descriptor ``family`` tag, the
 parameter ``schema`` of that descriptor, and the ``build`` classmethod that
@@ -168,9 +174,18 @@ class Machine(_Value):
 
     def codec(self, starts, depth: int) -> Codec:
         """The ``Codec`` of a search from ``starts`` (normal forms) that
-        reaches at most ``depth`` steps from one of them.  Each family's
-        docstring proves the bounds its fields rest on."""
-        raise NotImplementedError
+        reaches at most ``depth`` steps from one of them.  In this default
+        the key is the normal form, each step maps a list of keys by
+        ``mul``, and the codec is exact at every depth.  The families that
+        commands search override it with keys packed into ints, and each
+        docstring proves the bounds the fields rest on."""
+        factors = []
+        for i in range(len(self.gens)):
+            g = self.gen_elem(i)
+            factors += [g, self.inv(g)]
+        mul = self.mul
+        steps = [lambda keys, f=f: [mul(x, f) for x in keys] for f in factors]
+        return Codec(tuple(starts), math.inf, (None,) * len(self.identity), _same, _same, steps)
 
     def shortcut_images(self, payload) -> tuple:
         """The generator images, as elements, that a ``shortcut`` payload
@@ -285,22 +300,27 @@ def _gen_word(i: int, e: int = 1) -> Word:
     return Word(((i, e),))
 
 
-class Codec(NamedTuple):
-    """The elements of one Cayley-ball search packed into ints.
+def _same(x):
+    return x
 
-    Inside a search an element is one Python int, its key, which the kernel
-    hashes, compares and steps without building a tuple.  ``encode`` and
-    ``decode`` convert between normal forms and keys.  ``steps`` holds, in
-    the order g0, g0^-1, g1, g1^-1, ..., right multiplication by each
-    generator and its inverse as a map from a list of keys to the list of
-    their products, in order.
+
+class Codec(NamedTuple):
+    """The keys of the elements of one Cayley-ball search.
+
+    Inside a search an element is its key, which the kernel hashes, compares
+    and steps.  A family that commands search packs it into one Python int,
+    so no tuple is built; the default codec keys an element by its normal
+    form.  ``encode`` and ``decode`` convert between normal forms and keys.
+    ``steps`` holds, in the order g0, g0^-1, g1, g1^-1, ..., right
+    multiplication by each generator and its inverse as a map from a list of
+    keys to the list of their products, in order.
 
     A codec is built from the search's ``starts`` for a ``depth``: keys and
     steps are exact on every element within ``depth`` steps of a start.
     ``box`` holds, per normal-form coordinate, a range (lo, hi) that such
     elements never leave, or None where the coordinate needs no bound.  A
     search that would go deeper builds a codec of a larger depth and
-    re-encodes its elements."""
+    re-encodes its elements; one of depth ``math.inf`` never runs out."""
 
     starts: tuple
     depth: int
@@ -366,14 +386,6 @@ class _Fields:
             return out
 
         return step
-
-
-def _wrap_step(field: tuple, m: int, e: int):
-    """The step that adds e = +-1 to a residue modulo m held in ``field``
-    = (shift, mask, 0), wrapping from one end of [0, m) to the other."""
-    shift, mask, _ = field
-    edge, wrap, move = (m - 1 if e > 0 else 0), -e * (m - 1) << shift, e << shift
-    return lambda keys: [x + wrap if (x >> shift & mask) == edge else x + move for x in keys]
 
 
 class _Memo(dict):
@@ -463,22 +475,6 @@ class _AbelianMachine(Machine):
 
     def pow(self, x, n):
         return self._reduced([n * c for c in x])
-
-    def codec(self, starts, depth):
-        """Each step moves one coordinate by one, so within ``depth`` steps
-        of a start a free exponent lies within ``depth`` of the start's; a
-        residue modulo m lies in [0, m) and wraps around at either end.  The
-        last coordinate is the top field."""
-        box = [(0, m - 1) if m else _spread(starts, i, depth) for i, m in enumerate(self.orders)]
-        if not self.orders[-1]:
-            box[-1] = None
-        fields = _Fields(box)
-        steps = [
-            _wrap_step(fields.spec[i], m, e) if m else fields.step(((i, e),))
-            for i, m in enumerate(self.orders)
-            for e in (1, -1)
-        ]
-        return fields.codec(starts, depth, steps)
 
     def relators(self):
         return [_gen_word(i, m) for i, m in self._torsion_at]
@@ -1239,19 +1235,6 @@ class KleinMachine(Machine):
         if b & 1:
             return (a if n & 1 else 0, n * b)
         return (n * a, n * b)
-
-    def codec(self, starts, depth):
-        """Field a, then b on top.  A step moves a by at most one, so within
-        ``depth`` steps of a start a lies within ``depth`` of the start's.
-        x^(+-1) reads the parity of b: it moves a against the sign when b
-        is odd."""
-        fields = _Fields((_spread(starts, 0, depth), None))
-        shift = fields.spec[1][0]
-        steps = [
-            lambda keys, e=e: [x - e if x >> shift & 1 else x + e for x in keys] for e in (1, -1)
-        ]
-        steps += [fields.step(((1, e),)) for e in (1, -1)]
-        return fields.codec(starts, depth, steps)
 
     def relators(self):
         return [_letters((1, 1), (0, 1), (1, -1), (0, 1))]

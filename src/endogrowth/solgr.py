@@ -22,7 +22,7 @@ from math import isinf, isqrt, sqrt
 from typing import NamedTuple
 
 from .ball import ClosedForm, GrowthEstimate
-from .errors import CertificationError, ContractError, InconsistencyError, ValidationError
+from .errors import CertificationError, ValidationError
 from .exactlin import IntMatrix, char_poly, det, inverse_unimodular_2x2
 from .words import ValidEndo
 
@@ -215,15 +215,15 @@ def _type_one(minimizer: SolLengthMinimizer, torus_map: IntMatrix) -> tuple[floa
     """
     holonomy, d = minimizer.holonomy, minimizer.d
     if holonomy @ torus_map != torus_map @ holonomy:
-        raise ContractError("torus map does not commute with the holonomy; labeling impossible")
+        raise CertificationError("torus map does not commute with the holonomy; labeling impossible")
     l12 = holonomy.entries[0][1]
     (m11, m12), (m21, m22) = torus_map.entries
     tr_m = m11 + m22
     det_m = m11 * m22 - m12 * m21
     if (tr_m * tr_m - 4 * det_m) * l12 * l12 != m12 * m12 * d:
-        raise ContractError("eigenvalue labeling failed the trace/determinant cross-check")
+        raise CertificationError("eigenvalue labeling failed the trace/determinant cross-check")
     if det_m == 0:
-        raise InconsistencyError(
+        raise CertificationError(
             "a nonzero torus map commuting with the holonomy cannot be singular"
         )
     # l12 != 0 for every valid holonomy

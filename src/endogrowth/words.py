@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import UnknownGeneratorError, ValidationError
+from .errors import ValidationError
 from .exactlin import IntMatrix, _Value, char_poly
 
 __all__ = [
@@ -65,7 +65,7 @@ class GenSet(_Value):
         try:
             return self.names.index(name)
         except ValueError:
-            raise UnknownGeneratorError(f"unknown generator {name!r}") from None
+            raise ValidationError(f"unknown generator {name!r}") from None
 
 
 class Word(_Value):
@@ -149,7 +149,7 @@ class Endomorphism(_Value):
         for w in images:
             for g, _ in w.letters:
                 if not 0 <= g < n:
-                    raise UnknownGeneratorError(f"image uses generator index {g}")
+                    raise ValidationError(f"image uses generator index {g}")
         self.domain = domain
         self.images = images
 
@@ -203,7 +203,7 @@ def evaluate(machine, w: Word):
     elems = {}
     for g, _ in w.letters:
         if not 0 <= g < n:
-            raise UnknownGeneratorError(f"generator index {g} out of range")
+            raise ValidationError(f"generator index {g} out of range")
         elems[g] = machine.gen_elem(g)
     return _product(machine, elems, w.letters)
 

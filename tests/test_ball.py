@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -755,6 +756,12 @@ def small_ball(machine):
     return list(reference_ball(machine, 3))
 
 
+# The machines whose codec has a finite depth, whose searches widen it, and
+# those with the default codec, which never runs out
+SEARCH_MACHINES = [*ALL_MACHINES, COMMUTING_NIL2]
+WIDENED = [m for m in SEARCH_MACHINES if m.codec((m.identity,), 1).depth < math.inf]
+UNPACKED = [m for m in SEARCH_MACHINES if m not in WIDENED]
+
 # six seeded Sol holonomies and BS(1, n), n = 2..5, at the least radius at
 # which the last sphere expanded holds more than 2 * _CHUNK elements
 PACKED_BALLS = [*zip(sol_machines(6, 31), (7, 6, 7, 6, 6, 6)), *zip(map(BSMachine, (2, 3, 4, 5)), (9, 8, 7, 7))]
@@ -774,7 +781,7 @@ class TestPackedKernel:
             sum(d <= r for d in reference.values()) for r in range(radius + 1)
         )
 
-    @pytest.mark.parametrize("machine", [*ALL_MACHINES, COMMUTING_NIL2], ids=machine_id)
+    @pytest.mark.parametrize("machine", WIDENED, ids=machine_id)
     def test_searches_widen_their_codec(self, machine, monkeypatch):
         # a first codec of depth 1: every search re-encodes all its sides
         # into codecs of depth 2, 4, ... as they grow
@@ -788,6 +795,22 @@ class TestPackedKernel:
         targets = rng.sample(sorted(reference), min(40, len(reference)))
         expected = [reference[x] if reference[x] <= radius else None for x in targets]
         assert word_lengths(machine, targets, radius) == expected
+
+    @pytest.mark.parametrize("machine", UNPACKED, ids=machine_id)
+    def test_default_codec_never_widens(self, machine, monkeypatch):
+        # keys are normal forms, exact at every depth, so neither search
+        # re-encodes; word_lengths answers these families by length_upper,
+        # so the targets go to the bidirectional search directly
+        widened = count_calls(monkeypatch, ball_module, "_widen")
+        monkeypatch.setattr(ball_module, "_FIRST_DEPTH", 1)
+        radius = 4 if len(machine.gens) > 3 else 5
+        reference = reference_ball(machine, radius + 1)
+        assert enumerate_ball(machine, radius).dist == {x: d for x, d in reference.items() if d <= radius}
+        rng = random.Random(radius)
+        targets = rng.sample(sorted(reference.keys() - {machine.identity}), min(40, len(reference) - 1))
+        expected = {x: reference[x] if reference[x] <= radius else None for x in targets}
+        assert ball_module._meet(machine, targets, radius, ball_module.DEFAULT_CAP, 0) == expected
+        assert widened == []
 
     @pytest.mark.parametrize("machine", ALL_MACHINES, ids=machine_id)
     def test_targets_at_the_bound(self, machine):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from endogrowth.ball import ClosedForm, GrowthEstimate, gr_estimate
 from endogrowth.cli import COMMANDS, make_parser, parse_args, run
 from endogrowth.errors import ValidationError
+from endogrowth.families import FreeAbelianMachine, KleinMachine, TorsionProductMachine
 from endogrowth.reports import (
     _verdict,
     build_report,
@@ -255,6 +257,36 @@ class TestExactFunctionals:
         empirical = json.loads(out.read_text())["empirical"]
         assert sum(row["exact"] for row in empirical["rows"]) == 2
         assert empirical["certified_upper"] is False
+
+    # (radius, kmax, a word of length radius, a generator) at the benchmark's
+    # sizes; the rank-3 group's endomorphism is a seeded matrix
+    @pytest.mark.parametrize(
+        "stem, radius, kmax, word, gen",
+        [("counter", 2, 32, "alpha beta", "beta"), ("klein", 160, 12, "x^80 y^80", "x"), ("z3", 25, 12, "e1^9 e2^-8 e3^8", "e1")],
+        ids=["counter", "klein", "z3"],
+    )
+    def test_commands_search_no_exact_family(self, stem, radius, kmax, word, gen, tmp_path, monkeypatch, capsys):
+        # length_exact gives the lengths, a series the sphere sizes and power
+        # lookups the distortion, so no command builds a codec of these families
+        def searched(*args):
+            pytest.fail("a command searched a length_exact family")
+
+        for cls in (FreeAbelianMachine, TorsionProductMachine, KleinMachine):
+            monkeypatch.setattr(cls, "codec", searched)
+        if stem == "z3":
+            rng = random.Random(3)
+            group, endo = tmp_path / "z3.group", tmp_path / "z3.endo"
+            group.write_text(json.dumps({"family": "free_abelian", "params": {"rank": 3}}))
+            endo.write_text(json.dumps({"matrix": [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]}))
+        else:
+            group, endo = fixture_path(f"{stem}.group"), fixture_path(f"{stem}.endo")
+        sizes = ["--radius", str(radius), "--kmax", str(kmax), "--out", str(tmp_path / "out")]
+        for command in ("check", "closed", "empirical", "compare"):
+            assert run([command, "--group", str(group), "--endo", str(endo), *sizes]) == 0, command
+        assert run(["ball", "--group", str(group), *sizes]) == 0
+        assert run(["wordlen", "--group", str(group), "--word", word, *sizes]) == 0
+        assert capsys.readouterr().out.endswith(f"wordlen: {radius}\n")
+        assert run(["distortion", "--group", str(group), "--subgroup", gen, *sizes]) == 0
 
 
 class TestSingleValidation:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import endogrowth.exactlin as exactlin
-from endogrowth.errors import CertificationError, DimensionError
+from endogrowth.errors import CertificationError, ValidationError
 from endogrowth.exactlin import (
     IntMatrix,
     IntPolynomial,
@@ -85,7 +85,7 @@ class TestCharPoly:
         assert char_poly(mat([[0, 1], [2, 2]])).coeffs == (-2, -2, 1)
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             char_poly(IntMatrix.zeros(2, 3))
 
     def test_cayley_hamilton_random(self):
@@ -602,7 +602,7 @@ class TestExteriorSquare:
         assert exterior_square(IntMatrix.identity(3)) == IntMatrix.identity(3)
 
     def test_too_small(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             exterior_square(mat([[5]]))
 
     def test_eigenvalue_products(self):

@@ -433,10 +433,14 @@ def test_capped_sol_distortion_stops_in_the_search(tmp_path):
 
 
 # A radius the search never reaches costs nothing: a search sizes its codec
-# for the depth it has reached and widens it as it goes.  A codec sized for
-# the radius would widen Sol's v0 field, and tabulate A^t, for every height
-# up to it.
-@pytest.mark.parametrize("stem, word", [("sol_ex1", "a1"), ("bs", "b"), ("heis_ex1", "a1"), ("nil2_ex3", "t1")])
+# for the depth it has reached and widens it as it goes.  Sized for the
+# radius, Sol's v0 field would sum an entry bound of A^h over every height
+# up to it, in every key.  Klein and the torsion product answer by their
+# exact length functional, with no search.
+@pytest.mark.parametrize(
+    "stem, word",
+    [("sol_ex1", "a1"), ("bs", "b"), ("heis_ex1", "a1"), ("nil2_ex3", "t1"), ("klein", "x"), ("counter", "beta")],
+)
 def test_huge_radius_with_a_near_target_is_cheap(tmp_path, stem, word):
     argv = ["wordlen", "--word", word, "--radius", "1000000", "--out", str(tmp_path / "out")]
     done = run_child(SOL_CHILD, str(FIXTURE_DIR / f"{stem}.group"), *argv, limit_mb=256, timeout=10)

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from endogrowth.ball import enumerate_ball, gr_estimate
-from endogrowth.errors import ContractError, ValidationError
+from endogrowth.errors import CertificationError, ValidationError
 from endogrowth.exactlin import IntMatrix, det, inverse_unimodular_2x2, mat_pow, mat_vec
 from endogrowth.families import SolMachine
 from endogrowth.reports import parse_endo
@@ -124,7 +124,7 @@ class TestEigenData:
             assert cert["nu"] == float(x) - float(y) * math.sqrt(d)
 
     def test_non_commuting_raises(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(CertificationError):
             type_one_certificate(A_FIB, IntMatrix.from_rows([[1, 1], [0, 1]]))
 
     def test_invalid_holonomy_raises(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endogrowth.ball import L_k_table
-from endogrowth.errors import ResourceCapExceeded, UnknownGeneratorError, ValidationError
+from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.families import HeisenbergMachine, KleinMachine, TorsionProductMachine
 from endogrowth.reports import closed_growth_rate
 from endogrowth.words import (
@@ -56,7 +56,7 @@ class TestParsing:
             parse_word("a^0", AB)
 
     def test_unknown_generator(self):
-        with pytest.raises(UnknownGeneratorError):
+        with pytest.raises(ValidationError):
             parse_word("c", AB)
 
     def test_equal_values_compare_and_hash_equal(self):
