@@ -1,7 +1,8 @@
 """Byte-identical reports: the SHA-256 of every command's output on every
 bundled fixture, at the sizes of ``scripts/run_examples.py``, of that
-script's own output, of ``closed`` on the branches the fixtures miss, and of
-``check`` on endomorphisms that violate a relator.
+script's own output, of ``closed`` on the branches the fixtures miss, of
+``check`` on endomorphisms that violate a relator, and of ``check`` and
+``compare`` on group parameters no fixture uses.
 
 A performance change must leave every report byte for byte as it was.  The
 digests in ``golden_digests.json`` pin that down.  Print the digests of the
@@ -54,11 +55,15 @@ EXTRAS = {
 
 SOL_FIB = {"family": "sol_lattice", "params": {"A": [[2, 1], [1, 1]]}}
 Z3 = {"family": "free_abelian", "params": {"rank": 3}}
+HEIS_K2 = {"family": "heisenberg", "params": {"k": 2}}
+HEIS_TWO_GENS = {"family": "heisenberg", "params": {"k": 1, "include_center_gen": False}}
 
 # Inputs no fixture reaches, run by the command that starts their name.
 # ``closed``: Sol types II and III, a type I endomorphism with torus map 0,
 # block lists, and the free abelian ``matrix`` shortcut, refusals included.
-# ``check``: a shortcut and explicit images that violate a relator.  Each
+# ``check``: a shortcut and explicit images that violate a relator, and the
+# two-generator Heisenberg lattice.  ``compare``: explicit images on
+# Heisenberg with k = 2, on its two-generator variant and on Z^2.  Each
 # document is written to a file and passed as ``--<key>``.
 DOCS = {
     # M A = A^-1 M with M = [[-1, 0], [1, 1]] (I + A)
@@ -103,6 +108,23 @@ DOCS = {
     "check images violate relator": {
         "group": {"family": "heisenberg", "params": {"k": 1}},
         "endo": {"images": {"a1": "a1", "a2": "a2", "a3": "a3^2"}},
+    },
+    # the abelian block has determinant 1, so [a1, a2] a3^2 maps to itself
+    "compare heisenberg k2 images": {
+        "group": HEIS_K2,
+        "endo": {"images": {"a1": "a1^2 a2", "a2": "a1 a2", "a3": "a3"}},
+    },
+    "check heisenberg two generators": {
+        "group": HEIS_TWO_GENS,
+        "endo": {"images": {"a1": "a1^2 a2", "a2": "a1 a2"}},
+    },
+    "compare heisenberg two generators": {
+        "group": HEIS_TWO_GENS,
+        "endo": {"images": {"a1": "a1^2 a2", "a2": "a1 a2"}},
+    },
+    "compare free abelian images": {
+        "group": {"family": "free_abelian", "params": {"rank": 2}},
+        "endo": {"images": {"e1": "e1^2 e2", "e2": "e1 e2^-1"}},
     },
 }
 
