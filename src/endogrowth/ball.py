@@ -269,7 +269,7 @@ def _skip_known(machine) -> list:
     first reached it (its arrival step).  An element that arrived by step j
     skips step j ^ 1, the step back to its stored parent, and each step
     i < j whose right factor commutes with step j's under ``machine.mul``.
-    The factors are g0, g0^-1, g1, g1^-1, ....
+    The factors are ``machine.step_factors()``: g0, g0^-1, g1, g1^-1, ....
 
     No element is lost, so every distance stays exact.  Suppose y lies at
     distance r + 1 and every pair (x in sphere r, step t) with y = x t is
@@ -280,10 +280,7 @@ def _skip_known(machine) -> list:
     The pair (w t, a) is skipped too, and the same argument gives a pair
     whose step exceeds a.  The steps would rise without end, which a finite
     list of steps does not allow."""
-    factors = []
-    for i in range(len(machine.gens)):
-        g = machine.gen_elem(i)
-        factors += [g, machine.inv(g)]
+    factors = machine.step_factors()
     mul = machine.mul
     return [
         [i for i, s in enumerate(factors) if i != j ^ 1 and not (i < j and mul(s, t) == mul(t, s))]

@@ -11,9 +11,14 @@ entry i is the exponent of generator i (the central ones last), so the base
 class supplies ``gen_elem``, ``decompose`` and ``cyclic_inner_length``, and a
 family overrides one only where its normal form reads otherwise.
 
+``HeisenbergMachine`` extends ``Nil2Machine``: it keeps its inverse, codec
+and relators, and owns closed-form ``mul`` and ``pow``, an area bound and
+commutator words.  ``FreeAbelianMachine`` is ``TorsionProductMachine`` with
+no torsion, owning its names, ``matrix`` shortcut and nilpotent closed form.
+
 Inside a Cayley-ball search an element is a key from the machine's
-``codec``.  The families that commands search (Heisenberg, nilpotent2, Sol,
-Baumslag-Solitar) pack the normal forms within a given depth of the
+``codec``.  The families that commands search (nilpotent2, Heisenberg with
+it, Sol, Baumslag-Solitar) pack the normal forms within a given depth of the
 search's starts into one int apiece, with right multiplication by each
 generator as a map on lists of such ints, and each docstring proves the
 bounds the packing rests on.  No command searches the families whose word
@@ -172,6 +177,15 @@ class Machine(_Value):
             n >>= 1
         return acc
 
+    def step_factors(self) -> list:
+        """The right factors of a search's steps, in the order of every
+        codec's ``steps``: g0, g0^-1, g1, g1^-1, ...."""
+        factors = []
+        for i in range(len(self.gens)):
+            g = self.gen_elem(i)
+            factors += [g, self.inv(g)]
+        return factors
+
     def codec(self, starts, depth: int) -> Codec:
         """The ``Codec`` of a search from ``starts`` (normal forms) that
         reaches at most ``depth`` steps from one of them.  In this default
@@ -179,12 +193,8 @@ class Machine(_Value):
         ``mul``, and the codec is exact at every depth.  The families that
         commands search override it with keys packed into ints, and each
         docstring proves the bounds the fields rest on."""
-        factors = []
-        for i in range(len(self.gens)):
-            g = self.gen_elem(i)
-            factors += [g, self.inv(g)]
         mul = self.mul
-        steps = [lambda keys, f=f: [mul(x, f) for x in keys] for f in factors]
+        steps = [lambda keys, f=f: [mul(x, f) for x in keys] for f in self.step_factors()]
         return Codec(tuple(starts), math.inf, (None,) * len(self.identity), _same, _same, steps)
 
     def shortcut_images(self, payload) -> tuple:
@@ -244,7 +254,7 @@ class Machine(_Value):
         endomorphism phi is; ``words.eventually_trivial`` tests no higher one.
 
         This default is the Hirsch length h = ``len(identity)`` of a
-        torsion-free nilpotent family (free abelian, Heisenberg, nilpotent2),
+        torsion-free nilpotent family (Heisenberg, nilpotent2),
         whose normal form has one Z coordinate per Mal'cev basis element.
         phi extends to a linear map L of the h-dimensional rational Mal'cev
         Lie algebra with phi^n = exp L^n log, and log is injective on G.  If
@@ -311,9 +321,9 @@ class Codec(NamedTuple):
     and steps.  A family that commands search packs it into one Python int,
     so no tuple is built; the default codec keys an element by its normal
     form.  ``encode`` and ``decode`` convert between normal forms and keys.
-    ``steps`` holds, in the order g0, g0^-1, g1, g1^-1, ..., right
-    multiplication by each generator and its inverse as a map from a list of
-    keys to the list of their products, in order.
+    ``steps`` holds, in the order of ``Machine.step_factors`` (g0, g0^-1,
+    g1, g1^-1, ...), right multiplication by each generator and its inverse
+    as a map from a list of keys to the list of their products, in order.
 
     A codec is built from the search's ``starts`` for a ``depth``: keys and
     steps are exact on every element within ``depth`` steps of a start.
@@ -446,21 +456,50 @@ def _area_reach(k: int, s: int, c: int) -> int:
     return best
 
 
-class _AbelianMachine(Machine):
-    """Z^rank x prod Z_m on flat int tuples: the rank free exponents, then
-    the residues in [0, m).  ``orders`` holds 0 for each Z and m for each
-    Z_m coordinate, and generator i is the unit of coordinate i."""
+class TorsionProductMachine(Machine):
+    """Z^rank x prod Z_{b_i}; an element is one flat int tuple
+    (x_1, ..., x_rank, r_1, ..., r_s) for a^x t^r, the free exponents, then
+    the residues r_i in [0, b_i).  ``orders`` holds 0 for each Z and b_i
+    for each Z_{b_i} coordinate, and generator i is the unit of coordinate
+    i.  ``FreeAbelianMachine`` extends it with no torsion."""
 
-    rank: int
-    orders: tuple[int, ...]
+    family = "abelian_with_torsion"
+    schema = (("rank", "int"), ("torsion", "list of int"), ("names", "list of str", ()))
 
-    def _set_orders(self, names, orders):
+    def __init__(self, rank: int, torsion: tuple[int, ...], names: tuple[str, ...] = ()):
+        if rank < 0 or (rank == 0 and not torsion):
+            raise ValidationError("need at least one generator")
+        self.rank = rank
+        self.torsion = tuple(int(b) for b in torsion)
+        for b in self.torsion:
+            if b < 2:
+                raise ValidationError("torsion orders must be >= 2")
+        names = names or tuple(f"a{i + 1}" for i in range(rank)) + tuple(
+            f"t{i + 1}" for i in range(len(self.torsion))
+        )
+        if len(names) != rank + len(self.torsion):
+            raise ValidationError("need one name per generator")
         self.names = tuple(names)
         self.gens = GenSet(self.names)
-        self.orders = orders
-        self.identity = (0,) * len(orders)
-        self.free_ab_indices = tuple(range(self.rank))
-        self._torsion_at = tuple((i, m) for i, m in enumerate(orders) if m)
+        self.orders = (0,) * rank + self.torsion
+        self.identity = (0,) * len(self.orders)
+        self.free_ab_indices = tuple(range(rank))
+        self._torsion_at = tuple((i, m) for i, m in enumerate(self.orders) if m)
+
+    @property
+    def triviality_power(self) -> int:
+        """rank + floor(log2 |T|), T the torsion subgroup.  If some power of
+        phi is trivial, the free block phi induces on G/T = Z^rank is
+        nilpotent, so its rank-th power is 0 and phi^rank maps G into T.
+        phi maps T into T, so the subgroups phi^k(T) fall until one step
+        leaves them equal, and from then on they stay equal; here they end
+        at 1.  Each strict step goes to a proper subgroup, of at most half
+        the order, so phi^k(T) = 1 for k = floor(log2 |T|).  With no
+        torsion it is rank, the Hirsch length of Z^rank."""
+        return self.rank + math.prod(self.torsion).bit_length() - 1
+
+    def closed_form(self, valid, tol):
+        return gr_torsion_closed(valid, tol)
 
     def _reduced(self, t: list) -> tuple:
         for i, m in self._torsion_at:
@@ -499,8 +538,10 @@ class _AbelianMachine(Machine):
         return self.length_upper(elem) if elem.count(0) + (elem[gen_index] != 0) == len(elem) else None
 
 
-class FreeAbelianMachine(_AbelianMachine):
-    """Z^rank with coordinatewise arithmetic; elements are int tuples."""
+class FreeAbelianMachine(TorsionProductMachine):
+    """Z^rank: the torsion product with no torsion.  It owns its rank check,
+    the names e1, e2, ..., the ``matrix`` shortcut and the nilpotent closed
+    form, so its reports keep their method and certificate."""
 
     family = "free_abelian"
     schema = (("rank", "int"), ("names", "list of str", ()))
@@ -509,11 +550,7 @@ class FreeAbelianMachine(_AbelianMachine):
     def __init__(self, rank: int, names: tuple[str, ...] = ()):
         if rank < 1:
             raise ValidationError("rank must be >= 1")
-        self.rank = rank
-        names = names or tuple(f"e{i + 1}" for i in range(rank))
-        if len(names) != rank:
-            raise ValidationError("need one name per generator")
-        self._set_orders(names, (0,) * rank)
+        super().__init__(rank, (), names or tuple(f"e{i + 1}" for i in range(rank)))
 
     def shortcut_images(self, rows):
         """The columns of a square int matrix: column i is the image of
@@ -525,171 +562,8 @@ class FreeAbelianMachine(_AbelianMachine):
             raise ValidationError("matrix shortcut must be square of the generator count")
         return mat.transpose().entries
 
-
-class TorsionProductMachine(_AbelianMachine):
-    """Z^rank x prod Z_{b_i}; an element is one flat int tuple
-    (x_1, ..., x_rank, r_1, ..., r_s) for a^x t^r, the free exponents, then
-    the residues r_i in [0, b_i)."""
-
-    family = "abelian_with_torsion"
-    schema = (("rank", "int"), ("torsion", "list of int"), ("names", "list of str", ()))
-
-    def __init__(self, rank: int, torsion: tuple[int, ...], names: tuple[str, ...] = ()):
-        if rank < 0 or (rank == 0 and not torsion):
-            raise ValidationError("need at least one generator")
-        self.rank = rank
-        self.torsion = tuple(int(b) for b in torsion)
-        for b in self.torsion:
-            if b < 2:
-                raise ValidationError("torsion orders must be >= 2")
-        names = names or tuple(f"a{i + 1}" for i in range(rank)) + tuple(
-            f"t{i + 1}" for i in range(len(self.torsion))
-        )
-        if len(names) != rank + len(self.torsion):
-            raise ValidationError("need one name per generator")
-        self._set_orders(names, (0,) * rank + self.torsion)
-
-    @property
-    def triviality_power(self) -> int:
-        """rank + floor(log2 |T|), T the torsion subgroup.  If some power of
-        phi is trivial, the free block phi induces on G/T = Z^rank is
-        nilpotent, so its rank-th power is 0 and phi^rank maps G into T.
-        phi maps T into T, so the subgroups phi^k(T) fall until one step
-        leaves them equal, and from then on they stay equal; here they end
-        at 1.  Each strict step goes to a proper subgroup, of at most half
-        the order, so phi^k(T) = 1 for k = floor(log2 |T|)."""
-        return self.rank + math.prod(self.torsion).bit_length() - 1
-
     def closed_form(self, valid, tol):
-        return gr_torsion_closed(valid, tol)
-
-
-class HeisenbergMachine(Machine):
-    """Integer Heisenberg lattice with parameter k: [a1, a2] = a3^-k.
-
-    Normal form a1^m a2^n a3^l as the triple (m, n, l); multiplication is
-    (m, n, l)(m', n', l') = (m + m', n + n', l + l' + k n m').
-
-    With include_center_gen=False the generating set is {a1, a2} (only
-    allowed for k=1, where the center is generated by the commutator).
-    """
-
-    family = "heisenberg"
-    schema = (("k", "int"), ("include_center_gen", "bool", True))
-
-    def __init__(self, k: int = 1, include_center_gen: bool = True):
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        if not include_center_gen and k != 1:
-            raise ValidationError("dropping the central generator requires k = 1")
-        self.k = k
-        self.include_center_gen = include_center_gen
-        self.gens = GenSet(("a1", "a2", "a3") if include_center_gen else ("a1", "a2"))
-        self.identity = (0, 0, 0)
-        self.free_ab_indices = (0, 1)
-
-    def mul(self, a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + self.k * a[1] * b[0])
-
-    def inv(self, a):
-        m, n, l = a
-        return (-m, -n, -l + self.k * n * m)
-
-    def pow(self, x, n):
-        # the cross terms k * (j q) * m over j = 0..n-1 sum to k q m n(n-1)/2
-        m, q, l = x
-        return (n * m, n * q, n * l + self.k * q * m * (n * (n - 1) // 2))
-
-    def codec(self, starts, depth):
-        """Fields m, n, then l on top.  A step moves m or n by at most one,
-        so within ``depth`` steps of a start each lies within ``depth`` of
-        the start's; l needs no bound.  a1^(+-1) reads n to move l by
-        +-k n."""
-        fields = _Fields((_spread(starts, 0, depth), _spread(starts, 1, depth), None))
-        steps = [fields.step(((0, e),), ((1, ((2, e * self.k),)),)) for e in (1, -1)]
-        steps += [fields.step(((i, e),)) for i in range(1, len(self.gens)) for e in (1, -1)]
-        return fields.codec(starts, depth, steps)
-
-    def relators(self):
-        c12 = commutator_word(_gen_word(0), _gen_word(1))
-        if self.include_center_gen:
-            return [
-                Word(c12.letters + ((2, self.k),)),
-                commutator_word(_gen_word(0), _gen_word(2)),
-                commutator_word(_gen_word(1), _gen_word(2)),
-            ]
-        # two-generator presentation: the commutator is central
-        c12_word = Word(c12.letters)
-        return [
-            commutator_word(_gen_word(0), c12_word),
-            commutator_word(_gen_word(1), c12_word),
-        ]
-
-    def _central_word(self, l):
-        """Word spelling a3^l from commutators (+ leftover a3 letters).
-
-        [a1^-s, a2^t] = a3^(k s t), so l = sign*(k*q + r0) takes commutator
-        blocks covering q and r0 leftover letters.
-        """
-        sign = 1 if l > 0 else -1
-        q, r0 = divmod(abs(l), self.k)
-        letters = []
-        for s, t in _square_split(q):
-            letters += [(0, sign * s), (1, -t), (0, -sign * s), (1, t)]
-        letters.append((2, sign * r0))
-        return _letters(*letters)
-
-    def decompose(self, elem):
-        if self.include_center_gen:
-            return super().decompose(elem)
-        m, n, l = elem
-        return _letters((0, m), (1, n)) * self._central_word(l)
-
-    def length_lower(self, elem):
-        """The larger of two bounds on the length L of a word for (m, n, l).
-
-        Letter by letter: max(|m| + |n|, least L with k L(L-1)/2 + L >= |l|).
-        Each a1 or a2 letter moves |m| + |n| by one, so |m| + |n| <= L.
-        Right multiplication by a1^(+-1) moves l by k n_p, by a2^(+-1) not
-        at all and by a3^(+-1) by one, where n_p is the a2-exponent of the
-        prefix; after p letters |n_p| <= p, so the next letter moves l by at
-        most max(k p, 1).  Summed over p < L, |l| <= k L(L-1)/2 + L.
-
-        By area, charging a3 for what the a1, a2 letters cannot reach: let
-        the word have p letters a1^(+-1) or a2^(+-1) and q letters a3^(+-1).
-        The first walk a lattice path from (0, 0) to (m, n), and l is k times
-        the sum of n_p dm over the a1 steps plus the a3 exponent sum, of size
-        at most q.  Walking back by
-        a2^-n, then a1^-m at height 0, adds nothing to that sum and closes
-        the path, now of length P = p + |m| + |n| with M horizontal and V
-        vertical steps.  On a closed path sum dm = 0, so the sum equals
-        sum (n_p - h) dm for the middle height h of the path, and
-        |n_p - h| <= V/4: it is at most M V / 4 <= P^2/16 in size.  Hence
-        |l| <= k P^2/16 + q.  As p >= s = |m| + |n| and p = s mod 2,
-        P = 2u with u >= s, and L = p + q >= 2u - s + max(0, |l| -
-        floor(k u^2 / 4)); ``_area_reach`` gives the least such value."""
-        m, n, l = elem
-        s, c = abs(m) + abs(n), abs(l)
-        return max(_nil_lower(self.k, s, c), _area_reach(self.k, s, c))
-
-    def length_upper_word(self, elem):
-        m, n, l = elem
-        prefix = _letters((0, m), (1, n))
-        central = self._central_word(l)
-        if self.include_center_gen and abs(l) <= central.length():
-            central = _letters((2, l))
-        return prefix * central
-
-    def center_block(self, images):
-        """The 1x1 block of a3: read off its image, or from the commutator
-        [a2, a1], which generates the center when a3 is no generator.
-
-        The image of a3 is central: the relator [a1, a2] a3^k gives
-        phi(a3)^k = [phi(a1), phi(a2)]^-1, a commutator, so its first two
-        entries are 0.  They are k times those of phi(a3), and k >= 1."""
-        if self.include_center_gen:
-            return IntMatrix.from_rows([[images[2][2]]])
-        return IntMatrix.from_rows([[self.commutator(images[1], images[0])[2]]])
+        return gr_nilpotent_closed(valid, tol)
 
 
 class Nil2Machine(Machine):
@@ -701,6 +575,10 @@ class Nil2Machine(Machine):
     the central ones after them.  gamma[(i, j)] for i > j is the central exponent
     vector of [tau_i, tau_j]; each designated sigma is [tau_i, tau_j] for its
     designated pair, so its gamma entry is the matching +-unit vector.
+
+    ``HeisenbergMachine`` extends it.  ``gens`` may omit central coordinates
+    of the normal form: the cocycle spans all of ``identity``, and the codec
+    steps only the central coordinates that are generators.
     """
 
     family = "nilpotent2"
@@ -783,7 +661,7 @@ class Nil2Machine(Machine):
         as a flat element (zero tau entries).  It reads only the tau entries
         of u and v."""
         n = self.n_gens
-        out = [0] * len(self.gens)
+        out = [0] * len(self.identity)
         for (i, j), vec in self._gamma_table:
             c = u[i - 1] * v[j - 1]
             if c:
@@ -807,11 +685,12 @@ class Nil2Machine(Machine):
         |x|_1 by at most one, so within ``depth`` steps of a start each x_i
         lies within ``depth`` of the start's.  A step from an element p
         steps from its start moves z_s by at most G_s |x|_1 + 1 <=
-        G_s (X + p) + 1, G_s the largest |gamma(i, j)_s| and X the largest
-        |x|_1 of a start; over p = 0 .. depth - 1 that sums to
-        B_s = G_s (depth X + depth (depth - 1) / 2) + depth, so z_s lies
-        within B_s of the start's.  tau_j^(+-1) reads each x_i, i > j, with
-        gamma(i, j) != 0."""
+        G_s (X + p) + 1 (a tau step by G_s |x|_1, a sigma step by one), G_s
+        the largest |gamma(i, j)_s| and X the largest |x|_1 of a start;
+        over p = 0 .. depth - 1 that sums to B_s = G_s (depth X +
+        depth (depth - 1) / 2) + depth, so z_s lies within B_s of the
+        start's, whether or not sigma_s is a generator with a step of its
+        own.  tau_j^(+-1) reads each x_i, i > j, with gamma(i, j) != 0."""
         n, m = self.n_gens, len(self.central)
         x_max = max(sum(map(abs, x[:n])) for x in starts)
         box = [_spread(starts, i, depth) for i in range(n)]
@@ -826,7 +705,7 @@ class Nil2Machine(Machine):
             for e in (1, -1):
                 reads = [(i, [(n + s, e * v) for s, v in enumerate(vec) if v]) for i, vec in gammas]
                 steps.append(fields.step(((j - 1, e),), reads))
-        steps += [fields.step(((n + s, e),)) for s in range(m) for e in (1, -1)]
+        steps += [fields.step(((n + s, e),)) for s in range(len(self.gens) - n) for e in (1, -1)]
         return fields.codec(starts, depth, steps)
 
     def central_word(self, vec) -> Word:
@@ -907,6 +786,120 @@ class Nil2Machine(Machine):
         pairs = map(pair_of.get, self.central)
         cols = [self.commutator(images[i - 1], images[j - 1])[n:] for i, j in pairs]
         return IntMatrix.from_rows([list(row) for row in zip(*cols)])
+
+
+class HeisenbergMachine(Nil2Machine):
+    """Integer Heisenberg lattice with parameter k: [a1, a2] = a3^-k.
+
+    Normal form a1^m a2^n a3^l as the triple (m, n, l); multiplication is
+    (m, n, l)(m', n', l') = (m + m', n + n', l + l' + k n m').  It is
+    ``Nil2Machine(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))``, whose
+    inverse, packed codec and relators it keeps; it owns closed-form ``mul``
+    and ``pow``, the area bound, commutator words for a3^l and a3's block.
+
+    With include_center_gen=False the generating set is {a1, a2} (only
+    allowed for k=1, where the center is generated by the commutator), and
+    the variant owns its ``decompose`` and relators.
+    """
+
+    family = "heisenberg"
+    schema = (("k", "int"), ("include_center_gen", "bool", True))
+
+    @classmethod
+    def build(cls, k, include_center_gen):
+        return cls(k, include_center_gen)
+
+    def __init__(self, k: int = 1, include_center_gen: bool = True):
+        if k < 1:
+            raise ValidationError("k must be >= 1")
+        if not include_center_gen and k != 1:
+            raise ValidationError("dropping the central generator requires k = 1")
+        super().__init__(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))
+        self.k = k
+        self.include_center_gen = include_center_gen
+        if not include_center_gen:
+            self.gens = GenSet(self.tau_names)
+
+    def mul(self, a, b):
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + self.k * a[1] * b[0])
+
+    def pow(self, x, n):
+        # the cross terms k * (j q) * m over j = 0..n-1 sum to k q m n(n-1)/2
+        m, q, l = x
+        return (n * m, n * q, n * l + self.k * q * m * (n * (n - 1) // 2))
+
+    def relators(self):
+        if self.include_center_gen:
+            return super().relators()
+        # two-generator presentation: the commutator is central
+        c12 = commutator_word(_gen_word(0), _gen_word(1))
+        return [commutator_word(_gen_word(0), c12), commutator_word(_gen_word(1), c12)]
+
+    def _central_word(self, l):
+        """Word spelling a3^l from commutators (+ leftover a3 letters).
+
+        [a1^-s, a2^t] = a3^(k s t), so l = sign*(k*q + r0) takes commutator
+        blocks covering q and r0 leftover letters.
+        """
+        sign = 1 if l > 0 else -1
+        q, r0 = divmod(abs(l), self.k)
+        letters = []
+        for s, t in _square_split(q):
+            letters += [(0, sign * s), (1, -t), (0, -sign * s), (1, t)]
+        letters.append((2, sign * r0))
+        return _letters(*letters)
+
+    def decompose(self, elem):
+        if self.include_center_gen:
+            return super().decompose(elem)
+        m, n, l = elem
+        return _letters((0, m), (1, n)) * self._central_word(l)
+
+    def length_lower(self, elem):
+        """The larger of two bounds on the length L of a word for (m, n, l).
+
+        Letter by letter: max(|m| + |n|, least L with k L(L-1)/2 + L >= |l|).
+        Each a1 or a2 letter moves |m| + |n| by one, so |m| + |n| <= L.
+        Right multiplication by a1^(+-1) moves l by k n_p, by a2^(+-1) not
+        at all and by a3^(+-1) by one, where n_p is the a2-exponent of the
+        prefix; after p letters |n_p| <= p, so the next letter moves l by at
+        most max(k p, 1).  Summed over p < L, |l| <= k L(L-1)/2 + L.
+
+        By area, charging a3 for what the a1, a2 letters cannot reach: let
+        the word have p letters a1^(+-1) or a2^(+-1) and q letters a3^(+-1).
+        The first walk a lattice path from (0, 0) to (m, n), and l is k times
+        the sum of n_p dm over the a1 steps plus the a3 exponent sum, of size
+        at most q.  Walking back by
+        a2^-n, then a1^-m at height 0, adds nothing to that sum and closes
+        the path, now of length P = p + |m| + |n| with M horizontal and V
+        vertical steps.  On a closed path sum dm = 0, so the sum equals
+        sum (n_p - h) dm for the middle height h of the path, and
+        |n_p - h| <= V/4: it is at most M V / 4 <= P^2/16 in size.  Hence
+        |l| <= k P^2/16 + q.  As p >= s = |m| + |n| and p = s mod 2,
+        P = 2u with u >= s, and L = p + q >= 2u - s + max(0, |l| -
+        floor(k u^2 / 4)); ``_area_reach`` gives the least such value."""
+        m, n, l = elem
+        s, c = abs(m) + abs(n), abs(l)
+        return max(_nil_lower(self.k, s, c), _area_reach(self.k, s, c))
+
+    def length_upper_word(self, elem):
+        m, n, l = elem
+        prefix = _letters((0, m), (1, n))
+        central = self._central_word(l)
+        if self.include_center_gen and abs(l) <= central.length():
+            central = _letters((2, l))
+        return prefix * central
+
+    def center_block(self, images):
+        """The 1x1 block of a3: read off its image, or from the commutator
+        [a2, a1], which generates the center when a3 is no generator.
+
+        The image of a3 is central: the relator [a1, a2] a3^k gives
+        phi(a3)^k = [phi(a1), phi(a2)]^-1, a commutator, so its first two
+        entries are 0.  They are k times those of phi(a3), and k >= 1."""
+        if self.include_center_gen:
+            return IntMatrix.from_rows([[images[2][2]]])
+        return IntMatrix.from_rows([[self.commutator(images[1], images[0])[2]]])
 
 
 _SOL_SHORTCUT = (("M", "2x2 int matrix"), ("p", "int", 0), ("q", "int", 0), ("tau_exp", "int", 1))

@@ -69,22 +69,13 @@ def sol_machines(count, seed):
     return out
 
 
-def step_factors(machine):
-    """The right factors of a codec's steps: g0, g0^-1, g1, g1^-1, ..."""
-    out = []
-    for i in range(len(machine.gens)):
-        g = machine.gen_elem(i)
-        out += [g, machine.inv(g)]
-    return out
-
-
 def check_packed_steps(machine, codec, elements):
     """Each packed step of ``codec`` maps the keys of ``elements``, as one
     list, to the keys of their products by ``mul``, in order, and leaves the
     list as it was; ``decode`` reads every key back."""
     keys = [codec.encode(x) for x in elements]
     assert [codec.decode(k) for k in keys] == list(elements)
-    for step, s in zip(codec.steps, step_factors(machine), strict=True):
+    for step, s in zip(codec.steps, machine.step_factors(), strict=True):
         assert step(keys) == [codec.encode(machine.mul(x, s)) for x in elements]
     assert keys == [codec.encode(x) for x in elements]
 

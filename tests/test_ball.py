@@ -29,7 +29,7 @@ from endogrowth.families import (
 from endogrowth.reports import parse_endo, parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_elements, parse_word, validate_endo
 
-from conftest import ALL_MACHINES, box_corners, check_packed_steps, count_calls, load_fixture, sol_machines, step_factors
+from conftest import ALL_MACHINES, box_corners, check_packed_steps, count_calls, load_fixture, sol_machines
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
@@ -40,7 +40,7 @@ def reference_ball(machine, radius, start=None, lower=None):
     ``lower``, an element x of sphere r is expanded only when
     lower(x) <= radius - r, as on a pruned ``_Frontier`` side."""
     start = machine.identity if start is None else start
-    steps = step_factors(machine)
+    steps = machine.step_factors()
     dist = {start: 0}
     sphere = [start]
     for r in range(1, radius + 1):
@@ -182,7 +182,7 @@ FULL_BALLS.append((COMMUTING_NIL2, 5))
 def commute_both_ways(machine):
     """A wrong table for ``_skip_known``: it skips the step back and every
     commuting step, higher or lower."""
-    factors = step_factors(machine)
+    factors = machine.step_factors()
     mul = machine.mul
     return [
         [i for i, s in enumerate(factors) if i != j ^ 1 and (i == j or mul(s, t) != mul(t, s))]

@@ -113,17 +113,27 @@ class TestGroupLaws:
             assert type(x) is tuple and len(x) == width and all(type(c) is int for c in x), x
 
 
+HEISENBERG_CASES = [(k, True) for k in range(1, 5)] + [(1, False)]
+
+
 class TestNil2HeisenbergAgreement:
-    def test_matching_normal_forms(self):
-        heis = HeisenbergMachine(1)
-        nil = Nil2Machine(2, ("c",), (), (((2, 1), (1,)),))
-        rng = random.Random(17)
+    @pytest.mark.parametrize("k, include_center_gen", HEISENBERG_CASES)
+    def test_matching_normal_forms(self, k, include_center_gen):
+        """The closed forms of ``HeisenbergMachine`` against the cocycle
+        arithmetic of the nilpotent2 group it extends, on either generating
+        set: the flat nilpotent2 form of a1^m a2^n a3^l is (m, n, l) too."""
+        heis = HeisenbergMachine(k, include_center_gen)
+        nil = Nil2Machine(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))
+        assert isinstance(heis, Nil2Machine)
+        assert heis.gens.names == nil.gens.names[: 3 if include_center_gen else 2]
+        rng = random.Random(17 + k)
         for _ in range(150):
             a = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             b = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
-            ha = heis.mul(a, b)
-            # the flat nilpotent2 form of a1^m a2^n c^l is (m, n, l) too
-            assert ha == nil.mul(a, b)
+            assert heis.mul(a, b) == nil.mul(a, b)
+            assert heis.inv(a) == nil.inv(a)
+            for n in range(-5, 6):
+                assert heis.pow(a, n) == nil.pow(a, n)
 
 
 class TestBSCanonicalization:
@@ -222,6 +232,37 @@ class TestAbelianMachines:
                 assert free.cyclic_inner_length(i, a) == product.cyclic_inner_length(i, a)
                 inner.add(free.cyclic_inner_length(i, a) is None)
         assert inner == ({False} if rank == 1 else {True, False})  # None only with two nonzero coordinates
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_closed_forms_agree(self, rank):
+        """Z^rank's nilpotent closed form and the torsion split of the
+        product with no torsion read one growth rate."""
+        free, product = FreeAbelianMachine(rank), TorsionProductMachine(rank, ())
+        rng = random.Random(41 + rank)
+        entry = lambda: rng.randint(-3, 3)  # noqa: E731
+        for _ in range(10):
+            # strictly upper triangular, conjugated by I + c e_(rank-1, 0)
+            upper = [[entry() if j > i else 0 for j in range(rank)] for i in range(rank)]
+            c, last = entry(), rank - 1
+            nilpotent = [row[:] for row in upper]
+            for j in range(rank):
+                nilpotent[last][j] += c * upper[0][j]
+            for i in range(rank):
+                nilpotent[i][0] -= c * nilpotent[i][last]
+            singular = [[entry() for _ in range(rank)] for _ in range(rank - 1)]
+            singular.append([x + y for x, y in zip(singular[0], singular[-1])])
+            # each diagonal entry exceeds the rest of its row in size by 2 or
+            # more, so by Gershgorin every eigenvalue lies outside the unit circle
+            hyperbolic = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+            for i in range(rank):
+                hyperbolic[i][i] = rng.choice((-1, 1)) * rng.randint(rank + 1, rank + 3)
+            for rows, kind in ((nilpotent, "nilpotent"), (singular, "singular"), (hyperbolic, "hyperbolic")):
+                images = free.shortcut_images(rows)
+                by_free = free.closed_form(validate_endo(free, images), 1e-9)
+                by_product = product.closed_form(validate_endo(product, images), 1e-9)
+                assert (by_free.method, by_product.method) == ("nilpotent_abelianization", "finite_normal_torsion_split")
+                assert by_free.value == by_product.value, (kind, rows)
+                assert (by_free.value == 0) == (kind == "nilpotent"), (kind, rows)
 
     def test_torsion_step_wraps_around(self):
         machine = TorsionProductMachine(0, (5,))
