@@ -1,8 +1,8 @@
 """Byte-identical reports: the SHA-256 of every command's output on every
 bundled fixture, at the sizes of ``scripts/run_examples.py``, of that
 script's own output, of ``closed`` on the branches the fixtures miss, of
-``check`` on endomorphisms that violate a relator, and of ``check`` and
-``compare`` on group parameters no fixture uses.
+``check`` on endomorphisms that violate a relator, and of ``check``,
+``compare`` and ``distortion`` on group parameters no fixture uses.
 
 A performance change must leave every report byte for byte as it was.  The
 digests in ``golden_digests.json`` pin that down.  Print the digests of the
@@ -57,14 +57,22 @@ SOL_FIB = {"family": "sol_lattice", "params": {"A": [[2, 1], [1, 1]]}}
 Z3 = {"family": "free_abelian", "params": {"rank": 3}}
 HEIS_K2 = {"family": "heisenberg", "params": {"k": 2}}
 HEIS_TWO_GENS = {"family": "heisenberg", "params": {"k": 1, "include_center_gen": False}}
+Z7 = {"family": "abelian_with_torsion", "params": {"rank": 0, "torsion": [7]}}
+Z_Z40 = {"family": "abelian_with_torsion", "params": {"rank": 1, "torsion": [40]}}
+BS3 = {"family": "baumslag_solitar", "params": {"n": 3}}
 
 # Inputs no fixture reaches, run by the command that starts their name.
 # ``closed``: Sol types II and III, a type I endomorphism with torus map 0,
 # block lists, and the free abelian ``matrix`` shortcut, refusals included.
 # ``check``: a shortcut and explicit images that violate a relator, and the
 # two-generator Heisenberg lattice.  ``compare``: explicit images on
-# Heisenberg with k = 2, on its two-generator variant and on Z^2.  Each
-# document is written to a file and passed as ``--<key>``.
+# Heisenberg with k = 2, on its two-generator variant and on Z^2.
+# ``distortion``: a torsion generator whose powers pass half its order
+# within the radius (Z/7) and one whose walk stops on the bound first
+# (Z/40), a free one beside it, both Baumslag-Solitar generators with n = 3
+# and the two-generator Heisenberg lattice, each as json and csv.  Each
+# document is written to a file and passed as ``--<key>``; a plain value is
+# passed as the flag's value.
 DOCS = {
     # M A = A^-1 M with M = [[-1, 0], [1, 1]] (I + A)
     "closed sol type II": {
@@ -126,6 +134,20 @@ DOCS = {
         "group": {"family": "free_abelian", "params": {"rank": 2}},
         "endo": {"images": {"e1": "e1^2 e2", "e2": "e1 e2^-1"}},
     },
+    **{
+        f"distortion {name} {sub} radius {radius} {fmt}": {
+            "group": group, "subgroup": sub, "radius": radius, "format": fmt,
+        }
+        for name, group, sub, radius in (
+            ("torsion 7", Z7, "t1", 10),
+            ("rank 1 torsion 40", Z_Z40, "t1", 6),
+            ("rank 1 torsion 40", Z_Z40, "a1", 6),
+            ("bs 3", BS3, "a", 6),
+            ("bs 3", BS3, "b", 6),
+            ("heisenberg two generators", HEIS_TWO_GENS, "a1", 8),
+        )
+        for fmt in ("json", "csv")
+    },
 }
 
 
@@ -170,12 +192,15 @@ def digest_of(argv) -> str:
 
 def doc_digest(name: str, tmp: pathlib.Path) -> str:
     """``digest_of`` a run on the documents of the ``DOCS`` entry ``name``, by
-    the command its first word names."""
+    the command its first word names; a document goes to a file, a plain
+    value straight to its flag."""
     argv = [name.split()[0]]
     for key, doc in DOCS[name].items():
-        path = tmp / f"{key}.json"
-        path.write_text(json.dumps(doc))
-        argv += [f"--{key}", str(path)]
+        if isinstance(doc, (dict, list)):
+            path = tmp / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            doc = path
+        argv += [f"--{key}", str(doc)]
     return digest_of(argv)
 
 
