@@ -6,15 +6,15 @@ and deduplication is automatic.  Inside a search each element is a key from
 ``Machine.codec`` (``families.Codec``).  A search builds one codec from its
 starts and shares it among all its balls; the codec's steps, right
 multiplication by g0, g0^-1, g1, ..., map a list of keys to the list of
-their products.  On the families that commands search (Heisenberg,
-nilpotent2, Sol, Baumslag-Solitar) a key is one int, which packs the normal
-form's coordinates into offset bit fields, and a step is mostly one integer
-add: a Cayley-graph edge costs one ``seen`` probe and a share of a list
-comprehension, and no tuple is built.  The families whose word length is a
-sum of coordinate lengths are searched only by ``enumerate_ball`` callers,
-so their key is the normal form and their steps call ``mul``.  Normal forms
-appear only at the boundary: targets are encoded, a pruned side decodes the
-elements it expands, and ``enumerate_ball`` decodes its result.
+their products.  Every machine that commands search supplies a packed
+codec: a key is one int, which packs the normal form's coordinates into
+offset bit fields, and a step is mostly one integer add, so a Cayley-graph
+edge costs one ``seen`` probe and a share of a list comprehension, and no
+tuple is built.  A machine that declares ``coordinate_orders`` is searched
+only by ``enumerate_ball`` callers and keeps the default codec, whose key
+is the normal form and whose steps call ``mul``.  Normal forms appear only
+at the boundary: targets are encoded, a pruned side decodes the elements it
+expands, and ``enumerate_ball`` decodes its result.
 
 One class, ``_Frontier``, grows every ball: a ball around a start element,
 one sphere at a time, in chunks of up to ``_CHUNK`` keys.  Spheres are
@@ -24,7 +24,7 @@ stored elements: the step back to an element's parent, and each lower step
 that commutes with the one the element arrived by (``_skip_known``).
 
 A packed codec is exact only for elements within its depth of a start, and
-on Sol its keys grow with the depth.  So a search sizes its first codec for
+its keys may grow with the depth.  So a search sizes its first codec for
 at most ``_FIRST_DEPTH`` steps, and re-encodes all its balls into a codec of
 twice the depth before one of them would outgrow it (``_widen``): a radius
 the search never reaches costs nothing.  The default codec never runs out.
@@ -39,8 +39,8 @@ one-target case, and ``L_k_table`` makes one call for all its iterate images.
 Completed balls are immutable and safe to share.
 
 ``ball_counts`` sums a series, with no ball, on machines whose word length
-is a sum of per-coordinate lengths (``Machine.coordinate_orders``: free
-abelian, abelian with torsion, Klein), and runs the BFS elsewhere.
+is a sum of per-coordinate lengths (those that declare
+``Machine.coordinate_orders``), and runs the BFS elsewhere.
 ``cyclic_distortion`` never needs a full ball: it looks the powers g, g^2,
 ... of its generator up with one ``word_lengths`` call, as far as a lower
 bound that never falls along them allows.
@@ -57,7 +57,6 @@ paths, so it never yields a false length (``_meet`` gives the proof).
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from collections import deque
@@ -91,10 +90,10 @@ DEFAULT_CAP = 5_000_000
 _CHUNK = 256
 
 # The depth of a search's first codec when its radius is larger: past the
-# radii of the bundled examples (up to 18 outside the series families), so
-# those never re-encode, yet small enough that Sol's v0 field, whose width
-# sums an entry bound of A^h over every height h the depth reaches, costs
-# little in every key
+# radii of the bundled examples (up to 18 where ``ball_counts`` runs the
+# BFS), so those never re-encode, yet small enough that a field whose width
+# grows with the depth, as one summing an entry bound over every height the
+# depth reaches does, costs little in every key
 _FIRST_DEPTH = 32
 
 
@@ -718,33 +717,21 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     is the lesser canonical word of g^k and g^-k.  One ``word_lengths``
     call looks up g, g^2, ..., g^K: it stops before g^k is the identity or
     has lower(g^k) > radius, with lower the exact ``length_upper`` on
-    ``length_exact`` machines and ``length_lower`` elsewhere.  No later
-    power lies within the radius, as lower(g^k) never falls as k grows:
+    ``length_exact`` machines and ``length_lower`` elsewhere.  Under the
+    contract of ``Machine.length_lower``, K is finite and no later power
+    lies within the radius.
 
-    - free abelian and Klein: g^k moves one coordinate to k, of length k;
-      so does a free generator of a torsion product, and one of order m has
-      length min(k, m - k), nondecreasing up to k = m / 2, past which
-      g^k = g^-(m - k) repeats an earlier pair;
-    - Heisenberg and nilpotent2: g^k has one coordinate k and the others 0.
-      An a1, a2 or tau power has |m| + |n| = k (or |x|_1 = k), and both
-      Heisenberg bounds are then k.  A central power has one central
-      coordinate k, and every bound is a least length whose reach in that
-      coordinate is at least k, nondecreasing in k;
-    - Baumslag-Solitar: a^k = (0, 0, k) has the bound k, and b^k = (k, 0, 0)
-      the least over H of 2H + ceil(k / n^H), each term nondecreasing in k;
-    - Sol: tau^k = (0, 0, k) has the bound k.  a1^k and a2^k have t = 0 and
-      the invariant form Q(k e1) = c k^2, Q(k e2) = -b k^2 for A =
-      [[a, b], [c, d]], with b, c != 0 as tr(A) > 2.  Their bound is
-      min over D of 2D + ceil(sqrt(|Q| / E(D))), E(D) >= 1 the entry bound
-      of ``SolMachine.length_lower``: each term is nondecreasing in k, and
-      a bound of at most h needs |Q| <= h^2 max(E(0), ..., E(h / 2)).
+    In <g> of order m, g^k has inner length min(k, m - k).  A walk that
+    ends at the identity has m = K + 1.  One that stops on the bound keeps
+    only k < m / 2 and takes m as infinite: by the contract lower is exact
+    on a g of finite order, and |g^k| = |g^(m - k)|, so lower first exceeds
+    the radius at some k <= m / 2.
 
-    Each of these bounds grows without limit with k, so K is finite.  ``cap``
-    counts the powers stored plus the elements the search stores.  Rows past
-    the longest power found repeat it, under the rule of ``_pad_rows``.
+    ``cap`` counts the powers stored plus the elements the search stores.
+    Rows past the longest power found repeat it, under the rule of
+    ``_pad_rows``.
     """
     index = machine.gens.index(gen_name)
-    inner = functools.partial(machine.cyclic_inner_length, index)
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     lower = machine.length_upper if machine.length_exact else machine.length_lower
@@ -758,9 +745,11 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
             )
         powers.append(x)
         x = mul(x, g)
+    order = len(powers) + 1 if x == machine.identity else math.inf
     best_at = {}  # length -> (inner length, power) of the largest inner length
-    for x, length in zip(powers, word_lengths(machine, powers, radius, cap, held=len(powers))):
-        val = inner(x)
+    lengths = word_lengths(machine, powers, radius, cap, held=len(powers))
+    for k, (x, length) in enumerate(zip(powers, lengths), 1):
+        val = min(k, order - k)
         if length is not None and val > best_at.get(length, (0,))[0]:
             best_at[length] = (val, x)
     rows = [(0, "")]

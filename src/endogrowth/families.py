@@ -8,8 +8,8 @@ representing the element (an upper bound on the true word length; exact where
 
 A normal form is a flat tuple of ints.  In every family but Baumslag-Solitar
 entry i is the exponent of generator i (the central ones last), so the base
-class supplies ``gen_elem``, ``decompose`` and ``cyclic_inner_length``, and a
-family overrides one only where its normal form reads otherwise.
+class supplies ``gen_elem`` and ``decompose``, and a family overrides one
+only where its normal form reads otherwise.
 
 ``HeisenbergMachine`` extends ``Nil2Machine``: it keeps its inverse, codec
 and relators, and owns closed-form ``mul`` and ``pow``, an area bound and
@@ -229,7 +229,14 @@ class Machine(_Value):
 
     def length_lower(self, elem) -> int:
         """A lower bound on the word length, cheap to compute: a search for
-        the length stops before it starts when this exceeds its radius."""
+        the length stops before it starts when this exceeds its radius.
+
+        ``ball.cyclic_distortion`` walks the powers g^k of a generator g of
+        order m until its stop bound, this or ``length_upper`` where
+        ``length_exact``, exceeds the radius.  The contract: along the
+        walk the stop bound never falls while k <= m / 2, it grows without
+        limit when m is infinite, and it is exact when m is finite.  Each
+        family proves it where it defines its bound."""
         return 0
 
     def coordinate_orders(self):
@@ -280,14 +287,6 @@ class Machine(_Value):
         """Matrix of the induced map on the designated central generators,
         from the generator images; None where the family designates none."""
         return None
-
-    def cyclic_inner_length(self, gen_index: int, elem):
-        """|k| if elem == gen^k, else None.  Used for distortion profiles.
-
-        This default reads a normal form of one exponent per generator.
-        """
-        x = elem[gen_index]
-        return abs(x) if elem.count(0) + (x != 0) == len(elem) else None
 
 
 def _square_split(q: int) -> list[tuple[int, int]]:
@@ -526,6 +525,9 @@ class TorsionProductMachine(Machine):
         return _letters(*letters)
 
     def length_upper(self, elem):
+        """The word length.  Along the powers of generator i only
+        coordinate i moves: to k on Z, of length k, and to k mod m on Z/m,
+        of length min(k, m - k), nondecreasing up to k = m / 2."""
         total = sum(map(abs, elem[: self.rank]))
         for i, m in self._torsion_at:
             total += min(elem[i], m - elem[i])
@@ -533,9 +535,6 @@ class TorsionProductMachine(Machine):
 
     def coordinate_orders(self):
         return self.orders
-
-    def cyclic_inner_length(self, gen_index, elem):
-        return self.length_upper(elem) if elem.count(0) + (elem[gen_index] != 0) == len(elem) else None
 
 
 class FreeAbelianMachine(TorsionProductMachine):
@@ -766,7 +765,11 @@ class Nil2Machine(Machine):
         x_i gamma(i, j), at most G |x|_1 <= G p in each coordinate after a
         prefix of p letters, and a central letter moves one coordinate by
         one: at most max(G p, 1) per letter.  Summed over p < L,
-        |z|_inf <= G L(L-1)/2 + L."""
+        |z|_inf <= G L(L-1)/2 + L.
+
+        A generator's power g^k has one coordinate k and the others 0, so
+        |x|_1 = k or |z|_inf = k, and the bound is nondecreasing and
+        unbounded in each."""
         n = self.n_gens
         return _nil_lower(self._gamma_max, sum(map(abs, elem[:n])), max(map(abs, elem[n:])))
 
@@ -877,7 +880,11 @@ class HeisenbergMachine(Nil2Machine):
         |n_p - h| <= V/4: it is at most M V / 4 <= P^2/16 in size.  Hence
         |l| <= k P^2/16 + q.  As p >= s = |m| + |n| and p = s mod 2,
         P = 2u with u >= s, and L = p + q >= 2u - s + max(0, |l| -
-        floor(k u^2 / 4)); ``_area_reach`` gives the least such value."""
+        floor(k u^2 / 4)); ``_area_reach`` gives the least such value.
+
+        Along a1^k and a2^k, s = k and l = 0, and both bounds are k.  Along
+        a3^k, s = 0 and |l| = k, and each bound is a least length whose
+        reach in l is at least k, nondecreasing and unbounded in k."""
         m, n, l = elem
         s, c = abs(m) + abs(n), abs(l)
         return max(_nil_lower(self.k, s, c), _area_reach(self.k, s, c))
@@ -1103,7 +1110,7 @@ class SolMachine(Machine):
         tr(A) > 2, so the bound exceeds |t| when v != 0.
 
         Along the powers of a generator the bound never falls and grows
-        without limit, as ``ball.cyclic_distortion`` needs: tau^k has bound
+        without limit, as ``Machine.length_lower`` asks: tau^k has bound
         k, and Q(k e1) = c k^2, Q(k e2) = -b k^2 with b, c != 0 (else ad = 1
         and tr(A) = 2).  H is nondecreasing in q, and H(q, 0) <= h needs some
         D <= h / 2 with q <= h^2 E(D).
@@ -1233,6 +1240,7 @@ class KleinMachine(Machine):
         return [_letters((1, 1), (0, 1), (1, -1), (0, 1))]
 
     def length_upper(self, elem):
+        # the word length (coordinate_orders); x^k and y^k have length k
         return abs(elem[0]) + abs(elem[1])
 
     def coordinate_orders(self):
@@ -1429,7 +1437,11 @@ class BSMachine(Machine):
 
         Bit lengths decide n^e >= |num| before any power is formed, so no
         power grows much past |num|: a^N b a^-N with N = 10^10 costs no more
-        than b."""
+        than b.
+
+        a^k = (0, 0, k) has the bound k, and b^k = (k, 0, 0) the least over
+        H of 2H + max(1, ceil(k / n^H)): each term is nondecreasing in k,
+        and the bound grows without limit."""
         num, e, t = elem
         if not num:
             return abs(t)
@@ -1449,12 +1461,6 @@ class BSMachine(Machine):
             best = min(best, min(2 * h + e + abs(e - t), 2 * e + h + abs(t + h)) - (-d // p))
             p //= n
         return best
-
-    def cyclic_inner_length(self, gen_index, elem):
-        num, e, t = elem
-        if gen_index == 0:
-            return abs(t) if num == 0 else None
-        return abs(num) if (t == 0 and e == 0) else None
 
 
 def klein_restricted_matrix(valid) -> IntMatrix:

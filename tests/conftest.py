@@ -80,6 +80,18 @@ def check_packed_steps(machine, codec, elements):
     assert keys == [codec.encode(x) for x in elements]
 
 
+def inner_length(machine, gen_index, elem):
+    """The length of ``elem`` in the cyclic group of generator ``gen_index``,
+    or None off that group, read from the canonical word: |e| when it is the
+    one letter (gen_index, e), the shorter way round on a torsion generator,
+    and 0 when it is empty."""
+    letters = machine.decompose(elem).letters
+    if not letters:
+        return 0
+    (i, e), *rest = letters
+    return abs(e) if i == gen_index and not rest else None
+
+
 # an unbounded coordinate's corners; n does not divide it for n = 2..7
 _FAR = 2**70 + 3
 

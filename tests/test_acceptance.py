@@ -23,7 +23,7 @@ from endogrowth.words import (
     validate_endo,
 )
 
-from conftest import load_fixture
+from conftest import inner_length, load_fixture
 from test_nilgr import random_valid_nil2_endos
 
 SQRT5 = math.sqrt(5)
@@ -258,12 +258,8 @@ def test_criterion_10_distortion(z2, heis1, bs2, heis_ball20):
     witness = parse_word("a1^-5 a2^-5 a1^5 a2^5", heis1.gens)
     assert witness.length() == 20
     assert evaluate(heis1, witness) == (0, 0, -25)
-    central = [
-        (heis1.cyclic_inner_length(2, e), d)
-        for e, d in heis_ball20.dist.items()
-        if heis1.cyclic_inner_length(2, e) is not None
-    ]
-    delta20 = max(val for val, d in central if d <= 20)
+    central = [(inner_length(heis1, 2, e), d) for e, d in heis_ball20.dist.items()]
+    delta20 = max(val for val, d in central if val is not None and d <= 20)
     assert delta20 >= 25
 
     fiber = cyclic_distortion(bs2, "b", 9)

@@ -29,7 +29,15 @@ from endogrowth.families import (
 from endogrowth.reports import parse_endo, parse_group
 from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_elements, parse_word, validate_endo
 
-from conftest import ALL_MACHINES, box_corners, check_packed_steps, count_calls, load_fixture, sol_machines
+from conftest import (
+    ALL_MACHINES,
+    box_corners,
+    check_packed_steps,
+    count_calls,
+    inner_length,
+    load_fixture,
+    sol_machines,
+)
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
@@ -569,7 +577,7 @@ class TestDistortion:
         table = cyclic_distortion(bs2, "b", 6)
         w = parse_word(table.witnesses[6], bs2.gens)
         elem = evaluate(bs2, w)
-        assert bs2.cyclic_inner_length(1, elem) == table.delta[6]
+        assert inner_length(bs2, 1, elem) == table.delta[6]
 
     def test_custom_membership_functions(self, z2):
         table = distortion(
@@ -588,8 +596,9 @@ class TestDistortion:
 
 
 def full_ball_distortion(machine, gen_name, radius, cap=ball_module.DEFAULT_CAP):
-    """The cyclic distortion table read off the full ball."""
-    inner = functools.partial(machine.cyclic_inner_length, machine.gens.index(gen_name))
+    """The cyclic distortion table read off the full ball, with inner
+    lengths from the canonical words."""
+    inner = functools.partial(inner_length, machine, machine.gens.index(gen_name))
     return distortion(machine, lambda elem: inner(elem) is not None, inner, radius, cap)
 
 
@@ -614,6 +623,21 @@ def test_lookup_distortion_matches_the_full_ball(machine, data):
 
 FIXTURE_MACHINES = {stem: parse_group(load_fixture(f"{stem}.group"))[1] for stem in FIXTURE_STEMS}
 
+# The fixtures and Z^3 keep their family names as ids; the rest add their
+# generators, as in ``test_lookup_distortion_matches_the_full_ball``.
+WALKED_MACHINES = [
+    *FIXTURE_MACHINES.values(),
+    FreeAbelianMachine(3),
+    *LOOKUP_MACHINES,
+    *sol_machines(4, 23),
+    BSMachine(5),
+    HeisenbergMachine(3),
+]
+WALKED_IDS = [
+    m.family if i <= len(FIXTURE_MACHINES) else f"{m.family}:{','.join(m.gens.names)}"
+    for i, m in enumerate(WALKED_MACHINES)
+]
+
 
 class TestPowerLookups:
     @pytest.mark.parametrize("stem, radius, gen", [
@@ -623,12 +647,13 @@ class TestPowerLookups:
         machine = FIXTURE_MACHINES[stem]
         assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius)
 
-    @pytest.mark.parametrize("machine", [*FIXTURE_MACHINES.values(), FreeAbelianMachine(3)], ids=lambda m: m.family)
+    @pytest.mark.parametrize("machine", WALKED_MACHINES, ids=WALKED_IDS)
     def test_lower_bound_never_falls_along_generator_powers(self, machine):
-        """The proof obligation of the lookups: for k <= 5000, lower(g^k)
-        is nondecreasing and grows, until g^k returns to the identity; a
-        generator of order m is checked up to k = m / 2, past which the
-        powers are inverses of earlier ones."""
+        """The contract of ``Machine.length_lower`` on every machine the
+        lookups walk: for k <= 5000, lower(g^k) is nondecreasing and grows,
+        until g^k returns to the identity; a generator of order m is checked
+        up to k = m / 2, past which the powers are inverses of earlier ones,
+        and only on a ``length_exact`` machine, whose bound is exact."""
         lower = machine.length_upper if machine.length_exact else machine.length_lower
         for i in range(len(machine.gens)):
             g = machine.gen_elem(i)
@@ -637,6 +662,7 @@ class TestPowerLookups:
                 seq.append(lower(x))
                 x = machine.mul(x, g)
             if x == machine.identity:
+                assert machine.length_exact
                 seq = seq[: (len(seq) + 1) // 2]
             else:
                 assert seq[-1] > seq[0]

@@ -213,9 +213,7 @@ class TestAbelianMachines:
         free, product = FreeAbelianMachine(rank), TorsionProductMachine(rank, ())
         assert free.identity == product.identity
         rng = random.Random(rank)
-        inner = set()
         for _ in range(300):
-            # about half the coordinates are 0, so single-coordinate elements occur
             a, b = (tuple(rng.choice((0, rng.randint(-9, 9), 2**70)) for _ in range(rank)) for _ in range(2))
             n = rng.randint(-6, 6)
             assert free.mul(a, b) == product.mul(a, b)
@@ -228,10 +226,6 @@ class TestAbelianMachines:
                 check_packed_steps(free, codec, [a, b])
             assert free.length_upper(a) == product.length_upper(a)
             assert free.decompose(a) == product.decompose(a)
-            for i in range(rank):
-                assert free.cyclic_inner_length(i, a) == product.cyclic_inner_length(i, a)
-                inner.add(free.cyclic_inner_length(i, a) is None)
-        assert inner == ({False} if rank == 1 else {True, False})  # None only with two nonzero coordinates
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_closed_forms_agree(self, rank):
