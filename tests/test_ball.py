@@ -651,9 +651,9 @@ class TestPowerLookups:
     def test_lower_bound_never_falls_along_generator_powers(self, machine):
         """The contract of ``Machine.length_lower`` on every machine the
         lookups walk: for k <= 5000, lower(g^k) is nondecreasing and grows,
-        until g^k returns to the identity; a generator of order m is checked
+        until g^k returns to the identity.  A generator of order m is checked
         up to k = m / 2, past which the powers are inverses of earlier ones,
-        and only on a ``length_exact`` machine, whose bound is exact."""
+        and sits on a ``length_exact`` machine, whose bound is exact."""
         lower = machine.length_upper if machine.length_exact else machine.length_lower
         for i in range(len(machine.gens)):
             g = machine.gen_elem(i)
