@@ -64,9 +64,10 @@ BS3 = {"family": "baumslag_solitar", "params": {"n": 3}}
 # Inputs no fixture reaches, run by the command that starts their name.
 # ``closed``: Sol types II and III, a type I endomorphism with torus map 0,
 # block lists, and the free abelian ``matrix`` shortcut, refusals included.
-# ``check``: a shortcut and explicit images that violate a relator, and the
-# two-generator Heisenberg lattice.  ``compare``: explicit images on
-# Heisenberg with k = 2, on its two-generator variant and on Z^2.
+# ``check``: a shortcut and explicit images that violate a relator, among
+# them Sol conjugates by tau^70, and the two-generator Heisenberg lattice.
+# ``compare``: explicit images on Heisenberg with k = 2, on its
+# two-generator variant, on Z^2 and on Sol at kmax 100.
 # ``distortion``: a torsion generator whose powers pass half its order
 # within the radius (Z/7) and one whose walk stops on the bound first
 # (Z/40), a free one beside it, both Baumslag-Solitar generators with n = 3
@@ -133,6 +134,21 @@ DOCS = {
     "compare free abelian images": {
         "group": {"family": "free_abelian", "params": {"rank": 2}},
         "endo": {"images": {"e1": "e1^2 e2", "e2": "e1 e2^-1"}},
+    },
+    # the minimizer's starts reach shift 98, past the powers of A that a
+    # search reads
+    "compare sol images kmax 100": {
+        "group": SOL_FIB,
+        "endo": {"images": {"a1": "a1^2 a2", "a2": "a1 a2", "tau": "tau"}},
+        "kmax": 100,
+        "radius": 3,
+    },
+    # conjugating by tau^70 reads A^70 and A^-70, past the powers a search
+    # reads; the relator witness is
+    # (162111800192047008394412817210, -81055900096023504197206408605, 0)
+    "check sol conjugates by tau^70": {
+        "group": SOL_FIB,
+        "endo": {"images": {"a1": "tau^70 a1 tau^-70", "a2": "tau^-70 a2 tau^70", "tau": "tau"}},
     },
     **{
         f"distortion {name} {sub} radius {radius} {fmt}": {
