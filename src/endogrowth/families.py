@@ -88,10 +88,11 @@ def _list_of(ok):
 
 _int_matrix = _list_of(_list_of(_int))
 
-# Sol holonomy powers A^t with |t| up to _SOL_POWER_CACHE are cached per
-# machine (a Cayley-ball search of radius r steps through |t| <= r); larger
-# ones are computed when asked for, and refused with ResourceCapExceeded when
-# their entries would exceed SOL_POWER_BITS bits (half a megabyte each).
+# Sol holonomy powers A^t with |t| up to _SOL_POWER_CACHE are read from the
+# table of powers of A that the machine's shift minimizer keeps (a Cayley-ball
+# search of radius r steps through |t| <= r); larger ones are computed when
+# asked for and not stored, and refused with ResourceCapExceeded when their
+# entries would exceed SOL_POWER_BITS bits (half a megabyte each).
 # SolMachine.length_lower bounds entries exactly up to the same height.
 _SOL_POWER_CACHE = 64
 SOL_POWER_BITS = 1 << 22
@@ -917,7 +918,8 @@ class SolMachine(Machine):
 
     A must be an integer 2x2 matrix with determinant 1 and trace > 2; the
     machine's ``minimizer``, the one shift minimizer of its length functional
-    and of the Sol routes, checks it and holds A^-1.
+    and of the Sol routes, checks it and holds A^-1 and the one table of
+    powers of A.
     Elements are flat int tuples (v1, v2, t) for a1^v1 a2^v2 tau^t.
     """
 
@@ -942,12 +944,11 @@ class SolMachine(Machine):
         self.gens = GenSet(("a1", "a2", "tau"))
         self.identity = (0, 0, 0)
         self.free_ab_indices = (2,)
-        self._pow_cache = {0: IntMatrix.identity(2)}
         (a, b), (c, d) = matrix.entries
         self._form = (c, d - a, -b)  # Q(v) = c v0^2 + (d - a) v0 v1 - b v1^2
         # s, the largest column sum of |A|: ||M A||_max <= s ||M||_max
         self._growth = max(abs(a) + abs(c), abs(b) + abs(d))
-        self._bounds = [max(map(abs, (a, b, c, d)))], (a, b, c, d)  # E(0..D) and A^(D + 1)
+        self._bounds = [max(map(abs, (a, b, c, d)))]  # E(0..D)
         self._reach = {}  # |t| -> table of the largest |Q| within each height cost
 
     def _key(self):
@@ -961,27 +962,18 @@ class SolMachine(Machine):
         (m11, m12), (m21, m22) = args["M"]
         return (m11, m21, 0), (m12, m22, 0), (args["p"], args["q"], args["tau_exp"])
 
-    def holonomy_power(self, t: int) -> IntMatrix:
-        """A^t for any integer t: cached for small |t| (the steps of a ball
-        of that radius), otherwise by binary powering, after checking that
-        its entries, of about |t| log2(alpha) bits, stay within
-        SOL_POWER_BITS (ResourceCapExceeded past it)."""
-        if abs(t) > _SOL_POWER_CACHE:
+    def holonomy_power(self, t: int) -> tuple[int, int, int, int]:
+        """A^t for any integer t, as flat (a, b, c, d): from the minimizer's
+        table for small |t| (the steps of a ball of that radius), otherwise
+        by binary powering, not stored, after checking that its entries, of
+        about |t| log2(alpha) bits, stay within SOL_POWER_BITS
+        (ResourceCapExceeded past it).  A^-t is the adjugate of A^t."""
+        if abs(t) <= _SOL_POWER_CACHE:
+            a, b, c, d = self.minimizer.power(abs(t))
+        else:
             self._check_power_size(t)
-            return mat_pow(self.matrix, t) if t > 0 else mat_pow(self.minimizer.inverse, -t)
-        cache = self._pow_cache
-        if t not in cache:
-            # the cached exponents form a range around 0: extend it up to t
-            step, factor = (1, self.matrix) if t > 0 else (-1, self.minimizer.inverse)
-            k = t
-            while k not in cache:
-                k -= step
-            power = cache[k]
-            while k != t:
-                k += step
-                power = power @ factor
-                cache[k] = power
-        return cache[t]
+            (a, b), (c, d) = mat_pow(self.matrix, abs(t)).entries
+        return (a, b, c, d) if t >= 0 else (d, -b, -c, a)
 
     def _check_power_size(self, t: int):
         # log2(trace A) >= log2(alpha), alpha the expanding eigenvalue
@@ -996,15 +988,15 @@ class SolMachine(Machine):
         w0, w1, tb = b
         if not (w0 or w1):
             return (v0, v1, ta + tb)
-        d0, d1 = mat_vec(self.holonomy_power(ta), (w0, w1))
-        return (v0 + d0, v1 + d1, ta + tb)
+        p, q, r, s = self.holonomy_power(ta)
+        return (v0 + p * w0 + q * w1, v1 + r * w0 + s * w1, ta + tb)
 
     def inv(self, a):
         v0, v1, t = a
         if not (v0 or v1):
             return (0, 0, -t)
-        w0, w1 = mat_vec(self.holonomy_power(-t), (v0, v1))
-        return (-w0, -w1, -t)
+        p, q, r, s = self.holonomy_power(-t)
+        return (-p * v0 - q * v1, -r * v0 - s * v1, -t)
 
     def pow(self, x, n):
         """(v, t)^n = ((I + B + ... + B^(n-1)) v, nt) with B = A^t, the
@@ -1015,8 +1007,8 @@ class SolMachine(Machine):
         if n == 0 or not (v0 or v1) or t == 0:
             return (n * v0, n * v1, n * t)
         self._check_power_size(n * t)
-        base = self.holonomy_power(t)
-        one = IntMatrix.identity(2)
+        p, q, r, s = self.holonomy_power(t)
+        base, one = IntMatrix(((p, q), (r, s))), IntMatrix.identity(2)
         total, power = one, base  # S_k and B^k for the leading bits k of n
         for bit in bin(n)[3:]:
             total, power = total @ (one + power), power @ power
@@ -1042,7 +1034,7 @@ class SolMachine(Machine):
         power = self.holonomy_power
 
         def offset(i, f):  # column i of A^t, t = f + tmin, as a key offset
-            v0, v1 = (row[i] for row in power(f + tmin).entries)
+            v0, v1 = power(f + tmin)[i::2]
             return (v0 << s0) + (v1 << s1)
 
         steps = []
@@ -1074,9 +1066,9 @@ class SolMachine(Machine):
     def length_upper_word(self, elem):
         v1, v2, t = elem
         best = self.minimizer.minimize((v1, v2))
-        shifted = mat_vec(self.holonomy_power(-best.shift), (v1, v2))
+        p, q, r, s = self.holonomy_power(-best.shift)
         return _letters(
-            (2, best.shift), (0, shifted[0]), (1, shifted[1]), (2, -best.shift + t)
+            (2, best.shift), (0, p * v1 + q * v2), (1, r * v1 + s * v2), (2, -best.shift + t)
         )
 
     def length_upper(self, elem):
@@ -1185,15 +1177,12 @@ class SolMachine(Machine):
     def _entry_bounds(self, top: int) -> list:
         """E(0), ..., E(top) at least, E(D) the largest entry in size of A^m
         over 0 <= m <= D + 1 (E(0) is that of A, as |A^0| = 1)."""
-        bounds, power = self._bounds
+        bounds = self._bounds
         if len(bounds) <= top:
-            bounds = list(bounds)  # extended whole, with A^len(bounds)
-            (a, b), (c, d) = self.matrix.entries
-            p, q, r, s = power
+            bounds = list(bounds)  # extended whole
             while len(bounds) <= top:
-                p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-                bounds.append(max(bounds[-1], abs(p), abs(q), abs(r), abs(s)))
-            self._bounds = bounds, (p, q, r, s)
+                bounds.append(max(bounds[-1], *map(abs, self.minimizer.power(len(bounds) + 1))))
+            self._bounds = bounds
         return bounds
 
     def closed_form(self, valid, tol):

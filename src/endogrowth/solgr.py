@@ -104,7 +104,7 @@ class SolLengthMinimizer:
         self.isqrt_d = isqrt(self.d)
         self.c0, self.c1 = 2 * l21, t - 2 * l11
         self.u_inf2 = max(abs(self.c0), abs(self.c1) + self.isqrt_d + 1)
-        self._inverse_powers = [((1, 0), (0, 1))]
+        self._powers = [(1, 0, 0, 1)]
 
     def functional_lower(self, y0: int, y1: int, expanding: bool = False) -> tuple[int, int]:
         """(num, den), positive integers with num / den <= |2 u . y| for y != 0,
@@ -114,17 +114,20 @@ class SolLengthMinimizer:
             return abs(p) + abs(y1) * self.isqrt_d, 1
         return abs(p * p - self.d * y1 * y1), abs(p) + abs(y1) * (self.isqrt_d + 1)
 
-    def _inverse_power(self, n: int):
-        """A^-n, from a table grown on demand.  Its entries are about
-        alpha^n.  A start is a shift that minimized a vector y' near y, and
-        alpha^n |2 u . y'| <= u_inf2 f(n) <= u_inf2 ||y'||_1 with
-        |2 u . y'| >= 1 / (|P| + |y'1| sqrt(d)): A^-start has at most about
-        twice the bits of y."""
-        powers = self._inverse_powers
-        (i11, i12), (i21, i22) = self.inverse.entries
-        while len(powers) <= n:
-            (a, b), (c, d) = powers[-1]
-            powers.append(((a * i11 + b * i21, a * i12 + b * i22), (c * i11 + d * i21, c * i12 + d * i22)))
+    def power(self, n: int) -> tuple[int, int, int, int]:
+        """A^n for n >= 0 as flat (a, b, c, d), from a table grown on demand:
+        the one stored table of powers of A.  As det A = 1, A^-n is its
+        adjugate (d, -b, -c, a).  Its entries are about alpha^n.  A start is
+        a shift that minimized a vector y' near y, and alpha^n |2 u . y'| <=
+        u_inf2 f(n) <= u_inf2 ||y'||_1 with |2 u . y'| >= 1 / (|P| + |y'1|
+        sqrt(d)): A^start has at most about twice the bits of y."""
+        powers = self._powers
+        if len(powers) <= n:
+            (l11, l12), (l21, l22) = self.holonomy.entries
+            a, b, c, d = powers[-1]
+            while len(powers) <= n:
+                a, b, c, d = a * l11 + b * l21, a * l12 + b * l22, c * l11 + d * l21, c * l12 + d * l22
+                powers.append((a, b, c, d))
         return powers[n]
 
     def minimize(self, y, start: int = 0) -> LengthMin:
@@ -134,8 +137,8 @@ class SolLengthMinimizer:
         if y0 == 0 and y1 == 0:
             return LengthMin(0, 0)
         if start:
-            (s11, s12), (s21, s22) = self._inverse_power(start)
-            y0, y1 = s11 * y0 + s12 * y1, s21 * y0 + s22 * y1
+            a, b, c, d = self.power(start)  # A^-start y by the adjugate
+            y0, y1 = d * y0 - b * y1, a * y1 - c * y0
         best = top = 2 * start + abs(y0) + abs(y1)
         best_shift, lower, u_inf2 = start, self.functional_lower, self.u_inf2
 
@@ -170,8 +173,8 @@ class SolLengthMinimizer:
 
 class SolEndo(NamedTuple):
     """Classified endomorphism of the Sol lattice ``machine``.  The
-    machine's ``minimizer`` has checked its holonomy A, holds A^-1, and is
-    the one shift minimizer both Sol routes use.
+    machine's ``minimizer`` has checked its holonomy A, holds A^-1 and the
+    table of powers of A, and is the one shift minimizer both Sol routes use.
 
     type I:   a_i -> a^(M e_i), tau -> a^p tau      (AM = MA)
     type II:  a_i -> a^(M e_i), tau -> a^p tau^-1   (MA = A^-1 M)

@@ -511,19 +511,42 @@ class TestPow:
                 assert machine.pow(x, e) == Machine.pow(machine, x, e), (x, e)
 
 
+def _flat(m: IntMatrix) -> tuple:
+    (a, b), (c, d) = m.entries
+    return (a, b, c, d)
+
+
+def _entry_bounds(sol, top: int) -> list:
+    """E(0..top), E(D) the largest entry in size of A^m over 0 <= m <= D + 1,
+    from ``mat_pow``."""
+    largest = [max(map(abs, _flat(mat_pow(sol.matrix, m)))) for m in range(top + 2)]
+    return [max(largest[: d + 2]) for d in range(top + 1)]
+
+
 class TestSolHolonomy:
     def test_deep_powers_without_recursion(self):
         a = IntMatrix.from_rows([[2, 1], [1, 1]])
         sol = SolMachine(a)
-        assert sol.holonomy_power(3000) == mat_pow(a, 3000)
-        assert sol.holonomy_power(-3000) @ sol.holonomy_power(3000) == IntMatrix.identity(2)
+        assert sol.holonomy_power(3000) == _flat(mat_pow(a, 3000))
+        p, q, r, s = sol.holonomy_power(-3000)
+        assert IntMatrix(((p, q), (r, s))) @ mat_pow(a, 3000) == IntMatrix.identity(2)
 
     def test_cached_and_computed_powers_agree(self):
         a = IntMatrix.from_rows([[3, 2], [1, 1]])
         sol = SolMachine(a)
-        inv = sol.holonomy_power(-1)
+        inv = sol.minimizer.inverse
         for t in range(-70, 71):
-            assert sol.holonomy_power(t) == (mat_pow(a, t) if t >= 0 else mat_pow(inv, -t)), t
+            assert sol.holonomy_power(t) == _flat(mat_pow(a, t) if t >= 0 else mat_pow(inv, -t)), t
+
+    @pytest.mark.parametrize("sol", sol_machines(4, 17), ids=lambda m: str(m.matrix.entries))
+    def test_minimizer_table_holds_the_powers(self, sol):
+        # past the powers a search reads, only the minimizer fills the table
+        assert [sol.minimizer.power(n) for n in range(151)] == [_flat(mat_pow(sol.matrix, n)) for n in range(151)]
+
+    @pytest.mark.parametrize("sol", sol_machines(4, 17), ids=lambda m: str(m.matrix.entries))
+    def test_entry_bounds_are_the_running_max(self, sol):
+        top = _SOL_POWER_CACHE
+        assert sol._entry_bounds(top)[: top + 1] == _entry_bounds(sol, top)
 
     def test_closed_form_pow_matches_binary_powering(self):
         sol = SolMachine(IntMatrix.from_rows([[2, 1], [1, 1]]))
@@ -546,7 +569,7 @@ class TestSolHolonomy:
         """The tables and the scan past them give H(q, t), the least over
         D >= t of 2D + ceil(sqrt(q / E(D))), here over D < t + 400."""
         top = _SOL_POWER_CACHE
-        bounds = sol._entry_bounds(top)
+        bounds = _entry_bounds(sol, top)
 
         def height_cost(q, t):
             return min(
