@@ -42,8 +42,8 @@ Completed balls are immutable and safe to share.
 is a sum of per-coordinate lengths (those that declare
 ``Machine.coordinate_orders``), and runs the BFS elsewhere.
 ``cyclic_distortion`` never needs a full ball: it looks the powers g, g^2,
-... of its generator up with one ``word_lengths`` call, as far as a lower
-bound that never falls along them allows.
+... of its generator up with one search, as far as a lower bound that
+never falls along them allows.
 
 A target's ball is pruned by ``Machine.length_lower``: an element y at
 distance r from the target is stored but not expanded when
@@ -52,6 +52,9 @@ from the identity to the target runs through it.  Geodesics to targets
 within the radius pass that test at every point, so the lengths found stay
 exact, and a pruned element can only take part in meetings along real
 paths, so it never yields a false length (``_meet`` gives the proof).
+The target sides of one search share a table of the bounds, so each
+element's bound is evaluated once however many spheres it lies in, and a
+side's last sphere, after which it closes, is expanded without the bound.
 """
 
 from __future__ import annotations
@@ -176,13 +179,27 @@ class _Frontier:
     |y| + d(start, y) <= radius gets its exact distance: every point x of a
     shortest path from ``start`` to y has |x| + d(start, x) <=
     |y| + d(start, y), so each is expanded in turn.
+
+    Several balls can share ``bounds``, a table from key to lower(decoded
+    key): ``grow`` evaluates the bound only for the keys the table lacks, in
+    one batch per group, and reads the rest.  ``use`` empties the table,
+    whose keys belong to the codec before.
     """
 
-    __slots__ = ("radius", "lower", "after", "codec", "moves", "seen", "groups", "depth")
+    __slots__ = ("radius", "lower", "bounds", "after", "codec", "moves", "seen", "groups", "depth")
 
-    def __init__(self, codec, start, radius: int, lower: Optional[Callable] = None, after: Optional[list] = None):
+    def __init__(
+        self,
+        codec,
+        start,
+        radius: int,
+        lower: Optional[Callable] = None,
+        after: Optional[list] = None,
+        bounds: Optional[dict] = None,
+    ):
         self.radius = radius
         self.lower = lower
+        self.bounds = bounds
         self.after = after
         key = codec.encode(start)
         self.seen = {key: 0}
@@ -201,6 +218,8 @@ class _Frontier:
         else:  # a group per arrival step, then the start's
             self.moves = [[(steps[k], k) for k in ks] for ks in [*self.after, range(len(steps))]]
         if old is not None:
+            if self.bounds:  # keyed in the old codec
+                self.bounds.clear()
             new = dict(zip(self.seen, map(codec.encode, map(old.decode, self.seen))))
             self.seen = dict(zip(new.values(), self.seen.values()))
             self.groups = [[new[x] for x in group] for group in self.groups]
@@ -211,22 +230,30 @@ class _Frontier:
         groups = self.groups
         return groups[0] if len(groups) == 1 else list(chain.from_iterable(groups))
 
-    def grow(self, cap: int) -> bool:
+    def grow(self, cap: int, prune: bool = True) -> bool:
         """Add the next sphere, storing at most ``cap`` elements in all;
         False, with nothing changed, at ``radius`` or when the next sphere
         is empty.  When ``seen`` holds more than ``cap`` after a chunk,
         ResourceCapExceeded with the last full radius.  As ``seen`` only
         grows, that is the radius at which a check after every new element
-        would raise.  The codec must reach the next sphere (``_widen``)."""
+        would raise.  The codec must reach the next sphere (``_widen``).
+        With ``prune`` false the whole sphere is expanded and no bound is
+        read."""
         r = self.depth
         if r >= self.radius:
             return False
         if r >= self.codec.depth:
             raise ValueError(f"a codec of depth {self.codec.depth} cannot hold sphere {r + 1}")
         groups = self.groups
-        if self.lower is not None:
-            slack, lower, decode = self.radius - r, self.lower, self.codec.decode
-            groups = [[x for x in group if lower(decode(x)) <= slack] for group in groups]
+        if prune and self.lower is not None:
+            slack, lower, decode, bounds = self.radius - r, self.lower, self.codec.decode, self.bounds
+            if bounds is None:
+                groups = [[x for x in group if lower(decode(x)) <= slack] for group in groups]
+            else:
+                for group in groups:
+                    new = [x for x in group if x not in bounds]
+                    bounds.update(zip(new, map(lower, map(decode, new))))
+                groups = [[x for x in group if bounds[x] <= slack] for group in groups]
         r += 1
         seen = self.seen
         nxt = [[] for _ in groups]
@@ -407,6 +434,7 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: in
 
     ``cap`` bounds the elements stored by the identity side and the
     unresolved targets together, plus the ``held`` ones the caller stores.
+    A target's last sphere is stored unpruned (``_meet``) and counts so.
     Past it, ResourceCapExceeded carries as ``completed_radius`` the least
     sum of the identity's depth and an unresolved target's: every
     unresolved length is known to exceed it.
@@ -436,7 +464,15 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     the targets are distinct and none is the identity.
 
     Each target side prunes with ``machine.length_lower``.  The identity's
-    side, shared by all targets, does not.
+    side, shared by all targets, does not.  With several targets, their
+    sides read the bound from one table (``_Frontier``), so an element in
+    the spheres of many sides costs one evaluation, until ``_widen``
+    re-encodes the keys and empties it.  One target gets no table: each of
+    its elements lies in one sphere, read once.  No side evaluates the
+    bound on its last sphere, the grow after which its depth and the
+    identity's reach ``radius``: the side closes right after it, so the
+    bound could only spare the edges of that grow, and the proof below
+    never needs pruning.
 
     The lengths stay exact.  Take a target g with |g| = L <= radius and a
     geodesic from the identity to g.  Its point y at distance j from g has
@@ -463,7 +499,8 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     found = {}
     codec, lower = _codec(machine, (machine.identity, *targets), radius), machine.length_lower
     home = _Frontier(codec, machine.identity, radius)
-    open_ = {x: _Frontier(codec, x, radius, lower) for x in targets}
+    bounds = {} if len(targets) > 1 else None
+    open_ = {x: _Frontier(codec, x, radius, lower, bounds=bounds) for x in targets}
     stored = held + len(home.seen) + len(open_)
     rims = len(open_)  # the sizes of the open targets' last spheres, summed
 
@@ -480,7 +517,7 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
             _widen(machine, [home, *open_.values()])
         before, rim = len(side.seen), len(side.last)
         try:
-            grown = side.grow(cap - (stored - before))
+            grown = side.grow(cap - (stored - before), home.depth + side.depth + 1 < radius)
         except ResourceCapExceeded:
             done = min(home.depth + s.depth for s in open_.values())
             raise ResourceCapExceeded(
@@ -714,12 +751,15 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
 
     g^k and g^-k have the same length and inner length, so delta(n) is the
     largest inner length of a g^k, k >= 1, with |g^k| <= n, and its witness
-    is the lesser canonical word of g^k and g^-k.  One ``word_lengths``
-    call looks up g, g^2, ..., g^K: it stops before g^k is the identity or
-    has lower(g^k) > radius, with lower the exact ``length_upper`` on
-    ``length_exact`` machines and ``length_lower`` elsewhere.  Under the
-    contract of ``Machine.length_lower``, K is finite and no later power
-    lies within the radius.
+    is the lesser canonical word of g^k and g^-k.  A walk along g, g^2,
+    ..., g^K stops before g^k is the identity or has lower(g^k) > radius,
+    with lower the exact ``length_upper`` on ``length_exact`` machines and
+    ``length_lower`` elsewhere.  Under the contract of
+    ``Machine.length_lower``, K is finite and no later power lies within
+    the radius.  On a ``length_exact`` machine the walk's values are the
+    lengths, as ``word_lengths`` would give them.  Elsewhere the powers,
+    distinct and none the identity, go to one ``_meet`` search with no
+    second pass of the bound.
 
     In <g> of order m, g^k has inner length min(k, m - k).  A walk that
     ends at the identity has m = K + 1.  One that stops on the bound keeps
@@ -734,20 +774,26 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     index = machine.gens.index(gen_name)
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    lower = machine.length_upper if machine.length_exact else machine.length_lower
+    exact = machine.length_exact
+    lower = machine.length_upper if exact else machine.length_lower
     mul, g = machine.mul, machine.gen_elem(index)
-    powers = []
+    powers, bounds = [], []
     x = g
-    while x != machine.identity and lower(x) <= radius:
+    while x != machine.identity and (bound := lower(x)) <= radius:
         if len(powers) >= cap:
             raise ResourceCapExceeded(
                 f"distortion exceeded cap {cap} with the powers of {gen_name} within radius {radius}"
             )
         powers.append(x)
+        bounds.append(bound)
         x = mul(x, g)
     order = len(powers) + 1 if x == machine.identity else math.inf
     best_at = {}  # length -> (inner length, power) of the largest inner length
-    lengths = word_lengths(machine, powers, radius, cap, held=len(powers))
+    if exact or not powers:
+        lengths = bounds
+    else:
+        found = _meet(machine, powers, radius, cap, len(powers))
+        lengths = [found[x] for x in powers]
     for k, (x, length) in enumerate(zip(powers, lengths), 1):
         val = min(k, order - k)
         if length is not None and val > best_at.get(length, (0,))[0]:

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -388,23 +389,24 @@ class TestTargetedLookups:
 
 class TestPrunedSearch:
     def test_pruned_side_runs_dry(self, bs2, monkeypatch):
-        # (3, 3, 3) = a^3 b^3 has length 5 and length_lower 4.  At radius 4
-        # each of its neighbours has length_lower >= 4, so its side stores
-        # sphere 1, expands none of it and ends before the depths sum to 4.
+        # (3, 4, 4) = a^4 b^3 has length 6 and length_lower 5.  At radius 5
+        # each of its neighbours has length_lower >= 5, so its side stores
+        # sphere 1, expands none of it and ends before the depths sum to 5.
+        # Sphere 2 is not its last, which is expanded without the bound.
         dry = []
         grow = ball_module._Frontier.grow
 
-        def spy(side, cap):
-            grown = grow(side, cap)
+        def spy(side, *args):
+            grown = grow(side, *args)
             if not grown:
                 dry.append(side.depth)
             return grown
 
         monkeypatch.setattr(ball_module._Frontier, "grow", spy)
-        assert bs2.length_lower((3, 3, 3)) == 4
-        assert word_lengths(bs2, [(3, 3, 3), (1, 0, 0)], 4) == [None, 1]
+        assert bs2.length_lower((3, 4, 4)) == 5
+        assert word_lengths(bs2, [(3, 4, 4), (1, 0, 0)], 5) == [None, 1]
         assert dry == [1]
-        assert word_length(bs2, (3, 3, 3), 5) == 5
+        assert word_length(bs2, (3, 4, 4), 6) == 6
 
     def test_pruned_sides_store_fewer_elements(self, bs2):
         # b^16 = a^-3 b^2 a^3 is 8 letters long, as its bound says, so a
@@ -686,6 +688,23 @@ class TestPowerLookups:
         cap = len(enumerate_ball(bs2, 6).dist)
         assert cyclic_distortion(bs2, "b", 6, cap) == full_ball_distortion(bs2, "b", 6, cap)
 
+    @pytest.mark.parametrize("stem, gen, radius", [("klein", "x", 10), ("bs", "b", 10), ("heis_ex1", "a3", 12)])
+    def test_walk_bounds_are_evaluated_once(self, stem, gen, radius, monkeypatch):
+        # on a length_exact machine the walk's values are the lengths and no
+        # search runs; elsewhere the powers go straight to one search, whose
+        # table may evaluate a power's bound once more, not twice
+        machine = FIXTURE_MACHINES[stem]
+        expected = full_ball_distortion(machine, gen, radius)
+        searches = count_calls(monkeypatch, ball_module, "_meet")
+        calls = count_calls(monkeypatch, machine, "length_upper" if machine.length_exact else "length_lower")
+        assert cyclic_distortion(machine, gen, radius) == expected
+        counts = Counter(x for x, in calls)
+        if machine.length_exact:
+            assert searches == [] and set(counts.values()) == {1}
+        else:
+            powers = searches[0][1]
+            assert len(searches) == 1 and max(counts[x] for x in powers) == 2 == max(counts.values())
+
     def test_finite_order_pads_past_the_longest_power(self, counter_machine):
         table = cyclic_distortion(counter_machine, "beta", 6)
         assert table.delta == (0,) + (1,) * 6 and table.witnesses == ("",) + ("beta",) * 6
@@ -886,6 +905,128 @@ class TestPackedKernel:
         for start in starts:
             for x in reference_ball(machine, depth, start):
                 assert all(span is None or span[0] <= v <= span[1] for v, span in zip(x, codec.box)), x
+
+
+def generator_powers(machine, gen, radius):
+    """g, g^2, ... while ``length_lower`` stays within ``radius``: the targets
+    of a ``distortion`` search on a machine of infinite order g."""
+    g = machine.gen_elem(machine.gens.index(gen))
+    powers = [g]
+    while machine.length_lower(powers[-1]) <= radius:
+        powers.append(machine.mul(powers[-1], g))
+    return powers[:-1]
+
+
+def traced_meet(monkeypatch, machine, targets, radius):
+    """``_meet`` on ``targets`` with its work recorded: the lengths found,
+    the sides in the order built (the identity's first), the elements whose
+    ``length_lower`` was evaluated, in order, and per grow of a target side
+    the sphere it expanded, decoded, whether that grow was the side's last
+    (the depths then reach ``radius``), and the elements it evaluated."""
+    sides, calls, grows = [], [], []
+    init, grow, lower = ball_module._Frontier.__init__, ball_module._Frontier.grow, machine.length_lower
+
+    def recorded_init(side, *args, **kwargs):
+        init(side, *args, **kwargs)
+        sides.append(side)
+
+    def recorded_grow(side, *args):
+        home, before = sides[0], len(calls)
+        sphere = list(map(side.codec.decode, side.last))
+        last = home.depth + side.depth + 1 >= radius
+        grown = grow(side, *args)
+        if side is not home:
+            grows.append((sphere, last, calls[before:]))
+        return grown
+
+    def counted(x):
+        calls.append(x)
+        return lower(x)
+
+    monkeypatch.setattr(ball_module._Frontier, "__init__", recorded_init)
+    monkeypatch.setattr(ball_module._Frontier, "grow", recorded_grow)
+    monkeypatch.setattr(machine, "length_lower", counted)
+    found = ball_module._meet(machine, targets, radius, ball_module.DEFAULT_CAP, 0)
+    return found, sides, calls, grows
+
+
+# (fixture, generator, radius): the search of ``distortion`` on the powers,
+# with more than one target side and no re-encoding
+BOUND_SEARCHES = [("heis_ex1", "a3", 14), ("bs", "b", 10), ("nil2_ex3", "s12", 8)]
+
+
+class TestBoundTable:
+    """A search with several target sides evaluates ``length_lower`` once per
+    element into one table, and none on a side's last sphere."""
+
+    @pytest.mark.parametrize("stem, gen, radius", BOUND_SEARCHES)
+    def test_one_bound_per_element(self, stem, gen, radius, monkeypatch):
+        machine = FIXTURE_MACHINES[stem]
+        targets = generator_powers(machine, gen, radius)
+        expected = dict(zip(targets, word_lengths(machine, targets, radius)))
+        found, sides, calls, grows = traced_meet(monkeypatch, machine, targets, radius)
+        assert found == expected
+        assert len(targets) > 1 and all(side.bounds is sides[1].bounds is not None for side in sides[1:])
+        expanded = [x for sphere, last, _ in grows if not last for x in sphere]
+        # several sides expand the same elements, whose bound is read once
+        assert len(set(calls)) == len(calls) == len(set(expanded)) < len(expanded)
+        assert set(calls) == set(expanded)
+
+    @pytest.mark.parametrize("stem, gen, radius", BOUND_SEARCHES)
+    def test_no_bound_on_the_last_sphere(self, stem, gen, radius, monkeypatch):
+        machine = FIXTURE_MACHINES[stem]
+        targets = generator_powers(machine, gen, radius)
+        expected = dict(zip(targets, word_lengths(machine, targets, radius)))
+        found, _, calls, grows = traced_meet(monkeypatch, machine, targets, radius)
+        assert found == expected
+        assert calls and any(sphere for sphere, last, _ in grows if last)
+        assert all(made == [] for _, last, made in grows if last)
+
+    @pytest.mark.parametrize("stem, gen, radius", BOUND_SEARCHES)
+    def test_one_target_builds_no_table(self, stem, gen, radius, monkeypatch):
+        # each element sits in one sphere of the one side
+        machine = FIXTURE_MACHINES[stem]
+        target = generator_powers(machine, gen, radius)[-1]
+        expected = word_length(machine, target, radius)
+        found, sides, calls, grows = traced_meet(monkeypatch, machine, [target], radius)
+        assert found == {target: expected}
+        assert len(sides) == 2 and sides[1].bounds is None
+        assert calls == [x for sphere, last, _ in grows if not last for x in sphere]
+
+    @pytest.mark.parametrize("machine", WIDENED, ids=machine_id)
+    def test_table_follows_the_codec(self, machine, monkeypatch):
+        # a first codec of depth 1: the search re-encodes every key at depths
+        # 1, 2, 4, ..., and each bound the table holds, before and after every
+        # grow, is that of its key decoded by the codec of the moment
+        monkeypatch.setattr(ball_module, "_FIRST_DEPTH", 1)
+        lower, grow, widen = machine.length_lower, ball_module._Frontier.grow, ball_module._widen
+        held = []  # the table's size at each re-encoding
+
+        def check(side):
+            for x, bound in (side.bounds or {}).items():
+                assert bound == lower(side.codec.decode(x))
+
+        def checked_grow(side, *args):
+            check(side)
+            grown = grow(side, *args)
+            check(side)
+            return grown
+
+        def counted_widen(machine, sides):
+            held.extend(len(side.bounds) for side in sides if side.bounds is not None)
+            widen(machine, sides)
+
+        monkeypatch.setattr(ball_module._Frontier, "grow", checked_grow)
+        monkeypatch.setattr(ball_module, "_widen", counted_widen)
+        radius = 4 if len(machine.gens) > 3 else 5
+        reference = reference_ball(machine, radius + 1)
+        rng = random.Random(radius)
+        # few targets, so that the identity's side stops growing while they
+        # are far from their last spheres
+        targets = rng.sample(sorted(reference.keys() - {machine.identity}), 6)
+        expected = {x: reference[x] if reference[x] <= radius else None for x in targets}
+        assert ball_module._meet(machine, targets, radius, ball_module.DEFAULT_CAP, 0) == expected
+        assert max(held) > 0
 
 
 @pytest.mark.parametrize("machine", ALL_MACHINES, ids=machine_id)
