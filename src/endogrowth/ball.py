@@ -491,7 +491,7 @@ def _meet(machine, targets, radius: int, cap: int, held: int) -> dict:
     Sides grow only while their depths sum to less than ``radius``, so a
     target beyond ``radius`` meets nothing and closes as None when the sum
     reaches it.  Its side may also run out of spheres first, because every
-    element of its last sphere is pruned or leads only to stored elements.
+    element of its outer sphere is pruned or leads only to stored elements.
     Then g is beyond ``radius`` too, because for L <= radius the geodesic
     point at distance D_g + 1 from g would be new, and g closes as None.
     The identity's side never runs out while a target is open: a complete
