@@ -1,5 +1,5 @@
-"""Cayley balls by breadth-first search, sphere counts by series, iterate-length
-tables, growth estimation, and subgroup distortion profiles.
+"""Cayley balls by breadth-first search, sphere counts from machine hooks,
+iterate-length tables, growth estimation, and subgroup distortion profiles.
 
 BFS hashes normal forms, never words, so lengths are exact geodesic distances
 and deduplication is automatic.  Inside a search each element is a key from
@@ -10,11 +10,10 @@ their products.  Every machine that commands search supplies a packed
 codec: a key is one int, which packs the normal form's coordinates into
 offset bit fields, and a step is mostly one integer add, so a Cayley-graph
 edge costs one ``seen`` probe and a share of a list comprehension, and no
-tuple is built.  A machine that declares ``coordinate_orders`` is searched
-only by ``enumerate_ball`` callers and keeps the default codec, whose key
-is the normal form and whose steps call ``mul``.  Normal forms appear only
-at the boundary: targets are encoded, a pruned side decodes the elements it
-expands, and ``enumerate_ball`` decodes its result.
+tuple is built.  A machine that declares ``length_exact`` and gives
+``sphere_sizes`` is searched only by ``enumerate_ball`` callers.  Normal
+forms appear only at the boundary: targets are encoded, a pruned side
+decodes the elements it expands, and ``enumerate_ball`` decodes its result.
 
 One class, ``_Frontier``, grows every ball: a ball around a start element,
 one sphere at a time, in chunks of up to ``_CHUNK`` keys.  Spheres are
@@ -38,12 +37,11 @@ half the radius thus replace one of the full radius.  ``word_length`` is its
 one-target case, and ``L_k_table`` makes one call for all its iterate images.
 Completed balls are immutable and safe to share.
 
-``ball_counts`` sums a series, with no ball, on machines whose word length
-is a sum of per-coordinate lengths (those that declare
-``Machine.coordinate_orders``), and runs the BFS elsewhere.
+``ball_counts`` sums the sphere sizes of ``Machine.sphere_sizes``, with no
+ball, where the machine gives them, and runs the BFS elsewhere.
 ``cyclic_distortion`` never needs a full ball: it looks the powers g, g^2,
-... of its generator up with one search, as far as a lower bound that
-never falls along them allows.
+... of its generator up with one search, or none on a ``length_exact``
+machine, as far as a lower bound that never falls along them allows.
 
 A target's ball is pruned by ``Machine.length_lower``: an element y at
 distance r from the target is stored but not expanded when
@@ -62,8 +60,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CertificationError, ResourceCapExceeded, ValidationError
@@ -353,25 +350,20 @@ def enumerate_ball(machine, radius: int, cap: int = DEFAULT_CAP) -> Ball:
 
 def ball_counts(machine, radius: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """The ``counts`` of ``enumerate_ball(machine, radius, cap)``, from the
-    BFS or, storing no element, from a series.
-
-    The series applies where ``machine.coordinate_orders()`` gives cyclic
-    coordinates whose lengths add up to the word length.  The sphere sizes
-    are then the coefficients of the product of the coordinates' sphere
-    series (``_sphere_sizes``), at O(1) work per coordinate and radius.  The
-    BFS would store element cap + 1 at the first radius r >= 1 whose count
-    exceeds ``cap``; the series stops there with the BFS's
+    BFS or, storing no element, from the sizes ``machine.sphere_sizes()``
+    gives.  The BFS would store element cap + 1 at the first radius r >= 1
+    whose count exceeds ``cap``; the sizes stop there with the BFS's
     ResourceCapExceeded message and completed radius, and a finite group
     pads its rows under the same rule.
     """
-    orders = machine.coordinate_orders()
-    if orders is None:  # the BFS; its counts need no element decoded
+    sizes = machine.sphere_sizes()
+    if sizes is None:  # the BFS; its counts need no element decoded
         return tuple(_full_ball(machine, radius, cap)[1])
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     counts = []
     total = 0
-    for r, size in enumerate(_sphere_sizes(orders)):
+    for r, size in enumerate(sizes):
         total += size
         if r and total > cap:
             raise ResourceCapExceeded(f"ball exceeded cap {cap} while exploring radius {r}", completed_radius=r - 1)
@@ -379,40 +371,6 @@ def ball_counts(machine, radius: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]
         if r == radius:
             break
     return tuple(_pad_rows(counts, radius, cap, "ball"))
-
-
-def _sphere_sizes(orders):
-    """Sphere sizes at radius 0, 1, ... of a product of cyclic coordinates
-    of the given orders (0 for Z) under the sum of coordinate lengths,
-    ending at the last nonempty sphere of a finite product."""
-    sizes = iter((1,))
-    for m in orders:
-        sizes = _times_cyclic(sizes, m)
-    return sizes
-
-
-def _times_cyclic(sizes, m: int):
-    """Sphere sizes y of G x Z/m (Z when m = 0) from those, x, of G.
-
-    The spheres of Z/m under min(r, m - r) have sizes 1, 2, ..., 2 up to
-    radius h = m // 2, with a last 1 in place of 2 when m is even; those of
-    Z have sizes 1, 2, 2, ....  So y_r = x_r + 2 (x_(r-1) + ... + x_(r-h))
-    - [m even] x_(r-h), a sliding window sum.  On Z the window never drops
-    a term: multiplying the series by (1 + x) / (1 - x) is one step and one
-    running sum per radius."""
-    window = 0
-    if m == 0:
-        # endless: the caller takes as many sizes as it needs
-        for x in chain(sizes, repeat(0)):
-            yield x + 2 * window
-            window += x
-    h, even = m // 2, m % 2 == 0
-    last = deque()  # x_(r-h) .. x_(r-1), once r >= h
-    for x in chain(sizes, (0 for _ in range(h))):
-        edge = last.popleft() if len(last) == h else 0
-        yield x + 2 * window - (edge if even else 0)
-        window += x - edge
-        last.append(x)
 
 
 def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: int = 0) -> list[Optional[int]]:
@@ -652,12 +610,12 @@ def L_k_table(
 ) -> GrowthEstimate:
     """Iterate-length table L_k = max_i length(phi^k(s_i)) for k = 1..kmax.
 
-    Lengths are exact geodesics (``word_lengths`` over all kmax rows of
-    images at once) whenever the image lies within ``radius``, otherwise the
-    family length functional's value, flagged per entry as exact when the
-    machine declares ``length_exact``.  An L_k entry is exact when its
-    maximal value is exact and dominates every upper-bound entry of the same
-    row.
+    On a ``length_exact`` machine every length is the family length
+    functional's value, exact at any k.  Elsewhere lengths are exact
+    geodesics (``word_lengths`` over all kmax rows of images at once)
+    whenever the image lies within ``radius``, otherwise the functional's
+    value, an upper bound.  An L_k entry is exact when its maximal value is
+    exact and dominates every upper-bound entry of the same row.
     """
     if kmax < 1:
         raise ValidationError("kmax must be >= 1")
@@ -667,8 +625,12 @@ def L_k_table(
     rows = [list(images)]
     for _ in range(kmax - 1):
         rows.append([apply_on_element(machine, images, x) for x in rows[-1]])
-    found = iter(word_lengths(machine, [x for row in rows for x in row], radius, cap))
-    names, exact = machine.gens.names, machine.length_exact
+    targets = [x for row in rows for x in row]
+    if machine.length_exact:
+        found = iter(map(machine.length_upper, targets))
+    else:
+        found = iter(word_lengths(machine, targets, radius, cap))
+    names = machine.gens.names
     per_gen = {n: [] for n in names}
     lengths = []
     exact_flags = []
@@ -679,7 +641,7 @@ def L_k_table(
             if val is not None:
                 is_exact = True
             else:
-                val, is_exact = machine.length_upper(x), exact
+                val, is_exact = machine.length_upper(x), False
             per_gen[name].append(val)
             row.append((val, is_exact))
         l_k = max(v for v, _ in row)

@@ -4,7 +4,8 @@ Each machine owns: a generator set, exact multiplication/inversion on normal
 forms, its defining relator list, a canonical word decomposition of any
 element, and a length functional that returns the length of an explicit word
 representing the element (an upper bound on the true word length; exact where
-``length_exact``, that is where ``coordinate_orders`` is not None).
+the instance declares ``length_exact``).  Its ``sphere_sizes`` hook gives the
+sizes of the Cayley spheres without a search where the family knows them.
 
 A normal form is a flat tuple of ints.  In every family but Baumslag-Solitar
 entry i is the exponent of generator i (the central ones last), so the base
@@ -12,22 +13,25 @@ class supplies ``gen_elem`` and ``decompose``, and a family overrides one
 only where its normal form reads otherwise.
 
 ``HeisenbergMachine`` extends ``Nil2Machine``: it keeps its inverse, codec
-and relators, and owns closed-form ``mul`` and ``pow``, an area bound and
-commutator words.  ``FreeAbelianMachine`` is ``TorsionProductMachine`` with
-no torsion, owning its names, ``matrix`` shortcut and nilpotent closed form.
+and relators, and owns closed-form ``mul`` and ``pow``, its word length in
+closed form, geodesic and commutator words, and, for k = 1, its sphere
+sizes.  ``FreeAbelianMachine`` is ``TorsionProductMachine`` with no torsion,
+owning its names, ``matrix`` shortcut and nilpotent closed form.
 
 Inside a Cayley-ball search an element is a key from the machine's
 ``codec``.  The families that commands search (nilpotent2, Heisenberg with
-it, Sol, Baumslag-Solitar) pack the normal forms within a given depth of the
-search's starts into one int apiece, with right multiplication by each
+k >= 2, Sol, Baumslag-Solitar) pack the normal forms within a given depth of
+the search's starts into one int apiece, with right multiplication by each
 generator as a map on lists of such ints, and each docstring proves the
 bounds the packing rests on.  No command searches the families whose word
 length is a sum of coordinate lengths (free abelian, abelian with torsion,
-Klein): ``length_exact`` gives their lengths and a series their sphere
-sizes.  They keep the default codec, whose key is the normal form itself,
-stepped by ``mul``; for an ``enumerate_ball`` caller it costs about what
-packing did.  Every other method takes and returns normal forms; the search
-encodes and decodes at its boundary.
+Klein), nor Heisenberg with k = 1: ``length_exact`` gives their lengths and
+``sphere_sizes`` their sphere sizes, by default a series over the cyclic
+coordinates that ``coordinate_orders`` declares.  The first three keep the
+default codec, whose key is the normal form itself, stepped by ``mul``; for
+an ``enumerate_ball`` caller it costs about what packing did.  Every other
+method takes and returns normal forms; the search encodes and decodes at
+its boundary.
 
 Each machine class also declares its descriptor ``family`` tag, the
 parameter ``schema`` of that descriptor, and the ``build`` classmethod that
@@ -50,6 +54,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
+from collections import deque
+from itertools import chain, repeat
 from operator import lshift
 from typing import Callable, NamedTuple
 
@@ -145,6 +151,12 @@ class Machine(_Value):
     identity: object
     free_ab_indices: tuple[int, ...]
     shortcut = None  # the endomorphism descriptor shortcut key it accepts, if any
+    # ``length_upper`` is the true word length, and along the powers of each
+    # generator it meets the stop contract of ``length_lower``, which
+    # ``ball.cyclic_distortion`` then walks with it.  A family that sets it,
+    # per class or per instance, proves both where it sets it; ``ball`` then
+    # answers every length without a search.
+    length_exact = False
 
     @classmethod
     def build(cls, **params):
@@ -243,15 +255,17 @@ class Machine(_Value):
     def coordinate_orders(self):
         """The orders (0 for Z) of cyclic coordinates whose lengths, |x| on Z
         and min(r, m - r) on Z/m, add up to the word length; None when the
-        word length is no such sum.  ``ball.ball_counts`` counts spheres
-        from them."""
+        word length is no such sum."""
         return None
 
-    @property
-    def length_exact(self) -> bool:
-        """``length_upper`` is the true word length: it is the sum of the
-        cyclic coordinate lengths that ``coordinate_orders`` declares."""
-        return self.coordinate_orders() is not None
+    def sphere_sizes(self):
+        """The sizes of the spheres of radius 0, 1, ... about the identity, as
+        an iterator that ends after the last nonempty sphere of a finite
+        group; None where only a search finds them.  ``ball.ball_counts``
+        sums them.  This default is the series of the cyclic coordinates
+        that ``coordinate_orders`` declares (``_sphere_sizes``)."""
+        orders = self.coordinate_orders()
+        return None if orders is None else _sphere_sizes(orders)
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
@@ -439,21 +453,132 @@ def _nil_lower(g: int, ab: int, c: int) -> int:
     return _central_reach(g, c)
 
 
-def _area_reach(k: int, s: int, c: int) -> int:
-    """Least f(u) = 2u - s + max(0, c - floor(k u^2 / 4)) over integers
-    u >= s >= 0, for k >= 1 and c >= 0.
+def _sphere_sizes(orders):
+    """Sphere sizes at radius 0, 1, ... of a product of cyclic coordinates
+    of the given orders (0 for Z) under the sum of coordinate lengths,
+    ending at the last nonempty sphere of a finite product."""
+    sizes = iter((1,))
+    for m in orders:
+        sizes = _times_cyclic(sizes, m)
+    return sizes
 
-    Let u0 be the least u >= s with k u^2 >= 4c, so f(u0) = 2u0 - s and f
-    grows past u0.  Below u0, f(u) = ceil(2u - s + c - k u^2 / 4) is the
-    ceiling of a concave function, least at u = s or u = u0 - 1."""
-    if c == 0:
-        return s
-    need = -(-4 * c // k)  # k u^2 >= 4c iff u^2 >= ceil(4c / k)
-    u0 = max(s, math.isqrt(need - 1) + 1)
-    best = 2 * u0 - s
-    if u0 > s:
-        best = min(best, *(2 * u - s + c - k * u * u // 4 for u in (s, u0 - 1)))
+
+def _times_cyclic(sizes, m: int):
+    """Sphere sizes y of G x Z/m (Z when m = 0) from those, x, of G.
+
+    The spheres of Z/m under min(r, m - r) have sizes 1, 2, ..., 2 up to
+    radius h = m // 2, with a last 1 in place of 2 when m is even; those of
+    Z have sizes 1, 2, 2, ....  So y_r = x_r + 2 (x_(r-1) + ... + x_(r-h))
+    - [m even] x_(r-h), a sliding window sum.  On Z the window never drops
+    a term: multiplying the series by (1 + x) / (1 - x) is one step and one
+    running sum per radius."""
+    window = 0
+    if m == 0:
+        # endless: the caller takes as many sizes as it needs
+        for x in chain(sizes, repeat(0)):
+            yield x + 2 * window
+            window += x
+    h, even = m // 2, m % 2 == 0
+    last = deque()  # x_(r-h) .. x_(r-1), once r >= h
+    for x in chain(sizes, (0 for _ in range(h))):
+        edge = last.popleft() if len(last) == h else 0
+        yield x + 2 * window - (edge if even else 0)
+        window += x - edge
+        last.append(x)
+
+
+def _rect_area(n: int, lo: int, hi: int) -> int:
+    """A_n = max w h over integers w >= x, h >= y with w + h = n, for
+    0 <= lo <= hi the sorted x, y and n >= x + y.  w (n - w) is largest at
+    the point of [x, n - y] nearest n / 2: at n / 2 itself from n = 2 hi on,
+    and below that at the end where hi is the bound."""
+    return hi * (n - hi) if n <= 2 * hi else n * n // 4
+
+
+def _rect_reach(t: int, lo: int, hi: int) -> int:
+    """The least n >= lo + hi with _rect_area(n, lo, hi) >= t."""
+    if t <= lo * hi:
+        return lo + hi
+    if t <= hi * hi:
+        return hi - (-t // hi)  # hi + ceil(t / hi), at most 2 hi
+    return math.isqrt(4 * t - 1) + 1  # the least n with n^2 >= 4t, past 2 hi
+
+
+def _heisenberg_plan(k: int, central: bool, x: int, y: int, z: int) -> tuple[int, int, int]:
+    """(length, n, area) of a geodesic for (x, y, z) with x, y, z >= 0, as
+    ``HeisenbergMachine.length_upper`` derives it: its a1, a2 letters trace
+    a path of 2n - x - y letters that encloses ``area``, and z - k area a3
+    letters follow.  ``central`` false is the two-generator set, k = 1."""
+    lo, hi = (x, y) if x <= y else (y, x)
+    s = x + y
+    if not central:
+        n = _rect_reach(z, lo, hi)
+        return 2 * n - s, n, z
+    t, r = divmod(z, k)
+    if 2 * r > k:  # the nearest multiple of k is above z
+        t, r = t + 1, k - r
+    top = _rect_reach(t, lo, hi)
+    best = (2 * top - s + r, top, t)
+    for n in (*range(s, min(3, top)), top - 1):
+        if n >= s:
+            area = _rect_area(n, lo, hi)
+            length = 2 * n - s + z - k * area
+            if length < best[0]:
+                best = (length, n, area)
     return best
+
+
+def _heisenberg_path(x: int, y: int, n: int, area: int) -> list:
+    """Letters (0 for a1, 1 for a2) of a path of 2n - x - y letters from
+    (0, 0) to (x, y), x, y >= 0, enclosing ``area``, in at most six
+    syllables.  At n = x + y, 0 <= area <= xy: right x - c - 1, up d, right
+    1, up y - d, right c, for area = c y + d.  Past it A_(n-1) < area <=
+    A_n, for the rectangle w x h of ``_rect_area``: with d = w h - area,
+    left w - x, up h - d, right 1, up d, right w - 1, down h - y when
+    w > x, and up h - 1, right d, up 1, right w - d, down h - y when
+    w = x (then h > y).  Every exponent keeps its sign when 0 <= d <= h,
+    resp. d <= w: the plan gives area = A_n = w h, or A_n >= area >
+    A_(n-1), which is at least (w - 1) h when w > x and w (h - 1) when
+    h > y."""
+    if n == x + y:
+        if y == 0:
+            return [(0, x)]
+        c, d = divmod(area, y)
+        if c == x:
+            return [(1, y), (0, x)]
+        return [(0, x - c - 1), (1, d), (0, 1), (1, y - d), (0, c)]
+    w = min(max(n // 2, x), n - y)
+    h = n - w
+    d = w * h - area
+    if w > x:
+        return [(0, x - w), (1, h - d), (0, 1), (1, d), (0, w - 1), (1, y - h)]
+    return [(1, h - 1), (0, d), (1, 1), (0, w - d), (1, y - h)]
+
+
+def _heisenberg_spheres(central: bool):
+    """The endless sphere sizes of the Heisenberg lattice with k = 1, on
+    a1, a2, a3 when ``central`` and on a1, a2 otherwise, by the interval
+    recurrence of ``HeisenbergMachine.sphere_sizes``.  One cell per
+    0 <= lo <= hi stands for the (x, y) with {|x|, |y|} = {lo, hi}: their
+    count, mult, and the top hi_L of their common z interval."""
+    cells = []  # [s, lo, hi, mult, top]
+    r = 0
+    while True:
+        size = 0
+        for cell in cells:
+            s, lo, hi, mult, top = cell
+            reach = _rect_area((r + s) // 2, lo, hi)
+            new = max(reach, top + 1) if central else reach
+            if new != top:
+                size += 2 * mult * (new - top)
+                cell[4] = new
+        for lo in range(r // 2 + 1):
+            hi = r - lo
+            mult = (2 if lo else 1) * (2 if hi else 1) * (2 if lo != hi else 1)
+            cells.append([r, lo, hi, mult, lo * hi])
+            size += mult * (lo * hi + 1)
+        yield size
+        r += 1
 
 
 class TorsionProductMachine(Machine):
@@ -465,6 +590,7 @@ class TorsionProductMachine(Machine):
 
     family = "abelian_with_torsion"
     schema = (("rank", "int"), ("torsion", "list of int"), ("names", "list of str", ()))
+    length_exact = True  # the sum of the coordinate lengths (``length_upper``)
 
     def __init__(self, rank: int, torsion: tuple[int, ...], names: tuple[str, ...] = ()):
         if rank < 0 or (rank == 0 and not torsion):
@@ -798,8 +924,11 @@ class HeisenbergMachine(Nil2Machine):
     Normal form a1^m a2^n a3^l as the triple (m, n, l); multiplication is
     (m, n, l)(m', n', l') = (m + m', n + n', l + l' + k n m').  It is
     ``Nil2Machine(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))``, whose
-    inverse, packed codec and relators it keeps; it owns closed-form ``mul``
-    and ``pow``, the area bound, commutator words for a3^l and a3's block.
+    inverse, packed codec, relators and pruning bound it keeps; it owns
+    closed-form ``mul`` and ``pow``, the exact word length with a geodesic
+    word (``length_upper``), commutator words for a3^l and a3's block.  For
+    k = 1 it owns its sphere sizes too and declares ``length_exact``, so no
+    command searches it; for k >= 2 commands search it as nilpotent2.
 
     With include_center_gen=False the generating set is {a1, a2} (only
     allowed for k=1, where the center is generated by the commutator), and
@@ -821,6 +950,7 @@ class HeisenbergMachine(Nil2Machine):
         super().__init__(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))
         self.k = k
         self.include_center_gen = include_center_gen
+        self.length_exact = k == 1  # ``length_upper`` gives the proof
         if not include_center_gen:
             self.gens = GenSet(self.tau_names)
 
@@ -859,44 +989,98 @@ class HeisenbergMachine(Nil2Machine):
         m, n, l = elem
         return _letters((0, m), (1, n)) * self._central_word(l)
 
-    def length_lower(self, elem):
-        """The larger of two bounds on the length L of a word for (m, n, l).
+    def length_upper(self, elem):
+        """The word length, in integer arithmetic, for every k.
 
-        Letter by letter: max(|m| + |n|, least L with k L(L-1)/2 + L >= |l|).
-        Each a1 or a2 letter moves |m| + |n| by one, so |m| + |n| <= L.
-        Right multiplication by a1^(+-1) moves l by k n_p, by a2^(+-1) not
-        at all and by a3^(+-1) by one, where n_p is the a2-exponent of the
-        prefix; after p letters |n_p| <= p, so the next letter moves l by at
-        most max(k p, 1).  Summed over p < L, |l| <= k L(L-1)/2 + L.
+        Paths.  a1^(+-1) moves m by +-1 and l by +-k n, n the a2-exponent of
+        the prefix, a2^(+-1) moves n and a3^(+-1) moves l by +-1.  So a word
+        whose a1, a2 letters trace the lattice path P from (0, 0) and whose
+        a3 letters sum to e spells (x, y, k A(P) + e), A(P) the sum of n dm
+        over the a1 steps, and |(x, y, z)| is the least |P| + |z - k A(P)|
+        over the paths P to (x, y); on {a1, a2} (k = 1) the least |P| with
+        A(P) = z.
 
-        By area, charging a3 for what the a1, a2 letters cannot reach: let
-        the word have p letters a1^(+-1) or a2^(+-1) and q letters a3^(+-1).
-        The first walk a lattice path from (0, 0) to (m, n), and l is k times
-        the sum of n_p dm over the a1 steps plus the a3 exponent sum, of size
-        at most q.  Walking back by
-        a2^-n, then a1^-m at height 0, adds nothing to that sum and closes
-        the path, now of length P = p + |m| + |n| with M horizontal and V
-        vertical steps.  On a closed path sum dm = 0, so the sum equals
-        sum (n_p - h) dm for the middle height h of the path, and
-        |n_p - h| <= V/4: it is at most M V / 4 <= P^2/16 in size.  Hence
-        |l| <= k P^2/16 + q.  As p >= s = |m| + |n| and p = s mod 2,
-        P = 2u with u >= s, and L = p + q >= 2u - s + max(0, |l| -
-        floor(k u^2 / 4)); ``_area_reach`` gives the least such value.
+        Symmetry.  a1 -> a1^-1, a2 -> a2^-1 and a1 <-> a2, each with
+        a3 -> a3^-1, are automorphisms that permute the generators and
+        their inverses, so they keep lengths; they map (x, y, z) to
+        (-x, y, -z), (x, -y, -z) and (y, x, kxy - z).  Take x, y >= 0, and
+        then z >= 0, as kxy - z > 0 for z < 0.
 
-        Along a1^k and a2^k, s = k and l = 0, and both bounds are k.  Along
-        a3^k, s = 0 and |l| = k, and each bound is a least length whose
-        reach in l is at least k, nondecreasing and unbounded in k."""
-        m, n, l = elem
-        s, c = abs(m) + abs(n), abs(l)
-        return max(_nil_lower(self.k, s, c), _area_reach(self.k, s, c))
+        Areas.  For s = x + y and N >= s, the areas of the paths to (x, y)
+        with at most 2N - s letters are the integers of [xy - A_N, A_N],
+        A_N = max w h over w >= x, h >= y, w + h = N (``_rect_area``).
+        Upper end: closing P by a2^-y a1^-x adds no area and gives a loop
+        with 2w = (a1 letters of P) + x horizontal and 2h = (a2 letters)
+        + y vertical steps, w + h <= N.  Around a loop sum dm = 0, so its
+        area is the sum of (n - c) dm for c the middle of its heights, and
+        |n - c| <= 2h / 4: the area is at most w h <= A_N, which the
+        rectangle a1^-(w-x) a2^h a1^w a2^-(h-y) attains.  Lower end: the
+        swap maps these areas to xy minus those of the paths to (y, x), and
+        A_N is symmetric in x, y.  Between: the rectangle's letters in the
+        order a2^-(h-y) a1^w a2^h a1^-(w-x) enclose xy - w h, and swapping
+        two adjacent letters changes the area by 0 or +-1, so some order
+        of them encloses each integer between.
+
+        Length.  xy - A_N <= 0 <= z, so z lies at distance z - k A_N from
+        k [xy - A_N, A_N] when z >= k A_N, and otherwise at the distance r
+        from z to the nearest multiple k t of k (halves rounding down).  So
+        |g| is the least G(N) = 2N - s + max(z - k A_N, r) over N >= s.
+        Let N* be the least N with A_N >= t (``_rect_reach``).  From N* on,
+        G(N) = 2N - s + r grows.  Below it A_N <= t - 1, so z - k A_N >=
+        z - k t + k >= k - r >= r, and G(N + 1) - G(N) = 2 - k (A_(N+1) -
+        A_N) <= 0 from N = 3 on, as A_(N+1) >= A_N + max(w, h) for the w, h
+        of A_N.  So the least G is at N*, N* - 1 or an N <= 2
+        (``_heisenberg_plan``).  On {a1, a2} it is 2N* - s with t = z.
+
+        ``length_exact`` holds for k = 1 alone.  There r = 0, so
+        |a3^j| = min over N of 2N + max(j - A_N, 0), with x = y = 0, is a
+        least of nondecreasing functions of j, as ``cyclic_distortion``'s
+        walk needs; a1^j and a2^j have length j.  For k >= 2 the r term
+        breaks it: at k = 2, |a3^15| = 13 and |a3^16| = 12."""
+        x, y, z, *_ = self._normalized(elem)
+        return _heisenberg_plan(self.k, self.include_center_gen, x, y, z)[0]
+
+    def _normalized(self, elem):
+        """(x, y, z, flip a1, flip a2, swap): the image of ``elem`` with
+        x, y, z >= 0 under the automorphisms of ``length_upper``."""
+        x, y, z = elem
+        flip1, flip2 = x < 0, y < 0
+        x, y = abs(x), abs(y)
+        if flip1 != flip2:
+            z = -z
+        swap = z < 0
+        if swap:
+            x, y, z = y, x, self.k * x * y - z
+        return x, y, z, flip1, flip2, swap
 
     def length_upper_word(self, elem):
-        m, n, l = elem
-        prefix = _letters((0, m), (1, n))
-        central = self._central_word(l)
-        if self.include_center_gen and abs(l) <= central.length():
-            central = _letters((2, l))
-        return prefix * central
+        """A geodesic: the path of ``_heisenberg_path`` and the a3 power of
+        ``length_upper``'s least G, carried back by the automorphisms, in
+        at most seven syllables."""
+        x, y, z, flip1, flip2, swap = self._normalized(elem)
+        _, n, area = _heisenberg_plan(self.k, self.include_center_gen, x, y, z)
+        sign = -1 if flip1 ^ flip2 ^ swap else 1
+        letters = [(2, sign * (z - self.k * area))]
+        for i, e in _heisenberg_path(x, y, n, area):
+            i ^= swap
+            letters.append((i, -e if (flip2 if i else flip1) else e))
+        return _letters(*letters[1:], letters[0])
+
+    def sphere_sizes(self):
+        """For k = 1, the sizes from the z intervals of each (x, y); None,
+        a search, for k >= 2, where the z within a length may leave gaps.
+
+        With x, y >= 0 and L >= s, the areas of ``length_upper`` make the z
+        of length <= L an interval [xy - hi_L, hi_L].  On {a1, a2} hi_L =
+        A_N, N = floor((L + s) / 2), as paths have s + 2i letters.  With a3,
+        it is the union over q <= L - s of [xy - A - q, A + q], A that of
+        L - q letters, which all hold [0, xy], so hi_L is the largest A + q:
+        hi_L = max(A_N, hi_(L-1) + 1) and hi_s = xy.  The automorphisms map
+        the z of (x, y) one to one onto those of (-x, y), (x, -y) and
+        (y, x), at the same lengths."""
+        if self.k != 1:
+            return None
+        return _heisenberg_spheres(self.include_center_gen)
 
     def center_block(self, images):
         """The 1x1 block of a3: read off its image, or from the commutator
@@ -1198,6 +1382,7 @@ class KleinMachine(Machine):
     """Klein bottle group <x, y | y x y^-1 = x^-1>, normal form x^a y^b."""
 
     family = "klein_bottle"
+    length_exact = True  # |a| + |b| for x^a y^b (``coordinate_orders``)
     # If some power of phi is trivial, its 1x1 free block (the y-exponent
     # sum of phi(y)) is 0, so phi maps G into the kernel N = <x> of the
     # y-exponent sum.  With phi(x) = x^q and phi(y) = x^p, the relator

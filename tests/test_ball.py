@@ -42,6 +42,16 @@ from conftest import (
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
+# The Heisenberg lattice with k = 1 as nilpotent2: the same group, steps and
+# codec, but with no exact length, so ``_meet`` searches it where
+# ``HeisenbergMachine(1)`` answers by its closed-form metric
+HEIS_NIL2 = Nil2Machine(2, ("a3",), (), (((2, 1), (1,)),), ("a1", "a2"))
+
+
+def machine_named(name):
+    """The twin above as "heis_nil2", a bundled fixture's machine by stem."""
+    return HEIS_NIL2 if name == "heis_nil2" else parse_group(load_fixture(f"{name}.group"))[1]
+
 
 def reference_ball(machine, radius, start=None, lower=None):
     """Distances by a plain BFS over ``mul``: each element of the previous
@@ -227,12 +237,12 @@ class TestSkipKnownSteps:
         assert after[4] == [4] and after[5] == [5]  # a3 is central and last
         assert after[0] == [0, 2, 3, 4, 5]  # a1 commutes with no lower step
 
-    def test_only_full_balls_skip(self, heis1, monkeypatch):
+    def test_only_full_balls_skip(self, monkeypatch):
         calls = count_calls(monkeypatch, ball_module, "_skip_known")
-        reference = reference_ball(heis1, 9)
-        assert word_lengths(heis1, [(3, 2, 5), (0, 0, 9)], 9) == [reference[3, 2, 5], reference[0, 0, 9]]
+        reference = reference_ball(HEIS_NIL2, 9)
+        assert word_lengths(HEIS_NIL2, [(3, 2, 5), (0, 0, 9)], 9) == [reference[3, 2, 5], reference[0, 0, 9]]
         assert calls == []
-        enumerate_ball(heis1, 3)
+        enumerate_ball(HEIS_NIL2, 3)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("stem, radius", [("heis_ex1", 6), ("nil2_ex3", 4), ("sol_ex1", 5)])
@@ -263,19 +273,19 @@ class TestCapAcrossChunks:
     BALLS = {
         ("nil2_ex3", 5): (11, 73, 371, 1473, 4947),
         ("sol_ex3", 6): (7, 33, 119, 357, 977, 2547),
-        ("heis_ex1", 9): (7, 29, 83, 189, 379, 697, 1199, 1953, 3039),
+        ("heis_nil2", 9): (7, 29, 83, 189, 379, 697, 1199, 1953, 3039),
         ("bs", 9): (5, 17, 43, 93, 191, 375, 711, 1317, 2403),
     }
     SEARCHES = {
         ("nil2_ex3", ((7, 0, 0, 0, 0),), 9): (12, 22, 84, 146, 444, 569, 697),
         ("nil2_ex3", ((7, 0, 0, 0, 0), (0, 0, 0, 0, -7), (3, -2, 1, 0, 0)), 9): (14, 44, 106, 292, 590, 1270, 2042),
-        ("heis_ex1", ((5, 5, 12),), 20): (8, 14, 36, 58, 112, 166, 272, 378, 568, 758),
+        ("heis_nil2", ((5, 5, 12),), 20): (8, 14, 36, 58, 112, 166, 272, 378, 568, 758),
         ("bs", ((16, 0, 0), (5, 2, 1)), 11): (7, 15, 27, 51, 77, 79, 103, 144),
     }
 
     @pytest.mark.parametrize("stem, radius", list(BALLS))
     def test_enumerate_ball(self, stem, radius):
-        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        machine = machine_named(stem)
         for cap, done in cap_cases(self.BALLS[stem, radius]):
             if done is None:
                 assert len(enumerate_ball(machine, radius, cap).dist) <= cap
@@ -289,7 +299,7 @@ class TestCapAcrossChunks:
 
     @pytest.mark.parametrize("stem, targets, radius", list(SEARCHES))
     def test_word_lengths(self, stem, targets, radius):
-        _, machine = parse_group(load_fixture(f"{stem}.group"))
+        machine = machine_named(stem)
         lengths = word_lengths(machine, targets, radius)
         for cap, done in cap_cases(self.SEARCHES[stem, targets, radius]):
             if done is None:
@@ -318,12 +328,12 @@ class TestBidirectionalSearch:
         for elem, d in enumerate_ball(any_machine, 7).dist.items():
             assert any_machine.length_lower(elem) <= d
 
-    def test_cap_counts_both_sides(self, heis1, z2):
+    def test_cap_counts_both_sides(self, z2):
         # |(4, 4, 8)| = 8; the two sides meet only after several spheres each
         with pytest.raises(ResourceCapExceeded) as err:
-            word_length(heis1, (4, 4, 8), radius=30, cap=60)
+            word_length(HEIS_NIL2, (4, 4, 8), radius=30, cap=60)
         assert 0 < err.value.completed_radius < 8
-        assert word_length(heis1, (4, 4, 8), radius=30, cap=400) == 8
+        assert word_length(HEIS_NIL2, (4, 4, 8), radius=30, cap=400) == 8
         # an exact length functional answers without storing anything
         assert word_length(z2, (9, 9), 30, cap=1) == 18
 
@@ -422,20 +432,20 @@ class TestPrunedSearch:
         assert len(pruned.seen) < len(full.seen) // 10
         assert pruned.seen[codec.encode(bs2.identity)] == 8 == word_length(bs2, (16, 0, 0), 9)
 
-    def test_one_steps_list_per_search(self, heis1, monkeypatch):
+    def test_one_steps_list_per_search(self, monkeypatch):
         # every side of a search shares the codec, and its steps, of the
         # identity side
         calls = []
-        codec = type(heis1).codec
+        codec = type(HEIS_NIL2).codec
 
         def spy(machine, starts, depth):
             calls.append(depth)
             return codec(machine, starts, depth)
 
-        monkeypatch.setattr(type(heis1), "codec", spy)
+        monkeypatch.setattr(type(HEIS_NIL2), "codec", spy)
         targets = [(i, j, 0) for i in range(1, 11) for j in range(1, 11)]
-        assert all(heis1.length_lower(x) <= 24 for x in targets)
-        lengths = word_lengths(heis1, targets, 24)
+        assert all(HEIS_NIL2.length_lower(x) <= 24 for x in targets)
+        lengths = word_lengths(HEIS_NIL2, targets, 24)
         assert len(calls) == 1
         assert lengths == [i + j for i, j, _ in targets]
 
@@ -757,8 +767,38 @@ class TestSeriesCounts:
         )
 
     def test_other_families_run_the_bfs(self, any_machine):
-        if any_machine.coordinate_orders() is None:
+        if any_machine.sphere_sizes() is None:
             assert ball_counts(any_machine, 3) == enumerate_ball(any_machine, 3).counts
+
+    @pytest.mark.parametrize("central", [True, False], ids=["k1:3", "k1:2"])
+    def test_heisenberg_spheres_match_the_ball(self, central, monkeypatch):
+        # the z interval of each (x, y) gives every count up to radius 18
+        # of both generating sets with k = 1, and no ball is grown
+        machine = HeisenbergMachine(1, central)
+        counts = enumerate_ball(machine, 18).counts
+        searched = count_calls(monkeypatch, ball_module, "_full_ball")
+        assert [ball_counts(machine, r) for r in range(19)] == [counts[: r + 1] for r in range(19)]
+        assert searched == []
+
+    @pytest.mark.parametrize("central", [True, False], ids=["k1:3", "k1:2"])
+    @pytest.mark.parametrize("cap", [0, 1, 6, 7, 100, 1199, 1200])
+    def test_heisenberg_cap_raises_as_the_ball_does(self, central, cap):
+        def outcome(count):
+            try:
+                return count()
+            except ResourceCapExceeded as exc:
+                return str(exc), exc.completed_radius
+
+        machine = HeisenbergMachine(1, central)
+        assert outcome(lambda: ball_counts(machine, 9, cap)) == outcome(lambda: enumerate_ball(machine, 9, cap).counts)
+
+    def test_heisenberg_k2_runs_the_bfs(self, monkeypatch):
+        # for k >= 2 the z within a length may leave gaps: no sizes, a search
+        machine = HeisenbergMachine(2)
+        assert machine.sphere_sizes() is None
+        searched = count_calls(monkeypatch, ball_module, "_full_ball")
+        assert ball_counts(machine, 6) == enumerate_ball(machine, 6).counts
+        assert len(searched) == 2
 
     def test_huge_radius_is_linear(self):
         # counts[r] = 2r + 1 passes the default cap at r = 2,500,000, as the
@@ -953,7 +993,7 @@ def traced_meet(monkeypatch, machine, targets, radius):
 
 # (fixture, generator, radius): the search of ``distortion`` on the powers,
 # with more than one target side and no re-encoding
-BOUND_SEARCHES = [("heis_ex1", "a3", 14), ("bs", "b", 10), ("nil2_ex3", "s12", 8)]
+BOUND_SEARCHES = [("heis_nil2", "a3", 14), ("bs", "b", 10), ("nil2_ex3", "s12", 8)]
 
 
 class TestBoundTable:
@@ -962,7 +1002,7 @@ class TestBoundTable:
 
     @pytest.mark.parametrize("stem, gen, radius", BOUND_SEARCHES)
     def test_one_bound_per_element(self, stem, gen, radius, monkeypatch):
-        machine = FIXTURE_MACHINES[stem]
+        machine = machine_named(stem)
         targets = generator_powers(machine, gen, radius)
         expected = dict(zip(targets, word_lengths(machine, targets, radius)))
         found, sides, calls, grows = traced_meet(monkeypatch, machine, targets, radius)
@@ -975,7 +1015,7 @@ class TestBoundTable:
 
     @pytest.mark.parametrize("stem, gen, radius", BOUND_SEARCHES)
     def test_no_bound_on_the_last_sphere(self, stem, gen, radius, monkeypatch):
-        machine = FIXTURE_MACHINES[stem]
+        machine = machine_named(stem)
         targets = generator_powers(machine, gen, radius)
         expected = dict(zip(targets, word_lengths(machine, targets, radius)))
         found, _, calls, grows = traced_meet(monkeypatch, machine, targets, radius)
@@ -986,7 +1026,7 @@ class TestBoundTable:
     @pytest.mark.parametrize("stem, gen, radius", BOUND_SEARCHES)
     def test_one_target_builds_no_table(self, stem, gen, radius, monkeypatch):
         # each element sits in one sphere of the one side
-        machine = FIXTURE_MACHINES[stem]
+        machine = machine_named(stem)
         target = generator_powers(machine, gen, radius)[-1]
         expected = word_length(machine, target, radius)
         found, sides, calls, grows = traced_meet(monkeypatch, machine, [target], radius)

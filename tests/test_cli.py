@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from endogrowth.ball import ClosedForm, GrowthEstimate, gr_estimate
 from endogrowth.cli import COMMANDS, make_parser, parse_args, run
 from endogrowth.errors import ValidationError
-from endogrowth.families import FreeAbelianMachine, KleinMachine, TorsionProductMachine
+from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, TorsionProductMachine
 from endogrowth.reports import (
     _verdict,
     build_report,
@@ -33,6 +33,13 @@ GOLDEN = (3 + math.sqrt(5)) / 2
 
 # ``cli.run`` on the arguments after the memory limit, in a ``run_child`` child
 CLI_CHILD = "from endogrowth.cli import run\nsys.exit(run(sys.argv[2:]))"
+
+# The Heisenberg lattice with k = 1, a3 = [a2, a1], as a nilpotent2 group,
+# which commands search, with the generator names of heis_ex1
+HEIS_AS_NIL2 = {
+    "family": "nilpotent2",
+    "params": {"n_gens": 2, "central": ["a3"], "designated": {"a3": [2, 1]}, "tau_names": ["a1", "a2"]},
+}
 
 
 def fixture_path(name):
@@ -250,9 +257,22 @@ class TestExactFunctionals:
         assert [row["exact"] for row in empirical["rows"]] == [True] * 20
         assert empirical["certified_upper"] is True
 
-    def test_bfs_families_keep_upper_bound_rows(self, tmp_path):
+    def test_heisenberg_rows_are_exact_and_certified(self, tmp_path):
+        # the closed-form metric gives every row, past the radius too
         out = tmp_path / "heis.json"
         args = ["--group", fixture_path("heis_ex1.group"), "--endo", fixture_path("heis_ex1.endo")]
+        assert run(["compare", *args, "--kmax", "25", "--out", str(out)]) == 0
+        empirical = json.loads(out.read_text())["empirical"]
+        assert [row["exact"] for row in empirical["rows"]] == [True] * 25
+        assert empirical["certified_upper"] is True
+
+    def test_bfs_families_keep_upper_bound_rows(self, tmp_path):
+        # heis_ex1's endomorphism on the same group as nilpotent2, which
+        # commands search: rows past the radius are upper bounds
+        out = tmp_path / "heis.json"
+        group = tmp_path / "heis_nil2.group"
+        group.write_text(json.dumps(HEIS_AS_NIL2))
+        args = ["--group", str(group), "--endo", fixture_path("heis_ex1.endo")]
         assert run(["compare", *args, "--kmax", "25", "--out", str(out)]) == 0
         empirical = json.loads(out.read_text())["empirical"]
         assert sum(row["exact"] for row in empirical["rows"]) == 2
@@ -262,16 +282,22 @@ class TestExactFunctionals:
     # sizes; the rank-3 group's endomorphism is a seeded matrix
     @pytest.mark.parametrize(
         "stem, radius, kmax, word, gen",
-        [("counter", 2, 32, "alpha beta", "beta"), ("klein", 160, 12, "x^80 y^80", "x"), ("z3", 25, 12, "e1^9 e2^-8 e3^8", "e1")],
-        ids=["counter", "klein", "z3"],
+        [
+            ("counter", 2, 32, "alpha beta", "beta"),
+            ("klein", 160, 12, "x^80 y^80", "x"),
+            ("z3", 25, 12, "e1^9 e2^-8 e3^8", "e1"),
+            ("heis_ex1", 18, 16, "a1^-6 a2^3 a3^25", "a3"),
+        ],
+        ids=["counter", "klein", "z3", "heis_ex1"],
     )
     def test_commands_search_no_exact_family(self, stem, radius, kmax, word, gen, tmp_path, monkeypatch, capsys):
-        # length_exact gives the lengths, a series the sphere sizes and power
-        # lookups the distortion, so no command builds a codec of these families
+        # length_exact gives the lengths, sphere_sizes the sphere sizes and
+        # power lookups the distortion, so no command builds a codec of these
+        # families
         def searched(*args):
             pytest.fail("a command searched a length_exact family")
 
-        for cls in (FreeAbelianMachine, TorsionProductMachine, KleinMachine):
+        for cls in (FreeAbelianMachine, TorsionProductMachine, KleinMachine, HeisenbergMachine):
             monkeypatch.setattr(cls, "codec", searched)
         if stem == "z3":
             rng = random.Random(3)
@@ -449,20 +475,20 @@ class TestBigIntegers:
         assert report["verdict"] == "consistent"
 
     def test_compare_heisenberg_lengths_beyond_machine_ints(self, tmp_path):
-        # L_45 exceeds sys.maxsize, so the word length must not go through len()
+        # L_50 exceeds sys.maxsize, so the word length must not go through len()
         out = tmp_path / "heis.json"
         code = run(
             [
                 "compare",
                 "--group", fixture_path("heis_ex1.group"),
                 "--endo", fixture_path("heis_ex1.endo"),
-                "--kmax", "45",
+                "--kmax", "50",
                 "--out", str(out),
             ]
         )
         assert code == 0
         last = json.loads(out.read_text())["empirical"]["rows"][-1]
-        assert last["k"] == 45 and last["length"] > 2**63
+        assert last["k"] == 50 and last["length"] > 2**63
 
     def test_compare_sol_beyond_float_range(self, tmp_path):
         # the torus columns of phi^1000 pass 2^1024; the shift certificate stays in integers
@@ -540,16 +566,20 @@ class TestExitCodes:
             run(["ball", "--group", fixture_path("bs.group"), "--radius", "12", "--cap", "50"]) == 3
         )
 
-    def test_out_of_memory_is_a_resource_exit(self):
+    def test_out_of_memory_is_a_resource_exit(self, tmp_path):
         # a --cap past what fits in a 128 MiB child: the BFS itself ends in a
         # MemoryError, once a traceback with exit 1
-        argv = ["ball", "--group", fixture_path("heis_ex1.group"), "--radius", "1000", "--cap", "1000000000"]
+        group = tmp_path / "heis_nil2.group"
+        group.write_text(json.dumps(HEIS_AS_NIL2))
+        argv = ["ball", "--group", str(group), "--radius", "1000", "--cap", "1000000000"]
         done = run_child(CLI_CHILD, *argv, limit_mb=128)
         assert done.returncode == 3, done.stderr
         assert "out of memory" in done.stderr
 
-    def test_wordlen_resource_cap(self, capsys):
-        args = ["wordlen", "--group", fixture_path("heis_ex1.group"), "--word", "a1^3 a2^3 a3^3"]
+    def test_wordlen_resource_cap(self, tmp_path, capsys):
+        group = tmp_path / "heis_nil2.group"
+        group.write_text(json.dumps(HEIS_AS_NIL2))
+        args = ["wordlen", "--group", str(group), "--word", "a1^3 a2^3 a3^3"]
         assert run([*args, "--radius", "12", "--cap", "30"]) == 3
         assert "completed radius" in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
-from endogrowth.ball import enumerate_ball, word_length
+from endogrowth.ball import enumerate_ball, word_length, word_lengths
 from endogrowth.families import (
     _SOL_POWER_CACHE,
     BSMachine,
@@ -36,6 +36,9 @@ from endogrowth.words import (
 )
 
 from conftest import ALL_MACHINES, FIXTURE_DIR, check_packed_steps, run_child, sol_machines
+
+# The Heisenberg lattice with k = 1 as nilpotent2, whose lengths a search finds
+HEIS_NIL2 = Nil2Machine(2, ("a3",), (), (((2, 1), (1,)),), ("a1", "a2"))
 
 
 def random_element(machine, rng, steps=10):
@@ -376,17 +379,18 @@ class TestLengthLower:
         assert heis1.length_lower((3, -4, 0)) == 7
         big = _central_reach(1, 10**40)
         assert big * (big - 1) // 2 + big >= 10**40 > (big - 1) * (big - 2) // 2 + big - 1
-        # the area bound is 2 sqrt(4 l / k) once the area pays for all of l:
+        # the exact length is 2 sqrt(4 l) once the area pays for all of l:
         # a3^4 takes 4 letters, not 3
-        assert heis1.length_lower((0, 0, 4)) == 4 == word_length(heis1, (0, 0, 4), 4)
-        assert heis1.length_lower((0, 0, 10**40)) == 4 * 10**20
+        assert heis1.length_upper((0, 0, 4)) == 4 == word_length(HEIS_NIL2, (0, 0, 4), 4)
+        assert heis1.length_upper((0, 0, 10**40)) == 4 * 10**20
 
-    def test_area_bound_charges_the_centre(self, heis1):
-        # P = 2u with u = 11 is the least closed path whose area covers l = 29
-        # with no a3 letter: p = 2u - 9 = 13, where the letter bound gives 9
+    def test_exact_length_charges_the_centre(self, heis1):
+        # the letter bound gives 9 and the geodesic takes 19: a path to
+        # (-6, 3) that encloses area near 29 is what costs
         elem = evaluate(heis1, parse_word("a1^-6 a2^3 a3^29", heis1.gens))
-        assert _nil_lower(1, 9, 29) == 9
-        assert heis1.length_lower(elem) == 13 <= word_length(heis1, elem, 19)
+        assert _nil_lower(1, 9, 29) == heis1.length_lower(elem) == 9
+        assert heis1.length_upper(elem) == 19 == word_length(HEIS_NIL2, elem, 19)
+        assert word_length(HEIS_NIL2, elem, 18) is None
 
     @pytest.mark.parametrize("machine, radius", [
         (HeisenbergMachine(1), 10),
@@ -394,12 +398,11 @@ class TestLengthLower:
         (HeisenbergMachine(3), 9),
         (HeisenbergMachine(1, include_center_gen=False), 12),
     ], ids=lambda x: str(x) if isinstance(x, int) else f"k{x.k}:{len(x.gens)}")
-    def test_heisenberg_bound_against_the_ball(self, machine, radius):
-        # below every BFS distance, and above the letter bound on a share of them
+    def test_heisenberg_lengths_against_the_ball(self, machine, radius):
+        # the exact length on every BFS distance, and the letter bound below it
         dist = enumerate_ball(machine, radius).dist
+        assert all(machine.length_upper(x) == d for x, d in dist.items())
         assert all(machine.length_lower(x) <= d for x, d in dist.items())
-        stronger = sum(machine.length_lower(x) > _nil_lower(machine.k, abs(x[0]) + abs(x[1]), abs(x[2])) for x in dist)
-        assert stronger > len(dist) // 5
 
     def test_nil2_uses_the_largest_gamma_entry(self):
         # G = 5: 5 L(L-1)/2 + L is 970 at L = 20 and 1071 at L = 21
@@ -441,6 +444,54 @@ def test_bs_lower_on_a_huge_denominator_is_cheap():
     assert done.returncode == 0, done.stderr
     lower, seconds = done.stdout.split()
     assert int(lower) == 2 * 10**10 + 1 and float(seconds) < 0.5
+
+
+class TestHeisenbergMetric:
+    """``HeisenbergMachine.length_upper`` is the word length, for every k,
+    and ``length_upper_word`` spells a geodesic."""
+
+    @pytest.mark.parametrize("k, central, radius", [
+        (1, False, 16), (1, True, 16), (2, True, 14), (3, True, 13), (5, True, 12),
+    ], ids=["k1:2", "k1:3", "k2:3", "k3:3", "k5:3"])
+    def test_exact_on_every_element_of_the_ball(self, k, central, radius):
+        machine = HeisenbergMachine(k, central)
+        dist = enumerate_ball(machine, radius).dist
+        assert len(dist) > 27_000
+        for x, d in dist.items():
+            w = machine.length_upper_word(x)
+            assert machine.length_upper(x) == w.length() == d, x
+            assert evaluate(machine, w) == x
+            assert len(w.letters) <= 7
+
+    def test_length_exact_only_for_k1(self):
+        # the proof of monotone lengths along a3 covers k = 1 only; at
+        # k = 2, |a3^15| = 13 > |a3^16| = 12 (a BFS search finds both)
+        assert [HeisenbergMachine(k).length_exact for k in range(1, 6)] == [True] + [False] * 4
+        assert HeisenbergMachine(1, include_center_gen=False).length_exact
+        h2 = HeisenbergMachine(2)
+        assert word_lengths(h2, [(0, 0, 15), (0, 0, 16)], 13) == [13, 12]
+        assert [h2.length_upper((0, 0, j)) for j in (15, 16)] == [13, 12]
+
+    @pytest.mark.parametrize("k, central", [(1, False), (1, True), (2, True), (3, True), (7, True)])
+    def test_far_words(self, k, central, monkeypatch):
+        # coordinates up to 10^200 and central parts up to 10^400, past the
+        # float range, where a true division or square root overflows; the
+        # words stay a few syllables, so no letter list grows with a length
+        import endogrowth.families as families
+
+        def checked_float(x):
+            assert not (isinstance(x, int) and abs(x) > 2**53), x
+            return float(x)
+
+        monkeypatch.setattr(families, "float", checked_float, raising=False)
+        machine, rng = HeisenbergMachine(k, central), random.Random(17 + k)
+        for _ in range(200):
+            side = 10 ** rng.choice([0, 1, 3, 20, 200])
+            x, y = (rng.randint(-side, side) for _ in range(2))
+            z = rng.choice([k * x * y, 0, 1, -1]) + rng.randint(-(10**400), 10**400) // 10 ** rng.randint(0, 400)
+            w = machine.length_upper_word((x, y, z))
+            assert evaluate(machine, w) == (x, y, z) and len(w.letters) <= 7
+            assert w.length() == machine.length_upper((x, y, z)) >= machine.length_lower((x, y, z))
 
 
 class TestBigIntegerLengths:
