@@ -487,16 +487,17 @@ def _times_cyclic(sizes, m: int):
         last.append(x)
 
 
-def _rect_area(n: int, lo: int, hi: int) -> int:
+def _rect_area(n: int, hi: int) -> int:
     """A_n = max w h over integers w >= x, h >= y with w + h = n, for
-    0 <= lo <= hi the sorted x, y and n >= x + y.  w (n - w) is largest at
+    x, y >= 0 with n >= x + y and hi = max(x, y).  w (n - w) is largest at
     the point of [x, n - y] nearest n / 2: at n / 2 itself from n = 2 hi on,
     and below that at the end where hi is the bound."""
     return hi * (n - hi) if n <= 2 * hi else n * n // 4
 
 
 def _rect_reach(t: int, lo: int, hi: int) -> int:
-    """The least n >= lo + hi with _rect_area(n, lo, hi) >= t."""
+    """The least n >= lo + hi with _rect_area(n, hi) >= t, for the sorted
+    0 <= lo <= hi."""
     if t <= lo * hi:
         return lo + hi
     if t <= hi * hi:
@@ -521,7 +522,7 @@ def _heisenberg_plan(k: int, central: bool, x: int, y: int, z: int) -> tuple[int
     best = (2 * top - s + r, top, t)
     for n in (*range(s, min(3, top)), top - 1):
         if n >= s:
-            area = _rect_area(n, lo, hi)
+            area = _rect_area(n, hi)
             length = 2 * n - s + z - k * area
             if length < best[0]:
                 best = (length, n, area)
@@ -532,14 +533,13 @@ def _heisenberg_path(x: int, y: int, n: int, area: int) -> list:
     """Letters (0 for a1, 1 for a2) of a path of 2n - x - y letters from
     (0, 0) to (x, y), x, y >= 0, enclosing ``area``, in at most six
     syllables.  At n = x + y, 0 <= area <= xy: right x - c - 1, up d, right
-    1, up y - d, right c, for area = c y + d.  Past it A_(n-1) < area <=
-    A_n, for the rectangle w x h of ``_rect_area``: with d = w h - area,
-    left w - x, up h - d, right 1, up d, right w - 1, down h - y when
-    w > x, and up h - 1, right d, up 1, right w - d, down h - y when
-    w = x (then h > y).  Every exponent keeps its sign when 0 <= d <= h,
-    resp. d <= w: the plan gives area = A_n = w h, or A_n >= area >
-    A_(n-1), which is at least (w - 1) h when w > x and w (h - 1) when
-    h > y."""
+    1, up y - d, right c, for area = c y + d.  Past it, with w x h the
+    rectangle of ``_rect_area`` and d = w h - area: left w - x, up h - d,
+    right 1, up d, right w - 1, down h - y when w > x, and up h - 1, right
+    d, up 1, right w - d, down h - y when w = x (then h > y).  Every
+    exponent keeps its sign when 0 <= d <= h, resp. d <= w: the plan gives
+    area = A_n = w h, or A_n >= area > A_(n-1), which is at least (w - 1) h
+    when w > x and w (h - 1) when h > y."""
     if n == x + y:
         if y == 0:
             return [(0, x)]
@@ -559,23 +559,24 @@ def _heisenberg_spheres(central: bool):
     """The endless sphere sizes of the Heisenberg lattice with k = 1, on
     a1, a2, a3 when ``central`` and on a1, a2 otherwise, by the interval
     recurrence of ``HeisenbergMachine.sphere_sizes``.  One cell per
-    0 <= lo <= hi stands for the (x, y) with {|x|, |y|} = {lo, hi}: their
-    count, mult, and the top hi_L of their common z interval."""
-    cells = []  # [s, lo, hi, mult, top]
+    0 <= lo <= hi stands for the (x, y) with {|x|, |y|} = {lo, hi}: it
+    holds lo + hi, hi, their count mult, and the top z_L of their common z
+    interval."""
+    cells = []  # [lo + hi, hi, mult, top]
     r = 0
     while True:
         size = 0
         for cell in cells:
-            s, lo, hi, mult, top = cell
-            reach = _rect_area((r + s) // 2, lo, hi)
+            s, hi, mult, top = cell
+            reach = _rect_area((r + s) // 2, hi)
             new = max(reach, top + 1) if central else reach
             if new != top:
                 size += 2 * mult * (new - top)
-                cell[4] = new
+                cell[3] = new
         for lo in range(r // 2 + 1):
             hi = r - lo
             mult = (2 if lo else 1) * (2 if hi else 1) * (2 if lo != hi else 1)
-            cells.append([r, lo, hi, mult, lo * hi])
+            cells.append([r, hi, mult, lo * hi])
             size += mult * (lo * hi + 1)
         yield size
         r += 1
@@ -1027,10 +1028,11 @@ class HeisenbergMachine(Nil2Machine):
         |g| is the least G(N) = 2N - s + max(z - k A_N, r) over N >= s.
         Let N* be the least N with A_N >= t (``_rect_reach``).  From N* on,
         G(N) = 2N - s + r grows.  Below it A_N <= t - 1, so z - k A_N >=
-        z - k t + k >= k - r >= r, and G(N + 1) - G(N) = 2 - k (A_(N+1) -
-        A_N) <= 0 from N = 3 on, as A_(N+1) >= A_N + max(w, h) for the w, h
-        of A_N.  So the least G is at N*, N* - 1 or an N <= 2
-        (``_heisenberg_plan``).  On {a1, a2} it is 2N* - s with t = z.
+        z - k t + k >= k - r >= r.  So while N + 1 < N*, G(N + 1) - G(N) =
+        2 - k (A_(N+1) - A_N), which is <= 0 once N >= 3, as A_(N+1) >=
+        A_N + max(w, h) >= A_N + 2 for the w, h of A_N.  The least G is
+        thus at N*, N* - 1 or an N <= 2 (``_heisenberg_plan``).  On
+        {a1, a2} it is 2N* - s with t = z.
 
         ``length_exact`` holds for k = 1 alone.  There r = 0, so
         |a3^j| = min over N of 2N + max(j - A_N, 0), with x = y = 0, is a
@@ -1059,23 +1061,23 @@ class HeisenbergMachine(Nil2Machine):
         at most seven syllables."""
         x, y, z, flip1, flip2, swap = self._normalized(elem)
         _, n, area = _heisenberg_plan(self.k, self.include_center_gen, x, y, z)
-        sign = -1 if flip1 ^ flip2 ^ swap else 1
-        letters = [(2, sign * (z - self.k * area))]
+        path = []
         for i, e in _heisenberg_path(x, y, n, area):
             i ^= swap
-            letters.append((i, -e if (flip2 if i else flip1) else e))
-        return _letters(*letters[1:], letters[0])
+            path.append((i, -e if (flip2 if i else flip1) else e))
+        sign = -1 if flip1 ^ flip2 ^ swap else 1
+        return _letters(*path, (2, sign * (z - self.k * area)))
 
     def sphere_sizes(self):
         """For k = 1, the sizes from the z intervals of each (x, y); None,
         a search, for k >= 2, where the z within a length may leave gaps.
 
         With x, y >= 0 and L >= s, the areas of ``length_upper`` make the z
-        of length <= L an interval [xy - hi_L, hi_L].  On {a1, a2} hi_L =
-        A_N, N = floor((L + s) / 2), as paths have s + 2i letters.  With a3,
-        it is the union over q <= L - s of [xy - A - q, A + q], A that of
-        L - q letters, which all hold [0, xy], so hi_L is the largest A + q:
-        hi_L = max(A_N, hi_(L-1) + 1) and hi_s = xy.  The automorphisms map
+        of length <= L an interval [xy - z_L, z_L].  On {a1, a2} z_L = A_N,
+        N = floor((L + s) / 2), as paths have s + 2i letters.  With a3, it
+        is the union over q <= L - s of [xy - A - q, A + q], A that of
+        L - q letters, which all hold [0, xy], so z_L is the largest A + q:
+        z_L = max(A_N, z_(L-1) + 1) and z_s = xy.  The automorphisms map
         the z of (x, y) one to one onto those of (-x, y), (x, -y) and
         (y, x), at the same lengths."""
         if self.k != 1:
