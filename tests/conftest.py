@@ -165,6 +165,12 @@ def nil2_commuting():
     )
 
 
+# The Heisenberg lattice with k = 1 as nilpotent2: the same group, steps and
+# codec, but with no exact length, so ``ball._meet`` searches it where
+# ``HeisenbergMachine(1)`` answers by its closed-form metric
+HEIS_NIL2 = Nil2Machine(2, ("a3",), (), (((2, 1), (1,)),), ("a1", "a2"))
+
+
 @pytest.fixture(scope="session")
 def heis_ball20(heis1):
     return enumerate_ball(heis1, 20, cap=2_000_000)

@@ -32,6 +32,7 @@ from endogrowth.words import Endomorphism, apply_on_element, evaluate, image_ele
 
 from conftest import (
     ALL_MACHINES,
+    HEIS_NIL2,
     box_corners,
     check_packed_steps,
     count_calls,
@@ -42,14 +43,9 @@ from conftest import (
 
 FIXTURE_STEMS = ("counter", "bs", "heis_ex1", "nil2_ex3", "klein", "sol_ex1", "sol_ex2", "sol_ex3")
 
-# The Heisenberg lattice with k = 1 as nilpotent2: the same group, steps and
-# codec, but with no exact length, so ``_meet`` searches it where
-# ``HeisenbergMachine(1)`` answers by its closed-form metric
-HEIS_NIL2 = Nil2Machine(2, ("a3",), (), (((2, 1), (1,)),), ("a1", "a2"))
-
 
 def machine_named(name):
-    """The twin above as "heis_nil2", a bundled fixture's machine by stem."""
+    """``HEIS_NIL2`` as "heis_nil2", a bundled fixture's machine by stem."""
     return HEIS_NIL2 if name == "heis_nil2" else parse_group(load_fixture(f"{name}.group"))[1]
 
 

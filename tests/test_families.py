@@ -35,10 +35,7 @@ from endogrowth.words import (
     word_str,
 )
 
-from conftest import ALL_MACHINES, FIXTURE_DIR, check_packed_steps, run_child, sol_machines
-
-# The Heisenberg lattice with k = 1 as nilpotent2, whose lengths a search finds
-HEIS_NIL2 = Nil2Machine(2, ("a3",), (), (((2, 1), (1,)),), ("a1", "a2"))
+from conftest import ALL_MACHINES, FIXTURE_DIR, HEIS_NIL2, check_packed_steps, run_child, sol_machines
 
 
 def random_element(machine, rng, steps=10):
@@ -392,18 +389,6 @@ class TestLengthLower:
         assert heis1.length_upper(elem) == 19 == word_length(HEIS_NIL2, elem, 19)
         assert word_length(HEIS_NIL2, elem, 18) is None
 
-    @pytest.mark.parametrize("machine, radius", [
-        (HeisenbergMachine(1), 10),
-        (HeisenbergMachine(2), 10),
-        (HeisenbergMachine(3), 9),
-        (HeisenbergMachine(1, include_center_gen=False), 12),
-    ], ids=lambda x: str(x) if isinstance(x, int) else f"k{x.k}:{len(x.gens)}")
-    def test_heisenberg_lengths_against_the_ball(self, machine, radius):
-        # the exact length on every BFS distance, and the letter bound below it
-        dist = enumerate_ball(machine, radius).dist
-        assert all(machine.length_upper(x) == d for x, d in dist.items())
-        assert all(machine.length_lower(x) <= d for x, d in dist.items())
-
     def test_nil2_uses_the_largest_gamma_entry(self):
         # G = 5: 5 L(L-1)/2 + L is 970 at L = 20 and 1071 at L = 21
         assert NIL2_WIDE.length_lower((0, 0, 0, 0, 1000)) == 21
@@ -454,6 +439,7 @@ class TestHeisenbergMetric:
         (1, False, 16), (1, True, 16), (2, True, 14), (3, True, 13), (5, True, 12),
     ], ids=["k1:2", "k1:3", "k2:3", "k3:3", "k5:3"])
     def test_exact_on_every_element_of_the_ball(self, k, central, radius):
+        # a geodesic word for each, and the letter bound below its length
         machine = HeisenbergMachine(k, central)
         dist = enumerate_ball(machine, radius).dist
         assert len(dist) > 27_000
@@ -462,6 +448,7 @@ class TestHeisenbergMetric:
             assert machine.length_upper(x) == w.length() == d, x
             assert evaluate(machine, w) == x
             assert len(w.letters) <= 7
+            assert machine.length_lower(x) <= d
 
     def test_length_exact_only_for_k1(self):
         # the proof of monotone lengths along a3 covers k = 1 only; at
