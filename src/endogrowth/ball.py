@@ -10,8 +10,9 @@ their products.  Every machine that commands search supplies a packed
 codec: a key is one int, which packs the normal form's coordinates into
 offset bit fields, and a step is mostly one integer add, so a Cayley-graph
 edge costs one ``seen`` probe and a share of a list comprehension, and no
-tuple is built.  A machine that declares ``length_exact`` and gives
-``sphere_sizes`` is searched only by ``enumerate_ball`` callers.  Normal
+tuple is built.  A machine that declares ``length_exact`` is searched only
+by ``enumerate_ball`` callers and by ``ball_counts`` where it gives no
+``sphere_sizes``.  Normal
 forms appear only at the boundary: targets are encoded, a pruned side
 decodes the elements it expands, and ``enumerate_ball`` decodes its result.
 
@@ -39,9 +40,10 @@ Completed balls are immutable and safe to share.
 
 ``ball_counts`` sums the sphere sizes of ``Machine.sphere_sizes``, with no
 ball, where the machine gives them, and runs the BFS elsewhere.
-``cyclic_distortion`` never needs a full ball: it looks the powers g, g^2,
-... of its generator up with one search, or none on a ``length_exact``
-machine, as far as a lower bound that never falls along them allows.
+``cyclic_distortion`` never needs a full ball: it walks the powers g, g^2,
+... of its generator as far as a lower bound that never falls along them
+allows, and looks them up with one search, or none on a ``length_exact``
+machine.
 
 A target's ball is pruned by ``Machine.length_lower``: an element y at
 distance r from the target is stored but not expanded when
@@ -377,9 +379,10 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: in
     """Exact geodesic length of each target, or None where it lies beyond
     ``radius``.
 
-    Answered before any search: the identity (0), a target whose
-    ``length_lower`` exceeds ``radius`` (None), and every target of a
-    ``length_exact`` machine (``length_upper`` within ``radius``, else None).
+    Answered before any search: the identity (0), every target of a
+    ``length_exact`` machine (``length_upper`` within ``radius``, else
+    None), and elsewhere a target whose ``length_lower`` exceeds ``radius``
+    (None).
     The rest, deduplicated, go to one multi-target bidirectional search: one
     ball around the identity, shared, and one around each target, pruned by
     ``length_lower`` as ``_Frontier`` describes.  The identity grows next
@@ -405,11 +408,11 @@ def word_lengths(machine, targets, radius: int, cap: int = DEFAULT_CAP, held: in
     for x in dict.fromkeys(targets):
         if x == machine.identity:
             found[x] = 0
-        elif machine.length_lower(x) > radius:
-            found[x] = None
         elif exact:
             length = machine.length_upper(x)
             found[x] = length if length <= radius else None
+        elif machine.length_lower(x) > radius:
+            found[x] = None
         else:
             pending.append(x)
     if pending:
@@ -714,20 +717,21 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     g^k and g^-k have the same length and inner length, so delta(n) is the
     largest inner length of a g^k, k >= 1, with |g^k| <= n, and its witness
     is the lesser canonical word of g^k and g^-k.  A walk along g, g^2,
-    ..., g^K stops before g^k is the identity or has lower(g^k) > radius,
-    with lower the exact ``length_upper`` on ``length_exact`` machines and
-    ``length_lower`` elsewhere.  Under the contract of
+    ..., g^K stops before g^k is the identity or has
+    ``length_lower(g^k)`` > radius.  Under the contract of
     ``Machine.length_lower``, K is finite and no later power lies within
-    the radius.  On a ``length_exact`` machine the walk's values are the
-    lengths, as ``word_lengths`` would give them.  Elsewhere the powers,
-    distinct and none the identity, go to one ``_meet`` search with no
-    second pass of the bound.
+    the radius.  An exact length may fall along the powers, so it never
+    stops the walk.  On a ``length_exact`` machine each power's length is
+    its ``length_upper``, dropped above the radius, as ``word_lengths``
+    would give it, and nothing is searched.  Elsewhere the powers, distinct
+    and none the identity, go to one ``_meet`` search with no second pass
+    of the bound.
 
     In <g> of order m, g^k has inner length min(k, m - k).  A walk that
     ends at the identity has m = K + 1.  One that stops on the bound keeps
-    only k < m / 2 and takes m as infinite: by the contract lower is exact
-    on a g of finite order, and |g^k| = |g^(m - k)|, so lower first exceeds
-    the radius at some k <= m / 2.
+    only k < m / 2 and takes m as infinite: by the contract the bound is
+    exact on a g of finite order, and |g^k| = |g^(m - k)|, so it first
+    exceeds the radius at some k <= m / 2.
 
     ``cap`` counts the powers stored plus the elements the search stores.
     Rows past the longest power found repeat it, under the rule of
@@ -736,25 +740,22 @@ def cyclic_distortion(machine, gen_name: str, radius: int, cap: int = DEFAULT_CA
     index = machine.gens.index(gen_name)
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    exact = machine.length_exact
-    lower = machine.length_upper if exact else machine.length_lower
-    mul, g = machine.mul, machine.gen_elem(index)
-    powers, bounds = [], []
+    lower, mul, g = machine.length_lower, machine.mul, machine.gen_elem(index)
+    powers = []
     x = g
-    while x != machine.identity and (bound := lower(x)) <= radius:
+    while x != machine.identity and lower(x) <= radius:
         if len(powers) >= cap:
             raise ResourceCapExceeded(
                 f"distortion exceeded cap {cap} with the powers of {gen_name} within radius {radius}"
             )
         powers.append(x)
-        bounds.append(bound)
         x = mul(x, g)
     order = len(powers) + 1 if x == machine.identity else math.inf
     best_at = {}  # length -> (inner length, power) of the largest inner length
-    if exact or not powers:
-        lengths = bounds
+    if machine.length_exact:
+        lengths = [length if (length := machine.length_upper(x)) <= radius else None for x in powers]
     else:
-        found = _meet(machine, powers, radius, cap, len(powers))
+        found = _meet(machine, powers, radius, cap, len(powers)) if powers else {}
         lengths = [found[x] for x in powers]
     for k, (x, length) in enumerate(zip(powers, lengths), 1):
         val = min(k, order - k)

@@ -4,8 +4,9 @@ Each machine owns: a generator set, exact multiplication/inversion on normal
 forms, its defining relator list, a canonical word decomposition of any
 element, and a length functional that returns the length of an explicit word
 representing the element (an upper bound on the true word length; exact where
-the instance declares ``length_exact``).  Its ``sphere_sizes`` hook gives the
-sizes of the Cayley spheres without a search where the family knows them.
+the machine declares ``length_exact``, as every family but nilpotent2 and Sol
+does).  Its ``sphere_sizes`` hook gives the sizes of the Cayley spheres
+without a search where the family knows them.
 
 A normal form is a flat tuple of ints.  In every family but Baumslag-Solitar
 entry i is the exponent of generator i (the central ones last), so the base
@@ -15,19 +16,21 @@ only where its normal form reads otherwise.
 ``HeisenbergMachine`` extends ``Nil2Machine``: it keeps its inverse, codec
 and relators, and owns closed-form ``mul`` and ``pow``, its word length in
 closed form, geodesic and commutator words, and, for k = 1, its sphere
-sizes.  ``FreeAbelianMachine`` is ``TorsionProductMachine`` with no torsion,
+sizes.  ``BSMachine`` finds its word length and a geodesic in one pass over
+base-n digits.  ``FreeAbelianMachine`` is ``TorsionProductMachine`` with no torsion,
 owning its names, ``matrix`` shortcut and nilpotent closed form.
 
 Inside a Cayley-ball search an element is a key from the machine's
-``codec``.  The families that commands search (nilpotent2, Heisenberg with
-k >= 2, Sol, Baumslag-Solitar) pack the normal forms within a given depth of
-the search's starts into one int apiece, with right multiplication by each
-generator as a map on lists of such ints, and each docstring proves the
-bounds the packing rests on.  No command searches the families whose word
-length is a sum of coordinate lengths (free abelian, abelian with torsion,
-Klein), nor Heisenberg with k = 1: ``length_exact`` gives their lengths and
-``sphere_sizes`` their sphere sizes, by default a series over the cyclic
-coordinates that ``coordinate_orders`` declares.  The first three keep the
+``codec``.  The families that commands search (nilpotent2 and Sol, and
+Heisenberg with k >= 2 and Baumslag-Solitar for ``ball`` alone) pack the
+normal forms within a given depth of the search's starts into one int
+apiece, with right multiplication by each generator as a map on lists of
+such ints, and each docstring proves the bounds the packing rests on.  No
+command searches the families whose word length is a sum of coordinate
+lengths (free abelian, abelian with torsion, Klein), nor Heisenberg with
+k = 1: ``length_exact`` gives their lengths and ``sphere_sizes`` their
+sphere sizes, by default a series over the cyclic coordinates that
+``coordinate_orders`` declares.  The first three keep the
 default codec, whose key is the normal form itself, stepped by ``mul``; for
 an ``enumerate_ball`` caller it costs about what packing did.  Every other
 method takes and returns normal forms; the search encodes and decodes at
@@ -151,11 +154,8 @@ class Machine(_Value):
     identity: object
     free_ab_indices: tuple[int, ...]
     shortcut = None  # the endomorphism descriptor shortcut key it accepts, if any
-    # ``length_upper`` is the true word length, and along the powers of each
-    # generator it meets the stop contract of ``length_lower``, which
-    # ``ball.cyclic_distortion`` then walks with it.  A family that sets it,
-    # per class or per instance, proves both where it sets it; ``ball`` then
-    # answers every length without a search.
+    # ``length_upper`` is the true word length.  A family that sets it proves
+    # it where it does; ``ball`` then answers every length without a search.
     length_exact = False
 
     @classmethod
@@ -245,11 +245,12 @@ class Machine(_Value):
         the length stops before it starts when this exceeds its radius.
 
         ``ball.cyclic_distortion`` walks the powers g^k of a generator g of
-        order m until its stop bound, this or ``length_upper`` where
-        ``length_exact``, exceeds the radius.  The contract: along the
-        walk the stop bound never falls while k <= m / 2, it grows without
-        limit when m is infinite, and it is exact when m is finite.  Each
-        family proves it where it defines its bound."""
+        order m until this exceeds the radius.  The contract: along the
+        walk it never falls while k <= m / 2, it grows without limit when m
+        is infinite, and it is exact when m is finite.  Each family proves
+        it where it defines its bound.  An exact length may fall along the
+        powers (|b^11| = 8 > |b^12| = 7 in BS(1, 2)); the families whose
+        exact length never falls there return it."""
         return 0
 
     def coordinate_orders(self):
@@ -661,6 +662,9 @@ class TorsionProductMachine(Machine):
             total += min(elem[i], m - elem[i])
         return total
 
+    def length_lower(self, elem):
+        return self.length_upper(elem)
+
     def coordinate_orders(self):
         return self.orders
 
@@ -925,11 +929,12 @@ class HeisenbergMachine(Nil2Machine):
     Normal form a1^m a2^n a3^l as the triple (m, n, l); multiplication is
     (m, n, l)(m', n', l') = (m + m', n + n', l + l' + k n m').  It is
     ``Nil2Machine(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))``, whose
-    inverse, packed codec, relators and pruning bound it keeps; it owns
-    closed-form ``mul`` and ``pow``, the exact word length with a geodesic
-    word (``length_upper``), commutator words for a3^l and a3's block.  For
-    k = 1 it owns its sphere sizes too and declares ``length_exact``, so no
-    command searches it; for k >= 2 commands search it as nilpotent2.
+    inverse, packed codec, relators and, for k >= 2, pruning bound it
+    keeps; it owns closed-form ``mul`` and ``pow``, the exact word length
+    with a geodesic word (``length_upper``), so it declares
+    ``length_exact``, commutator words for a3^l and a3's block.  For k = 1
+    it owns its sphere sizes too, so no command searches it; for k >= 2
+    ``ball`` searches it as nilpotent2.
 
     With include_center_gen=False the generating set is {a1, a2} (only
     allowed for k=1, where the center is generated by the commutator), and
@@ -938,6 +943,7 @@ class HeisenbergMachine(Nil2Machine):
 
     family = "heisenberg"
     schema = (("k", "int"), ("include_center_gen", "bool", True))
+    length_exact = True  # ``length_upper`` gives the proof
 
     @classmethod
     def build(cls, k, include_center_gen):
@@ -951,7 +957,6 @@ class HeisenbergMachine(Nil2Machine):
         super().__init__(2, ("a3",), (), (((2, 1), (k,)),), ("a1", "a2"))
         self.k = k
         self.include_center_gen = include_center_gen
-        self.length_exact = k == 1  # ``length_upper`` gives the proof
         if not include_center_gen:
             self.gens = GenSet(self.tau_names)
 
@@ -1034,13 +1039,17 @@ class HeisenbergMachine(Nil2Machine):
         thus at N*, N* - 1 or an N <= 2 (``_heisenberg_plan``).  On
         {a1, a2} it is 2N* - s with t = z.
 
-        ``length_exact`` holds for k = 1 alone.  There r = 0, so
-        |a3^j| = min over N of 2N + max(j - A_N, 0), with x = y = 0, is a
-        least of nondecreasing functions of j, as ``cyclic_distortion``'s
-        walk needs; a1^j and a2^j have length j.  For k >= 2 the r term
-        breaks it: at k = 2, |a3^15| = 13 and |a3^16| = 12."""
+        For k = 1, r = 0, so |a3^j| = min over N of 2N + max(j - A_N, 0),
+        with x = y = 0, is a least of nondecreasing functions of j; a1^j and
+        a2^j have length j.  So it is ``length_lower``, as the walk of
+        ``cyclic_distortion`` allows.  For k >= 2 the r term breaks that: at
+        k = 2, |a3^15| = 13 and |a3^16| = 12."""
         x, y, z, *_ = self._normalized(elem)
         return _heisenberg_plan(self.k, self.include_center_gen, x, y, z)[0]
+
+    def length_lower(self, elem):
+        """The word length for k = 1; nilpotent2's bound for k >= 2."""
+        return self.length_upper(elem) if self.k == 1 else super().length_lower(elem)
 
     def _normalized(self, elem):
         """(x, y, z, flip a1, flip a2, swap): the image of ``elem`` with
@@ -1419,6 +1428,9 @@ class KleinMachine(Machine):
         # the word length (coordinate_orders); x^k and y^k have length k
         return abs(elem[0]) + abs(elem[1])
 
+    def length_lower(self, elem):
+        return self.length_upper(elem)
+
     def coordinate_orders(self):
         # x^a y^b <-> (a, b) is a bijection onto Z^2, and the length is |a| + |b|
         return (0, 0)
@@ -1444,6 +1456,7 @@ class BSMachine(Machine):
     family = "baumslag_solitar"
     schema = (("n", "int"),)
     closed_form = None  # empirical only
+    length_exact = True  # ``length_upper`` gives the proof
     # If some power of phi is trivial, its 1x1 free block (the a-exponent
     # sum of phi(a)) is 0, so phi maps G into the kernel N = Z[1/n] of the
     # a-exponent sum, the abelian normal closure of b.  With phi(b) = y and
@@ -1562,32 +1575,91 @@ class BSMachine(Machine):
         num, e, t = elem
         return _letters((0, e), (1, num), (0, t - e))
 
-    def _balanced_digits(self, value):
-        """Base-n digits in [-(n//2), +(n - n//2)] ... smallest magnitudes."""
-        digits = []
-        v = value
-        half = self.n // 2
-        while v != 0:
-            d = v % self.n
-            if d > half or (d == half and self.n == 2 * half and v % (self.n * self.n) >= self.n * half):
-                d -= self.n
-            digits.append(d)
-            v = (v - d) // self.n
-        return digits
+    def length_upper(self, elem):
+        """The word length, in one pass over base-n digits; |t| when num = 0.
+
+        Words.  A b^(+-1) read at a-height h (the a-exponent of the prefix)
+        adds +-n^-h to the b-part.  So a word whose a letters walk over the
+        heights [L, U'], with its b letters at height h summing to c_h,
+        spells (num, e, t) iff the sum of c_h n^-h is num / n^e.  It has at
+        least 2(U' - L) - |t| a letters, as the walk covers 0 and t, and at
+        least the sum of |c_h| b letters.  The sweep 0, one end, the other,
+        t, dropping b^(c_h) at each height, has exactly that many.
+
+        Top.  U' >= U = max(0, t, e): the walk covers 0 and t, and for e > 0
+        some b letter lies at height >= e, as n does not divide num.  If
+        U' > U, n divides c_U': a zero lets the walk skip U', and kn moves
+        to k at U' - 1, each shorter.  So a shortest word has U' = U.
+
+        Digits.  Let D = U - L and i = U - h, and take num > 0 (b -> b^-1
+        negates it).  The c_i are digits of N = num n^(U - e) = the sum of
+        c_i n^i over i <= D, with D >= D0 = U - min(0, t), and the length is
+        2D - |t| + the sum of |c_i|.  Below the top |c_i| < n, or c_i -+ n,
+        c_(i+1) +- 1 saves n - 1 letters.  So, with Q = N // n^i and the
+        carry c in {0, 1} that the digits below leave to spell (Q + c) n^i,
+        each digit is R or R - n for R = (Q mod n) + c, which leaves carry 0
+        or 1, and the top digit is Q + c.  ``_plan`` keeps the least b-cost of each carry and
+        takes the least candidate over D: once 2D - |t| reaches it, no
+        deeper D helps, and once Q = 0 the b-cost stays, at D or D0.  Each
+        candidate is the length of a sweep word, and the least is over
+        every shape a shortest word can take, so it is the word length.
+
+        The pass takes O(digits of num) steps, never O(|t|), and forms no
+        power of n.  Lengths fall along b's powers, |b^11| = 8 > |b^12| = 7
+        for n = 2, so ``length_lower`` keeps its own bound."""
+        return self._plan(elem)[0] if elem[0] else abs(elem[2])
+
+    def _plan(self, elem, trail=None):
+        """(length, D, Q, c) of ``length_upper``'s least candidate, whose top
+        digit Q + c sits at D, for num != 0.  A list ``trail`` gets, per
+        digit stepped, (its digit s of N, whether carry 0 and whether carry 1
+        came from carry 1)."""
+        num, e, t = elem
+        n, span = self.n, abs(t)
+        top = max(0, t, e)
+        floor = top - min(0, t)
+        depth, q = top - e, abs(num)
+        # no carry below the lowest nonzero digit; q + 1 stands for none, as
+        # taking each digit s keeps a candidate of b-cost <= q at every D
+        cost0, cost1 = 0, q + 1
+        best = None
+        while True:
+            if depth >= floor or not q:
+                length = 2 * max(depth, floor) - span + q + min(cost0, cost1 + 1)
+                if best is None or length < best[0]:
+                    best = (length, depth, q, cost1 + 1 < cost0)
+                if not q or 2 * depth + 2 - span >= best[0]:
+                    return best
+            q, s = divmod(q, n)
+            from0, from1 = cost1 + 1 < cost0, cost1 - 1 < cost0
+            if trail is not None:
+                trail.append((s, from0, from1))
+            cost0, cost1 = s + (cost1 + 1 if from0 else cost0), n - s + (cost1 - 1 if from1 else cost0)
+            depth += 1
 
     def length_upper_word(self, elem):
-        """Horner word in base n: a^(e-E) b^(d_E) a b^(d_(E-1)) a ... b^(d_0) a^(t-e)."""
+        """The sweep word of ``length_upper``'s least candidate, from its
+        digits: up from the lowest height when t >= 0, else down from U."""
         num, e, t = elem
-        digits = self._balanced_digits(num)
-        if not digits:
-            return reduce_word(_letters((0, t)))
-        depth = len(digits) - 1
-        letters = [(0, e - depth)]
-        for i in range(depth, -1, -1):
-            if i < depth:
-                letters.append((0, 1))
-            letters.append((1, digits[i]))
-        letters.append((0, t - e))
+        if not num:
+            return _letters((0, t))
+        trail = []
+        _, depth, q, carry = self._plan(elem, trail)
+        top, sign = max(0, t, e), 1 if num > 0 else -1
+        low = top - max(depth, top - min(0, t))
+        digits = [(top - depth, sign * (q + carry))]  # (height, digit), from the lowest up
+        for i in range(depth - 1, top - e - 1, -1):
+            s, from0, from1 = trail[i - top + e]
+            prev = from1 if carry else from0
+            digits.append((top - i, sign * (s + prev - self.n * carry)))
+            carry = prev
+        first, last = (low, top) if t >= 0 else (top, low)
+        letters, height = [(0, first)], first
+        for h, d in digits if t >= 0 else reversed(digits):
+            if d:
+                letters += [(0, h - height), (1, d)]
+                height = h
+        letters += [(0, last - height), (0, t - last)]
         return reduce_word(_letters(*letters))
 
     def length_lower(self, elem):

@@ -276,7 +276,7 @@ class TestCapAcrossChunks:
         ("nil2_ex3", ((7, 0, 0, 0, 0),), 9): (12, 22, 84, 146, 444, 569, 697),
         ("nil2_ex3", ((7, 0, 0, 0, 0), (0, 0, 0, 0, -7), (3, -2, 1, 0, 0)), 9): (14, 44, 106, 292, 590, 1270, 2042),
         ("heis_nil2", ((5, 5, 12),), 20): (8, 14, 36, 58, 112, 166, 272, 378, 568, 758),
-        ("bs", ((16, 0, 0), (5, 2, 1)), 11): (7, 15, 27, 51, 77, 79, 103, 144),
+        ("sol_ex1", ((8, 0, 0), (3, -2, 1)), 10): (9, 21, 47, 99, 169, 309, 376, 546),
     }
 
     @pytest.mark.parametrize("stem, radius", list(BALLS))
@@ -394,11 +394,13 @@ class TestTargetedLookups:
 
 
 class TestPrunedSearch:
-    def test_pruned_side_runs_dry(self, bs2, monkeypatch):
-        # (3, 4, 4) = a^4 b^3 has length 6 and length_lower 5.  At radius 5
-        # each of its neighbours has length_lower >= 5, so its side stores
-        # sphere 1, expands none of it and ends before the depths sum to 5.
-        # Sphere 2 is not its last, which is expanded without the bound.
+    def test_pruned_side_runs_dry(self, monkeypatch):
+        # (35, 21, 4) = a1 tau^4 a1 in sol_ex1 has length 6 and length_lower
+        # 5.  At radius 5 each of its neighbours has length_lower >= 5, so its
+        # side stores sphere 1, expands none of it and ends before the depths
+        # sum to 5.  Sphere 2 is not its last, which is expanded without the
+        # bound.
+        sol = machine_named("sol_ex1")
         dry = []
         grow = ball_module._Frontier.grow
 
@@ -409,10 +411,10 @@ class TestPrunedSearch:
             return grown
 
         monkeypatch.setattr(ball_module._Frontier, "grow", spy)
-        assert bs2.length_lower((3, 4, 4)) == 5
-        assert word_lengths(bs2, [(3, 4, 4), (1, 0, 0)], 5) == [None, 1]
+        assert sol.length_lower((35, 21, 4)) == 5
+        assert word_lengths(sol, [(35, 21, 4), (1, 0, 0)], 5) == [None, 1]
         assert dry == [1]
-        assert word_length(bs2, (3, 4, 4), 6) == 6
+        assert word_length(sol, (35, 21, 4), 6) == 6
 
     def test_pruned_sides_store_fewer_elements(self, bs2):
         # b^16 = a^-3 b^2 a^3 is 8 letters long, as its bound says, so a
@@ -658,19 +660,19 @@ class TestPowerLookups:
     @pytest.mark.parametrize("machine", WALKED_MACHINES, ids=WALKED_IDS)
     def test_lower_bound_never_falls_along_generator_powers(self, machine):
         """The contract of ``Machine.length_lower`` on every machine the
-        lookups walk: for k <= 5000, lower(g^k) is nondecreasing and grows,
-        until g^k returns to the identity.  A generator of order m is checked
-        up to k = m / 2, past which the powers are inverses of earlier ones,
-        and sits on a ``length_exact`` machine, whose bound is exact."""
-        lower = machine.length_upper if machine.length_exact else machine.length_lower
+        lookups walk: for k <= 5000, length_lower(g^k) is nondecreasing and
+        grows, until g^k returns to the identity.  A generator of order m is
+        checked up to k = m / 2, past which the powers are inverses of
+        earlier ones, and its bound is the exact length."""
         for i in range(len(machine.gens)):
             g = machine.gen_elem(i)
-            x, seq = g, []
-            while x != machine.identity and len(seq) < 5000:
-                seq.append(lower(x))
+            x, powers = g, []
+            while x != machine.identity and len(powers) < 5000:
+                powers.append(x)
                 x = machine.mul(x, g)
+            seq = list(map(machine.length_lower, powers))
             if x == machine.identity:
-                assert machine.length_exact
+                assert machine.length_exact and seq == list(map(machine.length_upper, powers))
                 seq = seq[: (len(seq) + 1) // 2]
             else:
                 assert seq[-1] > seq[0]
@@ -685,24 +687,39 @@ class TestPowerLookups:
         for gen in machine.gens.names:
             assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius), gen
 
-    def test_cap_counts_the_powers_and_the_search(self, bs2):
-        # b, ..., b^8 have lower bounds <= 6; their search stores more
-        with pytest.raises(ResourceCapExceeded, match="powers of b"):
-            cyclic_distortion(bs2, "b", 6, cap=7)
-        with pytest.raises(ResourceCapExceeded, match="search exceeded cap 20"):
-            cyclic_distortion(bs2, "b", 6, cap=20)
-        cap = len(enumerate_ball(bs2, 6).dist)
-        assert cyclic_distortion(bs2, "b", 6, cap) == full_ball_distortion(bs2, "b", 6, cap)
+    @pytest.mark.parametrize("n, radius", [(2, 12), (3, 10), (4, 9), (5, 9)])
+    def test_bs_walks_match_the_full_ball(self, n, radius, monkeypatch):
+        # the walk stops on length_lower and reads each power's length from
+        # length_upper, which may fall along the powers; nothing is searched
+        machine = BSMachine(n)
+        searches = count_calls(monkeypatch, ball_module, "_meet")
+        for gen in machine.gens.names:
+            assert cyclic_distortion(machine, gen, radius) == full_ball_distortion(machine, gen, radius), gen
+        assert searches == []
 
-    @pytest.mark.parametrize("stem, gen, radius", [("klein", "x", 10), ("bs", "b", 10), ("heis_ex1", "a3", 12)])
+    def test_cap_counts_the_powers_and_the_search(self):
+        # in sol_ex1, a1, ..., a1^8 have lower bounds <= 6; their search
+        # stores more
+        sol = FIXTURE_MACHINES["sol_ex1"]
+        with pytest.raises(ResourceCapExceeded, match="powers of a1"):
+            cyclic_distortion(sol, "a1", 6, cap=7)
+        with pytest.raises(ResourceCapExceeded, match="search exceeded cap 20"):
+            cyclic_distortion(sol, "a1", 6, cap=20)
+        cap = len(enumerate_ball(sol, 6).dist)
+        assert cyclic_distortion(sol, "a1", 6, cap) == full_ball_distortion(sol, "a1", 6, cap)
+
+    @pytest.mark.parametrize("stem, gen, radius", [
+        ("klein", "x", 10), ("bs", "b", 10), ("heis_ex1", "a3", 12), ("sol_ex1", "a1", 8),
+    ])
     def test_walk_bounds_are_evaluated_once(self, stem, gen, radius, monkeypatch):
-        # on a length_exact machine the walk's values are the lengths and no
-        # search runs; elsewhere the powers go straight to one search, whose
-        # table may evaluate a power's bound once more, not twice
+        # the walk evaluates each power's bound once.  On a length_exact
+        # machine each power's length is its length_upper and no search
+        # runs; elsewhere the powers go straight to one search, whose table
+        # may evaluate a power's bound once more, not twice
         machine = FIXTURE_MACHINES[stem]
         expected = full_ball_distortion(machine, gen, radius)
         searches = count_calls(monkeypatch, ball_module, "_meet")
-        calls = count_calls(monkeypatch, machine, "length_upper" if machine.length_exact else "length_lower")
+        calls = count_calls(monkeypatch, machine, "length_lower")
         assert cyclic_distortion(machine, gen, radius) == expected
         counts = Counter(x for x, in calls)
         if machine.length_exact:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from endogrowth.ball import ClosedForm, GrowthEstimate, gr_estimate
 from endogrowth.cli import COMMANDS, make_parser, parse_args, run
 from endogrowth.errors import ValidationError
-from endogrowth.families import FreeAbelianMachine, HeisenbergMachine, KleinMachine, TorsionProductMachine
+from endogrowth.families import BSMachine, FreeAbelianMachine, HeisenbergMachine, KleinMachine, TorsionProductMachine
 from endogrowth.reports import (
     _verdict,
     build_report,
@@ -313,6 +313,21 @@ class TestExactFunctionals:
         assert run(["wordlen", "--group", str(group), "--word", word, *sizes]) == 0
         assert capsys.readouterr().out.endswith(f"wordlen: {radius}\n")
         assert run(["distortion", "--group", str(group), "--subgroup", gen, *sizes]) == 0
+
+    def test_only_ball_searches_baumslag_solitar(self, tmp_path, monkeypatch, capsys):
+        # length_upper gives every length at the benchmark's sizes; only the
+        # sphere counts of ball need a search
+        built = count_calls(monkeypatch, BSMachine, "codec")
+        group, endo = fixture_path("bs.group"), fixture_path("bs.endo")
+        sizes = ["--radius", "14", "--kmax", "12", "--out", str(tmp_path / "out")]
+        for command in ("check", "empirical", "compare"):
+            assert run([command, "--group", group, "--endo", endo, *sizes]) == 0, command
+        assert run(["wordlen", "--group", group, "--word", "a b^577 a^-7", *sizes]) == 0
+        assert capsys.readouterr().out.endswith("wordlen: 14\n")
+        assert run(["distortion", "--group", group, "--subgroup", "b", *sizes]) == 0
+        assert built == []
+        assert run(["ball", "--group", group, *sizes]) == 0
+        assert built
 
 
 class TestSingleValidation:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endogrowth import ball as ball_module
 from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
 from endogrowth.ball import enumerate_ball, word_length, word_lengths
@@ -385,7 +386,7 @@ class TestLengthLower:
         # the letter bound gives 9 and the geodesic takes 19: a path to
         # (-6, 3) that encloses area near 29 is what costs
         elem = evaluate(heis1, parse_word("a1^-6 a2^3 a3^29", heis1.gens))
-        assert _nil_lower(1, 9, 29) == heis1.length_lower(elem) == 9
+        assert _nil_lower(1, 9, 29) == HEIS_NIL2.length_lower(elem) == 9
         assert heis1.length_upper(elem) == 19 == word_length(HEIS_NIL2, elem, 19)
         assert word_length(HEIS_NIL2, elem, 18) is None
 
@@ -450,14 +451,17 @@ class TestHeisenbergMetric:
             assert len(w.letters) <= 7
             assert machine.length_lower(x) <= d
 
-    def test_length_exact_only_for_k1(self):
-        # the proof of monotone lengths along a3 covers k = 1 only; at
-        # k = 2, |a3^15| = 13 > |a3^16| = 12 (a BFS search finds both)
-        assert [HeisenbergMachine(k).length_exact for k in range(1, 6)] == [True] + [False] * 4
+    def test_length_exact_for_every_k(self):
+        # the length is exact for every k, but only for k = 1 is it monotone
+        # along a3 and the walk's bound: at k = 2, |a3^15| = 13 > |a3^16| =
+        # 12 (a BFS search finds both), and the walk keeps nilpotent2's bound
+        assert all(HeisenbergMachine(k).length_exact for k in range(1, 6))
         assert HeisenbergMachine(1, include_center_gen=False).length_exact
-        h2 = HeisenbergMachine(2)
-        assert word_lengths(h2, [(0, 0, 15), (0, 0, 16)], 13) == [13, 12]
+        h1, h2 = HeisenbergMachine(1), HeisenbergMachine(2)
         assert [h2.length_upper((0, 0, j)) for j in (15, 16)] == [13, 12]
+        assert [ball_module._meet(h2, [(0, 0, j)], 13, 10**6, 0)[(0, 0, j)] for j in (15, 16)] == [13, 12]
+        assert h1.length_lower((0, 0, 15)) == h1.length_upper((0, 0, 15))
+        assert [h2.length_lower((0, 0, j)) for j in (15, 16)] == [_central_reach(2, j) for j in (15, 16)]
 
     @pytest.mark.parametrize("k, central", [(1, False), (1, True), (2, True), (3, True), (7, True)])
     def test_far_words(self, k, central, monkeypatch):
@@ -479,6 +483,70 @@ class TestHeisenbergMetric:
             w = machine.length_upper_word((x, y, z))
             assert evaluate(machine, w) == (x, y, z) and len(w.letters) <= 7
             assert w.length() == machine.length_upper((x, y, z)) >= machine.length_lower((x, y, z))
+
+
+class TestBaumslagSolitarMetric:
+    """``BSMachine.length_upper`` is the word length, and
+    ``length_upper_word`` spells a geodesic."""
+
+    @pytest.mark.parametrize("n, radius", [(2, 14), (3, 12), (4, 11), (5, 10)])
+    def test_exact_on_every_element_of_the_ball(self, n, radius):
+        machine = BSMachine(n)
+        dist = enumerate_ball(machine, radius).dist
+        assert len(dist) > 30_000
+        for x, d in dist.items():
+            w = machine.length_upper_word(x)
+            assert machine.length_upper(x) == w.length() == d, x
+            assert evaluate(machine, w) == x
+
+    def test_lengths_fall_along_b(self, bs2):
+        # b^12 = a^-2 b^3 a^2, and b^11 takes a b^-1 more a level down; so
+        # the walk of ``cyclic_distortion`` stops on ``length_lower``, which
+        # never falls along b
+        assert [bs2.length_upper((k, 0, 0)) for k in (11, 12)] == [8, 7]
+        assert [ball_module._meet(bs2, [(k, 0, 0)], 8, 10**6, 0)[(k, 0, 0)] for k in (11, 12)] == [8, 7]
+        assert bs2.length_lower((11, 0, 0)) <= bs2.length_lower((12, 0, 0)) <= 7
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_far_words(self, n):
+        # heights and digits past 2^70, and b-parts past the float range:
+        # the words stay as many syllables as num has digits
+        machine, rng = BSMachine(n), random.Random(n)
+        for _ in range(200):
+            num = rng.choice([1, -1, n + 1, rng.randint(-(10**400), 10**400)])
+            e, t = (rng.choice([0, 1, 5, 2**70, rng.randint(0, 10**30)]) for _ in range(2))
+            if e and num % n == 0:  # a normal form: n does not divide num
+                num += 1
+            x = (num, e, rng.choice([t, -t]))
+            w = machine.length_upper_word(x)
+            assert evaluate(machine, w) == x
+            assert w.length() == machine.length_upper(x) >= machine.length_lower(x)
+
+
+# Runs in a child capped at 256 MiB of address space and prints the length of
+# each far element and the seconds all of them took.
+BS_FAR_CHILD = """
+import time
+from endogrowth.families import BSMachine
+N = 2**70
+start = time.perf_counter()
+for x in ((1, N, 0), (1, 0, -N), (N + 1, 0, N), (-3, N, -N), (2**4000 + 1, 3, N)):
+    print(BSMachine(2).length_upper(x), len(BSMachine(2).length_upper_word(x).letters))
+print(time.perf_counter() - start)
+"""
+
+
+def test_bs_far_lengths_take_milliseconds():
+    # a^N b a^-N and b a^-N with N = 2^70: the digit program steps over the
+    # digits of num, never over the heights, and forms no power of n
+    done = run_child(BS_FAR_CHILD, limit_mb=256)
+    assert done.returncode == 0, done.stderr
+    *rows, seconds = done.stdout.split("\n")[:-1]
+    N = 2**70
+    lengths = [int(row.split()[0]) for row in rows]
+    assert lengths[:2] == [2 * N + 1, N + 1]
+    assert all(int(row.split()[1]) <= 2 * 4001 + 3 for row in rows)
+    assert float(seconds) < 0.5
 
 
 class TestBigIntegerLengths:

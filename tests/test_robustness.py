@@ -398,31 +398,22 @@ def test_huge_radius_distortion_on_z1_ends_in_a_documented_exit(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-# At radius 40 about a million powers of b in BS(1, 2) pass the length lower
-# bound, and the lookup search starts a ball around each until memory runs
-# out.  Freeing that search must write nothing to stderr but the exit-3 line.
-BS_CHILD = """
-import json, os
-from endogrowth.cli import run
-os.chdir(sys.argv[2])
-with open("g.json", "w") as fh:
-    json.dump({"family": "baumslag_solitar", "params": {"n": 2}}, fh)
-sys.exit(run(sys.argv[3:] + ["--group", "g.json", "--out", "out"]))
-"""
-
-
-def test_out_of_memory_in_a_search_prints_one_line(tmp_path):
-    done = run_child(BS_CHILD, str(tmp_path), "distortion", "--subgroup", "b", "--radius", "40", limit_mb=256)
-    assert done.returncode == 3, done.stderr
-    assert done.stderr == "resource cap: out of memory\n"
-
-
 # Sol distortion looks the torus powers up.  About 32,000 powers of a1 have a
 # bound within radius 40, and their search passes the cap, not a full ball.
 SOL_CHILD = """
 from endogrowth.cli import run
 sys.exit(run(sys.argv[3:] + ["--group", sys.argv[2]]))
 """
+
+
+# Under the default cap the lookup search of those powers starts a ball
+# around each until memory runs out.  Freeing that search must write nothing
+# to stderr but the exit-3 line.
+def test_out_of_memory_in_a_search_prints_one_line(tmp_path):
+    argv = ["distortion", "--subgroup", "a1", "--radius", "40", "--out", str(tmp_path / "out")]
+    done = run_child(SOL_CHILD, str(FIXTURE_DIR / "sol_ex1.group"), *argv, limit_mb=256)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "resource cap: out of memory\n"
 
 
 def test_capped_sol_distortion_stops_in_the_search(tmp_path):
@@ -435,8 +426,8 @@ def test_capped_sol_distortion_stops_in_the_search(tmp_path):
 # A radius the search never reaches costs nothing: a search sizes its codec
 # for the depth it has reached and widens it as it goes.  Sized for the
 # radius, Sol's v0 field would sum an entry bound of A^h over every height
-# up to it, in every key.  Klein and the torsion product answer by their
-# exact length functional, with no search.
+# up to it, in every key.  Klein, the torsion product, Heisenberg and
+# Baumslag-Solitar answer by their exact length functional, with no search.
 @pytest.mark.parametrize(
     "stem, word",
     [("sol_ex1", "a1"), ("bs", "b"), ("heis_ex1", "a1"), ("nil2_ex3", "t1"), ("klein", "x"), ("counter", "beta")],
