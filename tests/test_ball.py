@@ -377,8 +377,9 @@ class TestTargetedLookups:
         assert (table.lengths, table.exact) == reference_table(valid, kmax, radius)
 
     def test_bs_table_fits_in_a_twentieth_of_the_ball(self):
-        # the far targets b^(2^k) have length_lower 2k, so the pruned target
-        # sides stay small; without the b-part in the bound this took 29.9%
+        # every length is length_upper's, so nothing is stored; a search
+        # pruned by length_lower needed 4.0%, and 29.9% without the b-part
+        # in the bound
         _, machine = parse_group(load_fixture("bs.group"))
         valid = validate_endo(machine, parse_endo(load_fixture("bs.endo"), machine))
         cap = len(enumerate_ball(machine, 9).dist) * 5 // 100
