@@ -12,9 +12,9 @@ offset bit fields, and a step is mostly one integer add, so a Cayley-graph
 edge costs one ``seen`` probe and a share of a list comprehension, and no
 tuple is built.  A machine that declares ``length_exact`` is searched only
 by ``enumerate_ball`` callers and by ``ball_counts`` where it gives no
-``sphere_sizes``.  Normal
-forms appear only at the boundary: targets are encoded, a pruned side
-decodes the elements it expands, and ``enumerate_ball`` decodes its result.
+``sphere_sizes``.  Normal forms appear only at the boundary: targets are
+encoded, a pruned side decodes the elements it expands, and
+``enumerate_ball`` decodes its result.
 
 One class, ``_Frontier``, grows every ball: a ball around a start element,
 one sphere at a time, in chunks of up to ``_CHUNK`` keys.  Spheres are

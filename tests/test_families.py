@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from endogrowth import ball as ball_module
 from endogrowth.errors import ResourceCapExceeded, ValidationError
 from endogrowth.exactlin import IntMatrix, mat_pow, spectral_radius
-from endogrowth.ball import enumerate_ball, word_length, word_lengths
+from endogrowth.ball import enumerate_ball, word_length
 from endogrowth.families import (
     _SOL_POWER_CACHE,
     BSMachine,
@@ -500,17 +500,17 @@ class TestBaumslagSolitarMetric:
             assert evaluate(machine, w) == x
 
     def test_lengths_fall_along_b(self, bs2):
-        # b^12 = a^-2 b^3 a^2, and b^11 takes a b^-1 more a level down; so
-        # the walk of ``cyclic_distortion`` stops on ``length_lower``, which
-        # never falls along b
+        # b^12 = a^-2 b^3 a^2 and b^11 = a^-2 b^3 a^2 b^-1, so the walk of
+        # ``cyclic_distortion`` stops on ``length_lower``, which never falls
+        # along b
         assert [bs2.length_upper((k, 0, 0)) for k in (11, 12)] == [8, 7]
         assert [ball_module._meet(bs2, [(k, 0, 0)], 8, 10**6, 0)[(k, 0, 0)] for k in (11, 12)] == [8, 7]
         assert bs2.length_lower((11, 0, 0)) <= bs2.length_lower((12, 0, 0)) <= 7
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_far_words(self, n):
-        # heights and digits past 2^70, and b-parts past the float range:
-        # the words stay as many syllables as num has digits
+        # heights past 2^70 and b-parts past the float range: each word
+        # evaluates back and has the length ``length_upper`` gives
         machine, rng = BSMachine(n), random.Random(n)
         for _ in range(200):
             num = rng.choice([1, -1, n + 1, rng.randint(-(10**400), 10**400)])
